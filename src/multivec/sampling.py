@@ -160,12 +160,15 @@ class _InverseCdf:
         u = np.asarray(u, dtype=float)
         v = np.power(u, 1.0 / self.kappa)
         r = np.asarray(self.quantile(np.clip(v, 0.0, 1.0)), dtype=float)
-        r_max = self.nodes[-1]
-        r = np.clip(r, 0.0, r_max)
+        # the cell whose node CDFs bracket u also brackets its quantile; every
+        # iterate stays inside it, where a far-tail Newton step would overshoot
+        cell = np.clip(np.searchsorted(self.node_cdf, u, side="right") - 1, 0, len(self.nodes) - 2)
+        lo, hi = self.nodes[cell], self.nodes[cell + 1]
+        r = np.clip(r, lo, hi)
         for _ in range(2):
             cdf, pdf = self._cdf_and_pdf(r)
             step = np.where(pdf > 0, (cdf - u) / np.where(pdf > 0, pdf, 1.0), 0.0)
-            r = np.clip(r - step, 0.0, r_max)
+            r = np.clip(r - step, lo, hi)
         return r
 
 
@@ -203,7 +206,9 @@ def _build_inverse_cdf(spec: GeneratorSpec, n: float) -> _InverseCdf:
 
     # pass 1: outline the CDF on a uniform grid; pass 2: re-grid at its
     # quantiles (equal mass per interval) plus geometric nodes toward 0,
-    # where the density can have an algebraic endpoint singularity
+    # where the density can have an algebraic endpoint singularity, and
+    # nodes at geometrically shrinking tail mass toward r_max, where the last
+    # equal-mass cell would otherwise span the whole exponential tail
     coarse = np.linspace(0.0, r_max, 513)
     cdf_c = _coarse_cdf(law, coarse)
     total_c = cdf_c[-1]
@@ -215,7 +220,11 @@ def _build_inverse_cdf(spec: GeneratorSpec, n: float) -> _InverseCdf:
     nodes[0], nodes[-1] = 0.0, r_max
     first = nodes[nodes > 0][0]
     geo = first * 2.0 ** -np.arange(1, 17, dtype=float)
-    nodes = np.unique(np.concatenate([nodes, geo]))
+    tail_c = total_c - cdf_c[keep]
+    pos = tail_c > 0
+    tail_levels = (total_c / 1024.0) * 2.0 ** -np.arange(1, 33, dtype=float)
+    geo_tail = np.interp(-np.log(tail_levels), -np.log(tail_c[pos]), coarse[keep][pos])
+    nodes = np.unique(np.concatenate([nodes, geo, geo_tail]))
 
     # accurate pass: adaptive quadrature per interval, converged in relative
     # terms so the innermost (tiny) increments stay fully significant
@@ -257,7 +266,9 @@ def _build_inverse_cdf(spec: GeneratorSpec, n: float) -> _InverseCdf:
     )
 
     # verify the stated 1e-9 CDF tolerance, including near both endpoints
-    probe_u = np.concatenate([[1e-4, 1e-3, 5e-3], np.linspace(0.02, 0.98, 9), [0.995, 0.999]])
+    probe_u = np.concatenate(
+        [[1e-4, 1e-3, 5e-3], np.linspace(0.02, 0.98, 9), [0.995, 0.999, 0.9999, 0.99999]]
+    )
     for p_u in probe_u:
         p_r = float(inv.eval(np.array([p_u]))[0])
         direct, _ = integrate.quad(pdf, 0.0, p_r, epsabs=1e-14, epsrel=1e-12, limit=200)

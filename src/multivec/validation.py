@@ -1,13 +1,15 @@
 """Oracle layer: normalization, change-of-variables, and pushforward checks.
 
 Every density formula in this package is accepted only if it passes the
-checks here: adaptive quadrature of exp(logpdf) over the declared support
-(total dimension <= 3), importance-sampled Monte-Carlo normalization for
-higher dimensions, the ball-to-space Jacobian identity, and sampler-vs-
-density goodness of fit (marginal KS plus 2-d chi-square).  The suite also
-carries a discrimination check: a deliberately uncorrected variant of the
-beta-I density must FAIL goodness of fit, demonstrating that the corrected
-exponent is required and the tests have power.
+checks here: quadrature of exp(logpdf) over the declared support (total
+dimension <= 3), importance-sampled Monte-Carlo normalization for higher
+dimensions, the ball-to-space Jacobian identity, and sampler-vs-density
+goodness of fit (marginal KS plus 2-d chi-square).  The quadrature is one
+tensor double-exponential rule fed (n, d) batches; its err_est is the change
+between the last two step halvings, under a fixed budget of points.  The
+suite also carries a discrimination check: a deliberately uncorrected
+variant of the beta-I density must FAIL goodness of fit, demonstrating that
+the corrected exponent is required and the tests have power.
 
 Reports are deterministic given (inputs, seed) and serialize as JSON lines.
 """
@@ -44,7 +46,7 @@ from .densities import (
     logpdf_mv_pearson2,
     logpdf_mv_t,
 )
-from .errors import DegenerateWeights, ParameterOutOfDomain, QuadratureFailure
+from .errors import DegenerateWeights, DimensionMismatch, ParameterOutOfDomain, QuadratureFailure
 from .generators import Bessel, GeneratorSpec, Kotz, PearsonII, PearsonVII, radial_integral_identity_check
 from .sampling import (
     make_rng,
@@ -114,9 +116,58 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Normalization by nested adaptive quadrature
+# Normalization by double-exponential quadrature
 
 Interval = tuple[float, float]
+
+_DE_WINDOW = 4.5  # |t| <= _DE_WINDOW on every axis of the DE substitution
+_CHUNK = 1 << 16  # points per integrand call
+_POINT_BUDGET = 1 << 22  # integrand points per integral, all levels together
+
+
+def _de_axis(lo: float, hi: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x(t) and weights |dx/dt| of one axis at t = k h.
+
+    tanh-sinh on a finite interval, exp-sinh on a half-line, sinh-sinh on the
+    whole line.  Distances to finite endpoints are formed directly, without
+    the 1 - tanh cancellation; nodes that round onto an endpoint are
+    dropped, so the density never sees a boundary point.
+    """
+    t = h * np.arange(-(_DE_WINDOW // h), _DE_WINDOW // h + 1)
+    u = 0.5 * math.pi * np.sinh(t)
+    dudt = 0.5 * math.pi * np.cosh(t)
+    if math.isfinite(lo) and math.isfinite(hi):
+        e = np.exp(-2.0 * np.abs(u))
+        dist = (hi - lo) * e / (1.0 + e)  # to the nearer endpoint
+        x = np.where(t > 0, hi - dist, lo + dist)
+        w = (hi - lo) * dudt * 2.0 * e / (1.0 + e) ** 2
+    elif math.isfinite(lo) or math.isfinite(hi):
+        g = np.exp(u)
+        x = lo + g if math.isfinite(lo) else hi - g
+        w = dudt * g
+    else:
+        x, w = np.sinh(u), dudt * np.cosh(u)
+    keep = (x > lo) & (x < hi)
+    return x[keep], w[keep]
+
+
+def _de_grid_sum(logpdf: Callable, axes: list[tuple[np.ndarray, np.ndarray]], name: str) -> float:
+    """Sum of weight * exp(logpdf) over the tensor grid of the axes, in chunks."""
+    shape = tuple(len(x) for x, _ in axes)
+    size = math.prod(shape)
+    total = 0.0
+    for start in range(0, size, _CHUNK):
+        idx = np.unravel_index(np.arange(start, min(start + _CHUNK, size)), shape)
+        pts = np.column_stack([x[i] for (x, _), i in zip(axes, idx)])
+        w = np.prod([wt[i] for (_, wt), i in zip(axes, idx)], axis=0)
+        try:
+            vals = np.asarray(logpdf(pts), dtype=float)
+        except Exception as exc:
+            raise QuadratureFailure(f"{name}: integrand raised: {exc}") from exc
+        if vals.shape != (len(pts),):
+            raise DimensionMismatch(f"{name}: logpdf returned {vals.shape} for {len(pts)} points")
+        total += float(np.sum(w * np.exp(vals)))
+    return total
 
 
 def quad_normalization(
@@ -127,61 +178,35 @@ def quad_normalization(
 ) -> CheckReport:
     """Integrate exp(logpdf) over the support box; residual is |I - 1|.
 
-    Nested adaptive quadrature, innermost axis last; limited to total
-    dimension 3 (cost grows exponentially and desk scale suffices for
-    formula validation).  Raises QuadratureFailure when the quadrature
-    itself does not converge; a normalized-but-wrong density is reported
-    as a failed check, not an exception.
+    logpdf maps an (n, d) batch of points strictly inside the box to shape
+    (n,).  The rule is a tensor-product double-exponential trapezoid
+    (Takahasi & Mori 1974) whose step halves level by level, at least 3
+    levels, until two level sums differ by at most 1e-3 * tol; that
+    difference is err_est.  At most _POINT_BUDGET points are evaluated, so a
+    non-integrable density stops with a large err_est.  Raises
+    QuadratureFailure when the integrand raises, the value is not finite or
+    err_est exceeds 10 * tol; a normalized-but-wrong density is a failed check.
     """
     d = len(support)
     if not 1 <= d <= 3:
         raise ParameterOutOfDomain(f"quadrature supports 1 <= dims <= 3, got {d}")
-
-    def f(*coords: float) -> float:
-        value = np.asarray(logpdf(np.asarray(coords, dtype=float)))
-        return math.exp(float(value.reshape(-1)[0]))
-
-    try:
-        if d == 1:
-            value, err = integrate.quad(
-                f, support[0][0], support[0][1], epsabs=tol * 1e-3, epsrel=1e-9, limit=200
-            )
-        elif d == 2:
-            def inner(x0: float) -> float:
-                v, _ = integrate.quad(
-                    lambda x1: f(x0, x1), support[1][0], support[1][1],
-                    epsabs=tol * 1e-3, epsrel=1e-8, limit=120,
-                )
-                return v
-
-            value, err = integrate.quad(
-                inner, support[0][0], support[0][1], epsabs=tol * 1e-2, epsrel=1e-7, limit=120
-            )
-        else:
-            def inner2(x0: float, x1: float) -> float:
-                v, _ = integrate.quad(
-                    lambda x2: f(x0, x1, x2), support[2][0], support[2][1],
-                    epsabs=tol * 1e-2, epsrel=1e-7, limit=60,
-                )
-                return v
-
-            def inner1(x0: float) -> float:
-                v, _ = integrate.quad(
-                    lambda x1: inner2(x0, x1), support[1][0], support[1][1],
-                    epsabs=tol * 0.1, epsrel=1e-6, limit=50,
-                )
-                return v
-
-            value, err = integrate.quad(
-                inner1, support[0][0], support[0][1], epsabs=tol * 0.3, epsrel=1e-5, limit=50
-            )
-    except Exception as exc:  # pragma: no cover - scipy failure path
-        raise QuadratureFailure(f"{name}: quadrature did not converge: {exc}") from exc
+    value, err, level, used = math.nan, math.inf, 0, 0
+    while True:
+        h = 2.0 ** -level
+        axes = [_de_axis(float(lo), float(hi), h) for lo, hi in support]
+        used += math.prod(len(x) for x, _ in axes)
+        if used > _POINT_BUDGET:
+            break
+        prev, value = value, h ** d * _de_grid_sum(logpdf, axes, name)
+        if level:
+            err = abs(value - prev)
+        level += 1
+        if not math.isfinite(value) or (level >= 3 and err <= 1e-3 * tol):
+            break
     if not np.isfinite(value) or err > max(tol, 1e-12) * 10.0:
         raise QuadratureFailure(f"{name}: quadrature error estimate {err} too large")
-    residual = abs(value - 1.0)
     return CheckReport.build(
-        name, residual, tol, details=f"integral={value:.12g} err_est={err:.3g} dims={d}"
+        name, abs(value - 1.0), tol, details=f"integral={value:.12g} err_est={err:.3g} dims={d}"
     )
 
 
@@ -468,25 +493,15 @@ def _uncorrected_beta1_logpdf(p: BetaParams, b: np.ndarray) -> np.ndarray:
     return out if np.asarray(b).ndim > 1 else np.squeeze(out)
 
 
-def _normalization_cases() -> list[tuple[str, Callable, list[Interval], float]]:
-    part2 = Partition(dims=(2,))
-    gauss2 = MvEllipticalParams(
-        partition=part2, mus=(np.zeros(2),), sigmas=(np.eye(2),)
-    )
-    pvii1 = MvEllipticalParams(
-        partition=Partition(dims=(1,)), mus=(np.zeros(1),), sigmas=(np.eye(1),)
-    )
+def _shared_fixtures():
+    """Parameter fixtures of the families both the quadrature and GOF suites cover."""
     logell1 = MvEllipticalParams(
         partition=Partition(dims=(1,)), mus=(np.array([0.2]),), sigmas=(np.array([[0.8]]),)
     )
-    mixedp = MixedParams(
-        base=MvEllipticalParams(
-            partition=Partition(dims=(1, 1)),
-            mus=(np.array([0.1]), np.array([-0.3])),
-            sigmas=(np.array([[1.0]]), np.array([[0.5]])),
-        ),
-        k1=1,
-    )
+    mixedp = MixedParams(base=MvEllipticalParams(
+        partition=Partition(dims=(1, 1)), mus=(np.array([0.1]), np.array([-0.3])),
+        sigmas=(np.array([[1.0]]), np.array([[0.5]])),
+    ), k1=1)
     mvt = MvTParams(dims=(1, 1), alpha0=1.6, betas=(1.0, 2.5))
     mvp2 = MvTParams(dims=(1, 1), alpha0=1.3, betas=(1.2, 0.7))
     geng = ScaleShapeParams(shapes=(2.0, 1.3), scales=(1.0, 0.6))
@@ -495,11 +510,17 @@ def _normalization_cases() -> list[tuple[str, Callable, list[Interval], float]]:
     p7_2 = JointScaleParams(spec=_GAUSS, alpha0=1.5, sigma2s=(1.0, 0.8), dims=(1,))
     p2_2 = JointScaleParams(spec=_GAUSS, alpha0=1.8, sigma2s=(0.9, 1.1), dims=(1,))
     gb1_2 = JointScaleParams(spec=_GAUSS, alpha0=1.4, sigma2s=(1.0, 0.7), alphas=(1.2,))
-    beta1_3 = BetaParams(shape=ExtendedShape(alphas=(1.0, 2.0, 1.5), alpha0=2.0), betas=(1.0, 1.0, 1.0))
-    gb2_2 = JointScaleParams(
-        spec=PearsonVII(r=2.0, q=4.5), alpha0=1.3, sigma2s=(1.0, 0.9), alphas=(1.1,)
-    )
+    gb2_2 = JointScaleParams(spec=PearsonVII(r=2.0, q=4.5), alpha0=1.3, sigma2s=(1.0, 0.9), alphas=(1.1,))
     glg = GammaLogGammaParams(spec=_GAUSS, alphas=(1.5,), sigma2s=(0.9,), rhos=(2.0,), delta2s=(1.2,))
+    return logell1, mixedp, mvt, mvp2, geng, beta_p, beta2_p, p7_2, p2_2, gb1_2, gb2_2, glg
+
+
+def _normalization_cases() -> list[tuple[str, Callable, list[Interval], float]]:
+    gauss2 = MvEllipticalParams(partition=Partition(dims=(2,)), mus=(np.zeros(2),), sigmas=(np.eye(2),))
+    pvii1 = MvEllipticalParams(partition=Partition(dims=(1,)), mus=(np.zeros(1),), sigmas=(np.eye(1),))
+    (logell1, mixedp, mvt, mvp2, geng, beta_p, beta2_p,
+     p7_2, p2_2, gb1_2, gb2_2, glg) = _shared_fixtures()
+    beta1_3 = BetaParams(shape=ExtendedShape(alphas=(1.0, 2.0, 1.5), alpha0=2.0), betas=(1.0, 1.0, 1.0))
     kotz1 = ScaleShapeParams(shapes=(2.0,), scales=(1.0,))
 
     box = 9.0
@@ -616,34 +637,12 @@ def run_identity_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckRepor
 
 
 def _pushforward_cases(n_draws: int):
-    part2 = Partition(dims=(2,))
     bessel_p = MvEllipticalParams(
-        partition=part2, mus=(np.array([0.5, -0.5]),),
+        partition=Partition(dims=(2,)), mus=(np.array([0.5, -0.5]),),
         sigmas=(np.array([[1.0, 0.3], [0.3, 0.8]]),),
     )
-    logell1 = MvEllipticalParams(
-        partition=Partition(dims=(1,)), mus=(np.array([0.2]),), sigmas=(np.array([[0.8]]),)
-    )
-    mixedp = MixedParams(
-        base=MvEllipticalParams(
-            partition=Partition(dims=(1, 1)),
-            mus=(np.array([0.1]), np.array([-0.3])),
-            sigmas=(np.array([[1.0]]), np.array([[0.5]])),
-        ),
-        k1=1,
-    )
-    mvt = MvTParams(dims=(1, 1), alpha0=1.6, betas=(1.0, 2.5))
-    mvp2 = MvTParams(dims=(1, 1), alpha0=1.3, betas=(1.2, 0.7))
-    geng = ScaleShapeParams(shapes=(2.0, 1.3), scales=(1.0, 0.6))
-    beta_p = BetaParams(shape=ExtendedShape(alphas=(1.0, 2.0), alpha0=1.5), betas=(1.0, 3.0))
-    beta2_p = BetaParams(shape=ExtendedShape(alphas=(1.4, 1.1), alpha0=2.2), betas=(1.0, 0.8))
-    p7_2 = JointScaleParams(spec=_GAUSS, alpha0=1.5, sigma2s=(1.0, 0.8), dims=(1,))
-    p2_2 = JointScaleParams(spec=_GAUSS, alpha0=1.8, sigma2s=(0.9, 1.1), dims=(1,))
-    gb1_2 = JointScaleParams(spec=_GAUSS, alpha0=1.4, sigma2s=(1.0, 0.7), alphas=(1.2,))
-    gb2_2 = JointScaleParams(
-        spec=PearsonVII(r=2.0, q=4.5), alpha0=1.3, sigma2s=(1.0, 0.9), alphas=(1.1,)
-    )
-    glg = GammaLogGammaParams(spec=_GAUSS, alphas=(1.5,), sigma2s=(0.9,), rhos=(2.0,), delta2s=(1.2,))
+    (logell1, mixedp, mvt, mvp2, geng, beta_p, beta2_p,
+     p7_2, p2_2, gb1_2, gb2_2, glg) = _shared_fixtures()
     bessel_spec = Bessel(r=1.0, q=0.3)
 
     return [

@@ -36,6 +36,9 @@ from multivec import (
     spawn_rngs,
 )
 
+from multivec.sampling import _build_inverse_cdf
+from multivec.validation import _pushforward_cases
+
 GAUSS = Kotz.gaussian()
 
 
@@ -100,6 +103,27 @@ def test_radius_bessel_numeric_path():
     cdf /= cdf[-1]
     p = stats.kstest(rb, lambda v: np.interp(v, grid, cdf)).pvalue
     assert p > 0.01
+
+
+def test_radius_bessel_upper_tail_cdf():
+    # the last equal-mass cell spans the exponential tail; the quantile there
+    # must still meet the 1e-9 CDF tolerance instead of clipping to 0
+    law = RadialLaw(Bessel(r=1.0, q=0.3), 2.0)
+    inv = _build_inverse_cdf(law.spec, law.n)
+    u = np.array([0.9992, 0.9995, 0.9999, 0.99999])
+    r = inv.eval(u)
+    for u_i, r_i in zip(u, r):
+        direct, _ = integrate.quad(
+            lambda s: math.exp(law.logpdf(s)), 0.0, r_i, epsabs=1e-14, epsrel=1e-12, limit=200
+        )
+        assert abs(direct / inv.total - u_i) <= 1e-9, (u_i, r_i)
+
+
+def test_bessel_elliptical_draws_have_finite_density():
+    name, sampler, logpdf, _ = _pushforward_cases(100_000)[0]
+    assert name == "push-mv-elliptical-bessel-2d"
+    x = sampler(make_rng(0), 100_000)
+    assert np.all(np.isfinite(logpdf(x)))
 
 
 def test_radial_angular_independence():

@@ -10,6 +10,7 @@ from multivec import (
     BetaParams,
     CheckReport,
     DegenerateWeights,
+    DimensionMismatch,
     ExtendedShape,
     Kotz,
     MvTParams,
@@ -27,7 +28,13 @@ from multivec import (
     sample_mv_beta1,
     sample_mv_gengamma,
 )
-from multivec.validation import _pushforward_cases, _uncorrected_beta1_logpdf
+from multivec.validation import (
+    _CHUNK,
+    _POINT_BUDGET,
+    _normalization_cases,
+    _pushforward_cases,
+    _uncorrected_beta1_logpdf,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +93,100 @@ def test_quad_failure_is_an_error():
 
     with pytest.raises(QuadratureFailure):
         quad_normalization(broken, [(0.0, 1.0)], 1e-6, "broken")
+
+
+def test_quad_non_integrable_density_fails_within_the_point_budget():
+    # exp(-log x) = 1/x has infinite mass on (0, 1): the level sums keep
+    # moving until the point budget ends the refinement
+    points = [0]
+
+    def inverse(x):
+        points[0] += len(x)
+        return -np.log(x[:, 0])
+
+    with pytest.raises(QuadratureFailure):
+        quad_normalization(inverse, [(0.0, 1.0)], 1e-6, "inverse")
+    assert 0 < points[0] <= _POINT_BUDGET
+
+
+@pytest.mark.parametrize("support", [
+    [(-1.0, 2.0), (0.5, np.inf), (-np.inf, np.inf)],
+    [(-np.inf, 1.0), (0.0, 1e-3)],
+])
+def test_quad_batches_are_chunked_and_strictly_inside(support):
+    # uniform on the finite axes, exponential on the half-lines, standard
+    # normal on the line: a product density of mass 1
+    d = len(support)
+    shapes = []
+
+    def logpdf(x):
+        shapes.append(x.shape)
+        assert x.ndim == 2 and x.shape[1] == d and 0 < x.shape[0] <= _CHUNK
+        out = np.zeros(len(x))
+        for j, (lo, hi) in enumerate(support):
+            xj = x[:, j]
+            assert np.all((xj > lo) & (xj < hi))
+            if np.isfinite(lo) and np.isfinite(hi):
+                out -= np.log(hi - lo)
+            elif np.isfinite(lo):
+                out -= xj - lo
+            elif np.isfinite(hi):
+                out -= hi - xj
+            else:
+                out -= 0.5 * xj * xj + 0.5 * np.log(2.0 * np.pi)
+        return out
+
+    rep = quad_normalization(logpdf, support, 1e-4, "product")
+    assert rep.passed, rep.details
+    assert len(shapes) >= 3
+
+
+def test_quad_rejects_a_logpdf_that_is_not_batched():
+    with pytest.raises(DimensionMismatch):
+        quad_normalization(lambda x: float(np.sum(x)), [(0.0, 1.0)], 1e-6, "scalar")
+    with pytest.raises(DimensionMismatch):
+        quad_normalization(lambda x: np.zeros((len(x), 1)), [(0.0, 1.0)], 1e-6, "column")
+
+
+def test_quad_beta1_3d_call_count_guard():
+    # counts integrand calls instead of timing them: the nested scalar rule
+    # needed about 365k calls here, the batched rule a few dozen
+    name, logpdf, support, tol = next(
+        c for c in _normalization_cases() if c[0] == "norm-mv-beta1-k3-3d"
+    )
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return logpdf(x)
+
+    rep = quad_normalization(counted, support, tol, name)
+    assert rep.passed, rep.details
+    assert calls[0] <= 100
+
+
+def _interior_points(support, rng, n):
+    cols = []
+    for lo, hi in support:
+        if np.isfinite(lo) and np.isfinite(hi):
+            cols.append(lo + (hi - lo) * rng.uniform(0.05, 0.95, n))
+        elif np.isfinite(lo):
+            cols.append(lo + rng.exponential(1.0, n))
+        else:
+            cols.append(rng.normal(0.0, 2.0, n))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("case", _normalization_cases(), ids=lambda c: c[0])
+def test_normalization_case_batch_equals_single_points(case):
+    # the oracle integrates batched calls; each must equal the one-point call
+    name, logpdf, support, _ = case
+    x = _interior_points(support, np.random.default_rng(11), 8)
+    batch = np.asarray(logpdf(x), dtype=float)
+    single = np.array([np.asarray(logpdf(row), dtype=float).reshape(-1)[0] for row in x])
+    assert batch.shape == (8,)
+    assert np.all(np.isfinite(single)), name
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
