@@ -23,43 +23,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .core import ExtendedShape, MvEllipticalParams, Partition, ScaleShapeParams, SampleMatrix
-from .densities import (
-    BetaParams,
-    GammaLogGammaParams,
-    JointScaleParams,
-    MvTParams,
-    logpdf_gengamma_beta1,
-    logpdf_gengamma_beta2,
-    logpdf_gengamma_pearson2,
-    logpdf_gengamma_pearson7,
-    logpdf_mv_beta1,
-    logpdf_mv_beta2,
-    logpdf_mv_elliptical,
-    logpdf_mv_gengamma,
-    logpdf_mv_log_elliptical,
-    logpdf_mv_pearson2,
-    logpdf_mv_t,
-)
+from .core import ExtendedShape, MvEllipticalParams, ScaleShapeParams, SampleMatrix
+from .densities import BetaParams, JointScaleParams, MvTParams
 from .errors import MultivecError, NonPositiveInput
+from .families import FAMILIES
 from .generators import Kotz
 from .mle import fit_dependent, fit_independent
-from .sampling import (
-    make_rng,
-    sample_gengamma_beta1,
-    sample_gengamma_beta2,
-    sample_gengamma_pearson2,
-    sample_gengamma_pearson7,
-    sample_mv_beta1,
-    sample_mv_beta2,
-    sample_mv_elliptical,
-    sample_mv_gengamma,
-    sample_mv_log_elliptical,
-    sample_mv_pearson2,
-    sample_mv_t,
-)
+from .sampling import make_rng, sample_mv_gengamma
 from .validation import (
     CheckReport,
+    _fixture,
     quad_normalization,
     run_identity_suite,
     run_normalization_suite,
@@ -161,31 +134,34 @@ def _kotz(params: dict[str, float]) -> Kotz:
 
 
 class _Model:
-    """One CLI family: flat params -> density over d columns and a sampler."""
+    """One CLI model: a family of the table, its k and params read from flat keys."""
 
-    def __init__(self, name, infer_k, dim, columns, logpdf, sampler):
+    def __init__(self, name, family, infer_k, build, sampler=None):
         self.name = name
+        self.family = FAMILIES[family]
         self.infer_k = infer_k          # params -> k          (for sample)
-        self.dim = dim                  # (params, k) -> columns
-        self.columns = columns          # d -> header names
-        self.logpdf = logpdf            # (params, k, x[m,d]) -> [m]
-        self.sampler = sampler          # (params, k, rng, n) -> [n, d]
+        self.build = build              # (params, k) -> family params
+        self._sampler = sampler         # (params, k, rng, n) -> [n, d], overrides the family's
 
-    def k_from_dim(self, params: dict[str, float], d: int) -> int:
+    def logpdf(self, params: dict[str, float], k: int, x: np.ndarray) -> np.ndarray:
+        return self.family.logpdf(self.build(params, k), x)
+
+    def sampler(self, params: dict[str, float], k: int, rng, n: int) -> np.ndarray:
+        if self._sampler is not None:
+            return self._sampler(params, k, rng, n)
+        return self.family.sample(self.build(params, k), rng, n)
+
+    def k_from_dim(self, d: int) -> int:
         for k in range(1, d + 1):
-            if self.dim(params, k) == d:
+            if self.family.dim(k) == d:
                 return k
         raise _CliError(
             f"model '{self.name}' has no block count matching a {d}-dimensional point"
         )
 
 
-def _pair_columns(d: int) -> list[str]:
-    if d == 1:
-        return ["u"]
-    if d == 2:
-        return ["u", "v"]
-    return [f"x{i}" for i in range(1, d + 1)]
+def _kotz_gamma_k(params: dict[str, float]) -> int:
+    return 2 if "sigma2" in params or "beta" in params else 1
 
 
 def _kotz_gamma_build(params: dict[str, float], k: int) -> tuple[ScaleShapeParams, Kotz]:
@@ -216,172 +192,87 @@ def _kotz_gamma_sample(params: dict[str, float], k: int, rng, n: int) -> np.ndar
     return np.column_stack([flat[:n], flat[n:]])
 
 
-def _registry() -> dict[str, _Model]:
-    models: dict[str, _Model] = {}
-
-    def kg_infer(params):
-        return 2 if "sigma2" in params or "beta" in params else 1
-
-    models["kotz-gamma"] = _Model(
-        "kotz-gamma",
-        infer_k=kg_infer,
-        dim=lambda p, k: k,
-        columns=_pair_columns,
-        logpdf=lambda p, k, x: logpdf_mv_gengamma(*_kotz_gamma_build(p, k), x),
-        sampler=_kotz_gamma_sample,
-    )
-
-    def gg_build(p, k):
-        return (
-            ScaleShapeParams(
-                shapes=tuple(_indexed(p, "alpha", k)),
-                scales=tuple(v**2 for v in _indexed(p, "sigma", k)),
-            ),
-            _kotz(p),
-        )
-
-    models["mv-gengamma"] = _Model(
-        "mv-gengamma",
-        infer_k=lambda p: _count(p, "alpha"),
-        dim=lambda p, k: k,
-        columns=_pair_columns,
-        logpdf=lambda p, k, x: logpdf_mv_gengamma(*gg_build(p, k), x),
-        sampler=lambda p, k, rng, n: np.atleast_2d(
-            sample_mv_gengamma(*gg_build(p, k), rng, size=n)
+def _gengamma_build(p, k):
+    return (
+        ScaleShapeParams(
+            shapes=tuple(_indexed(p, "alpha", k)),
+            scales=tuple(v**2 for v in _indexed(p, "sigma", k)),
         ),
+        _kotz(p),
     )
 
-    def ell_build(p, k):
-        return (
-            MvEllipticalParams.scalar_blocks(
-                mus=_indexed(p, "mu", k), sigma2s=[v**2 for v in _indexed(p, "sigma", k)]
-            ),
-            _kotz(p),
-        )
 
-    models["mv-elliptical"] = _Model(
-        "mv-elliptical",
-        infer_k=lambda p: _count(p, "mu"),
-        dim=lambda p, k: k,
-        columns=_pair_columns,
-        logpdf=lambda p, k, x: logpdf_mv_elliptical(*ell_build(p, k), x),
-        sampler=lambda p, k, rng, n: np.atleast_2d(
-            sample_mv_elliptical(*ell_build(p, k), rng, size=n)
+def _elliptical_build(p, k):
+    return (
+        MvEllipticalParams.scalar_blocks(
+            mus=_indexed(p, "mu", k), sigma2s=[v**2 for v in _indexed(p, "sigma", k)]
         ),
-    )
-    models["log-elliptical"] = _Model(
-        "log-elliptical",
-        infer_k=lambda p: _count(p, "mu"),
-        dim=lambda p, k: k,
-        columns=_pair_columns,
-        logpdf=lambda p, k, x: logpdf_mv_log_elliptical(*ell_build(p, k), x),
-        sampler=lambda p, k, rng, n: np.atleast_2d(
-            sample_mv_log_elliptical(*ell_build(p, k), rng, size=n)
-        ),
+        _kotz(p),
     )
 
-    def t_build(p, k):
-        return MvTParams(
-            dims=(1,) * k, alpha0=_need(p, "alpha0"), betas=tuple(_indexed(p, "beta", k))
-        )
 
-    models["mv-t"] = _Model(
-        "mv-t",
-        infer_k=lambda p: _count(p, "beta"),
-        dim=lambda p, k: k,
-        columns=_pair_columns,
-        logpdf=lambda p, k, x: logpdf_mv_t(t_build(p, k), x),
-        sampler=lambda p, k, rng, n: np.atleast_2d(sample_mv_t(t_build(p, k), rng, size=n)),
-    )
-    models["mv-pearson2"] = _Model(
-        "mv-pearson2",
-        infer_k=lambda p: _count(p, "beta"),
-        dim=lambda p, k: k,
-        columns=_pair_columns,
-        logpdf=lambda p, k, x: logpdf_mv_pearson2(t_build(p, k), x),
-        sampler=lambda p, k, rng, n: np.atleast_2d(
-            sample_mv_pearson2(t_build(p, k), rng, size=n)
-        ),
+def _t_build(p, k):
+    return (
+        MvTParams(dims=(1,) * k, alpha0=_need(p, "alpha0"), betas=tuple(_indexed(p, "beta", k))),
     )
 
-    def beta_build(p, k):
-        return BetaParams(
-            shape=ExtendedShape(
-                alphas=tuple(_indexed(p, "alpha", k)), alpha0=_need(p, "alpha0")
-            ),
+
+def _beta_build(p, k):
+    return (
+        BetaParams(
+            shape=ExtendedShape(alphas=tuple(_indexed(p, "alpha", k)), alpha0=_need(p, "alpha0")),
             betas=tuple(_indexed(p, "beta", k)),
-        )
+        ),
+    )
 
-    for name, dens, samp in (
-        ("mv-beta1", logpdf_mv_beta1, sample_mv_beta1),
-        ("mv-beta2", logpdf_mv_beta2, sample_mv_beta2),
-    ):
-        models[name] = _Model(
-            name,
-            infer_k=lambda p: _count(p, "alpha"),
-            dim=lambda p, k: k,
-            columns=_pair_columns,
-            logpdf=lambda p, k, x, dens=dens: dens(beta_build(p, k), x),
-            sampler=lambda p, k, rng, n, samp=samp: np.atleast_2d(
-                samp(beta_build(p, k), rng, size=n)
-            ),
-        )
 
-    def joint_vec_build(p, k):
-        sig = [v**2 for v in _indexed(p, "sigma", k + 1, start=0)]
-        return JointScaleParams(
+def _joint_vector_build(p, k):
+    sig = [v**2 for v in _indexed(p, "sigma", k + 1, start=0)]
+    return (
+        JointScaleParams(
             spec=_kotz(p), alpha0=_need(p, "alpha0"), sigma2s=tuple(sig), dims=(1,) * k
-        )
+        ),
+    )
 
-    def joint_scalar_build(p, k):
-        sig = [v**2 for v in _indexed(p, "sigma", k + 1, start=0)]
-        return JointScaleParams(
+
+def _joint_scalar_build(p, k):
+    sig = [v**2 for v in _indexed(p, "sigma", k + 1, start=0)]
+    return (
+        JointScaleParams(
             spec=_kotz(p),
             alpha0=_need(p, "alpha0"),
             sigma2s=tuple(sig),
             alphas=tuple(_indexed(p, "alpha", k)),
-        )
-
-    def joint_columns(d):
-        return ["s0"] + _pair_columns(d - 1)
-
-    def joint_sampler(samp, build):
-        def run(p, k, rng, n):
-            s0, blocks = samp(build(p, k), rng, size=n)
-            return np.column_stack([np.asarray(s0), np.atleast_2d(blocks)])
-
-        return run
-
-    def joint_logpdf(dens, build):
-        def run(p, k, x):
-            x = np.atleast_2d(x)
-            return dens(build(p, k), x[:, 0], x[:, 1:])
-
-        return run
-
-    for name, dens, samp, build, infer in (
-        ("gengamma-pearson7", logpdf_gengamma_pearson7, sample_gengamma_pearson7,
-         joint_vec_build, lambda p: _count(p, "sigma", start=0) - 1),
-        ("gengamma-pearson2", logpdf_gengamma_pearson2, sample_gengamma_pearson2,
-         joint_vec_build, lambda p: _count(p, "sigma", start=0) - 1),
-        ("gengamma-beta1", logpdf_gengamma_beta1, sample_gengamma_beta1,
-         joint_scalar_build, lambda p: _count(p, "alpha")),
-        ("gengamma-beta2", logpdf_gengamma_beta2, sample_gengamma_beta2,
-         joint_scalar_build, lambda p: _count(p, "alpha")),
-    ):
-        models[name] = _Model(
-            name,
-            infer_k=infer,
-            dim=lambda p, k: k + 1,
-            columns=joint_columns,
-            logpdf=joint_logpdf(dens, build),
-            sampler=joint_sampler(samp, build),
-        )
-
-    return models
+        ),
+    )
 
 
-_MODELS = _registry()
+def _counter(prefix: str) -> Callable[[dict[str, float]], int]:
+    return lambda p: _count(p, prefix)
+
+
+def _joint_vector_k(params: dict[str, float]) -> int:
+    # sigma0 alone still counts one block, so the missing sigma1 is named
+    return max(_count(params, "sigma", start=0) - 1, 1)
+
+
+_MODELS = {
+    m.name: m
+    for m in (
+        _Model("kotz-gamma", "mv-gengamma", _kotz_gamma_k, _kotz_gamma_build, _kotz_gamma_sample),
+        _Model("mv-gengamma", "mv-gengamma", _counter("alpha"), _gengamma_build),
+        _Model("mv-elliptical", "mv-elliptical", _counter("mu"), _elliptical_build),
+        _Model("log-elliptical", "log-elliptical", _counter("mu"), _elliptical_build),
+        _Model("mv-t", "mv-t", _counter("beta"), _t_build),
+        _Model("mv-pearson2", "mv-pearson2", _counter("beta"), _t_build),
+        _Model("mv-beta1", "mv-beta1", _counter("alpha"), _beta_build),
+        _Model("mv-beta2", "mv-beta2", _counter("alpha"), _beta_build),
+        _Model("gengamma-pearson7", "gengamma-pearson7", _joint_vector_k, _joint_vector_build),
+        _Model("gengamma-pearson2", "gengamma-pearson2", _joint_vector_k, _joint_vector_build),
+        _Model("gengamma-beta1", "gengamma-beta1", _counter("alpha"), _joint_scalar_build),
+        _Model("gengamma-beta2", "gengamma-beta2", _counter("alpha"), _joint_scalar_build),
+    )
+}
 
 
 def _get_model(name: str) -> _Model:
@@ -509,7 +400,7 @@ def cmd_eval(args) -> int:
         raise _CliError("--point is empty")
     if not all(math.isfinite(v) for v in point):
         raise _CliError("--point values must be finite")
-    k = model.k_from_dim(params, len(point))
+    k = model.k_from_dim(len(point))
     x = np.asarray([point], dtype=float)
     try:
         value = float(np.asarray(model.logpdf(params, k, x)).reshape(-1)[0])
@@ -525,8 +416,8 @@ def cmd_sample(args) -> int:
     if args.n < 0:
         raise _CliError(f"-n must be >= 0, got {args.n}")
     k = model.infer_k(params)
-    d = model.dim(params, k)
-    header = model.columns(d)
+    d = model.family.dim(k)
+    header = model.family.columns(d)
     if args.n == 0:
         _write_csv(args.out, header, np.zeros((0, d)))
         return EXIT_OK
@@ -542,14 +433,14 @@ def cmd_sample(args) -> int:
 
 def _corrupted_report() -> CheckReport:
     """Hidden hook: run the quadrature oracle against a mis-scaled density."""
-    base = ScaleShapeParams(shapes=(2.0,), scales=(1.0,))
-    spec = Kotz(q=1.0, r=2.0, s=1.5)
+    case = _fixture("mv-gengamma-kotz-k1")
+    logpdf = FAMILIES[case.family].logpdf
 
     def broken(x):
-        return math.log(2.0) + logpdf_mv_gengamma(base, spec, x)
+        return math.log(2.0) + logpdf(case.params, x)
 
     return quad_normalization(
-        broken, [(0.0, math.inf)], 1e-6, name="corrupt-hook-mis-scaled-density"
+        broken, case.support, case.quad_tol, name="corrupt-hook-mis-scaled-density"
     )
 
 
@@ -574,7 +465,8 @@ def cmd_grid(args) -> int:
     if args.model != "kotz-gamma-2d":
         raise _CliError("grid supports --model kotz-gamma-2d")
     params = _load_params(args.params)
-    base, spec = _kotz_gamma_build(params, 2)
+    model = _MODELS["kotz-gamma"]
+    family_params = model.build(params, 2)
     try:
         bounds = [float(tok) for tok in args.range.split(",")]
     except ValueError:
@@ -592,7 +484,7 @@ def cmd_grid(args) -> int:
     vs = np.linspace(vmin, vmax, args.steps)
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     pts = np.column_stack([uu.ravel(), vv.ravel()])
-    logpdf = np.asarray(logpdf_mv_gengamma(base, spec, pts), dtype=float)
+    logpdf = np.asarray(model.family.logpdf(family_params, pts), dtype=float)
     with np.errstate(under="ignore"):
         pdf = np.exp(logpdf)  # underflow flushes to exactly 0
     rows = np.column_stack([pts, pdf])

@@ -92,11 +92,10 @@ class SuffStats:
 
     a = sum(log u), b = sum(log v), c = sum(u), d = sum(v); all sums use
     compensated (exactly rounded) summation so values are independent of
-    evaluation order.  ``b_s(s)`` returns sum(u**s) on demand, since the
-    power changes on every optimizer step.
+    evaluation order.
     """
 
-    __slots__ = ("m", "a", "b", "c", "d", "_u", "_v")
+    __slots__ = ("m", "a", "b", "c", "d")
 
     def __init__(self, u: np.ndarray, v: np.ndarray) -> None:
         u = np.asarray(u, dtype=float).ravel()
@@ -111,8 +110,6 @@ class SuffStats:
             raise NonPositiveInput("sample contains NaN or Inf")
         if np.any(u <= 0) or np.any(v <= 0):
             raise NonPositiveInput("paired gengamma sample must be positive")
-        self._u = u
-        self._v = v
         self.m = int(u.size)
         self.a = math.fsum(np.log(u))
         self.b = math.fsum(np.log(v))
@@ -121,14 +118,8 @@ class SuffStats:
 
     @classmethod
     def from_matrix(cls, data: SampleMatrix | np.ndarray) -> "SuffStats":
-        values = data.values if isinstance(data, SampleMatrix) else np.asarray(data, float)
-        if values.ndim != 2 or values.shape[1] != 2:
-            raise DegenerateSample(f"paired fit needs an m x 2 matrix, got {values.shape}")
+        values = _as_matrix(data)
         return cls(values[:, 0], values[:, 1])
-
-    def b_s(self, s: float, column: str = "u") -> float:
-        col = self._u if column == "u" else self._v
-        return math.fsum(col**s)
 
 
 def loglik_dependent(p: KotzGammaDepParams, stats: SuffStats) -> float:
@@ -368,6 +359,32 @@ def _as_matrix(data: SampleMatrix | np.ndarray) -> np.ndarray:
     return values
 
 
+def _best_of_starts(
+    objective, starts: list[np.ndarray], f_tol: float, max_iter: int
+) -> tuple[NelderMeadResult, int, list[dict]]:
+    """Run Nelder-Mead from each start; (best result, total iterations, restart log).
+
+    A later start replaces the incumbent only if it beats it by _RESTART_MARGIN.
+    """
+    best: NelderMeadResult | None = None
+    restart_log: list[dict] = []
+    total_iter = 0
+    for start in starts:
+        res = nelder_mead(objective, start, f_tol=f_tol, max_iter=max_iter)
+        total_iter += res.iterations
+        restart_log.append(
+            {
+                "start": [float(v) for v in np.exp(start)],
+                "loglik": -res.fun,
+                "converged": res.converged,
+                "iterations": res.iterations,
+            }
+        )
+        if best is None or res.fun < best.fun - _RESTART_MARGIN:
+            best = res
+    return best, total_iter, restart_log
+
+
 def fit_dependent(
     data: SampleMatrix | np.ndarray,
     freeze_generator: bool = False,
@@ -415,23 +432,7 @@ def fit_dependent(
         theta0 = np.concatenate([gauss_block, np.log(_GAUSS_RQS)])
         starts = _restart_starts(theta0, q_idx=5, s_idx=6, count=restarts)
 
-    best: NelderMeadResult | None = None
-    restart_log: list[dict] = []
-    total_iter = 0
-    for start in starts:
-        res = nelder_mead(objective, start, f_tol=f_tol, max_iter=max_iter)
-        total_iter += res.iterations
-        restart_log.append(
-            {
-                "start": [float(v) for v in np.exp(start)],
-                "loglik": -res.fun,
-                "converged": res.converged,
-                "iterations": res.iterations,
-            }
-        )
-        if best is None or res.fun < best.fun - _RESTART_MARGIN:
-            best = res
-
+    best, total_iter, restart_log = _best_of_starts(objective, starts, f_tol, max_iter)
     p = unpack(best.x)
     loglik = -best.fun
     if not np.isfinite(loglik):
@@ -480,23 +481,7 @@ def _fit_one_column(
         theta0 = np.log([sigma0, alpha0, *_GAUSS_RQS])
         starts = _restart_starts(theta0, q_idx=3, s_idx=4, count=restarts)
 
-    best: NelderMeadResult | None = None
-    restart_log: list[dict] = []
-    total_iter = 0
-    for start in starts:
-        res = nelder_mead(objective, start, f_tol=f_tol, max_iter=max_iter)
-        total_iter += res.iterations
-        restart_log.append(
-            {
-                "start": [float(v) for v in np.exp(start)],
-                "loglik": -res.fun,
-                "converged": res.converged,
-                "iterations": res.iterations,
-            }
-        )
-        if best is None or res.fun < best.fun - _RESTART_MARGIN:
-            best = res
-
+    best, total_iter, restart_log = _best_of_starts(objective, starts, f_tol, max_iter)
     sigma, shape, r, q, s = unpack(best.x)
     params = {"sigma": sigma, "shape": shape, "r": r, "q": q, "s": s}
     return params, -best.fun, total_iter, best.converged, restart_log

@@ -174,14 +174,13 @@ class _InverseCdf:
 
 def _coarse_cdf(law: RadialLaw, nodes: np.ndarray) -> np.ndarray:
     """Fast CDF outline by per-interval Gauss-Legendre (grid placement only)."""
-    x_gl, w_gl = np.polynomial.legendre.leggauss(15)
     lo = nodes[:-1]
     hi = nodes[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * x_gl[None, :]
+    pts = mid[:, None] + half[:, None] * _GL_X[None, :]
     vals = np.exp(radial_logpdf(law, pts))
-    increments = half * (vals @ w_gl)
+    increments = half * (vals @ _GL_W)
     return np.concatenate([[0.0], np.cumsum(increments)])
 
 

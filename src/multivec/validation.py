@@ -6,10 +6,12 @@ dimension <= 3), importance-sampled Monte-Carlo normalization for higher
 dimensions, the ball-to-space Jacobian identity, and sampler-vs-density
 goodness of fit (marginal KS plus 2-d chi-square).  The quadrature is one
 tensor double-exponential rule fed (n, d) batches; its err_est is the change
-between the last two step halvings, under a fixed budget of points.  The
-suite also carries a discrimination check: a deliberately uncorrected
-variant of the beta-I density must FAIL goodness of fit, demonstrating that
-the corrected exponent is required and the tests have power.
+between the last two step halvings, under a fixed budget of points.  Both
+suites take their cases from one ordered fixture list over the family table
+of ``families``.  The pushforward suite also carries a discrimination check:
+a deliberately uncorrected variant of the beta-I density must FAIL goodness
+of fit, demonstrating that the corrected exponent is required and the tests
+have power.
 
 Reports are deterministic given (inputs, seed) and serialize as JSON lines.
 """
@@ -19,7 +21,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate, stats
@@ -32,39 +35,13 @@ from .densities import (
     JointScaleParams,
     MixedParams,
     MvTParams,
-    logpdf_gamma_loggamma,
-    logpdf_gengamma_beta1,
-    logpdf_gengamma_beta2,
-    logpdf_gengamma_pearson2,
-    logpdf_gengamma_pearson7,
-    logpdf_mixed_ell_logell,
     logpdf_mv_beta1,
-    logpdf_mv_beta2,
-    logpdf_mv_elliptical,
-    logpdf_mv_gengamma,
-    logpdf_mv_log_elliptical,
-    logpdf_mv_pearson2,
     logpdf_mv_t,
 )
 from .errors import DegenerateWeights, DimensionMismatch, ParameterOutOfDomain, QuadratureFailure
+from .families import FAMILIES
 from .generators import Bessel, GeneratorSpec, Kotz, PearsonII, PearsonVII, radial_integral_identity_check
-from .sampling import (
-    make_rng,
-    sample_gamma_loggamma,
-    sample_gengamma_beta1,
-    sample_gengamma_beta2,
-    sample_gengamma_pearson2,
-    sample_gengamma_pearson7,
-    sample_mixed_ell_logell,
-    sample_mv_beta1,
-    sample_mv_beta2,
-    sample_mv_elliptical,
-    sample_mv_gengamma,
-    sample_mv_log_elliptical,
-    sample_mv_pearson2,
-    sample_mv_t,
-    sample_unit_sphere,
-)
+from .sampling import make_rng, sample_unit_sphere
 
 __all__ = [
     "CheckReport",
@@ -121,17 +98,20 @@ class CheckReport:
 Interval = tuple[float, float]
 
 _DE_WINDOW = 4.5  # |t| <= _DE_WINDOW on every axis of the DE substitution
+_DE_EDGE = 0.25  # width in t of each outer edge of the nodes an axis keeps
 _CHUNK = 1 << 16  # points per integrand call
 _POINT_BUDGET = 1 << 22  # integrand points per integral, all levels together
 
 
-def _de_axis(lo: float, hi: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x(t) and weights |dx/dt| of one axis at t = k h.
+def _de_axis(lo: float, hi: float, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x(t), weights |dx/dt| and outer-edge mask of one axis at t = k h.
 
     tanh-sinh on a finite interval, exp-sinh on a half-line, sinh-sinh on the
     whole line.  Distances to finite endpoints are formed directly, without
     the 1 - tanh cancellation; nodes that round onto an endpoint are
-    dropped, so the density never sees a boundary point.
+    dropped, so the density never sees a boundary point.  The edge mask
+    marks the kept nodes within _DE_EDGE of the outermost kept t on either
+    side: an integrable density carries almost no mass there.
     """
     t = h * np.arange(-(_DE_WINDOW // h), _DE_WINDOW // h + 1)
     u = 0.5 * math.pi * np.sinh(t)
@@ -148,26 +128,33 @@ def _de_axis(lo: float, hi: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     else:
         x, w = np.sinh(u), dudt * np.cosh(u)
     keep = (x > lo) & (x < hi)
-    return x[keep], w[keep]
+    t = t[keep]
+    return x[keep], w[keep], (t <= t[0] + _DE_EDGE) | (t >= t[-1] - _DE_EDGE)
 
 
-def _de_grid_sum(logpdf: Callable, axes: list[tuple[np.ndarray, np.ndarray]], name: str) -> float:
-    """Sum of weight * exp(logpdf) over the tensor grid of the axes, in chunks."""
-    shape = tuple(len(x) for x, _ in axes)
+def _de_grid_sum(
+    logpdf: Callable, axes: list[tuple[np.ndarray, np.ndarray, np.ndarray]], name: str
+) -> tuple[float, float]:
+    """Sums of weight * exp(logpdf) over the tensor grid of the axes, in chunks:
+    over every point, and over the points on the edge of any axis."""
+    shape = tuple(len(x) for x, _, _ in axes)
     size = math.prod(shape)
-    total = 0.0
+    total = edge = 0.0
     for start in range(0, size, _CHUNK):
         idx = np.unravel_index(np.arange(start, min(start + _CHUNK, size)), shape)
-        pts = np.column_stack([x[i] for (x, _), i in zip(axes, idx)])
-        w = np.prod([wt[i] for (_, wt), i in zip(axes, idx)], axis=0)
+        pts = np.column_stack([x[i] for (x, _, _), i in zip(axes, idx)])
+        w = np.prod([wt[i] for (_, wt, _), i in zip(axes, idx)], axis=0)
+        on_edge = np.any([e[i] for (_, _, e), i in zip(axes, idx)], axis=0)
         try:
             vals = np.asarray(logpdf(pts), dtype=float)
         except Exception as exc:
             raise QuadratureFailure(f"{name}: integrand raised: {exc}") from exc
         if vals.shape != (len(pts),):
             raise DimensionMismatch(f"{name}: logpdf returned {vals.shape} for {len(pts)} points")
-        total += float(np.sum(w * np.exp(vals)))
-    return total
+        mass = w * np.exp(vals)
+        total += float(np.sum(mass))
+        edge += float(np.sum(mass[on_edge]))
+    return total, edge
 
 
 def quad_normalization(
@@ -182,29 +169,39 @@ def quad_normalization(
     (n,).  The rule is a tensor-product double-exponential trapezoid
     (Takahasi & Mori 1974) whose step halves level by level, at least 3
     levels, until two level sums differ by at most 1e-3 * tol; that
-    difference is err_est.  At most _POINT_BUDGET points are evaluated, so a
-    non-integrable density stops with a large err_est.  Raises
-    QuadratureFailure when the integrand raises, the value is not finite or
-    err_est exceeds 10 * tol; a normalized-but-wrong density is a failed check.
+    difference is err_est.  Raises QuadratureFailure when the integrand
+    raises or a level sum is not finite; when the points on the edge of any
+    axis carry more than tol of mass, as for a density that is not
+    integrable over the box; and when the refinement stops at _POINT_BUDGET
+    points with err_est above tol.  A normalized-but-wrong density is a
+    failed check.
     """
     d = len(support)
     if not 1 <= d <= 3:
         raise ParameterOutOfDomain(f"quadrature supports 1 <= dims <= 3, got {d}")
-    value, err, level, used = math.nan, math.inf, 0, 0
-    while True:
+    value, err, edge, level, used = math.nan, math.inf, 0.0, 0, 0
+    while not (level >= 3 and err <= 1e-3 * tol):
         h = 2.0 ** -level
         axes = [_de_axis(float(lo), float(hi), h) for lo, hi in support]
-        used += math.prod(len(x) for x, _ in axes)
+        used += math.prod(len(x) for x, _, _ in axes)
         if used > _POINT_BUDGET:
             break
-        prev, value = value, h ** d * _de_grid_sum(logpdf, axes, name)
+        total, on_edge = _de_grid_sum(logpdf, axes, name)
+        prev, value, edge = value, h ** d * total, h ** d * on_edge
+        if not math.isfinite(value):
+            raise QuadratureFailure(f"{name}: integral is {value}")
         if level:
             err = abs(value - prev)
         level += 1
-        if not math.isfinite(value) or (level >= 3 and err <= 1e-3 * tol):
-            break
-    if not np.isfinite(value) or err > max(tol, 1e-12) * 10.0:
-        raise QuadratureFailure(f"{name}: quadrature error estimate {err} too large")
+    if edge > tol:
+        raise QuadratureFailure(
+            f"{name}: mass {edge:.3g} on the outer edge of the nodes; the density is not"
+            " integrable over the box, or not resolved near its ends"
+        )
+    if err > tol:
+        raise QuadratureFailure(
+            f"{name}: no convergence within {_POINT_BUDGET} points, err_est {err:.3g}"
+        )
     return CheckReport.build(
         name, abs(value - 1.0), tol, details=f"integral={value:.12g} err_est={err:.3g} dims={d}"
     )
@@ -455,26 +452,10 @@ def pushforward_check(
 
 
 # ---------------------------------------------------------------------------
-# Family registry for the suites
+# Oracle fixtures: one ordered list feeds both suites
 
 _GAUSS = Kotz(q=1.0, r=0.5, s=1.0)
 _INF = math.inf
-
-
-def _flatten_pair_sampler(fn, p):
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        s0, blocks = fn(p, rng, size=n)
-        return np.column_stack([np.asarray(s0), np.atleast_2d(blocks)])
-
-    return sampler
-
-
-def _pair_logpdf(fn, p):
-    def logpdf(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        return fn(p, x[:, 0], x[:, 1:])
-
-    return logpdf
 
 
 def _uncorrected_beta1_logpdf(p: BetaParams, b: np.ndarray) -> np.ndarray:
@@ -493,86 +474,91 @@ def _uncorrected_beta1_logpdf(p: BetaParams, b: np.ndarray) -> np.ndarray:
     return out if np.asarray(b).ndim > 1 else np.squeeze(out)
 
 
-def _shared_fixtures():
-    """Parameter fixtures of the families both the quadrature and GOF suites cover."""
+class _Fixture(NamedTuple):
+    """One oracle case: a family of the table at fixed params over a support box."""
+
+    suffix: str
+    family: str  # key of FAMILIES
+    params: tuple
+    support: list[Interval]
+    quad_tol: float | None  # tolerance in the normalization suite; None: not in it
+    push: bool  # in the pushforward suite
+
+
+def _fixtures() -> list[_Fixture]:
+    """Every oracle fixture in suite order; each suite's cases filter this list."""
+    line, pos, unit, sym, box = (-_INF, _INF), (0.0, _INF), (0.0, 1.0), (-1.0, 1.0), (-9.0, 9.0)
+    bessel2 = MvEllipticalParams(
+        partition=Partition(dims=(2,)), mus=(np.array([0.5, -0.5]),),
+        sigmas=(np.array([[1.0, 0.3], [0.3, 0.8]]),),
+    )
+    gauss2 = MvEllipticalParams(partition=Partition(dims=(2,)), mus=(np.zeros(2),), sigmas=(np.eye(2),))
+    pvii1 = MvEllipticalParams(partition=Partition(dims=(1,)), mus=(np.zeros(1),), sigmas=(np.eye(1),))
     logell1 = MvEllipticalParams(
         partition=Partition(dims=(1,)), mus=(np.array([0.2]),), sigmas=(np.array([[0.8]]),)
     )
-    mixedp = MixedParams(base=MvEllipticalParams(
+    mixed = (MixedParams(base=MvEllipticalParams(
         partition=Partition(dims=(1, 1)), mus=(np.array([0.1]), np.array([-0.3])),
         sigmas=(np.array([[1.0]]), np.array([[0.5]])),
-    ), k1=1)
-    mvt = MvTParams(dims=(1, 1), alpha0=1.6, betas=(1.0, 2.5))
-    mvp2 = MvTParams(dims=(1, 1), alpha0=1.3, betas=(1.2, 0.7))
-    geng = ScaleShapeParams(shapes=(2.0, 1.3), scales=(1.0, 0.6))
-    beta_p = BetaParams(shape=ExtendedShape(alphas=(1.0, 2.0), alpha0=1.5), betas=(1.0, 3.0))
-    beta2_p = BetaParams(shape=ExtendedShape(alphas=(1.4, 1.1), alpha0=2.2), betas=(1.0, 0.8))
-    p7_2 = JointScaleParams(spec=_GAUSS, alpha0=1.5, sigma2s=(1.0, 0.8), dims=(1,))
-    p2_2 = JointScaleParams(spec=_GAUSS, alpha0=1.8, sigma2s=(0.9, 1.1), dims=(1,))
-    gb1_2 = JointScaleParams(spec=_GAUSS, alpha0=1.4, sigma2s=(1.0, 0.7), alphas=(1.2,))
-    gb2_2 = JointScaleParams(spec=PearsonVII(r=2.0, q=4.5), alpha0=1.3, sigma2s=(1.0, 0.9), alphas=(1.1,))
-    glg = GammaLogGammaParams(spec=_GAUSS, alphas=(1.5,), sigma2s=(0.9,), rhos=(2.0,), delta2s=(1.2,))
-    return logell1, mixedp, mvt, mvp2, geng, beta_p, beta2_p, p7_2, p2_2, gb1_2, gb2_2, glg
+    ), k1=1), _GAUSS)
+    beta1_3 = BetaParams(shape=ExtendedShape(alphas=(1.0, 2.0, 1.5), alpha0=2.0), betas=(1.0, 1.0, 1.0))
+    F = _Fixture
+    return [
+        F("mv-elliptical-bessel-2d", "mv-elliptical", (bessel2, Bessel(r=1.0, q=0.3)),
+          [line, line], None, True),
+        F("mv-elliptical-gaussian-2d", "mv-elliptical", (gauss2, _GAUSS), [box, box], 1e-8, False),
+        F("mv-elliptical-pearson7-1d", "mv-elliptical", (pvii1, PearsonVII(r=3.0, q=2.2)),
+          [line], 1e-5, False),
+        F("log-elliptical-1d", "log-elliptical", (logell1, _GAUSS), [pos], 1e-5, True),
+        # the quadrature integrates the linear axis over a finite box
+        F("mixed-1p1", "mixed-ell-logell", mixed, [box, pos], 1e-5, False),
+        F("mixed-1p1", "mixed-ell-logell", mixed, [line, pos], None, True),
+        F("mv-t-k2", "mv-t", (MvTParams(dims=(1, 1), alpha0=1.6, betas=(1.0, 2.5)),),
+          [line, line], 1e-5, True),
+        F("mv-pearson2-k2", "mv-pearson2", (MvTParams(dims=(1, 1), alpha0=1.3, betas=(1.2, 0.7)),),
+          [sym, sym], 1e-5, True),
+        F("mv-gengamma-kotz-k1", "mv-gengamma",
+          (ScaleShapeParams(shapes=(2.0,), scales=(1.0,)), Kotz(q=1.0, r=2.0, s=1.5)),
+          [pos], 1e-6, False),
+        F("mv-gengamma-k2", "mv-gengamma",
+          (ScaleShapeParams(shapes=(2.0, 1.3), scales=(1.0, 0.6)), Kotz(q=0.8, r=1.0, s=1.2)),
+          [pos, pos], 1e-5, True),
+        F("mv-beta1-k2", "mv-beta1",
+          (BetaParams(shape=ExtendedShape(alphas=(1.0, 2.0), alpha0=1.5), betas=(1.0, 3.0)),),
+          [unit, unit], 1e-5, True),
+        F("mv-beta2-k2", "mv-beta2",
+          (BetaParams(shape=ExtendedShape(alphas=(1.4, 1.1), alpha0=2.2), betas=(1.0, 0.8)),),
+          [pos, pos], 1e-5, True),
+        F("gengamma-pearson7-k1", "gengamma-pearson7",
+          (JointScaleParams(spec=_GAUSS, alpha0=1.5, sigma2s=(1.0, 0.8), dims=(1,)),),
+          [pos, line], 1e-4, True),
+        F("mv-beta1-k3-3d", "mv-beta1", (beta1_3,), [unit, unit, unit], 1e-4, False),
+        F("gengamma-pearson2-k1", "gengamma-pearson2",
+          (JointScaleParams(spec=_GAUSS, alpha0=1.8, sigma2s=(0.9, 1.1), dims=(1,)),),
+          [pos, sym], 1e-4, True),
+        F("gengamma-beta1-k1", "gengamma-beta1",
+          (JointScaleParams(spec=_GAUSS, alpha0=1.4, sigma2s=(1.0, 0.7), alphas=(1.2,)),),
+          [pos, unit], 1e-4, True),
+        F("gengamma-beta2-k1", "gengamma-beta2",
+          (JointScaleParams(spec=PearsonVII(r=2.0, q=4.5), alpha0=1.3, sigma2s=(1.0, 0.9),
+                            alphas=(1.1,)),),
+          [pos, pos], 1e-4, True),
+        F("gamma-loggamma-1p1", "gamma-loggamma",
+          (GammaLogGammaParams(spec=_GAUSS, alphas=(1.5,), sigma2s=(0.9,), rhos=(2.0,),
+                               delta2s=(1.2,)),),
+          [pos, line], 1e-4, True),
+    ]
+
+
+def _fixture(suffix: str) -> _Fixture:
+    return next(f for f in _fixtures() if f.suffix == suffix)
 
 
 def _normalization_cases() -> list[tuple[str, Callable, list[Interval], float]]:
-    gauss2 = MvEllipticalParams(partition=Partition(dims=(2,)), mus=(np.zeros(2),), sigmas=(np.eye(2),))
-    pvii1 = MvEllipticalParams(partition=Partition(dims=(1,)), mus=(np.zeros(1),), sigmas=(np.eye(1),))
-    (logell1, mixedp, mvt, mvp2, geng, beta_p, beta2_p,
-     p7_2, p2_2, gb1_2, gb2_2, glg) = _shared_fixtures()
-    beta1_3 = BetaParams(shape=ExtendedShape(alphas=(1.0, 2.0, 1.5), alpha0=2.0), betas=(1.0, 1.0, 1.0))
-    kotz1 = ScaleShapeParams(shapes=(2.0,), scales=(1.0,))
-
-    box = 9.0
     return [
-        ("norm-mv-elliptical-gaussian-2d",
-         lambda x: logpdf_mv_elliptical(gauss2, _GAUSS, x),
-         [(-box, box), (-box, box)], 1e-8),
-        ("norm-mv-elliptical-pearson7-1d",
-         lambda x: logpdf_mv_elliptical(pvii1, PearsonVII(r=3.0, q=2.2), x),
-         [(-_INF, _INF)], 1e-5),
-        ("norm-log-elliptical-1d",
-         lambda x: logpdf_mv_log_elliptical(logell1, _GAUSS, x),
-         [(0.0, _INF)], 1e-5),
-        ("norm-mixed-1p1",
-         lambda x: logpdf_mixed_ell_logell(mixedp, _GAUSS, x[..., :1], x[..., 1:]),
-         [(-box, box), (0.0, _INF)], 1e-5),
-        ("norm-mv-t-k2",
-         lambda x: logpdf_mv_t(mvt, x),
-         [(-_INF, _INF), (-_INF, _INF)], 1e-5),
-        ("norm-mv-pearson2-k2",
-         lambda x: logpdf_mv_pearson2(mvp2, x),
-         [(-1.0, 1.0), (-1.0, 1.0)], 1e-5),
-        ("norm-mv-gengamma-kotz-k1",
-         lambda x: logpdf_mv_gengamma(kotz1, Kotz(q=1.0, r=2.0, s=1.5), x),
-         [(0.0, _INF)], 1e-6),
-        ("norm-mv-gengamma-k2",
-         lambda x: logpdf_mv_gengamma(geng, Kotz(q=0.8, r=1.0, s=1.2), x),
-         [(0.0, _INF), (0.0, _INF)], 1e-5),
-        ("norm-mv-beta1-k2",
-         lambda x: logpdf_mv_beta1(beta_p, x),
-         [(0.0, 1.0), (0.0, 1.0)], 1e-5),
-        ("norm-mv-beta2-k2",
-         lambda x: logpdf_mv_beta2(beta2_p, x),
-         [(0.0, _INF), (0.0, _INF)], 1e-5),
-        ("norm-gengamma-pearson7-k1",
-         _pair_logpdf(logpdf_gengamma_pearson7, p7_2),
-         [(0.0, _INF), (-_INF, _INF)], 1e-4),
-        ("norm-mv-beta1-k3-3d",
-         lambda x: logpdf_mv_beta1(beta1_3, x),
-         [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)], 1e-4),
-        ("norm-gengamma-pearson2-k1",
-         _pair_logpdf(logpdf_gengamma_pearson2, p2_2),
-         [(0.0, _INF), (-1.0, 1.0)], 1e-4),
-        ("norm-gengamma-beta1-k1",
-         _pair_logpdf(logpdf_gengamma_beta1, gb1_2),
-         [(0.0, _INF), (0.0, 1.0)], 1e-4),
-        ("norm-gengamma-beta2-k1",
-         _pair_logpdf(logpdf_gengamma_beta2, gb2_2),
-         [(0.0, _INF), (0.0, _INF)], 1e-4),
-        ("norm-gamma-loggamma-1p1",
-         lambda x: logpdf_gamma_loggamma(glg, x[..., :1], x[..., 1:]),
-         [(0.0, _INF), (-_INF, _INF)], 1e-4),
+        (f"norm-{f.suffix}", partial(FAMILIES[f.family].logpdf, f.params), f.support, f.quad_tol)
+        for f in _fixtures()
+        if f.quad_tol is not None
     ]
 
 
@@ -636,75 +622,20 @@ def run_identity_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckRepor
     return reports
 
 
-def _pushforward_cases(n_draws: int):
-    bessel_p = MvEllipticalParams(
-        partition=Partition(dims=(2,)), mus=(np.array([0.5, -0.5]),),
-        sigmas=(np.array([[1.0, 0.3], [0.3, 0.8]]),),
-    )
-    (logell1, mixedp, mvt, mvp2, geng, beta_p, beta2_p,
-     p7_2, p2_2, gb1_2, gb2_2, glg) = _shared_fixtures()
-    bessel_spec = Bessel(r=1.0, q=0.3)
-
-    return [
-        ("push-mv-elliptical-bessel-2d",
-         lambda rng, n: sample_mv_elliptical(bessel_p, bessel_spec, rng, size=n),
-         lambda x: logpdf_mv_elliptical(bessel_p, bessel_spec, x),
-         [(-_INF, _INF), (-_INF, _INF)]),
-        ("push-log-elliptical-1d",
-         lambda rng, n: sample_mv_log_elliptical(logell1, _GAUSS, rng, size=n),
-         lambda x: logpdf_mv_log_elliptical(logell1, _GAUSS, x),
-         [(0.0, _INF)]),
-        ("push-mixed-1p1",
-         lambda rng, n: sample_mixed_ell_logell(mixedp, _GAUSS, rng, size=n),
-         lambda x: logpdf_mixed_ell_logell(mixedp, _GAUSS, x[..., :1], x[..., 1:]),
-         [(-_INF, _INF), (0.0, _INF)]),
-        ("push-mv-t-k2",
-         lambda rng, n: sample_mv_t(mvt, rng, size=n),
-         lambda x: logpdf_mv_t(mvt, x),
-         [(-_INF, _INF), (-_INF, _INF)]),
-        ("push-mv-pearson2-k2",
-         lambda rng, n: sample_mv_pearson2(mvp2, rng, size=n),
-         lambda x: logpdf_mv_pearson2(mvp2, x),
-         [(-1.0, 1.0), (-1.0, 1.0)]),
-        ("push-mv-gengamma-k2",
-         lambda rng, n: sample_mv_gengamma(geng, Kotz(q=0.8, r=1.0, s=1.2), rng, size=n),
-         lambda x: logpdf_mv_gengamma(geng, Kotz(q=0.8, r=1.0, s=1.2), x),
-         [(0.0, _INF), (0.0, _INF)]),
-        ("push-mv-beta1-k2",
-         lambda rng, n: sample_mv_beta1(beta_p, rng, size=n),
-         lambda x: logpdf_mv_beta1(beta_p, x),
-         [(0.0, 1.0), (0.0, 1.0)]),
-        ("push-mv-beta2-k2",
-         lambda rng, n: sample_mv_beta2(beta2_p, rng, size=n),
-         lambda x: logpdf_mv_beta2(beta2_p, x),
-         [(0.0, _INF), (0.0, _INF)]),
-        ("push-gengamma-pearson7-k1",
-         _flatten_pair_sampler(sample_gengamma_pearson7, p7_2),
-         _pair_logpdf(logpdf_gengamma_pearson7, p7_2),
-         [(0.0, _INF), (-_INF, _INF)]),
-        ("push-gengamma-pearson2-k1",
-         _flatten_pair_sampler(sample_gengamma_pearson2, p2_2),
-         _pair_logpdf(logpdf_gengamma_pearson2, p2_2),
-         [(0.0, _INF), (-1.0, 1.0)]),
-        ("push-gengamma-beta1-k1",
-         _flatten_pair_sampler(sample_gengamma_beta1, gb1_2),
-         _pair_logpdf(logpdf_gengamma_beta1, gb1_2),
-         [(0.0, _INF), (0.0, 1.0)]),
-        ("push-gengamma-beta2-k1",
-         _flatten_pair_sampler(sample_gengamma_beta2, gb2_2),
-         _pair_logpdf(logpdf_gengamma_beta2, gb2_2),
-         [(0.0, _INF), (0.0, _INF)]),
-        ("push-gamma-loggamma-1p1",
-         lambda rng, n: sample_gamma_loggamma(glg, rng, size=n),
-         lambda x: logpdf_gamma_loggamma(glg, x[..., :1], x[..., 1:]),
-         [(0.0, _INF), (-_INF, _INF)]),
-    ]
+def _pushforward_cases() -> list[tuple[str, Callable, Callable, list[Interval]]]:
+    cases = []
+    for f in _fixtures():
+        if f.push:
+            family = FAMILIES[f.family]
+            cases.append((f"push-{f.suffix}", partial(family.sample, f.params),
+                          partial(family.logpdf, f.params), f.support))
+    return cases
 
 
 def run_pushforward_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckReport]:
     """Sampler-vs-density GOF for every family plus the discrimination check."""
     reports: list[CheckReport] = []
-    for name, sampler, logpdf, support in _pushforward_cases(n_draws):
+    for name, sampler, logpdf, support in _pushforward_cases():
         reports.append(
             pushforward_check(
                 sampler, logpdf, support, n_draws=n_draws, seed=seed, name=name
@@ -713,11 +644,11 @@ def run_pushforward_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckRe
 
     # Discrimination: the beta-I density without the alpha0 exponent term
     # must fail the identical GOF, demonstrating the test has power.
-    beta_p = BetaParams(shape=ExtendedShape(alphas=(1.0, 2.0), alpha0=1.5), betas=(1.0, 3.0))
+    beta = _fixture("mv-beta1-k2")
     wrong = pushforward_check(
-        lambda rng, n: sample_mv_beta1(beta_p, rng, size=n),
-        lambda b: _uncorrected_beta1_logpdf(beta_p, b),
-        [(0.0, 1.0), (0.0, 1.0)],
+        partial(FAMILIES[beta.family].sample, beta.params),
+        lambda b: _uncorrected_beta1_logpdf(*beta.params, b),
+        beta.support,
         n_draws=n_draws,
         seed=seed,
         name="push-beta1-uncorrected-exponent-raw",

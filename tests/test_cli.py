@@ -153,6 +153,64 @@ def test_sample_negative_n_exits_1(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# every model
+
+
+_KOTZ = {"q": 1.3, "r": 0.7, "s": 1.1}
+MODEL_PARAMS = {  # model -> (flat params, sample header)
+    "kotz-gamma": ({"alpha": 2.0, "beta": 3.0, "sigma1": 1.0, "sigma2": 1.5, **_KOTZ}, "u,v"),
+    "mv-gengamma": ({"alpha1": 2.0, "alpha2": 1.3, "sigma1": 1.0, "sigma2": 0.8, **_KOTZ}, "u,v"),
+    "mv-elliptical": ({"mu1": 0.1, "mu2": -0.4, "sigma1": 1.0, "sigma2": 0.6, **_KOTZ}, "u,v"),
+    "log-elliptical": ({"mu1": 0.1, "mu2": -0.4, "sigma1": 1.0, "sigma2": 0.6, **_KOTZ}, "u,v"),
+    "mv-t": ({"alpha0": 1.6, "beta1": 1.0, "beta2": 2.5}, "u,v"),
+    "mv-pearson2": ({"alpha0": 1.3, "beta1": 1.2, "beta2": 0.7}, "u,v"),
+    "mv-beta1": ({"alpha0": 1.5, "alpha1": 1.0, "alpha2": 2.0, "beta1": 1.0, "beta2": 3.0}, "u,v"),
+    "mv-beta2": ({"alpha0": 2.2, "alpha1": 1.4, "alpha2": 1.1, "beta1": 1.0, "beta2": 0.8}, "u,v"),
+    "gengamma-pearson7": ({"alpha0": 1.5, "sigma0": 1.0, "sigma1": 0.9, **_KOTZ}, "s0,u"),
+    "gengamma-pearson2": ({"alpha0": 1.8, "sigma0": 0.9, "sigma1": 1.05, **_KOTZ}, "s0,u"),
+    "gengamma-beta1": ({"alpha0": 1.4, "alpha1": 1.2, "sigma0": 1.0, "sigma1": 0.8, **_KOTZ}, "s0,u"),
+    "gengamma-beta2": ({"alpha0": 1.3, "alpha1": 1.1, "sigma0": 1.0, "sigma1": 0.95, **_KOTZ}, "s0,u"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(cli._MODELS))
+def test_every_model_samples_evaluates_and_names_missing_keys(model, tmp_path, capsys):
+    params, header = MODEL_PARAMS[model]
+    p = write_params(tmp_path / "p.json", params)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in (a, b):
+        rc, _, err = run_cli(["sample", "--model", model, "--params", p,
+                              "-n", "5", "--seed", "3", "--out", str(out)], capsys)
+        assert rc == 0, err
+    assert a.read_bytes() == b.read_bytes()
+    lines = a.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == header
+    assert len(lines) == 6
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines[1:])
+
+    point = f"--point={lines[1]}"
+    rc, out, err = run_cli(["eval", "--model", model, "--params", p, point], capsys)
+    assert rc == 0, err
+    assert math.isfinite(float(out))
+    for key in params:
+        dropped = write_params(tmp_path / "d.json",
+                               {k: v for k, v in params.items() if k != key})
+        rc, _, err = run_cli(["eval", "--model", model, "--params", dropped, point], capsys)
+        assert rc == 1
+        assert f"params missing key '{key}'" in err
+
+
+@pytest.mark.parametrize("model", ["gengamma-pearson7", "gengamma-pearson2"])
+def test_sample_joint_model_without_sigma1_names_it(model, tmp_path, capsys):
+    params = {k: v for k, v in MODEL_PARAMS[model][0].items() if k != "sigma1"}
+    p = write_params(tmp_path / "p.json", params)
+    rc, _, err = run_cli(["sample", "--model", model, "--params", p,
+                          "-n", "4", "--seed", "1", "--out", str(tmp_path / "x.csv")], capsys)
+    assert rc == 1
+    assert "params missing key 'sigma1'" in err
+
+
+# ---------------------------------------------------------------------------
 # fit
 
 

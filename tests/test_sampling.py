@@ -8,6 +8,7 @@ wide margin for the committed streams.
 import math
 
 import numpy as np
+import pytest
 from scipy import integrate, stats
 
 from multivec import (
@@ -119,11 +120,15 @@ def test_radius_bessel_upper_tail_cdf():
         assert abs(direct / inv.total - u_i) <= 1e-9, (u_i, r_i)
 
 
-def test_bessel_elliptical_draws_have_finite_density():
-    name, sampler, logpdf, _ = _pushforward_cases(100_000)[0]
-    assert name == "push-mv-elliptical-bessel-2d"
+@pytest.mark.parametrize("case", _pushforward_cases(), ids=lambda c: c[0])
+def test_push_draws_in_support_with_finite_density(case):
+    # covers the Bessel case, whose inverse-CDF radius once clipped to 0
+    name, sampler, logpdf, support = case
     x = sampler(make_rng(0), 100_000)
-    assert np.all(np.isfinite(logpdf(x)))
+    assert x.shape == (100_000, len(support)), name
+    lo, hi = np.array(support).T
+    assert np.all((x > lo) & (x < hi)), name
+    assert np.all(np.isfinite(logpdf(x))), name
 
 
 def test_radial_angular_independence():

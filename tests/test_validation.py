@@ -95,7 +95,8 @@ def test_quad_failure_is_an_error():
         quad_normalization(broken, [(0.0, 1.0)], 1e-6, "broken")
 
 
-def test_quad_non_integrable_density_fails_within_the_point_budget():
+@pytest.mark.parametrize("tol", [1e-6, 1e-4])
+def test_quad_non_integrable_density_fails_within_the_point_budget(tol):
     # exp(-log x) = 1/x has infinite mass on (0, 1): the level sums keep
     # moving until the point budget ends the refinement
     points = [0]
@@ -105,7 +106,7 @@ def test_quad_non_integrable_density_fails_within_the_point_budget():
         return -np.log(x[:, 0])
 
     with pytest.raises(QuadratureFailure):
-        quad_normalization(inverse, [(0.0, 1.0)], 1e-6, "inverse")
+        quad_normalization(inverse, [(0.0, 1.0)], tol, "inverse")
     assert 0 < points[0] <= _POINT_BUDGET
 
 
@@ -287,7 +288,7 @@ def test_pushforward_discriminates_wrong_exponent():
 
 
 def test_pushforward_smoke_mode_speed():
-    cases = _pushforward_cases(1_000)
+    cases = _pushforward_cases()
     # warm one call so library startup cost is not billed to a family
     _, sampler0, logpdf0, support0 = cases[0]
     pushforward_check(sampler0, logpdf0, support0, n_draws=1_000, seed=0, name="warm")
