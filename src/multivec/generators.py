@@ -37,9 +37,7 @@ __all__ = [
     "GeneratorSpec",
     "RadialLaw",
     "log_norm_const",
-    "log_kernel",
     "log_h",
-    "radial_logpdf",
     "log_bessel_k",
     "radial_integral_identity_check",
 ]
@@ -186,6 +184,13 @@ class Bessel:
     constraint.  The normalizing constant comes from the K_q Mellin transform
     (see module docstring): the commonly tabulated closed form fails the
     normalization check against this kernel.
+
+    The two Gamma factors of that constant, with shapes a = (n+1+q)/2 and
+    b = (n+1-q)/2, are the laws behind the radius: its density is
+    proportional to R^n K_q(R/r), the K-distribution of R = 2 r sqrt(G_a G_b)
+    for independent unit-scale G_a ~ Gamma(a), G_b ~ Gamma(b) (Jakeman and
+    Pusey 1976).  Both shapes are positive exactly when |q| < n + 1, and
+    the sampler draws the radius this way.
     """
 
     r: float
@@ -238,11 +243,6 @@ def log_norm_const(spec: GeneratorSpec, n: float) -> float:
     )
 
 
-def log_kernel(spec: GeneratorSpec, w):
-    """log of the unnormalized kernel at W = w (vectorized; -inf outside support)."""
-    return spec.log_kernel(w)
-
-
 def log_h(spec: GeneratorSpec, w, n: float):
     """log of the normalized generator density h(w) at dimension n."""
     return log_norm_const(spec, n) + spec.log_kernel(w)
@@ -276,10 +276,6 @@ class RadialLaw:
         if r.ndim == 0:
             return float(out)
         return out
-
-
-def radial_logpdf(law: RadialLaw, r):
-    return law.logpdf(r)
 
 
 def radial_integral_identity_check(spec: GeneratorSpec, n: float, a: float) -> float:

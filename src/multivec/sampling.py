@@ -15,12 +15,12 @@ collision-free); never share one Generator across threads.
 Sampler structure
 -----------------
 Spherical draws factor into an independent radius and direction.  The
-radius has exact transformation paths for the Kotz, Pearson VII and
-Pearson II kernels; any other kernel (Bessel today) goes through a numeric
-inverse CDF built on an adaptive, quantile-spaced grid (CDF tolerance
-1e-9, tail mass beyond the grid < 1e-12).  Every derived family is the
-deterministic image of its parent sampler, so goodness-of-fit tests on the
-images validate the corrected densities end to end.
+radius is an exact transformation of gamma or beta variates for every
+kernel: Kotz, Pearson VII, Pearson II, and Bessel, whose radius is
+2 r sqrt(G1 G2) for two independent gammas (the K-distribution).  No
+sampler tabulates or inverts a CDF numerically.  Every derived family is
+the deterministic image of its parent sampler, so goodness-of-fit tests on
+the images validate the corrected densities end to end.
 
 All samplers take an optional `size`: None returns one draw with the
 family's natural shape; an integer returns an array with a leading sample
@@ -29,13 +29,7 @@ axis.  Joint (s0, blocks) samplers put s0 in column 0.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import cholesky
 
 from .core import MvEllipticalParams, ScaleShapeParams
@@ -46,15 +40,13 @@ from .densities import (
     MixedParams,
     MvTParams,
 )
-from .errors import ParameterOutOfDomain, QuadratureFailure
+from .errors import ParameterOutOfDomain
 from .generators import (
-    Bessel,
     GeneratorSpec,
     Kotz,
     PearsonII,
     PearsonVII,
     RadialLaw,
-    radial_logpdf,
 )
 
 __all__ = [
@@ -120,171 +112,14 @@ def sample_unit_sphere(n: int, rng: np.random.Generator, size: int | None = None
 # Radius sampling
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
-
-
-@dataclass(frozen=True)
-class _InverseCdf:
-    """Radial quantile function: monotone interpolant plus Newton polish.
-
-    The interpolant runs in v = u^(1/kappa), where kappa is the CDF's local
-    power at the origin (CDF ~ r^kappa), which removes the infinite slope of
-    the quantile function at u = 0.  Interpolation alone is accurate to a
-    few 1e-9 (the quantile keeps non-integer power corrections no cubic can
-    follow), so eval() finishes with two vectorized Newton steps against the
-    true CDF — node value plus a Gauss-Legendre partial-cell integral —
-    driving the CDF residual far below the 1e-9 contract.
-    """
-
-    law: RadialLaw
-    nodes: np.ndarray
-    node_cdf: np.ndarray
-    total: float
-    quantile: PchipInterpolator
-    kappa: float
-    tail_mass: float
-
-    def _cdf_and_pdf(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.clip(np.searchsorted(self.nodes, r, side="right") - 1, 0, len(self.nodes) - 2)
-        a = self.nodes[idx]
-        half = 0.5 * (r - a)
-        mid = 0.5 * (r + a)
-        pts = mid[:, None] + half[:, None] * _GL_X[None, :]
-        vals = np.exp(radial_logpdf(self.law, np.maximum(pts, 0.0)))
-        partial = half * (vals @ _GL_W)
-        cdf = self.node_cdf[idx] + partial / self.total
-        pdf = np.exp(radial_logpdf(self.law, r)) / self.total
-        return cdf, pdf
-
-    def eval(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        v = np.power(u, 1.0 / self.kappa)
-        r = np.asarray(self.quantile(np.clip(v, 0.0, 1.0)), dtype=float)
-        # the cell whose node CDFs bracket u also brackets its quantile; every
-        # iterate stays inside it, where a far-tail Newton step would overshoot
-        cell = np.clip(np.searchsorted(self.node_cdf, u, side="right") - 1, 0, len(self.nodes) - 2)
-        lo, hi = self.nodes[cell], self.nodes[cell + 1]
-        r = np.clip(r, lo, hi)
-        for _ in range(2):
-            cdf, pdf = self._cdf_and_pdf(r)
-            step = np.where(pdf > 0, (cdf - u) / np.where(pdf > 0, pdf, 1.0), 0.0)
-            r = np.clip(r - step, lo, hi)
-        return r
-
-
-def _coarse_cdf(law: RadialLaw, nodes: np.ndarray) -> np.ndarray:
-    """Fast CDF outline by per-interval Gauss-Legendre (grid placement only)."""
-    lo = nodes[:-1]
-    hi = nodes[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * _GL_X[None, :]
-    vals = np.exp(radial_logpdf(law, pts))
-    increments = half * (vals @ _GL_W)
-    return np.concatenate([[0.0], np.cumsum(increments)])
-
-
-@lru_cache(maxsize=64)
-def _build_inverse_cdf(spec: GeneratorSpec, n: float) -> _InverseCdf:
-    law = RadialLaw(spec, n)
-
-    def pdf(s: float) -> float:
-        return math.exp(radial_logpdf(law, s))
-
-    def tail(r: float) -> float:
-        val, _ = integrate.quad(pdf, r, np.inf, limit=200)
-        return val
-
-    r_max = 1.0
-    for _ in range(80):
-        if tail(r_max) < 1e-12:
-            break
-        r_max *= 2.0
-    else:
-        raise QuadratureFailure("could not bound the radial tail below 1e-12")
-
-    # pass 1: outline the CDF on a uniform grid; pass 2: re-grid at its
-    # quantiles (equal mass per interval) plus geometric nodes toward 0,
-    # where the density can have an algebraic endpoint singularity, and
-    # nodes at geometrically shrinking tail mass toward r_max, where the last
-    # equal-mass cell would otherwise span the whole exponential tail
-    coarse = np.linspace(0.0, r_max, 513)
-    cdf_c = _coarse_cdf(law, coarse)
-    total_c = cdf_c[-1]
-    if not 0.9 < total_c < 1.1:
-        raise QuadratureFailure(f"radial CDF mass {total_c} far from 1")
-    levels = np.linspace(0.0, total_c, 1025)
-    keep = np.concatenate([[True], np.diff(cdf_c) > 0])
-    nodes = np.interp(levels, cdf_c[keep], coarse[keep])
-    nodes[0], nodes[-1] = 0.0, r_max
-    first = nodes[nodes > 0][0]
-    geo = first * 2.0 ** -np.arange(1, 17, dtype=float)
-    tail_c = total_c - cdf_c[keep]
-    pos = tail_c > 0
-    tail_levels = (total_c / 1024.0) * 2.0 ** -np.arange(1, 33, dtype=float)
-    geo_tail = np.interp(-np.log(tail_levels), -np.log(tail_c[pos]), coarse[keep][pos])
-    nodes = np.unique(np.concatenate([nodes, geo, geo_tail]))
-
-    # accurate pass: adaptive quadrature per interval, converged in relative
-    # terms so the innermost (tiny) increments stay fully significant
-    increments = np.empty(len(nodes) - 1)
-    for i in range(len(nodes) - 1):
-        increments[i], _ = integrate.quad(
-            pdf, nodes[i], nodes[i + 1], epsabs=0.0, epsrel=1e-12, limit=100
-        )
-    cdf = np.concatenate([[0.0], np.cumsum(increments)])
-    total = cdf[-1]
-    tail_mass = max(1.0 - total, 0.0)
-    u = cdf / total
-
-    # local power of the CDF at the origin (CDF ~ r^kappa), measured across
-    # the innermost grid cells with a wide lever arm
-    pos = np.flatnonzero(u > 0)
-    i1 = pos[0]
-    i2 = i1
-    for j in pos[1:]:
-        i2 = j
-        if nodes[j] >= 16.0 * nodes[i1]:
-            break
-    kappa = 1.0
-    if i2 > i1 and nodes[i1] > 0:
-        est = math.log(u[i2] / u[i1]) / math.log(nodes[i2] / nodes[i1])
-        if math.isfinite(est) and 0.05 < est < 1000.0:
-            kappa = est
-    v = np.power(u, 1.0 / kappa)
-    keep = np.concatenate([[True], np.diff(v) > 0])
-    quant = PchipInterpolator(v[keep], nodes[keep])
-    inv = _InverseCdf(
-        law=law,
-        nodes=nodes,
-        node_cdf=u,
-        total=total,
-        quantile=quant,
-        kappa=kappa,
-        tail_mass=tail_mass,
-    )
-
-    # verify the stated 1e-9 CDF tolerance, including near both endpoints
-    probe_u = np.concatenate(
-        [[1e-4, 1e-3, 5e-3], np.linspace(0.02, 0.98, 9), [0.995, 0.999, 0.9999, 0.99999]]
-    )
-    for p_u in probe_u:
-        p_r = float(inv.eval(np.array([p_u]))[0])
-        direct, _ = integrate.quad(pdf, 0.0, p_r, epsabs=1e-14, epsrel=1e-12, limit=200)
-        if abs(direct / total - p_u) > 1e-9:
-            raise QuadratureFailure(
-                f"inverse-CDF tolerance 1e-9 not met: |{direct / total} - {p_u}|"
-            )
-    return inv
-
-
 def sample_radius(
     law: RadialLaw, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray | float:
     """Draw of ||x|| for a spherical vector with the law's generator and dimension.
 
-    Kotz, Pearson VII and Pearson II use exact transformation paths; other
-    kernels use the cached numeric inverse CDF.
+    Every kernel has an exact transformation path: a gamma power (Kotz), a
+    gamma ratio (Pearson VII), a beta root (Pearson II) or a gamma product
+    (Bessel).
     """
     spec, n = law.spec, law.n
     m = _n_draws(size)
@@ -298,10 +133,10 @@ def sample_radius(
         r = np.sqrt(spec.r * g1 / g2)
     elif isinstance(spec, PearsonII):
         r = np.sqrt(rng.beta(n / 2.0, spec.q + 1.0, size=m))
-    else:
-        inv = _build_inverse_cdf(spec, float(n))
-        u = rng.uniform(0.0, 1.0, size=m)
-        r = inv.eval(u)
+    else:  # Bessel: the K-distribution, a product of two gammas (see Bessel)
+        g1 = rng.gamma((n + 1.0 + spec.q) / 2.0, 1.0, size=m)
+        g2 = rng.gamma((n + 1.0 - spec.q) / 2.0, 1.0, size=m)
+        r = 2.0 * spec.r * np.sqrt(g1 * g2)
     if size is None:
         return float(r[0])
     return r
@@ -425,7 +260,7 @@ def sample_gengamma_pearson7(
         u = sample_unit_sphere(n_i, rng, size=m)
         norm = np.sqrt(betas[i] * d[:, i + 1] / d[:, 0])
         cols.append(norm[:, None] * u)
-    t = np.concatenate(cols, axis=1)
+    t = np.concatenate(cols, axis=1) if cols else np.empty((m, 0))
     if size is None:
         return float(s0[0]), t[0]
     return s0, t

@@ -15,10 +15,8 @@ from multivec import (
     RadialLaw,
     log_bessel_k,
     log_h,
-    log_kernel,
     log_norm_const,
     radial_integral_identity_check,
-    radial_logpdf,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -74,9 +72,9 @@ def test_domain_errors():
 
 
 def test_kernel_values():
-    assert abs(log_kernel(Kotz.gaussian(), 4.0) - (-2.0)) < 1e-15
-    assert abs(log_kernel(PearsonVII(r=1.0, q=2.0), 1.0) - (-2.0 * math.log(2.0))) < 1e-15
-    assert log_kernel(PearsonII(q=3.0), 1.5) == -math.inf
+    assert abs(Kotz.gaussian().log_kernel(4.0) - (-2.0)) < 1e-15
+    assert abs(PearsonVII(r=1.0, q=2.0).log_kernel(1.0) - (-2.0 * math.log(2.0))) < 1e-15
+    assert PearsonII(q=3.0).log_kernel(1.5) == -math.inf
 
 
 def test_gaussian_log_h_closed_form():
@@ -91,7 +89,7 @@ def test_gaussian_log_h_closed_form():
 
 
 def test_half_normal_radial_value():
-    got = radial_logpdf(RadialLaw(Kotz.gaussian(), 1.0), 1.0)
+    got = RadialLaw(Kotz.gaussian(), 1.0).logpdf(1.0)
     want = math.log(2.0) - 0.5 * LOG_2PI - 0.5
     assert abs(got - want) < 1e-12
 
@@ -99,7 +97,7 @@ def test_half_normal_radial_value():
 def test_rayleigh_radial_closed_form():
     law = RadialLaw(Kotz.gaussian(), 2.0)
     for r in (0.1, 0.5, 1.0, 2.5):
-        assert abs(radial_logpdf(law, r) - (math.log(r) - r * r / 2.0)) < 1e-12
+        assert abs(law.logpdf(r) - (math.log(r) - r * r / 2.0)) < 1e-12
 
 
 RADIAL_GRID = [
@@ -119,7 +117,7 @@ RADIAL_GRID = [
 def test_radial_pdf_integrates_to_one(spec, n):
     law = RadialLaw(spec, n)
     upper = 1.0 if isinstance(spec, PearsonII) else np.inf
-    val, err = integrate.quad(lambda r: math.exp(radial_logpdf(law, r)), 0.0, upper, limit=200)
+    val, err = integrate.quad(lambda r: math.exp(law.logpdf(r)), 0.0, upper, limit=200)
     assert abs(val - 1.0) < 1e-6
 
 

@@ -25,8 +25,15 @@ from multivec import (
     RadialLaw,
     ScaleShapeParams,
     block_quadform,
+    logpdf_gengamma_beta1,
+    logpdf_gengamma_beta2,
+    logpdf_gengamma_pearson2,
+    logpdf_gengamma_pearson7,
     make_rng,
     sample_gamma_loggamma,
+    sample_gengamma_beta1,
+    sample_gengamma_beta2,
+    sample_gengamma_pearson2,
     sample_gengamma_pearson7,
     sample_mv_beta1,
     sample_mv_elliptical,
@@ -37,7 +44,6 @@ from multivec import (
     spawn_rngs,
 )
 
-from multivec.sampling import _build_inverse_cdf
 from multivec.validation import _pushforward_cases
 
 GAUSS = Kotz.gaussian()
@@ -93,9 +99,9 @@ def test_radius_gaussian_n5_second_moment():
     assert abs(np.mean(r2) - 5.0) < 3.0 * se
 
 
-def test_radius_bessel_numeric_path():
-    # Bessel has no exact transformation; the inverse-CDF grid must agree with
-    # the radial density integrated numerically
+def test_radius_bessel_exact_path():
+    # the gamma-product radius must agree with the radial density integrated
+    # numerically
     law = RadialLaw(Bessel(r=1.0, q=0.3), 2.0)
     rb = sample_radius(law, make_rng(6), size=50_000)
     grid = np.linspace(1e-9, float(np.max(rb)) * 1.5, 4001)
@@ -106,23 +112,27 @@ def test_radius_bessel_numeric_path():
     assert p > 0.01
 
 
-def test_radius_bessel_upper_tail_cdf():
-    # the last equal-mass cell spans the exponential tail; the quantile there
-    # must still meet the 1e-9 CDF tolerance instead of clipping to 0
-    law = RadialLaw(Bessel(r=1.0, q=0.3), 2.0)
-    inv = _build_inverse_cdf(law.spec, law.n)
-    u = np.array([0.9992, 0.9995, 0.9999, 0.99999])
-    r = inv.eval(u)
-    for u_i, r_i in zip(u, r):
-        direct, _ = integrate.quad(
-            lambda s: math.exp(law.logpdf(s)), 0.0, r_i, epsabs=1e-14, epsrel=1e-12, limit=200
-        )
-        assert abs(direct / inv.total - u_i) <= 1e-9, (u_i, r_i)
+@pytest.mark.parametrize(
+    "spec,n",
+    [(Bessel(r=1.0, q=2.7), 2.0), (Bessel(r=0.3, q=1.95), 1.0), (Bessel(r=3.0, q=3.9), 3.0)],
+    ids=["n2-q2.7", "n1-q1.95", "n3-q3.9"],
+)
+def test_radius_bessel_second_moment_near_the_domain_edge(spec, n):
+    # |q| close to n+1 puts an integrable singularity at r = 0
+    law = RadialLaw(spec, n)
+    r = sample_radius(law, make_rng(12), size=100_000)
+    assert np.all(np.isfinite(r)) and np.all(r > 0)
+    moment = sum(
+        integrate.quad(lambda v: v * v * math.exp(law.logpdf(v)), a, b, limit=200)[0]
+        for a, b in ((0.0, 1e-8), (1e-8, 1.0), (1.0, np.inf))
+    )
+    r2 = r * r
+    se = np.std(r2, ddof=1) / math.sqrt(r2.size)
+    assert abs(np.mean(r2) - moment) < 4.0 * se
 
 
 @pytest.mark.parametrize("case", _pushforward_cases(), ids=lambda c: c[0])
 def test_push_draws_in_support_with_finite_density(case):
-    # covers the Bessel case, whose inverse-CDF radius once clipped to 0
     name, sampler, logpdf, support = case
     x = sampler(make_rng(0), 100_000)
     assert x.shape == (100_000, len(support)), name
@@ -216,6 +226,24 @@ def test_joint_s0_margin_gamma_law():
     p = JointScaleParams(spec=GAUSS, alpha0=1.5, sigma2s=(2.0, 1.0), dims=(1,))
     s0, _ = sample_gengamma_pearson7(p, make_rng(71), size=100_000)
     assert stats.kstest(s0, stats.gamma(a=1.5, scale=4.0).cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize(
+    "sampler,logpdf,blocks",
+    [
+        (sample_gengamma_pearson7, logpdf_gengamma_pearson7, {"dims": ()}),
+        (sample_gengamma_pearson2, logpdf_gengamma_pearson2, {"dims": ()}),
+        (sample_gengamma_beta2, logpdf_gengamma_beta2, {"alphas": ()}),
+        (sample_gengamma_beta1, logpdf_gengamma_beta1, {"alphas": ()}),
+    ],
+    ids=["pearson7", "pearson2", "beta2", "beta1"],
+)
+def test_joint_samplers_with_no_blocks(sampler, logpdf, blocks):
+    # k = 0 leaves only s0; the block array keeps its (m, 0) shape
+    p = JointScaleParams(spec=GAUSS, alpha0=1.5, sigma2s=(2.0,), **blocks)
+    s0, b = sampler(p, make_rng(81), size=50)
+    assert s0.shape == (50,) and b.shape == (50, 0)
+    assert np.all(np.isfinite(logpdf(p, s0, b)))
 
 
 def test_loggamma_is_log_of_gengamma_stream():
