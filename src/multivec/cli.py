@@ -371,13 +371,13 @@ def _threads() -> int:
 def cmd_fit(args) -> int:
     data = _read_pairs_csv(args.input)
     fit = fit_dependent if args.mode == "dependent" else fit_independent
-    result = fit(data, max_iter=args.max_iters, restarts=args.restarts)
+    result = fit(data, max_iter=args.max_iters)
     doc = {
         "loglik": result.loglik,
         "meta": {
             "converged": result.converged,
             "iterations": result.iterations,
-            "restarts": len(result.restarts),
+            "pinned": list(result.pinned),
             "seed": None,
             "version": __version__,
         },
@@ -506,7 +506,6 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--mode", required=True, choices=["dependent", "independent"])
     p_fit.add_argument("--input", required=True, help="CSV with header u,v")
     p_fit.add_argument("--out", required=True, help="output params JSON")
-    p_fit.add_argument("--restarts", type=int, default=3)
     p_fit.add_argument("--max-iters", type=int, default=10_000)
     p_fit.set_defaults(func=cmd_fit)
 

@@ -225,7 +225,11 @@ class SampleMatrix:
 
 @dataclass
 class FitResult:
-    """Outcome of a likelihood fit: named estimates plus optimizer diagnostics."""
+    """Outcome of a likelihood fit: named estimates plus optimizer diagnostics.
+
+    ``restarts`` holds one log entry per solve (start, loglik, converged,
+    iterations); ``pinned`` names the params set by convention, not the data.
+    """
 
     params: dict[str, float]
     loglik: float
@@ -233,6 +237,7 @@ class FitResult:
     converged: bool
     mode: str
     restarts: list[dict] = field(default_factory=list)
+    pinned: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.converged and not np.isfinite(self.loglik):

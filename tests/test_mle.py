@@ -1,6 +1,7 @@
-"""Likelihoods, the closed-form gamma initializer, the simplex, and the fits."""
+"""Likelihoods, the closed-form gamma initializer, and the profile fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from multivec import (
     loglik_dependent,
     loglik_independent,
     logpdf_mv_gengamma,
-    nelder_mead,
+    make_rng,
+    sample_mv_gengamma,
 )
 
 
@@ -135,6 +137,38 @@ def test_likelihood_domain_errors():
         KotzGammaDepParams(sigma1=0.0, sigma2=1.0, alpha=1.0, beta=1.0, r=0.5, q=1.0, s=1.0)
 
 
+def test_likelihoods_at_extreme_scales_are_warning_free():
+    # power terms are formed in log space: rescaling data by c = 1e-300 (and
+    # sigma by sqrt(c)) shifts each log-likelihood by exactly -log c per
+    # observation, where sigma^(-2s) and u^s alone leave the double range
+    rng = np.random.default_rng(13)
+    data = rng.gamma(3.0, 1.5, (40, 2))
+    c = 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1.0, 3.0):
+            base = loglik_independent(np.float64(1.2), 2.0, 0.4, 1.5, s, data[:, 0])
+            tiny = loglik_independent(np.float64(1.2 * math.sqrt(c)), 2.0, 0.4, 1.5, s,
+                                      c * data[:, 0])
+            assert abs(tiny - (base - 40 * math.log(c))) <= 1e-9 * abs(tiny)
+            p = KotzGammaDepParams(sigma1=1.0, sigma2=2.0, alpha=2.0, beta=3.0,
+                                   r=0.4, q=1.5, s=s)
+            p_tiny = KotzGammaDepParams(sigma1=math.sqrt(c), sigma2=2.0 * math.sqrt(c),
+                                        alpha=2.0, beta=3.0, r=0.4, q=1.5, s=s)
+            base = loglik_dependent(p, SuffStats(data[:, 0], data[:, 1]))
+            tiny = loglik_dependent(p_tiny, SuffStats(c * data[:, 0], c * data[:, 1]))
+            assert abs(tiny - (base - 80 * math.log(c))) <= 1e-9 * abs(tiny)
+        # a penalty r w^s beyond the double range is a genuine -inf
+        with pytest.raises(NonFiniteLikelihood):
+            loglik_independent(np.float64(1.0), 2.0, 0.5, 1.0, np.float64(400.0), data[:, 0] + 6.0)
+        with pytest.raises(NonFiniteLikelihood):
+            loglik_dependent(
+                KotzGammaDepParams(sigma1=np.float64(1e-3), sigma2=1.0, alpha=2.0, beta=3.0,
+                                   r=0.5, q=1.0, s=np.float64(100.0)),
+                SuffStats(data[:, 0], data[:, 1]),
+            )
+
+
 # ---------------------------------------------------------------------------
 # gamma initializer
 
@@ -165,29 +199,6 @@ def test_gamma_init_scale_equivariance():
 
 
 # ---------------------------------------------------------------------------
-# simplex optimizer
-
-
-def test_nelder_mead_quadratic():
-    res = nelder_mead(lambda x: (x[0] - 3.0) ** 2, np.array([0.0]))
-    assert res.converged and abs(res.x[0] - 3.0) < 1e-6
-
-
-def test_nelder_mead_rosenbrock():
-    res = nelder_mead(
-        lambda x: (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2,
-        np.array([-1.2, 1.0]),
-    )
-    assert res.converged
-    assert np.max(np.abs(res.x - 1.0)) < 1e-4
-
-
-def test_nelder_mead_rejects_nonfinite_start():
-    with pytest.raises(NonFiniteLikelihood):
-        nelder_mead(lambda x: -math.inf, np.array([0.0]))
-
-
-# ---------------------------------------------------------------------------
 # fits
 
 
@@ -212,18 +223,6 @@ def test_fit_dependent_ascends_and_is_deterministic():
     fit2 = fit_dependent(data, freeze_generator=True)
     assert fit1.loglik >= start_ll
     assert fit1.params == fit2.params and fit1.loglik == fit2.loglik
-
-
-def test_fit_restart_bookkeeping():
-    data = _paired_gamma(10, 80)
-    res = fit_dependent(data, restarts=2, max_iter=400)
-    assert len(res.restarts) == 2
-    best = max(res.restarts, key=lambda d: d["loglik"])
-    assert res.loglik == best["loglik"]
-    # the reported convergence flag belongs to the winning restart
-    assert res.converged == best["converged"]
-    with pytest.raises(ParameterOutOfDomain):
-        fit_dependent(data, restarts=0)
 
 
 def test_fit_independent_output_shape():
@@ -269,6 +268,76 @@ def test_independent_fit_identified_combinations():
         for (sh, qq, ss) in (("alpha", "q1", "s1"), ("beta", "q2", "s2")):
             assert abs(p[ss] - 1.0) < 0.2
             assert abs(p[qq] + p[sh] - 4.0) < 0.6
+
+
+def test_dependent_fit_zeroes_the_dirichlet_profile_score():
+    truth = KotzGammaDepParams(sigma1=1.0, sigma2=2.0, alpha=5.0, beta=8.0, r=0.4, q=1.5, s=1.1)
+    m = 500
+    base = ScaleShapeParams(shapes=(truth.alpha,) * m + (truth.beta,) * m,
+                            scales=(truth.sigma1**2,) * m + (truth.sigma2**2,) * m)
+    flat = np.asarray(sample_mv_gengamma(base, Kotz(q=truth.q, r=truth.r, s=truth.s),
+                                         make_rng(3)))
+    res = fit_dependent(np.column_stack([flat[:m], flat[m:]]))
+    st = SuffStats(flat[:m], flat[m:])
+    assert res.converged and len(res.restarts) == 1
+    assert res.pinned == ("q", "r", "s", "sigma1", "sigma2")
+    p = res.params
+    assert (p["r"], p["q"], p["s"]) == (0.5, 1.0, 1.0)
+    al, be = p["alpha"], p["beta"]
+    n = m * (al + be)
+    common = m * (special.digamma(n) - math.log(al + be))
+    score_a = common - m * (special.digamma(al) - math.log(al)) + st.a - m * math.log(st.c)
+    score_b = common - m * (special.digamma(be) - math.log(be)) + st.b - m * math.log(st.d)
+    assert abs(score_a) <= 1e-8 and abs(score_b) <= 1e-8
+    rho2 = (p["sigma2"] / p["sigma1"]) ** 2
+    assert abs(rho2 - al * st.d / (be * st.c)) <= 1e-12 * rho2
+    # sigma1 is the Gaussian-generator MLE given the direction estimates
+    assert abs(p["sigma1"] ** 2 - (st.c + st.d / rho2) / (2.0 * n)) <= 1e-12 * p["sigma1"] ** 2
+    assert res.loglik == loglik_dependent(KotzGammaDepParams(**p), st)
+
+
+def test_independent_column_fit_is_a_local_maximum():
+    data = _paired_gamma(14, 300)
+    res = fit_independent(data)
+    assert res.converged and res.pinned == ("q1", "q2", "r1", "r2")
+    p = res.params
+    for col, (sg, sh, ss) in ((0, ("sigma1", "alpha", "s1")), (1, ("sigma2", "beta", "s2"))):
+        assert (p[sg.replace("sigma", "r")], p[sg.replace("sigma", "q")]) == (0.5, 1.0)
+        point = [p[sg], p[sh], p[ss]]
+        best = loglik_independent(point[0], point[1], 0.5, 1.0, point[2], data[:, col])
+        assert best == res.restarts[col]["loglik"]
+        for i in range(3):
+            for sign in (-1.0, 1.0):
+                moved = list(point)
+                moved[i] *= 1.0 + sign * 1e-4
+                ll = loglik_independent(moved[0], moved[1], 0.5, 1.0, moved[2], data[:, col])
+                assert ll <= best + 1e-9 * abs(best)
+
+
+def test_lognormal_column_has_no_generalized_gamma_mle():
+    # criterion 06's data: the log-normal column's profile keeps rising as
+    # s -> 0, so s stops at the bracket edge and the fit says so
+    rng = np.random.default_rng(42)
+    data = np.column_stack([rng.lognormal(0.2, 0.6, 300), rng.gamma(2.5, 1.7, 300)])
+    res = fit_independent(data)
+    assert not res.converged
+    assert [e["converged"] for e in res.restarts] == [False, True]
+    assert res.params["s1"] == 1.0 / 32.0
+    assert math.isfinite(res.params["sigma1"]) and res.params["sigma1"] > 0.0
+    assert math.isfinite(res.loglik)
+
+
+def test_every_fit_logs_its_solves_and_honours_the_cap():
+    data = _paired_gamma(15, 200)
+    for fit in (fit_dependent, fit_independent):
+        for frozen in (False, True):
+            res = fit(data, freeze_generator=frozen)
+            assert res.converged
+            assert all(set(e) == {"start", "loglik", "converged", "iterations"}
+                       for e in res.restarts)
+            assert res.iterations == sum(e["iterations"] for e in res.restarts)
+            capped = fit(data, freeze_generator=frozen, max_iter=1)
+            assert not capped.converged and math.isfinite(capped.loglik)
 
 
 def test_fit_rejects_tiny_samples():
