@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -28,16 +28,13 @@ from .densities import BetaParams, JointScaleParams, MvTParams
 from .errors import MultivecError, NonPositiveInput
 from .families import FAMILIES
 from .generators import Kotz
-from .mle import fit_dependent, fit_independent
 from .sampling import make_rng, sample_mv_gengamma
-from .validation import (
-    CheckReport,
-    _fixture,
-    quad_normalization,
-    run_identity_suite,
-    run_normalization_suite,
-    run_pushforward_suite,
-)
+
+# mle and validation are imported inside the commands that run them, so each
+# command pays at start-up only for what it uses: validation loads
+# scipy.integrate, and with it scipy.linalg and scipy.optimize
+if TYPE_CHECKING:
+    from .validation import CheckReport
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -369,6 +366,8 @@ def _threads() -> int:
 
 
 def cmd_fit(args) -> int:
+    from .mle import fit_dependent, fit_independent
+
     data = _read_pairs_csv(args.input)
     fit = fit_dependent if args.mode == "dependent" else fit_independent
     result = fit(data, max_iter=args.max_iters)
@@ -433,6 +432,8 @@ def cmd_sample(args) -> int:
 
 def _corrupted_report() -> CheckReport:
     """Hidden hook: run the quadrature oracle against a mis-scaled density."""
+    from .validation import _fixture, quad_normalization
+
     case = _fixture("mv-gengamma-kotz-k1")
     logpdf = FAMILIES[case.family].logpdf
 
@@ -445,6 +446,8 @@ def _corrupted_report() -> CheckReport:
 
 
 def cmd_check(args) -> int:
+    from .validation import run_identity_suite, run_normalization_suite, run_pushforward_suite
+
     suites: dict[str, Callable[[], list[CheckReport]]] = {
         "normalization": lambda: run_normalization_suite(args.seed),
         "identities": lambda: run_identity_suite(args.seed, n_draws=args.n_draws),

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -259,6 +258,8 @@ def spd_factorize(S: np.ndarray) -> tuple[float, Callable[[np.ndarray], np.ndarr
     NotPositiveDefinite
         If S is not symmetric within 1e-12 or has a nonpositive pivot.
     """
+    from scipy.linalg import cho_factor, cho_solve  # deferred: costs CLI start-up
+
     S = _as_spd(S, "S")
     try:
         c, low = cho_factor(S, lower=True)

@@ -34,7 +34,6 @@ from scipy import special
 from .core import (
     ExtendedShape,
     MvEllipticalParams,
-    Partition,
     ScaleShapeParams,
     block_quadform,
     spd_factorize,
@@ -202,12 +201,6 @@ class MvTParams:
         if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
             raise ParameterOutOfDomain(f"alpha0 must be positive, got {self.alpha0}")
         object.__setattr__(self, "alpha0", float(self.alpha0))
-
-    @classmethod
-    def from_partition(cls, p: Partition, betas) -> "MvTParams":
-        if p.n0 is None:
-            raise DimensionMismatch("partition must carry n0")
-        return cls(dims=p.dims, alpha0=p.n0 / 2.0, betas=tuple(betas))
 
     @property
     def k(self) -> int:

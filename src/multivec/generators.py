@@ -123,11 +123,6 @@ class PearsonVII:
         if not self.r > 0:
             raise ParameterOutOfDomain(f"PearsonVII needs r > 0, got {self.r}")
 
-    @classmethod
-    def student_t(cls, n: float, nu: float) -> "PearsonVII":
-        """The spec reproducing the n-dimensional t with nu degrees of freedom."""
-        return cls(r=nu, q=(n + nu) / 2.0)
-
     def validate_at(self, n: float) -> None:
         if self.q <= n / 2:
             raise ParameterOutOfDomain(

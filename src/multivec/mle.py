@@ -29,7 +29,6 @@ import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import digamma, gammaln, polygamma
 
 from .core import FitResult, SampleMatrix
@@ -292,6 +291,48 @@ def _column_score(log_s: float, ell: np.ndarray, max_iter: int) -> float:
     return 1.0 - s * nu * math.fsum(w * ell) / total
 
 
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float, max_iter: int
+            ) -> tuple[float, int, bool]:
+    """Root of f in [xpre, xcur], given f at both ends with opposite signs.
+
+    Brent's method, step for step as scipy's ``brentq`` (its Zeros/brentq.c)
+    at xtol = 1e-12 and rtol = 4 eps, so roots and step counts are the same
+    bits; this module then needs no ``scipy.optimize`` import.  Returns
+    (root, steps, converged); after max_iter steps the last iterate comes
+    back unconverged.
+    """
+    xtol, rtol = 1e-12, 4.0 * sys.float_info.epsilon
+    xblk = fblk = spre = scur = 0.0
+    for step in range(1, max_iter + 1):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, step, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return xcur, max(max_iter, 0), False
+
+
 def _fit_column(u: np.ndarray, freeze_generator: bool, max_iter: int
                 ) -> tuple[tuple[float, float, float], dict]:
     """(sigma, shape, s) at the gauge r = 1/2, q = 1, and the solve log entry."""
@@ -301,14 +342,14 @@ def _fit_column(u: np.ndarray, freeze_generator: bool, max_iter: int
     lo, hi = _LOG_S_BRACKET
     log_s, converged, steps = 0.0, True, 0
     if not freeze_generator:
-        if _column_score(lo, ell, max_iter) <= 0.0:
+        score_lo, score_hi = _column_score(lo, ell, max_iter), _column_score(hi, ell, max_iter)
+        if score_lo <= 0.0:
             log_s, converged = lo, False
-        elif _column_score(hi, ell, max_iter) >= 0.0:
+        elif score_hi >= 0.0:
             log_s, converged = hi, False
         else:
-            log_s, res = brentq(_column_score, lo, hi, args=(ell, max_iter), xtol=1e-12,
-                                maxiter=max(max_iter, 0), full_output=True, disp=False)
-            converged, steps = res.converged, res.iterations
+            log_s, steps, converged = _brentq(lambda x: _column_score(x, ell, max_iter),
+                                              lo, hi, score_lo, score_hi, max_iter)
     s = math.exp(log_s)
     t = _log_sum_exp(s * ell) - math.log(u.size)
     nu, shape_steps, shape_ok = _gamma_shape(t, max_iter)

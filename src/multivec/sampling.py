@@ -30,7 +30,6 @@ axis.  Joint (s0, blocks) samplers put s0 in column 0.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .core import MvEllipticalParams, ScaleShapeParams
 from .densities import (
@@ -154,6 +153,8 @@ def _spherical(spec: GeneratorSpec, n: int, rng: np.random.Generator, m: int) ->
 
 
 def _block_chol(p: MvEllipticalParams) -> np.ndarray:
+    from scipy.linalg import cholesky  # deferred: costs CLI start-up
+
     mats = [cholesky(np.asarray(s, dtype=float), lower=True) for s in p.sigmas]
     n = p.partition.total
     out = np.zeros((n, n))

@@ -25,8 +25,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.interpolate import PchipInterpolator
+from scipy import integrate, special
 
 from .core import ExtendedShape, MvEllipticalParams, Partition, ScaleShapeParams
 from .densities import (
@@ -258,7 +257,17 @@ def _chi2_quantile_gof(
     counts, _ = np.histogram(u, bins=probs)
     expected = n / bins
     stat = float(np.sum((counts - expected) ** 2) / expected)
-    return stat, float(stats.chi2.sf(stat, df=bins - 1))
+    return stat, float(special.chdtrc(bins - 1, stat))  # scipy.stats.chi2.sf, bit for bit
+
+
+def _betaprime_cdf(a: float, x: np.ndarray) -> np.ndarray:
+    """CDF of BetaPrime(a, 1) at x >= 0, by the incomplete-beta branches of
+    scipy.stats.betaprime (bit for bit, without importing scipy.stats)."""
+    x = np.asarray(x, dtype=float)
+    big, out = x > 1, np.empty_like(x)
+    out[big] = special.betaincc(1.0, a, 1.0 / (1.0 + x[big]))
+    out[~big] = special.betainc(a, 1.0, x[~big] / (1.0 + x[~big]))
+    return out
 
 
 def jacobian_check(n: int, n_draws: int = 100_000, seed: int = 0) -> CheckReport:
@@ -284,8 +293,7 @@ def jacobian_check(n: int, n_draws: int = 100_000, seed: int = 0) -> CheckReport
     round_trip = float(np.max(np.abs(x_back - x)))
     if round_trip > 1e-12:
         raise AssertionError(f"inverse-map round trip error {round_trip}")
-    dist = stats.betaprime(a=n / 2.0, b=1.0)
-    stat, p = _chi2_quantile_gof(y_sq, dist.cdf, bins=20)
+    stat, p = _chi2_quantile_gof(y_sq, partial(_betaprime_cdf, n / 2.0), bins=20)
     return CheckReport.build(
         f"jacobian-ball-map-n{n}",
         1.0 - p,
@@ -328,8 +336,10 @@ def _tensor_pdf(
 
 def _marginal_cdfs(
     pdf_grid: np.ndarray, grids: list[np.ndarray]
-) -> list[PchipInterpolator]:
+) -> list[Callable[[np.ndarray], np.ndarray]]:
     """Per-axis CDF interpolants from a tensor pdf, each normalized on its box."""
+    from scipy.interpolate import PchipInterpolator
+
     d = pdf_grid.ndim
     out = []
     for axis in range(d):
@@ -382,6 +392,8 @@ def pushforward_check(
     grid over a box that covers the sample with padding; the residual is the
     worst threshold shortfall, so 0 means every sub-check passed.
     """
+    from scipy import stats
+
     rng = make_rng(seed)
     x = np.atleast_2d(np.asarray(sampler(rng, n_draws), dtype=float))
     d = x.shape[1]
@@ -564,6 +576,8 @@ def _normalization_cases() -> list[tuple[str, Callable, list[Interval], float]]:
 
 def run_normalization_suite(seed: int = 0) -> list[CheckReport]:
     """Quadrature normalization for every family at total dims <= 3."""
+    from scipy import stats
+
     reports = [
         quad_normalization(logpdf, support, tol, name=name)
         for name, logpdf, support, tol in _normalization_cases()

@@ -7,9 +7,11 @@ script, without interpreter startup); one test exercises the installed
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,6 +387,7 @@ def test_installed_entry_point_reports_version():
     exe = shutil.which("multivec")
     cmd = [exe, "--version"] if exe else [sys.executable, "-m", "multivec.cli",
                                           "--version"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("multivec ")

@@ -343,3 +343,32 @@ def test_every_fit_logs_its_solves_and_honours_the_cap():
 def test_fit_rejects_tiny_samples():
     with pytest.raises(DegenerateSample):
         fit_dependent(np.ones((2, 2)) * np.array([1.0, 2.0]))
+
+
+def test_column_brent_is_scipy_brentq_bit_for_bit():
+    # the column fit's Brent solve is a port of scipy.optimize.brentq, so that
+    # the fit needs no scipy.optimize import: same root, step count and
+    # converged flag on the profile score, capped solves included
+    from multivec import mle
+
+    rng = np.random.default_rng(16)
+    lo, hi = mle._LOG_S_BRACKET
+    solved = capped = 0
+    for m in (10, 60, 500):
+        for shape in (0.8, 2.0, 8.0):
+            for power in (0.3, 1.0, 2.5) * 3:
+                u = rng.gamma(shape, size=m) ** (1.0 / power)
+                ell = np.log(u) - math.fsum(np.log(u)) / m
+                for max_iter in (0, 1, 2, 4, 8, 10_000):
+                    f_lo, f_hi = (mle._column_score(x, ell, max_iter) for x in (lo, hi))
+                    if not f_lo > 0.0 > f_hi:
+                        continue
+                    root, res = optimize.brentq(
+                        mle._column_score, lo, hi, args=(ell, max_iter), xtol=1e-12,
+                        maxiter=max_iter, full_output=True, disp=False)
+                    port = mle._brentq(lambda x: mle._column_score(x, ell, max_iter),
+                                       lo, hi, f_lo, f_hi, max_iter)
+                    assert port == (root, res.iterations, res.converged)
+                    solved += 1
+                    capped += not res.converged
+    assert solved >= 250 and 40 <= solved - capped and capped >= 200

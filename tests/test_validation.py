@@ -31,6 +31,8 @@ from multivec import (
 from multivec.validation import (
     _CHUNK,
     _POINT_BUDGET,
+    _betaprime_cdf,
+    _chi2_quantile_gof,
     _normalization_cases,
     _pushforward_cases,
     _uncorrected_beta1_logpdf,
@@ -239,6 +241,22 @@ def test_jacobian_mc_check():
     for n in (1, 2):
         rep = jacobian_check(n, n_draws=50_000, seed=0)
         assert rep.passed, rep.details
+
+
+def test_jacobian_cdfs_are_scipy_stats_bit_for_bit():
+    # jacobian_check computes with scipy.special so that the identity suite
+    # needs no scipy.stats import; its reports must not move by a bit
+    from scipy import stats
+
+    x = np.concatenate([[0.0, 1.0, 1e-300, 1e300], np.geomspace(1e-8, 1e8, 4001)])
+    for a in (0.5, 1.0, 1.5):
+        assert np.array_equal(_betaprime_cdf(a, x), stats.betaprime(a, 1.0).cdf(x))
+    rng = np.random.default_rng(0)
+    for bins in (2, 5, 20):
+        for values in (rng.uniform(size=1000), rng.beta(2.0, 3.0, size=997),
+                       (np.arange(1000) + 0.5) / 1000):
+            stat, p = _chi2_quantile_gof(values, lambda v: v, bins)
+            assert p == stats.chi2.sf(stat, bins - 1)
 
 
 def test_jacobian_grid_check():
