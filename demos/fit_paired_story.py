@@ -21,19 +21,18 @@ from multivec import (
     fit_independent,
     loglik_dependent,
     make_rng,
-    sample_mv_gengamma,
 )
+from multivec.sampling import sample_gengamma_pairs
 
 truth = KotzGammaDepParams(sigma1=1.0, sigma2=2.0, alpha=5.0, beta=8.0,
                            r=0.4, q=1.5, s=1.1)
 m = 2000
 
-# one draw of a 2m-block dependent vector, reshaped into m pairs
-base = ScaleShapeParams(shapes=(truth.alpha,) * m + (truth.beta,) * m,
-                        scales=(truth.sigma1**2,) * m + (truth.sigma2**2,) * m)
-flat = np.asarray(sample_mv_gengamma(base, Kotz(q=truth.q, r=truth.r, s=truth.s),
-                                     make_rng(2024)))
-data = SampleMatrix(np.column_stack([flat[:m], flat[m:]]))
+# m pairs that are one draw of a 2m-block dependent vector
+pairs = ScaleShapeParams(shapes=(truth.alpha, truth.beta),
+                         scales=(truth.sigma1**2, truth.sigma2**2))
+data = SampleMatrix(sample_gengamma_pairs(pairs, Kotz(q=truth.q, r=truth.r, s=truth.s),
+                                          make_rng(2024), size=m))
 
 dep = fit_dependent(data)
 ind = fit_independent(data)

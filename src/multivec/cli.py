@@ -1,7 +1,8 @@
 """Command-line front end: fit, eval, sample, check, grid.
 
 Families are exposed under flat name->value parameter maps (scalar blocks;
-the library API handles general block structures).  All numeric output is
+the library API handles general block structures); the keys of each are
+defined by its record in ``families.FAMILIES``.  All numeric output is
 deterministic given the flags: JSON uses canonical key order with
 17-significant-digit decimals, CSV uses fixed headers and '.' decimals, and
 no timestamps or locale-dependent formatting appear anywhere.
@@ -23,12 +24,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .core import ExtendedShape, MvEllipticalParams, ScaleShapeParams, SampleMatrix
-from .densities import BetaParams, JointScaleParams, MvTParams
+from .core import SampleMatrix
 from .errors import MultivecError, NonPositiveInput
-from .families import FAMILIES
-from .generators import Kotz
-from .sampling import make_rng, sample_mv_gengamma
+from .families import FAMILIES, Family
+from .sampling import make_rng
 
 # mle and validation are imported inside the commands that run them, so each
 # command pays at start-up only for what it uses: validation loads
@@ -94,185 +93,12 @@ def _canonical_json(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Flat-parameter model registry
+# Models: the families whose records define flat keys
+
+_MODELS = {name: f for name, f in FAMILIES.items() if f.build is not None}
 
 
-def _need(params: dict[str, float], key: str) -> float:
-    if key not in params:
-        raise _CliError(f"params missing key '{key}'")
-    v = params[key]
-    if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-        raise _CliError(f"params key '{key}' must be a finite number, got {v!r}")
-    return float(v)
-
-
-def _indexed(params: dict[str, float], prefix: str, k: int, start: int = 1) -> list[float]:
-    return [_need(params, f"{prefix}{i}") for i in range(start, start + k)]
-
-
-def _count(params: dict[str, float], prefix: str, start: int = 1) -> int:
-    """Number of consecutive prefixN keys from N=start; gaps name the missing key."""
-    indices = sorted(
-        int(key[len(prefix):])
-        for key in params
-        if key.startswith(prefix) and key[len(prefix):].isdigit()
-    )
-    indices = [i for i in indices if i >= start]
-    if not indices:
-        raise _CliError(f"params missing key '{prefix}{start}'")
-    for want, got in zip(range(start, start + len(indices)), indices):
-        if want != got:
-            raise _CliError(f"params missing key '{prefix}{want}'")
-    return len(indices)
-
-
-def _kotz(params: dict[str, float]) -> Kotz:
-    return Kotz(q=_need(params, "q"), r=_need(params, "r"), s=_need(params, "s"))
-
-
-class _Model:
-    """One CLI model: a family of the table, its k and params read from flat keys."""
-
-    def __init__(self, name, family, infer_k, build, sampler=None):
-        self.name = name
-        self.family = FAMILIES[family]
-        self.infer_k = infer_k          # params -> k          (for sample)
-        self.build = build              # (params, k) -> family params
-        self._sampler = sampler         # (params, k, rng, n) -> [n, d], overrides the family's
-
-    def logpdf(self, params: dict[str, float], k: int, x: np.ndarray) -> np.ndarray:
-        return self.family.logpdf(self.build(params, k), x)
-
-    def sampler(self, params: dict[str, float], k: int, rng, n: int) -> np.ndarray:
-        if self._sampler is not None:
-            return self._sampler(params, k, rng, n)
-        return self.family.sample(self.build(params, k), rng, n)
-
-    def k_from_dim(self, d: int) -> int:
-        for k in range(1, d + 1):
-            if self.family.dim(k) == d:
-                return k
-        raise _CliError(
-            f"model '{self.name}' has no block count matching a {d}-dimensional point"
-        )
-
-
-def _kotz_gamma_k(params: dict[str, float]) -> int:
-    return 2 if "sigma2" in params or "beta" in params else 1
-
-
-def _kotz_gamma_build(params: dict[str, float], k: int) -> tuple[ScaleShapeParams, Kotz]:
-    if k == 1:
-        shapes = (_need(params, "alpha"),)
-        scales = (_need(params, "sigma") ** 2,)
-    elif k == 2:
-        shapes = (_need(params, "alpha"), _need(params, "beta"))
-        scales = (_need(params, "sigma1") ** 2, _need(params, "sigma2") ** 2)
-    else:
-        raise _CliError("kotz-gamma supports 1 or 2 columns; use mv-gengamma beyond")
-    return ScaleShapeParams(shapes=shapes, scales=scales), _kotz(params)
-
-
-def _kotz_gamma_sample(params: dict[str, float], k: int, rng, n: int) -> np.ndarray:
-    # a sample of n pairs is ONE draw of the 2n-block law with per-column
-    # shapes and scales repeated: that is the dependence structure the
-    # paired fit maximizes
-    if k != 2:
-        raise _CliError("kotz-gamma sampling emits pairs; provide alpha/beta params")
-    alpha, beta = _need(params, "alpha"), _need(params, "beta")
-    s1, s2 = _need(params, "sigma1") ** 2, _need(params, "sigma2") ** 2
-    spec = _kotz(params)
-    if n == 0:
-        return np.zeros((0, 2))
-    base = ScaleShapeParams(shapes=(alpha,) * n + (beta,) * n, scales=(s1,) * n + (s2,) * n)
-    flat = np.asarray(sample_mv_gengamma(base, spec, rng))
-    return np.column_stack([flat[:n], flat[n:]])
-
-
-def _gengamma_build(p, k):
-    return (
-        ScaleShapeParams(
-            shapes=tuple(_indexed(p, "alpha", k)),
-            scales=tuple(v**2 for v in _indexed(p, "sigma", k)),
-        ),
-        _kotz(p),
-    )
-
-
-def _elliptical_build(p, k):
-    return (
-        MvEllipticalParams.scalar_blocks(
-            mus=_indexed(p, "mu", k), sigma2s=[v**2 for v in _indexed(p, "sigma", k)]
-        ),
-        _kotz(p),
-    )
-
-
-def _t_build(p, k):
-    return (
-        MvTParams(dims=(1,) * k, alpha0=_need(p, "alpha0"), betas=tuple(_indexed(p, "beta", k))),
-    )
-
-
-def _beta_build(p, k):
-    return (
-        BetaParams(
-            shape=ExtendedShape(alphas=tuple(_indexed(p, "alpha", k)), alpha0=_need(p, "alpha0")),
-            betas=tuple(_indexed(p, "beta", k)),
-        ),
-    )
-
-
-def _joint_vector_build(p, k):
-    sig = [v**2 for v in _indexed(p, "sigma", k + 1, start=0)]
-    return (
-        JointScaleParams(
-            spec=_kotz(p), alpha0=_need(p, "alpha0"), sigma2s=tuple(sig), dims=(1,) * k
-        ),
-    )
-
-
-def _joint_scalar_build(p, k):
-    sig = [v**2 for v in _indexed(p, "sigma", k + 1, start=0)]
-    return (
-        JointScaleParams(
-            spec=_kotz(p),
-            alpha0=_need(p, "alpha0"),
-            sigma2s=tuple(sig),
-            alphas=tuple(_indexed(p, "alpha", k)),
-        ),
-    )
-
-
-def _counter(prefix: str) -> Callable[[dict[str, float]], int]:
-    return lambda p: _count(p, prefix)
-
-
-def _joint_vector_k(params: dict[str, float]) -> int:
-    # sigma0 alone still counts one block, so the missing sigma1 is named
-    return max(_count(params, "sigma", start=0) - 1, 1)
-
-
-_MODELS = {
-    m.name: m
-    for m in (
-        _Model("kotz-gamma", "mv-gengamma", _kotz_gamma_k, _kotz_gamma_build, _kotz_gamma_sample),
-        _Model("mv-gengamma", "mv-gengamma", _counter("alpha"), _gengamma_build),
-        _Model("mv-elliptical", "mv-elliptical", _counter("mu"), _elliptical_build),
-        _Model("log-elliptical", "log-elliptical", _counter("mu"), _elliptical_build),
-        _Model("mv-t", "mv-t", _counter("beta"), _t_build),
-        _Model("mv-pearson2", "mv-pearson2", _counter("beta"), _t_build),
-        _Model("mv-beta1", "mv-beta1", _counter("alpha"), _beta_build),
-        _Model("mv-beta2", "mv-beta2", _counter("alpha"), _beta_build),
-        _Model("gengamma-pearson7", "gengamma-pearson7", _joint_vector_k, _joint_vector_build),
-        _Model("gengamma-pearson2", "gengamma-pearson2", _joint_vector_k, _joint_vector_build),
-        _Model("gengamma-beta1", "gengamma-beta1", _counter("alpha"), _joint_scalar_build),
-        _Model("gengamma-beta2", "gengamma-beta2", _counter("alpha"), _joint_scalar_build),
-    )
-}
-
-
-def _get_model(name: str) -> _Model:
+def _get_model(name: str) -> Family:
     if name not in _MODELS:
         known = ", ".join(sorted(_MODELS))
         raise _CliError(f"unknown model '{name}'; known models: {known}")
@@ -308,9 +134,9 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: Sequence[str], rows: np.ndarray) -> None:
-    lines = [",".join(header)]
-    for row in np.atleast_2d(rows):
-        lines.append(",".join(_fmt(v) for v in row))
+    rows = np.atleast_2d(rows)
+    fmt = ",".join(["%.17g"] * rows.shape[1])  # as _fmt, one row per format
+    lines = [",".join(header), *(fmt % tuple(row) for row in rows.tolist())]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -399,10 +225,14 @@ def cmd_eval(args) -> int:
         raise _CliError("--point is empty")
     if not all(math.isfinite(v) for v in point):
         raise _CliError("--point values must be finite")
-    k = model.k_from_dim(len(point))
+    k = len(point) - model.joint
+    if k < 1:
+        raise _CliError(
+            f"model '{model.name}' has no block count matching a {len(point)}-dimensional point"
+        )
     x = np.asarray([point], dtype=float)
     try:
-        value = float(np.asarray(model.logpdf(params, k, x)).reshape(-1)[0])
+        value = float(np.asarray(model.logpdf(model.build(params, k), x)).reshape(-1)[0])
     except NonPositiveInput:
         value = -math.inf  # outside the positive support the density is zero
     print("-inf" if value == -math.inf else format(value, ".12g"))
@@ -414,14 +244,14 @@ def cmd_sample(args) -> int:
     params = _load_params(args.params)
     if args.n < 0:
         raise _CliError(f"-n must be >= 0, got {args.n}")
-    k = model.infer_k(params)
-    d = model.family.dim(k)
-    header = model.family.columns(d)
+    k = model.count(params)
+    d = model.dim(k)
+    header = model.columns(d)
     if args.n == 0:
         _write_csv(args.out, header, np.zeros((0, d)))
         return EXIT_OK
     rng = make_rng(args.seed)
-    rows = np.atleast_2d(np.asarray(model.sampler(params, k, rng, args.n), dtype=float))
+    rows = model.sample(model.build(params, k), rng, args.n)
     if rows.shape != (args.n, d):
         raise _CliError(
             f"internal: sampler produced shape {rows.shape}, expected {(args.n, d)}"
@@ -487,7 +317,7 @@ def cmd_grid(args) -> int:
     vs = np.linspace(vmin, vmax, args.steps)
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     pts = np.column_stack([uu.ravel(), vv.ravel()])
-    logpdf = np.asarray(model.family.logpdf(family_params, pts), dtype=float)
+    logpdf = np.asarray(model.logpdf(family_params, pts), dtype=float)
     with np.errstate(under="ignore"):
         pdf = np.exp(logpdf)  # underflow flushes to exactly 0
     rows = np.column_stack([pts, pdf])

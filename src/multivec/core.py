@@ -10,11 +10,12 @@ modules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite, ParameterOutOfDomain
 
 __all__ = [
     "Partition",
@@ -110,6 +111,8 @@ def _as_spd(mat: np.ndarray, name: str) -> np.ndarray:
         m = m.reshape(1, 1)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NotPositiveDefinite(f"{name} has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.T)) > _SYM_TOL * scale:
         raise NotPositiveDefinite(f"{name} is not symmetric within 1e-12")
@@ -118,7 +121,11 @@ def _as_spd(mat: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MvEllipticalParams:
-    """Per-block locations mu_i and SPD scales Sigma_ii for the elliptical family."""
+    """Per-block locations mu_i and SPD scales Sigma_ii for the elliptical family.
+
+    mus and sigmas are stored as read-only copies, so the Cholesky factors
+    cached on first use cannot go stale.
+    """
 
     partition: Partition
     mus: tuple[np.ndarray, ...]
@@ -133,20 +140,29 @@ class MvEllipticalParams:
         mus = []
         sigmas = []
         for i, (mu, sig, n_i) in enumerate(zip(self.mus, self.sigmas, p.dims)):
-            mu = np.atleast_1d(np.asarray(mu, dtype=float))
+            mu = np.atleast_1d(np.array(mu, dtype=float))
             if mu.shape != (n_i,):
                 raise DimensionMismatch(
                     f"block {i}: mu has shape {mu.shape}, expected ({n_i},)"
                 )
-            sig = _as_spd(sig, f"Sigma_{i}{i}")
+            if not np.all(np.isfinite(mu)):
+                raise ParameterOutOfDomain(f"block {i}: mu must be finite, got {mu}")
+            sig = np.array(_as_spd(sig, f"Sigma_{i}{i}"))
             if sig.shape != (n_i, n_i):
                 raise DimensionMismatch(
                     f"block {i}: Sigma has shape {sig.shape}, expected ({n_i}, {n_i})"
                 )
+            mu.flags.writeable = sig.flags.writeable = False
             mus.append(mu)
             sigmas.append(sig)
         object.__setattr__(self, "mus", tuple(mus))
         object.__setattr__(self, "sigmas", tuple(sigmas))
+
+    @cached_property
+    def factors(self) -> tuple[tuple[np.ndarray, float], ...]:
+        """Per block: the lower Cholesky factor in ``cho_factor`` layout (the
+        upper triangle is not zeroed) and log det Sigma_ii, factored once."""
+        return tuple(_cholesky(sig) for sig in self.sigmas)
 
     @classmethod
     def scalar_blocks(
@@ -243,6 +259,20 @@ class FitResult:
             raise ValueError("converged fit must have finite loglik")
 
 
+def _cholesky(S: np.ndarray) -> tuple[np.ndarray, float]:
+    """cho_factor(S, lower=True) and log det S of a validated square matrix."""
+    from scipy.linalg import cho_factor  # deferred: costs CLI start-up
+
+    try:
+        c, _ = cho_factor(S, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    diag = np.diagonal(c)
+    if np.any(diag <= 0):
+        raise NotPositiveDefinite("nonpositive Cholesky pivot")
+    return c, 2.0 * float(np.sum(np.log(diag)))
+
+
 def spd_factorize(S: np.ndarray) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
     """Cholesky-factorize a symmetric positive definite matrix.
 
@@ -256,22 +286,15 @@ def spd_factorize(S: np.ndarray) -> tuple[float, Callable[[np.ndarray], np.ndarr
     Raises
     ------
     NotPositiveDefinite
-        If S is not symmetric within 1e-12 or has a nonpositive pivot.
+        If S is not finite, not symmetric within 1e-12 or has a nonpositive
+        pivot.
     """
-    from scipy.linalg import cho_factor, cho_solve  # deferred: costs CLI start-up
+    from scipy.linalg import cho_solve
 
-    S = _as_spd(S, "S")
-    try:
-        c, low = cho_factor(S, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    diag = np.diagonal(c)
-    if np.any(diag <= 0):
-        raise NotPositiveDefinite("nonpositive Cholesky pivot")
-    logdet = 2.0 * float(np.sum(np.log(diag)))
+    c, logdet = _cholesky(_as_spd(S, "S"))
 
     def solve(b: np.ndarray) -> np.ndarray:
-        return cho_solve((c, low), np.asarray(b, dtype=float))
+        return cho_solve((c, True), np.asarray(b, dtype=float))
 
     return logdet, solve
 
@@ -294,14 +317,16 @@ def validate_partition(p: Partition, x: np.ndarray) -> list[np.ndarray]:
 def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:
     """Sum of per-block quadratic forms (x_i - mu_i)' Sigma_ii^{-1} (x_i - mu_i).
 
-    x may be batched with shape (..., total); returns shape (...).
+    x may be batched with shape (..., total); returns shape (...).  A
+    non-finite coordinate gives +inf or NaN, never an exception.
     """
+    from scipy.linalg import cho_solve  # deferred: costs CLI start-up
+
     blocks = validate_partition(params.partition, x)
     total = 0.0
-    for blk, mu, sig in zip(blocks, params.mus, params.sigmas):
+    for blk, mu, (c, _) in zip(blocks, params.mus, params.factors):
         d = blk - mu
-        _, solve = spd_factorize(sig)
-        # solve works on the trailing axis; cho_solve wants (n, ...) layout
-        sol = solve(np.moveaxis(d, -1, 0))
+        # cho_solve works on the leading axis, the blocks carry theirs last
+        sol = cho_solve((c, True), np.moveaxis(d, -1, 0), check_finite=False)
         total = total + np.sum(np.moveaxis(sol, 0, -1) * d, axis=-1)
     return total

@@ -31,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import (
-    ExtendedShape,
-    MvEllipticalParams,
-    ScaleShapeParams,
-    block_quadform,
-    spd_factorize,
-)
+from .core import ExtendedShape, MvEllipticalParams, ScaleShapeParams, block_quadform
 from .errors import DimensionMismatch, NonPositiveInput, ParameterOutOfDomain
 from .generators import GeneratorSpec, log_h, log_norm_const
 
@@ -71,27 +65,31 @@ def _scalarize(out, scalar: bool):
     return np.asarray(out)
 
 
-def _positive_vector(x, name: str, k: int) -> tuple[np.ndarray, bool]:
+def _vector(x, name: str, k: int) -> tuple[np.ndarray, bool]:
+    """x as a float array whose last axis has length k (a scalar counts as
+    length 1), and whether the call was unbatched."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim <= 1
     if x.ndim == 0:
         x = x.reshape(1)
     if x.shape[-1] != k:
         raise DimensionMismatch(f"{name} has length {x.shape[-1]}, expected {k}")
+    return x, scalar
+
+
+def _positive_vector(x, name: str, k: int) -> tuple[np.ndarray, bool]:
+    x, scalar = _vector(x, name, k)
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise NonPositiveInput(f"{name} must be strictly positive and finite")
     return x, scalar
 
 
 def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> tuple[np.ndarray, bool]:
-    """Per-block squared norms, shape (..., k); validates trailing length."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim <= 1
-    if x.ndim == 0:
-        x = x.reshape(1)
-    total = int(sum(dims))
-    if x.shape[-1] != total:
-        raise DimensionMismatch(f"{name} has length {x.shape[-1]}, expected {total}")
+    """Per-block squared norms, shape (..., k); validates trailing length.
+
+    A block with a NaN coordinate gets norm +inf: it lies nowhere in the
+    space, and every density here is zero at infinity."""
+    x, scalar = _vector(x, name, int(sum(dims)))
     if not dims:
         return np.zeros(x.shape[:-1] + (0,)), scalar
     parts = []
@@ -100,7 +98,8 @@ def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> tuple[np.ndarray, b
         blk = x[..., off:off + d]
         parts.append(np.sum(blk * blk, axis=-1))
         off += d
-    return np.stack(parts, axis=-1), scalar
+    sq = np.stack(parts, axis=-1)
+    return np.fmin(sq, np.inf, out=sq), scalar  # fmin maps NaN to +inf
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +107,17 @@ def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> tuple[np.ndarray, b
 
 
 def logpdf_mv_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, x) -> np.ndarray | float:
-    """Block elliptical density: -1/2 sum log|Sigma_ii| + log h(sum of quadforms)."""
+    """Block elliptical density: -1/2 sum log|Sigma_ii| + log h(sum of quadforms).
+
+    A non-finite quadratic form (from a non-finite coordinate, or overflow)
+    counts as +inf, where h is zero: NaN comes from inf - inf in the solve.
+    """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
-    logdet = 0.0
-    for sig in p.sigmas:
-        ld, _ = spd_factorize(sig)
-        logdet += ld
-    quad = block_quadform(p, x)
+    with np.errstate(invalid="ignore"):
+        quad = block_quadform(p, x)
+    quad = np.where(np.isfinite(quad), quad, np.inf)
+    logdet = sum(ld for _, ld in p.factors)
     out = -0.5 * logdet + log_h(spec, quad, float(p.partition.total))
     return _scalarize(out, scalar)
 
@@ -157,12 +159,7 @@ class MixedParams:
 
 def logpdf_mixed_ell_logell(p: MixedParams, spec: GeneratorSpec, x, v) -> np.ndarray | float:
     """Joint density of linear blocks x and positive blocks v under one shared h."""
-    x = np.asarray(x, dtype=float)
-    scalar_x = x.ndim <= 1
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.shape[-1] != p.n_linear:
-        raise DimensionMismatch(f"x has length {x.shape[-1]}, expected {p.n_linear}")
+    x, scalar_x = _vector(x, "x", p.n_linear)
     v, scalar_v = _positive_vector(v, "v", p.n_log)
     logv = np.log(v)
     batch = np.broadcast_shapes(x.shape[:-1], logv.shape[:-1])
@@ -413,12 +410,7 @@ def logpdf_gengamma_beta1(p: JointScaleParams, s0, b) -> np.ndarray | float:
     """
     if p.alphas is None:
         raise DimensionMismatch("scalar joint needs real alphas")
-    b = np.asarray(b, dtype=float)
-    scalar_blocks = b.ndim <= 1
-    if b.ndim == 0:
-        b = b.reshape(1)
-    if b.shape[-1] != p.k:
-        raise DimensionMismatch(f"b has length {b.shape[-1]}, expected {p.k}")
+    b, scalar_blocks = _vector(b, "b", p.k)
     inside = np.all((b > 0.0) & (b < 1.0), axis=-1)
     b_safe = np.where((b > 0.0) & (b < 1.0), b, 0.5)
     one_m = 1.0 - b_safe
@@ -433,14 +425,11 @@ def logpdf_gengamma_beta2(p: JointScaleParams, s0, f) -> np.ndarray | float:
     """Joint (s0, f) law with beta-II-type blocks f_i > 0."""
     if p.alphas is None:
         raise DimensionMismatch("scalar joint needs real alphas")
-    f = np.asarray(f, dtype=float)
-    scalar_blocks = f.ndim <= 1
-    if f.ndim == 0:
-        f = f.reshape(1)
-    if f.shape[-1] != p.k:
-        raise DimensionMismatch(f"f has length {f.shape[-1]}, expected {p.k}")
-    inside = np.all(f > 0.0, axis=-1)
-    f_safe = np.where(f > 0.0, f, 1.0)
+    f, scalar_blocks = _vector(f, "f", p.k)
+    # the density vanishes at f_i = +inf: h decays faster than f_i^(alpha_i-1) grows
+    ok = (f > 0.0) & (f < np.inf)
+    inside = np.all(ok, axis=-1)
+    f_safe = np.where(ok, f, 1.0)
     alphas = np.asarray(p.alphas)
     sigma2 = np.asarray(p.sigma2s)
     rate = 1.0 / sigma2[0] + np.sum(f_safe / sigma2[1:], axis=-1)
@@ -509,12 +498,7 @@ def logpdf_mv_beta1(p: BetaParams, b) -> np.ndarray | float:
     alpha0 term breaks normalization.  Implemented in the equivalent stable
     form with exponent -(alpha_i+1) and log1p of sum b_i/(beta_i(1-b_i)).
     """
-    b = np.asarray(b, dtype=float)
-    scalar = b.ndim <= 1
-    if b.ndim == 0:
-        b = b.reshape(1)
-    if b.shape[-1] != p.k:
-        raise DimensionMismatch(f"b has length {b.shape[-1]}, expected {p.k}")
+    b, scalar = _vector(b, "b", p.k)
     inside = np.all((b > 0.0) & (b < 1.0), axis=-1)
     b_safe = np.where((b > 0.0) & (b < 1.0), b, 0.5)
     alphas = np.asarray(p.shape.alphas)
@@ -591,12 +575,7 @@ def logpdf_gamma_loggamma(p: GammaLogGammaParams, u=None, y=None) -> np.ndarray 
         u, scalar_u = _positive_vector(() if u is None else u, "u", p.k1)
     else:
         u, scalar_u = np.zeros((0,)), True
-    y = np.asarray(() if y is None else y, dtype=float)
-    scalar_y = y.ndim <= 1
-    if y.ndim == 0:
-        y = y.reshape(1)
-    if y.shape[-1] != p.k2:
-        raise DimensionMismatch(f"y has length {y.shape[-1]}, expected {p.k2}")
+    y, scalar_y = _vector(() if y is None else y, "y", p.k2)
     if not np.all(np.isfinite(y)):
         raise ParameterOutOfDomain("y must be finite")
     alphas = np.asarray(p.alphas)

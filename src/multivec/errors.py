@@ -26,6 +26,10 @@ class NonPositiveInput(MultivecError):
     """An argument that must be strictly positive is zero or negative."""
 
 
+class FlatParamsError(MultivecError):
+    """A flat name -> value params map lacks a key or holds a non-number."""
+
+
 class NonFiniteLikelihood(MultivecError):
     """A likelihood evaluation produced NaN or +inf at valid parameters."""
 

@@ -22,7 +22,7 @@ both facts numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -74,6 +74,12 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
     return out
 
 
+def _require_finite(spec) -> None:
+    values = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    if not all(math.isfinite(v) for v in values.values()):
+        raise ParameterOutOfDomain(f"{type(spec).__name__} needs finite parameters, got {values}")
+
+
 @dataclass(frozen=True)
 class Kotz:
     """Kotz kernel W^{q-1} exp(-r W^s); Gaussian at (r, q, s) = (1/2, 1, 1).
@@ -86,6 +92,7 @@ class Kotz:
     s: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.r > 0 and self.s > 0):
             raise ParameterOutOfDomain(f"Kotz needs r > 0 and s > 0, got r={self.r}, s={self.s}")
 
@@ -120,6 +127,7 @@ class PearsonVII:
     q: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.r > 0:
             raise ParameterOutOfDomain(f"PearsonVII needs r > 0, got {self.r}")
 
@@ -146,6 +154,7 @@ class PearsonII:
     q: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.q > -1:
             raise ParameterOutOfDomain(f"PearsonII needs q > -1, got {self.q}")
 
@@ -192,6 +201,7 @@ class Bessel:
     q: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.r > 0:
             raise ParameterOutOfDomain(f"Bessel needs r > 0, got {self.r}")
 

@@ -39,7 +39,7 @@ from .densities import (
     MixedParams,
     MvTParams,
 )
-from .errors import ParameterOutOfDomain
+from .errors import DimensionMismatch, ParameterOutOfDomain
 from .generators import (
     GeneratorSpec,
     Kotz,
@@ -61,6 +61,7 @@ __all__ = [
     "sample_gengamma_pearson7",
     "sample_gengamma_pearson2",
     "sample_mv_gengamma",
+    "sample_gengamma_pairs",
     "sample_mv_beta1",
     "sample_mv_beta2",
     "sample_gengamma_beta1",
@@ -152,20 +153,6 @@ def _spherical(spec: GeneratorSpec, n: int, rng: np.random.Generator, m: int) ->
 # Vector families
 
 
-def _block_chol(p: MvEllipticalParams) -> np.ndarray:
-    from scipy.linalg import cholesky  # deferred: costs CLI start-up
-
-    mats = [cholesky(np.asarray(s, dtype=float), lower=True) for s in p.sigmas]
-    n = p.partition.total
-    out = np.zeros((n, n))
-    off = 0
-    for mat in mats:
-        d = mat.shape[0]
-        out[off:off + d, off:off + d] = mat
-        off += d
-    return out
-
-
 def sample_mv_elliptical(
     p: MvEllipticalParams, spec: GeneratorSpec, rng: np.random.Generator,
     size: int | None = None,
@@ -173,9 +160,11 @@ def sample_mv_elliptical(
     """x = mu + blockdiag(chol(Sigma_ii)) (r u) with spherical (r u) at dim n."""
     m = _n_draws(size)
     z = _spherical(spec, p.partition.total, rng, m)
-    L = _block_chol(p)
-    mu = np.concatenate([np.asarray(mu_i, dtype=float).reshape(-1) for mu_i in p.mus])
-    out = mu + z @ L.T
+    off = p.partition.offsets
+    L = np.zeros((off[-1], off[-1]))
+    for (c, _), lo, hi in zip(p.factors, off, off[1:]):
+        L[lo:hi, lo:hi] = np.tril(c)
+    out = np.concatenate(p.mus) + z @ L.T
     return _squeeze(out, size)
 
 
@@ -296,6 +285,23 @@ def sample_mv_gengamma(
         d = rng.dirichlet(alphas, size=m)
     out = np.asarray(p.scales) * w[:, None] * d
     return _squeeze(out, size)
+
+
+def sample_gengamma_pairs(
+    p: ScaleShapeParams, spec: GeneratorSpec, rng: np.random.Generator,
+    size: int | None = None,
+) -> np.ndarray:
+    """m pairs (u_j, v_j) that are ONE draw of the 2m-block law of
+    ``sample_mv_gengamma``, with p's two (shape, scale) pairs repeated per
+    column: the dependence structure the paired fit maximizes."""
+    if p.k != 2:
+        raise DimensionMismatch("kotz-gamma sampling emits pairs; provide alpha/beta params")
+    m = _n_draws(size)
+    if m == 0:
+        return np.zeros((0, 2))
+    base = ScaleShapeParams(shapes=np.repeat(p.shapes, m), scales=np.repeat(p.scales, m))
+    flat = np.asarray(sample_mv_gengamma(base, spec, rng))
+    return _squeeze(np.column_stack([flat[:m], flat[m:]]), size)
 
 
 def sample_mv_beta2(

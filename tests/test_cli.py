@@ -18,6 +18,8 @@ import pytest
 from scipy import stats
 
 from multivec import cli
+from multivec.errors import FlatParamsError
+from multivec.families import FAMILIES
 
 
 def run_cli(argv, capsys):
@@ -200,6 +202,15 @@ def test_every_model_samples_evaluates_and_names_missing_keys(model, tmp_path, c
         rc, _, err = run_cli(["eval", "--model", model, "--params", dropped, point], capsys)
         assert rc == 1
         assert f"params missing key '{key}'" in err
+
+
+def test_models_are_the_families_with_flat_keys_and_errors_are_typed():
+    assert set(cli._MODELS) == set(MODEL_PARAMS)
+    assert all(FAMILIES[m].count is not None for m in cli._MODELS)
+    with pytest.raises(FlatParamsError, match="params missing key 'beta2'"):
+        FAMILIES["mv-t"].build({"alpha0": 1.6, "beta1": 1.0}, 2)
+    with pytest.raises(FlatParamsError, match="must be a finite number"):
+        FAMILIES["mv-t"].build({"alpha0": "x", "beta1": 1.0}, 1)
 
 
 @pytest.mark.parametrize("model", ["gengamma-pearson7", "gengamma-pearson2"])

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from multivec import (
     DimensionMismatch,
     FitResult,
+    Kotz,
     MvEllipticalParams,
     NotPositiveDefinite,
     Partition,
@@ -13,6 +15,9 @@ from multivec import (
     SampleMatrix,
     ScaleShapeParams,
     block_quadform,
+    logpdf_mv_elliptical,
+    make_rng,
+    sample_mv_elliptical,
     spd_factorize,
     validate_partition,
 )
@@ -108,6 +113,41 @@ def test_quadform_dimension_mismatch():
     p = _scalar_params([0.0], [1.0])
     with pytest.raises(DimensionMismatch):
         block_quadform(p, np.array([1.0, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# MvEllipticalParams: copies and the cached factors
+
+
+def test_elliptical_params_keep_read_only_copies():
+    mu, sig = np.array([0.5]), np.array([[2.0]])
+    p = MvEllipticalParams(partition=Partition(dims=(1,)), mus=(mu,), sigmas=(sig,))
+    mu[0] = sig[0, 0] = 9.0
+    assert p.mus[0][0] == 0.5 and p.sigmas[0][0, 0] == 2.0
+    with pytest.raises(ValueError):
+        p.sigmas[0][0, 0] = 1.0
+
+
+def test_each_block_is_factored_once(monkeypatch):
+    calls = []
+    for name in ("cho_factor", "cholesky"):
+        def counted(*args, _real=getattr(scipy.linalg, name), **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    p = MvEllipticalParams(
+        partition=Partition(dims=(2, 1, 1)), mus=(np.zeros(2), np.ones(1), -np.ones(1)),
+        sigmas=(np.array([[1.0, 0.3], [0.3, 0.8]]), np.eye(1), 2.0 * np.eye(1)),
+    )
+    spec = Kotz(q=1.3, r=0.7, s=1.1)
+    x = np.random.default_rng(5).normal(size=(20, 4))
+    first = logpdf_mv_elliptical(p, spec, x)
+    assert len(calls) == 3  # k blocks, each once
+    assert np.array_equal(logpdf_mv_elliptical(p, spec, x), first)
+    assert logpdf_mv_elliptical(p, spec, x[0]) == first[0]
+    sample_mv_elliptical(p, spec, make_rng(1), size=10)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from multivec import (
+    Bessel,
     BetaParams,
     ExtendedShape,
     GammaLogGammaParams,
@@ -371,6 +372,34 @@ def test_beta_joints_marginalize_to_beta_families():
             0.0, np.inf, limit=200,
         )
         assert abs(val - math.exp(logpdf_mv_beta2(pb, np.array([fv])))) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# non-finite coordinates: zero density, never NaN
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_nonfinite_coordinates_give_minus_inf(bad):
+    ell = MvEllipticalParams(partition=Partition(dims=(2, 1)), mus=(np.zeros(2), np.ones(1)),
+                             sigmas=(np.array([[1.0, 0.3], [0.3, 0.8]]), np.eye(1)))
+    x = np.array([[0.1, bad, 0.2], [0.1, 0.2, 0.3]])
+    for spec in (GAUSS, PearsonVII(r=3.0, q=2.5), Bessel(r=1.0, q=0.3)):
+        out = logpdf_mv_elliptical(ell, spec, x)
+        assert out[0] == -math.inf and math.isfinite(out[1])
+        assert logpdf_mv_elliptical(ell, spec, x[0]) == -math.inf
+    mixed = MixedParams(base=ell, k1=1)
+    assert logpdf_mixed_ell_logell(mixed, GAUSS, np.array([0.1, bad]), np.array([1.5])) == -math.inf
+    pt = MvTParams(dims=(1, 2), alpha0=1.6, betas=(1.0, 2.5))
+    assert logpdf_mv_t(pt, x[0]) == -math.inf
+    pj = JointScaleParams(spec=GAUSS, alpha0=1.5, sigma2s=(1.0, 0.8, 1.2), dims=(1, 1))
+    assert logpdf_gengamma_pearson7(pj, 1.0, np.array([0.4, bad])) == -math.inf
+
+
+def test_gengamma_beta2_vanishes_at_an_infinite_block():
+    pj = JointScaleParams(spec=PearsonVII(r=2.0, q=4.5), alpha0=1.3, sigma2s=(1.0, 0.9),
+                          alphas=(1.1,))
+    out = logpdf_gengamma_beta2(pj, np.array([1.0, 1.0]), np.array([[math.inf], [0.5]]))
+    assert out[0] == -math.inf and math.isfinite(out[1])
 
 
 # ---------------------------------------------------------------------------

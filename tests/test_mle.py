@@ -23,8 +23,8 @@ from multivec import (
     loglik_independent,
     logpdf_mv_gengamma,
     make_rng,
-    sample_mv_gengamma,
 )
+from multivec.sampling import sample_gengamma_pairs
 
 
 def _paired_gamma(seed, m, a1=2.0, th1=1.5, a2=3.0, th2=0.8):
@@ -273,12 +273,12 @@ def test_independent_fit_identified_combinations():
 def test_dependent_fit_zeroes_the_dirichlet_profile_score():
     truth = KotzGammaDepParams(sigma1=1.0, sigma2=2.0, alpha=5.0, beta=8.0, r=0.4, q=1.5, s=1.1)
     m = 500
-    base = ScaleShapeParams(shapes=(truth.alpha,) * m + (truth.beta,) * m,
-                            scales=(truth.sigma1**2,) * m + (truth.sigma2**2,) * m)
-    flat = np.asarray(sample_mv_gengamma(base, Kotz(q=truth.q, r=truth.r, s=truth.s),
-                                         make_rng(3)))
-    res = fit_dependent(np.column_stack([flat[:m], flat[m:]]))
-    st = SuffStats(flat[:m], flat[m:])
+    pairs = ScaleShapeParams(shapes=(truth.alpha, truth.beta),
+                             scales=(truth.sigma1**2, truth.sigma2**2))
+    data = sample_gengamma_pairs(pairs, Kotz(q=truth.q, r=truth.r, s=truth.s), make_rng(3),
+                                 size=m)
+    res = fit_dependent(data)
+    st = SuffStats(data[:, 0], data[:, 1])
     assert res.converged and len(res.restarts) == 1
     assert res.pinned == ("q", "r", "s", "sigma1", "sigma2")
     p = res.params

@@ -43,6 +43,9 @@ from multivec import (
     sample_unit_sphere,
     spawn_rngs,
 )
+from multivec.errors import DimensionMismatch
+from multivec.mle import KotzGammaDepParams
+from multivec.sampling import sample_gengamma_pairs
 
 from multivec.validation import _pushforward_cases
 
@@ -253,3 +256,17 @@ def test_loggamma_is_log_of_gengamma_stream():
         ScaleShapeParams(shapes=(1.7,), scales=(0.9,)), GAUSS, make_rng(61), size=2_000
     )
     assert np.array_equal(y, np.log(u))
+
+
+def test_pair_sampler_matches_the_acceptance_copy():
+    from test_acceptance import _sample_pairs
+
+    truth = KotzGammaDepParams(sigma1=1.0, sigma2=2.0, alpha=5.0, beta=8.0, r=0.4, q=1.5, s=1.1)
+    pairs = ScaleShapeParams(shapes=(5.0, 8.0), scales=(1.0, 4.0))
+    spec = Kotz(q=1.5, r=0.4, s=1.1)
+    got = sample_gengamma_pairs(pairs, spec, make_rng(2024), size=300)
+    assert np.array_equal(got, _sample_pairs(truth, 300, 2024))
+    assert sample_gengamma_pairs(pairs, spec, make_rng(1)).shape == (2,)
+    assert sample_gengamma_pairs(pairs, spec, make_rng(1), size=0).shape == (0, 2)
+    with pytest.raises(DimensionMismatch, match="emits pairs"):
+        sample_gengamma_pairs(ScaleShapeParams(shapes=(5.0,), scales=(1.0,)), spec, make_rng(1))
