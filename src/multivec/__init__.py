@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "generators": (
         "Bessel", "GeneratorSpec", "Kotz", "PearsonII", "PearsonVII", "RadialLaw",
-        "log_bessel_k", "log_h", "log_norm_const", "radial_integral_identity_check",
+        "log_bessel_k", "log_h", "log_norm_const",
     ),
     "densities": (
         "BetaParams", "GammaLogGammaParams", "JointScaleParams", "MixedParams",
@@ -45,8 +45,9 @@ _EXPORTS = {
     ),
     "validation": (
         "CheckReport", "jacobian_check", "jacobian_grid_check", "mc_normalization",
-        "pushforward_check", "quad_normalization", "run_all_suites",
-        "run_identity_suite", "run_normalization_suite", "run_pushforward_suite",
+        "pushforward_check", "quad_normalization", "radial_integral_identity_check",
+        "run_all_suites", "run_identity_suite", "run_normalization_suite",
+        "run_pushforward_suite",
     ),
     "errors": (
         "DegenerateSample", "DegenerateWeights", "DimensionMismatch", "EmptySample",

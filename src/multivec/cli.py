@@ -30,8 +30,8 @@ from .families import FAMILIES, Family
 from .sampling import make_rng
 
 # mle and validation are imported inside the commands that run them, so each
-# command pays at start-up only for what it uses: validation loads
-# scipy.integrate, and with it scipy.linalg and scipy.optimize
+# command pays at start-up only for what it uses; validation itself defers
+# scipy.stats, scipy.integrate and scipy.interpolate to the suites that use them
 if TYPE_CHECKING:
     from .validation import CheckReport
 

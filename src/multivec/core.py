@@ -328,5 +328,6 @@ def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:
         d = blk - mu
         # cho_solve works on the leading axis, the blocks carry theirs last
         sol = cho_solve((c, True), np.moveaxis(d, -1, 0), check_finite=False)
-        total = total + np.sum(np.moveaxis(sol, 0, -1) * d, axis=-1)
+        with np.errstate(over="ignore"):  # an overflowing form is +inf
+            total = total + np.sum(np.moveaxis(sol, 0, -1) * d, axis=-1)
     return total

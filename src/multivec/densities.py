@@ -96,7 +96,8 @@ def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> tuple[np.ndarray, b
     off = 0
     for d in dims:
         blk = x[..., off:off + d]
-        parts.append(np.sum(blk * blk, axis=-1))
+        with np.errstate(over="ignore"):  # an overflowing norm is +inf, where f is zero
+            parts.append(np.sum(blk * blk, axis=-1))
         off += d
     sq = np.stack(parts, axis=-1)
     return np.fmin(sq, np.inf, out=sq), scalar  # fmin maps NaN to +inf
@@ -113,7 +114,9 @@ def logpdf_mv_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, x) -> np.nd
     counts as +inf, where h is zero: NaN comes from inf - inf in the solve.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
+    scalar = x.ndim <= 1
+    if x.ndim == 0:
+        x = x.reshape(1)  # a scalar is a length-1 vector
     with np.errstate(invalid="ignore"):
         quad = block_quadform(p, x)
     quad = np.where(np.isfinite(quad), quad, np.inf)
@@ -360,11 +363,13 @@ def _joint_out(p: JointScaleParams, s0, log_const, extra, rate, inside, scalar_b
     ok = (s0 > 0) & np.isfinite(s0) & inside
     s0_safe = np.where(ok, s0, 1.0)
     a_star = p.alpha_star
+    with np.errstate(over="ignore"):  # h is zero at an overflowing argument
+        arg = rate * s0_safe
     out = (
         log_const
         + (a_star - 1.0) * np.log(s0_safe)
         + extra
-        + log_h(p.spec, rate * s0_safe, 2.0 * a_star)
+        + log_h(p.spec, arg, 2.0 * a_star)
     )
     out = np.where(ok, out, -np.inf)
     return _scalarize(out, scalar)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import special
 
-from .errors import ParameterOutOfDomain, QuadratureFailure
+from .errors import ParameterOutOfDomain
 
 __all__ = [
     "Kotz",
@@ -39,7 +39,6 @@ __all__ = [
     "log_norm_const",
     "log_h",
     "log_bessel_k",
-    "radial_integral_identity_check",
 ]
 
 _LOG_PI = math.log(math.pi)
@@ -49,9 +48,11 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
     """log K_q(z), the modified Bessel function of the second kind, in log space.
 
     Accurate to relative 1e-10 on z in [1e-6, 700], |q| <= 50; K_{-q} = K_q.
-    The scaled kve path covers almost the whole range; where kve overflows
-    (large |q| with tiny z) the value is recomputed in extended precision.
-    z = +inf maps to -inf (the kernel decays to zero).
+    The scaled kve path covers almost the whole range.  Past z ~ 1e9, where
+    kve returns nan, two terms of the Hankel expansion are exact to double
+    precision; where kve overflows (large |q| with tiny z) the value is
+    recomputed in extended precision.  z = +inf maps to -inf (the kernel
+    decays to zero).
 
     Raises ParameterOutOfDomain for z <= 0 or nan.
     """
@@ -60,6 +61,10 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
         raise ParameterOutOfDomain(f"log_bessel_k requires z > 0, got {z!r}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = np.where(np.isinf(z_arr), -np.inf, np.log(special.kve(q, z_arr)) - z_arr)
+    far = np.isnan(out) & (z_arr > 1e8)  # the dropped term is below 1e-10 for |q| <= 50
+    if np.any(far):
+        zf = z_arr[far]
+        out[far] = 0.5 * np.log(np.pi / (2.0 * zf)) - zf + np.log1p((4 * q * q - 1) / (8 * zf))
     bad = ~np.isfinite(out) & np.isfinite(z_arr)
     if np.any(bad):
         import mpmath as mp
@@ -281,39 +286,3 @@ class RadialLaw:
         if r.ndim == 0:
             return float(out)
         return out
-
-
-def radial_integral_identity_check(spec: GeneratorSpec, n: float, a: float) -> float:
-    """Relative residual of int_0^inf z^{n/2-1} h(z/a) dz = a^{n/2} Gamma(n/2) / pi^{n/2}.
-
-    h is the normalized generator at dimension n.  Returns
-    |quadrature - closed form| / closed form; values above 1e-6 indicate a
-    broken constant.
-    """
-    from scipy.integrate import quad
-
-    if not a > 0:
-        raise ParameterOutOfDomain(f"a must be positive, got {a}")
-    lc = log_norm_const(spec, n)
-
-    def integrand(z: float) -> float:
-        if z <= 0:
-            return 0.0
-        lk = float(np.asarray(spec.log_kernel(z / a), dtype=float))
-        val = (n / 2 - 1) * math.log(z) + lc + lk
-        return math.exp(val) if val > -700 else 0.0
-
-    if isinstance(spec, PearsonII):
-        upper = a  # kernel support ends at z = a
-        lhs, err = quad(integrand, 0.0, upper, limit=200)
-    else:
-        mid = max(a, 1.0)
-        lhs1, err1 = quad(integrand, 0.0, mid, limit=200)
-        lhs2, err2 = quad(integrand, mid, np.inf, limit=200)
-        lhs, err = lhs1 + lhs2, err1 + err2
-    rhs = math.exp((n / 2) * math.log(a) + float(special.gammaln(n / 2)) - (n / 2) * _LOG_PI)
-    if not np.isfinite(lhs) or err > 1e-7 * max(rhs, 1.0):
-        raise QuadratureFailure(
-            f"radial identity quadrature did not converge (err={err:.2e})"
-        )
-    return abs(lhs - rhs) / rhs

@@ -3,7 +3,8 @@
 Every density formula in this package is accepted only if it passes the
 checks here: quadrature of exp(logpdf) over the declared support (total
 dimension <= 3), importance-sampled Monte-Carlo normalization for higher
-dimensions, the ball-to-space Jacobian identity, and sampler-vs-density
+dimensions, each generator's radial-integral identity on the same quadrature
+rule, the ball-to-space Jacobian identity, and sampler-vs-density
 goodness of fit (marginal KS plus 2-d chi-square).  The quadrature is one
 tensor double-exponential rule fed (n, d) batches; its err_est is the change
 between the last two step halvings, under a fixed budget of points.  Both
@@ -25,7 +26,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .core import ExtendedShape, MvEllipticalParams, Partition, ScaleShapeParams
 from .densities import (
@@ -39,12 +40,13 @@ from .densities import (
 )
 from .errors import DegenerateWeights, DimensionMismatch, ParameterOutOfDomain, QuadratureFailure
 from .families import FAMILIES
-from .generators import Bessel, GeneratorSpec, Kotz, PearsonII, PearsonVII, radial_integral_identity_check
+from .generators import Bessel, GeneratorSpec, Kotz, PearsonII, PearsonVII, log_norm_const
 from .sampling import make_rng, sample_unit_sphere
 
 __all__ = [
     "CheckReport",
     "quad_normalization",
+    "radial_integral_identity_check",
     "mc_normalization",
     "jacobian_check",
     "jacobian_grid_check",
@@ -206,6 +208,35 @@ def quad_normalization(
     )
 
 
+def radial_integral_identity_check(spec: GeneratorSpec, n: float, a: float) -> float:
+    """Relative residual of int_0^inf z^{n/2-1} h(z/a) dz = a^{n/2} Gamma(n/2) / pi^{n/2}.
+
+    h is the normalized generator at dimension n.  The left side over the
+    right is integrated by quad_normalization, on (0, a) for Pearson II,
+    whose kernel support ends there, and on (0, inf) otherwise; the residual
+    is |I - 1|, and values above 1e-6 indicate a broken constant.
+
+    Raises QuadratureFailure where the rule does not converge or cannot
+    reach the mass.  The half-line nodes span z in about (1e-31, 1e30), so
+    an integrand near z^-0.85 at 0 or z^-1.2 at infinity fails, as does a
+    Pearson II kernel with q below about -1/2, whose singular end holds
+    more than 1e-6 of the mass within the rounding of z/a to 1.
+    """
+    if not a > 0:
+        raise ParameterOutOfDomain(f"a must be positive, got {a}")
+    log_rhs = float(special.gammaln(n / 2)) + (n / 2) * math.log(a / math.pi)
+    offset = log_norm_const(spec, n) - log_rhs
+
+    def log_integrand(z: np.ndarray) -> np.ndarray:
+        z = z[:, 0]
+        return (n / 2 - 1) * np.log(z) + offset + spec.log_kernel(z / a)
+
+    upper = a if isinstance(spec, PearsonII) else math.inf
+    report = quad_normalization(log_integrand, [(0.0, upper)], 1e-6,
+                                name=f"radial identity of {spec} at n={n:g}, a={a:g}")
+    return report.residual
+
+
 # ---------------------------------------------------------------------------
 # Normalization by importance sampling
 
@@ -338,6 +369,7 @@ def _marginal_cdfs(
     pdf_grid: np.ndarray, grids: list[np.ndarray]
 ) -> list[Callable[[np.ndarray], np.ndarray]]:
     """Per-axis CDF interpolants from a tensor pdf, each normalized on its box."""
+    from scipy import integrate
     from scipy.interpolate import PchipInterpolator
 
     d = pdf_grid.ndim
@@ -368,6 +400,8 @@ def _cell_probabilities(
     ix: np.ndarray, iy: np.ndarray,
 ) -> np.ndarray:
     """Rectangle probabilities between grid-node edges, by exact CDF differences."""
+    from scipy import integrate
+
     cdf = integrate.cumulative_simpson(pdf01, x=gx, initial=0.0, axis=0)
     cdf = integrate.cumulative_simpson(cdf, x=gy, initial=0.0, axis=1)
     corner = cdf[np.ix_(ix, iy)]
@@ -392,7 +426,7 @@ def pushforward_check(
     grid over a box that covers the sample with padding; the residual is the
     worst threshold shortfall, so 0 means every sub-check passed.
     """
-    from scipy import stats
+    from scipy import integrate, stats
 
     rng = make_rng(seed)
     x = np.atleast_2d(np.asarray(sampler(rng, n_draws), dtype=float))

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,21 @@ def test_every_model_samples_evaluates_and_names_missing_keys(model, tmp_path, c
         rc, _, err = run_cli(["eval", "--model", model, "--params", dropped, point], capsys)
         assert rc == 1
         assert f"params missing key '{key}'" in err
+
+
+@pytest.mark.parametrize("model", ["mv-pearson2", "gengamma-pearson2", "mv-elliptical",
+                                   "gengamma-beta2"])
+def test_eval_at_an_overflowing_point_prints_minus_inf_and_no_warning(model, tmp_path, capsys):
+    # squares and products of 1e300 overflow: the density reads them as +inf
+    p = write_params(tmp_path / "p.json", MODEL_PARAMS[model][0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(["eval", "--model", model, "--params", p,
+                                "--point=1e300,1e300"], capsys)
+    assert rc == 0
+    assert out == "-inf\n"
+    assert err == ""
+    assert [str(w.message) for w in caught] == []
 
 
 def test_models_are_the_families_with_flat_keys_and_errors_are_typed():

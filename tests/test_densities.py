@@ -9,6 +9,7 @@ from scipy import integrate, stats
 from multivec import (
     Bessel,
     BetaParams,
+    DimensionMismatch,
     ExtendedShape,
     GammaLogGammaParams,
     JointScaleParams,
@@ -49,6 +50,17 @@ LOG_2PI = math.log(2.0 * math.pi)
 def test_elliptical_bivariate_origin():
     p = MvEllipticalParams.scalar_blocks([0.0, 0.0], [1.0, 1.0])
     assert abs(logpdf_mv_elliptical(p, GAUSS, np.zeros(2)) - (-LOG_2PI)) < 1e-12
+
+
+def test_elliptical_reads_a_scalar_as_a_length_one_vector():
+    p = MvEllipticalParams.scalar_blocks([0.0], [1.0])
+    got = logpdf_mv_elliptical(p, GAUSS, 0.5)
+    assert isinstance(got, float)
+    assert got == logpdf_mv_elliptical(p, GAUSS, np.array([0.5]))
+    assert abs(got - (-0.5 * LOG_2PI - 0.125)) < 1e-12
+    two = MvEllipticalParams.scalar_blocks([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(DimensionMismatch, match="vector length 1 does not match partition total 2"):
+        logpdf_mv_elliptical(two, GAUSS, 0.5)
 
 
 def test_elliptical_matches_multivariate_normal():

@@ -1,7 +1,9 @@
 """Generator kernels, their normalizing constants, and the radial laws."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -12,6 +14,7 @@ from multivec import (
     ParameterOutOfDomain,
     PearsonII,
     PearsonVII,
+    QuadratureFailure,
     RadialLaw,
     log_bessel_k,
     log_h,
@@ -138,6 +141,15 @@ def test_bessel_k0_reference_value():
     assert abs(math.exp(log_bessel_k(0.0, 1.0)) - 0.42102443824070834) < 1e-12
 
 
+def test_bessel_k_past_the_kve_range_matches_extended_precision():
+    # scipy's kve returns nan past z ~ 1e9; the Hankel expansion takes over
+    for q in (0.0, 0.3, -0.4, 5.0, 50.0):
+        for z in (1.2e9, 1e12, 3e15, 1e300):
+            with mpmath.workdps(40):
+                want = float(mpmath.log(mpmath.besselk(q, z)))
+            assert log_bessel_k(q, z) == pytest.approx(want, rel=1e-15)
+
+
 def test_bessel_k_symmetry_and_domain():
     rng = np.random.default_rng(1)
     for _ in range(30):
@@ -162,13 +174,37 @@ def test_identity_pearson7_case():
     assert radial_integral_identity_check(PearsonVII(r=1.0, q=3.0), 2.0, 1.0) <= 1e-6
 
 
-@pytest.mark.parametrize("spec", [
+def _quadpack_identity_ratio(spec, n, a):
+    """Left over right side of the radial identity by QUADPACK: the integrand
+    and the split at max(a, 1) that the check used before the DE rule."""
+    lc = log_norm_const(spec, n)
+
+    def integrand(z):
+        if z <= 0:
+            return 0.0
+        val = (n / 2 - 1) * math.log(z) + lc + float(spec.log_kernel(z / a))
+        return math.exp(val) if val > -700 else 0.0
+
+    if isinstance(spec, PearsonII):
+        lhs = integrate.quad(integrand, 0.0, a, limit=200)[0]
+    else:
+        mid = max(a, 1.0)
+        lhs = (integrate.quad(integrand, 0.0, mid, limit=200)[0]
+               + integrate.quad(integrand, mid, np.inf, limit=200)[0])
+    rhs = math.exp((n / 2) * math.log(a / math.pi) + special.gammaln(n / 2))
+    return lhs / rhs
+
+
+IDENTITY_SPECS = [
     Kotz.gaussian(),
     Kotz(r=1.0, q=2.0, s=1.5),
     PearsonVII(r=2.0, q=3.5),
     PearsonII(q=1.0),
     Bessel(r=1.0, q=0.4),
-])
+]
+
+
+@pytest.mark.parametrize("spec", IDENTITY_SPECS)
 @pytest.mark.parametrize("a", [0.5, 1.0, 4.0])
 def test_identity_holds_for_all_scales(spec, a):
     for n in (1.0, 2.0, 3.0):
@@ -176,4 +212,28 @@ def test_identity_holds_for_all_scales(spec, a):
             spec.validate_at(n)
         except ParameterOutOfDomain:
             continue
-        assert radial_integral_identity_check(spec, n, a) <= 1e-6
+        residual = radial_integral_identity_check(spec, n, a)
+        assert residual <= 1e-6
+        # the QUADPACK reference agrees to 1e-9 relative
+        assert abs(residual - abs(_quadpack_identity_ratio(spec, n, a) - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("spec", IDENTITY_SPECS)
+@pytest.mark.parametrize("rel", [1e-5, -1e-5])
+def test_identity_detects_a_closed_form_off_by_1e5(spec, rel):
+    cls = type(spec)
+    skewed = type(f"Skewed{cls.__name__}", (cls,), {
+        "log_radial_integral": lambda self, n: cls.log_radial_integral(self, n) + math.log1p(rel),
+    })(**dataclasses.asdict(spec))
+    residual = radial_integral_identity_check(skewed, 2.0, 1.0)
+    assert residual > 1e-6
+    assert residual == pytest.approx(1e-5, rel=1e-3)
+
+
+@pytest.mark.parametrize("spec", [
+    Kotz(r=1.0, q=0.075, s=1.0),  # integrand z^-0.925 near 0 at n = 2
+    PearsonII(q=-0.9),  # 2.5% of the mass within 1e-16 of the support end
+])
+def test_identity_raises_where_the_rule_cannot_reach_the_mass(spec):
+    with pytest.raises(QuadratureFailure):
+        radial_integral_identity_check(spec, 2.0, 1.0)
