@@ -40,13 +40,9 @@ class Partition:
     ----------
     dims : tuple of int
         Block dimensions n_1, ..., n_k (each >= 1).
-    n0 : int, optional
-        Auxiliary block dimension for the t / Pearson II families
-        (the denominator block), >= 1 when present.
     """
 
     dims: tuple[int, ...]
-    n0: int | None = None
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.dims)
@@ -55,8 +51,6 @@ class Partition:
             raise DimensionMismatch("partition needs at least one block")
         if any(d < 1 for d in dims):
             raise DimensionMismatch(f"block dimensions must be >= 1, got {dims}")
-        if self.n0 is not None and self.n0 < 1:
-            raise DimensionMismatch(f"n0 must be >= 1, got {self.n0}")
 
     @property
     def k(self) -> int:
@@ -64,7 +58,7 @@ class Partition:
 
     @property
     def total(self) -> int:
-        """Total dimension of the partitioned vector (excludes n0)."""
+        """Total dimension of the partitioned vector."""
         return int(sum(self.dims))
 
     @property

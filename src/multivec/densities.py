@@ -16,11 +16,23 @@ Conventions shared by every function here:
   the scalar-block families.  That choice is the one under which the
   normalizing constants integrate to one, and the validation suite pins it.
 
-Where commonly printed forms of these densities fail to integrate to one,
-the exponents here are re-derived from the block map
-t_i = (1 - ||r_i||^2)^{-1/2} r_i (Jacobian (1 - ||r_i||^2)^{-(n_i/2+1)}
-per block) and the Dirichlet integral.  Every corrected exponent is pinned
-by a quadrature test and, where a sampler exists, a goodness-of-fit test.
+Six roots carry every normalizing constant: mv-elliptical, mv-t,
+gengamma-pearson7, mv-gengamma, mv-beta2 and gengamma-beta2.  Every other
+density is a root's kernel at the inverse of one change of variables plus
+its log-Jacobian, -inf off the support (the samplers use the forward maps):
+
+- t_i = r_i/(1-||r_i||^2)^{1/2} per block, -sum (n_i/2+1) log(1-||r_i||^2):
+  mv-pearson2 from mv-t, gengamma-pearson2 from gengamma-pearson7;
+- f_i = b_i/(1-b_i), -2 sum log(1-b_i): mv-beta1 from mv-beta2,
+  gengamma-beta1 from gengamma-beta2;
+- u_j = exp(y_j) on the last k2 blocks, sum y_j: gamma-loggamma from
+  mv-gengamma;
+- x_i = log v_i, -sum log v_i: log-elliptical and mixed-ell-logell from
+  mv-elliptical.
+
+Commonly printed forms of the images that fail to integrate to one misstate
+one of these Jacobians.  Every exponent is pinned by a quadrature test and,
+where a sampler exists, a goodness-of-fit test.
 """
 
 from __future__ import annotations
@@ -215,14 +227,30 @@ class MvTParams:
         return self.alpha0 + self.total / 2.0
 
 
-def _mv_t_log_const(p: MvTParams) -> float:
+def _ball_map(dims: tuple[int, ...], r):
+    """||t_i||^2 for t_i = r_i/sqrt(1-||r_i||^2), the log-Jacobian, the mask
+    of the open unit balls and whether r was unbatched; masked-out points
+    take a finite stand-in."""
+    sq, scalar = _sqnorms_by_dims(dims, r, "r")
+    ok = sq < 1.0
+    sq = np.where(ok, sq, 0.5)
+    one_m = 1.0 - sq
+    log_jac = -np.sum((np.asarray(dims, dtype=float) / 2.0 + 1.0) * np.log(one_m), axis=-1)
+    return sq / one_m, log_jac, np.all(ok, axis=-1), scalar
+
+
+def _mv_t_at(p: MvTParams, sq: np.ndarray, scalar: bool):
+    """mv-t log density at block squared norms sq = ||t_i||^2."""
     half_dims = np.asarray(p.dims, dtype=float) / 2.0
-    return float(
+    log_const = float(
         special.gammaln(p.alpha_star)
         - special.gammaln(p.alpha0)
         - np.sum(half_dims * np.log(p.betas))
         - np.sum(half_dims) * _LOG_PI
     )
+    bracket = np.sum(sq / np.asarray(p.betas), axis=-1)
+    out = log_const - p.alpha_star * np.log1p(bracket)
+    return _scalarize(out, scalar)
 
 
 def logpdf_mv_t(p: MvTParams, t) -> np.ndarray | float:
@@ -232,34 +260,20 @@ def logpdf_mv_t(p: MvTParams, t) -> np.ndarray | float:
     — with the larger exponent n*/2 the function does not integrate to one.
     """
     sq, scalar = _sqnorms_by_dims(p.dims, t, "t")
-    bracket = np.sum(sq / np.asarray(p.betas), axis=-1)
-    out = _mv_t_log_const(p) - p.alpha_star * np.log1p(bracket)
-    return _scalarize(out, scalar)
+    return _mv_t_at(p, sq, scalar)
 
 
 def logpdf_mv_pearson2(p: MvTParams, r) -> np.ndarray | float:
     """Multivector Pearson II density on the product of open unit balls.
 
     Image of logpdf_mv_t under r_i = t_i/sqrt(1+||t_i||^2) per block, with
-    Jacobian prod (1-||r_i||^2)^{-(n_i/2+1)}.  The (1-||r_i||^2) exponent is
-    alpha0 + sum_{j != i} n_j/2 - 1 (equivalently alpha* - n_i/2 - 1); the
-    alpha0 contribution is required for the density to integrate to one.
+    Jacobian prod (1-||r_i||^2)^{-(n_i/2+1)}.  Expanded, the (1-||r_i||^2)
+    exponent is alpha0 + sum_{j != i} n_j/2 - 1 (equivalently
+    alpha* - n_i/2 - 1); the alpha0 contribution, which comes from the t
+    law's alpha* power, is required for the density to integrate to one.
     """
-    sq, scalar = _sqnorms_by_dims(p.dims, r, "r")
-    inside = np.all(sq < 1.0, axis=-1)
-    sq_safe = np.where(sq < 1.0, sq, 0.5)
-    one_m = 1.0 - sq_safe
-    log_one_m = np.log(one_m)
-    half_dims = np.asarray(p.dims, dtype=float) / 2.0
-    a_star = p.alpha_star
-    ratio = np.sum(sq_safe / (one_m * np.asarray(p.betas)), axis=-1)
-    log_bracket = np.sum(log_one_m, axis=-1) + np.log1p(ratio)
-    out = (
-        _mv_t_log_const(p)
-        + np.sum((a_star - half_dims - 1.0) * log_one_m, axis=-1)
-        - a_star * log_bracket
-    )
-    out = np.where(inside, out, -np.inf)
+    sq_t, log_jac, inside, scalar = _ball_map(p.dims, r)
+    out = np.where(inside, _mv_t_at(p, sq_t, False) + log_jac, -np.inf)
     return _scalarize(out, scalar)
 
 
@@ -335,29 +349,12 @@ class JointScaleParams:
         return s2[1:] / s2[0]
 
 
-def _joint_vector_log_const(p: JointScaleParams) -> float:
-    # pi^{alpha0} / (Gamma(alpha0) sigma0^{2 alpha0} prod sigma_i^{n_i})
-    shapes = p.block_shapes
-    return float(
-        p.alpha0 * _LOG_PI
-        - special.gammaln(p.alpha0)
-        - p.alpha0 * math.log(p.sigma2s[0])
-        - np.sum(shapes * np.log(p.sigma2s[1:]))
-    )
-
-
-def _joint_scalar_log_const(p: JointScaleParams) -> float:
-    # pi^{alpha*} / prod_{i=0..k} sigma_i^{2 alpha_i} Gamma(alpha_i)
-    shapes = np.concatenate([[p.alpha0], p.block_shapes])
+def _joint_out(p: JointScaleParams, s0, log_const, stat, extra, inside, scalar_blocks):
+    """Assemble log_const + (a*-1) log s0 + extra + log h(rate*s0), where
+    rate = 1/sigma_0^2 + sum_i stat_i/sigma_i^2; -inf where s0 <= 0 or
+    outside `inside`."""
     sigma2 = np.asarray(p.sigma2s)
-    return float(
-        p.alpha_star * _LOG_PI
-        - np.sum(shapes * np.log(sigma2) + special.gammaln(shapes))
-    )
-
-
-def _joint_out(p: JointScaleParams, s0, log_const, extra, rate, inside, scalar_blocks):
-    """Assemble log_const + (a*-1) log s0 + extra + log h(rate*s0), guarding s0 <= 0."""
+    rate = 1.0 / sigma2[0] + np.sum(stat / sigma2[1:], axis=-1)
     s0 = np.asarray(s0, dtype=float)
     scalar = s0.ndim == 0 and scalar_blocks
     ok = (s0 > 0) & np.isfinite(s0) & inside
@@ -375,15 +372,25 @@ def _joint_out(p: JointScaleParams, s0, log_const, extra, rate, inside, scalar_b
     return _scalarize(out, scalar)
 
 
+def _gengamma_pearson7_at(p: JointScaleParams, s0, sq, log_jac, inside, scalar_blocks):
+    """gengamma-pearson7 log density at s0 and block squared norms
+    sq = ||t_i||^2, plus log_jac; -inf outside `inside`."""
+    # pi^{alpha0} / (Gamma(alpha0) sigma0^{2 alpha0} prod sigma_i^{n_i})
+    log_const = float(
+        p.alpha0 * _LOG_PI
+        - special.gammaln(p.alpha0)
+        - p.alpha0 * math.log(p.sigma2s[0])
+        - np.sum(p.block_shapes * np.log(p.sigma2s[1:]))
+    )
+    return _joint_out(p, s0, log_const, sq, log_jac, inside, scalar_blocks)
+
+
 def logpdf_gengamma_pearson7(p: JointScaleParams, s0, t) -> np.ndarray | float:
     """Joint law of s0 = ||x_0||^2 and the divided blocks t_i = x_i/||x_0||."""
     if p.dims is None:
         raise DimensionMismatch("vector joint needs integer block dims")
     sq, scalar_blocks = _sqnorms_by_dims(p.dims, t, "t")
-    sigma2 = np.asarray(p.sigma2s)
-    rate = 1.0 / sigma2[0] + np.sum(sq / sigma2[1:], axis=-1)
-    inside = np.ones(np.shape(rate), dtype=bool)
-    return _joint_out(p, s0, _joint_vector_log_const(p), 0.0, rate, inside, scalar_blocks)
+    return _gengamma_pearson7_at(p, s0, sq, 0.0, True, scalar_blocks)
 
 
 def logpdf_gengamma_pearson2(p: JointScaleParams, s0, r) -> np.ndarray | float:
@@ -395,35 +402,45 @@ def logpdf_gengamma_pearson2(p: JointScaleParams, s0, r) -> np.ndarray | float:
     """
     if p.dims is None:
         raise DimensionMismatch("vector joint needs integer block dims")
-    sq, scalar_blocks = _sqnorms_by_dims(p.dims, r, "r")
-    inside = np.all(sq < 1.0, axis=-1)
-    sq_safe = np.where(sq < 1.0, sq, 0.5)
-    one_m = 1.0 - sq_safe
-    sigma2 = np.asarray(p.sigma2s)
-    rate = 1.0 / sigma2[0] + np.sum(sq_safe / (one_m * sigma2[1:]), axis=-1)
-    half_dims = np.asarray(p.dims, dtype=float) / 2.0
-    extra = -np.sum((half_dims + 1.0) * np.log(one_m), axis=-1)
-    return _joint_out(p, s0, _joint_vector_log_const(p), extra, rate, inside, scalar_blocks)
+    return _gengamma_pearson7_at(p, s0, *_ball_map(p.dims, r))
+
+
+def _unit_map(b, k: int):
+    """f_i = b_i/(1-b_i), log f, the log-Jacobian, the mask of (0,1)^k and
+    whether b was unbatched; masked-out points take a finite stand-in."""
+    b, scalar = _vector(b, "b", k)
+    ok = (b > 0.0) & (b < 1.0)
+    b = np.where(ok, b, 0.5)
+    one_m = 1.0 - b
+    log_one_m = np.log(one_m)
+    log_jac = -2.0 * np.sum(log_one_m, axis=-1)
+    return b / one_m, np.log(b) - log_one_m, log_jac, np.all(ok, axis=-1), scalar
+
+
+def _gengamma_beta2_at(p: JointScaleParams, s0, f, log_f, log_jac, inside, scalar_blocks):
+    """gengamma-beta2 log density at s0 and f (log_f = log f), plus
+    log_jac; -inf outside `inside`."""
+    # pi^{alpha*} / prod_{i=0..k} sigma_i^{2 alpha_i} Gamma(alpha_i)
+    shapes = np.concatenate([[p.alpha0], p.block_shapes])
+    log_const = float(
+        p.alpha_star * _LOG_PI
+        - np.sum(shapes * np.log(p.sigma2s) + special.gammaln(shapes))
+    )
+    extra = np.sum((np.asarray(p.alphas) - 1.0) * log_f, axis=-1) + log_jac
+    return _joint_out(p, s0, log_const, f, extra, inside, scalar_blocks)
 
 
 def logpdf_gengamma_beta1(p: JointScaleParams, s0, b) -> np.ndarray | float:
     """Joint (s0, b) law with beta-I-type blocks b_i in (0,1).
 
-    Obtained from the Pearson II joint by the per-block radial reduction
-    b_i = ||r_i||^2; the h argument uses b_i/(1-b_i), not (1-b_i)b_i — the
-    latter fails both the normalization and the pushforward checks.
+    Image of the beta II joint under f_i = b_i/(1-b_i), the per-block radial
+    reduction b_i = ||r_i||^2 of the Pearson II joint; the h argument uses
+    b_i/(1-b_i), not (1-b_i)b_i — the latter fails both the normalization
+    and the pushforward checks.
     """
     if p.alphas is None:
         raise DimensionMismatch("scalar joint needs real alphas")
-    b, scalar_blocks = _vector(b, "b", p.k)
-    inside = np.all((b > 0.0) & (b < 1.0), axis=-1)
-    b_safe = np.where((b > 0.0) & (b < 1.0), b, 0.5)
-    one_m = 1.0 - b_safe
-    alphas = np.asarray(p.alphas)
-    sigma2 = np.asarray(p.sigma2s)
-    rate = 1.0 / sigma2[0] + np.sum(b_safe / (one_m * sigma2[1:]), axis=-1)
-    extra = np.sum((alphas - 1.0) * np.log(b_safe) - (alphas + 1.0) * np.log(one_m), axis=-1)
-    return _joint_out(p, s0, _joint_scalar_log_const(p), extra, rate, inside, scalar_blocks)
+    return _gengamma_beta2_at(p, s0, *_unit_map(b, p.k))
 
 
 def logpdf_gengamma_beta2(p: JointScaleParams, s0, f) -> np.ndarray | float:
@@ -433,34 +450,32 @@ def logpdf_gengamma_beta2(p: JointScaleParams, s0, f) -> np.ndarray | float:
     f, scalar_blocks = _vector(f, "f", p.k)
     # the density vanishes at f_i = +inf: h decays faster than f_i^(alpha_i-1) grows
     ok = (f > 0.0) & (f < np.inf)
-    inside = np.all(ok, axis=-1)
-    f_safe = np.where(ok, f, 1.0)
-    alphas = np.asarray(p.alphas)
-    sigma2 = np.asarray(p.sigma2s)
-    rate = 1.0 / sigma2[0] + np.sum(f_safe / sigma2[1:], axis=-1)
-    extra = np.sum((alphas - 1.0) * np.log(f_safe), axis=-1)
-    return _joint_out(p, s0, _joint_scalar_log_const(p), extra, rate, inside, scalar_blocks)
+    f = np.where(ok, f, 1.0)
+    return _gengamma_beta2_at(p, s0, f, np.log(f), 0.0, np.all(ok, axis=-1), scalar_blocks)
 
 
 # ---------------------------------------------------------------------------
 # Scalar-block families (aggregate squares and their ratios)
 
 
-def logpdf_mv_gengamma(p: ScaleShapeParams, spec: GeneratorSpec, u) -> np.ndarray | float:
-    """Joint law of the block squared norms u_i; h at effective dimension 2*sum(alpha)."""
-    u, scalar = _positive_vector(u, "u", p.k)
-    alphas = np.asarray(p.shapes)
-    sigma2 = np.asarray(p.scales)
+def _mv_gengamma_at(spec: GeneratorSpec, alphas: np.ndarray, sigma2: np.ndarray, u, log_u):
+    """mv-gengamma log density at u (log_u = log u), shapes alphas, scales sigma2."""
     n_eff = 2.0 * float(np.sum(alphas))
     const = float(
         np.sum(alphas) * _LOG_PI
         - np.sum(alphas * np.log(sigma2) + special.gammaln(alphas))
     )
-    out = (
+    return (
         const
-        + np.sum((alphas - 1.0) * np.log(u), axis=-1)
+        + np.sum((alphas - 1.0) * log_u, axis=-1)
         + log_h(spec, np.sum(u / sigma2, axis=-1), n_eff)
     )
+
+
+def logpdf_mv_gengamma(p: ScaleShapeParams, spec: GeneratorSpec, u) -> np.ndarray | float:
+    """Joint law of the block squared norms u_i; h at effective dimension 2*sum(alpha)."""
+    u, scalar = _positive_vector(u, "u", p.k)
+    out = _mv_gengamma_at(spec, np.asarray(p.shapes), np.asarray(p.scales), u, np.log(u))
     return _scalarize(out, scalar)
 
 
@@ -486,51 +501,38 @@ class BetaParams:
         return self.shape.k
 
 
-def _beta_log_const(p: BetaParams) -> float:
+def _mv_beta2_at(p: BetaParams, f, log_f):
+    """mv-beta2 log density at f (log_f = log f)."""
     alphas = np.asarray(p.shape.alphas)
     log_dk = float(
         np.sum(special.gammaln(alphas))
         + special.gammaln(p.shape.alpha0)
         - special.gammaln(p.shape.alpha_star)
     )
-    return float(-np.sum(alphas * np.log(p.betas))) - log_dk
+    log_const = float(-np.sum(alphas * np.log(p.betas))) - log_dk
+    return (
+        log_const
+        + np.sum((alphas - 1.0) * log_f, axis=-1)
+        - p.shape.alpha_star * np.log1p(np.sum(f / np.asarray(p.betas), axis=-1))
+    )
 
 
 def logpdf_mv_beta1(p: BetaParams, b) -> np.ndarray | float:
     """Multivariate beta I on (0,1)^k.
 
-    The (1-b_i) exponent is alpha0 + sum_{j != i} alpha_j - 1; dropping the
-    alpha0 term breaks normalization.  Implemented in the equivalent stable
-    form with exponent -(alpha_i+1) and log1p of sum b_i/(beta_i(1-b_i)).
+    Image of logpdf_mv_beta2 under f_i = b_i/(1-b_i).  Expanded, the (1-b_i)
+    exponent is alpha0 + sum_{j != i} alpha_j - 1; dropping the alpha0 term,
+    which comes from the beta II law's alpha* power, breaks normalization.
     """
-    b, scalar = _vector(b, "b", p.k)
-    inside = np.all((b > 0.0) & (b < 1.0), axis=-1)
-    b_safe = np.where((b > 0.0) & (b < 1.0), b, 0.5)
-    alphas = np.asarray(p.shape.alphas)
-    betas = np.asarray(p.betas)
-    one_m = 1.0 - b_safe
-    s = np.sum(b_safe / (one_m * betas), axis=-1)
-    out = (
-        _beta_log_const(p)
-        + np.sum((alphas - 1.0) * np.log(b_safe), axis=-1)
-        - np.sum((alphas + 1.0) * np.log(one_m), axis=-1)
-        - p.shape.alpha_star * np.log1p(s)
-    )
-    out = np.where(inside, out, -np.inf)
+    f, log_f, log_jac, inside, scalar = _unit_map(b, p.k)
+    out = np.where(inside, _mv_beta2_at(p, f, log_f) + log_jac, -np.inf)
     return _scalarize(out, scalar)
 
 
 def logpdf_mv_beta2(p: BetaParams, f) -> np.ndarray | float:
     """Multivariate beta II (F-type) density on the positive orthant."""
     f, scalar = _positive_vector(f, "f", p.k)
-    alphas = np.asarray(p.shape.alphas)
-    betas = np.asarray(p.betas)
-    out = (
-        _beta_log_const(p)
-        + np.sum((alphas - 1.0) * np.log(f), axis=-1)
-        - p.shape.alpha_star * np.log1p(np.sum(f / betas, axis=-1))
-    )
-    return _scalarize(out, scalar)
+    return _scalarize(_mv_beta2_at(p, f, np.log(f)), scalar)
 
 
 @dataclass(frozen=True)
@@ -570,11 +572,24 @@ class GammaLogGammaParams:
         return float(sum(self.alphas) + sum(self.rhos))
 
 
+def _log_map(u: np.ndarray, y: np.ndarray):
+    """The gamma blocks u followed by u_j = exp(y_j), on one broadcast batch,
+    with their logs and the log-Jacobian sum_j y_j."""
+    batch = np.broadcast_shapes(u.shape[:-1], y.shape[:-1])
+    u = np.broadcast_to(u, batch + u.shape[-1:])
+    y = np.broadcast_to(y, batch + y.shape[-1:])
+    with np.errstate(over="ignore"):  # exp(y) overflows to +inf, where h is zero
+        all_u = np.concatenate([u, np.exp(y)], axis=-1)
+    return all_u, np.concatenate([np.log(u), y], axis=-1), np.sum(y, axis=-1)
+
+
 def logpdf_gamma_loggamma(p: GammaLogGammaParams, u=None, y=None) -> np.ndarray | float:
     """Joint law of gamma-type blocks u_i > 0 and log-gamma blocks y_j in R.
 
-    With k2 = 0 this is exactly logpdf_mv_gengamma; with k1 = 0 it is the
-    multivariate log-gamma law of y_j = log u_j.
+    Image of logpdf_mv_gengamma (shapes alphas + rhos, scales sigma2s +
+    delta2s) under u_j = exp(y_j) on the last k2 blocks.  With k2 = 0 this
+    is exactly logpdf_mv_gengamma; with k1 = 0 it is the multivariate
+    log-gamma law of y_j = log u_j.
     """
     if p.k1:
         u, scalar_u = _positive_vector(() if u is None else u, "u", p.k1)
@@ -583,25 +598,7 @@ def logpdf_gamma_loggamma(p: GammaLogGammaParams, u=None, y=None) -> np.ndarray 
     y, scalar_y = _vector(() if y is None else y, "y", p.k2)
     if not np.all(np.isfinite(y)):
         raise ParameterOutOfDomain("y must be finite")
-    alphas = np.asarray(p.alphas)
-    rhos = np.asarray(p.rhos)
-    sigma2 = np.asarray(p.sigma2s)
-    delta2 = np.asarray(p.delta2s)
-    const = float(
-        p.total_shape * _LOG_PI
-        - np.sum(alphas * np.log(sigma2) + special.gammaln(alphas))
-        - np.sum(rhos * np.log(delta2) + special.gammaln(rhos))
-    )
-    batch = np.broadcast_shapes(u.shape[:-1], y.shape[:-1])
-    arg = np.zeros(batch)
-    terms = np.full(batch, const)
-    if p.k1:
-        arg = arg + np.sum(u / sigma2, axis=-1)
-        terms = terms + np.sum((alphas - 1.0) * np.log(u), axis=-1)
-    if p.k2:
-        # exp may overflow for extreme y; h(inf) = -inf is the right limit
-        with np.errstate(over="ignore"):
-            arg = arg + np.sum(np.exp(y) / delta2, axis=-1)
-        terms = terms + np.sum(rhos * y, axis=-1)
-    out = terms + log_h(p.spec, arg, 2.0 * p.total_shape)
+    all_u, log_u, log_jac = _log_map(u, y)
+    alphas, sigma2 = np.asarray(p.alphas + p.rhos), np.asarray(p.sigma2s + p.delta2s)
+    out = _mv_gengamma_at(p.spec, alphas, sigma2, all_u, log_u) + log_jac
     return _scalarize(out, scalar_u and scalar_y)

@@ -38,6 +38,7 @@ from .densities import (
     JointScaleParams,
     MixedParams,
     MvTParams,
+    _sqnorms_by_dims,
 )
 from .errors import DimensionMismatch, ParameterOutOfDomain
 from .generators import (
@@ -205,14 +206,8 @@ def sample_mv_t(
 
 
 def _t_to_pearson2(t: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    out = np.empty_like(t)
-    off = 0
-    for d in dims:
-        blk = t[..., off:off + d]
-        sq = np.sum(blk * blk, axis=-1, keepdims=True)
-        out[..., off:off + d] = blk / np.sqrt(1.0 + sq)
-        off += d
-    return out
+    sq, _ = _sqnorms_by_dims(dims, t, "t")
+    return t / np.sqrt(1.0 + np.repeat(sq, dims, axis=-1))
 
 
 def sample_mv_pearson2(

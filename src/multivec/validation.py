@@ -277,6 +277,8 @@ def mc_normalization(
 # ---------------------------------------------------------------------------
 # Ball-to-space Jacobian identity
 
+_JACOBIAN_GRID_POINTS = 201
+
 
 def _chi2_quantile_gof(
     values: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray], bins: int
@@ -333,25 +335,31 @@ def jacobian_check(n: int, n_draws: int = 100_000, seed: int = 0) -> CheckReport
     )
 
 
-def jacobian_grid_check(grid_points: int = 201) -> CheckReport:
+def jacobian_grid_check() -> CheckReport:
     """1-d cross-check of the same Jacobian against central differences.
 
     For n = 1 the map is y = x (1-x^2)^{-1/2} and the claimed volume factor
     is (1-x^2)^{-3/2}; a numerical dy/dx must match it to 1e-3 in sup norm.
     """
-    x = np.linspace(-0.9, 0.9, grid_points)
+    x = np.linspace(-0.9, 0.9, _JACOBIAN_GRID_POINTS)
     h = 1e-6
     y = lambda t: t / np.sqrt(1.0 - t * t)
     dy_num = (y(x + h) - y(x - h)) / (2.0 * h)
     dy_formula = (1.0 - x * x) ** -1.5
     residual = float(np.max(np.abs(dy_num - dy_formula)))
     return CheckReport.build(
-        "jacobian-1d-grid", residual, 1e-3, details=f"grid={grid_points} sup-norm vs central diff"
+        "jacobian-1d-grid", residual, 1e-3,
+        details=f"grid={_JACOBIAN_GRID_POINTS} sup-norm vs central diff",
     )
 
 
 # ---------------------------------------------------------------------------
 # Sampler-vs-density goodness of fit
+
+# grid points per axis, by dimension: the CDF bias must stay well under the
+# KS resolution ~ 1/sqrt(n_draws)
+_PUSH_GRID_POINTS = {1: 2001, 2: 641, 3: 161}
+_PUSH_CHI2_BINS = 6  # equal-count bins per axis of the 2-d chi-square
 
 
 def _tensor_pdf(
@@ -416,8 +424,6 @@ def pushforward_check(
     n_draws: int = 100_000,
     seed: int = 0,
     name: str = "pushforward",
-    grid_points: int | None = None,
-    chi2_bins: int = 6,
 ) -> CheckReport:
     """Draws vs density: KS per scalar margin (p > 0.01) and, for two or more
     dimensions, chi-square on the leading 2-d histogram (p > 0.001).
@@ -435,9 +441,7 @@ def pushforward_check(
         raise ParameterOutOfDomain(f"support has {len(support)} dims, sample has {d}")
     if d > 3:
         raise ParameterOutOfDomain("pushforward grids limited to 3 dims")
-    if grid_points is None:
-        # CDF bias must stay well under the KS resolution ~ 1/sqrt(n_draws)
-        grid_points = {1: 2001, 2: 641, 3: 161}[d]
+    grid_points = _PUSH_GRID_POINTS[d]
 
     grids = []
     for j, (lo, hi) in enumerate(support):
@@ -474,7 +478,7 @@ def pushforward_check(
         pdf01 = pdf_grid
         for other in range(d - 1, 1, -1):
             pdf01 = integrate.simpson(pdf01, x=grids[other], axis=other)
-        qs = np.linspace(0.0, 1.0, chi2_bins + 1)[1:-1]
+        qs = np.linspace(0.0, 1.0, _PUSH_CHI2_BINS + 1)[1:-1]
         ix = _snap_edges(grids[0], np.quantile(x[:, 0], qs))
         iy = _snap_edges(grids[1], np.quantile(x[:, 1], qs))
         probs = _cell_probabilities(pdf01, grids[0], grids[1], ix, iy)
@@ -483,7 +487,7 @@ def pushforward_check(
         mask = expected > 1e-9
         stat = float(np.sum((counts[mask] - expected[mask]) ** 2 / expected[mask]))
         dof = int(mask.sum()) - 1
-        chi2_p = float(stats.chi2.sf(stat, df=dof))
+        chi2_p = float(special.chdtrc(dof, stat))
 
     shortfalls = [max(0.0, 0.01 - p) for p in ks_ps]
     if chi2_p is not None:

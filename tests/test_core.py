@@ -175,9 +175,7 @@ def test_partition_invariants():
         Partition(dims=())
     with pytest.raises(DimensionMismatch):
         Partition(dims=(1, 0))
-    with pytest.raises(DimensionMismatch):
-        Partition(dims=(1,), n0=0)
-    p = Partition(dims=(2, 3), n0=4)
+    p = Partition(dims=(2, 3))
     assert p.k == 2 and p.total == 5 and p.offsets == (0, 2, 5)
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from multivec import (
     Bessel,
@@ -444,3 +444,189 @@ def test_gamma_loggamma_mixed_blocks_normalizes():
         [(0.0, np.inf), (-np.inf, np.inf)], 1e-4, "gamma-loggamma-1p1",
     )
     assert rep.passed, rep.details
+
+
+# ---------------------------------------------------------------------------
+# image densities against their closed forms
+#
+# The five image densities are computed as a root's kernel at an inverse map
+# plus its log-Jacobian.  The references below are their expanded closed
+# forms, with the parent's constant and the Jacobian folded in by hand.
+
+LOG_PI = math.log(math.pi)
+
+
+def _ref_sqnorms(dims, x):
+    blocks = np.split(x, np.cumsum(dims)[:-1], axis=-1)
+    return np.stack([np.sum(b * b, axis=-1) for b in blocks], axis=-1)
+
+
+def _ref_joint(p, s0, log_const, extra, rate, inside):
+    ok = (s0 > 0) & np.isfinite(s0) & inside
+    s0 = np.where(ok, s0, 1.0)
+    a_star = p.alpha_star
+    with np.errstate(over="ignore"):
+        arg = rate * s0
+    out = log_const + (a_star - 1.0) * np.log(s0) + extra + log_h(p.spec, arg, 2.0 * a_star)
+    return np.where(ok, out, -np.inf)
+
+
+def ref_mv_pearson2(p, r):
+    sq = _ref_sqnorms(p.dims, r)
+    inside = np.all(sq < 1.0, axis=-1)
+    sq = np.where(sq < 1.0, sq, 0.5)
+    one_m = 1.0 - sq
+    log_one_m = np.log(one_m)
+    half_dims = np.asarray(p.dims, dtype=float) / 2.0
+    a_star = p.alpha_star
+    log_const = (special.gammaln(a_star) - special.gammaln(p.alpha0)
+                 - np.sum(half_dims * np.log(p.betas)) - np.sum(half_dims) * LOG_PI)
+    ratio = np.sum(sq / (one_m * np.asarray(p.betas)), axis=-1)
+    log_bracket = np.sum(log_one_m, axis=-1) + np.log1p(ratio)
+    out = (log_const + np.sum((a_star - half_dims - 1.0) * log_one_m, axis=-1)
+           - a_star * log_bracket)
+    return np.where(inside, out, -np.inf)
+
+
+def ref_gengamma_pearson2(p, s0, r):
+    sq = _ref_sqnorms(p.dims, r)
+    inside = np.all(sq < 1.0, axis=-1)
+    sq = np.where(sq < 1.0, sq, 0.5)
+    one_m = 1.0 - sq
+    sigma2 = np.asarray(p.sigma2s)
+    rate = 1.0 / sigma2[0] + np.sum(sq / (one_m * sigma2[1:]), axis=-1)
+    half_dims = np.asarray(p.dims, dtype=float) / 2.0
+    extra = -np.sum((half_dims + 1.0) * np.log(one_m), axis=-1)
+    log_const = (p.alpha0 * LOG_PI - special.gammaln(p.alpha0) - p.alpha0 * math.log(sigma2[0])
+                 - np.sum(half_dims * np.log(sigma2[1:])))
+    return _ref_joint(p, s0, log_const, extra, rate, inside)
+
+
+def ref_mv_beta1(p, b):
+    inside = np.all((b > 0.0) & (b < 1.0), axis=-1)
+    b = np.where((b > 0.0) & (b < 1.0), b, 0.5)
+    alphas, betas = np.asarray(p.shape.alphas), np.asarray(p.betas)
+    log_const = -np.sum(alphas * np.log(betas)) - (
+        np.sum(special.gammaln(alphas)) + special.gammaln(p.shape.alpha0)
+        - special.gammaln(p.shape.alpha_star))
+    one_m = 1.0 - b
+    out = (log_const + np.sum((alphas - 1.0) * np.log(b), axis=-1)
+           - np.sum((alphas + 1.0) * np.log(one_m), axis=-1)
+           - p.shape.alpha_star * np.log1p(np.sum(b / (one_m * betas), axis=-1)))
+    return np.where(inside, out, -np.inf)
+
+
+def ref_gengamma_beta1(p, s0, b):
+    inside = np.all((b > 0.0) & (b < 1.0), axis=-1)
+    b = np.where((b > 0.0) & (b < 1.0), b, 0.5)
+    one_m = 1.0 - b
+    alphas, sigma2 = np.asarray(p.alphas), np.asarray(p.sigma2s)
+    rate = 1.0 / sigma2[0] + np.sum(b / (one_m * sigma2[1:]), axis=-1)
+    extra = np.sum((alphas - 1.0) * np.log(b) - (alphas + 1.0) * np.log(one_m), axis=-1)
+    shapes = np.concatenate([[p.alpha0], alphas])
+    log_const = p.alpha_star * LOG_PI - np.sum(shapes * np.log(sigma2) + special.gammaln(shapes))
+    return _ref_joint(p, s0, log_const, extra, rate, inside)
+
+
+def ref_gamma_loggamma(p, u, y):
+    alphas, sigma2 = np.asarray(p.alphas), np.asarray(p.sigma2s)
+    rhos, delta2 = np.asarray(p.rhos), np.asarray(p.delta2s)
+    log_const = (p.total_shape * LOG_PI
+                 - np.sum(alphas * np.log(sigma2) + special.gammaln(alphas))
+                 - np.sum(rhos * np.log(delta2) + special.gammaln(rhos)))
+    with np.errstate(over="ignore"):
+        arg = np.sum(u / sigma2, axis=-1) + np.sum(np.exp(y) / delta2, axis=-1)
+    terms = log_const + np.sum((alphas - 1.0) * np.log(u), axis=-1) + np.sum(rhos * y, axis=-1)
+    return terms + log_h(p.spec, arg, 2.0 * p.total_shape)
+
+
+def _matches(got, want) -> bool:
+    """Same -inf set, and equal to 1e-12 relative in the density (absolute in
+    its log), or relative in the log where that exceeds 1 in magnitude."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    fin = np.isfinite(want)
+    return bool(
+        np.array_equal(np.isneginf(got), np.isneginf(want))
+        and np.all(np.isfinite(got[fin]))
+        and np.all(np.abs(got[fin] - want[fin]) <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
+    )
+
+
+_MT = MvTParams(dims=(1, 2), alpha0=1.3, betas=(1.2, 0.7))
+_BP = BetaParams(shape=ExtendedShape(alphas=(1.0, 2.0), alpha0=1.5), betas=(1.0, 3.0))
+_JV = JointScaleParams(spec=Kotz(r=0.7, q=1.3, s=1.1), alpha0=1.8, sigma2s=(0.81, 1.1, 0.7),
+                       dims=(1, 2))
+_JS = JointScaleParams(spec=PearsonVII(r=2.0, q=4.5), alpha0=1.4, sigma2s=(1.0, 0.64, 1.2),
+                       alphas=(1.2, 0.6))
+_GL = GammaLogGammaParams(spec=Kotz(r=0.7, q=1.3, s=1.1), alphas=(1.2,), sigma2s=(1.5,),
+                          rhos=(0.8, 2.0), delta2s=(1.0, 0.5))
+_EDGE = 1e-12
+
+
+def _ball_points(rng, n):
+    """Random points in and around the balls of dims (1, 2), then points
+    within 1e-12 of a sphere, on it and beyond it."""
+    r = rng.uniform(-1.1, 1.1, (n, 3))
+    u = np.array([[0.0, 0.6, 0.8]])
+    edge = [[1.0 - _EDGE, 0.2, 0.1], [-(1.0 - _EDGE), 0.0, 0.0], [0.1, *(u[0, 1:] * (1.0 - _EDGE))],
+            [1.0 - _EDGE, *(u[0, 1:] * (1.0 - _EDGE))], [1.0, 0.0, 0.0], [0.1, *u[0, 1:]],
+            [0.2, 0.9, 0.9], [2.0, 0.0, 0.0]]
+    return np.vstack([r, edge])
+
+
+def _unit_points(rng, n):
+    """Random points in and around (0,1)^2, then points within 1e-12 of
+    each edge, on it and beyond it."""
+    b = rng.uniform(-0.1, 1.1, (n, 2))
+    edge = [[_EDGE, 0.5], [1.0 - _EDGE, 0.5], [0.3, _EDGE], [0.3, 1.0 - _EDGE],
+            [_EDGE, 1.0 - _EDGE], [0.0, 0.5], [1.0, 0.5], [0.5, -0.2], [0.5, 1.7]]
+    return np.vstack([b, edge])
+
+
+def _image_cases(rng):
+    """(name, library density of a batch, reference, batch)."""
+    n = 400
+    r, b = _ball_points(rng, n), _unit_points(rng, n)
+    s0_r = np.concatenate([rng.uniform(-0.5, 6.0, n), np.full(len(r) - n, 1.3)])
+    s0_b = np.concatenate([rng.uniform(-0.5, 6.0, n), np.full(len(b) - n, 0.9)])
+    u = np.concatenate([rng.uniform(_EDGE, 5.0, n), [_EDGE, 1.0, 1.0, 30.0]])[:, None]
+    y = np.vstack([rng.normal(0.0, 3.0, (n, 2)), [[0.0, 0.0], [-30.0, 30.0], [800.0, 0.0],
+                                                  [-800.0, 1.0]]])
+    return [
+        ("mv-pearson2", lambda x: logpdf_mv_pearson2(_MT, x),
+         lambda x: ref_mv_pearson2(_MT, x), r),
+        ("gengamma-pearson2", lambda x: logpdf_gengamma_pearson2(_JV, x[..., 0], x[..., 1:]),
+         lambda x: ref_gengamma_pearson2(_JV, x[..., 0], x[..., 1:]), np.column_stack([s0_r, r])),
+        ("mv-beta1", lambda x: logpdf_mv_beta1(_BP, x), lambda x: ref_mv_beta1(_BP, x), b),
+        ("gengamma-beta1", lambda x: logpdf_gengamma_beta1(_JS, x[..., 0], x[..., 1:]),
+         lambda x: ref_gengamma_beta1(_JS, x[..., 0], x[..., 1:]), np.column_stack([s0_b, b])),
+        ("gamma-loggamma", lambda x: logpdf_gamma_loggamma(_GL, u=x[..., :1], y=x[..., 1:]),
+         lambda x: ref_gamma_loggamma(_GL, x[..., :1], x[..., 1:]), np.column_stack([u, y])),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_image_density_matches_its_closed_form(case):
+    name, got, want, x = _image_cases(np.random.default_rng(41))[case]
+    ref = want(x)
+    assert _matches(got(x), ref), name
+    if name != "gamma-loggamma":
+        assert np.isneginf(ref).sum() >= 5 and np.isfinite(ref).sum() >= 100
+    for i in range(len(x) - 12, len(x)):  # scalar calls, edge and off-support rows included
+        one = got(x[i])
+        assert isinstance(one, float) and _matches(one, ref[i]), (name, x[i])
+
+
+def test_the_closed_form_comparison_catches_a_ball_jacobian_off_by_a_half(monkeypatch):
+    from multivec import densities
+
+    ball_map = densities._ball_map
+
+    def off_by_half(dims, r):
+        sq_t, log_jac, inside, scalar = ball_map(dims, r)
+        # exponent n_i/2 + 1/2 in place of n_i/2 + 1 on 1 - ||r_i||^2 = 1/(1 + ||t_i||^2)
+        return sq_t, log_jac - 0.5 * np.sum(np.log1p(sq_t), axis=-1), inside, scalar
+
+    monkeypatch.setattr(densities, "_ball_map", off_by_half)
+    for name, got, want, x in _image_cases(np.random.default_rng(41))[:2]:
+        assert not _matches(got(x), want(x)), name
