@@ -46,8 +46,7 @@ _EXPORTS = {
     "validation": (
         "CheckReport", "jacobian_check", "jacobian_grid_check", "mc_normalization",
         "pushforward_check", "quad_normalization", "radial_integral_identity_check",
-        "run_all_suites", "run_identity_suite", "run_normalization_suite",
-        "run_pushforward_suite",
+        "run_identity_suite", "run_normalization_suite", "run_pushforward_suite",
     ),
     "errors": (
         "DegenerateSample", "DegenerateWeights", "DimensionMismatch", "EmptySample",

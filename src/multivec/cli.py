@@ -194,6 +194,8 @@ def _threads() -> int:
 def cmd_fit(args) -> int:
     from .mle import fit_dependent, fit_independent
 
+    if args.max_iters < 0:
+        raise _CliError(f"--max-iters must be >= 0, got {args.max_iters}")
     data = _read_pairs_csv(args.input)
     fit = fit_dependent if args.mode == "dependent" else fit_independent
     result = fit(data, max_iter=args.max_iters)
@@ -276,6 +278,8 @@ def _corrupted_report() -> CheckReport:
 
 
 def cmd_check(args) -> int:
+    if args.n_draws < 1:
+        raise _CliError(f"--n-draws must be >= 1, got {args.n_draws}")
     from .validation import run_identity_suite, run_normalization_suite, run_pushforward_suite
 
     suites: dict[str, Callable[[], list[CheckReport]]] = {

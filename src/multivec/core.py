@@ -9,6 +9,7 @@ modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -30,6 +31,14 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
+
+
+def _positive(name: str, values) -> tuple[float, ...]:
+    """values as floats; ParameterOutOfDomain unless each is finite and > 0."""
+    vals = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) and v > 0 for v in vals):
+        raise ParameterOutOfDomain(f"{name} must be positive, got {vals}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -68,26 +77,20 @@ class Partition:
 
 @dataclass(frozen=True)
 class ExtendedShape:
-    """Real shape parameters alpha_1..alpha_k plus optional alpha_0.
+    """Real shape parameters alpha_1..alpha_k plus the required alpha_0.
 
-    alpha_star is the derived total alpha_0 + sum(alphas); families without
-    an auxiliary block leave alpha0 as None and alpha_star is just the sum.
+    alpha_star is the derived total alpha_0 + sum(alphas).
     """
 
     alphas: tuple[float, ...]
-    alpha0: float | None = None
+    alpha0: float
 
     def __post_init__(self) -> None:
-        alphas = tuple(float(a) for a in self.alphas)
-        object.__setattr__(self, "alphas", alphas)
+        alphas = _positive("shapes", self.alphas)
         if len(alphas) < 1:
             raise DimensionMismatch("need at least one shape parameter")
-        if any(not np.isfinite(a) or a <= 0 for a in alphas):
-            raise DimensionMismatch(f"shapes must be positive reals, got {alphas}")
-        if self.alpha0 is not None:
-            if not np.isfinite(self.alpha0) or self.alpha0 <= 0:
-                raise DimensionMismatch(f"alpha0 must be positive, got {self.alpha0}")
-            object.__setattr__(self, "alpha0", float(self.alpha0))
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "alpha0", _positive("alpha0", (self.alpha0,))[0])
 
     @property
     def k(self) -> int:
@@ -95,8 +98,7 @@ class ExtendedShape:
 
     @property
     def alpha_star(self) -> float:
-        base = self.alpha0 if self.alpha0 is not None else 0.0
-        return base + float(sum(self.alphas))
+        return self.alpha0 + float(sum(self.alphas))
 
 
 def _as_spd(mat: np.ndarray, name: str) -> np.ndarray:
@@ -183,23 +185,16 @@ class ScaleShapeParams:
     scales: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        shapes = tuple(float(a) for a in self.shapes)
-        scales = tuple(float(s) for s in self.scales)
-        object.__setattr__(self, "shapes", shapes)
-        object.__setattr__(self, "scales", scales)
+        shapes = _positive("shapes", self.shapes)
+        scales = _positive("scales", self.scales)
         if len(shapes) != len(scales):
             raise DimensionMismatch(
                 f"{len(shapes)} shapes vs {len(scales)} scales"
             )
         if len(shapes) < 1:
             raise DimensionMismatch("need at least one (shape, scale) pair")
-        bad = [
-            v
-            for v in shapes + scales
-            if not np.isfinite(v) or v <= 0
-        ]
-        if bad:
-            raise DimensionMismatch(f"shapes and scales must be positive, got {bad}")
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "scales", scales)
 
     @property
     def k(self) -> int:

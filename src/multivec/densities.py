@@ -8,8 +8,9 @@ Conventions shared by every function here:
   half-line).  Operations whose contract declares the argument positive up
   front (log-elliptical v, generalized-gamma u, beta II f, the gamma block
   of the gamma/log-gamma family) raise NonPositiveInput instead.
-- Inputs may be batched: the trailing axis is the coordinate axis, leading
-  axes broadcast, and plain vector (1-d) calls return float.
+- Inputs may be batched: the trailing axis is the coordinate axis and
+  leading axes broadcast.  A call whose result is 0-d returns a float, so
+  plain vector (1-d) calls do; any other call returns an array.
 - The generator h is always normalized at the family's effective
   dimension: the total vector dimension for the block-vector families and
   2 * (sum of every shape parameter, alpha_0 included where present) for
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import ExtendedShape, MvEllipticalParams, ScaleShapeParams, block_quadform
+from .core import ExtendedShape, MvEllipticalParams, ScaleShapeParams, _positive, block_quadform
 from .errors import DimensionMismatch, NonPositiveInput, ParameterOutOfDomain
 from .generators import GeneratorSpec, log_h, log_norm_const
 
@@ -71,39 +72,38 @@ __all__ = [
 _LOG_PI = math.log(math.pi)
 
 
-def _scalarize(out, scalar: bool):
-    if scalar:
-        return float(np.asarray(out)[()])
-    return np.asarray(out)
+def _result(out):
+    """out as a float when it is 0-d, else as an array."""
+    out = np.asarray(out)
+    return float(out) if out.ndim == 0 else out
 
 
-def _vector(x, name: str, k: int) -> tuple[np.ndarray, bool]:
+def _vector(x, name: str, k: int) -> np.ndarray:
     """x as a float array whose last axis has length k (a scalar counts as
-    length 1), and whether the call was unbatched."""
+    length 1)."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim <= 1
     if x.ndim == 0:
         x = x.reshape(1)
     if x.shape[-1] != k:
         raise DimensionMismatch(f"{name} has length {x.shape[-1]}, expected {k}")
-    return x, scalar
+    return x
 
 
-def _positive_vector(x, name: str, k: int) -> tuple[np.ndarray, bool]:
-    x, scalar = _vector(x, name, k)
+def _positive_vector(x, name: str, k: int) -> np.ndarray:
+    x = _vector(x, name, k)
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise NonPositiveInput(f"{name} must be strictly positive and finite")
-    return x, scalar
+    return x
 
 
-def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> tuple[np.ndarray, bool]:
+def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> np.ndarray:
     """Per-block squared norms, shape (..., k); validates trailing length.
 
     A block with a NaN coordinate gets norm +inf: it lies nowhere in the
     space, and every density here is zero at infinity."""
-    x, scalar = _vector(x, name, int(sum(dims)))
+    x = _vector(x, name, int(sum(dims)))
     if not dims:
-        return np.zeros(x.shape[:-1] + (0,)), scalar
+        return np.zeros(x.shape[:-1] + (0,))
     parts = []
     off = 0
     for d in dims:
@@ -112,7 +112,7 @@ def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> tuple[np.ndarray, b
             parts.append(np.sum(blk * blk, axis=-1))
         off += d
     sq = np.stack(parts, axis=-1)
-    return np.fmin(sq, np.inf, out=sq), scalar  # fmin maps NaN to +inf
+    return np.fmin(sq, np.inf, out=sq)  # fmin maps NaN to +inf
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,6 @@ def logpdf_mv_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, x) -> np.nd
     counts as +inf, where h is zero: NaN comes from inf - inf in the solve.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim <= 1
     if x.ndim == 0:
         x = x.reshape(1)  # a scalar is a length-1 vector
     with np.errstate(invalid="ignore"):
@@ -134,15 +133,13 @@ def logpdf_mv_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, x) -> np.nd
     quad = np.where(np.isfinite(quad), quad, np.inf)
     logdet = sum(ld for _, ld in p.factors)
     out = -0.5 * logdet + log_h(spec, quad, float(p.partition.total))
-    return _scalarize(out, scalar)
+    return _result(out)
 
 
 def logpdf_mv_log_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, v) -> np.ndarray | float:
     """Elementwise-log pushforward of the block elliptical law; Jacobian prod 1/v_i."""
-    v, scalar = _positive_vector(v, "v", p.partition.total)
-    logv = np.log(v)
-    out = logpdf_mv_elliptical(p, spec, logv) - np.sum(logv, axis=-1)
-    return _scalarize(out, scalar)
+    logv = np.log(_positive_vector(v, "v", p.partition.total))
+    return _result(logpdf_mv_elliptical(p, spec, logv) - np.sum(logv, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -174,15 +171,13 @@ class MixedParams:
 
 def logpdf_mixed_ell_logell(p: MixedParams, spec: GeneratorSpec, x, v) -> np.ndarray | float:
     """Joint density of linear blocks x and positive blocks v under one shared h."""
-    x, scalar_x = _vector(x, "x", p.n_linear)
-    v, scalar_v = _positive_vector(v, "v", p.n_log)
-    logv = np.log(v)
+    x = _vector(x, "x", p.n_linear)
+    logv = np.log(_positive_vector(v, "v", p.n_log))
     batch = np.broadcast_shapes(x.shape[:-1], logv.shape[:-1])
     x_b = np.broadcast_to(x, batch + x.shape[-1:])
     logv_b = np.broadcast_to(logv, batch + logv.shape[-1:])
     full = np.concatenate([x_b, logv_b], axis=-1)
-    out = logpdf_mv_elliptical(p.base, spec, full) - np.sum(logv_b, axis=-1)
-    return _scalarize(out, scalar_x and scalar_v)
+    return _result(logpdf_mv_elliptical(p.base, spec, full) - np.sum(logv_b, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -201,18 +196,14 @@ class MvTParams:
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.dims)
-        betas = tuple(float(b) for b in self.betas)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "betas", betas)
+        betas = _positive("betas", self.betas)
         if len(dims) != len(betas) or not dims:
             raise DimensionMismatch(f"{len(dims)} block dims vs {len(betas)} betas")
         if any(d < 1 for d in dims):
             raise DimensionMismatch(f"block dims must be >= 1, got {dims}")
-        if any(not math.isfinite(b) or b <= 0 for b in betas):
-            raise ParameterOutOfDomain(f"betas must be positive, got {betas}")
-        if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
-            raise ParameterOutOfDomain(f"alpha0 must be positive, got {self.alpha0}")
-        object.__setattr__(self, "alpha0", float(self.alpha0))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "alpha0", _positive("alpha0", (self.alpha0,))[0])
 
     @property
     def k(self) -> int:
@@ -228,18 +219,17 @@ class MvTParams:
 
 
 def _ball_map(dims: tuple[int, ...], r):
-    """||t_i||^2 for t_i = r_i/sqrt(1-||r_i||^2), the log-Jacobian, the mask
-    of the open unit balls and whether r was unbatched; masked-out points
-    take a finite stand-in."""
-    sq, scalar = _sqnorms_by_dims(dims, r, "r")
+    """||t_i||^2 for t_i = r_i/sqrt(1-||r_i||^2), the log-Jacobian and the
+    mask of the open unit balls; masked-out points take a finite stand-in."""
+    sq = _sqnorms_by_dims(dims, r, "r")
     ok = sq < 1.0
     sq = np.where(ok, sq, 0.5)
     one_m = 1.0 - sq
     log_jac = -np.sum((np.asarray(dims, dtype=float) / 2.0 + 1.0) * np.log(one_m), axis=-1)
-    return sq / one_m, log_jac, np.all(ok, axis=-1), scalar
+    return sq / one_m, log_jac, np.all(ok, axis=-1)
 
 
-def _mv_t_at(p: MvTParams, sq: np.ndarray, scalar: bool):
+def _mv_t_at(p: MvTParams, sq: np.ndarray):
     """mv-t log density at block squared norms sq = ||t_i||^2."""
     half_dims = np.asarray(p.dims, dtype=float) / 2.0
     log_const = float(
@@ -250,7 +240,7 @@ def _mv_t_at(p: MvTParams, sq: np.ndarray, scalar: bool):
     )
     bracket = np.sum(sq / np.asarray(p.betas), axis=-1)
     out = log_const - p.alpha_star * np.log1p(bracket)
-    return _scalarize(out, scalar)
+    return _result(out)
 
 
 def logpdf_mv_t(p: MvTParams, t) -> np.ndarray | float:
@@ -259,8 +249,7 @@ def logpdf_mv_t(p: MvTParams, t) -> np.ndarray | float:
     The pi exponent is sum_i n_i/2, the dimension actually integrated over
     — with the larger exponent n*/2 the function does not integrate to one.
     """
-    sq, scalar = _sqnorms_by_dims(p.dims, t, "t")
-    return _mv_t_at(p, sq, scalar)
+    return _mv_t_at(p, _sqnorms_by_dims(p.dims, t, "t"))
 
 
 def logpdf_mv_pearson2(p: MvTParams, r) -> np.ndarray | float:
@@ -272,9 +261,8 @@ def logpdf_mv_pearson2(p: MvTParams, r) -> np.ndarray | float:
     alpha* - n_i/2 - 1); the alpha0 contribution, which comes from the t
     law's alpha* power, is required for the density to integrate to one.
     """
-    sq_t, log_jac, inside, scalar = _ball_map(p.dims, r)
-    out = np.where(inside, _mv_t_at(p, sq_t, False) + log_jac, -np.inf)
-    return _scalarize(out, scalar)
+    sq_t, log_jac, inside = _ball_map(p.dims, r)
+    return _result(np.where(inside, _mv_t_at(p, sq_t) + log_jac, -np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +290,7 @@ class JointScaleParams:
     def __post_init__(self) -> None:
         if (self.dims is None) == (self.alphas is None):
             raise DimensionMismatch("exactly one of dims / alphas must be given")
-        sigma2s = tuple(float(s) for s in self.sigma2s)
+        sigma2s = _positive("sigma^2", self.sigma2s)
         object.__setattr__(self, "sigma2s", sigma2s)
         if self.dims is not None:
             dims = tuple(int(d) for d in self.dims)
@@ -311,20 +299,14 @@ class JointScaleParams:
                 raise DimensionMismatch(f"block dims must be >= 1, got {dims}")
             k = len(dims)
         else:
-            alphas = tuple(float(a) for a in self.alphas)
+            alphas = _positive("alphas", self.alphas)
             object.__setattr__(self, "alphas", alphas)
-            if any(not math.isfinite(a) or a <= 0 for a in alphas):
-                raise ParameterOutOfDomain(f"alphas must be positive, got {alphas}")
             k = len(alphas)
         if len(sigma2s) != k + 1:
             raise DimensionMismatch(
                 f"need {k + 1} sigma^2 values (sigma_0^2 first), got {len(sigma2s)}"
             )
-        if any(not math.isfinite(s) or s <= 0 for s in sigma2s):
-            raise ParameterOutOfDomain(f"sigma^2 must be positive, got {sigma2s}")
-        if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
-            raise ParameterOutOfDomain(f"alpha0 must be positive, got {self.alpha0}")
-        object.__setattr__(self, "alpha0", float(self.alpha0))
+        object.__setattr__(self, "alpha0", _positive("alpha0", (self.alpha0,))[0])
         # fail fast if the generator is invalid at the effective dimension
         log_norm_const(self.spec, 2.0 * self.alpha_star)
 
@@ -349,14 +331,13 @@ class JointScaleParams:
         return s2[1:] / s2[0]
 
 
-def _joint_out(p: JointScaleParams, s0, log_const, stat, extra, inside, scalar_blocks):
+def _joint_out(p: JointScaleParams, s0, log_const, stat, extra, inside):
     """Assemble log_const + (a*-1) log s0 + extra + log h(rate*s0), where
     rate = 1/sigma_0^2 + sum_i stat_i/sigma_i^2; -inf where s0 <= 0 or
     outside `inside`."""
     sigma2 = np.asarray(p.sigma2s)
     rate = 1.0 / sigma2[0] + np.sum(stat / sigma2[1:], axis=-1)
     s0 = np.asarray(s0, dtype=float)
-    scalar = s0.ndim == 0 and scalar_blocks
     ok = (s0 > 0) & np.isfinite(s0) & inside
     s0_safe = np.where(ok, s0, 1.0)
     a_star = p.alpha_star
@@ -368,11 +349,10 @@ def _joint_out(p: JointScaleParams, s0, log_const, stat, extra, inside, scalar_b
         + extra
         + log_h(p.spec, arg, 2.0 * a_star)
     )
-    out = np.where(ok, out, -np.inf)
-    return _scalarize(out, scalar)
+    return _result(np.where(ok, out, -np.inf))
 
 
-def _gengamma_pearson7_at(p: JointScaleParams, s0, sq, log_jac, inside, scalar_blocks):
+def _gengamma_pearson7_at(p: JointScaleParams, s0, sq, log_jac, inside):
     """gengamma-pearson7 log density at s0 and block squared norms
     sq = ||t_i||^2, plus log_jac; -inf outside `inside`."""
     # pi^{alpha0} / (Gamma(alpha0) sigma0^{2 alpha0} prod sigma_i^{n_i})
@@ -382,15 +362,14 @@ def _gengamma_pearson7_at(p: JointScaleParams, s0, sq, log_jac, inside, scalar_b
         - p.alpha0 * math.log(p.sigma2s[0])
         - np.sum(p.block_shapes * np.log(p.sigma2s[1:]))
     )
-    return _joint_out(p, s0, log_const, sq, log_jac, inside, scalar_blocks)
+    return _joint_out(p, s0, log_const, sq, log_jac, inside)
 
 
 def logpdf_gengamma_pearson7(p: JointScaleParams, s0, t) -> np.ndarray | float:
     """Joint law of s0 = ||x_0||^2 and the divided blocks t_i = x_i/||x_0||."""
     if p.dims is None:
         raise DimensionMismatch("vector joint needs integer block dims")
-    sq, scalar_blocks = _sqnorms_by_dims(p.dims, t, "t")
-    return _gengamma_pearson7_at(p, s0, sq, 0.0, True, scalar_blocks)
+    return _gengamma_pearson7_at(p, s0, _sqnorms_by_dims(p.dims, t, "t"), 0.0, True)
 
 
 def logpdf_gengamma_pearson2(p: JointScaleParams, s0, r) -> np.ndarray | float:
@@ -406,18 +385,18 @@ def logpdf_gengamma_pearson2(p: JointScaleParams, s0, r) -> np.ndarray | float:
 
 
 def _unit_map(b, k: int):
-    """f_i = b_i/(1-b_i), log f, the log-Jacobian, the mask of (0,1)^k and
-    whether b was unbatched; masked-out points take a finite stand-in."""
-    b, scalar = _vector(b, "b", k)
+    """f_i = b_i/(1-b_i), log f, the log-Jacobian and the mask of (0,1)^k;
+    masked-out points take a finite stand-in."""
+    b = _vector(b, "b", k)
     ok = (b > 0.0) & (b < 1.0)
     b = np.where(ok, b, 0.5)
     one_m = 1.0 - b
     log_one_m = np.log(one_m)
     log_jac = -2.0 * np.sum(log_one_m, axis=-1)
-    return b / one_m, np.log(b) - log_one_m, log_jac, np.all(ok, axis=-1), scalar
+    return b / one_m, np.log(b) - log_one_m, log_jac, np.all(ok, axis=-1)
 
 
-def _gengamma_beta2_at(p: JointScaleParams, s0, f, log_f, log_jac, inside, scalar_blocks):
+def _gengamma_beta2_at(p: JointScaleParams, s0, f, log_f, log_jac, inside):
     """gengamma-beta2 log density at s0 and f (log_f = log f), plus
     log_jac; -inf outside `inside`."""
     # pi^{alpha*} / prod_{i=0..k} sigma_i^{2 alpha_i} Gamma(alpha_i)
@@ -427,7 +406,7 @@ def _gengamma_beta2_at(p: JointScaleParams, s0, f, log_f, log_jac, inside, scala
         - np.sum(shapes * np.log(p.sigma2s) + special.gammaln(shapes))
     )
     extra = np.sum((np.asarray(p.alphas) - 1.0) * log_f, axis=-1) + log_jac
-    return _joint_out(p, s0, log_const, f, extra, inside, scalar_blocks)
+    return _joint_out(p, s0, log_const, f, extra, inside)
 
 
 def logpdf_gengamma_beta1(p: JointScaleParams, s0, b) -> np.ndarray | float:
@@ -447,11 +426,11 @@ def logpdf_gengamma_beta2(p: JointScaleParams, s0, f) -> np.ndarray | float:
     """Joint (s0, f) law with beta-II-type blocks f_i > 0."""
     if p.alphas is None:
         raise DimensionMismatch("scalar joint needs real alphas")
-    f, scalar_blocks = _vector(f, "f", p.k)
+    f = _vector(f, "f", p.k)
     # the density vanishes at f_i = +inf: h decays faster than f_i^(alpha_i-1) grows
     ok = (f > 0.0) & (f < np.inf)
     f = np.where(ok, f, 1.0)
-    return _gengamma_beta2_at(p, s0, f, np.log(f), 0.0, np.all(ok, axis=-1), scalar_blocks)
+    return _gengamma_beta2_at(p, s0, f, np.log(f), 0.0, np.all(ok, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +453,8 @@ def _mv_gengamma_at(spec: GeneratorSpec, alphas: np.ndarray, sigma2: np.ndarray,
 
 def logpdf_mv_gengamma(p: ScaleShapeParams, spec: GeneratorSpec, u) -> np.ndarray | float:
     """Joint law of the block squared norms u_i; h at effective dimension 2*sum(alpha)."""
-    u, scalar = _positive_vector(u, "u", p.k)
-    out = _mv_gengamma_at(spec, np.asarray(p.shapes), np.asarray(p.scales), u, np.log(u))
-    return _scalarize(out, scalar)
+    u = _positive_vector(u, "u", p.k)
+    return _result(_mv_gengamma_at(spec, np.asarray(p.shapes), np.asarray(p.scales), u, np.log(u)))
 
 
 @dataclass(frozen=True)
@@ -487,14 +465,10 @@ class BetaParams:
     betas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.shape.alpha0 is None:
-            raise ParameterOutOfDomain("beta families need alpha0")
-        betas = tuple(float(b) for b in self.betas)
-        object.__setattr__(self, "betas", betas)
+        betas = _positive("betas", self.betas)
         if len(betas) != self.shape.k:
             raise DimensionMismatch(f"{self.shape.k} shapes vs {len(betas)} betas")
-        if any(not math.isfinite(b) or b <= 0 for b in betas):
-            raise ParameterOutOfDomain(f"betas must be positive, got {betas}")
+        object.__setattr__(self, "betas", betas)
 
     @property
     def k(self) -> int:
@@ -524,15 +498,14 @@ def logpdf_mv_beta1(p: BetaParams, b) -> np.ndarray | float:
     exponent is alpha0 + sum_{j != i} alpha_j - 1; dropping the alpha0 term,
     which comes from the beta II law's alpha* power, breaks normalization.
     """
-    f, log_f, log_jac, inside, scalar = _unit_map(b, p.k)
-    out = np.where(inside, _mv_beta2_at(p, f, log_f) + log_jac, -np.inf)
-    return _scalarize(out, scalar)
+    f, log_f, log_jac, inside = _unit_map(b, p.k)
+    return _result(np.where(inside, _mv_beta2_at(p, f, log_f) + log_jac, -np.inf))
 
 
 def logpdf_mv_beta2(p: BetaParams, f) -> np.ndarray | float:
     """Multivariate beta II (F-type) density on the positive orthant."""
-    f, scalar = _positive_vector(f, "f", p.k)
-    return _scalarize(_mv_beta2_at(p, f, np.log(f)), scalar)
+    f = _positive_vector(f, "f", p.k)
+    return _result(_mv_beta2_at(p, f, np.log(f)))
 
 
 @dataclass(frozen=True)
@@ -547,10 +520,7 @@ class GammaLogGammaParams:
 
     def __post_init__(self) -> None:
         for name in ("alphas", "sigma2s", "rhos", "delta2s"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            if any(not math.isfinite(v) or v <= 0 for v in vals):
-                raise ParameterOutOfDomain(f"{name} must be positive, got {vals}")
-            object.__setattr__(self, name, vals)
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
         if len(self.alphas) != len(self.sigma2s):
             raise DimensionMismatch("alphas and sigma2s must pair up")
         if len(self.rhos) != len(self.delta2s):
@@ -591,14 +561,10 @@ def logpdf_gamma_loggamma(p: GammaLogGammaParams, u=None, y=None) -> np.ndarray 
     is exactly logpdf_mv_gengamma; with k1 = 0 it is the multivariate
     log-gamma law of y_j = log u_j.
     """
-    if p.k1:
-        u, scalar_u = _positive_vector(() if u is None else u, "u", p.k1)
-    else:
-        u, scalar_u = np.zeros((0,)), True
-    y, scalar_y = _vector(() if y is None else y, "y", p.k2)
+    u = _positive_vector(() if u is None else u, "u", p.k1) if p.k1 else np.zeros((0,))
+    y = _vector(() if y is None else y, "y", p.k2)
     if not np.all(np.isfinite(y)):
         raise ParameterOutOfDomain("y must be finite")
     all_u, log_u, log_jac = _log_map(u, y)
     alphas, sigma2 = np.asarray(p.alphas + p.rhos), np.asarray(p.sigma2s + p.delta2s)
-    out = _mv_gengamma_at(p.spec, alphas, sigma2, all_u, log_u) + log_jac
-    return _scalarize(out, scalar_u and scalar_y)
+    return _result(_mv_gengamma_at(p.spec, alphas, sigma2, all_u, log_u) + log_jac)

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
 
-from .core import FitResult, SampleMatrix
+from .core import FitResult, SampleMatrix, _positive
 from .errors import (DegenerateSample, EmptySample, NonFiniteLikelihood, NonPositiveInput,
                      ParameterOutOfDomain)
 
@@ -73,9 +73,7 @@ class KotzGammaDepParams:
 
     def __post_init__(self) -> None:
         for name in ("sigma1", "sigma2", "alpha", "beta", "r", "s"):
-            val = getattr(self, name)
-            if not (np.isfinite(val) and val > 0):
-                raise ParameterOutOfDomain(f"{name} must be positive, got {val}")
+            _positive(name, (getattr(self, name),))
         if not np.isfinite(self.q):
             raise ParameterOutOfDomain(f"q must be finite, got {self.q}")
 
@@ -192,8 +190,7 @@ def loglik_independent(
     """
     u = _positive_column(sample, "independent likelihood")
     for name, val in (("sigma", sigma), ("shape", shape), ("r", r), ("s", s)):
-        if not (np.isfinite(val) and val > 0):
-            raise ParameterOutOfDomain(f"{name} must be positive, got {val}")
+        _positive(name, (val,))
     nu = (q + shape - 1.0) / s
     if nu <= 0:
         raise ParameterOutOfDomain(f"kernel moment index (q + shape - 1)/s = {nu} <= 0")
@@ -371,6 +368,8 @@ def fit_independent(data: SampleMatrix | np.ndarray, freeze_generator: bool = Fa
     r sigma^(-2s).  ``freeze_generator`` also pins s = 1, a gamma column.
     ``max_iter`` caps the bracket and Newton steps of each solve.
     """
+    if max_iter < 0:
+        raise ParameterOutOfDomain(f"max_iter must be >= 0, got {max_iter}")
     values = _as_matrix(data)
     if values.shape[0] < 3:
         raise DegenerateSample(f"independent fit needs m >= 3 pairs, got {values.shape[0]}")
@@ -448,6 +447,8 @@ def fit_dependent(data: SampleMatrix | np.ndarray, freeze_generator: bool = Fals
     is its Gaussian-generator MLE.  With ``freeze_generator`` it is the product
     of :func:`fit_independent`'s frozen columns.  ``max_iter`` caps each solve.
     """
+    if max_iter < 0:
+        raise ParameterOutOfDomain(f"max_iter must be >= 0, got {max_iter}")
     values = _as_matrix(data)
     if values.shape[0] < 3:
         raise DegenerateSample(f"dependent fit needs m >= 3 pairs, got {values.shape[0]}")

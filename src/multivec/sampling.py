@@ -72,7 +72,12 @@ __all__ = [
 
 
 def make_rng(seed: int | None = None) -> np.random.Generator:
-    """Seeded PCG64 generator; equal seed gives an identical stream everywhere."""
+    """Seeded PCG64 generator; equal seed gives an identical stream everywhere.
+
+    A negative integer seed raises ParameterOutOfDomain; None and sequences
+    of non-negative integers pass through to numpy."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ParameterOutOfDomain(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -206,7 +211,7 @@ def sample_mv_t(
 
 
 def _t_to_pearson2(t: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    sq, _ = _sqnorms_by_dims(dims, t, "t")
+    sq = _sqnorms_by_dims(dims, t, "t")
     return t / np.sqrt(1.0 + np.repeat(sq, dims, axis=-1))
 
 

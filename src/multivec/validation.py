@@ -54,33 +54,25 @@ __all__ = [
     "run_normalization_suite",
     "run_identity_suite",
     "run_pushforward_suite",
-    "run_all_suites",
 ]
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    """One validation outcome; ``passed`` is always ``residual <= tolerance``."""
+    """One validation outcome; it passed when ``residual <= tolerance``."""
 
     name: str
     residual: float
     tolerance: float
-    passed: bool
     details: str = ""
 
     def __post_init__(self) -> None:
-        if self.passed != (self.residual <= self.tolerance):
-            raise ValueError("passed must equal (residual <= tolerance)")
+        object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
 
-    @classmethod
-    def build(cls, name: str, residual: float, tolerance: float, details: str = "") -> "CheckReport":
-        return cls(
-            name=name,
-            residual=float(residual),
-            tolerance=float(tolerance),
-            passed=bool(residual <= tolerance),
-            details=details,
-        )
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
 
     def to_json(self) -> str:
         payload = {
@@ -203,7 +195,7 @@ def quad_normalization(
         raise QuadratureFailure(
             f"{name}: no convergence within {_POINT_BUDGET} points, err_est {err:.3g}"
         )
-    return CheckReport.build(
+    return CheckReport(
         name, abs(value - 1.0), tol, details=f"integral={value:.12g} err_est={err:.3g} dims={d}"
     )
 
@@ -266,7 +258,7 @@ def mc_normalization(
     estimate = total / n
     se = float(np.std(w, ddof=1)) / math.sqrt(n)
     residual = abs(estimate - 1.0)
-    return CheckReport.build(
+    return CheckReport(
         name,
         residual,
         3.0 * se,
@@ -314,6 +306,8 @@ def jacobian_check(n: int, n_draws: int = 100_000, seed: int = 0) -> CheckReport
     """
     if n < 1:
         raise ParameterOutOfDomain(f"dimension must be >= 1, got {n}")
+    if n_draws < 1:
+        raise ParameterOutOfDomain(f"n_draws must be >= 1, got {n_draws}")
     rng = make_rng(seed)
     radius = rng.uniform(0.0, 1.0, size=n_draws) ** (1.0 / n)
     direction = sample_unit_sphere(n, rng, size=n_draws)
@@ -327,7 +321,7 @@ def jacobian_check(n: int, n_draws: int = 100_000, seed: int = 0) -> CheckReport
     if round_trip > 1e-12:
         raise AssertionError(f"inverse-map round trip error {round_trip}")
     stat, p = _chi2_quantile_gof(y_sq, partial(_betaprime_cdf, n / 2.0), bins=20)
-    return CheckReport.build(
+    return CheckReport(
         f"jacobian-ball-map-n{n}",
         1.0 - p,
         1.0 - 0.001,
@@ -347,7 +341,7 @@ def jacobian_grid_check() -> CheckReport:
     dy_num = (y(x + h) - y(x - h)) / (2.0 * h)
     dy_formula = (1.0 - x * x) ** -1.5
     residual = float(np.max(np.abs(dy_num - dy_formula)))
-    return CheckReport.build(
+    return CheckReport(
         "jacobian-1d-grid", residual, 1e-3,
         details=f"grid={_JACOBIAN_GRID_POINTS} sup-norm vs central diff",
     )
@@ -432,6 +426,8 @@ def pushforward_check(
     grid over a box that covers the sample with padding; the residual is the
     worst threshold shortfall, so 0 means every sub-check passed.
     """
+    if n_draws < 1:
+        raise ParameterOutOfDomain(f"n_draws must be >= 1, got {n_draws}")
     from scipy import integrate, stats
 
     rng = make_rng(seed)
@@ -498,7 +494,7 @@ def pushforward_check(
         + (f" chi2_p={chi2_p:.5f}" if chi2_p is not None else "")
         + f" n={n_draws} seed={seed}"
     )
-    return CheckReport.build(name, residual, 0.0, details=details)
+    return CheckReport(name, residual, 0.0, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +660,7 @@ def run_identity_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckRepor
             for a in (1.0, 2.5):
                 residual = radial_integral_identity_check(spec, n, a)
                 reports.append(
-                    CheckReport.build(
+                    CheckReport(
                         f"identity-radial-integral-{label}-n{n:g}-a{a:g}", residual, 1e-6,
                         details="kernel moment integral vs closed-form normalizer",
                     )
@@ -708,7 +704,7 @@ def run_pushforward_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckRe
         name="push-beta1-uncorrected-exponent-raw",
     )
     reports.append(
-        CheckReport.build(
+        CheckReport(
             "discrimination-beta1-uncorrected-exponent",
             0.0 if not wrong.passed else 1.0,
             0.5,
@@ -716,11 +712,3 @@ def run_pushforward_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckRe
         )
     )
     return reports
-
-
-def run_all_suites(seed: int = 0, n_draws: int = 100_000) -> list[CheckReport]:
-    return (
-        run_normalization_suite(seed)
-        + run_identity_suite(seed, n_draws=n_draws)
-        + run_pushforward_suite(seed, n_draws=n_draws)
-    )

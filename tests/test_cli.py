@@ -314,6 +314,21 @@ def test_fit_iteration_cap_exits_2(pair_csv, tmp_path, capsys):
     assert doc["meta"]["converged"] is False  # result still written for inspection
 
 
+def test_fit_negative_iteration_cap_exits_1(pair_csv, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    rc, _, err = run_cli(["fit", "--model", "kotz-gamma", "--mode", "dependent",
+                          "--input", str(pair_csv), "--out", str(out),
+                          "--max-iters", "-5"], capsys)
+    assert rc == 1
+    assert "--max-iters must be >= 0, got -5" in err and "Traceback" not in err
+    assert not out.exists()
+    rc, _, _ = run_cli(["fit", "--model", "kotz-gamma", "--mode", "dependent",
+                        "--input", str(pair_csv), "--out", str(out),
+                        "--max-iters", "0"], capsys)
+    assert rc == 2
+    assert json.loads(out.read_text(encoding="utf-8"))["meta"]["iterations"] == 0
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -338,6 +353,27 @@ def test_check_corrupt_hook_exits_3(capsys):
     last = json.loads(out.splitlines()[-1])
     assert last["name"] == "corrupt-hook-mis-scaled-density"
     assert last["passed"] is False
+
+
+@pytest.mark.parametrize("n_draws", ["0", "-1"])
+def test_check_rejects_fewer_than_one_draw(n_draws, capsys):
+    rc, out, err = run_cli(["check", "--suite", "identities", "--n-draws", n_draws], capsys)
+    assert rc == 1 and out == ""
+    assert f"--n-draws must be >= 1, got {n_draws}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--model", "kotz-gamma", "-n", "5"],
+    ["check", "--suite", "pushforward"],
+], ids=["sample", "check"])
+def test_a_negative_seed_exits_1(argv, tmp_path, capsys):
+    if argv[0] == "sample":
+        argv = argv + ["--out", str(tmp_path / "x.csv"), "--params", write_params(
+            tmp_path / "p.json", {"alpha": 5.0, "beta": 8.0, "sigma1": 1.0, "sigma2": 2.0,
+                                  "r": 0.4, "q": 1.5, "s": 1.1})]
+    rc, out, err = run_cli(argv + ["--seed", "-1"], capsys)
+    assert rc == 1 and out == ""
+    assert "seed must be >= 0, got -1" in err and "Traceback" not in err
 
 
 def test_check_rejects_malformed_thread_env(capsys, monkeypatch):

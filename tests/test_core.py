@@ -10,6 +10,7 @@ from multivec import (
     Kotz,
     MvEllipticalParams,
     NotPositiveDefinite,
+    ParameterOutOfDomain,
     Partition,
     ExtendedShape,
     SampleMatrix,
@@ -182,17 +183,27 @@ def test_partition_invariants():
 def test_extended_shape_alpha_star():
     s = ExtendedShape(alphas=(1.5, 2.0), alpha0=0.5)
     assert s.alpha_star == 4.0 and s.k == 2
-    with pytest.raises(Exception):
-        ExtendedShape(alphas=(1.0, -1.0), alpha0=0.5)
+    for alphas, alpha0 in [((1.0, -1.0), 0.5), ((1.0, np.inf), 0.5), ((1.0, np.nan), 0.5),
+                           ((1.0,), 0.0), ((1.0,), -np.inf), ((1.0,), np.nan)]:
+        with pytest.raises(ParameterOutOfDomain):
+            ExtendedShape(alphas=alphas, alpha0=alpha0)
+    with pytest.raises(DimensionMismatch):
+        ExtendedShape(alphas=(), alpha0=0.5)
+    with pytest.raises(TypeError):
+        ExtendedShape(alphas=(1.0,))  # alpha0 is required
 
 
 def test_scale_shape_params_positivity():
     p = ScaleShapeParams(shapes=(1.0, 2.0), scales=(0.5, 3.0))
     assert p.k == 2
-    with pytest.raises(Exception):
-        ScaleShapeParams(shapes=(1.0,), scales=(0.0,))
-    with pytest.raises(Exception):
+    for shapes, scales in [((1.0,), (0.0,)), ((-1.0,), (1.0,)), ((np.nan,), (1.0,)),
+                           ((1.0,), (np.inf,))]:
+        with pytest.raises(ParameterOutOfDomain):
+            ScaleShapeParams(shapes=shapes, scales=scales)
+    with pytest.raises(DimensionMismatch):
         ScaleShapeParams(shapes=(1.0, 2.0), scales=(1.0,))
+    with pytest.raises(DimensionMismatch):
+        ScaleShapeParams(shapes=(), scales=())
 
 
 def test_sample_matrix_rejects_nonfinite():

@@ -59,7 +59,7 @@ def test_every_public_name_resolves_lazily():
         "print(json.dumps({'n': len(names), 'unique': len(set(names)),\n"
         "                  'missing': missing, 'unknown': unknown}))"
     )
-    assert doc == {"n": 82, "unique": 82, "missing": [], "unknown": False}
+    assert doc == {"n": 81, "unique": 81, "missing": [], "unknown": False}
 
 
 def test_identity_suite_runs_without_scipy_stats():

@@ -338,6 +338,9 @@ def test_every_fit_logs_its_solves_and_honours_the_cap():
             assert res.iterations == sum(e["iterations"] for e in res.restarts)
             capped = fit(data, freeze_generator=frozen, max_iter=1)
             assert not capped.converged and math.isfinite(capped.loglik)
+            assert fit(data, freeze_generator=frozen, max_iter=0).iterations == 0
+            with pytest.raises(ParameterOutOfDomain, match="max_iter must be >= 0"):
+                fit(data, freeze_generator=frozen, max_iter=-1)
 
 
 def test_fit_rejects_tiny_samples():

@@ -1,31 +1,35 @@
-"""Every module-level private name in the package is used somewhere in it.
+"""Every module-level private name in the package is used somewhere in it,
+and every public name it exports is read somewhere.
 
 A helper that nothing calls is dead code; so is a private constant that
 nothing reads.  The scan is static (stdlib ``ast``): a name counts as used
 when some statement of ``src/multivec`` other than its own definition loads
-it, as a bare name or as an attribute.
+it, as a bare name or as an attribute.  A name in ``multivec._EXPORTS`` also
+counts as used when the benchmark, a demo or the README names it.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "multivec"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "multivec"
+READERS = [*sorted((ROOT / "perfbench").glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
+           ROOT / "README.md"]
 
 
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def _defined(stmt: ast.stmt) -> set[str]:
-    """Private names a top-level statement binds."""
+def _bound(stmt: ast.stmt) -> set[str]:
+    """Names a top-level statement binds."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = {stmt.name}
-    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-    else:
-        names = set()
-    return {n for n in names if _private(n)}
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
 
 
 def _loaded(stmt: ast.stmt) -> set[str]:
@@ -39,23 +43,58 @@ def _loaded(stmt: ast.stmt) -> set[str]:
     return out
 
 
+def _statements(root: Path) -> list[tuple[str, set[str], set[str]]]:
+    """(module, bound names, loaded names) for each top-level statement of
+    the package under root."""
+    return [
+        (path.stem, _bound(stmt), _loaded(stmt))
+        for path in sorted(root.glob("*.py"))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+
+
 def orphans(root: Path) -> list[str]:
     """`module:name` for every module-level private name of the package
     under root that no other statement of the package reads."""
-    stmts = []  # (module, defined names, loaded names)
-    for path in sorted(root.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            stmts.append((path.stem, _defined(stmt), _loaded(stmt)))
+    stmts = _statements(root)
     return [
         f"{module}:{name}"
-        for i, (module, defined, _) in enumerate(stmts)
-        for name in sorted(defined)
+        for i, (module, bound, _) in enumerate(stmts)
+        for name in sorted(n for n in bound if _private(n))
         if not any(name in loaded for j, (_, _, loaded) in enumerate(stmts) if j != i)
+    ]
+
+
+def _exports(root: Path) -> dict[str, str]:
+    """name -> defining module, from the `_EXPORTS` table of root/__init__.py."""
+    for stmt in ast.parse((root / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(stmt, ast.Assign) and "_EXPORTS" in _bound(stmt):
+            table = ast.literal_eval(stmt.value)
+            return {name: module for module, names in table.items() for name in names}
+    raise LookupError(f"{root / '__init__.py'} has no _EXPORTS table")
+
+
+def unread_exports(root: Path, readers: list[Path]) -> list[str]:
+    """`module:name` for every exported name of the package under root that
+    no statement of the package but its definition reads and no reader file
+    names.  `__all__` and `_EXPORTS` hold strings, so they read nothing."""
+    stmts = _statements(root)
+    text = "\n".join(path.read_text(encoding="utf-8") for path in readers)
+    return [
+        f"{module}:{name}"
+        for name, module in _exports(root).items()
+        if not any(name in loaded and not (m == module and name in bound)
+                   for m, bound, loaded in stmts)
+        and not re.search(rf"\b{re.escape(name)}\b", text)
     ]
 
 
 def test_no_module_level_private_name_is_orphaned():
     assert orphans(SRC) == []
+
+
+def test_every_exported_name_is_read():
+    assert unread_exports(SRC, READERS) == []
 
 
 def test_the_scan_finds_an_orphaned_helper(tmp_path):
@@ -69,3 +108,25 @@ def test_the_scan_finds_an_orphaned_helper(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import _helper\n_helper()\n", encoding="utf-8")
     assert sorted(orphans(tmp_path)) == ["a:_orphan", "a:_recursive"]
+
+
+def test_the_scan_finds_an_unread_export(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text(
+        "_EXPORTS = {'a': ('inside', 'outside', 'recursive', 'listed', 'dead')}\n"
+        "__all__ = ['listed']\n",
+        encoding="utf-8",
+    )
+    (pkg / "a.py").write_text(
+        "def inside():\n    return 0\n"
+        "def outside():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def listed():\n    return 2\n"
+        "def dead():\n    return 3\n",
+        encoding="utf-8",
+    )
+    (pkg / "b.py").write_text("from .a import inside\nX = inside()\n", encoding="utf-8")
+    (tmp_path / "README.md").write_text("Call `outside()`; `deadline` and `undead` differ.\n",
+                                        encoding="utf-8")
+    assert unread_exports(pkg, [tmp_path / "README.md"]) == ["a:recursive", "a:listed", "a:dead"]

@@ -72,6 +72,15 @@ def test_batch_equals_the_stack_of_single_row_calls(row, seed):
 
 
 @pytest.mark.parametrize("row", ROWS, ids=IDS)
+def test_a_batch_of_one_row_is_an_array_equal_to_the_single_row_call(row):
+    family = FAMILIES[row.family]
+    x = family.sample(row.params, make_rng(3), 1)
+    batch, single = family.logpdf(row.params, x), family.logpdf(row.params, x[0])
+    assert isinstance(batch, np.ndarray) and batch.shape == (1,)
+    assert type(single) is float and batch[0] == single
+
+
+@pytest.mark.parametrize("row", ROWS, ids=IDS)
 @SETTINGS
 @given(seed=SEEDS)
 def test_draws_lie_inside_the_support_with_finite_logpdf(row, seed):

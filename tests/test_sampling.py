@@ -43,7 +43,7 @@ from multivec import (
     sample_unit_sphere,
     spawn_rngs,
 )
-from multivec.errors import DimensionMismatch
+from multivec.errors import DimensionMismatch, ParameterOutOfDomain
 from multivec.mle import KotzGammaDepParams
 from multivec.sampling import sample_gengamma_pairs
 
@@ -171,6 +171,15 @@ def test_equal_seeds_equal_streams():
     ua = sample_mv_gengamma(pg, Kotz(r=0.7, q=1.2, s=1.1), make_rng(9), size=1_000)
     ub = sample_mv_gengamma(pg, Kotz(r=0.7, q=1.2, s=1.1), make_rng(9), size=1_000)
     assert np.array_equal(ua, ub)
+
+
+def test_a_negative_integer_seed_is_out_of_domain():
+    for seed in (-1, np.int64(-7)):
+        with pytest.raises(ParameterOutOfDomain, match="seed must be >= 0"):
+            make_rng(seed)
+    assert np.array_equal(make_rng([5, 0, 1]).random(3),
+                          np.random.default_rng([5, 0, 1]).random(3))
+    make_rng(None).random()
 
 
 def test_spawned_streams_deterministic_and_distinct():

@@ -14,6 +14,7 @@ from multivec import (
     ExtendedShape,
     Kotz,
     MvTParams,
+    ParameterOutOfDomain,
     QuadratureFailure,
     ScaleShapeParams,
     jacobian_check,
@@ -44,14 +45,25 @@ from multivec.validation import (
 
 
 def test_report_invariant_enforced():
-    r = CheckReport.build("x", residual=0.5, tolerance=1.0)
-    assert r.passed
-    with pytest.raises(ValueError):
-        CheckReport(name="x", residual=2.0, tolerance=1.0, passed=True)
+    for residual, tolerance in [(0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (np.nan, 1.0),
+                                (0.5, np.nan), (np.float64(0.25), 0.0)]:
+        r = CheckReport("x", residual, tolerance)
+        assert r.passed is bool(residual <= tolerance)
+        assert type(r.residual) is float and type(r.tolerance) is float
+
+
+def test_draw_counts_below_one_are_out_of_domain():
+    for n_draws in (0, -1):
+        with pytest.raises(ParameterOutOfDomain, match="n_draws must be >= 1"):
+            jacobian_check(1, n_draws=n_draws)
+        with pytest.raises(ParameterOutOfDomain, match="n_draws must be >= 1"):
+            pushforward_check(lambda rng, n: rng.standard_normal((n, 1)),
+                              lambda x: -0.5 * x[:, 0] ** 2, [(-np.inf, np.inf)],
+                              n_draws=n_draws)
 
 
 def test_report_json_lines():
-    r = CheckReport.build("norm-foo", residual=1.25e-7, tolerance=1e-5, details="ok")
+    r = CheckReport("norm-foo", residual=1.25e-7, tolerance=1e-5, details="ok")
     line = r.to_json()
     payload = json.loads(line)
     assert payload["name"] == "norm-foo" and payload["passed"] is True
