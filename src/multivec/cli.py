@@ -280,6 +280,8 @@ def _corrupted_report() -> CheckReport:
 def cmd_check(args) -> int:
     if args.n_draws < 1:
         raise _CliError(f"--n-draws must be >= 1, got {args.n_draws}")
+    if args.seed < 0:
+        raise _CliError(f"--seed must be >= 0, got {args.seed}")
     from .validation import run_identity_suite, run_normalization_suite, run_pushforward_suite
 
     suites: dict[str, Callable[[], list[CheckReport]]] = {

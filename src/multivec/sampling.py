@@ -237,7 +237,7 @@ def sample_gengamma_pearson7(
     uniform on the block sphere.
     """
     if p.dims is None:
-        raise ParameterOutOfDomain("vector joint needs integer block dims")
+        raise DimensionMismatch("vector joint needs integer block dims")
     m = _n_draws(size)
     shapes = np.concatenate([[p.alpha0], p.block_shapes])
     d = rng.dirichlet(shapes, size=m)
@@ -260,8 +260,6 @@ def sample_gengamma_pearson2(
     p: JointScaleParams, rng: np.random.Generator, size: int | None = None
 ) -> tuple[np.ndarray | float, np.ndarray]:
     """(s0, r) pair with r the per-block Pearson II image of the joint t."""
-    if p.dims is None:
-        raise ParameterOutOfDomain("vector joint needs integer block dims")
     s0, t = sample_gengamma_pearson7(p, rng, size=size)
     return s0, _t_to_pearson2(t, p.dims)
 
@@ -328,7 +326,7 @@ def sample_gengamma_beta2(
 ) -> tuple[np.ndarray | float, np.ndarray]:
     """(s0, f) pair: s0 = u_0 and f_i = u_i/u_0 for a (k+1)-block gengamma draw."""
     if p.alphas is None:
-        raise ParameterOutOfDomain("scalar joint needs real alphas")
+        raise DimensionMismatch("scalar joint needs real alphas")
     base = ScaleShapeParams(
         shapes=(p.alpha0,) + tuple(p.alphas), scales=tuple(p.sigma2s)
     )

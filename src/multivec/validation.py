@@ -5,7 +5,8 @@ checks here: quadrature of exp(logpdf) over the declared support (total
 dimension <= 3), importance-sampled Monte-Carlo normalization for higher
 dimensions, each generator's radial-integral identity on the same quadrature
 rule, the ball-to-space Jacobian identity, and sampler-vs-density
-goodness of fit (marginal KS plus 2-d chi-square).  The quadrature is one
+goodness of fit in 1 or 2 dims (marginal KS plus 2-d chi-square, both read
+off one cumulative table of the density on a grid).  The quadrature is one
 tensor double-exponential rule fed (n, d) batches; its err_est is the change
 between the last two step halvings, under a fixed budget of points.  Both
 suites take their cases from one ordered fixture list over the family table
@@ -241,7 +242,12 @@ def mc_normalization(
     seed: int,
     name: str = "mc-normalization",
 ) -> CheckReport:
-    """Importance-sampling estimate of the total mass; passes when |I-1| <= 3 SE."""
+    """Importance-sampling estimate of the total mass; passes when |I-1| <= 3 SE.
+
+    Raises ParameterOutOfDomain for n < 2, where the SE is undefined.
+    """
+    if n < 2:
+        raise ParameterOutOfDomain(f"n must be >= 2, got {n}")
     rng = make_rng(seed)
     x = proposal_sampler(rng, n)
     logw = np.asarray(logpdf(x), dtype=float) - np.asarray(proposal_logpdf(x), dtype=float)
@@ -352,63 +358,14 @@ def jacobian_grid_check() -> CheckReport:
 
 # grid points per axis, by dimension: the CDF bias must stay well under the
 # KS resolution ~ 1/sqrt(n_draws)
-_PUSH_GRID_POINTS = {1: 2001, 2: 641, 3: 161}
+_PUSH_GRID_POINTS = {1: 2001, 2: 641}
 _PUSH_CHI2_BINS = 6  # equal-count bins per axis of the 2-d chi-square
-
-
-def _tensor_pdf(
-    logpdf: Callable[[np.ndarray], np.ndarray],
-    grids: list[np.ndarray],
-) -> np.ndarray:
-    mesh = np.meshgrid(*grids, indexing="ij")
-    flat = np.column_stack([m.ravel() for m in mesh])
-    vals = np.asarray(logpdf(flat), dtype=float).reshape(mesh[0].shape)
-    with np.errstate(over="ignore"):
-        return np.exp(vals)
-
-
-def _marginal_cdfs(
-    pdf_grid: np.ndarray, grids: list[np.ndarray]
-) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """Per-axis CDF interpolants from a tensor pdf, each normalized on its box."""
-    from scipy import integrate
-    from scipy.interpolate import PchipInterpolator
-
-    d = pdf_grid.ndim
-    out = []
-    for axis in range(d):
-        marg = pdf_grid
-        for other in sorted(set(range(d)) - {axis}, reverse=True):
-            marg = integrate.simpson(marg, x=grids[other], axis=other)
-        cdf = integrate.cumulative_simpson(marg, x=grids[axis], initial=0.0)
-        cdf /= cdf[-1]
-        cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
-        # PCHIP needs strictly increasing data on the support of the margin
-        keep = np.concatenate([[True], np.diff(cdf) > 0]) | np.concatenate(
-            [np.diff(cdf) > 0, [True]]
-        )
-        out.append(PchipInterpolator(grids[axis][keep], cdf[keep]))
-    return out
 
 
 def _snap_edges(grid: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
     """Indices of quantile-like cell edges snapped to grid nodes, box ends included."""
     idx = np.clip(np.searchsorted(grid, quantiles), 1, grid.size - 2)
     return np.unique(np.concatenate([[0], idx, [grid.size - 1]]))
-
-
-def _cell_probabilities(
-    pdf01: np.ndarray, gx: np.ndarray, gy: np.ndarray,
-    ix: np.ndarray, iy: np.ndarray,
-) -> np.ndarray:
-    """Rectangle probabilities between grid-node edges, by exact CDF differences."""
-    from scipy import integrate
-
-    cdf = integrate.cumulative_simpson(pdf01, x=gx, initial=0.0, axis=0)
-    cdf = integrate.cumulative_simpson(cdf, x=gy, initial=0.0, axis=1)
-    corner = cdf[np.ix_(ix, iy)]
-    cells = corner[1:, 1:] - corner[:-1, 1:] - corner[1:, :-1] + corner[:-1, :-1]
-    return np.maximum(cells, 0.0) / cdf[-1, -1]
 
 
 def pushforward_check(
@@ -419,24 +376,28 @@ def pushforward_check(
     seed: int = 0,
     name: str = "pushforward",
 ) -> CheckReport:
-    """Draws vs density: KS per scalar margin (p > 0.01) and, for two or more
-    dimensions, chi-square on the leading 2-d histogram (p > 0.001).
+    """Draws vs density in 1 or 2 dims: KS per scalar margin (p > 0.01) and,
+    in 2 dims, chi-square on the 2-d histogram (p > 0.001).
 
-    Marginal CDFs come from Simpson integration of exp(logpdf) on a tensor
-    grid over a box that covers the sample with padding; the residual is the
-    worst threshold shortfall, so 0 means every sub-check passed.
+    exp(logpdf) on a tensor grid over a box that covers the sample with
+    padding becomes one CDF table, by a cumulative Simpson pass along each
+    axis, normalized on the box.  Each marginal CDF is the table's edge at
+    the last node of the other axis; each chi-square cell probability is a
+    difference of the table's corners.  The residual is the worst threshold
+    shortfall, so 0 means every sub-check passed.
     """
     if n_draws < 1:
         raise ParameterOutOfDomain(f"n_draws must be >= 1, got {n_draws}")
     from scipy import integrate, stats
+    from scipy.interpolate import PchipInterpolator
 
     rng = make_rng(seed)
     x = np.atleast_2d(np.asarray(sampler(rng, n_draws), dtype=float))
     d = x.shape[1]
     if d != len(support):
         raise ParameterOutOfDomain(f"support has {len(support)} dims, sample has {d}")
-    if d > 3:
-        raise ParameterOutOfDomain("pushforward grids limited to 3 dims")
+    if d not in _PUSH_GRID_POINTS:
+        raise ParameterOutOfDomain(f"pushforward grids cover 1 or 2 dims, got {d}")
     grid_points = _PUSH_GRID_POINTS[d]
 
     grids = []
@@ -457,12 +418,22 @@ def pushforward_check(
         else:
             grids.append(np.linspace(glo, ghi, grid_points))
 
-    pdf_grid = _tensor_pdf(logpdf, grids)
-    cdfs = _marginal_cdfs(pdf_grid, grids)
+    mesh = np.meshgrid(*grids, indexing="ij")
+    vals = np.asarray(logpdf(np.column_stack([m.ravel() for m in mesh])), dtype=float)
+    with np.errstate(over="ignore"):
+        cdf = np.exp(vals.reshape(mesh[0].shape))
+    for axis, g in enumerate(grids):
+        cdf = integrate.cumulative_simpson(cdf, x=g, initial=0.0, axis=axis)
+    cdf /= cdf[(-1,) * d]
 
     ks_ps = []
-    for j in range(d):
-        interp, g = cdfs[j], grids[j]
+    for j, g in enumerate(grids):
+        edge = cdf[tuple(slice(None) if i == j else -1 for i in range(d))]
+        edge = np.maximum.accumulate(np.clip(edge, 0.0, 1.0))
+        # PCHIP needs strictly increasing data on the support of the margin
+        rises = np.diff(edge) > 0
+        keep = np.concatenate([[True], rises]) | np.concatenate([rises, [True]])
+        interp = PchipInterpolator(g[keep], edge[keep])
         res = stats.kstest(
             x[:, j],
             lambda v, interp=interp, g=g: np.clip(interp(np.clip(v, g[0], g[-1])), 0.0, 1.0),
@@ -470,16 +441,14 @@ def pushforward_check(
         ks_ps.append(float(res.pvalue))
 
     chi2_p = None
-    if d >= 2:
-        pdf01 = pdf_grid
-        for other in range(d - 1, 1, -1):
-            pdf01 = integrate.simpson(pdf01, x=grids[other], axis=other)
+    if d == 2:
         qs = np.linspace(0.0, 1.0, _PUSH_CHI2_BINS + 1)[1:-1]
         ix = _snap_edges(grids[0], np.quantile(x[:, 0], qs))
         iy = _snap_edges(grids[1], np.quantile(x[:, 1], qs))
-        probs = _cell_probabilities(pdf01, grids[0], grids[1], ix, iy)
+        corner = cdf[np.ix_(ix, iy)]
+        cells = corner[1:, 1:] - corner[:-1, 1:] - corner[1:, :-1] + corner[:-1, :-1]
         counts, _, _ = np.histogram2d(x[:, 0], x[:, 1], bins=[grids[0][ix], grids[1][iy]])
-        expected = n_draws * probs
+        expected = n_draws * np.maximum(cells, 0.0)
         mask = expected > 1e-9
         stat = float(np.sum((counts[mask] - expected[mask]) ** 2 / expected[mask]))
         dof = int(mask.sum()) - 1

@@ -362,18 +362,20 @@ def test_check_rejects_fewer_than_one_draw(n_draws, capsys):
     assert f"--n-draws must be >= 1, got {n_draws}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["sample", "--model", "kotz-gamma", "-n", "5"],
-    ["check", "--suite", "pushforward"],
-], ids=["sample", "check"])
-def test_a_negative_seed_exits_1(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv,seed", [
+    (["sample", "--model", "kotz-gamma", "-n", "5"], "-1"),
+    (["check", "--suite", "pushforward"], "-1"),
+    (["check", "--suite", "identities"], "-1"),
+    (["check", "--suite", "identities"], "-11"),
+], ids=["sample", "check", "identities", "identities-11"])
+def test_a_negative_seed_exits_1(argv, seed, tmp_path, capsys):
     if argv[0] == "sample":
         argv = argv + ["--out", str(tmp_path / "x.csv"), "--params", write_params(
             tmp_path / "p.json", {"alpha": 5.0, "beta": 8.0, "sigma1": 1.0, "sigma2": 2.0,
                                   "r": 0.4, "q": 1.5, "s": 1.1})]
-    rc, out, err = run_cli(argv + ["--seed", "-1"], capsys)
+    rc, out, err = run_cli(argv + ["--seed", seed], capsys)
     assert rc == 1 and out == ""
-    assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+    assert f"seed must be >= 0, got {seed}\n" in err and "Traceback" not in err
 
 
 def test_check_rejects_malformed_thread_env(capsys, monkeypatch):

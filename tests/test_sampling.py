@@ -258,6 +258,26 @@ def test_joint_samplers_with_no_blocks(sampler, logpdf, blocks):
     assert np.all(np.isfinite(logpdf(p, s0, b)))
 
 
+@pytest.mark.parametrize(
+    "sampler,logpdf,wrong",
+    [
+        (sample_gengamma_pearson7, logpdf_gengamma_pearson7, {"alphas": (1.2,)}),
+        (sample_gengamma_pearson2, logpdf_gengamma_pearson2, {"alphas": (1.2,)}),
+        (sample_gengamma_beta2, logpdf_gengamma_beta2, {"dims": (1,)}),
+        (sample_gengamma_beta1, logpdf_gengamma_beta1, {"dims": (1,)}),
+    ],
+    ids=["pearson7", "pearson2", "beta2", "beta1"],
+)
+def test_joint_params_of_the_wrong_kind_raise_one_error(sampler, logpdf, wrong):
+    # vector laws need block dims, scalar laws real alphas; sampler and
+    # density reject the other kind alike
+    p = JointScaleParams(spec=GAUSS, alpha0=1.5, sigma2s=(2.0, 1.0), **wrong)
+    with pytest.raises(DimensionMismatch):
+        sampler(p, make_rng(0), size=5)
+    with pytest.raises(DimensionMismatch):
+        logpdf(p, np.ones(5), np.full((5, 1), 0.5))
+
+
 def test_loggamma_is_log_of_gengamma_stream():
     p = GammaLogGammaParams(spec=GAUSS, rhos=(1.7,), delta2s=(0.9,))
     y = sample_gamma_loggamma(p, make_rng(61), size=2_000)

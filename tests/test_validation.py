@@ -60,6 +60,9 @@ def test_draw_counts_below_one_are_out_of_domain():
             pushforward_check(lambda rng, n: rng.standard_normal((n, 1)),
                               lambda x: -0.5 * x[:, 0] ** 2, [(-np.inf, np.inf)],
                               n_draws=n_draws)
+    for n in (0, 1):
+        with pytest.raises(ParameterOutOfDomain, match="n must be >= 2"):
+            mc_normalization(_prop_logpdf, _prop_sample, _prop_logpdf, n, 0)
 
 
 def test_report_json_lines():
@@ -317,12 +320,41 @@ def test_pushforward_discriminates_wrong_exponent():
     assert not bad.passed
 
 
+# details of each pushforward case at n_draws=1000, seed=0, pinned to the digit:
+# a change to the CDF table, its interpolant or the cells shows here
+_SMOKE_DETAILS = {
+    "push-mv-elliptical-bessel-2d": "ks_p=['0.8106', '0.6759'] chi2_p=0.15338",
+    "push-log-elliptical-1d": "ks_p=['0.1860']",
+    "push-mixed-1p1": "ks_p=['0.3157', '0.0117'] chi2_p=0.23303",
+    "push-mv-t-k2": "ks_p=['0.5251', '0.5114'] chi2_p=0.81142",
+    "push-mv-pearson2-k2": "ks_p=['0.7199', '0.4975'] chi2_p=0.77240",
+    "push-mv-gengamma-k2": "ks_p=['0.2758', '0.4983'] chi2_p=0.10382",
+    "push-mv-beta1-k2": "ks_p=['0.9336', '0.3535'] chi2_p=0.57232",
+    "push-mv-beta2-k2": "ks_p=['0.9723', '0.9658'] chi2_p=0.86582",
+    "push-gengamma-pearson7-k1": "ks_p=['0.1323', '0.3114'] chi2_p=0.21954",
+    "push-gengamma-pearson2-k1": "ks_p=['0.6508', '0.5074'] chi2_p=0.92401",
+    "push-gengamma-beta1-k1": "ks_p=['0.6115', '0.2103'] chi2_p=0.45913",
+    "push-gengamma-beta2-k1": "ks_p=['0.8557', '0.9991'] chi2_p=0.99177",
+    "push-gamma-loggamma-1p1": "ks_p=['0.5518', '0.5099'] chi2_p=0.78934",
+}
+
+
 def test_pushforward_smoke_mode_speed():
     cases = _pushforward_cases()
+    assert [c[0] for c in cases] == list(_SMOKE_DETAILS)
     # warm one call so library startup cost is not billed to a family
     _, sampler0, logpdf0, support0 = cases[0]
     pushforward_check(sampler0, logpdf0, support0, n_draws=1_000, seed=0, name="warm")
     for name, sampler, logpdf, support in cases:
         t0 = time.perf_counter()
-        pushforward_check(sampler, logpdf, support, n_draws=1_000, seed=0, name=name)
+        r = pushforward_check(sampler, logpdf, support, n_draws=1_000, seed=0, name=name)
         assert time.perf_counter() - t0 < 1.0, name
+        assert r.details == f"{_SMOKE_DETAILS[name]} n=1000 seed=0"
+
+
+def test_pushforward_rejects_three_dims():
+    # the grids cover 1 or 2 dims: a 3-column sample is refused before any grid
+    with pytest.raises(ParameterOutOfDomain, match="1 or 2 dims, got 3"):
+        pushforward_check(lambda rng, n: rng.standard_normal((n, 3)),
+                          lambda x: -0.5 * np.sum(x * x, axis=-1), [(-np.inf, np.inf)] * 3,
+                          n_draws=100)
