@@ -418,10 +418,11 @@ def pushforward_check(
         else:
             grids.append(np.linspace(glo, ghi, grid_points))
 
-    mesh = np.meshgrid(*grids, indexing="ij")
-    vals = np.asarray(logpdf(np.column_stack([m.ravel() for m in mesh])), dtype=float)
+    # the grid points and log-densities are temporaries: only the table outlives logpdf
+    points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, d)
     with np.errstate(over="ignore"):
-        cdf = np.exp(vals.reshape(mesh[0].shape))
+        cdf = np.exp(np.asarray(logpdf(points), dtype=float)).reshape([g.size for g in grids])
+    del points
     for axis, g in enumerate(grids):
         cdf = integrate.cumulative_simpson(cdf, x=g, initial=0.0, axis=axis)
     cdf /= cdf[(-1,) * d]
@@ -611,7 +612,11 @@ def run_normalization_suite(seed: int = 0) -> list[CheckReport]:
 
 
 def run_identity_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckReport]:
-    """Radial-integral identity across the generator grid plus the Jacobian checks."""
+    """Radial-integral identity across the generator grid plus the Jacobian checks.
+
+    A negative seed raises ParameterOutOfDomain before any check runs."""
+    if seed < 0:
+        raise ParameterOutOfDomain(f"seed must be >= 0, got {seed}")
     reports: list[CheckReport] = []
     grid: list[tuple[str, GeneratorSpec]] = [
         ("kotz-gauss", Kotz(q=1.0, r=0.5, s=1.0)),

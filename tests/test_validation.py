@@ -65,6 +65,12 @@ def test_draw_counts_below_one_are_out_of_domain():
             mc_normalization(_prop_logpdf, _prop_sample, _prop_logpdf, n, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, -11])
+def test_identity_suite_rejects_a_negative_seed_by_its_own_value(seed):
+    with pytest.raises(ParameterOutOfDomain, match=rf"seed must be >= 0, got {seed}$"):
+        run_identity_suite(seed)
+
+
 def test_report_json_lines():
     r = CheckReport("norm-foo", residual=1.25e-7, tolerance=1e-5, details="ok")
     line = r.to_json()
