@@ -31,7 +31,7 @@ from .sampling import make_rng
 
 # mle and validation are imported inside the commands that run them, so each
 # command pays at start-up only for what it uses; validation itself defers
-# scipy.stats, scipy.integrate and scipy.interpolate to the suites that use them
+# scipy.stats and scipy.interpolate to the suites that use them
 if TYPE_CHECKING:
     from .validation import CheckReport
 

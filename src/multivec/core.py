@@ -41,6 +41,33 @@ def _positive(name: str, values) -> tuple[float, ...]:
     return vals
 
 
+# numpy adds fewer than this many terms in order, so a column loop over a
+# shorter last axis gives its reduction bit for bit, several times faster
+_SHORT_AXIS = 8
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-1), bit for bit: 0.0 + a[..., 0] + a[..., 1] + ... on
+    a last axis of 1 to 7 entries (the leading 0.0 turns a -0.0 sum to +0.0,
+    as numpy's does)."""
+    k = a.shape[-1]
+    if not 0 < k < _SHORT_AXIS:
+        return np.sum(a, axis=-1)
+    out = a[..., 0] + 0.0
+    for j in range(1, k):
+        out += a[..., j]
+    return out
+
+
+def _all_last(a: np.ndarray) -> np.ndarray:
+    """np.all(a, axis=-1) for a boolean a, as True & a[..., 0] & a[..., 1] & ...
+    (a boolean & is exact at any length)."""
+    out = np.ones(a.shape[:-1], dtype=bool)
+    for j in range(a.shape[-1]):
+        out &= a[..., j]
+    return out
+
+
 @dataclass(frozen=True)
 class Partition:
     """Block structure shared by the multivector families.
@@ -318,5 +345,5 @@ def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:
         # cho_solve works on the leading axis, the blocks carry theirs last
         sol = cho_solve((c, True), np.moveaxis(d, -1, 0), check_finite=False)
         with np.errstate(over="ignore"):  # an overflowing form is +inf
-            total = total + np.sum(np.moveaxis(sol, 0, -1) * d, axis=-1)
+            total = total + _sum_last(np.moveaxis(sol, 0, -1) * d)
     return total

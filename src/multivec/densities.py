@@ -44,7 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import ExtendedShape, MvEllipticalParams, ScaleShapeParams, _positive, block_quadform
+from .core import (
+    ExtendedShape,
+    MvEllipticalParams,
+    ScaleShapeParams,
+    _all_last,
+    _positive,
+    _sum_last,
+    block_quadform,
+)
 from .errors import DimensionMismatch, NonPositiveInput, ParameterOutOfDomain
 from .generators import GeneratorSpec, log_h, log_norm_const
 
@@ -109,7 +117,7 @@ def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> np.ndarray:
     for d in dims:
         blk = x[..., off:off + d]
         with np.errstate(over="ignore"):  # an overflowing norm is +inf, where f is zero
-            parts.append(np.sum(blk * blk, axis=-1))
+            parts.append(_sum_last(blk * blk))
         off += d
     sq = np.stack(parts, axis=-1)
     return np.fmin(sq, np.inf, out=sq)  # fmin maps NaN to +inf
@@ -139,7 +147,7 @@ def logpdf_mv_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, x) -> np.nd
 def logpdf_mv_log_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, v) -> np.ndarray | float:
     """Elementwise-log pushforward of the block elliptical law; Jacobian prod 1/v_i."""
     logv = np.log(_positive_vector(v, "v", p.partition.total))
-    return _result(logpdf_mv_elliptical(p, spec, logv) - np.sum(logv, axis=-1))
+    return _result(logpdf_mv_elliptical(p, spec, logv) - _sum_last(logv))
 
 
 @dataclass(frozen=True)
@@ -177,7 +185,7 @@ def logpdf_mixed_ell_logell(p: MixedParams, spec: GeneratorSpec, x, v) -> np.nda
     x_b = np.broadcast_to(x, batch + x.shape[-1:])
     logv_b = np.broadcast_to(logv, batch + logv.shape[-1:])
     full = np.concatenate([x_b, logv_b], axis=-1)
-    return _result(logpdf_mv_elliptical(p.base, spec, full) - np.sum(logv_b, axis=-1))
+    return _result(logpdf_mv_elliptical(p.base, spec, full) - _sum_last(logv_b))
 
 
 @dataclass(frozen=True)
@@ -225,8 +233,8 @@ def _ball_map(dims: tuple[int, ...], r):
     ok = sq < 1.0
     sq = np.where(ok, sq, 0.5)
     one_m = 1.0 - sq
-    log_jac = -np.sum((np.asarray(dims, dtype=float) / 2.0 + 1.0) * np.log(one_m), axis=-1)
-    return sq / one_m, log_jac, np.all(ok, axis=-1)
+    log_jac = -_sum_last((np.asarray(dims, dtype=float) / 2.0 + 1.0) * np.log(one_m))
+    return sq / one_m, log_jac, _all_last(ok)
 
 
 def _mv_t_at(p: MvTParams, sq: np.ndarray):
@@ -238,7 +246,7 @@ def _mv_t_at(p: MvTParams, sq: np.ndarray):
         - np.sum(half_dims * np.log(p.betas))
         - np.sum(half_dims) * _LOG_PI
     )
-    bracket = np.sum(sq / np.asarray(p.betas), axis=-1)
+    bracket = _sum_last(sq / np.asarray(p.betas))
     out = log_const - p.alpha_star * np.log1p(bracket)
     return _result(out)
 
@@ -336,7 +344,7 @@ def _joint_out(p: JointScaleParams, s0, log_const, stat, extra, inside):
     rate = 1/sigma_0^2 + sum_i stat_i/sigma_i^2; -inf where s0 <= 0 or
     outside `inside`."""
     sigma2 = np.asarray(p.sigma2s)
-    rate = 1.0 / sigma2[0] + np.sum(stat / sigma2[1:], axis=-1)
+    rate = 1.0 / sigma2[0] + _sum_last(stat / sigma2[1:])
     s0 = np.asarray(s0, dtype=float)
     ok = (s0 > 0) & np.isfinite(s0) & inside
     s0_safe = np.where(ok, s0, 1.0)
@@ -392,8 +400,8 @@ def _unit_map(b, k: int):
     b = np.where(ok, b, 0.5)
     one_m = 1.0 - b
     log_one_m = np.log(one_m)
-    log_jac = -2.0 * np.sum(log_one_m, axis=-1)
-    return b / one_m, np.log(b) - log_one_m, log_jac, np.all(ok, axis=-1)
+    log_jac = -2.0 * _sum_last(log_one_m)
+    return b / one_m, np.log(b) - log_one_m, log_jac, _all_last(ok)
 
 
 def _gengamma_beta2_at(p: JointScaleParams, s0, f, log_f, log_jac, inside):
@@ -405,7 +413,7 @@ def _gengamma_beta2_at(p: JointScaleParams, s0, f, log_f, log_jac, inside):
         p.alpha_star * _LOG_PI
         - np.sum(shapes * np.log(p.sigma2s) + special.gammaln(shapes))
     )
-    extra = np.sum((np.asarray(p.alphas) - 1.0) * log_f, axis=-1) + log_jac
+    extra = _sum_last((np.asarray(p.alphas) - 1.0) * log_f) + log_jac
     return _joint_out(p, s0, log_const, f, extra, inside)
 
 
@@ -430,7 +438,7 @@ def logpdf_gengamma_beta2(p: JointScaleParams, s0, f) -> np.ndarray | float:
     # the density vanishes at f_i = +inf: h decays faster than f_i^(alpha_i-1) grows
     ok = (f > 0.0) & (f < np.inf)
     f = np.where(ok, f, 1.0)
-    return _gengamma_beta2_at(p, s0, f, np.log(f), 0.0, np.all(ok, axis=-1))
+    return _gengamma_beta2_at(p, s0, f, np.log(f), 0.0, _all_last(ok))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +454,8 @@ def _mv_gengamma_at(spec: GeneratorSpec, alphas: np.ndarray, sigma2: np.ndarray,
     )
     return (
         const
-        + np.sum((alphas - 1.0) * log_u, axis=-1)
-        + log_h(spec, np.sum(u / sigma2, axis=-1), n_eff)
+        + _sum_last((alphas - 1.0) * log_u)
+        + log_h(spec, _sum_last(u / sigma2), n_eff)
     )
 
 
@@ -486,8 +494,8 @@ def _mv_beta2_at(p: BetaParams, f, log_f):
     log_const = float(-np.sum(alphas * np.log(p.betas))) - log_dk
     return (
         log_const
-        + np.sum((alphas - 1.0) * log_f, axis=-1)
-        - p.shape.alpha_star * np.log1p(np.sum(f / np.asarray(p.betas), axis=-1))
+        + _sum_last((alphas - 1.0) * log_f)
+        - p.shape.alpha_star * np.log1p(_sum_last(f / np.asarray(p.betas)))
     )
 
 
@@ -550,7 +558,7 @@ def _log_map(u: np.ndarray, y: np.ndarray):
     y = np.broadcast_to(y, batch + y.shape[-1:])
     with np.errstate(over="ignore"):  # exp(y) overflows to +inf, where h is zero
         all_u = np.concatenate([u, np.exp(y)], axis=-1)
-    return all_u, np.concatenate([np.log(u), y], axis=-1), np.sum(y, axis=-1)
+    return all_u, np.concatenate([np.log(u), y], axis=-1), _sum_last(y)
 
 
 def logpdf_gamma_loggamma(p: GammaLogGammaParams, u=None, y=None) -> np.ndarray | float:

@@ -8,7 +8,11 @@ rule, the ball-to-space Jacobian identity, and sampler-vs-density
 goodness of fit in 1 or 2 dims (marginal KS plus 2-d chi-square, both read
 off one cumulative table of the density on a grid).  The quadrature is one
 tensor double-exponential rule fed (n, d) batches; its err_est is the change
-between the last two step halvings, under a fixed budget of points.  Both
+between the last two step halvings, under a fixed budget of points, and its
+window widens once when its outermost nodes hold mass.  The cumulative table
+comes from this module's own Simpson pass (scipy's cumulative_simpson, bit
+for bit, without scipy.integrate), and the KS statistic is formed directly
+from the sorted margin, with its p-value from the exact Kolmogorov law.  Both
 suites take their cases from one ordered fixture list over the family table
 of ``families``.  The pushforward suite also carries a discrimination check:
 a deliberately uncorrected variant of the beta-I density must FAIL goodness
@@ -29,7 +33,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import special
 
-from .core import ExtendedShape, MvEllipticalParams, Partition, ScaleShapeParams
+from .core import (
+    ExtendedShape,
+    MvEllipticalParams,
+    Partition,
+    ScaleShapeParams,
+    _all_last,
+    _sum_last,
+)
 from .densities import (
     BetaParams,
     GammaLogGammaParams,
@@ -91,14 +102,18 @@ class CheckReport:
 
 Interval = tuple[float, float]
 
-_DE_WINDOW = 4.5  # |t| <= _DE_WINDOW on every axis of the DE substitution
+_DE_WINDOW = 4.5  # |t| <= window on every axis of the DE substitution, at first
+_DE_MAX_WINDOW = 6.0  # the retry; wider, exp-sinh nodes near 1e-227 overflow 1/z-like integrands
 _DE_EDGE = 0.25  # width in t of each outer edge of the nodes an axis keeps
 _CHUNK = 1 << 16  # points per integrand call
 _POINT_BUDGET = 1 << 22  # integrand points per integral, all levels together
 
 
-def _de_axis(lo: float, hi: float, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes x(t), weights |dx/dt| and outer-edge mask of one axis at t = k h.
+def _de_axis(
+    lo: float, hi: float, h: float, window: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x(t), weights |dx/dt| and outer-edge mask of one axis at t = k h,
+    |t| <= window.
 
     tanh-sinh on a finite interval, exp-sinh on a half-line, sinh-sinh on the
     whole line.  Distances to finite endpoints are formed directly, without
@@ -107,7 +122,7 @@ def _de_axis(lo: float, hi: float, h: float) -> tuple[np.ndarray, np.ndarray, np
     marks the kept nodes within _DE_EDGE of the outermost kept t on either
     side: an integrable density carries almost no mass there.
     """
-    t = h * np.arange(-(_DE_WINDOW // h), _DE_WINDOW // h + 1)
+    t = h * np.arange(-(window // h), window // h + 1)
     u = 0.5 * math.pi * np.sinh(t)
     dudt = 0.5 * math.pi * np.cosh(t)
     if math.isfinite(lo) and math.isfinite(hi):
@@ -145,10 +160,40 @@ def _de_grid_sum(
             raise QuadratureFailure(f"{name}: integrand raised: {exc}") from exc
         if vals.shape != (len(pts),):
             raise DimensionMismatch(f"{name}: logpdf returned {vals.shape} for {len(pts)} points")
-        mass = w * np.exp(vals)
+        # a widened window reaches nodes where a singular density overflows
+        # exp; the level sum is then inf, which raises QuadratureFailure
+        with np.errstate(over="ignore"):
+            mass = w * np.exp(vals)
         total += float(np.sum(mass))
         edge += float(np.sum(mass[on_edge]))
     return total, edge
+
+
+def _de_levels(
+    logpdf: Callable, support: Sequence[Interval], tol: float, name: str, window: float,
+    budget: int,
+) -> tuple[float, float, float, int] | None:
+    """Level sums of the rule at one window, the step halving from 1 until
+    converged or until the next level would pass `budget` points: the last
+    sum, err_est, the last edge mass and the points used.  None when the
+    budget admits no level."""
+    d = len(support)
+    value, err, edge, level, used = math.nan, math.inf, 0.0, 0, 0
+    while not (level >= 3 and err <= 1e-3 * tol):
+        h = 2.0 ** -level
+        axes = [_de_axis(float(lo), float(hi), h, window) for lo, hi in support]
+        size = math.prod(len(x) for x, _, _ in axes)
+        if used + size > budget:
+            break
+        used += size
+        total, on_edge = _de_grid_sum(logpdf, axes, name)
+        prev, value, edge = value, h ** d * total, h ** d * on_edge
+        if not math.isfinite(value):
+            raise QuadratureFailure(f"{name}: integral is {value}")
+        if level:
+            err = abs(value - prev)
+        level += 1
+    return (value, err, edge, used) if level else None
 
 
 def quad_normalization(
@@ -161,32 +206,25 @@ def quad_normalization(
 
     logpdf maps an (n, d) batch of points strictly inside the box to shape
     (n,).  The rule is a tensor-product double-exponential trapezoid
-    (Takahasi & Mori 1974) whose step halves level by level, at least 3
-    levels, until two level sums differ by at most 1e-3 * tol; that
-    difference is err_est.  Raises QuadratureFailure when the integrand
-    raises or a level sum is not finite; when the points on the edge of any
-    axis carry more than tol of mass, as for a density that is not
-    integrable over the box; and when the refinement stops at _POINT_BUDGET
-    points with err_est above tol.  A normalized-but-wrong density is a
-    failed check.
+    (Takahasi & Mori 1974) over |t| <= 4.5 whose step halves level by
+    level, at least 3 levels, until two level sums differ by at most
+    1e-3 * tol; that difference is err_est.  When the points on the edge of
+    any axis then carry more than tol of mass, the rule runs once more over
+    |t| <= 6, reaching mass beyond the first nodes, with what is left of
+    one budget of _POINT_BUDGET points.  Raises QuadratureFailure when the
+    integrand raises or a level sum is not finite; when the edge still
+    carries more than tol, as for a density that is not integrable over the
+    box; and when the refinement stops at the budget with err_est above
+    tol.  A normalized-but-wrong density is a failed check.
     """
     d = len(support)
     if not 1 <= d <= 3:
         raise ParameterOutOfDomain(f"quadrature supports 1 <= dims <= 3, got {d}")
-    value, err, edge, level, used = math.nan, math.inf, 0.0, 0, 0
-    while not (level >= 3 and err <= 1e-3 * tol):
-        h = 2.0 ** -level
-        axes = [_de_axis(float(lo), float(hi), h) for lo, hi in support]
-        used += math.prod(len(x) for x, _, _ in axes)
-        if used > _POINT_BUDGET:
-            break
-        total, on_edge = _de_grid_sum(logpdf, axes, name)
-        prev, value, edge = value, h ** d * total, h ** d * on_edge
-        if not math.isfinite(value):
-            raise QuadratureFailure(f"{name}: integral is {value}")
-        if level:
-            err = abs(value - prev)
-        level += 1
+    value, err, edge, used = _de_levels(logpdf, support, tol, name, _DE_WINDOW, _POINT_BUDGET)
+    if edge > tol:
+        wide = _de_levels(logpdf, support, tol, name, _DE_MAX_WINDOW, _POINT_BUDGET - used)
+        if wide is not None:  # None: what is left of the budget admits no level
+            value, err, edge, _ = wide
     if edge > tol:
         raise QuadratureFailure(
             f"{name}: mass {edge:.3g} on the outer edge of the nodes; the density is not"
@@ -210,10 +248,12 @@ def radial_integral_identity_check(spec: GeneratorSpec, n: float, a: float) -> f
     is |I - 1|, and values above 1e-6 indicate a broken constant.
 
     Raises QuadratureFailure where the rule does not converge or cannot
-    reach the mass.  The half-line nodes span z in about (1e-31, 1e30), so
-    an integrand near z^-0.85 at 0 or z^-1.2 at infinity fails, as does a
-    Pearson II kernel with q below about -1/2, whose singular end holds
-    more than 1e-6 of the mass within the rounding of z/a to 1.
+    reach the mass.  The half-line nodes span z in about (1e-31, 1e30) and,
+    when their edge holds more than 1e-6 of the mass, those of the retry
+    span about (1e-138, 1e138).  So an integrand near z^-0.95
+    at 0 or z^-1.05 at infinity fails, as does a Pearson II kernel with q
+    below about -1/2, whose singular end holds more than 1e-6 of the mass
+    within the rounding of z/a to 1.
     """
     if not a > 0:
         raise ParameterOutOfDomain(f"a must be positive, got {a}")
@@ -362,6 +402,55 @@ _PUSH_GRID_POINTS = {1: 2001, 2: 641}
 _PUSH_CHI2_BINS = 6  # equal-count bins per axis of the 2-d chi-square
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """Cumulative Simpson integral of y over the nodes x (at least 3, strictly
+    increasing) along `axis`, 0 at x[0]: scipy.integrate.cumulative_simpson
+    with initial=0, bit for bit.
+
+    Each interval is integrated once, by the quadratic through its two nodes
+    and one neighbour (Cartwright's formula for irregular spacing, in scipy's
+    operation order): the next node for even intervals, the previous node for
+    odd intervals and for the last one.  scipy evaluates both neighbours over
+    every interval and keeps half of each.
+    """
+    dx = np.diff(x)
+    i = np.arange(dx.size)
+    nxt = (i % 2 == 0) & (i < dx.size - 1)
+    far, near = np.where(nxt, i, i + 1), np.where(nxt, i + 1, i)  # the interval's ends
+    step = np.where(nxt, 1, -1)
+    x21, x32 = dx, dx[i + step]
+    x21_x31 = x21 / (x21 + x32)
+    q = x21_x31 * (x21 / x32)
+    shape = [1] * y.ndim
+    shape[axis] = dx.size
+    c1, c2, c3, w = (c.reshape(shape) for c in (3 - x21_x31, 3 + q + x21_x31, -q, x21 / 6))
+    # a leading 0 makes the sums 0 + s_0 + s_1 + ..., which is what scipy's
+    # cumsum plus its initial 0 gives, signed zeros included
+    out = np.zeros(y.shape)
+    rest = [slice(None)] * y.ndim
+    rest[axis] = slice(1, None)
+    out[tuple(rest)] = w * (
+        c1 * np.take(y, far, axis=axis)
+        + c2 * np.take(y, near, axis=axis)
+        + c3 * np.take(y, near + step, axis=axis)
+    )
+    return np.cumsum(out, axis=axis, out=out)
+
+
+def _ks_pvalue(values: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Two-sided one-sample KS p-value of values against cdf: the exact
+    Kolmogorov law of D = max(D+, D-), as stats.kstest's default mode gives it."""
+    from scipy import stats
+
+    values = np.sort(values)
+    n = values.size
+    c = cdf(values)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - c)
+    d_minus = np.max(c - np.arange(0.0, n) / n)
+    d = d_plus if d_plus > d_minus else d_minus
+    return float(np.clip(stats.kstwo.sf(d, n), 0.0, 1.0))
+
+
 def _snap_edges(grid: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
     """Indices of quantile-like cell edges snapped to grid nodes, box ends included."""
     idx = np.clip(np.searchsorted(grid, quantiles), 1, grid.size - 2)
@@ -381,14 +470,15 @@ def pushforward_check(
 
     exp(logpdf) on a tensor grid over a box that covers the sample with
     padding becomes one CDF table, by a cumulative Simpson pass along each
-    axis, normalized on the box.  Each marginal CDF is the table's edge at
-    the last node of the other axis; each chi-square cell probability is a
-    difference of the table's corners.  The residual is the worst threshold
-    shortfall, so 0 means every sub-check passed.
+    axis (_cumulative_simpson), normalized on the box.  Each marginal CDF is
+    the table's edge at the last node of the other axis, read through a
+    PCHIP interpolant; the KS p-value of each sorted margin is that of
+    stats.kstest's default, exact mode (_ks_pvalue).  Each chi-square cell
+    probability is a difference of the table's corners.  The residual is the
+    worst threshold shortfall, so 0 means every sub-check passed.
     """
     if n_draws < 1:
         raise ParameterOutOfDomain(f"n_draws must be >= 1, got {n_draws}")
-    from scipy import integrate, stats
     from scipy.interpolate import PchipInterpolator
 
     rng = make_rng(seed)
@@ -424,7 +514,7 @@ def pushforward_check(
         cdf = np.exp(np.asarray(logpdf(points), dtype=float)).reshape([g.size for g in grids])
     del points
     for axis, g in enumerate(grids):
-        cdf = integrate.cumulative_simpson(cdf, x=g, initial=0.0, axis=axis)
+        cdf = _cumulative_simpson(cdf, g, axis)
     cdf /= cdf[(-1,) * d]
 
     ks_ps = []
@@ -435,11 +525,9 @@ def pushforward_check(
         rises = np.diff(edge) > 0
         keep = np.concatenate([[True], rises]) | np.concatenate([rises, [True]])
         interp = PchipInterpolator(g[keep], edge[keep])
-        res = stats.kstest(
-            x[:, j],
-            lambda v, interp=interp, g=g: np.clip(interp(np.clip(v, g[0], g[-1])), 0.0, 1.0),
-        )
-        ks_ps.append(float(res.pvalue))
+        ks_ps.append(_ks_pvalue(
+            x[:, j], lambda v: np.clip(interp(np.clip(v, g[0], g[-1])), 0.0, 1.0)
+        ))
 
     chi2_p = None
     if d == 2:
@@ -483,9 +571,9 @@ def _uncorrected_beta1_logpdf(p: BetaParams, b: np.ndarray) -> np.ndarray:
     """
     corrected = logpdf_mv_beta1(p, b)
     b2 = np.atleast_2d(np.asarray(b, dtype=float))
-    inside = np.all((b2 > 0) & (b2 < 1), axis=-1)
+    inside = _all_last((b2 > 0) & (b2 < 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        extra = np.where(inside, p.shape.alpha0 * np.sum(np.log1p(-b2), axis=-1), 0.0)
+        extra = np.where(inside, p.shape.alpha0 * _sum_last(np.log1p(-b2)), 0.0)
     out = corrected + extra
     return out if np.asarray(b).ndim > 1 else np.squeeze(out)
 

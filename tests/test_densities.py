@@ -630,3 +630,59 @@ def test_the_closed_form_comparison_catches_a_ball_jacobian_off_by_a_half(monkey
     monkeypatch.setattr(densities, "_ball_map", off_by_half)
     for name, got, want, x in _image_cases(np.random.default_rng(41))[:2]:
         assert not _matches(got(x), want(x)), name
+
+
+# ---------------------------------------------------------------------------
+# short block axes are summed column by column, bit for bit
+
+
+def _short_axis_arrays(k):
+    """Batched arrays with a last axis of k, signs and magnitudes mixed, and
+    rows holding +inf, -inf, both, and NaN; one C-ordered, one not."""
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((6, 5, k)) * 10.0 ** rng.integers(-12, 13, (6, 5, k))
+    if k:
+        a[0, 0, 0], a[0, 1, -1], a[0, 2, 0], a[0, 3, -1] = np.inf, -np.inf, np.nan, -0.0
+        a[0, 4, :] = -0.0
+        a[1, 0, 0], a[1, 0, -1] = np.inf, -np.inf
+    return [a, a[0, 0], np.asfortranarray(a), a[:, ::2]]
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_short_axis_reductions_equal_numpy_bit_for_bit(k):
+    from multivec.core import _all_last, _sum_last
+
+    for a in _short_axis_arrays(k):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got, want = np.asarray(_sum_last(a)), np.asarray(np.sum(a, axis=-1))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), a.shape
+        for mask in (a > 0, np.isfinite(a), a == a):
+            got, want = np.asarray(_all_last(mask)), np.asarray(np.all(mask, axis=-1))
+            assert got.shape == want.shape and np.array_equal(got, want), a.shape
+
+
+def _grid_641(support):
+    """The 641 x 641 tensor grid of the 2-d pushforward check over a box
+    inside the support."""
+    axes = [np.geomspace(1e-3, 20.0, 641) if lo == 0.0 and hi == np.inf
+            else np.linspace(max(lo, -6.0) + 1e-3, min(hi, 6.0) - 1e-3, 641)
+            for lo, hi in support]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("suffix", ["gamma-loggamma-1p1", "gengamma-beta1-k1", "mixed-1p1"])
+def test_column_sums_keep_the_densities_bits_on_the_pushforward_grid(suffix, monkeypatch):
+    from multivec import core, densities
+    from multivec.families import FAMILIES
+    from multivec.validation import _fixtures
+
+    fx = next(f for f in _fixtures() if f.suffix == suffix and f.push)
+    logpdf = FAMILIES[fx.family].logpdf
+    x = _grid_641(fx.support)
+    got = logpdf(fx.params, x)
+    for module in (core, densities):  # the reductions as numpy writes them
+        monkeypatch.setattr(module, "_sum_last", lambda a: np.sum(a, axis=-1))
+        monkeypatch.setattr(module, "_all_last", lambda a: np.all(a, axis=-1))
+    want = logpdf(fx.params, x)
+    assert np.isfinite(want).mean() > 0.99
+    assert got.tobytes() == want.tobytes()

@@ -231,9 +231,15 @@ def test_identity_detects_a_closed_form_off_by_1e5(spec, rel):
 
 
 @pytest.mark.parametrize("spec", [
-    Kotz(r=1.0, q=0.075, s=1.0),  # integrand z^-0.925 near 0 at n = 2
+    Kotz(r=1.0, q=0.02, s=1.0),  # integrand z^-0.98 near 0 at n = 2
     PearsonII(q=-0.9),  # 2.5% of the mass within 1e-16 of the support end
 ])
 def test_identity_raises_where_the_rule_cannot_reach_the_mass(spec):
     with pytest.raises(QuadratureFailure):
         radial_integral_identity_check(spec, 2.0, 1.0)
+
+
+def test_identity_widens_the_window_to_reach_a_singular_end():
+    # integrand z^-0.925 near 0 at n = 2: 1.2% of the mass lies below the
+    # first window's nodes (z ~ 1e-31); the one retry on a wider window reaches it
+    assert radial_integral_identity_check(Kotz(r=1.0, q=0.075, s=1.0), 2.0, 1.0) <= 1e-6

@@ -2,6 +2,7 @@
 
 import json
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from multivec.validation import (
     _POINT_BUDGET,
     _betaprime_cdf,
     _chi2_quantile_gof,
+    _cumulative_simpson,
+    _ks_pvalue,
     _normalization_cases,
     _pushforward_cases,
     _uncorrected_beta1_logpdf,
@@ -131,6 +134,13 @@ def test_quad_non_integrable_density_fails_within_the_point_budget(tol):
     with pytest.raises(QuadratureFailure):
         quad_normalization(inverse, [(0.0, 1.0)], tol, "inverse")
     assert 0 < points[0] <= _POINT_BUDGET
+
+
+def test_quad_density_overflowing_on_a_widened_window_is_a_failure():
+    # 1/x^2 on (0, 1): the widest window's nodes reach x ~ 1e-275, where
+    # exp(logpdf) overflows
+    with pytest.raises(QuadratureFailure, match="integral is inf"):
+        quad_normalization(lambda x: -2.0 * np.log(x[:, 0]), [(0.0, 1.0)], 1e-6, "inverse-square")
 
 
 @pytest.mark.parametrize("support", [
@@ -364,3 +374,28 @@ def test_pushforward_rejects_three_dims():
         pushforward_check(lambda rng, n: rng.standard_normal((n, 3)),
                           lambda x: -0.5 * np.sum(x * x, axis=-1), [(-np.inf, np.inf)] * 3,
                           n_draws=100)
+
+
+@pytest.mark.parametrize("n", [4, 5, 640, 641])
+@pytest.mark.parametrize("nodes", ["linspace", "geomspace"])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_cumulative_simpson_is_scipys_bit_for_bit(n, nodes, axis):
+    from scipy import integrate
+
+    x = np.linspace(-2.0, 3.0, n) if nodes == "linspace" else np.geomspace(1e-3, 50.0, n)
+    rng = np.random.default_rng(n)
+    shape = (n, 7) if axis == 0 else (7, n)
+    y = rng.standard_normal(shape) * np.exp(5.0 * rng.standard_normal(shape))
+    want = integrate.cumulative_simpson(y, x=x, initial=0.0, axis=axis)
+    got = _cumulative_simpson(y, x, axis)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1_000, 100_000])
+@pytest.mark.parametrize("shape", [2.0, 1.95, 2.05])  # fits; D- decides; D+ decides
+def test_ks_pvalue_is_kstests(n, shape):
+    from scipy import special, stats
+
+    values = np.random.default_rng(n).gamma(2.0, size=n)
+    cdf = partial(special.gammainc, shape)
+    assert _ks_pvalue(values, cdf) == stats.kstest(values, cdf).pvalue
