@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -135,9 +134,9 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_csv(path: str, header: Sequence[str], rows: np.ndarray) -> None:
     rows = np.atleast_2d(rows)
-    fmt = ",".join(["%.17g"] * rows.shape[1])  # as _fmt, one row per format
-    lines = [",".join(header), *(fmt % tuple(row) for row in rows.tolist())]
-    _write_text(path, "\n".join(lines) + "\n")
+    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"  # as _fmt
+    body = (row_fmt * rows.shape[0]) % tuple(rows.ravel().tolist())
+    _write_text(path, ",".join(header) + "\n" + body)
 
 
 def _read_pairs_csv(path: str) -> SampleMatrix:
@@ -282,6 +281,8 @@ def cmd_check(args) -> int:
         raise _CliError(f"--n-draws must be >= 1, got {args.n_draws}")
     if args.seed < 0:
         raise _CliError(f"--seed must be >= 0, got {args.seed}")
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: check only
+
     from .validation import run_identity_suite, run_normalization_suite, run_pushforward_suite
 
     suites: dict[str, Callable[[], list[CheckReport]]] = {

@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import (
     ExtendedShape,
@@ -54,7 +53,7 @@ from .core import (
     block_quadform,
 )
 from .errors import DimensionMismatch, NonPositiveInput, ParameterOutOfDomain
-from .generators import GeneratorSpec, log_h, log_norm_const
+from .generators import GeneratorSpec, gammaln, log_h, log_norm_const
 
 __all__ = [
     "MixedParams",
@@ -241,8 +240,8 @@ def _mv_t_at(p: MvTParams, sq: np.ndarray):
     """mv-t log density at block squared norms sq = ||t_i||^2."""
     half_dims = np.asarray(p.dims, dtype=float) / 2.0
     log_const = float(
-        special.gammaln(p.alpha_star)
-        - special.gammaln(p.alpha0)
+        gammaln(p.alpha_star)
+        - gammaln(p.alpha0)
         - np.sum(half_dims * np.log(p.betas))
         - np.sum(half_dims) * _LOG_PI
     )
@@ -366,7 +365,7 @@ def _gengamma_pearson7_at(p: JointScaleParams, s0, sq, log_jac, inside):
     # pi^{alpha0} / (Gamma(alpha0) sigma0^{2 alpha0} prod sigma_i^{n_i})
     log_const = float(
         p.alpha0 * _LOG_PI
-        - special.gammaln(p.alpha0)
+        - gammaln(p.alpha0)
         - p.alpha0 * math.log(p.sigma2s[0])
         - np.sum(p.block_shapes * np.log(p.sigma2s[1:]))
     )
@@ -411,7 +410,7 @@ def _gengamma_beta2_at(p: JointScaleParams, s0, f, log_f, log_jac, inside):
     shapes = np.concatenate([[p.alpha0], p.block_shapes])
     log_const = float(
         p.alpha_star * _LOG_PI
-        - np.sum(shapes * np.log(p.sigma2s) + special.gammaln(shapes))
+        - np.sum(shapes * np.log(p.sigma2s) + [gammaln(a) for a in shapes.tolist()])
     )
     extra = _sum_last((np.asarray(p.alphas) - 1.0) * log_f) + log_jac
     return _joint_out(p, s0, log_const, f, extra, inside)
@@ -450,7 +449,7 @@ def _mv_gengamma_at(spec: GeneratorSpec, alphas: np.ndarray, sigma2: np.ndarray,
     n_eff = 2.0 * float(np.sum(alphas))
     const = float(
         np.sum(alphas) * _LOG_PI
-        - np.sum(alphas * np.log(sigma2) + special.gammaln(alphas))
+        - np.sum(alphas * np.log(sigma2) + [gammaln(a) for a in alphas.tolist()])
     )
     return (
         const
@@ -487,9 +486,9 @@ def _mv_beta2_at(p: BetaParams, f, log_f):
     """mv-beta2 log density at f (log_f = log f)."""
     alphas = np.asarray(p.shape.alphas)
     log_dk = float(
-        np.sum(special.gammaln(alphas))
-        + special.gammaln(p.shape.alpha0)
-        - special.gammaln(p.shape.alpha_star)
+        np.sum([gammaln(a) for a in p.shape.alphas])
+        + gammaln(p.shape.alpha0)
+        - gammaln(p.shape.alpha_star)
     )
     log_const = float(-np.sum(alphas * np.log(p.betas))) - log_dk
     return (

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 
 from .errors import ParameterOutOfDomain
 
@@ -39,9 +38,67 @@ __all__ = [
     "log_norm_const",
     "log_h",
     "log_bessel_k",
+    "gammaln",
 ]
 
 _LOG_PI = math.log(math.pi)
+_LOG_SQRT_2PI = 0.91893853320467274178
+_GAMMALN_MAX = 2.556348e305  # log Gamma overflows past this
+
+
+def gammaln(x: float) -> float:
+    """log Gamma(x) for one finite float x > 0, bit for bit scipy.special.gammaln.
+
+    A port of Cephes lgam (Moshier 1989), which scipy's gammaln calls: below
+    13 the recurrence Gamma(x+1) = x Gamma(x) moves x into [2, 3), where a
+    rational fit applies; from 13 up Stirling's series, shortened at 1000 and
+    dropped past 1e8.  Each Horner step is written out in Cephes' operation
+    order, so every rounding matches.  Every caller passes a shape parameter
+    its domain check has already made positive.
+    """
+    if x < 13.0:
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        num = (((((-1.37825152569120859100e3 * x
+                   - 3.88016315134637840924e4) * x
+                  - 3.31612992738871184744e5) * x
+                 - 1.16237097492762307383e6) * x
+                - 1.72173700820839662146e6) * x
+               - 8.53555664245765465627e5)
+        den = ((((((x - 3.51815701436523470549e2) * x
+                   - 1.70642106651881159223e4) * x
+                  - 2.20528590553854454839e5) * x
+                 - 1.13933444367982507207e6) * x
+                - 2.53252307177582951285e6) * x
+               - 2.01889141433532773231e6)
+        return math.log(z) + x * num / den
+    if x > _GAMMALN_MAX:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p
+                     - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + ((((8.11614167470508450300e-4 * p
+                   - 5.95061904284301438324e-4) * p
+                  + 7.93650340457716943945e-4) * p
+                 - 2.77777777730099687205e-3) * p
+                + 8.33333333333331927722e-2) / x
 
 
 def log_bessel_k(q: float, z) -> np.ndarray | float:
@@ -56,6 +113,8 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
 
     Raises ParameterOutOfDomain for z <= 0 or nan.
     """
+    from scipy import special  # deferred: costs CLI start-up
+
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr <= 0) or np.any(np.isnan(z_arr)):
         raise ParameterOutOfDomain(f"log_bessel_k requires z > 0, got {z!r}")
@@ -121,7 +180,7 @@ class Kotz:
 
     def log_radial_integral(self, n: float) -> float:
         nu = (2 * self.q + n - 2) / (2 * self.s)
-        return float(special.gammaln(nu)) - nu * math.log(self.r) - math.log(self.s)
+        return gammaln(nu) - nu * math.log(self.r) - math.log(self.s)
 
 
 @dataclass(frozen=True)
@@ -147,6 +206,8 @@ class PearsonVII:
         return -self.q * np.log1p(w / self.r)
 
     def log_radial_integral(self, n: float) -> float:
+        from scipy import special  # deferred: costs CLI start-up
+
         return (n / 2) * math.log(self.r) + float(
             special.betaln(n / 2, self.q - n / 2)
         )
@@ -181,6 +242,8 @@ class PearsonII:
         return out
 
     def log_radial_integral(self, n: float) -> float:
+        from scipy import special  # deferred: costs CLI start-up
+
         return float(special.betaln(n / 2, self.q + 1))
 
 
@@ -233,8 +296,8 @@ class Bessel:
         return (
             n * math.log(2.0)
             + (n + 1) * math.log(self.r)
-            + float(special.gammaln((n + 1 - self.q) / 2))
-            + float(special.gammaln((n + 1 + self.q) / 2))
+            + gammaln((n + 1 - self.q) / 2)
+            + gammaln((n + 1 + self.q) / 2)
         )
 
 
@@ -247,7 +310,7 @@ def log_norm_const(spec: GeneratorSpec, n: float) -> float:
         raise ParameterOutOfDomain(f"dimension must be positive, got {n}")
     spec.validate_at(n)
     return (
-        float(special.gammaln(n / 2))
+        gammaln(n / 2)
         - (n / 2) * _LOG_PI
         - spec.log_radial_integral(n)
     )
@@ -274,7 +337,7 @@ class RadialLaw:
         """log of dF(r) = (2 pi^{n/2} / Gamma(n/2)) r^{n-1} h(r^2)."""
         r = np.asarray(r, dtype=float)
         n = self.n
-        const = math.log(2.0) + (n / 2) * _LOG_PI - float(special.gammaln(n / 2))
+        const = math.log(2.0) + (n / 2) * _LOG_PI - gammaln(n / 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(
                 r > 0,

@@ -146,6 +146,14 @@ def test_sample_zero_rows_writes_header_only(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "u,v\n"
 
 
+def test_csv_rows_are_the_17_digit_decimals_of_each_value(tmp_path):
+    rows = np.array([[0.1, -0.0, 1e-310], [2.0 / 3.0, 1e300, np.inf], [5.0, -7.25, 0.0]])
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), ["a", "b", "c"], rows)
+    want = "a,b,c\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+    assert out.read_text(encoding="utf-8") == want
+
+
 def test_sample_negative_n_exits_1(tmp_path, capsys):
     p = write_params(tmp_path / "p.json",
                      {"alpha": 5.0, "beta": 8.0, "sigma1": 1.0, "sigma2": 2.0,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -21,8 +22,101 @@ from multivec import (
     log_norm_const,
     radial_integral_identity_check,
 )
+from multivec import densities, generators
+from multivec.core import ExtendedShape, ScaleShapeParams
+from multivec.densities import BetaParams, GammaLogGammaParams, JointScaleParams, MvTParams
+from multivec.generators import gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# log Gamma (the Cephes port)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_gammaln_matches_scipy_bit_for_bit_in_every_branch():
+    rng = np.random.default_rng(13)
+    n = 2000
+    log_uniform = lambda lo, hi: np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+    xs = np.concatenate([
+        rng.uniform(0.0, 1e-300, n),  # log Gamma(x) ~ -log x
+        log_uniform(1e-300, 2.0),  # upward recurrence into [2, 3), every scale
+        rng.uniform(0.0, 2.0, n),
+        rng.uniform(2.0, 3.0, n),  # the rational fit alone
+        rng.uniform(3.0, 13.0, n),  # downward recurrence
+        rng.uniform(13.0, 1000.0, n),  # Stirling with the full series
+        log_uniform(1000.0, 1e8),  # Stirling with the short series
+        log_uniform(1e8, 2.556348e305),  # the bare Stirling term
+        log_uniform(2.556348e305, sys.float_info.max),  # overflow
+        np.arange(1, 401) / 2.0,  # integers and half-integers 0.5 .. 200
+        [5e-324, 2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305, sys.float_info.max],
+    ])
+    edges = np.array([2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305])
+    xs = np.concatenate([xs, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    xs = xs[xs > 0]
+    got = [gammaln(x) for x in xs.tolist()]
+    np.testing.assert_array_equal(_bits(got), _bits(special.gammaln(xs)))
+    assert gammaln(2.556348e305 * 1.001) == math.inf
+    assert gammaln(1.0) == 0.0 and gammaln(2.0) == 0.0
+
+
+class _PositiveOnly:
+    """Stands in for gammaln: records the function that called it and fails
+    on an argument that is not a finite float > 0."""
+
+    def __init__(self):
+        self.callers = set()
+
+    def __call__(self, x):
+        assert isinstance(x, float) and math.isfinite(x) and x > 0, x
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        self.callers.add(frame.f_code.co_name)
+        return gammaln(x)
+
+
+def test_every_gammaln_call_site_passes_a_validated_positive_value(monkeypatch):
+    spy = _PositiveOnly()
+    monkeypatch.setattr(generators, "gammaln", spy)
+    monkeypatch.setattr(densities, "gammaln", spy)
+    # parameters at the edge of each domain, where a shape argument is
+    # smallest: (n + 1 -+ q)/2 -> 0 as |q| -> n + 1, and 2q + n - 2 -> 0
+    for spec, n in ((Bessel(r=1.0, q=2.999), 2.0), (Bessel(r=0.5, q=-0.999), 2.0),
+                    (Kotz(r=1.0, q=0.5005, s=2.0), 1.0), (Kotz(r=0.3, q=1.0, s=1.0), 1e-3)):
+        log_norm_const(spec, n)
+        RadialLaw(spec, n).logpdf(0.7)
+    for spec, n in ((Bessel(r=1.0, q=3.0), 2.0), (Bessel(r=1.0, q=-1.0), 2.0),
+                    (Kotz(r=1.0, q=0.5, s=1.0), 1.0)):
+        with pytest.raises(ParameterOutOfDomain):
+            log_norm_const(spec, n)
+    kotz = Kotz(r=0.4, q=1.5, s=1.1)
+    mv_t = MvTParams(dims=(1, 2), alpha0=1e-3, betas=(1.0, 2.5))
+    densities.logpdf_mv_t(mv_t, [0.3, -0.2, 0.5])
+    densities.logpdf_mv_pearson2(mv_t, [0.3, -0.2, 0.5])
+    pvii = JointScaleParams(spec=kotz, alpha0=1e-3, sigma2s=(1.0, 0.8), dims=(1,))
+    densities.logpdf_gengamma_pearson7(pvii, 0.5, [0.3])
+    densities.logpdf_gengamma_pearson2(pvii, 0.5, [0.3])
+    joint_beta = JointScaleParams(spec=kotz, alpha0=0.02, sigma2s=(1.0, 0.7), alphas=(1e-3,))
+    densities.logpdf_gengamma_beta1(joint_beta, 0.5, [0.3])
+    densities.logpdf_gengamma_beta2(joint_beta, 0.5, [0.3])
+    densities.logpdf_mv_gengamma(ScaleShapeParams(shapes=(1e-3, 14.0), scales=(1.0, 0.6)),
+                                 kotz, [0.4, 2.0])
+    densities.logpdf_gamma_loggamma(
+        GammaLogGammaParams(spec=kotz, alphas=(0.5,), sigma2s=(1.0,), rhos=(2e3,), delta2s=(0.5,)),
+        u=[0.4], y=[1.0])
+    beta = BetaParams(shape=ExtendedShape(alphas=(1e-3, 2.5), alpha0=1e8), betas=(1.0, 3.0))
+    densities.logpdf_mv_beta1(beta, [0.3, 0.4])
+    densities.logpdf_mv_beta2(beta, [0.3, 0.4])
+    assert spy.callers == {
+        "log_norm_const", "log_radial_integral", "logpdf",  # generators
+        "_mv_t_at", "_gengamma_pearson7_at", "_gengamma_beta2_at", "_mv_gengamma_at",
+        "_mv_beta2_at",  # densities
+    }
 
 
 # ---------------------------------------------------------------------------

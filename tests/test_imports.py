@@ -75,3 +75,45 @@ def test_identity_suite_runs_without_scipy_stats():
         "                             if m in sys.modules]}))"
     )
     assert doc == {"passed": True, "loaded": []}
+
+
+def test_eval_sample_and_grid_load_no_scipy(tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"alpha": 5.0, "beta": 8.0, "sigma1": 1.0, "sigma2": 2.0,
+                                  "r": 0.4, "q": 1.5, "s": 1.1}), encoding="utf-8")
+    commands = [
+        ["eval", "--model", "kotz-gamma", "--params", str(params), "--point", "1.5,2.5"],
+        ["sample", "--model", "kotz-gamma", "--params", str(params), "-n", "50",
+         "--seed", "3", "--out", str(tmp_path / "s.csv")],
+        ["grid", "--model", "kotz-gamma-2d", "--params", str(params),
+         "--range", "0.1,8,0.1,8", "--steps", "20", "--out", str(tmp_path / "g.csv")],
+    ]
+    doc = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from multivec import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {commands!r}]\n"
+        "print(json.dumps({'codes': codes,\n"
+        "                  'loaded': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))"
+    )
+    assert doc == {"codes": [0, 0, 0], "loaded": []}
+    assert len((tmp_path / "g.csv").read_text(encoding="utf-8").splitlines()) == 20 * 20 + 1
+
+
+def test_betaln_and_kve_load_scipy_special_when_called():
+    # Pearson VII's normalizer needs betaln and the Bessel kernel kve: each
+    # imports scipy.special inside the function that calls it
+    from multivec import PearsonVII, log_bessel_k, log_norm_const
+
+    doc = run_fresh(
+        "import json, sys\n"
+        "from multivec import PearsonVII, log_bessel_k, log_norm_const\n"
+        "before = 'scipy.special' in sys.modules\n"
+        "c = log_norm_const(PearsonVII(r=3.0, q=2.2), 2.0)\n"
+        "k = log_bessel_k(0.3, 1.7)\n"
+        "print(json.dumps({'before': before, 'c': c, 'k': k,\n"
+        "                  'after': 'scipy.special' in sys.modules}))"
+    )
+    assert doc == {"before": False, "after": True,
+                   "c": log_norm_const(PearsonVII(r=3.0, q=2.2), 2.0),
+                   "k": log_bessel_k(0.3, 1.7)}
