@@ -21,8 +21,8 @@ from multivec import (
     fit_independent,
     loglik_dependent,
     make_rng,
+    sample_gengamma_pairs,
 )
-from multivec.sampling import sample_gengamma_pairs
 
 truth = KotzGammaDepParams(sigma1=1.0, sigma2=2.0, alpha=5.0, beta=8.0,
                            r=0.4, q=1.5, s=1.1)
@@ -53,7 +53,7 @@ print("  dependent value sits at a pinned generator of an unbounded likelihood")
 # constant along
 #   (sigma1, sigma2, r) -> (sigma1*sqrt(c), sigma2*sqrt(c), r*c**s)
 # walked here from the truth point; the identity holds everywhere
-stats = SuffStats.from_matrix(data)
+stats = SuffStats(data.column(0), data.column(1))
 print("\nsliding along the flat direction (loglik should not move):")
 for c in (0.5, 1.0, 2.0, 8.0):
     moved = KotzGammaDepParams(

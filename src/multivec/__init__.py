@@ -33,11 +33,11 @@ _EXPORTS = {
     ),
     "sampling": (
         "make_rng", "sample_gamma_loggamma", "sample_gengamma_beta1",
-        "sample_gengamma_beta2", "sample_gengamma_pearson2", "sample_gengamma_pearson7",
-        "sample_mixed_ell_logell", "sample_mv_beta1", "sample_mv_beta2",
-        "sample_mv_elliptical", "sample_mv_gengamma", "sample_mv_log_elliptical",
-        "sample_mv_pearson2", "sample_mv_t", "sample_radius", "sample_unit_sphere",
-        "spawn_rngs",
+        "sample_gengamma_beta2", "sample_gengamma_pairs", "sample_gengamma_pearson2",
+        "sample_gengamma_pearson7", "sample_mixed_ell_logell", "sample_mv_beta1",
+        "sample_mv_beta2", "sample_mv_elliptical", "sample_mv_gengamma",
+        "sample_mv_log_elliptical", "sample_mv_pearson2", "sample_mv_t", "sample_radius",
+        "sample_unit_sphere", "spawn_rngs",
     ),
     "mle": (
         "KotzGammaDepParams", "SuffStats", "fit_dependent", "fit_independent",

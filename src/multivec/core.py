@@ -41,6 +41,16 @@ def _positive(name: str, values) -> tuple[float, ...]:
     return vals
 
 
+def _sum_in_order(values) -> float:
+    """0.0 + v[0] + v[1] + ... left to right, as Python 3.11's builtin sum
+    adds floats; from 3.12 that sum is compensated, so its last bit can
+    differ."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 # numpy adds fewer than this many terms in order, so a column loop over a
 # shorter last axis gives its reduction bit for bit, several times faster
 _SHORT_AXIS = 8
@@ -125,7 +135,7 @@ class ExtendedShape:
 
     @property
     def alpha_star(self) -> float:
-        return self.alpha0 + float(sum(self.alphas))
+        return self.alpha0 + _sum_in_order(self.alphas)
 
 
 def _as_spd(mat: np.ndarray, name: str) -> np.ndarray:

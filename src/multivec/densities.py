@@ -49,6 +49,7 @@ from .core import (
     ScaleShapeParams,
     _all_last,
     _positive,
+    _sum_in_order,
     _sum_last,
     block_quadform,
 )
@@ -138,7 +139,7 @@ def logpdf_mv_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, x) -> np.nd
     with np.errstate(invalid="ignore"):
         quad = block_quadform(p, x)
     quad = np.where(np.isfinite(quad), quad, np.inf)
-    logdet = sum(ld for _, ld in p.factors)
+    logdet = _sum_in_order(ld for _, ld in p.factors)
     out = -0.5 * logdet + log_h(spec, quad, float(p.partition.total))
     return _result(out)
 
@@ -546,7 +547,7 @@ class GammaLogGammaParams:
 
     @property
     def total_shape(self) -> float:
-        return float(sum(self.alphas) + sum(self.rhos))
+        return _sum_in_order(self.alphas) + _sum_in_order(self.rhos)
 
 
 def _log_map(u: np.ndarray, y: np.ndarray):

@@ -38,12 +38,12 @@ __all__ = [
     "log_norm_const",
     "log_h",
     "log_bessel_k",
-    "gammaln",
 ]
 
 _LOG_PI = math.log(math.pi)
 _LOG_SQRT_2PI = 0.91893853320467274178
 _GAMMALN_MAX = 2.556348e305  # log Gamma overflows past this
+_BESSEL_Z_FLOOR = 1e-300  # kve is infinite at every order below about 1e-304
 
 
 def gammaln(x: float) -> float:
@@ -107,17 +107,21 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
     Accurate to relative 1e-10 on z in [1e-6, 700], |q| <= 50; K_{-q} = K_q.
     The scaled kve path covers almost the whole range.  Past z ~ 1e9, where
     kve returns nan, two terms of the Hankel expansion are exact to double
-    precision; where kve overflows (large |q| with tiny z) the value is
-    recomputed in extended precision.  z = +inf maps to -inf (the kernel
+    precision.  Where kve overflows (large |q| with tiny z), the upward
+    recurrence K_{v+1} = K_{v-1} + (2v/z) K_v, which is stable for K (DLMF
+    10.29.1), climbs in logs from orders f and 1 - f, |q| = n + f, where kve
+    is finite for every z >= 1e-300.  z = +inf maps to -inf (the kernel
     decays to zero).
 
-    Raises ParameterOutOfDomain for z <= 0 or nan.
+    Raises ParameterOutOfDomain for z < 1e-300 or nan: below that floor kve
+    is infinite at every order, so the climb has no finite start.
     """
     from scipy import special  # deferred: costs CLI start-up
 
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr <= 0) or np.any(np.isnan(z_arr)):
-        raise ParameterOutOfDomain(f"log_bessel_k requires z > 0, got {z!r}")
+    if np.any(z_arr < _BESSEL_Z_FLOOR) or np.any(np.isnan(z_arr)):
+        raise ParameterOutOfDomain(
+            f"log_bessel_k requires z >= {_BESSEL_Z_FLOOR:g}, got {z!r}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = np.where(np.isinf(z_arr), -np.inf, np.log(special.kve(q, z_arr)) - z_arr)
     far = np.isnan(out) & (z_arr > 1e8)  # the dropped term is below 1e-10 for |q| <= 50
@@ -126,13 +130,15 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
         out[far] = 0.5 * np.log(np.pi / (2.0 * zf)) - zf + np.log1p((4 * q * q - 1) / (8 * zf))
     bad = ~np.isfinite(out) & np.isfinite(z_arr)
     if np.any(bad):
-        import mpmath as mp
-
-        with mp.workdps(30):
-            for i in np.flatnonzero(bad.ravel()):
-                idx = np.unravel_index(i, out.shape)
-                val = mp.log(mp.besselk(mp.mpf(q), mp.mpf(float(z_arr[idx]))))
-                out[idx] = float(val)
+        # kve overflows only past |q| = 1, so n >= 1; all logs carry kve's e^z
+        zb = z_arr[bad]
+        n, f = divmod(abs(q), 1.0)
+        with np.errstate(divide="ignore"):  # log(2f/z) = -inf at f = 0 adds nothing
+            lo = np.log(special.kve(f, zb))  # K_{f+1} = K_{1-f} + (2f/z) K_f
+            hi = np.logaddexp(np.log(special.kve(1.0 - f, zb)), np.log(2.0 * f / zb) + lo)
+        for v in np.arange(1, n) + f:  # (lo, hi) = log (K_{v-1}, K_v) -> log (K_v, K_{v+1})
+            lo, hi = hi, np.logaddexp(lo, np.log(2.0 * v / zb) + hi)
+        out[bad] = hi - zb
     if np.ndim(z) == 0:
         return float(out[0])
     return out
@@ -287,6 +293,11 @@ class Bessel:
         if np.any(pos):
             zs = np.sqrt(w1[pos]) / self.r
             out[pos] = 0.5 * np.log(w1[pos]) + log_bessel_k(self.q, zs)
+        # the limit at W = 0 is Gamma(|q|)/2 (2r)^|q| W^{(1-|q|)/2}: 0, r or inf
+        if abs(self.q) == 1.0:
+            out[w1 == 0.0] = math.log(self.r)
+        elif abs(self.q) > 1.0:
+            out[w1 == 0.0] = np.inf
         if w_in.ndim == 0:
             return float(out[0])
         return out

@@ -115,11 +115,6 @@ class SuffStats:
         self.c = math.fsum(u)
         self.d = math.fsum(v)
 
-    @classmethod
-    def from_matrix(cls, data: SampleMatrix | np.ndarray) -> "SuffStats":
-        values = _as_matrix(data)
-        return cls(values[:, 0], values[:, 1])
-
 
 def _positive_column(sample: np.ndarray, user: str) -> np.ndarray:
     u = np.asarray(sample, dtype=float).ravel()
@@ -257,9 +252,14 @@ def _gamma_shape(t: float, max_iter: int) -> tuple[float, int, bool]:
 
 
 def _as_matrix(data: SampleMatrix | np.ndarray) -> np.ndarray:
+    """The m x 2 matrix both fits take, rejected before any log is formed."""
     values = data.values if isinstance(data, SampleMatrix) else np.asarray(data, float)
     if values.ndim != 2 or values.shape[1] != 2:
         raise DegenerateSample(f"paired fit needs an m x 2 matrix, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise NonPositiveInput("sample contains NaN or Inf")
+    if np.any(values <= 0):
+        raise NonPositiveInput("paired fit needs positive data")
     return values
 
 

@@ -1,5 +1,7 @@
 """Domain types and the dense linear algebra under every density."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -191,6 +193,26 @@ def test_extended_shape_alpha_star():
         ExtendedShape(alphas=(), alpha0=0.5)
     with pytest.raises(TypeError):
         ExtendedShape(alphas=(1.0,))  # alpha0 is required
+
+
+def test_parameter_sums_add_left_to_right():
+    # Python 3.12's builtin sum is compensated: it gives 0.6 for these
+    # alphas where adding in order gives 0.6000000000000001, and these
+    # sums are added in order on every interpreter
+    from multivec import GammaLogGammaParams, log_norm_const
+
+    in_order = (0.1 + 0.2) + 0.3
+    assert in_order != math.fsum((0.1, 0.2, 0.3))
+    assert ExtendedShape(alphas=(0.1, 0.2, 0.3), alpha0=1e-3).alpha_star == 1e-3 + in_order
+    assert GammaLogGammaParams(Kotz(), alphas=(0.1, 0.2), sigma2s=(1.0, 1.0), rhos=(0.3,),
+                               delta2s=(1.0,)).total_shape == in_order
+    # the block log-determinant: the compensated sum of these three blocks'
+    # log-determinants would move the density's last bit
+    p = MvEllipticalParams.scalar_blocks([0.0] * 3, [1.7, 0.9, 0.8])
+    lds = [ld for _, ld in p.factors]
+    want = -0.5 * ((lds[0] + lds[1]) + lds[2]) + log_norm_const(Kotz(), 3.0)
+    assert want != -0.5 * math.fsum(lds) + log_norm_const(Kotz(), 3.0)
+    assert logpdf_mv_elliptical(p, Kotz(), [0.0, 0.0, 0.0]) == want
 
 
 def test_scale_shape_params_positivity():

@@ -23,7 +23,7 @@ from multivec import (
     radial_integral_identity_check,
 )
 from multivec import densities, generators
-from multivec.core import ExtendedShape, ScaleShapeParams
+from multivec.core import ExtendedShape, MvEllipticalParams, ScaleShapeParams
 from multivec.densities import BetaParams, GammaLogGammaParams, JointScaleParams, MvTParams
 from multivec.generators import gammaln
 
@@ -244,6 +244,64 @@ def test_bessel_k_past_the_kve_range_matches_extended_precision():
             assert log_bessel_k(q, z) == pytest.approx(want, rel=1e-15)
 
 
+def _overflow_edge(q: float) -> float:
+    """The largest z on a fine grid at which scipy's kve(q, z) overflows."""
+    z = np.geomspace(1e-300, 700.0, 4001)
+    with np.errstate(over="ignore"):
+        return float(z[np.isinf(special.kve(q, z))][-1])
+
+
+def _mp_log_k(q: float, z: float) -> float:
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.besselk(q, z)))
+
+
+@pytest.mark.parametrize("q", [40.3, -40.3, 50.0, 100.0, 150.2, 300.0, 1000.0])
+def test_bessel_k_climbs_the_recurrence_where_kve_overflows(q):
+    z = np.geomspace(1e-300, _overflow_edge(q), 12)
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf(special.kve(q, z)))  # every point takes the climb
+    got = log_bessel_k(q, z)
+    want = np.array([_mp_log_k(q, x) for x in z.tolist()])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_bessel_k_mixes_overflow_and_ordinary_points_in_one_array():
+    z = np.array([[1e-300, 1e-3, 0.5], [40.0, 2e-9, 1e10]])
+    with np.errstate(over="ignore"):
+        over = np.isinf(special.kve(100.0, z))
+    assert over.tolist() == [[True, True, False], [False, True, False]]
+    got = log_bessel_k(100.0, z)
+    assert got.shape == z.shape
+    for x, g, o in zip(z.ravel().tolist(), got.ravel().tolist(), over.ravel().tolist()):
+        if o:
+            assert g == pytest.approx(_mp_log_k(100.0, x), rel=1e-13)
+        else:
+            assert g == log_bessel_k(100.0, x)  # the kve and Hankel paths, untouched
+
+
+def test_bessel_kernel_at_zero_is_its_limit():
+    # W^{1/2} K_q(W^{1/2}/r) -> Gamma(|q|)/2 (2r)^|q| W^{(1-|q|)/2} as W -> 0:
+    # zero for |q| < 1, r at |q| = 1, unbounded for |q| > 1
+    r = 0.7
+    for q in (0.3, 1.0, -1.0, 2.5):
+        spec = Bessel(r=r, q=q)
+        at_zero, near = spec.log_kernel(0.0), spec.log_kernel(1e-200)
+        assert spec.log_kernel(np.array([0.0, 1e-200])).tolist() == [at_zero, near]
+        if abs(q) < 1.0:
+            assert at_zero == -math.inf and near < -100.0
+        elif abs(q) == 1.0:
+            assert at_zero == math.log(r) and near == pytest.approx(at_zero, rel=1e-12)
+        else:
+            assert at_zero == math.inf and near > 100.0
+    # so the q = 1 density is continuous at its centre
+    p = MvEllipticalParams.scalar_blocks([0.0, 0.0], [1.0, 1.0])
+    spec = Bessel(r=1.0, q=1.0)
+    at_mu = densities.logpdf_mv_elliptical(p, spec, [0.0, 0.0])
+    assert at_mu == pytest.approx(densities.logpdf_mv_elliptical(p, spec, [1e-12, 0.0]),
+                                  abs=1e-9)
+
+
 def test_bessel_k_symmetry_and_domain():
     rng = np.random.default_rng(1)
     for _ in range(30):
@@ -254,6 +312,11 @@ def test_bessel_k_symmetry_and_domain():
         log_bessel_k(1.0, 0.0)
     with pytest.raises(ParameterOutOfDomain):
         log_bessel_k(1.0, -3.0)
+    # below 1e-300 kve is infinite at every order: the climb has no start
+    for z in (1e-301, 5e-324, np.array([1.0, 1e-305])):
+        with pytest.raises(ParameterOutOfDomain, match="z >= 1e-300"):
+            log_bessel_k(100.0, z)
+    assert math.isfinite(log_bessel_k(0.3, 1e-300))
 
 
 # ---------------------------------------------------------------------------

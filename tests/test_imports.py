@@ -3,11 +3,14 @@
 Each case runs in a fresh interpreter, so ``sys.modules`` starts clean.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import multivec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -59,19 +62,26 @@ def test_every_public_name_resolves_lazily():
         "print(json.dumps({'n': len(names), 'unique': len(set(names)),\n"
         "                  'missing': missing, 'unknown': unknown}))"
     )
-    assert doc == {"n": 81, "unique": 81, "missing": [], "unknown": False}
+    assert doc == {"n": 82, "unique": 82, "missing": [], "unknown": False}
+
+
+def test_each_module_all_matches_its_package_exports():
+    # errors defines no __all__: its exports are its exception classes
+    for module, names in multivec._EXPORTS.items():
+        if module != "errors":
+            mod = importlib.import_module(f"multivec.{module}")
+            assert sorted(mod.__all__) == sorted(names), module
 
 
 def test_identity_suite_runs_without_scipy_stats():
-    # the radial identity runs on the double-exponential rule, so neither
-    # QUADPACK (scipy.integrate) nor the extended-precision Bessel fallback
-    # (mpmath) is loaded
+    # the radial identity runs on the double-exponential rule, so QUADPACK
+    # (scipy.integrate) is not loaded
     doc = run_fresh(
         "import json, sys\n"
         "from multivec import run_identity_suite\n"
         "reports = run_identity_suite(seed=0, n_draws=5000)\n"
         "print(json.dumps({'passed': all(r.passed for r in reports),\n"
-        "                  'loaded': [m for m in ('scipy.stats', 'scipy.integrate', 'mpmath')\n"
+        "                  'loaded': [m for m in ('scipy.stats', 'scipy.integrate')\n"
         "                             if m in sys.modules]}))"
     )
     assert doc == {"passed": True, "loaded": []}
@@ -117,3 +127,32 @@ def test_betaln_and_kve_load_scipy_special_when_called():
     assert doc == {"before": False, "after": True,
                    "c": log_norm_const(PearsonVII(r=3.0, q=2.2), 2.0),
                    "k": log_bessel_k(0.3, 1.7)}
+
+
+def test_no_command_and_no_bessel_overflow_loads_mpmath(tmp_path):
+    # mpmath is a test dependency only (the 40-digit Bessel references), so
+    # it is installed here and this assertion would see a stray import
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"alpha": 5.0, "beta": 8.0, "sigma1": 1.0, "sigma2": 2.0,
+                                  "r": 0.4, "q": 1.5, "s": 1.1}), encoding="utf-8")
+    sample = tmp_path / "s.csv"
+    commands = [
+        ["eval", "--model", "kotz-gamma", "--params", str(params), "--point", "1.5,2.5"],
+        ["sample", "--model", "kotz-gamma", "--params", str(params), "-n", "200",
+         "--seed", "3", "--out", str(sample)],
+        ["grid", "--model", "kotz-gamma-2d", "--params", str(params),
+         "--range", "0.1,8,0.1,8", "--steps", "20", "--out", str(tmp_path / "g.csv")],
+        ["fit", "--model", "kotz-gamma", "--mode", "dependent", "--input", str(sample),
+         "--out", str(tmp_path / "fit.json")],
+        ["check", "--suite", "identities", "--n-draws", "5000"],
+    ]
+    doc = run_fresh(
+        "import contextlib, io, json, math, sys\n"
+        "from multivec import cli, log_bessel_k\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {commands!r}]\n"
+        "k = log_bessel_k(100.0, 1e-3)  # kve overflows here\n"
+        "print(json.dumps({'codes': codes, 'finite': math.isfinite(k),\n"
+        "                  'mpmath': 'mpmath' in sys.modules}))"
+    )
+    assert doc == {"codes": [0, 0, 0, 0, 0], "finite": True, "mpmath": False}

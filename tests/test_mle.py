@@ -13,6 +13,7 @@ from multivec import (
     Kotz,
     KotzGammaDepParams,
     NonFiniteLikelihood,
+    NonPositiveInput,
     ParameterOutOfDomain,
     ScaleShapeParams,
     SuffStats,
@@ -346,6 +347,18 @@ def test_every_fit_logs_its_solves_and_honours_the_cap():
 def test_fit_rejects_tiny_samples():
     with pytest.raises(DegenerateSample):
         fit_dependent(np.ones((2, 2)) * np.array([1.0, 2.0]))
+
+
+def test_fits_reject_nonpositive_or_nonfinite_data_before_any_log():
+    base = _paired_gamma(3, 20)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        data = base.copy()
+        data[7, 1] = bad
+        for fit in (fit_dependent, fit_independent):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonPositiveInput, match="paired fit|NaN or Inf"):
+                    fit(data)
 
 
 def test_column_brent_is_scipy_brentq_bit_for_bit():
