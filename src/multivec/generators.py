@@ -22,6 +22,7 @@ both facts numerically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -44,6 +45,7 @@ _LOG_PI = math.log(math.pi)
 _LOG_SQRT_2PI = 0.91893853320467274178
 _GAMMALN_MAX = 2.556348e305  # log Gamma overflows past this
 _BESSEL_Z_FLOOR = 1e-300  # kve is infinite at every order below about 1e-304
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 def gammaln(x: float) -> float:
@@ -99,6 +101,115 @@ def gammaln(x: float) -> float:
                   + 7.93650340457716943945e-4) * p
                  - 2.77777777730099687205e-3) * p
                 + 8.33333333333331927722e-2) / x
+
+
+_EULER = 0.57721566490153286061
+_PSI_ROOT = (1569415565.0 / 1073741824.0, (381566830.0 / 1073741824.0) / 1073741824.0,
+             0.9016312093258695918615325266959189453125e-19)  # digamma's root near 1.46
+_PSI_Y = 0.99558162689208984  # a float32 constant, exact as a double
+_MACHEP = 1.11022302462515654042e-16  # 2**-53
+
+
+def digamma(x: float) -> float:
+    """psi(x) = d log Gamma(x)/dx for one finite float x > 0, bit for bit
+    scipy.special.digamma.
+
+    A port of Cephes psi (Moshier 1989) as scipy runs it: a sum of 1/i at the
+    integers up to 10; below 10 the recurrence psi(x+1) = psi(x) + 1/x moves x
+    into [1, 2], where Boost's rational fit digamma_imp_1_2 applies; from 10
+    up the asymptotic series, dropped past 1e17.  Horner steps follow Cephes'
+    polevl order.
+    """
+    y = 0.0
+    if x <= 10.0 and x == math.floor(x):
+        for i in range(1, int(x)):
+            y += 1.0 / i
+        return y - _EULER
+    if x < 1.0:
+        y -= 1.0 / x
+        x += 1.0
+    elif x < 10.0:
+        while x > 2.0:
+            x -= 1.0
+            y += 1.0 / x
+    if x <= 2.0:
+        g = x - _PSI_ROOT[0]
+        g -= _PSI_ROOT[1]
+        g -= _PSI_ROOT[2]
+        t = x - 1.0
+        num = (((((-0.0020713321167745952 * t
+                   - 0.045251321448739056) * t
+                  - 0.28919126444774784) * t
+                 - 0.65031853770896507) * t
+                - 0.32555031186804491) * t
+               + 0.25479851061131551)
+        den = ((((((-0.55789841321675513e-6 * t
+                    + 0.0021284987017821144) * t
+                   + 0.054151797245674225) * t
+                  + 0.43593529692665969) * t
+                 + 1.4606242909763515) * t
+                + 2.0767117023730469) * t
+               + 1.0)
+        return y + (g * _PSI_Y + g * (num / den))
+    s = 0.0
+    if x < 1.0e17:
+        z = 1.0 / (x * x)
+        s = z * ((((((8.33333333333333333333e-2 * z
+                      - 2.10927960927960927961e-2) * z
+                     + 7.57575757575757575758e-3) * z
+                    - 4.16666666666666666667e-3) * z
+                   + 3.96825396825396825397e-3) * z
+                  - 8.33333333333333333333e-3) * z
+                 + 8.33333333333333333333e-2)
+    return y + (math.log(x) - 0.5 / x - s)
+
+
+# (2k)! / B_2k, the Euler-Maclaurin coefficients of Cephes zeta
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+
+
+def trigamma(x: float) -> float:
+    """psi'(x) for one finite float x > 0, bit for bit scipy.special.polygamma(1, x).
+
+    scipy forms polygamma(1, x) as Gamma(2) zeta(2, x) = zeta(2, x); this
+    ports the Hurwitz zeta of Cephes (Moshier 1989): past x = 1e8 the
+    asymptotic (1 + 1/(2x))/x; else the direct sum of (x + i)^-2 over at least
+    9 terms and until x + i passes 9, stopping early once a term is below
+    2^-53 of the sum, then Euler-Maclaurin with up to 12 Bernoulli terms.
+    Powers go through libm's pow, as in Cephes.
+    """
+    if x > 1e8:
+        return (1.0 + 1.0 / (2.0 * x)) * math.pow(x, -1.0)
+    try:
+        s = math.pow(x, -2.0)
+    except OverflowError:  # x below ~1e-154: C's pow returns inf, as does scipy
+        return math.inf
+    a, i, b = x, 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -2.0)
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w  # b w / (x - 1) at x = 2
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coef in _ZETA_A:
+        a *= 2.0 + k
+        b /= w
+        t = a * b / coef
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= 2.0 + k
+        b /= w
+        k += 1.0
+    return s
 
 
 def log_bessel_k(q: float, z) -> np.ndarray | float:
@@ -183,6 +294,11 @@ class Kotz:
             out = power - self.r * w**self.s
         # the exponential always wins at w = inf (power - inf would give nan)
         return np.where(np.isinf(w) & (w > 0), -np.inf, out)
+
+    def log_kernel_at_log(self, log_w):
+        """log_kernel(exp(log_w)), for w too small to hold as a normal float."""
+        power = 0.0 if self.q == 1.0 else (self.q - 1.0) * log_w
+        return power - self.r * np.exp(self.s * log_w)
 
     def log_radial_integral(self, n: float) -> float:
         nu = (2 * self.q + n - 2) / (2 * self.s)
@@ -302,6 +418,10 @@ class Bessel:
             return float(out[0])
         return out
 
+    def log_kernel_at_log(self, log_w):
+        """log_kernel(exp(log_w)), for w too small to hold as a normal float."""
+        return 0.5 * log_w + log_bessel_k(self.q, np.exp(0.5 * log_w) / self.r)
+
     def log_radial_integral(self, n: float) -> float:
         # int s^{(n-1)/2} K_q(sqrt(s)/r) ds = 2^n r^{n+1} G((n+1-q)/2) G((n+1+q)/2)
         return (
@@ -345,7 +465,13 @@ class RadialLaw:
         self.spec.validate_at(self.n)
 
     def logpdf(self, r):
-        """log of dF(r) = (2 pi^{n/2} / Gamma(n/2)) r^{n-1} h(r^2)."""
+        """log of dF(r) = (2 pi^{n/2} / Gamma(n/2)) r^{n-1} h(r^2).
+
+        Where r^2 falls below the normal floats (r < ~1.5e-154) it loses bits
+        or underflows to 0, so there the singular Kotz and Bessel kernels are
+        formed from log r instead; a Bessel kernel raises ParameterOutOfDomain
+        where r / spec.r is below log_bessel_k's floor.
+        """
         r = np.asarray(r, dtype=float)
         n = self.n
         const = math.log(2.0) + (n / 2) * _LOG_PI - gammaln(n / 2)
@@ -353,10 +479,15 @@ class RadialLaw:
             out = np.where(
                 r > 0,
                 const
-                + (n - 1) * np.log(np.maximum(r, 1e-300))
+                + (n - 1) * np.log(r)
                 + log_h(self.spec, r**2, n),
                 -np.inf,
             )
+        tiny = (r > 0) & (r * r < _TINY)
+        if isinstance(self.spec, (Kotz, Bessel)) and np.any(tiny):
+            log_r = np.log(r[tiny])
+            out[tiny] = (const + (n - 1) * log_r + log_norm_const(self.spec, n)
+                         + self.spec.log_kernel_at_log(2.0 * log_r))
         if r.ndim == 0:
             return float(out)
         return out

@@ -20,6 +20,10 @@ profiled in s within a fixed bracket; an optimum on the bracket edge (the
 log-normal limit, with no MLE) is reported as not converged.
 ``FitResult.pinned`` names the parameters set by convention rather than by the
 data, and ``FitResult.restarts`` holds one log entry per solve.
+
+The module imports no scipy: ``gammaln``, ``digamma`` and ``trigamma`` are
+the Cephes ports in ``generators``, bit for bit scipy's, and the profile's
+root finder is a port of scipy's Brent routine.
 """
 
 from __future__ import annotations
@@ -29,11 +33,11 @@ import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln, polygamma
 
 from .core import FitResult, SampleMatrix, _positive
 from .errors import (DegenerateSample, EmptySample, NonFiniteLikelihood, NonPositiveInput,
                      ParameterOutOfDomain)
+from .generators import digamma, gammaln, trigamma
 
 __all__ = ["KotzGammaDepParams", "SuffStats", "loglik_dependent", "loglik_independent",
            "gamma_init", "fit_dependent", "fit_independent"]
@@ -242,11 +246,11 @@ def _gamma_shape(t: float, max_iter: int) -> tuple[float, int, bool]:
     _check_gap(t)
     a = _gamma_shape_start(t)
     for steps in range(max_iter + 1):
-        g = math.log(a) - float(digamma(a)) - t
+        g = math.log(a) - digamma(a) - t
         if abs(g) <= 16.0 * sys.float_info.epsilon * max(1.0, abs(math.log(a)), t):
             return a, steps, True
         if steps < max_iter:
-            a_next = a - g / (1.0 / a - float(polygamma(1, a)))
+            a_next = a - g / (1.0 / a - trigamma(a))
             a = a_next if a_next > 0 else 0.5 * a
     return a, max_iter, False
 
@@ -419,10 +423,11 @@ def _fit_dirichlet(st: SuffStats, start: np.ndarray, max_iter: int
     while steps < max_iter and not converged:
         steps += 1
         total = float(ab[0] + ab[1])
-        grad = (m * (float(digamma(m * total)) - math.log(total) + np.log(ab) - digamma(ab))
+        grad = (m * (digamma(m * total) - math.log(total) + np.log(ab)
+                     - np.array([digamma(v) for v in ab.tolist()]))
                 + np.array([st.a - m * math.log(st.c), st.b - m * math.log(st.d)]))
-        cross = m * (m * float(polygamma(1, m * total)) - 1.0 / total)
-        hess = cross + np.diag(m * (1.0 / ab - polygamma(1, ab)))
+        cross = m * (m * trigamma(m * total) - 1.0 / total)
+        hess = cross + np.diag(m * (1.0 / ab - np.array([trigamma(v) for v in ab.tolist()])))
         step = -np.linalg.solve(hess, grad) / ab
         size = float(np.max(np.abs(step)))
         converged = size <= _STEP_TOL

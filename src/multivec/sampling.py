@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MvEllipticalParams, ScaleShapeParams
+from .core import MvEllipticalParams, ScaleShapeParams, _sum_last
 from .densities import (
     BetaParams,
     GammaLogGammaParams,
@@ -104,13 +104,13 @@ def sample_unit_sphere(n: int, rng: np.random.Generator, size: int | None = None
         raise ParameterOutOfDomain(f"n must be >= 1, got {n}")
     m = _n_draws(size)
     z = rng.standard_normal((m, int(n)))
-    norms = np.linalg.norm(z, axis=-1, keepdims=True)
+    norms = np.sqrt(_sum_last(z * z))  # np.linalg.norm(z, axis=-1), bit for bit
     # a draw of exactly 0 has probability 0, but never divide by it
     while np.any(norms == 0.0):
-        redo = norms[:, 0] == 0.0
+        redo = norms == 0.0
         z[redo] = rng.standard_normal((int(np.sum(redo)), int(n)))
-        norms = np.linalg.norm(z, axis=-1, keepdims=True)
-    out = z / norms
+        norms = np.sqrt(_sum_last(z * z))
+    out = z / norms[:, None]
     return _squeeze(out, size)
 
 

@@ -358,10 +358,10 @@ def jacobian_check(n: int, n_draws: int = 100_000, seed: int = 0) -> CheckReport
     radius = rng.uniform(0.0, 1.0, size=n_draws) ** (1.0 / n)
     direction = sample_unit_sphere(n, rng, size=n_draws)
     x = radius[:, None] * direction
-    sq = np.sum(x * x, axis=1)
+    sq = _sum_last(x * x)
     y = x / np.sqrt(1.0 - sq)[:, None]
     # round-trip through the algebraic inverse
-    y_sq = np.sum(y * y, axis=1)
+    y_sq = _sum_last(y * y)
     x_back = y / np.sqrt(1.0 + y_sq)[:, None]
     round_trip = float(np.max(np.abs(x_back - x)))
     if round_trip > 1e-12:

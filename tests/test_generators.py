@@ -64,6 +64,37 @@ def test_gammaln_matches_scipy_bit_for_bit_in_every_branch():
     assert gammaln(1.0) == 0.0 and gammaln(2.0) == 0.0
 
 
+def test_digamma_and_trigamma_match_scipy_bit_for_bit():
+    rng = np.random.default_rng(15)
+    n = 2000
+    log_uniform = lambda lo, hi: np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+    tiny, big = sys.float_info.min, sys.float_info.max
+    xs = np.concatenate([
+        np.arange(1.0, 11.0),  # psi: the sum of 1/i
+        log_uniform(5e-324, 1.0),  # psi: one step up into [1, 2)
+        rng.uniform(0.0, 1.0, n),
+        rng.uniform(1.0, 2.0, n),  # psi: the rational fit alone
+        rng.uniform(2.0, 10.0, n),  # psi: steps down into (1, 2]
+        log_uniform(10.0, 1e17),  # psi: the asymptotic series
+        log_uniform(1e17, big),  # psi: log x - 1/(2x) alone; zeta: past 1e8
+        log_uniform(1e8, 1e17),
+        log_uniform(1e-154, 1e-7),  # zeta: the direct sum stops at its first term
+        log_uniform(5e-324, 1e-154),  # zeta: x^-2 overflows to inf
+        log_uniform(1e-7, 1e8),  # zeta: the direct sum, then Euler-Maclaurin
+        np.arange(1, 401) / 2.0,  # integers and half-integers 0.5 .. 200
+        [5e-324, tiny, big],
+    ])
+    edges = np.array([1.0, 2.0, 9.0, 10.0, 1e8, 1e17])
+    xs = np.concatenate([xs, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    xs = xs[xs > 0]
+    got = [generators.digamma(x) for x in xs.tolist()]
+    np.testing.assert_array_equal(_bits(got), _bits(special.digamma(xs)))
+    got = [generators.trigamma(x) for x in xs.tolist()]
+    np.testing.assert_array_equal(_bits(got), _bits(special.polygamma(1, xs)))
+    assert generators.trigamma(1e-160) == math.inf
+    assert generators.digamma(1.0) == -0.57721566490153286061
+
+
 class _PositiveOnly:
     """Stands in for gammaln: records the function that called it and fails
     on an argument that is not a finite float > 0."""
@@ -195,6 +226,36 @@ def test_rayleigh_radial_closed_form():
     law = RadialLaw(Kotz.gaussian(), 2.0)
     for r in (0.1, 0.5, 1.0, 2.5):
         assert abs(law.logpdf(r) - (math.log(r) - r * r / 2.0)) < 1e-12
+
+
+def test_radial_law_is_finite_where_r_squared_underflows():
+    # r^2 is subnormal at 1e-160 and 0 at 1e-170; kernels singular at w = 0
+    # are formed from log r there, so the law keeps its r^{n-1} h(r^2) slope
+    n = 3.0
+    shell = math.log(2.0) + (n / 2) * math.log(math.pi) - gammaln(n / 2)
+    kotz, bessel = Kotz(r=0.5, q=0.5, s=1.0), Bessel(r=1.0, q=2.5)
+    for r in (1e-170, 1e-160):
+        log_r = math.log(r)
+        want = shell + (n - 1) * log_r + log_norm_const(kotz, n) - log_r - 0.5 * r * r
+        assert RadialLaw(kotz, n).logpdf(r) == pytest.approx(want, rel=1e-14)
+        with mpmath.workdps(30):
+            log_k = float(mpmath.log(mpmath.besselk(2.5, mpmath.mpf(r))))
+        want = shell + (n - 1) * log_r + log_norm_const(bessel, n) + log_r + log_k
+        assert RadialLaw(bessel, n).logpdf(r) == pytest.approx(want, rel=1e-14)
+    assert RadialLaw(kotz, n).logpdf(1e-170) == pytest.approx(-391.44, abs=0.01)
+    # log r slopes: n - |q| for Bessel, n - 1 + 2(q - 1) for Kotz
+    for spec, slope in ((bessel, 0.5), (Bessel(r=1.0, q=0.3), 2.7), (kotz, 1.0)):
+        law = RadialLaw(spec, n)
+        rise = law.logpdf(1e-160) - law.logpdf(1e-170)
+        assert rise / (10 * math.log(10.0)) == pytest.approx(slope, rel=1e-9)
+        # where r^2 is a normal float the w form is kept, bit for bit
+        r = 2e-154
+        assert law.logpdf(r) == shell + (n - 1) * np.log(r) + log_h(spec, r * r, n)
+        points = np.array([0.0, 1e-170, 1e-160, r, 0.5])
+        assert law.logpdf(points).tolist() == [law.logpdf(x) for x in points.tolist()]
+    # below log_bessel_k's floor the Bessel kernel has no value to give
+    with pytest.raises(ParameterOutOfDomain, match="z >= 1e-300"):
+        RadialLaw(bessel, n).logpdf(1e-305)
 
 
 RADIAL_GRID = [

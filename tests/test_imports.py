@@ -3,21 +3,20 @@
 Each case runs in a fresh interpreter, so ``sys.modules`` starts clean.
 """
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import multivec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-# never loaded at start-up: `check` loads them, and an elliptical model's
-# first Cholesky factor loads scipy.linalg
-DEFERRED = ("scipy.stats", "scipy.interpolate", "scipy.integrate", "scipy.linalg",
-            "scipy.optimize")
 
 
 def run_fresh(code: str):
@@ -34,19 +33,6 @@ def test_package_import_loads_no_numpy():
     loaded = run_fresh(
         "import json, sys, multivec\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))))"
-    )
-    assert loaded == []
-
-
-def test_cli_and_fit_leave_the_heavy_scipy_modules_unloaded():
-    loaded = run_fresh(
-        "import json, sys\n"
-        "import multivec.cli\n"
-        "from multivec import fit_dependent, fit_independent, make_rng\n"
-        "u = make_rng(0).gamma(3.0, size=(200, 2)) ** 0.8\n"
-        "fit_dependent(u)\n"
-        "fit_independent(u)\n"
-        f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))"
     )
     assert loaded == []
 
@@ -87,27 +73,44 @@ def test_identity_suite_runs_without_scipy_stats():
     assert doc == {"passed": True, "loaded": []}
 
 
-def test_eval_sample_and_grid_load_no_scipy(tmp_path):
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({"alpha": 5.0, "beta": 8.0, "sigma1": 1.0, "sigma2": 2.0,
-                                  "r": 0.4, "q": 1.5, "s": 1.1}), encoding="utf-8")
-    commands = [
-        ["eval", "--model", "kotz-gamma", "--params", str(params), "--point", "1.5,2.5"],
-        ["sample", "--model", "kotz-gamma", "--params", str(params), "-n", "50",
-         "--seed", "3", "--out", str(tmp_path / "s.csv")],
-        ["grid", "--model", "kotz-gamma-2d", "--params", str(params),
-         "--range", "0.1,8,0.1,8", "--steps", "20", "--out", str(tmp_path / "g.csv")],
-    ]
+PARAMS = {"alpha": 5.0, "beta": 8.0, "sigma1": 1.0, "sigma2": 2.0, "r": 0.4, "q": 1.5, "s": 1.1}
+
+# each command with its arguments; {p} is the parameter file, {d} the sample
+# CSV and {o} an output directory
+SCIPY_FREE_COMMANDS = {
+    "eval": ["eval", "--model", "kotz-gamma", "--params", "{p}", "--point", "1.5,2.5"],
+    "sample": ["sample", "--model", "kotz-gamma", "--params", "{p}", "-n", "50",
+               "--seed", "3", "--out", "{o}/s.csv"],
+    "grid": ["grid", "--model", "kotz-gamma-2d", "--params", "{p}",
+             "--range", "0.1,8,0.1,8", "--steps", "20", "--out", "{o}/g.csv"],
+    "fit-dependent": ["fit", "--model", "kotz-gamma", "--mode", "dependent",
+                      "--input", "{d}", "--out", "{o}/fit.json"],
+    "fit-independent": ["fit", "--model", "kotz-gamma", "--mode", "independent",
+                        "--input", "{d}", "--out", "{o}/fit.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCIPY_FREE_COMMANDS))
+def test_command_loads_no_scipy(command, tmp_path):
+    from multivec import cli
+
+    params, data = tmp_path / "params.json", tmp_path / "data.csv"
+    params.write_text(json.dumps(PARAMS), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sample", "--model", "kotz-gamma", "--params", str(params),
+                         "-n", "200", "--seed", "5", "--out", str(data)]) == 0
+    argv = [a.format(p=params, d=data, o=tmp_path) for a in SCIPY_FREE_COMMANDS[command]]
     doc = run_fresh(
         "import contextlib, io, json, sys\n"
         "from multivec import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [cli.main(argv) for argv in {commands!r}]\n"
-        "print(json.dumps({'codes': codes,\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code,\n"
         "                  'loaded': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))"
     )
-    assert doc == {"codes": [0, 0, 0], "loaded": []}
-    assert len((tmp_path / "g.csv").read_text(encoding="utf-8").splitlines()) == 20 * 20 + 1
+    assert doc == {"code": 0, "loaded": []}
+    if command == "grid":
+        assert len((tmp_path / "g.csv").read_text(encoding="utf-8").splitlines()) == 20 * 20 + 1
 
 
 def test_betaln_and_kve_load_scipy_special_when_called():
@@ -133,8 +136,7 @@ def test_no_command_and_no_bessel_overflow_loads_mpmath(tmp_path):
     # mpmath is a test dependency only (the 40-digit Bessel references), so
     # it is installed here and this assertion would see a stray import
     params = tmp_path / "params.json"
-    params.write_text(json.dumps({"alpha": 5.0, "beta": 8.0, "sigma1": 1.0, "sigma2": 2.0,
-                                  "r": 0.4, "q": 1.5, "s": 1.1}), encoding="utf-8")
+    params.write_text(json.dumps(PARAMS), encoding="utf-8")
     sample = tmp_path / "s.csv"
     commands = [
         ["eval", "--model", "kotz-gamma", "--params", str(params), "--point", "1.5,2.5"],

@@ -63,6 +63,15 @@ def test_sphere_unit_norm():
         assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) < 1e-12
 
 
+def test_sphere_norms_are_linalg_norm_bit_for_bit():
+    # the column-by-column sum of squares is np.linalg.norm's for n < 8
+    for n in range(1, 8):
+        z = make_rng(n).standard_normal((100_000, n))
+        want = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        got = sample_unit_sphere(n, make_rng(n), size=100_000)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_sphere_n1_sign_balance():
     s = sample_unit_sphere(1, make_rng(7), size=10_000).ravel()
     npos = int(np.sum(s > 0))
