@@ -69,6 +69,42 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
     return out
 
 
+# below this many terms math.fsum over a list beats the binned sum (they
+# cross near 550 terms: 6 against 15 us at 200, 24 against 48 us at 1500)
+_FSUM_SHORT = 512
+# np.bincount adds fewer than this many bucket terms exactly (below 2^27 each)
+_FSUM_MAX_TERMS = 1 << 26
+# np.frexp exponents (x = mantissa 2^e, mantissa in [0.5, 1)) of the normal
+# floats whose bucket totals are exact doubles with a finite exact sum
+_FSUM_EXP = (-1021, 996)
+
+
+def _fsum(x: np.ndarray) -> float:
+    """math.fsum(x), bit for bit, for a 1-d float array.
+
+    A term x = (t + f) 2^(e - 27) splits by np.frexp's exponent e into an
+    integer t = trunc(mantissa 2^27), |t| < 2^27, and a multiple f of 2^-26,
+    |f| < 1.  With fewer than 2^26 terms every running total of np.bincount
+    over the e buckets is an exact double, so math.fsum of the nonzero bucket
+    totals rounds the same exact sum once (Neal 2015, arXiv:1505.05571), with
+    one Python float per bucket, not per term.  Short arrays, and ones with
+    non-finite, subnormal or near-overflow terms, go to math.fsum itself.
+    """
+    if not _FSUM_SHORT <= x.size < _FSUM_MAX_TERMS:
+        return math.fsum(x.tolist())
+    mant, exp = np.frexp(x)
+    lo, hi = int(exp.min()), int(exp.max())
+    if lo < _FSUM_EXP[0] or hi > _FSUM_EXP[1] or not np.isfinite(mant).all():
+        return math.fsum(x.tolist())
+    mant *= 2.0**27
+    whole = np.trunc(mant)
+    mant -= whole
+    bins, scale = exp - lo, np.arange(lo - 27, hi - 26)
+    totals = np.concatenate([np.ldexp(np.bincount(bins, whole), scale),
+                             np.ldexp(np.bincount(bins, mant), scale)])
+    return math.fsum(totals[totals != 0.0].tolist())
+
+
 def _all_last(a: np.ndarray) -> np.ndarray:
     """np.all(a, axis=-1) for a boolean a, as True & a[..., 0] & a[..., 1] & ...
     (a boolean & is exact at any length)."""

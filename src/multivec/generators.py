@@ -46,6 +46,7 @@ _LOG_SQRT_2PI = 0.91893853320467274178
 _GAMMALN_MAX = 2.556348e305  # log Gamma overflows past this
 _BESSEL_Z_FLOOR = 1e-300  # kve is infinite at every order below about 1e-304
 _TINY = sys.float_info.min  # the smallest normal float
+_ZETA3, _ZETA5 = 1.2020569031595942854, 1.0369277551433699263  # Riemann zeta(3), zeta(5)
 
 
 def gammaln(x: float) -> float:
@@ -221,18 +222,19 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
     precision.  Where kve overflows (large |q| with tiny z), the upward
     recurrence K_{v+1} = K_{v-1} + (2v/z) K_v, which is stable for K (DLMF
     10.29.1), climbs in logs from orders f and 1 - f, |q| = n + f, where kve
-    is finite for every z >= 1e-300.  z = +inf maps to -inf (the kernel
-    decays to zero).
+    is finite for every z >= 1e-300.  Below that floor kve is infinite at
+    every order, and the small-z form of :func:`_log_bessel_k_small` applies.
+    z = +inf maps to -inf (the kernel decays to zero).
 
-    Raises ParameterOutOfDomain for z < 1e-300 or nan: below that floor kve
-    is infinite at every order, so the climb has no finite start.
+    Raises ParameterOutOfDomain for z <= 0 or nan.
     """
     from scipy import special  # deferred: costs CLI start-up
 
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr < _BESSEL_Z_FLOOR) or np.any(np.isnan(z_arr)):
-        raise ParameterOutOfDomain(
-            f"log_bessel_k requires z >= {_BESSEL_Z_FLOOR:g}, got {z!r}")
+    z_in = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.all(z_in > 0):
+        raise ParameterOutOfDomain(f"log_bessel_k requires z > 0, got {z!r}")
+    small = z_in < _BESSEL_Z_FLOOR
+    z_arr = np.where(small, 1.0, z_in) if small.any() else z_in
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = np.where(np.isinf(z_arr), -np.inf, np.log(special.kve(q, z_arr)) - z_arr)
     far = np.isnan(out) & (z_arr > 1e8)  # the dropped term is below 1e-10 for |q| <= 50
@@ -250,9 +252,36 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
         for v in np.arange(1, n) + f:  # (lo, hi) = log (K_{v-1}, K_v) -> log (K_v, K_{v+1})
             lo, hi = hi, np.logaddexp(lo, np.log(2.0 * v / zb) + hi)
         out[bad] = hi - zb
+    if small.any():
+        out[small] = _log_bessel_k_small(q, np.log(z_in[small]))
     if np.ndim(z) == 0:
         return float(out[0])
     return out
+
+
+def _log_bessel_k_small(q: float, log_z: np.ndarray) -> np.ndarray:
+    """log K_q(z) from log z, for 0 < z < 1e-300, where the dropped terms of
+    DLMF 10.31.2 (q = 0) and 10.30.2 are below z^2 relative.
+
+    With t = -log(z/2) = log 2 - log z, which a subnormal z keeps exact:
+    K_0 = t - gamma; for nu = |q| >= 1 the leading term Gamma(nu)/2 e^{nu t};
+    for 0 < nu < 1 both terms, Gamma(nu)/2 e^{nu t} + Gamma(-nu)/2 e^{-nu t}.
+    Written with Gamma(1 +- nu) = e^{A +- D} that sum is e^A sinh(nu t + D)/nu,
+    so the two terms' cancellation as nu -> 0 costs no bits, and the limit is
+    K_0.  Below nu = 1e-3, where 1 +- nu drops bits of nu that nu t would
+    feel, D comes from the odd Taylor terms of log Gamma(1 + nu) instead.
+    """
+    nu, t = abs(q), math.log(2.0) - log_z
+    if nu == 0.0:
+        return np.log(t - _EULER)
+    if nu >= 1.0:
+        return math.lgamma(nu) - math.log(2.0) + nu * t
+    g_up, g_down = math.lgamma(1.0 + nu), math.lgamma(1.0 - nu)
+    odd = (-nu * (_EULER + nu * nu * (_ZETA3 / 3.0 + nu * nu * _ZETA5 / 5.0)) if nu < 1e-3
+           else 0.5 * (g_up - g_down))
+    y = nu * t + odd
+    log_sinh = y - math.log(2.0) + np.log(-np.expm1(-2.0 * y))
+    return 0.5 * (g_up + g_down) + log_sinh - math.log(nu)
 
 
 def _require_finite(spec) -> None:
@@ -419,8 +448,15 @@ class Bessel:
         return out
 
     def log_kernel_at_log(self, log_w):
-        """log_kernel(exp(log_w)), for w too small to hold as a normal float."""
-        return 0.5 * log_w + log_bessel_k(self.q, np.exp(0.5 * log_w) / self.r)
+        """log_kernel(exp(log_w)), for w too small to hold as a normal float.
+        Where z = w^{1/2}/r is below log_bessel_k's floor, it may be subnormal
+        or 0, so there K_q's small-z form takes log z from log w."""
+        half = 0.5 * np.atleast_1d(np.asarray(log_w, dtype=float))
+        z = np.exp(half) / self.r
+        small = z < _BESSEL_Z_FLOOR
+        log_k = log_bessel_k(self.q, np.where(small, 1.0, z))
+        log_k[small] = _log_bessel_k_small(self.q, half[small] - math.log(self.r))
+        return half + log_k
 
     def log_radial_integral(self, n: float) -> float:
         # int s^{(n-1)/2} K_q(sqrt(s)/r) ds = 2^n r^{n+1} G((n+1-q)/2) G((n+1+q)/2)
@@ -469,8 +505,7 @@ class RadialLaw:
 
         Where r^2 falls below the normal floats (r < ~1.5e-154) it loses bits
         or underflows to 0, so there the singular Kotz and Bessel kernels are
-        formed from log r instead; a Bessel kernel raises ParameterOutOfDomain
-        where r / spec.r is below log_bessel_k's floor.
+        formed from log r instead.
         """
         r = np.asarray(r, dtype=float)
         n = self.n

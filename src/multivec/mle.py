@@ -23,7 +23,9 @@ data, and ``FitResult.restarts`` holds one log entry per solve.
 
 The module imports no scipy: ``gammaln``, ``digamma`` and ``trigamma`` are
 the Cephes ports in ``generators``, bit for bit scipy's, and the profile's
-root finder is a port of scipy's Brent routine.
+root finder is a port of scipy's Brent routine.  Every sum over the data is
+exactly rounded by ``core._fsum``, which gives math.fsum's bits without a
+Python float per term, and each column is summed once per fit.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import FitResult, SampleMatrix, _positive
+from .core import FitResult, SampleMatrix, _fsum, _positive
 from .errors import (DegenerateSample, EmptySample, NonFiniteLikelihood, NonPositiveInput,
                      ParameterOutOfDomain)
 from .generators import digamma, gammaln, trigamma
@@ -93,9 +95,9 @@ class KotzGammaDepParams:
 class SuffStats:
     """Sufficient statistics of a paired positive sample.
 
-    a = sum(log u), b = sum(log v), c = sum(u), d = sum(v); all sums use
-    compensated (exactly rounded) summation so values are independent of
-    evaluation order.
+    a = sum(log u), b = sum(log v), c = sum(u), d = sum(v); each is the
+    exactly rounded sum (``core._fsum``, math.fsum's bits), so values are
+    independent of evaluation order.
     """
 
     __slots__ = ("m", "a", "b", "c", "d")
@@ -114,10 +116,10 @@ class SuffStats:
         if np.any(u <= 0) or np.any(v <= 0):
             raise NonPositiveInput("paired gengamma sample must be positive")
         self.m = int(u.size)
-        self.a = math.fsum(np.log(u))
-        self.b = math.fsum(np.log(v))
-        self.c = math.fsum(u)
-        self.d = math.fsum(v)
+        self.a = _fsum(np.log(u))
+        self.b = _fsum(np.log(v))
+        self.c = _fsum(u)
+        self.d = _fsum(v)
 
 
 def _positive_column(sample: np.ndarray, user: str) -> np.ndarray:
@@ -132,9 +134,9 @@ def _positive_column(sample: np.ndarray, user: str) -> np.ndarray:
 
 
 def _log_sum_exp(x: np.ndarray) -> float:
-    """log(sum(exp(x))) without overflow, with a compensated sum."""
+    """log(sum(exp(x))) without overflow, with an exactly rounded sum."""
     top = float(np.max(x))
-    return top + math.log(math.fsum(np.exp(x - top)))
+    return top + math.log(_fsum(np.exp(x - top)))
 
 
 def _exp_penalty(log_value: float, model: str) -> float:
@@ -187,15 +189,19 @@ def loglik_independent(
     with a = sum(log u) and b_s = sum(u^s); the last term is formed in log
     space.
     """
-    u = _positive_column(sample, "independent likelihood")
+    log_u = np.log(_positive_column(sample, "independent likelihood"))
+    return _column_loglik(sigma, shape, r, q, s, log_u, _fsum(log_u))
+
+
+def _column_loglik(sigma: float, shape: float, r: float, q: float, s: float,
+                   log_u: np.ndarray, a: float) -> float:
+    """:func:`loglik_independent` from the column's logs and their sum a."""
     for name, val in (("sigma", sigma), ("shape", shape), ("r", r), ("s", s)):
         _positive(name, (val,))
     nu = (q + shape - 1.0) / s
     if nu <= 0:
         raise ParameterOutOfDomain(f"kernel moment index (q + shape - 1)/s = {nu} <= 0")
-    m = u.size
-    log_u = np.log(u)
-    a = math.fsum(log_u)
+    m = log_u.size
     log_sigma = math.log(sigma)
     log_penalty = math.log(r) - 2.0 * s * log_sigma + _log_sum_exp(s * log_u)
     value = (
@@ -226,13 +232,17 @@ def gamma_init(sample: np.ndarray) -> tuple[float, float]:
     gengamma reduction u ~ Gamma(alpha, 2 sigma^2).
     """
     u = _positive_column(sample, "gamma initializer")
-    m = u.size
-    total = math.fsum(u)
-    t = math.log(total / m) - math.fsum(np.log(u)) / m
-    _check_gap(t)
-    alpha = _gamma_shape_start(t)
+    m, total = u.size, _fsum(u)
+    alpha = _gamma_start(m, total, _fsum(np.log(u)))
     sigma = math.sqrt(total / (2.0 * m * alpha))
     return alpha, sigma
+
+
+def _gamma_start(m: int, total: float, log_total: float) -> float:
+    """gamma_init's shape from a column's sum and its sum of logs."""
+    t = math.log(total / m) - log_total / m
+    _check_gap(t)
+    return _gamma_shape_start(t)
 
 
 def _gamma_shape(t: float, max_iter: int) -> tuple[float, int, bool]:
@@ -282,14 +292,15 @@ def _fit_result(params: dict, loglik: float, solves: list[dict], mode: str,
 # log-moment gap of y = (u/g)^s.
 
 
-def _column_score(log_s: float, ell: np.ndarray, max_iter: int) -> float:
-    """d(profile loglik)/d(log s) over m: 1 - s nu E_w[ell], weights w ~ (u/g)^s."""
+def _column_score(log_s: float, ell: np.ndarray, top_ell: float, max_iter: int) -> float:
+    """d(profile loglik)/d(log s) over m: 1 - s nu E_w[ell], weights w ~ (u/g)^s;
+    top_ell = max(ell)."""
     s = math.exp(log_s)
-    top = s * float(np.max(ell))
+    top = s * top_ell
     w = np.exp(s * ell - top)
-    total = math.fsum(w)
+    total = _fsum(w)
     nu = _gamma_shape(top + math.log(total / ell.size), max_iter)[0]
-    return 1.0 - s * nu * math.fsum(w * ell) / total
+    return 1.0 - s * nu * _fsum(w * ell) / total
 
 
 def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float, max_iter: int
@@ -338,25 +349,30 @@ def _fit_column(u: np.ndarray, freeze_generator: bool, max_iter: int
                 ) -> tuple[tuple[float, float, float], dict]:
     """(sigma, shape, s) at the gauge r = 1/2, q = 1, and the solve log entry."""
     log_u = np.log(u)
-    log_g = math.fsum(log_u) / u.size
+    a = _fsum(log_u)
+    log_g = a / u.size
     ell = log_u - log_g
     lo, hi = _LOG_S_BRACKET
     log_s, converged, steps = 0.0, True, 0
     if not freeze_generator:
-        score_lo, score_hi = _column_score(lo, ell, max_iter), _column_score(hi, ell, max_iter)
+        top_ell = float(np.max(ell))
+
+        def score(x: float) -> float:
+            return _column_score(x, ell, top_ell, max_iter)
+
+        score_lo, score_hi = score(lo), score(hi)
         if score_lo <= 0.0:
             log_s, converged = lo, False
         elif score_hi >= 0.0:
             log_s, converged = hi, False
         else:
-            log_s, steps, converged = _brentq(lambda x: _column_score(x, ell, max_iter),
-                                              lo, hi, score_lo, score_hi, max_iter)
+            log_s, steps, converged = _brentq(score, lo, hi, score_lo, score_hi, max_iter)
     s = math.exp(log_s)
     t = _log_sum_exp(s * ell) - math.log(u.size)
     nu, shape_steps, shape_ok = _gamma_shape(t, max_iter)
     # the rate nu / mean(u^s) equals r sigma^(-2s) at r = 1/2
     sigma = math.exp((t - math.log(2.0 * nu)) / (2.0 * s) + 0.5 * log_g)
-    loglik = loglik_independent(sigma, nu * s, 0.5, 1.0, s, u)
+    loglik = _column_loglik(sigma, nu * s, 0.5, 1.0, s, log_u, a)
     start = [_gamma_shape_start(t)] if freeze_generator else [math.exp(lo), math.exp(hi)]
     return (sigma, nu * s, s), {"start": start, "loglik": loglik,
                                 "converged": converged and shape_ok,
@@ -464,7 +480,8 @@ def fit_dependent(data: SampleMatrix | np.ndarray, freeze_generator: bool = Fals
                                        for k in ("sigma1", "sigma2", "alpha", "beta"))
         solves, pinned = ind.restarts, ("q", "r", "s")
     else:
-        start = np.array([gamma_init(values[:, 0])[0], gamma_init(values[:, 1])[0]])
+        start = np.array([_gamma_start(stats.m, stats.c, stats.a),
+                          _gamma_start(stats.m, stats.d, stats.b)])
         (alpha, beta), solve = _fit_dirichlet(stats, start, max_iter)
         rho2 = alpha * stats.d / (beta * stats.c)
         sigma1 = math.sqrt((stats.c + stats.d / rho2) / (2.0 * stats.m * (alpha + beta)))

@@ -1,6 +1,7 @@
 """Domain types and the dense linear algebra under every density."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from multivec import (
     spd_factorize,
     validate_partition,
 )
+from multivec import core
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +244,98 @@ def test_fit_result_requires_finite_loglik_when_converged():
     FitResult(params={"a": 1.0}, loglik=-2.0, iterations=3, converged=True, mode="dependent")
     with pytest.raises(ValueError):
         FitResult(params={}, loglik=np.nan, iterations=1, converged=True, mode="dependent")
+
+
+# ---------------------------------------------------------------------------
+# _fsum: math.fsum's bits, binned by exponent past a cutoff
+
+
+@pytest.fixture
+def bincounts(monkeypatch):
+    """Counts np.bincount calls: the binned path makes two, math.fsum none."""
+    calls = []
+    real = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def _outcome(sum_, x):
+    """float.hex of the sum ('nan', 'inf' and the sign of 0 included), or the
+    type of what it raised."""
+    try:
+        return sum_(x).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _scattered(rng, size, lo, hi):
+    """Normal draws scaled by 2^k, k uniform on [lo, hi]: mixed signs."""
+    return rng.standard_normal(size) * np.exp2(rng.integers(lo, hi + 1, size))
+
+
+@pytest.mark.parametrize("size", [core._FSUM_SHORT - 1, core._FSUM_SHORT,
+                                  core._FSUM_SHORT + 1, 2000, 20000])
+def test_fsum_is_math_fsum_bit_for_bit(size, bincounts):
+    rng = np.random.default_rng(size)
+    cases = [_scattered(rng, size, -k, min(k, 990)) for k in (0, 1, 60, 130, 500, 1000)]
+    half = _scattered(rng, size // 2, -300, 300)
+    cancel = np.concatenate([half, -half, [0.0] * (size % 2)])
+    rng.shuffle(cancel)
+    cases += [cancel, np.zeros(size), np.full(size, -0.0),
+              np.where(rng.random(size) < 0.5, 0.0, -0.0)]
+    for x in cases:
+        assert core._fsum(x).hex() == math.fsum(x).hex()
+    binned = size >= core._FSUM_SHORT
+    assert len(bincounts) == 2 * len(cases) * binned
+    assert core._fsum(cancel).hex() == "0x0.0p+0"
+
+
+def test_fsum_rounds_ties_to_even_like_math_fsum(bincounts):
+    pad = [0.0] * 2000
+    for head in ([1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [1.0, 2.0**-53, 2.0**-1000],
+                 [1.0, 2.0**-53, -(2.0**-1000)], [2.0**900, 1.0, -(2.0**900)]):
+        x = np.array(head + pad)
+        assert core._fsum(x).hex() == math.fsum(x).hex()
+    assert len(bincounts) == 10
+
+
+def test_fsum_guards_send_subnormal_and_huge_terms_to_math_fsum(bincounts):
+    rng = np.random.default_rng(7)
+    base = _scattered(rng, 2000, -20, 20)
+    lo_exp, hi_exp = core._FSUM_EXP
+    at_floor, below_floor = math.ldexp(0.5, lo_exp), math.ldexp(0.5, lo_exp) / 2.0
+    at_top, above_top = math.ldexp(1.0 - 2.0**-53, hi_exp), math.ldexp(0.5, hi_exp + 1)
+    top_subnormal = math.nextafter(at_floor, 0.0)  # 52 mantissa bits below 2^-1074's reach
+    for edge, binned in ((at_floor, True), (below_floor, False), (top_subnormal, False),
+                         (5e-324, False), (at_top, True), (above_top, False)):
+        for x in (np.append(base, edge), np.append(base, -edge),
+                  np.full(2000, edge), np.tile([edge, -edge, 3.0], 700)):
+            before = len(bincounts)
+            assert core._fsum(x).hex() == math.fsum(x).hex()
+            assert len(bincounts) - before == 2 * binned
+    # past the guard an exact sum can overflow; both raise OverflowError
+    huge = np.full(2000, sys.float_info.max)
+    assert _outcome(core._fsum, huge) is _outcome(math.fsum, huge) is OverflowError
+
+
+def test_fsum_passes_inf_and_nan_through_as_math_fsum_does():
+    rng = np.random.default_rng(8)
+    for size in (10, 2000):
+        base = _scattered(rng, size, -10, 10)
+        for extra in ([math.inf], [-math.inf], [math.nan], [math.inf, -math.inf],
+                      [math.inf, math.nan], [math.inf, math.inf]):
+            x = np.concatenate([base, extra])
+            rng.shuffle(x)
+            assert _outcome(core._fsum, x) == _outcome(math.fsum, x)
+
+
+def test_fsum_gives_the_largest_arrays_to_math_fsum(monkeypatch, bincounts):
+    # bincount's totals stay exact below 2^26 terms; a smaller cap stands in
+    # for that many floats
+    monkeypatch.setattr(core, "_FSUM_MAX_TERMS", 1500)
+    rng = np.random.default_rng(9)
+    for size, binned in ((1499, True), (1500, False), (4000, False)):
+        x = _scattered(rng, size, -40, 40)
+        before = len(bincounts)
+        assert core._fsum(x).hex() == math.fsum(x).hex()
+        assert len(bincounts) - before == 2 * binned

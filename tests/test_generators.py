@@ -253,9 +253,18 @@ def test_radial_law_is_finite_where_r_squared_underflows():
         assert law.logpdf(r) == shell + (n - 1) * np.log(r) + log_h(spec, r * r, n)
         points = np.array([0.0, 1e-170, 1e-160, r, 0.5])
         assert law.logpdf(points).tolist() == [law.logpdf(x) for x in points.tolist()]
-    # below log_bessel_k's floor the Bessel kernel has no value to give
-    with pytest.raises(ParameterOutOfDomain, match="z >= 1e-300"):
-        RadialLaw(bessel, n).logpdf(1e-305)
+    # below log_bessel_k's floor (r < spec.r * 1e-300) K_q's small-z form
+    # applies, also where r / spec.r is subnormal or rounds to 0
+    for spec in (bessel, Bessel(r=3.0, q=0.3), Bessel(r=1.0, q=0.0)):
+        law = RadialLaw(spec, n)
+        for r in (1e-305, 1e-315, 5e-324):
+            log_r = math.log(r)
+            with mpmath.workdps(40):
+                log_k = float(mpmath.log(mpmath.besselk(spec.q, mpmath.mpf(r) / spec.r)))
+            want = shell + (n - 1) * log_r + log_norm_const(spec, n) + log_r + log_k
+            assert law.logpdf(r) == pytest.approx(want, rel=1e-14)
+        assert law.logpdf(np.array([5e-324, 1e-305, 0.5])).tolist() == [
+            law.logpdf(x) for x in (5e-324, 1e-305, 0.5)]
 
 
 RADIAL_GRID = [
@@ -369,15 +378,24 @@ def test_bessel_k_symmetry_and_domain():
         q = float(rng.uniform(-50.0, 50.0))
         z = float(10.0 ** rng.uniform(-6, 2.8))
         assert log_bessel_k(-q, z) == log_bessel_k(q, z)
-    with pytest.raises(ParameterOutOfDomain):
-        log_bessel_k(1.0, 0.0)
-    with pytest.raises(ParameterOutOfDomain):
-        log_bessel_k(1.0, -3.0)
-    # below 1e-300 kve is infinite at every order: the climb has no start
-    for z in (1e-301, 5e-324, np.array([1.0, 1e-305])):
-        with pytest.raises(ParameterOutOfDomain, match="z >= 1e-300"):
-            log_bessel_k(100.0, z)
-    assert math.isfinite(log_bessel_k(0.3, 1e-300))
+    for z in (0.0, -3.0, math.nan, np.array([1.0, 0.0]), np.array([1e-305, math.nan])):
+        with pytest.raises(ParameterOutOfDomain, match="z > 0"):
+            log_bessel_k(1.0, z)
+    # below 1e-300, where kve is infinite at every order, the small-z form
+    # takes over; arrays mixing both sides agree with scalar calls
+    z = np.array([1.0, 1e-305, 1e-300, 5e-324])
+    assert log_bessel_k(100.0, z).tolist() == [log_bessel_k(100.0, x) for x in z.tolist()]
+    for q in (0.0, 0.3, 1.0, 2.5, 40.3):
+        below = log_bessel_k(q, float(np.nextafter(1e-300, 0.0)))
+        assert below == pytest.approx(log_bessel_k(q, 1e-300), rel=1e-15)
+
+
+@pytest.mark.parametrize("z", [1e-301, 1e-305, 1e-310, 5e-324])
+def test_bessel_k_small_z_form_matches_mpmath(z):
+    # DLMF 10.31.2 at q = 0, 10.30.2's two terms for 0 < |q| < 1 (they cancel
+    # as q -> 0), the leading term from |q| = 1 on
+    for q in (0.0, 1e-6, 1e-12, 0.3, 0.5, 0.999, 1.0, 2.5, 40.3, -0.3, -2.5):
+        assert log_bessel_k(q, z) == pytest.approx(_mp_log_k(q, z), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

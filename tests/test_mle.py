@@ -1,5 +1,6 @@
 """Likelihoods, the closed-form gamma initializer, and the profile fits."""
 
+import hashlib
 import math
 import warnings
 
@@ -24,6 +25,7 @@ from multivec import (
     loglik_independent,
     logpdf_mv_gengamma,
     make_rng,
+    sample_mv_gengamma,
 )
 from multivec.sampling import sample_gengamma_pairs
 
@@ -375,16 +377,110 @@ def test_column_brent_is_scipy_brentq_bit_for_bit():
             for power in (0.3, 1.0, 2.5) * 3:
                 u = rng.gamma(shape, size=m) ** (1.0 / power)
                 ell = np.log(u) - math.fsum(np.log(u)) / m
+                top = float(np.max(ell))
                 for max_iter in (0, 1, 2, 4, 8, 10_000):
-                    f_lo, f_hi = (mle._column_score(x, ell, max_iter) for x in (lo, hi))
+                    f_lo, f_hi = (mle._column_score(x, ell, top, max_iter) for x in (lo, hi))
                     if not f_lo > 0.0 > f_hi:
                         continue
                     root, res = optimize.brentq(
-                        mle._column_score, lo, hi, args=(ell, max_iter), xtol=1e-12,
+                        mle._column_score, lo, hi, args=(ell, top, max_iter), xtol=1e-12,
                         maxiter=max_iter, full_output=True, disp=False)
-                    port = mle._brentq(lambda x: mle._column_score(x, ell, max_iter),
+                    port = mle._brentq(lambda x: mle._column_score(x, ell, top, max_iter),
                                        lo, hi, f_lo, f_hi, max_iter)
                     assert port == (root, res.iterations, res.converged)
                     solved += 1
                     capped += not res.converged
     assert solved >= 250 and 40 <= solved - capped and capped >= 200
+
+
+# ---------------------------------------------------------------------------
+# every bit of the fits, pinned
+
+# fit_independent, frozen fit_dependent and fit_dependent on README-truth pairs
+# (FIT_DATA_SEED = 2024), as float.hex: (loglik, iterations, params)
+PINNED_DATA = {60: "5cf1b0c0470e23da", 200: "5350c22a1c9b3379", 2000: "06a8545bd273e142"}
+PINNED_FITS = {
+    ("independent", 60): ("-0x1.79c874c1ac967p+8", 32, {
+        "sigma1": "0x1.ced2086506c56p-3", "alpha": "0x1.e63e8f19cc2d8p+2",
+        "r1": "0x1.0000000000000p-1", "q1": "0x1.0000000000000p+0",
+        "s1": "0x1.53b089cae3235p-1", "sigma2": "0x1.6890d68a91e8bp+1",
+        "beta": "0x1.7ca66f7d3c2c5p+2", "r2": "0x1.0000000000000p-1",
+        "q2": "0x1.0000000000000p+0", "s2": "0x1.5bc7d6fe64a5cp+0",
+    }),
+    ("frozen", 60): ("-0x1.79f651469e876p+8", 5, {
+        "sigma1": "0x1.822a52b4b8cd5p-1", "sigma2": "0x1.915d8128eca39p+0",
+        "alpha": "0x1.4cc05d7b15066p+2", "beta": "0x1.f332577e8d152p+2",
+        "r": "0x1.0000000000000p-1", "q": "0x1.0000000000000p+0",
+        "s": "0x1.0000000000000p+0",
+    }),
+    ("dependent", 60): ("-0x1.79f6d95bd0c9ep+8", 4, {
+        "sigma1": "0x1.836233f1c4593p-1", "sigma2": "0x1.934d352cf665cp+0",
+        "alpha": "0x1.4aa96a7c59977p+2", "beta": "0x1.ee6a264b4b7d9p+2",
+        "r": "0x1.0000000000000p-1", "q": "0x1.0000000000000p+0",
+        "s": "0x1.0000000000000p+0",
+    }),
+    ("independent", 200): ("-0x1.31122dc2a5c77p+10", 29, {
+        "sigma1": "0x1.284200e6c3508p+0", "alpha": "0x1.e0032bd12957fp+1",
+        "r1": "0x1.0000000000000p-1", "q1": "0x1.0000000000000p+0",
+        "s1": "0x1.48763d12ab86bp+0", "sigma2": "0x1.12b1d06902f4ap-1",
+        "beta": "0x1.5180169a2516dp+3", "r2": "0x1.0000000000000p-1",
+        "q2": "0x1.0000000000000p+0", "s2": "0x1.6cc64e9f16798p-1",
+    }),
+    ("frozen", 200): ("-0x1.31333b70dd7b8p+10", 5, {
+        "sigma1": "0x1.7f09856640da2p-1", "sigma2": "0x1.7df7816fbf250p+0",
+        "alpha": "0x1.26b84cc6fe525p+2", "beta": "0x1.e9f6f96517fc9p+2",
+        "r": "0x1.0000000000000p-1", "q": "0x1.0000000000000p+0",
+        "s": "0x1.0000000000000p+0",
+    }),
+    ("dependent", 200): ("-0x1.313345ce33b34p+10", 3, {
+        "sigma1": "0x1.7f5f9d0be08d9p-1", "sigma2": "0x1.7e8a0fb5d9fccp+0",
+        "alpha": "0x1.2633fd811e41ep+2", "beta": "0x1.e87fd4d9d0351p+2",
+        "r": "0x1.0000000000000p-1", "q": "0x1.0000000000000p+0",
+        "s": "0x1.0000000000000p+0",
+    }),
+    ("independent", 2000): ("-0x1.5dcb348507a61p+13", 28, {
+        "sigma1": "0x1.a126117d6fe84p-1", "alpha": "0x1.21057052bdb24p+2",
+        "r1": "0x1.0000000000000p-1", "q1": "0x1.0000000000000p+0",
+        "s1": "0x1.1fe5fde5ca399p+0", "sigma2": "0x1.4fed3496168d5p+0",
+        "beta": "0x1.05077bf6e80bep+3", "r2": "0x1.0000000000000p-1",
+        "q2": "0x1.0000000000000p+0", "s2": "0x1.02809b89b18f1p+0",
+    }),
+    ("frozen", 2000): ("-0x1.5dcf00c74b8d0p+13", 5, {
+        "sigma1": "0x1.4b47a3c048d3ap-1", "sigma2": "0x1.48412e849b92ep+0",
+        "alpha": "0x1.3faf9edde1709p+2", "beta": "0x1.07612a7a745b4p+3",
+        "r": "0x1.0000000000000p-1", "q": "0x1.0000000000000p+0",
+        "s": "0x1.0000000000000p+0",
+    }),
+    ("dependent", 2000): ("-0x1.5dcf00e876b6cp+13", 3, {
+        "sigma1": "0x1.4b4f26c970efbp-1", "sigma2": "0x1.484dc0190176ap+0",
+        "alpha": "0x1.3fa11fe3b5598p+2", "beta": "0x1.074d004c84d54p+3",
+        "r": "0x1.0000000000000p-1", "q": "0x1.0000000000000p+0",
+        "s": "0x1.0000000000000p+0",
+    }),
+}
+
+
+def _readme_truth_pairs(m: int) -> np.ndarray:
+    """m pairs of one dependent draw at the README truth: the fit benchmark's data."""
+    truth = KotzGammaDepParams(sigma1=1.0, sigma2=2.0, alpha=5.0, beta=8.0, r=0.4, q=1.5, s=1.1)
+    base = ScaleShapeParams(shapes=(truth.alpha,) * m + (truth.beta,) * m,
+                            scales=(truth.sigma1**2,) * m + (truth.sigma2**2,) * m)
+    flat = np.asarray(sample_mv_gengamma(base, Kotz(q=truth.q, r=truth.r, s=truth.s),
+                                         make_rng(2024)))
+    return np.column_stack([flat[:m], flat[m:]])
+
+
+@pytest.mark.parametrize("m", [60, 200, 2000])
+def test_fits_keep_their_bits(m):
+    # every sum in the fits is exactly rounded, so how a sum is formed cannot
+    # move a bit; a moved bit here means a changed sum or solve step
+    data = _readme_truth_pairs(m)
+    assert hashlib.sha256(data.tobytes()).hexdigest()[:16] == PINNED_DATA[m]
+    fits = (("independent", fit_independent),
+            ("frozen", lambda d: fit_dependent(d, freeze_generator=True)),
+            ("dependent", fit_dependent))
+    for kind, fit in fits:
+        res = fit(data)
+        loglik, iterations, params = PINNED_FITS[(kind, m)]
+        assert (res.loglik.hex(), res.iterations) == (loglik, iterations)
+        assert {k: float(v).hex() for k, v in res.params.items()} == params
