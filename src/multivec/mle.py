@@ -25,7 +25,8 @@ The module imports no scipy: ``gammaln``, ``digamma`` and ``trigamma`` are
 the Cephes ports in ``generators``, bit for bit scipy's, and the profile's
 root finder is a port of scipy's Brent routine.  Every sum over the data is
 exactly rounded by ``core._fsum``, which gives math.fsum's bits without a
-Python float per term, and each column is summed once per fit.
+Python float per term.  Each fit, the frozen dependent one included, checks
+its matrix once and takes each column's logs and their sum once.
 """
 
 from __future__ import annotations
@@ -103,23 +104,18 @@ class SuffStats:
     __slots__ = ("m", "a", "b", "c", "d")
 
     def __init__(self, u: np.ndarray, v: np.ndarray) -> None:
-        u = np.asarray(u, dtype=float).ravel()
-        v = np.asarray(v, dtype=float).ravel()
+        u, v = (np.asarray(x, dtype=float).ravel() for x in (u, v))
         if u.size == 0 or v.size == 0:
             raise EmptySample("sufficient statistics need a non-empty sample")
         if u.size != v.size:
-            raise DegenerateSample(
-                f"paired sample with mismatched lengths {u.size} and {v.size}"
-            )
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise NonPositiveInput("sample contains NaN or Inf")
-        if np.any(u <= 0) or np.any(v <= 0):
-            raise NonPositiveInput("paired gengamma sample must be positive")
-        self.m = int(u.size)
-        self.a = _fsum(np.log(u))
-        self.b = _fsum(np.log(v))
-        self.c = _fsum(u)
-        self.d = _fsum(v)
+            raise DegenerateSample(f"paired sample with mismatched lengths {u.size} and {v.size}")
+        u, v = (_positive_column(x, "paired gengamma sample") for x in (u, v))
+        self._fill(u, v, _logs(u)[1], _logs(v)[1])
+
+    def _fill(self, u: np.ndarray, v: np.ndarray, a: float, b: float) -> SuffStats:
+        """Set the statistics of checked columns u, v whose log sums are a, b."""
+        self.m, self.a, self.b, self.c, self.d = int(u.size), a, b, _fsum(u), _fsum(v)
+        return self
 
 
 def _positive_column(sample: np.ndarray, user: str) -> np.ndarray:
@@ -131,6 +127,12 @@ def _positive_column(sample: np.ndarray, user: str) -> np.ndarray:
     if np.any(u <= 0):
         raise NonPositiveInput(f"{user} needs positive data")
     return u
+
+
+def _logs(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """A checked column's logs and their exactly rounded sum."""
+    log_u = np.log(u)
+    return log_u, _fsum(log_u)
 
 
 def _log_sum_exp(x: np.ndarray) -> float:
@@ -189,8 +191,8 @@ def loglik_independent(
     with a = sum(log u) and b_s = sum(u^s); the last term is formed in log
     space.
     """
-    log_u = np.log(_positive_column(sample, "independent likelihood"))
-    return _column_loglik(sigma, shape, r, q, s, log_u, _fsum(log_u))
+    return _column_loglik(sigma, shape, r, q, s,
+                          *_logs(_positive_column(sample, "independent likelihood")))
 
 
 def _column_loglik(sigma: float, shape: float, r: float, q: float, s: float,
@@ -265,16 +267,20 @@ def _gamma_shape(t: float, max_iter: int) -> tuple[float, int, bool]:
     return a, max_iter, False
 
 
-def _as_matrix(data: SampleMatrix | np.ndarray) -> np.ndarray:
-    """The m x 2 matrix both fits take, rejected before any log is formed."""
+def _paired_columns(data: SampleMatrix | np.ndarray, max_iter: int, fit: str
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of an m x 2 matrix of m >= 3 finite positive pairs: both
+    fits' one check of their arguments, cap first, before any log is formed."""
+    if max_iter < 0:
+        raise ParameterOutOfDomain(f"max_iter must be >= 0, got {max_iter}")
     values = data.values if isinstance(data, SampleMatrix) else np.asarray(data, float)
     if values.ndim != 2 or values.shape[1] != 2:
         raise DegenerateSample(f"paired fit needs an m x 2 matrix, got {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise NonPositiveInput("sample contains NaN or Inf")
-    if np.any(values <= 0):
-        raise NonPositiveInput("paired fit needs positive data")
-    return values
+    if values.size:  # no pairs at all is a short sample, not an empty column
+        _positive_column(values, "paired fit")
+    if len(values) < 3:
+        raise DegenerateSample(f"{fit} fit needs m >= 3 pairs, got {len(values)}")
+    return values[:, 0], values[:, 1]
 
 
 def _fit_result(params: dict, loglik: float, solves: list[dict], mode: str,
@@ -345,12 +351,11 @@ def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float, max_iter: int
     return xcur, max(max_iter, 0), False
 
 
-def _fit_column(u: np.ndarray, freeze_generator: bool, max_iter: int
+def _fit_column(log_u: np.ndarray, a: float, freeze_generator: bool, max_iter: int
                 ) -> tuple[tuple[float, float, float], dict]:
-    """(sigma, shape, s) at the gauge r = 1/2, q = 1, and the solve log entry."""
-    log_u = np.log(u)
-    a = _fsum(log_u)
-    log_g = a / u.size
+    """(sigma, shape, s) at the gauge r = 1/2, q = 1, and the solve log entry,
+    from a column's logs and their sum a."""
+    log_g = a / log_u.size
     ell = log_u - log_g
     lo, hi = _LOG_S_BRACKET
     log_s, converged, steps = 0.0, True, 0
@@ -368,7 +373,7 @@ def _fit_column(u: np.ndarray, freeze_generator: bool, max_iter: int
         else:
             log_s, steps, converged = _brentq(score, lo, hi, score_lo, score_hi, max_iter)
     s = math.exp(log_s)
-    t = _log_sum_exp(s * ell) - math.log(u.size)
+    t = _log_sum_exp(s * ell) - math.log(log_u.size)
     nu, shape_steps, shape_ok = _gamma_shape(t, max_iter)
     # the rate nu / mean(u^s) equals r sigma^(-2s) at r = 1/2
     sigma = math.exp((t - math.log(2.0 * nu)) / (2.0 * s) + 0.5 * log_g)
@@ -388,14 +393,10 @@ def fit_independent(data: SampleMatrix | np.ndarray, freeze_generator: bool = Fa
     r sigma^(-2s).  ``freeze_generator`` also pins s = 1, a gamma column.
     ``max_iter`` caps the bracket and Newton steps of each solve.
     """
-    if max_iter < 0:
-        raise ParameterOutOfDomain(f"max_iter must be >= 0, got {max_iter}")
-    values = _as_matrix(data)
-    if values.shape[0] < 3:
-        raise DegenerateSample(f"independent fit needs m >= 3 pairs, got {values.shape[0]}")
+    u, v = _paired_columns(data, max_iter, "independent")
     params, solves = {}, []
-    for j, shape_key in ((1, "alpha"), (2, "beta")):
-        (sigma, shape, s), solve = _fit_column(values[:, j - 1], freeze_generator, max_iter)
+    for j, shape_key, column in ((1, "alpha", u), (2, "beta", v)):
+        (sigma, shape, s), solve = _fit_column(*_logs(column), freeze_generator, max_iter)
         params.update({f"sigma{j}": sigma, shape_key: shape, f"r{j}": 0.5, f"q{j}": 1.0,
                        f"s{j}": s})
         solves.append(solve)
@@ -466,19 +467,16 @@ def fit_dependent(data: SampleMatrix | np.ndarray, freeze_generator: bool = Fals
     rho^2 = (sigma2/sigma1)^2 = alpha d / (beta c), the generator is pinned at
     the Gaussian point (r, q, s) = (1/2, 1, 1), and sigma1^2 = (c + d/rho^2)/(2N)
     is its Gaussian-generator MLE.  With ``freeze_generator`` it is the product
-    of :func:`fit_independent`'s frozen columns.  ``max_iter`` caps each solve.
+    of two frozen gamma columns, as in :func:`fit_independent`.  ``max_iter``
+    caps each solve.
     """
-    if max_iter < 0:
-        raise ParameterOutOfDomain(f"max_iter must be >= 0, got {max_iter}")
-    values = _as_matrix(data)
-    if values.shape[0] < 3:
-        raise DegenerateSample(f"dependent fit needs m >= 3 pairs, got {values.shape[0]}")
-    stats = SuffStats(values[:, 0], values[:, 1])
+    u, v = _paired_columns(data, max_iter, "dependent")
+    (log_u, a), (log_v, b) = _logs(u), _logs(v)
+    stats = SuffStats.__new__(SuffStats)._fill(u, v, a, b)  # u, v passed the gate
     if freeze_generator:
-        ind = fit_independent(values, True, max_iter)
-        sigma1, sigma2, alpha, beta = (ind.params[k]
-                                       for k in ("sigma1", "sigma2", "alpha", "beta"))
-        solves, pinned = ind.restarts, ("q", "r", "s")
+        (sigma1, alpha, _), first = _fit_column(log_u, a, True, max_iter)
+        (sigma2, beta, _), second = _fit_column(log_v, b, True, max_iter)
+        solves, pinned = [first, second], ("q", "r", "s")
     else:
         start = np.array([_gamma_start(stats.m, stats.c, stats.a),
                           _gamma_start(stats.m, stats.d, stats.b)])

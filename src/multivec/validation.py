@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -724,8 +724,9 @@ def run_identity_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckRepor
                     )
                 )
     for n in (1, 2, 3):
-        for s in range(3):
-            reports.append(jacobian_check(n, n_draws=n_draws, seed=seed + 10 * n + s))
+        for s in range(3):  # the s-th draw per n: one name per row, whatever the seed
+            rep = jacobian_check(n, n_draws=n_draws, seed=seed + 10 * n + s)
+            reports.append(replace(rep, name=f"{rep.name}-{s}"))
     reports.append(jacobian_grid_check())
     return reports
 

@@ -322,6 +322,20 @@ def test_fit_iteration_cap_exits_2(pair_csv, tmp_path, capsys):
     assert doc["meta"]["converged"] is False  # result still written for inspection
 
 
+def test_fit_past_the_upper_bracket_edge_exits_2(tmp_path, capsys):
+    # a column drawn as Gamma(3)^(1/64) has its profile optimum beyond s = 32
+    rng = np.random.default_rng(0)
+    pairs = tmp_path / "pairs.csv"
+    cli._write_csv(str(pairs), ["u", "v"], np.column_stack(
+        [rng.gamma(3.0, size=500) ** (1.0 / 64.0), rng.gamma(2.0, 1.5, 500)]))
+    out = tmp_path / "o.json"
+    rc, stdout, _ = run_cli(["fit", "--model", "kotz-gamma", "--mode", "independent",
+                             "--input", str(pairs), "--out", str(out)], capsys)
+    assert (rc, stdout) == (2, "")
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["meta"]["converged"] is False and doc["params"]["s1"] == 32.0
+
+
 def test_fit_negative_iteration_cap_exits_1(pair_csv, tmp_path, capsys):
     out = tmp_path / "o.json"
     rc, _, err = run_cli(["fit", "--model", "kotz-gamma", "--mode", "dependent",
@@ -450,6 +464,70 @@ def test_grid_invalid_ranges_exit_1(tmp_path, capsys):
                               "--out", str(tmp_path / "x.csv")], capsys)
         assert rc == 1
         assert "--range" in err
+
+
+# ---------------------------------------------------------------------------
+# input errors: exit 1, nothing on stdout, one line on stderr
+
+_EVAL = ["eval", "--model", "kotz-gamma", "--params", "{d}/p.json"]
+_FIT = ["fit", "--model", "kotz-gamma", "--mode", "dependent", "--input", "{d}/pairs.csv",
+        "--out", "{d}/o.json"]
+_GRID = ["grid", "--model", "kotz-gamma-2d", "--params", "{d}/p.json", "--out", "{d}/g.csv"]
+_EXIT_1_CASES = {  # id: (argv, {file name: text}, stderr); {d} is the case's directory
+    "params-unreadable": (_EVAL + ["--point=1,2"], {}, "error: cannot read params file: "),
+    "params-not-json": (_EVAL + ["--point=1,2"], {"p.json": "{alpha"},
+                        "error: params file is not valid JSON: "),
+    "params-not-an-object": (_EVAL + ["--point=1,2"], {"p.json": "[1, 2]"},
+                             "error: params file must contain a JSON object\n"),
+    "params-field-not-an-object": (_EVAL + ["--point=1,2"], {"p.json": '{"params": [1]}'},
+                                   "error: 'params' must be a JSON object of name -> number\n"),
+    "pairs-empty": (_FIT, {"pairs.csv": ""},
+                    "error: line 1: empty file; expected header 'u,v'\n"),
+    "pairs-three-columns": (_FIT, {"pairs.csv": "u,v\n1,2\n1,2,3\n3,4\n"},
+                            "error: line 3: expected 2 columns, got 3\n"),
+    # lines 3 and 4 are blank and skipped, so the bad cell is reported on line 5
+    "pairs-not-decimal": (_FIT, {"pairs.csv": "u,v\n1,2\n\n  \n3,x\n4,5\n"},
+                          "error: line 5: column v is not a decimal: 'x'\n"),
+    "point-empty": (_EVAL + ["--point="], {}, "error: --point is empty\n"),
+    "point-non-finite": (_EVAL + ["--point=1,inf"], {}, "error: --point values must be finite\n"),
+    "point-too-short": (["eval", "--model", "gengamma-pearson7", "--params", "{d}/p.json",
+                         "--point=1"], {}, "error: model 'gengamma-pearson7' has no block count "
+                                           "matching a 1-dimensional point\n"),
+    "grid-other-model": (_GRID[:2] + ["kotz-gamma"] + _GRID[3:] + ["--range=1,2,1,2",
+                                                                   "--steps", "3"], {},
+                         "error: grid supports --model kotz-gamma-2d\n"),
+    "grid-three-bounds": (_GRID + ["--range=1,2,3", "--steps", "3"], {},
+                          "error: --range must be 'umin,umax,vmin,vmax', got '1,2,3'\n"),
+    "grid-non-decimal-bound": (_GRID + ["--range=1,2,x,4", "--steps", "3"], {},
+                               "error: --range must be four decimals, got '1,2,x,4'\n"),
+    "grid-zero-steps": (_GRID + ["--range=1,2,1,2", "--steps", "0"], {},
+                        "error: --steps must be >= 1, got 0\n"),
+    "out-unwritable": (["sample", "--model", "kotz-gamma", "--params", "{d}/p.json", "-n", "3",
+                        "--seed", "1", "--out", "{d}/no-such-dir/x.csv"], {},
+                       "error: cannot write {d}/no-such-dir/x.csv: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXIT_1_CASES))
+def test_input_errors_exit_1_with_one_message(case, tmp_path, capsys):
+    argv, files, message = _EXIT_1_CASES[case]
+    if case != "params-unreadable":
+        write_params(tmp_path / "p.json", MODEL_PARAMS["kotz-gamma"][0])
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    rc, out, err = run_cli([tok.format(d=tmp_path) for tok in argv], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith(message.format(d=tmp_path)) and err.count("\n") == 1, err
+    assert not (tmp_path / "o.json").exists() and not (tmp_path / "g.csv").exists()
+
+
+def test_eval_of_a_negative_kotz_gamma_point_prints_minus_inf(tmp_path, capsys):
+    # the density raises NonPositiveInput off the positive orthant; eval
+    # reads that as a zero density
+    p = write_params(tmp_path / "p.json", MODEL_PARAMS["kotz-gamma"][0])
+    rc, out, err = run_cli(["eval", "--model", "kotz-gamma", "--params", p, "--point=-1,2"],
+                           capsys)
+    assert (rc, out, err) == (0, "-inf\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,61 @@ def test_every_fit_logs_its_solves_and_honours_the_cap():
                 fit(data, freeze_generator=frozen, max_iter=-1)
 
 
+def test_a_column_past_the_upper_bracket_edge_is_not_converged():
+    # u = G^(1/64), G ~ Gamma(3), is a generalized gamma with s = 64: the
+    # profile still rises at the bracket's top, s = 32, and the fit says so
+    rng = np.random.default_rng(0)
+    data = np.column_stack([rng.gamma(3.0, size=500) ** (1.0 / 64.0), rng.gamma(2.0, 1.5, 500)])
+    res = fit_independent(data)
+    assert res.params["s1"] == 32.0 and not res.converged
+    assert [e["converged"] for e in res.restarts] == [False, True]
+    assert math.isfinite(res.params["sigma1"]) and math.isfinite(res.loglik)
+
+
+def test_dirichlet_newton_halves_a_far_step_and_reaches_the_data_optimum(monkeypatch):
+    from multivec import mle
+
+    data = _paired_gamma(0, 200)
+    st = SuffStats(data[:, 0], data[:, 1])
+    data_start = np.array([mle._gamma_start(st.m, st.c, st.a),
+                           mle._gamma_start(st.m, st.d, st.b)])
+    near, near_log = mle._fit_dirichlet(st, data_start, 10_000)
+    profile, calls = mle._dirichlet_profile, []
+    monkeypatch.setattr(mle, "_dirichlet_profile",
+                        lambda ab, stats_: calls.append(1) or profile(ab, stats_))
+    far, far_log = mle._fit_dirichlet(st, np.array([500.0, 0.02]), 10_000)
+    # one profile call at the start, one per Newton step, one per halving
+    assert len(calls) - 1 - far_log["iterations"] == 1
+    assert near_log["converged"] and far_log["converged"]
+    assert np.allclose(far, near, rtol=1e-12, atol=0.0)
+    assert far_log["loglik"] == pytest.approx(near_log["loglik"], rel=1e-14)
+
+
+@pytest.mark.parametrize("fit,frozen", [(fit_dependent, True), (fit_dependent, False),
+                                        (fit_independent, True), (fit_independent, False)],
+                         ids=["dependent-frozen", "dependent", "independent-frozen",
+                              "independent"])
+def test_a_fit_checks_once_and_logs_and_sums_each_column_once(fit, frozen, monkeypatch):
+    from multivec import mle
+
+    data = _readme_truth_pairs(600)
+    want = fit(data, freeze_generator=frozen)
+    columns = [np.ascontiguousarray(data[:, j]) for j in (0, 1)]
+    log_columns = [np.log(u) for u in columns]
+    gate, log, fsum = mle._paired_columns, np.log, mle._fsum
+    gated, logged, summed = [], [], []
+    monkeypatch.setattr(mle, "_paired_columns", lambda *a: gated.append(a) or gate(*a))
+    monkeypatch.setattr(np, "log", lambda x, *a, **k: logged.append(np.copy(x)) or log(x, *a, **k))
+    monkeypatch.setattr(mle, "_fsum", lambda x: summed.append(np.copy(x)) or fsum(x))
+    got = fit(data, freeze_generator=frozen)
+    monkeypatch.undo()
+    assert len(gated) == 1
+    for u, log_u in zip(columns, log_columns):
+        assert sum(np.array_equal(x, u) for x in logged) == 1
+        assert sum(np.array_equal(x, log_u) for x in summed) == 1
+    assert got == want
+
+
 def test_fit_rejects_tiny_samples():
     with pytest.raises(DegenerateSample):
         fit_dependent(np.ones((2, 2)) * np.array([1.0, 2.0]))

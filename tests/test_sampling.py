@@ -72,6 +72,28 @@ def test_sphere_norms_are_linalg_norm_bit_for_bit():
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+class _ZerosFirst:
+    """A generator whose first standard_normal block is all zeros."""
+
+    def __init__(self, seed):
+        self.rng, self.shapes = make_rng(seed), []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        draw = self.rng.standard_normal(shape)
+        return np.zeros(shape) if len(self.shapes) == 1 else draw
+
+
+@pytest.mark.parametrize("n,size", [(1, 5), (3, 4), (2, None)])
+def test_sphere_redraws_a_zero_norm_draw(n, size):
+    rng = _ZerosFirst(5)
+    x = np.atleast_2d(sample_unit_sphere(n, rng, size=size))
+    m = 1 if size is None else size
+    assert rng.shapes == [(m, n), (m, n)]  # every zero row is drawn again, once
+    assert x.shape == (m, n) and np.all(np.isfinite(x))
+    assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) < 1e-12
+
+
 def test_sphere_n1_sign_balance():
     s = sample_unit_sphere(1, make_rng(7), size=10_000).ravel()
     npos = int(np.sum(s > 0))

@@ -303,6 +303,15 @@ def test_identity_suite_fast_mode():
     assert [r.to_json() for r in reports] == [r.to_json() for r in again]
 
 
+def test_identity_rows_have_one_name_each_whatever_the_seed():
+    # the three Jacobian draws per n are told apart by their index, not by
+    # their seed, so a row keeps its name from one seed to the next
+    names = [[r.name for r in run_identity_suite(seed=seed, n_draws=2000)] for seed in (0, 7)]
+    assert names[0] == names[1] and len(set(names[0])) == len(names[0])
+    assert [n for n in names[0] if n.startswith("jacobian-ball-map")] == [
+        f"jacobian-ball-map-n{n}-{s}" for n in (1, 2, 3) for s in range(3)]
+
+
 # ---------------------------------------------------------------------------
 # pushforward goodness of fit
 
