@@ -218,12 +218,12 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     model = _get_model(args.model)
     params = _load_params(args.params)
-    try:
-        point = [float(tok) for tok in args.point.split(",") if tok.strip() != ""]
+    if not args.point.strip():
+        raise _CliError("--point is empty")
+    try:  # an empty token, as in '1,,2' or '1,2,', is not a decimal
+        point = [float(tok) for tok in args.point.split(",")]
     except ValueError:
         raise _CliError(f"--point must be comma-separated decimals, got {args.point!r}")
-    if not point:
-        raise _CliError("--point is empty")
     if not all(math.isfinite(v) for v in point):
         raise _CliError("--point values must be finite")
     k = len(point) - model.joint

@@ -10,7 +10,9 @@ Conventions shared by every function here:
   of the gamma/log-gamma family) raise NonPositiveInput instead.
 - Inputs may be batched: the trailing axis is the coordinate axis and
   leading axes broadcast.  A call whose result is 0-d returns a float, so
-  plain vector (1-d) calls do; any other call returns an array.
+  plain vector (1-d) calls do; any other call returns an array.  Kernels
+  work column by column on the trailing block axis, in any memory layout:
+  a batch, its block-major copy and its points one by one give the same bits.
 - The generator h is always normalized at the family's effective
   dimension: the total vector dimension for the block-vector families and
   2 * (sum of every shape parameter, alpha_0 included where present) for
@@ -51,6 +53,7 @@ from .core import (
     _positive,
     _sum_in_order,
     _sum_last,
+    _sum_last_scaled,
     block_quadform,
 )
 from .errors import DimensionMismatch, NonPositiveInput, ParameterOutOfDomain
@@ -110,16 +113,13 @@ def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> np.ndarray:
     A block with a NaN coordinate gets norm +inf: it lies nowhere in the
     space, and every density here is zero at infinity."""
     x = _vector(x, name, int(sum(dims)))
-    if not dims:
-        return np.zeros(x.shape[:-1] + (0,))
-    parts = []
+    sq = np.empty(x.shape[:-1] + (len(dims),), order="F")  # block-major
     off = 0
-    for d in dims:
+    for i, d in enumerate(dims):
         blk = x[..., off:off + d]
         with np.errstate(over="ignore"):  # an overflowing norm is +inf, where f is zero
-            parts.append(_sum_last(blk * blk))
+            sq[..., i] = _sum_last(blk * blk)
         off += d
-    sq = np.stack(parts, axis=-1)
     return np.fmin(sq, np.inf, out=sq)  # fmin maps NaN to +inf
 
 
@@ -233,7 +233,7 @@ def _ball_map(dims: tuple[int, ...], r):
     ok = sq < 1.0
     sq = np.where(ok, sq, 0.5)
     one_m = 1.0 - sq
-    log_jac = -_sum_last((np.asarray(dims, dtype=float) / 2.0 + 1.0) * np.log(one_m))
+    log_jac = -_sum_last_scaled(np.log(one_m), np.asarray(dims, dtype=float) / 2.0 + 1.0)
     return sq / one_m, log_jac, _all_last(ok)
 
 
@@ -246,7 +246,7 @@ def _mv_t_at(p: MvTParams, sq: np.ndarray):
         - np.sum(half_dims * np.log(p.betas))
         - np.sum(half_dims) * _LOG_PI
     )
-    bracket = _sum_last(sq / np.asarray(p.betas))
+    bracket = _sum_last_scaled(sq, p.betas, divide=True)
     out = log_const - p.alpha_star * np.log1p(bracket)
     return _result(out)
 
@@ -344,7 +344,7 @@ def _joint_out(p: JointScaleParams, s0, log_const, stat, extra, inside):
     rate = 1/sigma_0^2 + sum_i stat_i/sigma_i^2; -inf where s0 <= 0 or
     outside `inside`."""
     sigma2 = np.asarray(p.sigma2s)
-    rate = 1.0 / sigma2[0] + _sum_last(stat / sigma2[1:])
+    rate = 1.0 / sigma2[0] + _sum_last_scaled(stat, sigma2[1:], divide=True)
     s0 = np.asarray(s0, dtype=float)
     ok = (s0 > 0) & np.isfinite(s0) & inside
     s0_safe = np.where(ok, s0, 1.0)
@@ -393,15 +393,22 @@ def logpdf_gengamma_pearson2(p: JointScaleParams, s0, r) -> np.ndarray | float:
 
 
 def _unit_map(b, k: int):
-    """f_i = b_i/(1-b_i), log f, the log-Jacobian and the mask of (0,1)^k;
-    masked-out points take a finite stand-in."""
+    """f_i = b_i/(1-b_i), log f, the log-Jacobian and the mask of (0,1)^k,
+    one column at a time; masked-out points take a finite stand-in."""
     b = _vector(b, "b", k)
-    ok = (b > 0.0) & (b < 1.0)
-    b = np.where(ok, b, 0.5)
-    one_m = 1.0 - b
-    log_one_m = np.log(one_m)
-    log_jac = -2.0 * _sum_last(log_one_m)
-    return b / one_m, np.log(b) - log_one_m, log_jac, _all_last(ok)
+    f, log_f = np.empty(b.shape, order="F"), np.empty(b.shape, order="F")  # block-major
+    one_m, log_jac, ok = np.empty(b.shape[:-1]), 0.0, True
+    for j in range(k):  # 0.0 + log(1-b_1) + ... and True & ok_1 & ..., as _sum_last and _all_last
+        bj, ok_j = b[..., j], (b[..., j] > 0.0) & (b[..., j] < 1.0)
+        if not ok_j.all():
+            bj = np.where(ok_j, bj, 0.5)
+        np.subtract(1.0, bj, out=one_m)
+        np.divide(bj, one_m, out=f[..., j])  # a 0-d view for one point
+        np.log(one_m, out=one_m)
+        np.subtract(np.log(bj), one_m, out=log_f[..., j])
+        log_jac += one_m
+        ok &= ok_j
+    return f, log_f, -2.0 * log_jac, ok
 
 
 def _gengamma_beta2_at(p: JointScaleParams, s0, f, log_f, log_jac, inside):
@@ -413,7 +420,7 @@ def _gengamma_beta2_at(p: JointScaleParams, s0, f, log_f, log_jac, inside):
         p.alpha_star * _LOG_PI
         - np.sum(shapes * np.log(p.sigma2s) + [gammaln(a) for a in shapes.tolist()])
     )
-    extra = _sum_last((np.asarray(p.alphas) - 1.0) * log_f) + log_jac
+    extra = _sum_last_scaled(log_f, np.asarray(p.alphas) - 1.0) + log_jac
     return _joint_out(p, s0, log_const, f, extra, inside)
 
 
@@ -454,8 +461,8 @@ def _mv_gengamma_at(spec: GeneratorSpec, alphas: np.ndarray, sigma2: np.ndarray,
     )
     return (
         const
-        + _sum_last((alphas - 1.0) * log_u)
-        + log_h(spec, _sum_last(u / sigma2), n_eff)
+        + _sum_last_scaled(log_u, alphas - 1.0)
+        + log_h(spec, _sum_last_scaled(u, sigma2, divide=True), n_eff)
     )
 
 
@@ -494,8 +501,8 @@ def _mv_beta2_at(p: BetaParams, f, log_f):
     log_const = float(-np.sum(alphas * np.log(p.betas))) - log_dk
     return (
         log_const
-        + _sum_last((alphas - 1.0) * log_f)
-        - p.shape.alpha_star * np.log1p(_sum_last(f / np.asarray(p.betas)))
+        + _sum_last_scaled(log_f, alphas - 1.0)
+        - p.shape.alpha_star * np.log1p(_sum_last_scaled(f, p.betas, divide=True))
     )
 
 

@@ -19,6 +19,9 @@ a deliberately uncorrected variant of the beta-I density must FAIL goodness
 of fit, demonstrating that the corrected exponent is required and the tests
 have power.
 
+The grids pass logpdf block-major batches: (n, d) views of (d, n) arrays,
+whose coordinate columns are contiguous.
+
 Reports are deterministic given (inputs, seed) and serialize as JSON lines.
 """
 
@@ -145,27 +148,33 @@ def _de_grid_sum(
     logpdf: Callable, axes: list[tuple[np.ndarray, np.ndarray, np.ndarray]], name: str
 ) -> tuple[float, float]:
     """Sums of weight * exp(logpdf) over the tensor grid of the axes, in chunks:
-    over every point, and over the points on the edge of any axis."""
-    shape = tuple(len(x) for x, _, _ in axes)
-    size = math.prod(shape)
+    over every point, and over the points on the edge of any axis.  The
+    weights, as (w0 w1) w2, and the edge mask are formed once per grid."""
+    nodes, (_, w, on_edge) = [x for x, _, _ in axes], axes[0]
+    for _, wt, e in axes[1:]:
+        w, on_edge = np.multiply.outer(w, wt), np.logical_or.outer(on_edge, e)
+    shape, w, on_edge = w.shape, w.ravel(), on_edge.ravel()
+    # axes after the first repeat with period `inner`: one index table serves every chunk
+    inner = w.size // shape[0]
+    idx = np.unravel_index(np.arange(min(w.size, inner + _CHUNK)), shape)
     total = edge = 0.0
-    for start in range(0, size, _CHUNK):
-        idx = np.unravel_index(np.arange(start, min(start + _CHUNK, size)), shape)
-        pts = np.column_stack([x[i] for (x, _, _), i in zip(axes, idx)])
-        w = np.prod([wt[i] for (_, wt, _), i in zip(axes, idx)], axis=0)
-        on_edge = np.any([e[i] for (_, _, e), i in zip(axes, idx)], axis=0)
+    for start in range(0, w.size, _CHUNK):
+        stop, (first, off) = min(start + _CHUNK, w.size), divmod(start, inner)
+        pts = np.empty((len(nodes), stop - start))
+        for x, i, row in zip([nodes[0][first:], *nodes[1:]], idx, pts):
+            np.take(x, i[off:off + stop - start], out=row)
         try:
-            vals = np.asarray(logpdf(pts), dtype=float)
+            vals = np.asarray(logpdf(pts.T), dtype=float)
         except Exception as exc:
             raise QuadratureFailure(f"{name}: integrand raised: {exc}") from exc
-        if vals.shape != (len(pts),):
-            raise DimensionMismatch(f"{name}: logpdf returned {vals.shape} for {len(pts)} points")
+        if vals.shape != (stop - start,):
+            raise DimensionMismatch(f"{name}: logpdf returned {vals.shape} for {stop - start} points")
         # a widened window reaches nodes where a singular density overflows
         # exp; the level sum is then inf, which raises QuadratureFailure
         with np.errstate(over="ignore"):
-            mass = w * np.exp(vals)
+            mass = w[start:stop] * np.exp(vals)
         total += float(np.sum(mass))
-        edge += float(np.sum(mass[on_edge]))
+        edge += float(np.sum(mass[on_edge[start:stop]]))
     return total, edge
 
 
@@ -509,7 +518,7 @@ def pushforward_check(
             grids.append(np.linspace(glo, ghi, grid_points))
 
     # the grid points and log-densities are temporaries: only the table outlives logpdf
-    points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, d)
+    points = np.stack(np.meshgrid(*grids, indexing="ij", copy=False)).reshape(d, -1).T
     with np.errstate(over="ignore"):
         cdf = np.exp(np.asarray(logpdf(points), dtype=float)).reshape([g.size for g in grids])
     del points

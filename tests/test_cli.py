@@ -489,6 +489,11 @@ _EXIT_1_CASES = {  # id: (argv, {file name: text}, stderr); {d} is the case's di
     "pairs-not-decimal": (_FIT, {"pairs.csv": "u,v\n1,2\n\n  \n3,x\n4,5\n"},
                           "error: line 5: column v is not a decimal: 'x'\n"),
     "point-empty": (_EVAL + ["--point="], {}, "error: --point is empty\n"),
+    # an empty token is not dropped: '1,,2' is not the point (1, 2)
+    "point-empty-token": (_EVAL + ["--point=1,,2"], {},
+                          "error: --point must be comma-separated decimals, got '1,,2'\n"),
+    "point-trailing-comma": (_EVAL + ["--point=1,2,"], {},
+                             "error: --point must be comma-separated decimals, got '1,2,'\n"),
     "point-non-finite": (_EVAL + ["--point=1,inf"], {}, "error: --point values must be finite\n"),
     "point-too-short": (["eval", "--model", "gengamma-pearson7", "--params", "{d}/p.json",
                          "--point=1"], {}, "error: model 'gengamma-pearson7' has no block count "

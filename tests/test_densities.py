@@ -16,6 +16,7 @@ from multivec import (
     Kotz,
     MixedParams,
     MvEllipticalParams,
+    MultivecError,
     MvTParams,
     NonPositiveInput,
     Partition,
@@ -38,6 +39,7 @@ from multivec import (
     logpdf_mv_t,
     quad_normalization,
 )
+from multivec.families import FAMILIES
 
 GAUSS = Kotz.gaussian()
 LOG_2PI = math.log(2.0 * math.pi)
@@ -683,6 +685,78 @@ def test_column_sums_keep_the_densities_bits_on_the_pushforward_grid(suffix, mon
     for module in (core, densities):  # the reductions as numpy writes them
         monkeypatch.setattr(module, "_sum_last", lambda a: np.sum(a, axis=-1))
         monkeypatch.setattr(module, "_all_last", lambda a: np.all(a, axis=-1))
+    monkeypatch.setattr(densities, "_sum_last_scaled",
+                        lambda a, c, divide=False: np.sum(a / c if divide else c * a, axis=-1))
     want = logpdf(fx.params, x)
     assert np.isfinite(want).mean() > 0.99
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_scaled_column_sums_equal_the_broadcast_ones_bit_for_bit(k):
+    from multivec.core import _sum_last, _sum_last_scaled
+
+    rng = np.random.default_rng(100 + k)
+    scales = [rng.uniform(0.1, 5.0, k), np.full(k, 5e-324), rng.uniform(-2.0, 2.0, k)]
+    scales[2][::2] = [-0.0, np.inf, np.nan, -np.inf, 5e-324][: len(scales[2][::2])]
+    for a in _short_axis_arrays(k):
+        a = a.copy()
+        a.flat[::7] = 4e-320  # subnormal entries
+        for c in scales:
+            for divide in (False, True):
+                with np.errstate(all="ignore"):
+                    got = np.asarray(_sum_last_scaled(a, c, divide=divide))
+                    want = np.asarray(_sum_last(a / c if divide else a * c))
+                assert got.shape == want.shape, a.shape
+                assert [v.hex() for v in got.ravel().tolist()] == [
+                    v.hex() for v in want.ravel().tolist()], (a.shape, c, divide)
+
+
+def _layout_points(support, rng):
+    """40 points inside the box of the support, then points with one
+    coordinate off it (past a finite end, or infinite on a line) and points
+    with one NaN coordinate."""
+    box = [(max(lo, -6.0), min(hi, 6.0)) for lo, hi in support]
+    inside = np.column_stack([lo + (hi - lo) * rng.uniform(0.02, 0.98, 40) for lo, hi in box])
+    edge = []
+    for j, (lo, hi) in enumerate(support):
+        for bad in ((lo - 0.5, hi + 0.5, lo, np.nan) if np.isfinite(lo) and np.isfinite(hi)
+                    else (lo - 0.5, np.inf, np.nan) if np.isfinite(lo)
+                    else (-np.inf, np.inf, np.nan)):
+            row = inside[0].copy()
+            row[j] = bad
+            edge.append(row)
+    return inside, np.array(edge)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_layout_of_a_batch_gives_the_same_bits(name):
+    # the kernels work column by column: a row-major batch, the same batch
+    # block-major, and its points one at a time (0-d columns) agree bit for bit
+    from multivec.validation import _fixtures
+
+    family = FAMILIES[name]
+    fixtures = [f for f in _fixtures() if FAMILIES[f.family].density is family.density]
+    assert fixtures
+    off_support = 0  # points off the support or with a NaN coordinate, at -inf
+    for fx in fixtures:
+        inside, edge = _layout_points(fx.support, np.random.default_rng(len(fx.suffix)))
+        keep = []
+        for row in edge:  # a point the density rejects cannot ride in a batch
+            try:
+                family.logpdf(fx.params, row)
+            except MultivecError:
+                continue
+            keep.append(row)
+        x = np.concatenate([inside, np.array(keep).reshape(-1, inside.shape[1])])
+        row_major = family.logpdf(fx.params, x)
+        block_major = family.logpdf(fx.params, np.ascontiguousarray(x.T).T)
+        single = [family.logpdf(fx.params, point) for point in x]
+        hexes = [float(v).hex() for v in row_major]
+        assert [float(v).hex() for v in block_major] == hexes, fx.suffix
+        assert [float(v).hex() for v in single] == hexes, fx.suffix
+        assert np.isfinite(row_major[: len(inside)]).all(), fx.suffix
+        off_support += int(np.isneginf(row_major[len(inside):]).sum())
+    # the other families raise NonPositiveInput or ParameterOutOfDomain there
+    if name not in ("gamma-loggamma", "kotz-gamma", "log-elliptical", "mv-beta2", "mv-gengamma"):
+        assert off_support > 0

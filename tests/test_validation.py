@@ -1,5 +1,6 @@
 """The oracle layer itself: reports, quadrature/MC normalization, GOF checks."""
 
+import hashlib
 import json
 import time
 from functools import partial
@@ -156,6 +157,8 @@ def test_quad_batches_are_chunked_and_strictly_inside(support):
     def logpdf(x):
         shapes.append(x.shape)
         assert x.ndim == 2 and x.shape[1] == d and 0 < x.shape[0] <= _CHUNK
+        # block-major batches: every coordinate column is contiguous
+        assert all(x[:, j].flags.c_contiguous for j in range(d))
         out = np.zeros(len(x))
         for j, (lo, hi) in enumerate(support):
             xj = x[:, j]
@@ -221,6 +224,111 @@ def test_normalization_case_batch_equals_single_points(case):
     assert batch.shape == (8,)
     assert np.all(np.isfinite(single)), name
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
+
+
+# float.hex of each normalization case's integral and err_est, of each
+# identity suite row's residual at seed 0 with 100k draws, and a digest of
+# every level's total and edge sum over the normalization suite (84 levels)
+PINNED_LEVEL_SUMS = "e17a4a446cc3ad2eb8c1f48c22cfc32407c99d40e06c9b77df9886233dfbb05d"
+PINNED_QUAD = {
+    "norm-mv-elliptical-gaussian-2d": ("0x1.0000000000001p+0", "0x0.0p+0"),
+    "norm-mv-elliptical-pearson7-1d": ("0x1.fffffffffffffp-1", "0x1.0000000000000p-53"),
+    "norm-log-elliptical-1d": ("0x1.ffffffffffffep-1", "0x0.0p+0"),
+    "norm-mixed-1p1": ("0x1.0000000000002p+0", "0x1.80345c0000000p-30"),
+    "norm-mv-t-k2": ("0x1.0000000000001p+0", "0x1.4cd1000000000p-36"),
+    "norm-mv-pearson2-k2": ("0x1.fffffffffffcep-1", "0x1.14e3b80000000p-31"),
+    "norm-mv-gengamma-kotz-k1": ("0x1.0000000000000p+0", "0x1.b7d0a80000000p-31"),
+    "norm-mv-gengamma-k2": ("0x1.0000000000001p+0", "0x1.8270680000000p-29"),
+    "norm-mv-beta1-k2": ("0x1.fffffffffff5bp-1", "0x1.d1fb320000000p-30"),
+    "norm-mv-beta2-k2": ("0x1.fffffffffe42ap-1", "0x1.53431c0000000p-27"),
+    "norm-gengamma-pearson7-k1": ("0x1.fffffffffffc3p-1", "0x1.b875329000000p-25"),
+    "norm-mv-beta1-k3-3d": ("0x1.ffffffffffff8p-1", "0x1.3f3ba00000000p-32"),
+    "norm-gengamma-pearson2-k1": ("0x1.000000000003dp+0", "0x1.a8c3044000000p-26"),
+    "norm-gengamma-beta1-k1": ("0x1.00000000001a3p+0", "0x1.2aaf424000000p-25"),
+    "norm-gengamma-beta2-k1": ("0x1.ffffffffffcd4p-1", "0x1.4bc1600000000p-31"),
+    "norm-gamma-loggamma-1p1": ("0x1.ffffffffffffdp-1", "0x1.933a000000000p-38"),
+}
+PINNED_IDENTITY = {
+    "identity-radial-integral-kotz-gauss-n1-a1": "0x1.0000000000000p-52",
+    "identity-radial-integral-kotz-gauss-n1-a2.5": "0x0.0p+0",
+    "identity-radial-integral-kotz-gauss-n2-a1": "0x0.0p+0",
+    "identity-radial-integral-kotz-gauss-n2-a2.5": "0x1.0000000000000p-52",
+    "identity-radial-integral-kotz-gauss-n3-a1": "0x1.0000000000000p-52",
+    "identity-radial-integral-kotz-gauss-n3-a2.5": "0x1.0000000000000p-51",
+    "identity-radial-integral-kotz-gauss-n4.5-a1": "0x0.0p+0",
+    "identity-radial-integral-kotz-gauss-n4.5-a2.5": "0x1.0000000000000p-51",
+    "identity-radial-integral-kotz-n1-a1": "0x0.0p+0",
+    "identity-radial-integral-kotz-n1-a2.5": "0x0.0p+0",
+    "identity-radial-integral-kotz-n2-a1": "0x0.0p+0",
+    "identity-radial-integral-kotz-n2-a2.5": "0x0.0p+0",
+    "identity-radial-integral-kotz-n3-a1": "0x0.0p+0",
+    "identity-radial-integral-kotz-n3-a2.5": "0x1.0000000000000p-52",
+    "identity-radial-integral-kotz-n4.5-a1": "0x1.0000000000000p-51",
+    "identity-radial-integral-kotz-n4.5-a2.5": "0x1.4000000000000p-51",
+    "identity-radial-integral-pearson7-n1-a1": "0x0.0p+0",
+    "identity-radial-integral-pearson7-n1-a2.5": "0x1.0000000000000p-53",
+    "identity-radial-integral-pearson7-n2-a1": "0x0.0p+0",
+    "identity-radial-integral-pearson7-n2-a2.5": "0x0.0p+0",
+    "identity-radial-integral-pearson7-n3-a1": "0x1.0000000000000p-52",
+    "identity-radial-integral-pearson7-n3-a2.5": "0x0.0p+0",
+    "identity-radial-integral-pearson7-n4.5-a1": "0x1.0000000000000p-52",
+    "identity-radial-integral-pearson7-n4.5-a2.5": "0x1.0000000000000p-52",
+    "identity-radial-integral-pearson2-n1-a1": "0x0.0p+0",
+    "identity-radial-integral-pearson2-n1-a2.5": "0x1.0000000000000p-52",
+    "identity-radial-integral-pearson2-n2-a1": "0x1.0000000000000p-52",
+    "identity-radial-integral-pearson2-n2-a2.5": "0x1.0000000000000p-52",
+    "identity-radial-integral-pearson2-n3-a1": "0x0.0p+0",
+    "identity-radial-integral-pearson2-n3-a2.5": "0x1.0000000000000p-53",
+    "identity-radial-integral-pearson2-n4.5-a1": "0x1.0000000000000p-52",
+    "identity-radial-integral-pearson2-n4.5-a2.5": "0x1.0000000000000p-51",
+    "identity-radial-integral-bessel-n1-a1": "0x1.0800000000000p-47",
+    "identity-radial-integral-bessel-n1-a2.5": "0x1.1000000000000p-47",
+    "identity-radial-integral-bessel-n2-a1": "0x1.1800000000000p-47",
+    "identity-radial-integral-bessel-n2-a2.5": "0x1.1000000000000p-47",
+    "identity-radial-integral-bessel-n3-a1": "0x1.6000000000000p-48",
+    "identity-radial-integral-bessel-n3-a2.5": "0x1.7000000000000p-48",
+    "identity-radial-integral-bessel-n4.5-a1": "0x1.0000000000000p-49",
+    "identity-radial-integral-bessel-n4.5-a2.5": "0x1.8000000000000p-50",
+    "jacobian-ball-map-n1-0": "0x1.7b6754ed845aap-1",
+    "jacobian-ball-map-n1-1": "0x1.106984f4e841cp-1",
+    "jacobian-ball-map-n1-2": "0x1.a3b9c07d51498p-2",
+    "jacobian-ball-map-n2-0": "0x1.ba949ea7a4f0cp-2",
+    "jacobian-ball-map-n2-1": "0x1.5ae80c16fa13cp-2",
+    "jacobian-ball-map-n2-2": "0x1.4651608938554p-2",
+    "jacobian-ball-map-n3-0": "0x1.00a15768c0d68p-2",
+    "jacobian-ball-map-n3-1": "0x1.cecc023ff98dfp-1",
+    "jacobian-ball-map-n3-2": "0x1.80433b103c2d4p-3",
+    "jacobian-1d-grid": "0x1.196ea00000000p-30",
+}
+
+
+def test_oracles_keep_their_bits(monkeypatch):
+    # how the rule gathers, lays out or feeds its grid must not move a bit of
+    # a level sum, so the oracle outputs are pinned as float.hex
+    from multivec import validation
+
+    levels, sums = [], []
+    de_levels, grid_sum = validation._de_levels, validation._de_grid_sum
+
+    def spy_levels(*args):
+        levels.append(de_levels(*args))
+        return levels[-1]
+
+    def spy_sum(*args):  # a level's sums; a moved bit need not reach the last level
+        total, edge = grid_sum(*args)
+        sums.append(f"{args[2]} {total.hex()} {edge.hex()}")
+        return total, edge
+
+    monkeypatch.setattr(validation, "_de_levels", spy_levels)
+    monkeypatch.setattr(validation, "_de_grid_sum", spy_sum)
+    got = {}
+    for name, logpdf, support, tol in _normalization_cases():
+        quad_normalization(logpdf, support, tol, name=name)
+        value, err, _, _ = [lv for lv in levels if lv is not None][-1]
+        got[name] = (value.hex(), err.hex())
+    assert got == PINNED_QUAD
+    assert hashlib.sha256("\n".join(sums).encode()).hexdigest() == PINNED_LEVEL_SUMS
+    assert {r.name: r.residual.hex() for r in run_identity_suite()} == PINNED_IDENTITY
 
 
 # ---------------------------------------------------------------------------
