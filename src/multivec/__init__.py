@@ -11,9 +11,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Public names by defining submodule.  A submodule is imported on the first
-# access to one of its names (PEP 562), so `import multivec` alone loads
-# neither numpy nor scipy, and the CLI pays only for what a command runs.
+# Public names by defining submodule: the one list of them, from which each
+# submodule but `errors` derives its `__all__`.  A submodule is imported on
+# the first access to one of its names (PEP 562), so `import multivec` alone
+# loads neither numpy nor scipy, and the CLI pays only for what a command runs.
 _EXPORTS = {
     "core": (
         "ExtendedShape", "FitResult", "MvEllipticalParams", "Partition", "SampleMatrix",

@@ -231,9 +231,16 @@ def cmd_eval(args) -> int:
         raise _CliError(
             f"model '{model.name}' has no block count matching a {len(point)}-dimensional point"
         )
+    family_params = model.build(params, k)  # a missing key is named first
+    declared = model.count(params)
+    if declared != k:
+        raise _CliError(
+            f"model '{model.name}' params declare {declared} blocks, so --point needs "
+            f"{model.dim(declared)} values, got {len(point)}"
+        )
     x = np.asarray([point], dtype=float)
     try:
-        value = float(np.asarray(model.logpdf(model.build(params, k), x)).reshape(-1)[0])
+        value = float(np.asarray(model.logpdf(family_params, x)).reshape(-1)[0])
     except NonPositiveInput:
         value = -math.inf  # outside the positive support the density is zero
     print("-inf" if value == -math.inf else format(value, ".12g"))
@@ -248,9 +255,6 @@ def cmd_sample(args) -> int:
     k = model.count(params)
     d = model.dim(k)
     header = model.columns(d)
-    if args.n == 0:
-        _write_csv(args.out, header, np.zeros((0, d)))
-        return EXIT_OK
     rng = make_rng(args.seed)
     rows = model.sample(model.build(params, k), rng, args.n)
     if rows.shape != (args.n, d):

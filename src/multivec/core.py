@@ -16,19 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DimensionMismatch, NotPositiveDefinite, ParameterOutOfDomain
 
-__all__ = [
-    "Partition",
-    "ExtendedShape",
-    "MvEllipticalParams",
-    "ScaleShapeParams",
-    "SampleMatrix",
-    "FitResult",
-    "spd_factorize",
-    "block_quadform",
-    "validate_partition",
-]
+__all__ = list(_EXPORTS["core"])
 
 _SYM_TOL = 1e-12
 

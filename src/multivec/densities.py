@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     ExtendedShape,
     MvEllipticalParams,
@@ -59,26 +60,7 @@ from .core import (
 from .errors import DimensionMismatch, NonPositiveInput, ParameterOutOfDomain
 from .generators import GeneratorSpec, gammaln, log_h, log_norm_const
 
-__all__ = [
-    "MixedParams",
-    "MvTParams",
-    "BetaParams",
-    "JointScaleParams",
-    "GammaLogGammaParams",
-    "logpdf_mv_elliptical",
-    "logpdf_mv_log_elliptical",
-    "logpdf_mixed_ell_logell",
-    "logpdf_mv_t",
-    "logpdf_mv_pearson2",
-    "logpdf_gengamma_pearson7",
-    "logpdf_gengamma_pearson2",
-    "logpdf_mv_gengamma",
-    "logpdf_mv_beta1",
-    "logpdf_mv_beta2",
-    "logpdf_gengamma_beta1",
-    "logpdf_gengamma_beta2",
-    "logpdf_gamma_loggamma",
-]
+__all__ = list(_EXPORTS["densities"])
 
 _LOG_PI = math.log(math.pi)
 

@@ -23,6 +23,10 @@ rows in the same layout, so a draw can be fed back to the density as is.
 ``params`` is always the tuple of leading positional arguments of the
 library pair, e.g. ``(MvTParams,)`` or ``(MvEllipticalParams, spec)``.
 
+A family is one ``Family`` record plus its two library functions, read off
+their modules (``_d.logpdf_mv_t``, ``_s.sample_mv_t``); their names are
+declared once, in ``multivec._EXPORTS``.
+
 Flat keys
 ---------
 The command line reads a family's params from a flat name -> number map of
@@ -43,43 +47,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import densities as _d, sampling as _s
 from .core import ExtendedShape, MvEllipticalParams, ScaleShapeParams
-from .densities import (
-    BetaParams,
-    JointScaleParams,
-    MvTParams,
-    logpdf_gamma_loggamma,
-    logpdf_gengamma_beta1,
-    logpdf_gengamma_beta2,
-    logpdf_gengamma_pearson2,
-    logpdf_gengamma_pearson7,
-    logpdf_mixed_ell_logell,
-    logpdf_mv_beta1,
-    logpdf_mv_beta2,
-    logpdf_mv_elliptical,
-    logpdf_mv_gengamma,
-    logpdf_mv_log_elliptical,
-    logpdf_mv_pearson2,
-    logpdf_mv_t,
-)
+from .densities import BetaParams, JointScaleParams, MvTParams
 from .errors import FlatParamsError
 from .generators import Kotz
-from .sampling import (
-    sample_gamma_loggamma,
-    sample_gengamma_beta1,
-    sample_gengamma_beta2,
-    sample_gengamma_pairs,
-    sample_gengamma_pearson2,
-    sample_gengamma_pearson7,
-    sample_mixed_ell_logell,
-    sample_mv_beta1,
-    sample_mv_beta2,
-    sample_mv_elliptical,
-    sample_mv_gengamma,
-    sample_mv_log_elliptical,
-    sample_mv_pearson2,
-    sample_mv_t,
-)
 
 
 Flat = dict[str, float]
@@ -230,25 +202,28 @@ _JOINT_SCALAR = {"joint": True, "count": _counter("alpha"), "build": _joint_buil
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
-        Family("mv-gengamma", logpdf_mv_gengamma, sample_mv_gengamma,
+        Family("mv-gengamma", _d.logpdf_mv_gengamma, _s.sample_mv_gengamma,
                count=_counter("alpha"), build=_gengamma_build),
-        Family("kotz-gamma", logpdf_mv_gengamma, sample_gengamma_pairs,
+        Family("kotz-gamma", _d.logpdf_mv_gengamma, _s.sample_gengamma_pairs,
                count=_kotz_gamma_count, build=_kotz_gamma_build),
-        Family("mv-elliptical", logpdf_mv_elliptical, sample_mv_elliptical, **_ELL),
-        Family("log-elliptical", logpdf_mv_log_elliptical, sample_mv_log_elliptical, **_ELL),
-        Family("mixed-ell-logell", logpdf_mixed_ell_logell, sample_mixed_ell_logell,
+        Family("mv-elliptical", _d.logpdf_mv_elliptical, _s.sample_mv_elliptical, **_ELL),
+        Family("log-elliptical", _d.logpdf_mv_log_elliptical, _s.sample_mv_log_elliptical,
+               **_ELL),
+        Family("mixed-ell-logell", _d.logpdf_mixed_ell_logell, _s.sample_mixed_ell_logell,
                split=lambda p: p.n_linear),
-        Family("mv-t", logpdf_mv_t, sample_mv_t, **_T),
-        Family("mv-pearson2", logpdf_mv_pearson2, sample_mv_pearson2, **_T),
-        Family("mv-beta1", logpdf_mv_beta1, sample_mv_beta1, **_BETA),
-        Family("mv-beta2", logpdf_mv_beta2, sample_mv_beta2, **_BETA),
-        Family("gengamma-pearson7", logpdf_gengamma_pearson7, sample_gengamma_pearson7,
+        Family("mv-t", _d.logpdf_mv_t, _s.sample_mv_t, **_T),
+        Family("mv-pearson2", _d.logpdf_mv_pearson2, _s.sample_mv_pearson2, **_T),
+        Family("mv-beta1", _d.logpdf_mv_beta1, _s.sample_mv_beta1, **_BETA),
+        Family("mv-beta2", _d.logpdf_mv_beta2, _s.sample_mv_beta2, **_BETA),
+        Family("gengamma-pearson7", _d.logpdf_gengamma_pearson7, _s.sample_gengamma_pearson7,
                **_JOINT_VECTOR),
-        Family("gengamma-pearson2", logpdf_gengamma_pearson2, sample_gengamma_pearson2,
+        Family("gengamma-pearson2", _d.logpdf_gengamma_pearson2, _s.sample_gengamma_pearson2,
                **_JOINT_VECTOR),
-        Family("gengamma-beta1", logpdf_gengamma_beta1, sample_gengamma_beta1, **_JOINT_SCALAR),
-        Family("gengamma-beta2", logpdf_gengamma_beta2, sample_gengamma_beta2, **_JOINT_SCALAR),
-        Family("gamma-loggamma", logpdf_gamma_loggamma, sample_gamma_loggamma,
+        Family("gengamma-beta1", _d.logpdf_gengamma_beta1, _s.sample_gengamma_beta1,
+               **_JOINT_SCALAR),
+        Family("gengamma-beta2", _d.logpdf_gengamma_beta2, _s.sample_gengamma_beta2,
+               **_JOINT_SCALAR),
+        Family("gamma-loggamma", _d.logpdf_gamma_loggamma, _s.sample_gamma_loggamma,
                split=lambda p: p.k1),
     )
 }

@@ -27,19 +27,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import ParameterOutOfDomain
 
-__all__ = [
-    "Kotz",
-    "PearsonVII",
-    "PearsonII",
-    "Bessel",
-    "GeneratorSpec",
-    "RadialLaw",
-    "log_norm_const",
-    "log_h",
-    "log_bessel_k",
-]
+__all__ = list(_EXPORTS["generators"])
 
 _LOG_PI = math.log(math.pi)
 _LOG_SQRT_2PI = 0.91893853320467274178

@@ -37,13 +37,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import FitResult, SampleMatrix, _fsum, _positive
 from .errors import (DegenerateSample, EmptySample, NonFiniteLikelihood, NonPositiveInput,
                      ParameterOutOfDomain)
 from .generators import digamma, gammaln, trigamma
 
-__all__ = ["KotzGammaDepParams", "SuffStats", "loglik_dependent", "loglik_independent",
-           "gamma_init", "fit_dependent", "fit_independent"]
+__all__ = list(_EXPORTS["mle"])
 
 # below this, log(sample mean) - mean(log sample) is numerical noise
 _T_EPS = 1e-12

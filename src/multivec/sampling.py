@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import MvEllipticalParams, ScaleShapeParams, _sum_last
 from .densities import (
     BetaParams,
@@ -49,26 +50,7 @@ from .generators import (
     RadialLaw,
 )
 
-__all__ = [
-    "make_rng",
-    "spawn_rngs",
-    "sample_unit_sphere",
-    "sample_radius",
-    "sample_mv_elliptical",
-    "sample_mv_log_elliptical",
-    "sample_mixed_ell_logell",
-    "sample_mv_t",
-    "sample_mv_pearson2",
-    "sample_gengamma_pearson7",
-    "sample_gengamma_pearson2",
-    "sample_mv_gengamma",
-    "sample_gengamma_pairs",
-    "sample_mv_beta1",
-    "sample_mv_beta2",
-    "sample_gengamma_beta1",
-    "sample_gengamma_beta2",
-    "sample_gamma_loggamma",
-]
+__all__ = list(_EXPORTS["sampling"])
 
 
 def make_rng(seed: int | None = None) -> np.random.Generator:

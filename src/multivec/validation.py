@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import special
 
+from . import _EXPORTS
 from .core import (
     ExtendedShape,
     MvEllipticalParams,
@@ -58,18 +59,7 @@ from .families import FAMILIES
 from .generators import Bessel, GeneratorSpec, Kotz, PearsonII, PearsonVII, log_norm_const
 from .sampling import make_rng, sample_unit_sphere
 
-__all__ = [
-    "CheckReport",
-    "quad_normalization",
-    "radial_integral_identity_check",
-    "mc_normalization",
-    "jacobian_check",
-    "jacobian_grid_check",
-    "pushforward_check",
-    "run_normalization_suite",
-    "run_identity_suite",
-    "run_pushforward_suite",
-]
+__all__ = list(_EXPORTS["validation"])
 
 
 @dataclass(frozen=True)

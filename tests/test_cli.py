@@ -510,6 +510,27 @@ _EXIT_1_CASES = {  # id: (argv, {file name: text}, stderr); {d} is the case's di
     "out-unwritable": (["sample", "--model", "kotz-gamma", "--params", "{d}/p.json", "-n", "3",
                         "--seed", "1", "--out", "{d}/no-such-dir/x.csv"], {},
                        "error: cannot write {d}/no-such-dir/x.csv: "),
+    # a point shorter than the params' blocks is not the law of fewer blocks
+    "point-shorter-than-beta-blocks": (
+        ["eval", "--model", "mv-beta1", "--params", "{d}/p.json", "--point=0.2,0.3"],
+        {"p.json": json.dumps({"alpha0": 2.0, "alpha1": 1.5, "alpha2": 2.5, "alpha3": 3.0,
+                               "beta1": 1.0, "beta2": 2.0, "beta3": 1.5})},
+        "error: model 'mv-beta1' params declare 3 blocks, so --point needs 3 values, got 2\n"),
+    "point-shorter-than-elliptical-blocks": (
+        ["eval", "--model", "mv-elliptical", "--params", "{d}/p.json", "--point=0.2"],
+        {"p.json": json.dumps({"mu1": 0.0, "mu2": 1.0, "mu3": 2.0, "sigma1": 1.0,
+                               "sigma2": 1.0, "sigma3": 1.0, "r": 0.5, "q": 1.0, "s": 1.0})},
+        "error: model 'mv-elliptical' params declare 3 blocks, so --point needs 3 values, "
+        "got 1\n"),
+    # zero rows still build the params and the generator
+    "sample-zero-rows-bad-params": (
+        ["sample", "--model", "mv-t", "--params", "{d}/p.json", "-n", "0", "--seed", "1",
+         "--out", "{d}/x.csv"],
+        {"p.json": json.dumps({"alpha0": -1.0, "beta1": 1.0, "beta2": 2.5})},
+        "error: alpha0 must be positive, got (-1.0,)\n"),
+    "sample-zero-rows-negative-seed": (
+        ["sample", "--model", "kotz-gamma", "--params", "{d}/p.json", "-n", "0", "--seed", "-1",
+         "--out", "{d}/x.csv"], {}, "error: seed must be >= 0, got -1\n"),
 }
 
 

@@ -1,5 +1,6 @@
 """Every module-level private name in the package is used somewhere in it,
-and every public name it exports is read somewhere.
+every public name it exports is read somewhere, and `multivec._EXPORTS` is
+the one list of those names.
 
 A helper that nothing calls is dead code; so is a private constant that
 nothing reads.  The scan is static (stdlib ``ast``): a name counts as used
@@ -89,6 +90,48 @@ def unread_exports(root: Path, readers: list[Path]) -> list[str]:
     ]
 
 
+def literal_all(root: Path) -> list[str]:
+    """Modules of the package under root, its `__init__` aside, that assign a
+    literal list or tuple to `__all__` instead of deriving it from `_EXPORTS`."""
+    return [
+        path.stem
+        for path in sorted(root.glob("*.py"))
+        if path.name != "__init__.py"
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        if "__all__" in _bound(stmt) and isinstance(stmt.value, (ast.List, ast.Tuple))
+    ]
+
+
+def family_functions(root: Path) -> dict[str, tuple[str, str]]:
+    """family name -> (density, sampler) function names of each `Family(...)`
+    record in the `FAMILIES` table of root/families.py."""
+    out = {}
+    for stmt in ast.parse((root / "families.py").read_text(encoding="utf-8")).body:
+        if "FAMILIES" not in _bound(stmt):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Family":
+                fields = dict(zip(("name", "density", "sampler"), node.args))
+                fields.update((kw.arg, kw.value) for kw in node.keywords)
+                out[ast.literal_eval(fields["name"])] = tuple(
+                    getattr(fields[f], "attr", getattr(fields[f], "id", None))
+                    for f in ("density", "sampler")
+                )
+    return out
+
+
+def unexported_family_functions(root: Path) -> list[str]:
+    """`family:function` for every record whose density is not a `densities`
+    export or whose sampler is not a `sampling` export."""
+    exports = _exports(root)
+    return [
+        f"{family}:{fn}"
+        for family, pair in family_functions(root).items()
+        for fn, module in zip(pair, ("densities", "sampling"))
+        if exports.get(fn) != module
+    ]
+
+
 def test_no_module_level_private_name_is_orphaned():
     assert orphans(SRC) == []
 
@@ -130,3 +173,40 @@ def test_the_scan_finds_an_unread_export(tmp_path):
     (tmp_path / "README.md").write_text("Call `outside()`; `deadline` and `undead` differ.\n",
                                         encoding="utf-8")
     assert unread_exports(pkg, [tmp_path / "README.md"]) == ["a:recursive", "a:listed", "a:dead"]
+
+
+def test_no_module_restates_its_public_names():
+    assert literal_all(SRC) == []
+
+
+def test_every_family_pair_is_exported():
+    from multivec.families import FAMILIES
+
+    assert sorted(family_functions(SRC)) == sorted(FAMILIES)
+    assert unexported_family_functions(SRC) == []
+
+
+def test_the_scan_finds_a_restated_list_and_an_unexported_family_function(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text(
+        "_EXPORTS = {'densities': ('logpdf_a', 'sample_b'), 'sampling': ('sample_a',)}\n"
+        "__all__ = ['logpdf_a']\n",
+        encoding="utf-8",
+    )
+    (pkg / "densities.py").write_text("from . import _EXPORTS\n"
+                                      "__all__ = list(_EXPORTS['densities'])\n",
+                                      encoding="utf-8")
+    (pkg / "sampling.py").write_text("__all__ = ('sample_a',)\n", encoding="utf-8")
+    (pkg / "families.py").write_text(
+        "FAMILIES = {f.name: f for f in (\n"
+        "    Family('a', _d.logpdf_a, _s.sample_a),\n"
+        "    Family('b', _d.logpdf_b, sampler=_s.sample_b),\n"
+        "    Family('c', logpdf_a, sample_c),\n"
+        ")}\n",
+        encoding="utf-8",
+    )
+    assert literal_all(pkg) == ["sampling"]
+    assert family_functions(pkg) == {"a": ("logpdf_a", "sample_a"),
+                                     "b": ("logpdf_b", "sample_b"), "c": ("logpdf_a", "sample_c")}
+    assert unexported_family_functions(pkg) == ["b:logpdf_b", "b:sample_b", "c:sample_c"]
