@@ -331,8 +331,11 @@ def cmd_grid(args) -> int:
     logpdf = np.asarray(model.logpdf(family_params, pts), dtype=float)
     with np.errstate(under="ignore"):
         pdf = np.exp(logpdf)  # underflow flushes to exactly 0
-    rows = np.column_stack([pts, pdf])
-    _write_csv(args.out, ["u", "v", "pdf"], rows)
+    # the rows' u,v prefixes repeat the 2 * steps axis values: format each
+    # once into the row template, as _write_csv would write them
+    v_rows = [_fmt(v) + ",%.17g\n" for v in vs]
+    template = "".join(u_pre + u_pre.join(v_rows) for u_pre in (_fmt(u) + "," for u in us))
+    _write_text(args.out, "u,v,pdf\n" + template % tuple(pdf.tolist()))
     return EXIT_OK
 
 

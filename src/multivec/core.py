@@ -390,9 +390,16 @@ def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:
     blocks = validate_partition(params.partition, x)
     total = 0.0
     for blk, mu, (c, _) in zip(blocks, params.mus, params.factors):
-        d = blk - mu
-        # cho_solve works on the leading axis, the blocks carry theirs last
-        sol = cho_solve((c, True), np.moveaxis(d, -1, 0), check_finite=False)
-        with np.errstate(over="ignore"):  # an overflowing form is +inf
-            total = total + _sum_last(np.moveaxis(sol, 0, -1) * d)
+        if c.shape == (1, 1):
+            # cho_solve's two triangular solves each multiply by the
+            # reciprocal pivot: the same bits without the LAPACK call
+            d, r = blk[..., 0] - mu[0], 1.0 / c[0, 0]
+            with np.errstate(over="ignore"):  # an overflowing form is +inf
+                total = total + d * r * r * d
+        else:
+            d = blk - mu
+            # cho_solve works on the leading axis, the blocks carry theirs last
+            sol = cho_solve((c, True), np.moveaxis(d, -1, 0), check_finite=False)
+            with np.errstate(over="ignore"):
+                total = total + _sum_last(np.moveaxis(sol, 0, -1) * d)
     return total

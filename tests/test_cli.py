@@ -453,6 +453,40 @@ def test_grid_single_step_emits_one_corner_row(tmp_path, capsys):
     assert pdf == pytest.approx(0.25 * math.exp(-2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("steps, bounds", [
+    (1, "0.1,8,0.1,8"), (7, "0.1,8,0.1,8"), (200, "0.1,8,0.1,8"), (7, "0.123,7.77,0.3,9.1"),
+    (50, "1e-300,900,1e-300,2000"),  # the pdf underflows to 0 over most of it
+])
+def test_grid_bytes_equal_the_generic_csv_writers(tmp_path, capsys, steps, bounds):
+    # grid formats each axis value once into its row template; the file must
+    # be the one _write_csv writes from the (u, v, pdf) rows
+    params = {"alpha": 5.0, "beta": 8.0, "sigma1": 1.0, "sigma2": 2.0, "r": 0.4, "q": 1.5, "s": 1.1}
+    p = write_params(tmp_path / "p.json", params)
+    out = tmp_path / "grid.csv"
+    rc, _, _ = run_cli(["grid", "--model", "kotz-gamma-2d", "--params", p,
+                        f"--range={bounds}", "--steps", str(steps), "--out", str(out)], capsys)
+    assert rc == 0
+    umin, umax, vmin, vmax = (float(b) for b in bounds.split(","))
+    uu, vv = np.meshgrid(np.linspace(umin, umax, steps), np.linspace(vmin, vmax, steps),
+                         indexing="ij")
+    pts = np.column_stack([uu.ravel(), vv.ravel()])
+    model = cli._MODELS["kotz-gamma"]
+    with np.errstate(under="ignore"):
+        pdf = np.exp(model.logpdf(model.build(params, 2), pts))
+    want = tmp_path / "want.csv"
+    cli._write_csv(str(want), ["u", "v", "pdf"], np.column_stack([pts, pdf]))
+    assert out.read_bytes() == want.read_bytes()
+    if steps == 50:
+        assert np.sum(pdf == 0.0) > steps
+
+
+def test_fmt_is_the_percent_17g_of_csv_rows():
+    # grid's axis values go through _fmt, its pdf column through "%.17g"
+    bits = np.random.default_rng(17).integers(0, 2**64, 20_000, dtype=np.uint64)
+    values = bits.view(np.float64).tolist() + [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
+    assert [cli._fmt(x) for x in values] == ["%.17g" % x for x in values]
+
+
 def test_grid_invalid_ranges_exit_1(tmp_path, capsys):
     p = write_params(tmp_path / "p.json",
                      {"alpha": 1.0, "beta": 1.0, "sigma1": 1.0, "sigma2": 1.0,

@@ -114,6 +114,42 @@ def test_quadform_nonnegative_and_zero_only_at_mu():
             assert q > 0.0
 
 
+def _cho_solve_quadform(p, x):
+    """block_quadform as cho_solve gives it on every block, 1x1 ones included."""
+    total = 0.0
+    for blk, mu, (c, _) in zip(validate_partition(p.partition, x), p.mus, p.factors):
+        d = blk - mu
+        sol = scipy.linalg.cho_solve((c, True), np.moveaxis(d, -1, 0), check_finite=False)
+        with np.errstate(over="ignore"):
+            total = total + core._sum_last(np.moveaxis(sol, 0, -1) * d)
+    return total
+
+
+def test_one_by_one_blocks_keep_cho_solves_bits():
+    # a 1x1 block skips the LAPACK call: d (1/c) (1/c) is what its two
+    # triangular solves compute, so the form must not move by a bit
+    rng = np.random.default_rng(20)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, 1e-300]
+    for trial in range(40):
+        scale = 10.0 ** rng.uniform(-300, 300, 3) if trial % 2 else rng.uniform(0.01, 100, 3)
+        a = rng.standard_normal((2, 2))
+        p = MvEllipticalParams(
+            partition=Partition(dims=(1, 2, 1)),
+            mus=(rng.standard_normal(1), rng.standard_normal(2), rng.standard_normal(1) * 1e5),
+            sigmas=(np.array([[scale[0]]]), a @ a.T + np.eye(2), np.array([[scale[2]]])),
+        )
+        x = rng.standard_normal((1000, 4)) * 10.0 ** rng.integers(-300, 300, (1000, 4))
+        x[:, 1:3] = rng.standard_normal((1000, 2))  # extremes only in the 1x1 blocks
+        x[: len(special), 0] = x[-len(special):, 3] = special
+        want = _cho_solve_quadform(p, x)
+        for got in (block_quadform(p, x), block_quadform(p, np.asfortranarray(x)),
+                    block_quadform(p, np.ascontiguousarray(x.T).T)):
+            assert got.tobytes() == want.tobytes()
+        for i in (0, 4, 999):  # single points
+            one = block_quadform(p, x[i])
+            assert np.asarray(one).tobytes() == np.asarray(_cho_solve_quadform(p, x[i])).tobytes()
+
+
 def test_quadform_dimension_mismatch():
     p = _scalar_params([0.0], [1.0])
     with pytest.raises(DimensionMismatch):

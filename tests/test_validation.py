@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+import warnings
 from functools import partial
 
 import numpy as np
@@ -30,11 +31,13 @@ from multivec import (
     run_identity_suite,
     sample_mv_beta1,
     sample_mv_gengamma,
+    validation,
 )
 from multivec.validation import (
     _CHUNK,
     _POINT_BUDGET,
     _betaprime_cdf,
+    _betaprime_cdf_to_bin,
     _chi2_quantile_gof,
     _cumulative_simpson,
     _ks_pvalue,
@@ -396,6 +399,88 @@ def test_jacobian_cdfs_are_scipy_stats_bit_for_bit():
                        (np.arange(1000) + 0.5) / 1000):
             stat, p = _chi2_quantile_gof(values, lambda v: v, bins)
             assert p == stats.chi2.sf(stat, bins - 1)
+
+
+def test_the_closed_form_betaprime_cdf_is_scipys_to_1e13():
+    # the bins rest on this: (x / (1 + x))^a is I_{x/(1+x)}(a, 1)
+    x = np.concatenate([[0.0, 1e-300, 1e300], np.geomspace(1e-8, 1e8, 4001)])
+    for a in (0.5, 1.0, 1.5):
+        want = _betaprime_cdf(a, x)
+        assert np.max(np.abs((x / (1.0 + x)) ** a - want)) <= 1e-13
+        assert np.max(np.abs(_betaprime_cdf_to_bin(a, x, 20) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_column_sums_are_sum_lasts_bit_for_bit(k):
+    from multivec.core import _sum_last
+
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((500, k)) * 10.0 ** rng.integers(-20, 20, (500, k))
+    a[0], a[1, 0], a[2, -1] = -0.0, np.nan, np.inf
+    got = validation._sum_columns([a[:, j] for j in range(k)])
+    assert got.tobytes() == _sum_last(a).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_binned_cdf_gives_the_full_cdfs_chi_square(monkeypatch, seed):
+    calls = []
+
+    def record(values, cdf, bins):
+        calls.append((values, cdf, bins))
+        return _chi2_quantile_gof(values, cdf, bins)
+
+    monkeypatch.setattr(validation, "_chi2_quantile_gof", record)
+    for n in (1, 2, 3):
+        for s in range(3):  # the shipped rows of run_identity_suite at this seed
+            jacobian_check(n, seed=seed + 10 * n + s)
+    assert len(calls) == 9
+    for (values, cdf, bins), n in zip(calls, np.repeat([1, 2, 3], 3)):
+        full = _chi2_quantile_gof(values, partial(_betaprime_cdf, n / 2.0), bins)
+        assert _chi2_quantile_gof(values, cdf, bins) == full
+
+
+@pytest.fixture
+def betaprime_sizes(monkeypatch):
+    """The size of each argument validation's _betaprime_cdf is called with."""
+    seen = []
+
+    def counted(a, x):
+        seen.append(x.size)
+        return _betaprime_cdf(a, x)
+
+    monkeypatch.setattr(validation, "_betaprime_cdf", counted)
+    return seen
+
+
+def test_draws_on_a_bin_edge_take_scipys_cdf(betaprime_sizes):
+    rng = np.random.default_rng(3)
+    for a in (0.5, 1.0, 1.5):
+        # x whose closed-form CDF sits on each of the 21 edges k / 20, then
+        # one ulp to either side, and draws where the closed form is inf / inf
+        z = (np.arange(21) / 20.0) ** (1.0 / a)
+        with np.errstate(divide="ignore"):
+            edges = z / (1.0 - z)
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        edges = np.concatenate([edges, [np.inf, np.inf]])
+        z = rng.beta(a, 1.0, 2000)
+        values = np.concatenate([z / (1.0 - z), edges])  # BetaPrime(a, 1) draws, then the edges
+        betaprime_sizes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = _betaprime_cdf_to_bin(a, values, 20)
+        assert len(betaprime_sizes) == 1
+        assert edges.size <= betaprime_sizes[0] <= edges.size + 10
+        assert np.array_equal(u[-edges.size:], _betaprime_cdf(a, edges))
+        assert np.max(np.abs(u - _betaprime_cdf(a, values))) <= 1e-13
+        assert (_chi2_quantile_gof(values, partial(_betaprime_cdf_to_bin, a, bins=20), 20)
+                == _chi2_quantile_gof(values, partial(_betaprime_cdf, a), 20))
+
+
+def test_identity_suite_calls_scipys_cdf_on_almost_no_draw(betaprime_sizes):
+    # scipy's incomplete beta decides only the draws at a bin edge: it saw
+    # all 900,000 Jacobian draws when it binned every one
+    run_identity_suite(seed=0, n_draws=100_000)
+    assert sum(betaprime_sizes) <= 10
 
 
 def test_jacobian_grid_check():
