@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -176,16 +175,6 @@ def _read_pairs_csv(path: str) -> SampleMatrix:
     return SampleMatrix(np.asarray(rows, dtype=float))
 
 
-def _threads() -> int:
-    raw = os.environ.get("MULTIVEC_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise _CliError(f"MULTIVEC_THREADS must be an integer, got {raw!r}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -287,7 +276,9 @@ def cmd_check(args) -> int:
         raise _CliError(f"--seed must be >= 0, got {args.seed}")
     from concurrent.futures import ThreadPoolExecutor  # loads logging: check only
 
-    from .validation import run_identity_suite, run_normalization_suite, run_pushforward_suite
+    from .validation import (
+        _threads, run_identity_suite, run_normalization_suite, run_pushforward_suite,
+    )
 
     suites: dict[str, Callable[[], list[CheckReport]]] = {
         "normalization": lambda: run_normalization_suite(args.seed),

@@ -62,13 +62,15 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
 
 def _sum_last_scaled(a: np.ndarray, c, divide: bool = False) -> np.ndarray:
     """_sum_last(a / c) if divide else _sum_last(a * c), bit for bit: the
-    loop scales column j by c[j], so no op broadcasts over the short axis."""
+    loop scales column j by c[j], so no op broadcasts over the short axis.
+    A term or sum that overflows is +-inf, without a warning."""
     op = np.divide if divide else np.multiply
-    if not 0 < a.shape[-1] < _SHORT_AXIS:
-        return np.sum(op(a, c), axis=-1)
-    out = op(a[..., 0], c[0]) + 0.0
-    for j in range(1, a.shape[-1]):
-        out += op(a[..., j], c[j])
+    with np.errstate(over="ignore"):
+        if not 0 < a.shape[-1] < _SHORT_AXIS:
+            return np.sum(op(a, c), axis=-1)
+        out = op(a[..., 0], c[0]) + 0.0
+        for j in range(1, a.shape[-1]):
+            out += op(a[..., j], c[j])
     return out
 
 
@@ -383,7 +385,8 @@ def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:
     """Sum of per-block quadratic forms (x_i - mu_i)' Sigma_ii^{-1} (x_i - mu_i).
 
     x may be batched with shape (..., total); returns shape (...).  A
-    non-finite coordinate gives +inf or NaN, never an exception.
+    non-finite coordinate gives +inf or NaN, never an exception; a form that
+    overflows at finite coordinates is +inf.
     """
     from scipy.linalg import cho_solve  # deferred: costs CLI start-up
 
@@ -400,6 +403,12 @@ def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:
             d = blk - mu
             # cho_solve works on the leading axis, the blocks carry theirs last
             sol = cho_solve((c, True), np.moveaxis(d, -1, 0), check_finite=False)
+            with np.errstate(over="ignore", invalid="ignore"):
+                form = _sum_last(np.moveaxis(sol, 0, -1) * d)
+            if np.isnan(form).any():
+                # products that overflow to +inf and -inf sum to NaN; the
+                # form itself is positive, so at finite d it is +inf
+                form = np.where(np.isnan(form) & _all_last(np.isfinite(d)), np.inf, form)
             with np.errstate(over="ignore"):
-                total = total + _sum_last(np.moveaxis(sol, 0, -1) * d)
+                total = total + form
     return total

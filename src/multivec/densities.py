@@ -564,4 +564,6 @@ def logpdf_gamma_loggamma(p: GammaLogGammaParams, u=None, y=None) -> np.ndarray 
         raise ParameterOutOfDomain("y must be finite")
     all_u, log_u, log_jac = _log_map(u, y)
     alphas, sigma2 = np.asarray(p.alphas + p.rhos), np.asarray(p.sigma2s + p.delta2s)
-    return _result(_mv_gengamma_at(p.spec, alphas, sigma2, all_u, log_u) + log_jac)
+    out = _mv_gengamma_at(p.spec, alphas, sigma2, all_u, log_u)
+    with np.errstate(over="ignore"):  # y_j near -1.8e308: the log density is -inf
+        return _result(out + log_jac)

@@ -20,7 +20,13 @@ of fit, demonstrating that the corrected exponent is required and the tests
 have power.
 
 The grids pass logpdf block-major batches: (n, d) views of (d, n) arrays,
-whose coordinate columns are contiguous.
+whose coordinate columns are contiguous.  Both the quadrature grid and the
+pushforward grid run in chunks of _CHUNK points.  The calling thread takes
+chunks and, when a grid has more than one, so do the threads of one shared
+pool: MULTIVEC_THREADS threads in all, else one per CPU the process may run
+on (numpy and scipy ufuncs release the GIL).  Each chunk's sums come back to
+the caller, which adds them in chunk order, and every density is row-wise, so
+no report depends on the number of threads.
 
 Reports are deterministic given (inputs, seed) and serialize as JSON lines.
 """
@@ -29,6 +35,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -103,6 +111,115 @@ _CHUNK = 1 << 16  # points per integrand call
 _POINT_BUDGET = 1 << 22  # integrand points per integral, all levels together
 
 
+_pool = None  # (workers, ThreadPoolExecutor), made by the first grid of two or more chunks
+_pool_lock = threading.Lock()
+
+
+def _threads() -> int:
+    """Width of the thread pools: MULTIVEC_THREADS when set, else the CPUs
+    this process may run on.  It changes wall time only, never a report."""
+    raw = os.environ.get("MULTIVEC_THREADS", "").strip()
+    if not raw:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no sched_getaffinity on this platform
+            return os.cpu_count() or 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ParameterOutOfDomain(f"MULTIVEC_THREADS must be an integer, got {raw!r}") from None
+
+
+def _cpu_of(tid: int) -> int:
+    """The CPU a thread of this process last ran on (Linux)."""
+    with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[36])
+
+
+def _leave_cpu_of(tid: int) -> None:
+    """Move the calling thread off the CPU thread `tid` runs on, once.
+
+    Linux starts a thread on its creator's CPU, and on a busy virtual
+    machine the two have been seen to share it for seconds, every chunk
+    taking twice as long.  After one move to another allowed CPU, with the
+    full mask restored at once, the scheduler keeps them apart."""
+    try:
+        cpus = os.sched_getaffinity(0)
+        others = cpus - {_cpu_of(tid)}
+        if others:
+            os.sched_setaffinity(0, others)
+            os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError, IndexError, ValueError):  # no affinity or /proc
+        pass  # an initializer that raised would break the pool
+
+
+def _chunk_pool(workers: int):
+    """The shared pool, with at least `workers` threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < workers:
+            from concurrent.futures import ThreadPoolExecutor
+
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (workers, ThreadPoolExecutor(
+                workers, thread_name_prefix="multivec-chunk", initializer=_leave_cpu_of,
+                initargs=(threading.get_native_id(),),
+            ))
+        return _pool[1]
+
+
+def _map_chunks(chunk: Callable[[int], object], n: int) -> list:
+    """[chunk(i) for i in range(n)], the calling thread and _threads() - 1
+    pool threads taking the indices in order.  One chunk runs inline.
+
+    A chunk that raises stops the taking; when the chunks already taken are
+    done, the lowest-indexed failure is raised, as the loop would raise it.
+    Anything else the caller raises (KeyboardInterrupt, a timer's exception)
+    stops the taking and propagates at once.
+    """
+    workers = min(_threads(), n) - 1 if n > 1 else 0
+    if workers < 1:
+        return [chunk(i) for i in range(n)]
+    out: list = [None] * n
+    failed: dict[int, BaseException] = {}
+    taken = running = 0
+    cond = threading.Condition()
+
+    def take(catch: type[BaseException]) -> None:
+        nonlocal taken, running
+        while True:
+            with cond:
+                if taken >= n:
+                    return
+                i, taken, running = taken, taken + 1, running + 1
+            try:
+                out[i] = chunk(i)
+            except catch as exc:
+                with cond:
+                    failed[i], taken = exc, n
+            finally:
+                with cond:
+                    running -= 1
+                    cond.notify_all()
+
+    try:
+        pool = _chunk_pool(workers)
+        for _ in range(workers):
+            # take(BaseException) returns normally: its future holds nothing to read
+            pool.submit(take, BaseException)
+        take(Exception)
+        with cond:
+            cond.wait_for(lambda: running == 0)
+    except BaseException:
+        with cond:
+            taken = n
+        raise
+    if failed:
+        raise failed[min(failed)]
+    return out
+
+
 def _de_axis(
     lo: float, hi: float, h: float, window: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,8 +265,9 @@ def _de_grid_sum(
     # axes after the first repeat with period `inner`: one index table serves every chunk
     inner = w.size // shape[0]
     idx = np.unravel_index(np.arange(min(w.size, inner + _CHUNK)), shape)
-    total = edge = 0.0
-    for start in range(0, w.size, _CHUNK):
+
+    def chunk_sums(c: int) -> tuple[float, float]:
+        start = c * _CHUNK
         stop, (first, off) = min(start + _CHUNK, w.size), divmod(start, inner)
         pts = np.empty((len(nodes), stop - start))
         for x, i, row in zip([nodes[0][first:], *nodes[1:]], idx, pts):
@@ -164,8 +282,12 @@ def _de_grid_sum(
         # exp; the level sum is then inf, which raises QuadratureFailure
         with np.errstate(over="ignore"):
             mass = w[start:stop] * np.exp(vals)
-        total += float(np.sum(mass))
-        edge += float(np.sum(mass[on_edge[start:stop]]))
+        return float(np.sum(mass)), float(np.sum(mass[on_edge[start:stop]]))
+
+    total = edge = 0.0
+    for chunk_total, chunk_edge in _map_chunks(chunk_sums, -(-w.size // _CHUNK)):
+        total += chunk_total
+        edge += chunk_edge
     return total, edge
 
 
@@ -545,11 +667,22 @@ def pushforward_check(
         else:
             grids.append(np.linspace(glo, ghi, grid_points))
 
-    # the grid points and log-densities are temporaries: only the table outlives logpdf
+    # the grid points are a temporary: only the density table outlives logpdf
     points = np.stack(np.meshgrid(*grids, indexing="ij", copy=False)).reshape(d, -1).T
-    with np.errstate(over="ignore"):
-        cdf = np.exp(np.asarray(logpdf(points), dtype=float)).reshape([g.size for g in grids])
+    cdf = np.empty(len(points))
+
+    def chunk_density(c: int) -> None:
+        rows = slice(c * _CHUNK, (c + 1) * _CHUNK)
+        out = cdf[rows]
+        with np.errstate(over="ignore"):
+            vals = np.asarray(logpdf(points[rows]), dtype=float)
+            if vals.shape != out.shape:
+                raise DimensionMismatch(f"{name}: logpdf returned {vals.shape} for {out.size} points")
+            np.exp(vals, out=out)
+
+    _map_chunks(chunk_density, -(-len(points) // _CHUNK))
     del points
+    cdf = cdf.reshape([g.size for g in grids])
     for axis, g in enumerate(grids):
         cdf = _cumulative_simpson(cdf, g, axis)
     cdf /= cdf[(-1,) * d]

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,20 @@ def test_one_by_one_blocks_keep_cho_solves_bits():
         for i in (0, 4, 999):  # single points
             one = block_quadform(p, x[i])
             assert np.asarray(one).tobytes() == np.asarray(_cho_solve_quadform(p, x[i])).tobytes()
+
+
+def test_a_form_that_overflows_at_a_finite_point_is_inf():
+    # the two products of the correlated 2x2 form overflow to +inf and -inf;
+    # the form is +inf, not NaN, with no warning, and the density is -inf
+    p = MvEllipticalParams(partition=Partition(dims=(2,)), mus=(np.zeros(2),),
+                           sigmas=(np.array([[1.0, 0.9], [0.9, 1.0]]),))
+    x = np.array([[1e200, 5e199], [1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert block_quadform(p, x[0]) == np.inf
+        batch = block_quadform(p, x)
+        assert batch[0] == np.inf and batch[1] == block_quadform(p, x[1]) > 0.0
+        assert logpdf_mv_elliptical(p, Kotz(q=1.0, r=0.5, s=1.0), x[0]) == -np.inf
 
 
 def test_quadform_dimension_mismatch():

@@ -1,6 +1,8 @@
 """Log-densities of every family: closed-form anchors, reductions, identities."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -760,3 +762,30 @@ def test_every_layout_of_a_batch_gives_the_same_bits(name):
     # the other families raise NonPositiveInput or ParameterOutOfDomain there
     if name not in ("gamma-loggamma", "kotz-gamma", "log-elliptical", "mv-beta2", "mv-gengamma"):
         assert off_support > 0
+
+
+# the positive values of the edge grid of floating point; an axis of the real
+# line takes them with both signs and 0
+_EDGE_VALUES = [5e-324, 1e-300, 1e-160, 0.5, 1.0, 1.0 - 2.0**-53, 1e8, 1e154, 1e200, 1e300,
+                1.7e308]
+
+
+@pytest.mark.parametrize("name", ["mv-gengamma", "mv-beta2", "gengamma-beta2", "gamma-loggamma"])
+def test_blocks_that_overflow_their_scale_are_silent_at_the_edges(name):
+    # near 1.7e308 a block over its scale, or a sum of such terms, overflows
+    # to +inf, which the density reads as -inf: no warning, no NaN
+    from multivec.validation import _fixtures
+
+    signed = sorted({0.0, *_EDGE_VALUES, *(-v for v in _EDGE_VALUES)})
+    logpdf = FAMILIES[name].logpdf
+    fixtures = [f for f in _fixtures() if f.family == name]
+    assert fixtures
+    for fx in fixtures:
+        x = np.array(list(itertools.product(
+            *[_EDGE_VALUES if lo == 0.0 else signed for lo, _ in fx.support])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = logpdf(fx.params, x)
+            single = np.array([logpdf(fx.params, point) for point in x])
+        assert batch.tobytes() == single.tobytes(), fx.suffix
+        assert not np.isnan(batch).any() and not (batch == np.inf).any(), fx.suffix

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import sys
+import threading
 import time
 import warnings
 from functools import partial
@@ -601,3 +603,204 @@ def test_ks_pvalue_is_kstests(n, shape):
     values = np.random.default_rng(n).gamma(2.0, size=n)
     cdf = partial(special.gammainc, shape)
     assert _ks_pvalue(values, cdf) == stats.kstest(values, cdf).pvalue
+
+
+# ---------------------------------------------------------------------------
+# grid chunks on the shared thread pool
+
+
+def _level_sum_digest(monkeypatch) -> str:
+    """The digest test_oracles_keep_their_bits pins, over the normalization cases."""
+    sums = []
+    grid_sum = validation._de_grid_sum
+
+    def spy_sum(*args):
+        total, edge = grid_sum(*args)
+        sums.append(f"{args[2]} {total.hex()} {edge.hex()}")
+        return total, edge
+
+    monkeypatch.setattr(validation, "_de_grid_sum", spy_sum)
+    for name, logpdf, support, tol in _normalization_cases():
+        quad_normalization(logpdf, support, tol, name=name)
+    monkeypatch.setattr(validation, "_de_grid_sum", grid_sum)
+    return hashlib.sha256("\n".join(sums).encode()).hexdigest()
+
+
+def test_the_width_moves_no_level_sum_and_no_pushforward_report(monkeypatch):
+    reports = {}
+    for width in ("1", "2"):
+        monkeypatch.setenv("MULTIVEC_THREADS", width)
+        assert _level_sum_digest(monkeypatch) == PINNED_LEVEL_SUMS, width
+        reports[width] = [r.to_json() for r in validation.run_pushforward_suite(0, n_draws=1_000)]
+    assert reports["1"] == reports["2"]
+    details = {json.loads(line)["name"]: json.loads(line)["details"] for line in reports["2"]}
+    for name, want in _SMOKE_DETAILS.items():
+        assert details[name] == f"{want} n=1000 seed=0"
+
+
+def _seven_chunk_axes():
+    """One axis of 6 1/2 chunks: nodes 0, 1, ..., weights 1, no edge."""
+    n = 6 * _CHUNK + _CHUNK // 2
+    return [(np.arange(float(n)), np.ones(n), np.zeros(n, dtype=bool))]
+
+
+def test_a_chunk_that_raises_gives_the_serial_failure(monkeypatch):
+    # chunk 3 fails late and chunk 4 at once: the lower chunk's failure is
+    # the one the serial loop meets first
+    def logpdf(x):
+        c = int(x[0, 0]) // _CHUNK
+        if c == 3:
+            time.sleep(0.05)
+            raise ValueError("chunk 3 is bad")
+        if c == 4:
+            raise ArithmeticError("chunk 4 is bad")
+        return np.zeros(len(x))
+
+    messages = set()
+    for width in ("1", "2", "3"):
+        monkeypatch.setenv("MULTIVEC_THREADS", width)
+        with pytest.raises(QuadratureFailure) as info:
+            validation._de_grid_sum(logpdf, _seven_chunk_axes(), "seven")
+        assert isinstance(info.value.__cause__, ValueError)
+        messages.add(str(info.value))
+    assert messages == {"seven: integrand raised: chunk 3 is bad"}
+
+
+def test_chunk_sums_add_in_chunk_order_at_any_width(monkeypatch):
+    # terms of very different size: a different order of the chunk sums
+    # would move the last bits of the total
+    x = _seven_chunk_axes()
+    scale = np.exp(np.random.default_rng(5).uniform(-30.0, 30.0, 7))
+
+    def logpdf(pts):
+        return np.log(scale[int(pts[0, 0]) // _CHUNK] * (1.0 + pts[:, 0] % 7))
+
+    got = set()
+    for width in ("1", "2", "3"):
+        monkeypatch.setenv("MULTIVEC_THREADS", width)
+        total, edge = validation._de_grid_sum(logpdf, x, "order")
+        got.add((total.hex(), edge))
+    assert len(got) == 1
+
+
+def test_a_single_chunk_grid_starts_no_pool(monkeypatch):
+    monkeypatch.setenv("MULTIVEC_THREADS", "2")
+    monkeypatch.setattr(validation, "_pool", None)
+    name, logpdf, support, tol = next(
+        c for c in _normalization_cases() if c[0] == "norm-mv-gengamma-kotz-k1")
+    assert quad_normalization(logpdf, support, tol, name).passed
+    name, sampler, logpdf, support = next(
+        c for c in _pushforward_cases() if c[0] == "push-log-elliptical-1d")
+    assert pushforward_check(sampler, logpdf, support, n_draws=1_000).passed
+    assert validation._pool is None
+
+
+class _Abort(BaseException):
+    """Stands for a timer's exception or KeyboardInterrupt in the caller."""
+
+
+@pytest.mark.parametrize("error", [ValueError, _Abort])
+def test_no_worker_takes_a_chunk_after_the_callers_chunk_raises(monkeypatch, error):
+    monkeypatch.setenv("MULTIVEC_THREADS", "2")
+    futures = []
+    pool_of = validation._chunk_pool
+
+    class Recorded:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, *args):
+            futures.append(self.pool.submit(*args))
+            return futures[-1]
+
+    monkeypatch.setattr(validation, "_chunk_pool", lambda workers: Recorded(pool_of(workers)))
+    caller, release = threading.current_thread(), threading.Event()
+    caller_chunks, worker_chunks = [], []
+
+    def chunk(i):
+        if threading.current_thread() is caller:
+            caller_chunks.append(i)
+            raise error(f"chunk {i}")
+        worker_chunks.append(i)
+        release.wait(10.0)
+
+    # a failing chunk makes the caller wait for the chunks already taken
+    # before it raises; anything else it raises at once
+    timer = threading.Timer(0.2 if error is ValueError else 10.0, release.set)
+    timer.start()
+    with pytest.raises(error):
+        validation._map_chunks(chunk, 50)
+    release.set()
+    timer.cancel()
+    for fut in futures:
+        fut.result(timeout=10.0)
+    assert len(futures) == 1 and len(caller_chunks) == 1 and len(worker_chunks) <= 1
+
+
+def test_every_grid_chunk_runs_its_logpdf_under_the_overflow_errstate(monkeypatch):
+    # numpy's errstate is per thread: a pool thread's chunk sets its own
+    name, sampler, logpdf, support = next(
+        c for c in _pushforward_cases() if c[0] == "push-mv-beta1-k2")
+
+    def overflowing(x):
+        np.exp(np.full(len(x), 1000.0))
+        return logpdf(x)
+
+    for width in ("1", "2"):
+        monkeypatch.setenv("MULTIVEC_THREADS", width)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = pushforward_check(sampler, overflowing, support, n_draws=1_000)
+        assert rep.passed, rep.details
+
+
+def test_every_chunk_runs_once_under_frequent_thread_switches(monkeypatch):
+    # more threads than cores, switching every microsecond: a lost update to
+    # the shared index would run a chunk twice or not at all
+    monkeypatch.setenv("MULTIVEC_THREADS", "6")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.perf_counter() + 0.5
+        while time.perf_counter() < deadline:
+            runs = [0] * 300
+
+            def chunk(i):
+                runs[i] += 1  # each index has one writer if the taking is right
+                return i * i
+
+            assert validation._map_chunks(chunk, len(runs)) == [i * i for i in range(len(runs))]
+            assert runs == [1] * len(runs)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_pool_thread_leaves_its_creators_cpu_with_its_mask_intact(monkeypatch):
+    if not hasattr(validation.os, "sched_getaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    creator, seen = threading.get_native_id(), {}
+    assert validation._cpu_of(creator) in validation.os.sched_getaffinity(0)
+
+    def no_proc(tid):
+        raise FileNotFoundError(f"/proc/self/task/{tid}/stat")
+
+    def start():
+        seen["before"] = validation.os.sched_getaffinity(0)
+        validation._leave_cpu_of(creator)
+        seen["after"] = validation.os.sched_getaffinity(0)
+        monkeypatch.setattr(validation, "_cpu_of", no_proc)
+        validation._leave_cpu_of(creator)  # without /proc the thread stays put
+        seen["done"] = True
+
+    worker = threading.Thread(target=start)
+    worker.start()
+    worker.join(10.0)
+    assert not worker.is_alive() and seen["done"] and seen["after"] == seen["before"]
+
+
+def test_a_malformed_thread_count_names_the_variable(monkeypatch):
+    monkeypatch.setenv("MULTIVEC_THREADS", "two")
+    with pytest.raises(ParameterOutOfDomain, match="MULTIVEC_THREADS"):
+        validation._de_grid_sum(lambda x: np.zeros(len(x)), _seven_chunk_axes(), "env")
+    monkeypatch.delenv("MULTIVEC_THREADS")
+    assert validation._threads() >= 1
