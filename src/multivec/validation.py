@@ -113,6 +113,7 @@ _POINT_BUDGET = 1 << 22  # integrand points per integral, all levels together
 
 _pool = None  # (workers, ThreadPoolExecutor), made by the first grid of two or more chunks
 _pool_lock = threading.Lock()
+_placed = threading.local()  # .done once a pool thread has left its first caller's CPU
 
 
 def _threads() -> int:
@@ -137,12 +138,14 @@ def _cpu_of(tid: int) -> int:
 
 
 def _leave_cpu_of(tid: int) -> None:
-    """Move the calling thread off the CPU thread `tid` runs on, once.
+    """Move the calling thread off the CPU thread `tid` last ran on.
 
-    Linux starts a thread on its creator's CPU, and on a busy virtual
-    machine the two have been seen to share it for seconds, every chunk
-    taking twice as long.  After one move to another allowed CPU, with the
-    full mask restored at once, the scheduler keeps them apart."""
+    Linux starts a thread on the CPU of the thread that woke it.  On one
+    2-vCPU virtual machine the pool thread and its waiting caller were seen
+    to share a CPU for seconds, every chunk taking twice as long; after one
+    move to another allowed CPU, with the full mask restored at once, the
+    scheduler kept them apart.  The gain was measured on that machine only.
+    Without affinity or /proc this does nothing."""
     try:
         cpus = os.sched_getaffinity(0)
         others = cpus - {_cpu_of(tid)}
@@ -150,22 +153,20 @@ def _leave_cpu_of(tid: int) -> None:
             os.sched_setaffinity(0, others)
             os.sched_setaffinity(0, cpus)
     except (AttributeError, OSError, IndexError, ValueError):  # no affinity or /proc
-        pass  # an initializer that raised would break the pool
+        pass
 
 
 def _chunk_pool(workers: int):
-    """The shared pool, with at least `workers` threads."""
+    """The shared pool, with at least `workers` threads.
+
+    A narrower pool is replaced, never shut down: another caller may still
+    be submitting to it.  Its threads end once the last caller drops it."""
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] < workers:
             from concurrent.futures import ThreadPoolExecutor
 
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (workers, ThreadPoolExecutor(
-                workers, thread_name_prefix="multivec-chunk", initializer=_leave_cpu_of,
-                initargs=(threading.get_native_id(),),
-            ))
+            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="multivec-chunk"))
         return _pool[1]
 
 
@@ -176,7 +177,8 @@ def _map_chunks(chunk: Callable[[int], object], n: int) -> list:
     A chunk that raises stops the taking; when the chunks already taken are
     done, the lowest-indexed failure is raised, as the loop would raise it.
     Anything else the caller raises (KeyboardInterrupt, a timer's exception)
-    stops the taking and propagates at once.
+    stops the taking and propagates at once.  A pool thread leaves the CPU
+    of the first caller it works for (_leave_cpu_of).
     """
     workers = min(_threads(), n) - 1 if n > 1 else 0
     if workers < 1:
@@ -185,6 +187,7 @@ def _map_chunks(chunk: Callable[[int], object], n: int) -> list:
     failed: dict[int, BaseException] = {}
     taken = running = 0
     cond = threading.Condition()
+    caller = threading.get_native_id()
 
     def take(catch: type[BaseException]) -> None:
         nonlocal taken, running
@@ -203,11 +206,16 @@ def _map_chunks(chunk: Callable[[int], object], n: int) -> list:
                     running -= 1
                     cond.notify_all()
 
+    def work() -> None:  # on a pool thread: returns normally, its future holds nothing to read
+        if not getattr(_placed, "done", False):
+            _placed.done = True
+            _leave_cpu_of(caller)
+        take(BaseException)
+
     try:
         pool = _chunk_pool(workers)
         for _ in range(workers):
-            # take(BaseException) returns normally: its future holds nothing to read
-            pool.submit(take, BaseException)
+            pool.submit(work)
         take(Exception)
         with cond:
             cond.wait_for(lambda: running == 0)

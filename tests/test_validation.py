@@ -775,27 +775,106 @@ def test_every_chunk_runs_once_under_frequent_thread_switches(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_a_pool_thread_leaves_its_creators_cpu_with_its_mask_intact(monkeypatch):
+def test_a_pool_thread_leaves_its_callers_cpu_with_its_mask_intact(monkeypatch):
     if not hasattr(validation.os, "sched_getaffinity"):
         pytest.skip("no CPU affinity on this platform")
-    creator, seen = threading.get_native_id(), {}
-    assert validation._cpu_of(creator) in validation.os.sched_getaffinity(0)
+    caller, seen = threading.get_native_id(), {}
+    assert validation._cpu_of(caller) in validation.os.sched_getaffinity(0)
 
     def no_proc(tid):
         raise FileNotFoundError(f"/proc/self/task/{tid}/stat")
 
-    def start():
+    def start():  # the caller waits in join() meanwhile, so its CPU stays put
         seen["before"] = validation.os.sched_getaffinity(0)
-        validation._leave_cpu_of(creator)
+        validation._leave_cpu_of(caller)
+        seen["mine"] = validation._cpu_of(threading.get_native_id())
+        seen["theirs"] = validation._cpu_of(caller)
         seen["after"] = validation.os.sched_getaffinity(0)
         monkeypatch.setattr(validation, "_cpu_of", no_proc)
-        validation._leave_cpu_of(creator)  # without /proc the thread stays put
+        validation._leave_cpu_of(caller)  # without /proc the thread stays put
         seen["done"] = True
 
     worker = threading.Thread(target=start)
     worker.start()
     worker.join(10.0)
     assert not worker.is_alive() and seen["done"] and seen["after"] == seen["before"]
+    if len(seen["before"]) > 1:
+        assert seen["mine"] != seen["theirs"]
+
+
+def test_each_pool_thread_moves_once_off_the_caller_it_first_works_for(monkeypatch):
+    monkeypatch.setenv("MULTIVEC_THREADS", "3")
+    moves = []
+    monkeypatch.setattr(validation, "_leave_cpu_of",
+                        lambda tid: moves.append((threading.get_native_id(), tid)))
+
+    def call():
+        callers.append(threading.get_native_id())
+        for _ in range(5):
+            assert validation._map_chunks(lambda i: i, 4) == [0, 1, 2, 3]
+
+    def run_callers():
+        for _ in range(2):
+            t = threading.Thread(target=call)
+            t.start()
+            t.join(10.0)
+
+    # the shared pool: its threads move on their first chunk only, so the
+    # second caller finds them placed
+    monkeypatch.setattr(validation, "_pool", None)
+    callers = []
+    run_callers()
+    movers = [mover for mover, _ in moves]
+    assert 1 <= len(moves) <= 2 and len(set(movers)) == len(movers)
+    assert {tid for _, tid in moves} == {callers[0]}
+
+    # a fresh thread per submit: each moves off the caller that submitted it
+    started = []
+
+    class Fresh:
+        def submit(self, fn):
+            started.append(threading.Thread(target=fn))
+            started[-1].start()
+
+    monkeypatch.setattr(validation, "_chunk_pool", lambda workers: Fresh())
+    moves, callers = [], []
+    run_callers()
+    for t in started:
+        t.join(10.0)
+    assert sorted(tid for _, tid in moves) == sorted(callers * 10)
+
+
+def test_a_pool_handed_out_stays_usable_after_a_wider_one_is_made(monkeypatch):
+    monkeypatch.setattr(validation, "_pool", None)
+    narrow = validation._chunk_pool(1)
+    assert validation._chunk_pool(2) is not narrow
+    assert narrow.submit(int, "7").result(timeout=10.0) == 7
+
+
+def test_callers_at_rising_widths_share_the_pool_safely(monkeypatch):
+    # each caller asks for more threads than the pool has, again and again,
+    # while the other may be submitting to the pool it got
+    width = threading.local()
+    monkeypatch.setattr(validation, "_threads", lambda: width.now)
+    monkeypatch.setattr(validation, "_pool", None)
+    errors = []
+
+    def call(offset):
+        try:
+            for _ in range(20):
+                validation._pool = None
+                for now in range(2 + offset, 6 + offset):
+                    width.now = now
+                    assert validation._map_chunks(lambda i: i * i, 8) == [i * i for i in range(8)]
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    callers = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(30.0)
+    assert not any(t.is_alive() for t in callers) and errors == []
 
 
 def test_a_malformed_thread_count_names_the_variable(monkeypatch):
