@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .core import SampleMatrix
+from .core import SampleMatrix, _threads
 from .errors import MultivecError, NonPositiveInput
 from .families import FAMILIES, Family
 from .sampling import make_rng
@@ -276,9 +276,7 @@ def cmd_check(args) -> int:
         raise _CliError(f"--seed must be >= 0, got {args.seed}")
     from concurrent.futures import ThreadPoolExecutor  # loads logging: check only
 
-    from .validation import (
-        _threads, run_identity_suite, run_normalization_suite, run_pushforward_suite,
-    )
+    from .validation import run_identity_suite, run_normalization_suite, run_pushforward_suite
 
     suites: dict[str, Callable[[], list[CheckReport]]] = {
         "normalization": lambda: run_normalization_suite(args.seed),

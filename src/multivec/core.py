@@ -5,11 +5,19 @@ This module owns that bookkeeping plus the Cholesky-based pieces
 (log-determinant, quadratic form) the elliptical densities need.
 All heavy numeric work elsewhere is done in log space; see the density
 modules.
+
+It also owns the one thread pool of the package (_map_chunks): the oracle
+grids of ``validation`` and the long logpdf batches of ``densities`` share
+their chunks between the calling thread and that pool.  numpy and scipy
+ufuncs release the GIL, so the chunks run on every CPU.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -108,6 +116,142 @@ def _fsum(x: np.ndarray) -> float:
     totals = np.concatenate([np.ldexp(np.bincount(bins, whole), scale),
                              np.ldexp(np.bincount(bins, mant), scale)])
     return math.fsum(totals[totals != 0.0].tolist())
+
+
+# ---------------------------------------------------------------------------
+# The shared chunk pool
+
+_CHUNK = 1 << 16  # points per chunk of a grid, and the rows a logpdf batch must pass to split
+_pool = None  # (workers, ThreadPoolExecutor), made by the first map of two or more chunks
+_pool_lock = threading.Lock()
+_placed = threading.local()  # .done once a pool thread has left its first caller's CPU
+_in_chunk = contextvars.ContextVar("multivec_in_chunk", default=False)
+
+
+def _threads() -> int:
+    """Width of the thread pools: MULTIVEC_THREADS when set, else the CPUs
+    this process may run on.  It changes wall time only, never a result."""
+    raw = os.environ.get("MULTIVEC_THREADS", "").strip()
+    if not raw:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no sched_getaffinity on this platform
+            return os.cpu_count() or 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ParameterOutOfDomain(f"MULTIVEC_THREADS must be an integer, got {raw!r}") from None
+
+
+def _cpu_of(tid: int) -> int:
+    """The CPU a thread of this process last ran on (Linux)."""
+    with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[36])
+
+
+def _leave_cpu_of(tid: int) -> None:
+    """Move the calling thread off the CPU thread `tid` last ran on.
+
+    Linux starts a thread on the CPU of the thread that woke it.  On one
+    2-vCPU virtual machine the pool thread and its waiting caller were seen
+    to share a CPU for seconds, every chunk taking twice as long; after one
+    move to another allowed CPU, with the full mask restored at once, the
+    scheduler kept them apart.  The gain was measured on that machine only.
+    Without affinity or /proc this does nothing."""
+    try:
+        cpus = os.sched_getaffinity(0)
+        others = cpus - {_cpu_of(tid)}
+        if others:
+            os.sched_setaffinity(0, others)
+            os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError, IndexError, ValueError):  # no affinity or /proc
+        pass
+
+
+def _chunk_pool(workers: int):
+    """The shared pool, with at least `workers` threads.
+
+    A narrower pool is replaced, never shut down: another caller may still
+    be submitting to it.  Its threads end once the last caller drops it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < workers:
+            from concurrent.futures import ThreadPoolExecutor  # loads logging: threaded maps only
+
+            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="multivec-chunk"))
+        return _pool[1]
+
+
+def _map_chunks(chunk: Callable[[int], object], n: int) -> list:
+    """[chunk(i) for i in range(n)], the calling thread and _threads() - 1
+    pool threads taking the indices in order.  One chunk runs inline, and so
+    does a map called from inside a chunk, on the caller or on a pool thread:
+    maps never nest.  A pool thread runs its chunks in a copy of the
+    caller's context, taken here, so they see the caller's np.errstate.
+
+    A chunk that raises stops the taking; when the chunks already taken are
+    done, the lowest-indexed failure is raised, as the loop would raise it.
+    Anything else the caller raises (KeyboardInterrupt, a timer's exception)
+    stops the taking and propagates at once.  A pool thread leaves the CPU
+    of the first caller it works for (_leave_cpu_of).
+    """
+    workers = 0 if n < 2 or _in_chunk.get() else min(_threads(), n) - 1
+    token = _in_chunk.set(True)
+    try:
+        if workers < 1:
+            return [chunk(i) for i in range(n)]
+        return _share_chunks(chunk, n, workers, contextvars.copy_context())
+    finally:
+        _in_chunk.reset(token)
+
+
+def _share_chunks(chunk: Callable[[int], object], n: int, workers: int,
+                  context: contextvars.Context) -> list:
+    """_map_chunks on the caller and `workers` pool threads, each pool thread
+    in its own copy of `context`."""
+    out: list = [None] * n
+    failed: dict[int, BaseException] = {}
+    taken = running = 0
+    cond = threading.Condition()
+    caller = threading.get_native_id()
+
+    def take(catch: type[BaseException]) -> None:
+        nonlocal taken, running
+        while True:
+            with cond:
+                if taken >= n:
+                    return
+                i, taken, running = taken, taken + 1, running + 1
+            try:
+                out[i] = chunk(i)
+            except catch as exc:
+                with cond:
+                    failed[i], taken = exc, n
+            finally:
+                with cond:
+                    running -= 1
+                    cond.notify_all()
+
+    def work() -> None:  # on a pool thread: returns normally, its future holds nothing to read
+        if not getattr(_placed, "done", False):
+            _placed.done = True
+            _leave_cpu_of(caller)
+        context.copy().run(take, BaseException)  # a context is entered by one thread at a time
+
+    try:
+        pool = _chunk_pool(workers)
+        for _ in range(workers):
+            pool.submit(work)
+        take(Exception)
+        with cond:
+            cond.wait_for(lambda: running == 0)
+    except BaseException:
+        with cond:
+            taken = n
+        raise
+    if failed:
+        raise failed[min(failed)]
+    return out
 
 
 def _all_last(a: np.ndarray) -> np.ndarray:

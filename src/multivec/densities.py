@@ -36,12 +36,18 @@ its log-Jacobian, -inf off the support (the samplers use the forward maps):
 Commonly printed forms of the images that fail to integrate to one misstate
 one of these Jacobians.  Every exponent is pinned by a quadrature test and,
 where a sampler exists, a goodness-of-fit test.
+
+Every public logpdf_* splits a batch of more than core._CHUNK rows into row
+ranges on the package's shared thread pool (_split_rows, core._map_chunks),
+MULTIVEC_THREADS threads in all.  The kernels are row-wise, so the split
+moves no bit; a batch of at most that many rows runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -50,11 +56,14 @@ from .core import (
     ExtendedShape,
     MvEllipticalParams,
     ScaleShapeParams,
+    _CHUNK,
     _all_last,
+    _map_chunks,
     _positive,
     _sum_in_order,
     _sum_last,
     _sum_last_scaled,
+    _threads,
     block_quadform,
 )
 from .errors import DimensionMismatch, NonPositiveInput, ParameterOutOfDomain
@@ -69,6 +78,48 @@ def _result(out):
     """out as a float when it is 0-d, else as an array."""
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
+
+
+def _split_rows(fn):
+    """fn, splitting a long batch into row ranges over the shared chunk pool.
+
+    fn is a public logpdf: its params and generator specs are dataclasses,
+    and every other argument but None is data.  A call splits only when each
+    data argument is an array of 1 or 2 dims, all of them share a leading
+    axis of more than _CHUNK rows, and one has 2 dims (so that the axis
+    counts points, not the coordinates of one point).  The rows then go in
+    max(_threads(), ceil(rows / _CHUNK)) near-equal ranges, each writing its
+    slice of one output.  Every other layout, a broadcast one included, runs
+    fn as is.  A range that raises makes the call re-run whole, so a bad
+    batch raises what the unsplit call raises, wherever its bad rows lie.
+    """
+
+    @functools.wraps(fn)
+    def split(*args, **kwargs):
+        data = [a for a in (*args, *kwargs.values()) if a is not None and not is_dataclass(a)]
+        rows = data[0].shape[0] if data and isinstance(data[0], np.ndarray) and data[0].ndim else 0
+        if rows <= _CHUNK or not any(a.ndim == 2 for a in data) or not all(
+                isinstance(a, np.ndarray) and a.ndim in (1, 2) and a.shape[0] == rows for a in data):
+            return fn(*args, **kwargs)
+        n = max(_threads(), -(-rows // _CHUNK))
+        bounds = [rows * i // n for i in range(n + 1)]
+        out = np.empty(rows)
+
+        def run(i: int) -> None:
+            part = slice(bounds[i], bounds[i + 1])
+
+            def cut(a):
+                return a if a is None or is_dataclass(a) else a[part]
+
+            out[part] = fn(*map(cut, args), **{key: cut(a) for key, a in kwargs.items()})
+
+        try:
+            _map_chunks(run, n)
+        except Exception:
+            return fn(*args, **kwargs)
+        return out
+
+    return split
 
 
 def _vector(x, name: str, k: int) -> np.ndarray:
@@ -109,6 +160,7 @@ def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> np.ndarray:
 # Block-vector families
 
 
+@_split_rows
 def logpdf_mv_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, x) -> np.ndarray | float:
     """Block elliptical density: -1/2 sum log|Sigma_ii| + log h(sum of quadforms).
 
@@ -126,10 +178,12 @@ def logpdf_mv_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, x) -> np.nd
     return _result(out)
 
 
+@_split_rows
 def logpdf_mv_log_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, v) -> np.ndarray | float:
     """Elementwise-log pushforward of the block elliptical law; Jacobian prod 1/v_i."""
     logv = np.log(_positive_vector(v, "v", p.partition.total))
-    return _result(logpdf_mv_elliptical(p, spec, logv) - _sum_last(logv))
+    # the unsplit kernel: only the public call splits its rows
+    return _result(logpdf_mv_elliptical.__wrapped__(p, spec, logv) - _sum_last(logv))
 
 
 @dataclass(frozen=True)
@@ -159,6 +213,7 @@ class MixedParams:
         return self.base.partition.total - self.n_linear
 
 
+@_split_rows
 def logpdf_mixed_ell_logell(p: MixedParams, spec: GeneratorSpec, x, v) -> np.ndarray | float:
     """Joint density of linear blocks x and positive blocks v under one shared h."""
     x = _vector(x, "x", p.n_linear)
@@ -167,7 +222,7 @@ def logpdf_mixed_ell_logell(p: MixedParams, spec: GeneratorSpec, x, v) -> np.nda
     x_b = np.broadcast_to(x, batch + x.shape[-1:])
     logv_b = np.broadcast_to(logv, batch + logv.shape[-1:])
     full = np.concatenate([x_b, logv_b], axis=-1)
-    return _result(logpdf_mv_elliptical(p.base, spec, full) - _sum_last(logv_b))
+    return _result(logpdf_mv_elliptical.__wrapped__(p.base, spec, full) - _sum_last(logv_b))
 
 
 @dataclass(frozen=True)
@@ -233,6 +288,7 @@ def _mv_t_at(p: MvTParams, sq: np.ndarray):
     return _result(out)
 
 
+@_split_rows
 def logpdf_mv_t(p: MvTParams, t) -> np.ndarray | float:
     """Multivector t density on the full space.
 
@@ -242,6 +298,7 @@ def logpdf_mv_t(p: MvTParams, t) -> np.ndarray | float:
     return _mv_t_at(p, _sqnorms_by_dims(p.dims, t, "t"))
 
 
+@_split_rows
 def logpdf_mv_pearson2(p: MvTParams, r) -> np.ndarray | float:
     """Multivector Pearson II density on the product of open unit balls.
 
@@ -355,6 +412,7 @@ def _gengamma_pearson7_at(p: JointScaleParams, s0, sq, log_jac, inside):
     return _joint_out(p, s0, log_const, sq, log_jac, inside)
 
 
+@_split_rows
 def logpdf_gengamma_pearson7(p: JointScaleParams, s0, t) -> np.ndarray | float:
     """Joint law of s0 = ||x_0||^2 and the divided blocks t_i = x_i/||x_0||."""
     if p.dims is None:
@@ -362,6 +420,7 @@ def logpdf_gengamma_pearson7(p: JointScaleParams, s0, t) -> np.ndarray | float:
     return _gengamma_pearson7_at(p, s0, _sqnorms_by_dims(p.dims, t, "t"), 0.0, True)
 
 
+@_split_rows
 def logpdf_gengamma_pearson2(p: JointScaleParams, s0, r) -> np.ndarray | float:
     """Joint (s0, r) law: the Pearson VII joint under t_i = (1-||r_i||^2)^{-1/2} r_i.
 
@@ -406,6 +465,7 @@ def _gengamma_beta2_at(p: JointScaleParams, s0, f, log_f, log_jac, inside):
     return _joint_out(p, s0, log_const, f, extra, inside)
 
 
+@_split_rows
 def logpdf_gengamma_beta1(p: JointScaleParams, s0, b) -> np.ndarray | float:
     """Joint (s0, b) law with beta-I-type blocks b_i in (0,1).
 
@@ -419,6 +479,7 @@ def logpdf_gengamma_beta1(p: JointScaleParams, s0, b) -> np.ndarray | float:
     return _gengamma_beta2_at(p, s0, *_unit_map(b, p.k))
 
 
+@_split_rows
 def logpdf_gengamma_beta2(p: JointScaleParams, s0, f) -> np.ndarray | float:
     """Joint (s0, f) law with beta-II-type blocks f_i > 0."""
     if p.alphas is None:
@@ -448,6 +509,7 @@ def _mv_gengamma_at(spec: GeneratorSpec, alphas: np.ndarray, sigma2: np.ndarray,
     )
 
 
+@_split_rows
 def logpdf_mv_gengamma(p: ScaleShapeParams, spec: GeneratorSpec, u) -> np.ndarray | float:
     """Joint law of the block squared norms u_i; h at effective dimension 2*sum(alpha)."""
     u = _positive_vector(u, "u", p.k)
@@ -484,10 +546,24 @@ def _mv_beta2_at(p: BetaParams, f, log_f):
     return (
         log_const
         + _sum_last_scaled(log_f, alphas - 1.0)
-        - p.shape.alpha_star * np.log1p(_sum_last_scaled(f, p.betas, divide=True))
+        - p.shape.alpha_star * _log1p_scaled_sum(f, log_f, p.betas)
     )
 
 
+def _log1p_scaled_sum(f, log_f, betas: tuple[float, ...]):
+    """log1p(sum_i f_i / beta_i).  Where that sum overflows, it is the
+    log-sum-exp of log f_i - log beta_i: the 1 is then far below an ulp."""
+    scaled = _sum_last_scaled(f, betas, divide=True)
+    big = scaled == np.inf
+    if not big.any():
+        return np.log1p(scaled)
+    terms = log_f - np.log(betas)
+    top = np.max(terms, axis=-1)
+    lse = top + np.log(np.sum(np.exp(terms - top[..., None]), axis=-1))
+    return np.where(big, lse, np.log1p(scaled))
+
+
+@_split_rows
 def logpdf_mv_beta1(p: BetaParams, b) -> np.ndarray | float:
     """Multivariate beta I on (0,1)^k.
 
@@ -499,6 +575,7 @@ def logpdf_mv_beta1(p: BetaParams, b) -> np.ndarray | float:
     return _result(np.where(inside, _mv_beta2_at(p, f, log_f) + log_jac, -np.inf))
 
 
+@_split_rows
 def logpdf_mv_beta2(p: BetaParams, f) -> np.ndarray | float:
     """Multivariate beta II (F-type) density on the positive orthant."""
     f = _positive_vector(f, "f", p.k)
@@ -550,6 +627,7 @@ def _log_map(u: np.ndarray, y: np.ndarray):
     return all_u, np.concatenate([np.log(u), y], axis=-1), _sum_last(y)
 
 
+@_split_rows
 def logpdf_gamma_loggamma(p: GammaLogGammaParams, u=None, y=None) -> np.ndarray | float:
     """Joint law of gamma-type blocks u_i > 0 and log-gamma blocks y_j in R.
 

@@ -21,12 +21,13 @@ have power.
 
 The grids pass logpdf block-major batches: (n, d) views of (d, n) arrays,
 whose coordinate columns are contiguous.  Both the quadrature grid and the
-pushforward grid run in chunks of _CHUNK points.  The calling thread takes
-chunks and, when a grid has more than one, so do the threads of one shared
-pool: MULTIVEC_THREADS threads in all, else one per CPU the process may run
-on (numpy and scipy ufuncs release the GIL).  Each chunk's sums come back to
-the caller, which adds them in chunk order, and every density is row-wise, so
-no report depends on the number of threads.
+pushforward grid run in chunks of core._CHUNK points on core._map_chunks: the
+calling thread takes chunks and, when a grid has more than one, so do the
+threads of the package's one pool, which lives in ``core`` and is shared
+with the long logpdf batches of ``densities``: MULTIVEC_THREADS threads in
+all, else one per CPU the process may run on.  Each chunk's sums come back
+to the caller, which adds them in chunk order, and every density is
+row-wise, so no report depends on the number of threads.
 
 Reports are deterministic given (inputs, seed) and serialize as JSON lines.
 """
@@ -35,8 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -50,8 +49,10 @@ from .core import (
     MvEllipticalParams,
     Partition,
     ScaleShapeParams,
+    _CHUNK,
     _SHORT_AXIS,
     _all_last,
+    _map_chunks,
     _sum_last,
 )
 from .densities import (
@@ -107,125 +108,7 @@ Interval = tuple[float, float]
 _DE_WINDOW = 4.5  # |t| <= window on every axis of the DE substitution, at first
 _DE_MAX_WINDOW = 6.0  # the retry; wider, exp-sinh nodes near 1e-227 overflow 1/z-like integrands
 _DE_EDGE = 0.25  # width in t of each outer edge of the nodes an axis keeps
-_CHUNK = 1 << 16  # points per integrand call
 _POINT_BUDGET = 1 << 22  # integrand points per integral, all levels together
-
-
-_pool = None  # (workers, ThreadPoolExecutor), made by the first grid of two or more chunks
-_pool_lock = threading.Lock()
-_placed = threading.local()  # .done once a pool thread has left its first caller's CPU
-
-
-def _threads() -> int:
-    """Width of the thread pools: MULTIVEC_THREADS when set, else the CPUs
-    this process may run on.  It changes wall time only, never a report."""
-    raw = os.environ.get("MULTIVEC_THREADS", "").strip()
-    if not raw:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # no sched_getaffinity on this platform
-            return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParameterOutOfDomain(f"MULTIVEC_THREADS must be an integer, got {raw!r}") from None
-
-
-def _cpu_of(tid: int) -> int:
-    """The CPU a thread of this process last ran on (Linux)."""
-    with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as f:
-        return int(f.read().rsplit(")", 1)[1].split()[36])
-
-
-def _leave_cpu_of(tid: int) -> None:
-    """Move the calling thread off the CPU thread `tid` last ran on.
-
-    Linux starts a thread on the CPU of the thread that woke it.  On one
-    2-vCPU virtual machine the pool thread and its waiting caller were seen
-    to share a CPU for seconds, every chunk taking twice as long; after one
-    move to another allowed CPU, with the full mask restored at once, the
-    scheduler kept them apart.  The gain was measured on that machine only.
-    Without affinity or /proc this does nothing."""
-    try:
-        cpus = os.sched_getaffinity(0)
-        others = cpus - {_cpu_of(tid)}
-        if others:
-            os.sched_setaffinity(0, others)
-            os.sched_setaffinity(0, cpus)
-    except (AttributeError, OSError, IndexError, ValueError):  # no affinity or /proc
-        pass
-
-
-def _chunk_pool(workers: int):
-    """The shared pool, with at least `workers` threads.
-
-    A narrower pool is replaced, never shut down: another caller may still
-    be submitting to it.  Its threads end once the last caller drops it."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < workers:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="multivec-chunk"))
-        return _pool[1]
-
-
-def _map_chunks(chunk: Callable[[int], object], n: int) -> list:
-    """[chunk(i) for i in range(n)], the calling thread and _threads() - 1
-    pool threads taking the indices in order.  One chunk runs inline.
-
-    A chunk that raises stops the taking; when the chunks already taken are
-    done, the lowest-indexed failure is raised, as the loop would raise it.
-    Anything else the caller raises (KeyboardInterrupt, a timer's exception)
-    stops the taking and propagates at once.  A pool thread leaves the CPU
-    of the first caller it works for (_leave_cpu_of).
-    """
-    workers = min(_threads(), n) - 1 if n > 1 else 0
-    if workers < 1:
-        return [chunk(i) for i in range(n)]
-    out: list = [None] * n
-    failed: dict[int, BaseException] = {}
-    taken = running = 0
-    cond = threading.Condition()
-    caller = threading.get_native_id()
-
-    def take(catch: type[BaseException]) -> None:
-        nonlocal taken, running
-        while True:
-            with cond:
-                if taken >= n:
-                    return
-                i, taken, running = taken, taken + 1, running + 1
-            try:
-                out[i] = chunk(i)
-            except catch as exc:
-                with cond:
-                    failed[i], taken = exc, n
-            finally:
-                with cond:
-                    running -= 1
-                    cond.notify_all()
-
-    def work() -> None:  # on a pool thread: returns normally, its future holds nothing to read
-        if not getattr(_placed, "done", False):
-            _placed.done = True
-            _leave_cpu_of(caller)
-        take(BaseException)
-
-    try:
-        pool = _chunk_pool(workers)
-        for _ in range(workers):
-            pool.submit(work)
-        take(Exception)
-        with cond:
-            cond.wait_for(lambda: running == 0)
-    except BaseException:
-        with cond:
-            taken = n
-        raise
-    if failed:
-        raise failed[min(failed)]
-    return out
 
 
 def _de_axis(

@@ -789,3 +789,163 @@ def test_blocks_that_overflow_their_scale_are_silent_at_the_edges(name):
             single = np.array([logpdf(fx.params, point) for point in x])
         assert batch.tobytes() == single.tobytes(), fx.suffix
         assert not np.isnan(batch).any() and not (batch == np.inf).any(), fx.suffix
+
+
+def test_mv_beta2_stays_finite_where_its_scaled_sum_overflows():
+    # f_2 / beta_2 = 2.1e308 overflows; the log density there is about -3262.7
+    import mpmath
+
+    from multivec.validation import _fixture
+
+    (p,) = _fixture("mv-beta2-k2").params
+    f = (1.0, 1.7e308)
+    with mpmath.workdps(40):
+        a, a0, b = [mpmath.mpf(v) for v in p.shape.alphas], mpmath.mpf(p.shape.alpha0), p.betas
+        a_star = a0 + sum(a)
+        want = (mpmath.loggamma(a_star) - mpmath.loggamma(a0)
+                - sum(mpmath.loggamma(ai) + ai * mpmath.log(bi) for ai, bi in zip(a, b))
+                + sum((ai - 1) * mpmath.log(fi) for ai, fi in zip(a, f))
+                - a_star * mpmath.log(1 + sum(mpmath.mpf(fi) / bi for fi, bi in zip(f, b))))
+    got = logpdf_mv_beta2(p, np.array(f))
+    assert math.isfinite(got) and abs(got - float(want)) <= 1e-9
+    # a batch gives the same bits as the point, next to an in-range row
+    batch = logpdf_mv_beta2(p, np.array([[0.5, 2.0], f]))
+    assert batch[1] == got and batch[0] == logpdf_mv_beta2(p, np.array([0.5, 2.0]))
+
+
+def test_every_family_at_the_edges_of_floating_point(monkeypatch):
+    # each fixture on the grid +-{0, 5e-324, ..., 1.7e308}^d: batched, one
+    # point at a time, and tiled past the split threshold, so that chunks on
+    # pool threads meet the edges too.  No warning, no NaN, no +inf, and
+    # every error a MultivecError; a tiled batch repeats the batch's bits
+    from multivec.core import _CHUNK
+    from multivec.validation import _fixtures
+
+    monkeypatch.setenv("MULTIVEC_THREADS", "2")
+    signed = sorted({0.0, *_EDGE_VALUES, *(-v for v in _EDGE_VALUES)})
+
+    def value_or_error(logpdf, x):
+        try:
+            return np.asarray(logpdf(x))
+        except MultivecError as exc:
+            return exc
+
+    seen = set()
+    for fx in _fixtures():
+        if fx.suffix in seen:
+            continue
+        seen.add(fx.suffix)
+        logpdf = lambda x, fx=fx: FAMILIES[fx.family].logpdf(fx.params, x)  # noqa: E731
+        x = np.array(list(itertools.product(signed, repeat=len(fx.support))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = value_or_error(logpdf, x)
+            tiled = value_or_error(logpdf, np.tile(x, (_CHUNK // len(x) + 1, 1)))
+            single = [value_or_error(logpdf, point) for point in x]
+        values = [v for v in [batch, tiled, *single] if isinstance(v, np.ndarray)]
+        assert values, fx.suffix
+        for v in values:
+            assert not np.isnan(v).any() and not (v == np.inf).any(), fx.suffix
+        if isinstance(batch, MultivecError):
+            assert (type(tiled), str(tiled)) == (type(batch), str(batch)), fx.suffix
+        else:
+            assert tiled.tobytes() == np.tile(batch, len(tiled) // len(batch)).tobytes(), fx.suffix
+            assert np.array(single).tobytes() == batch.tobytes(), fx.suffix
+
+
+# ---------------------------------------------------------------------------
+# long batches split over the shared chunk pool
+
+
+def _split_fixtures():
+    """Each oracle fixture once, with its family and 1e5 of its own draws
+    (1e4 draws tiled ten times)."""
+    from multivec.validation import _fixtures
+
+    seen, out = set(), []
+    for fx in _fixtures():
+        if fx.suffix not in seen:
+            seen.add(fx.suffix)
+            family = FAMILIES[fx.family]
+            draws = family.sample(fx.params, np.random.default_rng(len(fx.suffix)), 10_000)
+            out.append((fx, family, np.tile(draws, (10, 1))))
+    return out
+
+
+def test_a_split_batch_gives_the_bits_of_the_whole_call(monkeypatch):
+    # joint (s0, t), mixed (x, v) and (u, y) layouts included: every range
+    # of 1e5 rows, on the caller or a pool thread, writes the whole call's bits
+    from dataclasses import replace
+
+    from multivec import core
+
+    cases = [(fx, family, x, replace(family, density=family.density.__wrapped__).logpdf(fx.params, x))
+             for fx, family, x in _split_fixtures()]
+    for width in ("1", "2", "3"):
+        monkeypatch.setenv("MULTIVEC_THREADS", width)
+        monkeypatch.setattr(core, "_pool", None)
+        for fx, family, x, whole in cases:
+            got = family.logpdf(fx.params, x)
+            assert got.shape == whole.shape and got.tobytes() == whole.tobytes(), (width, fx.suffix)
+        assert (core._pool is None) == (width == "1")
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("log-elliptical", (0, -1.0)),  # NonPositiveInput
+    ("gamma-loggamma", (1, np.nan)),  # ParameterOutOfDomain, from the log-gamma block
+    ("mv-beta2", (1, 0.0)),
+])
+def test_a_bad_row_in_the_last_range_raises_what_the_whole_call_raises(monkeypatch, name, bad):
+    from multivec.core import _CHUNK
+    from multivec.validation import _fixtures
+
+    monkeypatch.setenv("MULTIVEC_THREADS", "2")
+    fx = next(f for f in _fixtures() if f.family == name)
+    family = FAMILIES[name]
+    x = np.tile(family.sample(fx.params, np.random.default_rng(3), 100), (_CHUNK // 50, 1))
+    column, value = bad
+    x[-1, column] = value
+    errors = []
+    for density in (family.density, family.density.__wrapped__):
+        with pytest.raises(MultivecError) as info:
+            family.__class__(name, density, family.sampler, split=family.split).logpdf(fx.params, x)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    if name == "gamma-loggamma":
+        # a bad y in the first range and a bad u in the last: the whole call
+        # checks u first, and so does the split one
+        x[-1, 1], x[0, 1], x[-1, 0] = 0.0, np.nan, -1.0
+        with pytest.raises(NonPositiveInput):
+            family.logpdf(fx.params, x)
+
+
+def test_only_a_shared_leading_axis_of_points_is_split(monkeypatch):
+    from multivec import core, densities
+    from multivec.core import _CHUNK
+
+    maps = []
+    real = densities._map_chunks
+    monkeypatch.setattr(densities, "_map_chunks", lambda chunk, n: maps.append(n) or real(chunk, n))
+    monkeypatch.setenv("MULTIVEC_THREADS", "3")
+    p = JointScaleParams(spec=GAUSS, alpha0=1.5, sigma2s=(1.0, 0.8), dims=(1,))
+    s0 = np.linspace(0.1, 9.0, 4 * _CHUNK + 1)
+    t = np.linspace(-3.0, 3.0, 4 * _CHUNK + 1)[:, None]
+    # max(threads, ceil(rows / _CHUNK)) ranges
+    split = logpdf_gengamma_pearson7(p, s0[:_CHUNK + 1], t[:_CHUNK + 1])
+    logpdf_gengamma_pearson7(p, s0, t)
+    assert maps == [3, 5]
+    # one t row against many s0, and the same t for each: same bits, no split
+    assert logpdf_gengamma_pearson7(p, s0, t[:1]).tobytes() == \
+        logpdf_gengamma_pearson7(p, s0, np.full_like(t, t[0, 0])).tobytes()
+    assert maps == [3, 5, 5]
+    assert logpdf_gengamma_pearson7(p, s0[:_CHUNK], t[:_CHUNK]).tobytes() == split[:_CHUNK].tobytes()
+    # one point of more than _CHUNK coordinates, and a batch of lists
+    wide = MvTParams(dims=(_CHUNK + 1,), alpha0=1.5, betas=(1.0,))
+    assert math.isfinite(logpdf_mv_t(wide, np.full(_CHUNK + 1, 1e-3)))
+    logpdf_mv_t(MvTParams(dims=(1,), alpha0=1.5, betas=(1.0,)), t.tolist())
+    assert maps == [3, 5, 5]
+    # the width is read only where a call splits
+    monkeypatch.setenv("MULTIVEC_THREADS", "two")
+    assert logpdf_gengamma_pearson7(p, s0[:_CHUNK], t[:_CHUNK]).tobytes() == split[:_CHUNK].tobytes()
+    with pytest.raises(core.ParameterOutOfDomain, match="MULTIVEC_THREADS"):
+        logpdf_gengamma_pearson7(p, s0[:_CHUNK + 1], t[:_CHUNK + 1])

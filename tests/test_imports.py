@@ -113,6 +113,34 @@ def test_command_loads_no_scipy(command, tmp_path):
         assert len((tmp_path / "g.csv").read_text(encoding="utf-8").splitlines()) == 20 * 20 + 1
 
 
+def test_core_loads_no_scipy():
+    loaded = run_fresh(
+        "import json, sys, multivec.core\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    assert loaded == []
+
+
+def test_a_grid_under_the_split_threshold_starts_no_thread(tmp_path):
+    # grid --steps 200 is one logpdf call of 40,000 points, fewer than the
+    # rows a batch must pass to split: no pool, so no concurrent.futures
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(PARAMS), encoding="utf-8")
+    argv = ["grid", "--model", "kotz-gamma-2d", "--params", str(params),
+            "--range", "0.1,8,0.1,8", "--steps", "200", "--out", str(tmp_path / "g.csv")]
+    doc = run_fresh(
+        "import contextlib, io, json, sys, threading\n"
+        "from multivec import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'threads': threading.active_count(),\n"
+        "                  'loaded': sorted(m for m in sys.modules\n"
+        "                                   if m.split('.')[0] == 'scipy' or m == 'concurrent.futures')}))"
+    )
+    assert doc == {"code": 0, "threads": 1, "loaded": []}
+    assert len((tmp_path / "g.csv").read_text(encoding="utf-8").splitlines()) == 200 * 200 + 1
+
+
 def test_betaln_and_kve_load_scipy_special_when_called():
     # Pearson VII's normalizer needs betaln and the Bessel kernel kve: each
     # imports scipy.special inside the function that calls it

@@ -22,6 +22,7 @@ from multivec import (
     ParameterOutOfDomain,
     QuadratureFailure,
     ScaleShapeParams,
+    core,
     jacobian_check,
     jacobian_grid_check,
     logpdf_mv_beta1,
@@ -685,14 +686,14 @@ def test_chunk_sums_add_in_chunk_order_at_any_width(monkeypatch):
 
 def test_a_single_chunk_grid_starts_no_pool(monkeypatch):
     monkeypatch.setenv("MULTIVEC_THREADS", "2")
-    monkeypatch.setattr(validation, "_pool", None)
+    monkeypatch.setattr(core, "_pool", None)
     name, logpdf, support, tol = next(
         c for c in _normalization_cases() if c[0] == "norm-mv-gengamma-kotz-k1")
     assert quad_normalization(logpdf, support, tol, name).passed
     name, sampler, logpdf, support = next(
         c for c in _pushforward_cases() if c[0] == "push-log-elliptical-1d")
     assert pushforward_check(sampler, logpdf, support, n_draws=1_000).passed
-    assert validation._pool is None
+    assert core._pool is None
 
 
 class _Abort(BaseException):
@@ -703,7 +704,7 @@ class _Abort(BaseException):
 def test_no_worker_takes_a_chunk_after_the_callers_chunk_raises(monkeypatch, error):
     monkeypatch.setenv("MULTIVEC_THREADS", "2")
     futures = []
-    pool_of = validation._chunk_pool
+    pool_of = core._chunk_pool
 
     class Recorded:
         def __init__(self, pool):
@@ -713,7 +714,7 @@ def test_no_worker_takes_a_chunk_after_the_callers_chunk_raises(monkeypatch, err
             futures.append(self.pool.submit(*args))
             return futures[-1]
 
-    monkeypatch.setattr(validation, "_chunk_pool", lambda workers: Recorded(pool_of(workers)))
+    monkeypatch.setattr(core, "_chunk_pool", lambda workers: Recorded(pool_of(workers)))
     caller, release = threading.current_thread(), threading.Event()
     caller_chunks, worker_chunks = [], []
 
@@ -729,7 +730,7 @@ def test_no_worker_takes_a_chunk_after_the_callers_chunk_raises(monkeypatch, err
     timer = threading.Timer(0.2 if error is ValueError else 10.0, release.set)
     timer.start()
     with pytest.raises(error):
-        validation._map_chunks(chunk, 50)
+        core._map_chunks(chunk, 50)
     release.set()
     timer.cancel()
     for fut in futures:
@@ -754,6 +755,50 @@ def test_every_grid_chunk_runs_its_logpdf_under_the_overflow_errstate(monkeypatc
         assert rep.passed, rep.details
 
 
+@pytest.mark.parametrize("width", ["1", "2"])
+def test_every_chunk_runs_under_the_callers_errstate(monkeypatch, width):
+    # numpy keeps np.errstate in a context variable, which a pool thread does
+    # not inherit: each chunk must run in a copy of the caller's context
+    monkeypatch.setenv("MULTIVEC_THREADS", width)
+    caller, both = threading.get_ident(), threading.Barrier(int(width))
+
+    def chunk(i):
+        if i < 2:  # at width 2 the caller and the pool thread each hold one of chunks 0, 1
+            both.wait(10.0)
+        try:
+            np.float64(1.0) / 0.0
+        except FloatingPointError:
+            return threading.get_ident() == caller, "raised"
+        return threading.get_ident() == caller, "silent"
+
+    with np.errstate(divide="raise"):
+        runs = core._map_chunks(chunk, 8)
+        with pytest.raises(FloatingPointError):
+            core._map_chunks(lambda i: np.float64(i + 1) / 0.0, 8)
+    assert {outcome for _, outcome in runs} == {"raised"}
+    if width == "2":
+        assert not all(on_caller for on_caller, _ in runs)
+    with np.errstate(divide="ignore"):  # and the caller's own errstate is left as it was
+        assert core._map_chunks(lambda i: np.float64(1.0) / 0.0, 2) == [np.inf, np.inf]
+
+
+def test_a_map_inside_a_chunk_runs_inline(monkeypatch):
+    monkeypatch.setenv("MULTIVEC_THREADS", "2")
+    pools, pool_of = [], core._chunk_pool
+    monkeypatch.setattr(core, "_chunk_pool", lambda workers: pools.append(workers) or pool_of(workers))
+    both = threading.Barrier(2)
+
+    def inner_threads(i):
+        if i < 2:  # the caller and the pool thread each hold one of chunks 0, 1
+            both.wait(10.0)
+        return set(core._map_chunks(lambda j: threading.get_ident(), 4)), threading.get_ident()
+
+    runs = core._map_chunks(inner_threads, 4)
+    assert pools == [1]  # the outer map's one pool thread; no inner map asks for the pool
+    assert all(inner == {chunk_thread} for inner, chunk_thread in runs)
+    assert len({chunk_thread for _, chunk_thread in runs}) == 2 and not core._in_chunk.get()
+
+
 def test_every_chunk_runs_once_under_frequent_thread_switches(monkeypatch):
     # more threads than cores, switching every microsecond: a lost update to
     # the shared index would run a chunk twice or not at all
@@ -769,29 +814,29 @@ def test_every_chunk_runs_once_under_frequent_thread_switches(monkeypatch):
                 runs[i] += 1  # each index has one writer if the taking is right
                 return i * i
 
-            assert validation._map_chunks(chunk, len(runs)) == [i * i for i in range(len(runs))]
+            assert core._map_chunks(chunk, len(runs)) == [i * i for i in range(len(runs))]
             assert runs == [1] * len(runs)
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_a_pool_thread_leaves_its_callers_cpu_with_its_mask_intact(monkeypatch):
-    if not hasattr(validation.os, "sched_getaffinity"):
+    if not hasattr(core.os, "sched_getaffinity"):
         pytest.skip("no CPU affinity on this platform")
     caller, seen = threading.get_native_id(), {}
-    assert validation._cpu_of(caller) in validation.os.sched_getaffinity(0)
+    assert core._cpu_of(caller) in core.os.sched_getaffinity(0)
 
     def no_proc(tid):
         raise FileNotFoundError(f"/proc/self/task/{tid}/stat")
 
     def start():  # the caller waits in join() meanwhile, so its CPU stays put
-        seen["before"] = validation.os.sched_getaffinity(0)
-        validation._leave_cpu_of(caller)
-        seen["mine"] = validation._cpu_of(threading.get_native_id())
-        seen["theirs"] = validation._cpu_of(caller)
-        seen["after"] = validation.os.sched_getaffinity(0)
-        monkeypatch.setattr(validation, "_cpu_of", no_proc)
-        validation._leave_cpu_of(caller)  # without /proc the thread stays put
+        seen["before"] = core.os.sched_getaffinity(0)
+        core._leave_cpu_of(caller)
+        seen["mine"] = core._cpu_of(threading.get_native_id())
+        seen["theirs"] = core._cpu_of(caller)
+        seen["after"] = core.os.sched_getaffinity(0)
+        monkeypatch.setattr(core, "_cpu_of", no_proc)
+        core._leave_cpu_of(caller)  # without /proc the thread stays put
         seen["done"] = True
 
     worker = threading.Thread(target=start)
@@ -805,13 +850,13 @@ def test_a_pool_thread_leaves_its_callers_cpu_with_its_mask_intact(monkeypatch):
 def test_each_pool_thread_moves_once_off_the_caller_it_first_works_for(monkeypatch):
     monkeypatch.setenv("MULTIVEC_THREADS", "3")
     moves = []
-    monkeypatch.setattr(validation, "_leave_cpu_of",
+    monkeypatch.setattr(core, "_leave_cpu_of",
                         lambda tid: moves.append((threading.get_native_id(), tid)))
 
     def call():
         callers.append(threading.get_native_id())
         for _ in range(5):
-            assert validation._map_chunks(lambda i: i, 4) == [0, 1, 2, 3]
+            assert core._map_chunks(lambda i: i, 4) == [0, 1, 2, 3]
 
     def run_callers():
         for _ in range(2):
@@ -821,7 +866,7 @@ def test_each_pool_thread_moves_once_off_the_caller_it_first_works_for(monkeypat
 
     # the shared pool: its threads move on their first chunk only, so the
     # second caller finds them placed
-    monkeypatch.setattr(validation, "_pool", None)
+    monkeypatch.setattr(core, "_pool", None)
     callers = []
     run_callers()
     movers = [mover for mover, _ in moves]
@@ -836,7 +881,7 @@ def test_each_pool_thread_moves_once_off_the_caller_it_first_works_for(monkeypat
             started.append(threading.Thread(target=fn))
             started[-1].start()
 
-    monkeypatch.setattr(validation, "_chunk_pool", lambda workers: Fresh())
+    monkeypatch.setattr(core, "_chunk_pool", lambda workers: Fresh())
     moves, callers = [], []
     run_callers()
     for t in started:
@@ -845,9 +890,9 @@ def test_each_pool_thread_moves_once_off_the_caller_it_first_works_for(monkeypat
 
 
 def test_a_pool_handed_out_stays_usable_after_a_wider_one_is_made(monkeypatch):
-    monkeypatch.setattr(validation, "_pool", None)
-    narrow = validation._chunk_pool(1)
-    assert validation._chunk_pool(2) is not narrow
+    monkeypatch.setattr(core, "_pool", None)
+    narrow = core._chunk_pool(1)
+    assert core._chunk_pool(2) is not narrow
     assert narrow.submit(int, "7").result(timeout=10.0) == 7
 
 
@@ -855,17 +900,17 @@ def test_callers_at_rising_widths_share_the_pool_safely(monkeypatch):
     # each caller asks for more threads than the pool has, again and again,
     # while the other may be submitting to the pool it got
     width = threading.local()
-    monkeypatch.setattr(validation, "_threads", lambda: width.now)
-    monkeypatch.setattr(validation, "_pool", None)
+    monkeypatch.setattr(core, "_threads", lambda: width.now)
+    monkeypatch.setattr(core, "_pool", None)
     errors = []
 
     def call(offset):
         try:
             for _ in range(20):
-                validation._pool = None
+                core._pool = None
                 for now in range(2 + offset, 6 + offset):
                     width.now = now
-                    assert validation._map_chunks(lambda i: i * i, 8) == [i * i for i in range(8)]
+                    assert core._map_chunks(lambda i: i * i, 8) == [i * i for i in range(8)]
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 
@@ -882,4 +927,4 @@ def test_a_malformed_thread_count_names_the_variable(monkeypatch):
     with pytest.raises(ParameterOutOfDomain, match="MULTIVEC_THREADS"):
         validation._de_grid_sum(lambda x: np.zeros(len(x)), _seven_chunk_axes(), "env")
     monkeypatch.delenv("MULTIVEC_THREADS")
-    assert validation._threads() >= 1
+    assert core._threads() >= 1
