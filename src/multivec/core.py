@@ -6,10 +6,12 @@ This module owns that bookkeeping plus the Cholesky-based pieces
 All heavy numeric work elsewhere is done in log space; see the density
 modules.
 
-It also owns the one thread pool of the package (_map_chunks): the oracle
-grids of ``validation`` and the long logpdf batches of ``densities`` share
-their chunks between the calling thread and that pool.  numpy and scipy
-ufuncs release the GIL, so the chunks run on every CPU.
+It also owns the one thread pool of the package (_map_chunks): the row-wise
+stages of the oracles in ``validation`` and the long logpdf batches of
+``densities`` share their chunks between the calling thread and that pool.
+numpy and scipy ufuncs release the GIL, so the chunks run on every CPU.  A
+block of 2 or more dims solves its quadratic form in column blocks, each too
+small for OpenBLAS to hand to its own threads.
 """
 
 from __future__ import annotations
@@ -525,6 +527,13 @@ def validate_partition(p: Partition, x: np.ndarray) -> list[np.ndarray]:
     return [x[..., off[i] : off[i + 1]] for i in range(p.k)]
 
 
+# right-hand sides per triangular solve in a block of 2 or more dims.  On a
+# 2-vCPU host, OpenBLAS (when not pinned to one thread) ran a 2 x 16384 solve
+# on two threads and a 2 x 4096 one on one; its threads then compete with the
+# chunk pool's.  Pinned, blocks of 4096 cost what one whole solve costs.
+_SOLVE_COLUMNS = 4096
+
+
 def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:
     """Sum of per-block quadratic forms (x_i - mu_i)' Sigma_ii^{-1} (x_i - mu_i).
 
@@ -532,7 +541,7 @@ def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:
     non-finite coordinate gives +inf or NaN, never an exception; a form that
     overflows at finite coordinates is +inf.
     """
-    from scipy.linalg import cho_solve  # deferred: costs CLI start-up
+    from scipy.linalg.lapack import dpotrs  # deferred: costs CLI start-up
 
     blocks = validate_partition(params.partition, x)
     total = 0.0
@@ -545,10 +554,16 @@ def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:
                 total = total + d * r * r * d
         else:
             d = blk - mu
-            # cho_solve works on the leading axis, the blocks carry theirs last
-            sol = cho_solve((c, True), np.moveaxis(d, -1, 0), check_finite=False)
+            rows = d.reshape(-1, d.shape[-1])
+            sol = np.empty(rows.shape)
+            # cho_solve's LAPACK call, which solves each right-hand side on
+            # its own, so column blocks give the whole solve's bits; its
+            # info flags only an illegal argument, which these shapes rule out
+            for j in range(0, len(rows), _SOLVE_COLUMNS):
+                cols = slice(j, j + _SOLVE_COLUMNS)
+                sol[cols] = dpotrs(c, rows[cols].T, lower=1)[0].T
             with np.errstate(over="ignore", invalid="ignore"):
-                form = _sum_last(np.moveaxis(sol, 0, -1) * d)
+                form = _sum_last(sol * rows).reshape(d.shape[:-1])
             if np.isnan(form).any():
                 # products that overflow to +inf and -inf sum to NaN; the
                 # form itself is positive, so at finite d it is +inf

@@ -20,14 +20,17 @@ of fit, demonstrating that the corrected exponent is required and the tests
 have power.
 
 The grids pass logpdf block-major batches: (n, d) views of (d, n) arrays,
-whose coordinate columns are contiguous.  Both the quadrature grid and the
-pushforward grid run in chunks of core._CHUNK points on core._map_chunks: the
-calling thread takes chunks and, when a grid has more than one, so do the
-threads of the package's one pool, which lives in ``core`` and is shared
-with the long logpdf batches of ``densities``: MULTIVEC_THREADS threads in
-all, else one per CPU the process may run on.  Each chunk's sums come back
-to the caller, which adds them in chunk order, and every density is
-row-wise, so no report depends on the number of threads.
+whose coordinate columns are contiguous.  Every row-wise stage runs on
+core._map_chunks: the quadrature grid, the pushforward grid and the Monte
+Carlo weights in chunks of core._CHUNK points, the cumulative Simpson table
+in bands of lanes, and each pushforward check's KS margins and chi-square as
+tasks side by side.  The calling thread takes chunks and, when a map has more
+than one, so do the threads of the package's one pool, which lives in
+``core`` and is shared with the long logpdf batches of ``densities``:
+MULTIVEC_THREADS threads in all, else one per CPU the process may run on.
+Each chunk's sums come back to the caller, which adds them in chunk order;
+whole-array sums run after the map, and every density is row-wise, so no
+report depends on the number of threads.
 
 Reports are deterministic given (inputs, seed) and serialize as JSON lines.
 """
@@ -297,14 +300,34 @@ def mc_normalization(
 ) -> CheckReport:
     """Importance-sampling estimate of the total mass; passes when |I-1| <= 3 SE.
 
-    Raises ParameterOutOfDomain for n < 2, where the SE is undefined.
+    Both densities must be row-wise, as the grids' are: each maps an (m, d)
+    slice of the draws to shape (m,), and no row's value depends on another
+    row.  They run on the same _CHUNK-row slices on _map_chunks, each slice
+    writing its weights into one array; the sums are taken over that whole
+    array, so the report does not depend on the number of threads.
+
+    Raises ParameterOutOfDomain for n < 2, where the SE is undefined, and
+    DimensionMismatch when either density returns another shape than its
+    slice's.
     """
     if n < 2:
         raise ParameterOutOfDomain(f"n must be >= 2, got {n}")
     rng = make_rng(seed)
     x = proposal_sampler(rng, n)
-    logw = np.asarray(logpdf(x), dtype=float) - np.asarray(proposal_logpdf(x), dtype=float)
-    w = np.exp(logw)
+    w = np.empty(n)
+
+    def chunk_weights(c: int) -> None:
+        rows = slice(c * _CHUNK, (c + 1) * _CHUNK)
+        out = w[rows]
+        target = np.asarray(logpdf(x[rows]), dtype=float)
+        proposal = np.asarray(proposal_logpdf(x[rows]), dtype=float)
+        for label, vals in (("logpdf", target), ("proposal_logpdf", proposal)):
+            if vals.shape != out.shape:
+                raise DimensionMismatch(f"{name}: {label} returned {vals.shape} for {out.size} points")
+        np.exp(np.subtract(target, proposal, out=out), out=out)
+
+    _map_chunks(chunk_weights, -(-n // _CHUNK))
+    del x  # the draws are spent: free them before the sums' temporaries
     if not np.all(np.isfinite(w)):
         raise DegenerateWeights("non-finite importance weights")
     total = float(np.sum(w))
@@ -450,49 +473,73 @@ def jacobian_grid_check() -> CheckReport:
 # KS resolution ~ 1/sqrt(n_draws)
 _PUSH_GRID_POINTS = {1: 2001, 2: 641}
 _PUSH_CHI2_BINS = 6  # equal-count bins per axis of the 2-d chi-square
+_SIMPSON_BAND = 64  # lanes of the other axis per task of a cumulative Simpson pass
 
 
 def _cumulative_simpson(y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    """Cumulative Simpson integral of y over the nodes x (at least 3, strictly
-    increasing) along `axis`, 0 at x[0]: scipy.integrate.cumulative_simpson
-    with initial=0, bit for bit.
+    """Cumulative Simpson integral of y (1 or 2 dims) over the nodes x (at
+    least 3, strictly increasing) along `axis`, 0 at x[0]:
+    scipy.integrate.cumulative_simpson with initial=0, bit for bit.
 
     Each interval is integrated once, by the quadratic through its two nodes
     and one neighbour (Cartwright's formula for irregular spacing, in scipy's
     operation order): the next node for even intervals, the previous node for
     odd intervals and for the last one.  scipy evaluates both neighbours over
-    every interval and keeps half of each.
+    every interval and keeps half of each.  The three nodes of each parity
+    are read as strided slices, and the table runs in bands of _SIMPSON_BAND
+    lanes of the other axis on _map_chunks, each band's products and running
+    sum written in place; every element sees the same operations in the same
+    order at any band count.
     """
     dx = np.diff(x)
     i = np.arange(dx.size)
     nxt = (i % 2 == 0) & (i < dx.size - 1)
-    far, near = np.where(nxt, i, i + 1), np.where(nxt, i + 1, i)  # the interval's ends
-    step = np.where(nxt, 1, -1)
-    x21, x32 = dx, dx[i + step]
+    x21, x32 = dx, dx[i + np.where(nxt, 1, -1)]
     x21_x31 = x21 / (x21 + x32)
     q = x21_x31 * (x21 / x32)
-    shape = [1] * y.ndim
-    shape[axis] = dx.size
-    c1, c2, c3, w = (c.reshape(shape) for c in (3 - x21_x31, 3 + q + x21_x31, -q, x21 / 6))
-    # a leading 0 makes the sums 0 + s_0 + s_1 + ..., which is what scipy's
-    # cumsum plus its initial 0 gives, signed zeros included
-    out = np.zeros(y.shape)
-    rest = [slice(None)] * y.ndim
-    rest[axis] = slice(1, None)
-    out[tuple(rest)] = w * (
-        c1 * np.take(y, far, axis=axis)
-        + c2 * np.take(y, near, axis=axis)
-        + c3 * np.take(y, near + step, axis=axis)
-    )
-    return np.cumsum(out, axis=axis, out=out)
+    coeffs = np.stack([3 - x21_x31, 3 + q + x21_x31, -q, x21 / 6])[:, :, None]
+    half = dx.size // 2  # the even intervals that take the next node; as many are odd
+
+    def every_other(k: int) -> slice:  # k, k + 2, ..., half of them
+        return slice(k, 2 * half + k, 2)
+
+    # per kind of interval: its output rows, its far, near and other node,
+    # and its coefficients; interval i ends at output row i + 1
+    kinds = [
+        (every_other(1), every_other(0), every_other(1), every_other(2), coeffs[:, every_other(0)]),
+        (every_other(2), every_other(2), every_other(1), every_other(0), coeffs[:, every_other(1)]),
+    ]
+    if dx.size % 2:  # an even last interval takes the previous node
+        kinds.append((slice(-1, None), slice(-1, None), slice(-2, -1), slice(-3, -2), coeffs[:, -1:]))
+    out = np.empty(y.shape)
+    # the integration axis first, lanes second: views of y and out
+    src, dst = (np.moveaxis(a, axis, 0).reshape(y.shape[axis], -1) for a in (y, out))
+
+    def band(b: int) -> None:
+        lanes = slice(b * _SIMPSON_BAND, (b + 1) * _SIMPSON_BAND)
+        ys, res = src[:, lanes], dst[:, lanes]
+        # a leading 0 makes the sums 0 + s_0 + s_1 + ..., which is what
+        # scipy's cumsum plus its initial 0 gives, signed zeros included
+        res[0] = 0.0
+        tmp = np.empty((half, res.shape[1]))
+        for rows, far, near, other, (c1, c2, c3, w) in kinds:
+            acc, t = res[rows], tmp[:len(c1)]
+            np.multiply(c1, ys[far], out=acc)  # w * (c1 f + c2 n + c3 o), as scipy orders it
+            acc += np.multiply(c2, ys[near], out=t)
+            acc += np.multiply(c3, ys[other], out=t)
+            acc *= w
+        np.cumsum(res, axis=0, out=res)
+
+    _map_chunks(band, -(-src.shape[1] // _SIMPSON_BAND))
+    return out
 
 
 def _ks_pvalue(values: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Two-sided one-sample KS p-value of values against cdf: the exact
-    Kolmogorov law of D = max(D+, D-), as stats.kstest's default mode gives it."""
+    """Two-sided one-sample KS p-value of sorted values against cdf: the
+    exact Kolmogorov law of D = max(D+, D-), as stats.kstest's default mode
+    gives it."""
     from scipy import stats
 
-    values = np.sort(values)
     n = values.size
     c = cdf(values)
     d_plus = np.max(np.arange(1.0, n + 1) / n - c)
@@ -578,21 +625,21 @@ def pushforward_check(
         cdf = _cumulative_simpson(cdf, g, axis)
     cdf /= cdf[(-1,) * d]
 
+    import scipy.stats  # noqa: F401 -- loaded on this thread, not inside a pool thread's task
+
     margins = [np.sort(x[:, j]) for j in range(d)]  # each sorted once, for KS and the quantiles
-    ks_ps = []
-    for j, g in enumerate(grids):
+
+    def ks_margin(j: int) -> float:
+        g = grids[j]
         edge = cdf[tuple(slice(None) if i == j else -1 for i in range(d))]
         edge = np.maximum.accumulate(np.clip(edge, 0.0, 1.0))
         # PCHIP needs strictly increasing data on the support of the margin
         rises = np.diff(edge) > 0
         keep = np.concatenate([[True], rises]) | np.concatenate([rises, [True]])
         interp = PchipInterpolator(g[keep], edge[keep])
-        ks_ps.append(_ks_pvalue(
-            margins[j], lambda v: np.clip(interp(np.clip(v, g[0], g[-1])), 0.0, 1.0)
-        ))
+        return _ks_pvalue(margins[j], lambda v: np.clip(interp(np.clip(v, g[0], g[-1])), 0.0, 1.0))
 
-    chi2_p = None
-    if d == 2:
+    def chi2_cells() -> float:
         qs = np.linspace(0.0, 1.0, _PUSH_CHI2_BINS + 1)[1:-1]
         ix = _snap_edges(grids[0], np.quantile(margins[0], qs))
         iy = _snap_edges(grids[1], np.quantile(margins[1], qs))
@@ -603,7 +650,12 @@ def pushforward_check(
         mask = expected > 1e-9
         stat = float(np.sum((counts[mask] - expected[mask]) ** 2 / expected[mask]))
         dof = int(mask.sum()) - 1
-        chi2_p = float(special.chdtrc(dof, stat))
+        return float(special.chdtrc(dof, stat))
+
+    # side by side, the chi-square first: it takes about as long as both KS tests
+    tasks = [chi2_cells] * (d == 2) + [partial(ks_margin, j) for j in range(d)]
+    ps = _map_chunks(lambda t: tasks[t](), len(tasks))
+    chi2_p, ks_ps = (ps[0] if d == 2 else None), ps[-d:]
 
     shortfalls = [max(0.0, 0.01 - p) for p in ks_ps]
     if chi2_p is not None:

@@ -1,5 +1,6 @@
 """Domain types and the dense linear algebra under every density."""
 
+import itertools
 import math
 import sys
 import warnings
@@ -163,6 +164,72 @@ def test_a_form_that_overflows_at_a_finite_point_is_inf():
         batch = block_quadform(p, x)
         assert batch[0] == np.inf and batch[1] == block_quadform(p, x[1]) > 0.0
         assert logpdf_mv_elliptical(p, Kotz(q=1.0, r=0.5, s=1.0), x[0]) == -np.inf
+
+
+def test_a_blocked_solve_gives_the_whole_solves_bits():
+    # blocks of 2 to 5 dims solve _SOLVE_COLUMNS right-hand sides at a time;
+    # cho_solve on all of them at once gives the same bits, on batches below,
+    # at and across a block's edge
+    rng = np.random.default_rng(23)
+    cols = core._SOLVE_COLUMNS
+    for n in (2, 3, 4, 5):
+        a = rng.standard_normal((n, n))
+        p = MvEllipticalParams(partition=Partition(dims=(n,)), mus=(rng.standard_normal(n),),
+                               sigmas=(a @ a.T + 0.1 * np.eye(n),))
+        for rows in (1, cols - 1, cols, cols + 1, 100_000):
+            x = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-3, 4, (rows, n))
+            assert block_quadform(p, x).tobytes() == _cho_solve_quadform(p, x).tobytes(), (n, rows)
+
+
+def test_a_batch_of_any_leading_shape_gives_each_points_form():
+    p = MvEllipticalParams(
+        partition=Partition(dims=(2, 1)), mus=(np.array([0.5, -1.0]), np.array([2.0])),
+        sigmas=(np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([[0.7]])),
+    )
+    x = np.random.default_rng(4).standard_normal((3, 4, 3))
+    got = block_quadform(p, x)
+    assert got.shape == (3, 4)
+    assert [v.hex() for v in got.ravel().tolist()] == [
+        float(block_quadform(p, point)).hex() for point in x.reshape(-1, 3)]
+
+
+_EDGE_VALUES = (5e-324, 1e-300, 1e-160, 0.5, 1.0, 1.0 - 2.0**-53, 1e8, 1e154, 1e200, 1e300,
+                1.7e308)
+
+
+@pytest.mark.parametrize("sigma", [
+    [[0.7]],
+    [[1.0, 0.9], [0.9, 1.0]],
+    [[1.0, 0.9, 0.81], [0.9, 1.0, 0.9], [0.81, 0.9, 1.0]],
+], ids=["1x1", "2x2", "3x3"])
+def test_block_quadform_at_the_edges_of_floating_point(sigma):
+    # one block on the grid +-{0, 5e-324, ..., 1.7e308}^n, batched and one
+    # point at a time, warnings as errors: never NaN; +inf wherever the form
+    # overflows; finite, and right to 1e-12, where it is 1e3 times below the
+    # largest float (closer, a product that overflows may make it +inf)
+    sigma = np.array(sigma)
+    n = len(sigma)
+    p = MvEllipticalParams(partition=Partition(dims=(n,)), mus=(np.zeros(n),), sigmas=(sigma,))
+    signed = sorted({0.0, *_EDGE_VALUES, *(-v for v in _EDGE_VALUES)})
+    x = np.array(list(itertools.product(signed, repeat=n)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = block_quadform(p, x)
+        single = np.array([block_quadform(p, point) for point in x])
+    assert batch.tobytes() == single.tobytes()
+    # the exact form is s^2 u' Sigma^-1 u, with s = max |x_i| and u = x / s
+    scale = np.max(np.abs(x), axis=1)
+    u = x / np.where(scale > 0, scale, 1.0)[:, None]
+    with np.errstate(divide="ignore"):
+        log_form = 2.0 * np.log(scale) + np.log(np.einsum("ij,jk,ik->i", u, np.linalg.inv(sigma), u))
+    log_max = math.log(sys.float_info.max)
+    assert not np.isnan(batch).any()
+    assert (batch[log_form > log_max + 1e-9] == np.inf).all()
+    below = log_form < log_max - math.log(1e3)
+    assert np.isfinite(batch[below]).all() and (batch[below] >= 0.0).all()
+    normal = below & (log_form > math.log(1e-280))
+    assert np.allclose(batch[normal], np.exp(log_form[normal]), rtol=1e-12, atol=0.0)
+    assert (log_form > log_max + 1e-9).any() and normal.any()
 
 
 def test_quadform_dimension_mismatch():

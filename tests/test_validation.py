@@ -36,6 +36,7 @@ from multivec import (
     sample_mv_gengamma,
     validation,
 )
+from multivec.families import FAMILIES
 from multivec.validation import (
     _CHUNK,
     _POINT_BUDGET,
@@ -378,6 +379,40 @@ def test_mc_degenerate_proposal():
         mc_normalization(lambda x: logpdf_mv_t(PT, x), bad_sample, bad_logpdf, 5_000, 0, "bad")
 
 
+def test_mc_densities_of_the_wrong_shape_are_refused():
+    # a scalar broadcast over the weights gives a wrong estimate, not an error;
+    # each density must return one value per row of its slice
+    def scalar_proposal(x):
+        return -3.0
+
+    target = partial(logpdf_mv_t, PT)
+    for logpdf, proposal, which in [(target, scalar_proposal, "proposal_logpdf"),
+                                    (lambda x: target(x)[:-1], _prop_logpdf, "logpdf")]:
+        with pytest.raises(DimensionMismatch, match=rf"^mc-shape: {which} returned"):
+            mc_normalization(logpdf, _prop_sample, proposal, 3 * _CHUNK // 2, 0, "mc-shape")
+
+
+# the norm-mc-mv-t-k2 row at seeds 0 and 7, as the whole-array weights gave it
+PINNED_MC = {
+    0: ("0x1.094a86425c000p-10", "0x1.42c20c872e516p-8",
+        "estimate=1.00101201 se=0.00164 ess=271039 n=1000000 seed=0"),
+    7: ("0x1.8d8b2ff645000p-10", "0x1.72ebb3b05f987p-8",
+        "estimate=1.00151651 se=0.00189 ess=219853 n=1000000 seed=7"),
+}
+
+
+def test_the_mc_row_keeps_its_bytes_at_any_width(monkeypatch):
+    monkeypatch.setattr(validation, "_normalization_cases", lambda: [])  # the MC row alone
+    for seed, want in PINNED_MC.items():
+        lines = set()
+        for width in ("1", "2", "3"):
+            monkeypatch.setenv("MULTIVEC_THREADS", width)
+            (rep,) = validation.run_normalization_suite(seed)
+            assert (rep.residual.hex(), rep.tolerance.hex(), rep.details) == want, width
+            lines.add(rep.to_json())
+        assert len(lines) == 1
+
+
 # ---------------------------------------------------------------------------
 # Jacobian checks for the ball-to-space map y = (1-||x||^2)^{-1/2} x
 
@@ -596,6 +631,64 @@ def test_cumulative_simpson_is_scipys_bit_for_bit(n, nodes, axis):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _gathered_simpson(y, x, axis):
+    """_cumulative_simpson as one np.take gather per node of each interval."""
+    dx = np.diff(x)
+    i = np.arange(dx.size)
+    nxt = (i % 2 == 0) & (i < dx.size - 1)
+    far, near = np.where(nxt, i, i + 1), np.where(nxt, i + 1, i)
+    step = np.where(nxt, 1, -1)
+    x21, x32 = dx, dx[i + step]
+    x21_x31 = x21 / (x21 + x32)
+    q = x21_x31 * (x21 / x32)
+    shape = [1] * y.ndim
+    shape[axis] = dx.size
+    c1, c2, c3, w = (c.reshape(shape) for c in (3 - x21_x31, 3 + q + x21_x31, -q, x21 / 6))
+    out = np.zeros(y.shape)
+    rest = [slice(None)] * y.ndim
+    rest[axis] = slice(1, None)
+    out[tuple(rest)] = w * (
+        c1 * np.take(y, far, axis=axis)
+        + c2 * np.take(y, near, axis=axis)
+        + c3 * np.take(y, near + step, axis=axis)
+    )
+    return np.cumsum(out, axis=axis, out=out)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 641, 2001])
+@pytest.mark.parametrize("layout", ["1-d", "axis 0", "axis 1"])
+def test_strided_simpson_equals_the_gathered_one(monkeypatch, n, layout):
+    # irregular nodes; 23 lanes in bands of 64 (one band), 5 (five, the last
+    # of 3 lanes) and 2 (twelve), at widths 1 and 2
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.01, 2.0, n))
+    shape = {"1-d": (n,), "axis 0": (n, 23), "axis 1": (23, n)}[layout]
+    axis = 1 if layout == "axis 1" else 0
+    y = rng.standard_normal(shape) * np.exp(5.0 * rng.standard_normal(shape))
+    want = [v.hex() for v in _gathered_simpson(y, x, axis).ravel().tolist()]
+    for band in (64, 5, 2):
+        monkeypatch.setattr(validation, "_SIMPSON_BAND", band)
+        for width in ("1", "2"):
+            monkeypatch.setenv("MULTIVEC_THREADS", width)
+            got = _cumulative_simpson(y, x, axis)
+            assert got.shape == y.shape
+            assert [v.hex() for v in got.ravel().tolist()] == want, (band, width)
+
+
+def test_a_pushforward_report_is_unchanged_by_its_simpson_bands(monkeypatch):
+    # 641 lanes in 11 bands of 64 (the last of 1), in 3 and in 1; each at
+    # widths 1 and 3
+    f = validation._fixture("mv-beta1-k2")
+    sampler, logpdf = (partial(getattr(FAMILIES[f.family], m), f.params) for m in ("sample", "logpdf"))
+    lines = set()
+    for band in (64, 214, 641):
+        monkeypatch.setattr(validation, "_SIMPSON_BAND", band)
+        for width in ("1", "3"):
+            monkeypatch.setenv("MULTIVEC_THREADS", width)
+            lines.add(pushforward_check(sampler, logpdf, f.support, n_draws=2_000, seed=5).to_json())
+    assert len(lines) == 1
+
+
 @pytest.mark.parametrize("n", [1_000, 100_000])
 @pytest.mark.parametrize("shape", [2.0, 1.95, 2.05])  # fits; D- decides; D+ decides
 def test_ks_pvalue_is_kstests(n, shape):
@@ -603,7 +696,8 @@ def test_ks_pvalue_is_kstests(n, shape):
 
     values = np.random.default_rng(n).gamma(2.0, size=n)
     cdf = partial(special.gammainc, shape)
-    assert _ks_pvalue(values, cdf) == stats.kstest(values, cdf).pvalue
+    # _ks_pvalue takes the sorted sample, as pushforward_check's margins come
+    assert _ks_pvalue(np.sort(values), cdf) == stats.kstest(values, cdf).pvalue
 
 
 # ---------------------------------------------------------------------------
