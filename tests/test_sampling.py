@@ -5,7 +5,10 @@ reproducible numbers, not random events; the thresholds below hold with a
 wide margin for the committed streams.
 """
 
+import dataclasses
+import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from multivec import (
     JointScaleParams,
     Kotz,
     MvEllipticalParams,
+    MixedParams,
     MvTParams,
     BetaParams,
     ExtendedShape,
@@ -35,19 +39,23 @@ from multivec import (
     sample_gengamma_beta2,
     sample_gengamma_pearson2,
     sample_gengamma_pearson7,
+    sample_mixed_ell_logell,
     sample_mv_beta1,
+    sample_mv_beta2,
     sample_mv_elliptical,
     sample_mv_gengamma,
+    sample_mv_pearson2,
     sample_mv_t,
     sample_radius,
     sample_unit_sphere,
     spawn_rngs,
 )
 from multivec.errors import DimensionMismatch, ParameterOutOfDomain
+from multivec.families import FAMILIES
 from multivec.mle import KotzGammaDepParams
 from multivec.sampling import sample_gengamma_pairs
 
-from multivec.validation import _pushforward_cases
+from multivec.validation import _fixtures, _pushforward_cases
 
 GAUSS = Kotz.gaussian()
 
@@ -208,9 +216,40 @@ def test_a_negative_integer_seed_is_out_of_domain():
     for seed in (-1, np.int64(-7)):
         with pytest.raises(ParameterOutOfDomain, match="seed must be >= 0"):
             make_rng(seed)
+        with pytest.raises(ParameterOutOfDomain, match="seed must be >= 0"):
+            spawn_rngs(seed, 2)
+    # seeds numpy refuses with its own TypeError or ValueError
+    for seed in (1.5, 2.0, "7", [5, -1]):
+        with pytest.raises(ParameterOutOfDomain, match="seed must be None, an integer >= 0"):
+            make_rng(seed)
+        with pytest.raises(ParameterOutOfDomain, match="seed must be None, an integer >= 0"):
+            spawn_rngs(seed, 2)
+    with pytest.raises(ParameterOutOfDomain, match="count must be >= 0, got -1"):
+        spawn_rngs(5, -1)
+    with pytest.raises(ParameterOutOfDomain, match="count must be a whole number"):
+        spawn_rngs(5, 1.5)
     assert np.array_equal(make_rng([5, 0, 1]).random(3),
                           np.random.default_rng([5, 0, 1]).random(3))
     make_rng(None).random()
+    assert spawn_rngs(5, 0) == []
+    assert np.array_equal(spawn_rngs(5, np.int64(2))[1].random(3), spawn_rngs(5, 2.0)[1].random(3))
+
+
+def test_sizes_and_dims_must_be_whole_numbers():
+    for bad in (2.5, float("nan"), float("inf"), "two"):
+        with pytest.raises(ParameterOutOfDomain, match="size must be a whole number"):
+            sample_mv_t(MvTParams(dims=(1,), alpha0=2.0, betas=(1.0,)), make_rng(0), size=bad)
+        with pytest.raises(ParameterOutOfDomain, match="n must be a whole number"):
+            sample_unit_sphere(bad, make_rng(0), 3)
+    with pytest.raises(ParameterOutOfDomain, match="size must be >= 0, got -1"):
+        sample_unit_sphere(2, make_rng(0), -1.0)
+    with pytest.raises(ParameterOutOfDomain, match="n must be >= 1, got 0"):
+        sample_unit_sphere(0, make_rng(0), 3)
+    # integral floats and numpy integers give the integer's draws
+    want = sample_unit_sphere(3, make_rng(4), 5)
+    for n, size in ((3.0, 5.0), (np.int64(3), np.int32(5)), (np.float64(3.0), 5)):
+        got = sample_unit_sphere(n, make_rng(4), size)
+        assert got.shape == (5, 3) and np.array_equal(got, want)
 
 
 def test_spawned_streams_deterministic_and_distinct():
@@ -330,3 +369,145 @@ def test_pair_sampler_matches_the_acceptance_copy():
     assert sample_gengamma_pairs(pairs, spec, make_rng(1), size=0).shape == (0, 2)
     with pytest.raises(DimensionMismatch, match="emits pairs"):
         sample_gengamma_pairs(ScaleShapeParams(shapes=(5.0,), scales=(1.0,)), spec, make_rng(1))
+
+
+# ---------------------------------------------------------------------------
+# every sampler's bits, pinned
+
+
+def _draw_digest(*outs) -> str:
+    """sha256 over each output's shape and float64 bytes, in order."""
+    h = hashlib.sha256()
+    for out in outs:
+        for part in out if isinstance(out, tuple) else (out,):
+            a = np.ascontiguousarray(np.asarray(part, dtype=np.float64))
+            h.update(repr(a.shape).encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+_PIN_SIZES = (None, 1, 7, 100_000)
+
+
+def _pinned_laws():
+    """(name, sampler, params) for every oracle fixture's family and ten wider
+    laws: blocks of 2 or more dims, k >= 3 and the Pearson II radius, which
+    no fixture reaches."""
+    laws, seen = [], set()
+    for f in _fixtures():
+        if f.suffix not in seen:  # mixed-1p1 appears twice with the same params
+            seen.add(f.suffix)
+            laws.append((f.suffix, FAMILIES[f.family].sampler, f.params))
+    ell = MvEllipticalParams(
+        partition=Partition(dims=(2, 1)), mus=(np.array([0.5, -1.0]), np.array([2.0])),
+        sigmas=(np.array([[1.0, 0.4], [0.4, 2.0]]), np.array([[0.3]])),
+    )
+    return laws + [
+        ("mv-elliptical-pearson2-2p1", sample_mv_elliptical, (ell, PearsonII(q=1.5))),
+        ("mixed-2p1", sample_mixed_ell_logell, (MixedParams(base=ell, k1=1), GAUSS)),
+        ("mv-t-1p2p3", sample_mv_t,
+         (MvTParams(dims=(1, 2, 3), alpha0=2.1, betas=(1.0, 0.5, 2.0)),)),
+        ("mv-pearson2-2p3", sample_mv_pearson2,
+         (MvTParams(dims=(2, 3), alpha0=1.7, betas=(0.8, 1.3)),)),
+        ("mv-gengamma-bessel-k3", sample_mv_gengamma,
+         (ScaleShapeParams(shapes=(1.0, 2.0, 0.7), scales=(1.0, 0.5, 2.0)), Bessel(r=1.0, q=0.3))),
+        ("mv-beta2-k3", sample_mv_beta2,
+         (BetaParams(shape=ExtendedShape(alphas=(1.0, 2.0, 1.5), alpha0=2.0),
+                     betas=(1.0, 0.4, 3.0)),)),
+        ("gengamma-pearson7-2p1", sample_gengamma_pearson7,
+         (JointScaleParams(spec=Kotz(q=1.2, r=0.9, s=0.8), alpha0=1.5, sigma2s=(1.0, 0.8, 1.2),
+                           dims=(2, 1)),)),
+        ("gengamma-pearson2-3", sample_gengamma_pearson2,
+         (JointScaleParams(spec=PearsonII(q=0.5), alpha0=1.3, sigma2s=(0.9, 1.1), dims=(3,)),)),
+        ("gengamma-beta1-k2", sample_gengamma_beta1,
+         (JointScaleParams(spec=Bessel(r=1.0, q=0.3), alpha0=1.4, sigma2s=(1.0, 0.7, 2.0),
+                           alphas=(1.2, 0.8)),)),
+        ("gamma-loggamma-2p2", sample_gamma_loggamma,
+         (GammaLogGammaParams(spec=GAUSS, alphas=(1.5, 0.7), sigma2s=(0.9, 1.3), rhos=(2.0, 1.1),
+                              delta2s=(1.2, 0.5)),)),
+    ]
+
+
+def _pinned_samplers():
+    """(name, draw(rng, size)) for every law of _pinned_laws, the kotz-gamma
+    pair sampler, and the unit sphere at n = 8 and 12."""
+    cases = [(name, partial(lambda s, p, rng, size: s(*p, rng, size=size), sampler, params))
+             for name, sampler, params in _pinned_laws()]
+    pairs = ScaleShapeParams(shapes=(5.0, 8.0), scales=(1.0, 4.0))
+    cases.append(("kotz-gamma-pairs", lambda rng, size: sample_gengamma_pairs(
+        pairs, Kotz(q=1.5, r=0.4, s=1.1), rng, size=size)))
+    for n in (8, 12):
+        cases.append((f"unit-sphere-{n}", partial(lambda n, rng, size: sample_unit_sphere(
+            n, rng, size=size), n)))
+    return cases
+
+
+# sha256 of the draws at sizes None, 1, 7 and 1e5 from seeds 2400 + i + 10 j
+# (i: the case's index, j: the size's), taken from the samplers as they stood
+# before their transforms moved into the draws' own arrays
+_PINNED_DIGESTS = {
+    "mv-elliptical-bessel-2d": "135ffd6764a93ba4e130a2f466066737d8d7c9019c0119da1fbf7865f2e0b167",
+    "mv-elliptical-gaussian-2d": "f3a090909102a18a06314c54327ce87a04ef6dc8fd790a99e5e22127f2a7f9d6",
+    "mv-elliptical-pearson7-1d": "f97ccb8eb8222fe2a3bcb02baea14bb478f133098405b230e13e1bb2abc80577",
+    "log-elliptical-1d": "f9c8a4f1320f24c062d3d696544d6bd8d9b961e872faaf1e153e03e533902193",
+    "mixed-1p1": "19565ff148ee0df64eea58a426cf96354c20faaa5818552fb7d8b9e2b7e8d85b",
+    "mv-t-k2": "d5e92e3db9ace652e9d02296d46300463711f3130ab9020104e3bc35d12deab5",
+    "mv-pearson2-k2": "a96defaa3353cf59e634e06694a34725011e732ed87bfed9e9833909687642df",
+    "mv-gengamma-kotz-k1": "b39faaaf7f46394987263d16fead3822f5499c6654bf4981f0985a83655678eb",
+    "mv-gengamma-k2": "ead18c8b53c0203a102c671a4ef1c295e6d18eca1712b016708ecada00f1fcbc",
+    "mv-beta1-k2": "2289e1bffa9528a71d8bfc5cc04a5b548f7b294ed3ef34d96104d42dc068e9b6",
+    "mv-beta2-k2": "d7abcd9cc95b25f9c7b75efcceb2b6a65b3f7686a00988d8623a0233305907a8",
+    "gengamma-pearson7-k1": "2dbd9e670bc6cfd82a6e521b3e0ffd02ddf1e2f9161387d75ccd3c6a5ee1d22d",
+    "mv-beta1-k3-3d": "43d1a851cbb78a32f74258d6f859eb8920ece97181b0e18b81161abcf4fb8d2b",
+    "gengamma-pearson2-k1": "bab340db36a37177235e14f3895ca3c209cdd07ff5682756ddd1707e692009c6",
+    "gengamma-beta1-k1": "9706d81001d0752b3ff75609dd3c7848f786162a1ae3d266cfd1a688c5e7867b",
+    "gengamma-beta2-k1": "ab8ecc7b0043934481feb2b65d18af6f2cb23898be9004bb9c4d93ca1062cdca",
+    "gamma-loggamma-1p1": "49c421d7f5f61a8dd0702ac67de6cea1299927e2ea2cc23cf260e8d1a29f1cb1",
+    "mv-elliptical-pearson2-2p1": "cc928e6e444ad8a445de2cfa36eeb93f52c78fe62102b64e8bf328a30136a609",
+    "mixed-2p1": "074af72a453649659871b4242ff0a639f9fe5aeb639958d0a74bd1957a88b8ac",
+    "mv-t-1p2p3": "5ea31846776e5644d0c9c8dd03986c0d7d246c5a65a93b3fa88e1496609b439c",
+    "mv-pearson2-2p3": "0d0740efd41dd8d221084b10174a6b967cf4b62e63cef58e772d744f7790059c",
+    "mv-gengamma-bessel-k3": "87720e296c0f32e475dd12e7340124f0458ec227f8d2cc51e7eb1666c85b2fec",
+    "mv-beta2-k3": "2ffcde9edfcb669ccca497dd57816bb32396afe7e77ce2e75a300cb2e945b185",
+    "gengamma-pearson7-2p1": "af33c0d893fbe1e953675cad5e9b3af96e532eb07c01f9d9e87ae6aae4c9f87d",
+    "gengamma-pearson2-3": "bc7cf88811defc83e546d1ad2331bb1a1593e8782fef1e09182700c4ea2fdbb6",
+    "gengamma-beta1-k2": "fb31ab887910e118860b0de358a75dc609a130ee610b069daa76dd2428b7afb0",
+    "gamma-loggamma-2p2": "e4dcb013adc58e7fe6aab8a3cf781a48392dba97e3b66cb88e4b26d3af00b947",
+    "kotz-gamma-pairs": "236205dc5ef3750b2f0e2f90bb8eb390c4f1a60cefc4f9c7fd2ac4c953081bb9",
+    "unit-sphere-8": "ad27b482c2b74ea30bcf27186167044aae43bb0e3f6b94df8fd072d465fcea50",
+    "unit-sphere-12": "517981d6e7b1f2734e984e45795771d29b58fd5921b5dfb547156c3c72a7d938",
+}
+
+
+def test_every_sampler_keeps_its_bits():
+    got = {}
+    for i, (name, draw) in enumerate(_pinned_samplers()):
+        got[name] = _draw_digest(*(
+            draw(make_rng(2400 + i + 10 * j), size) for j, size in enumerate(_PIN_SIZES)
+        ))
+    assert got == _PINNED_DIGESTS
+
+
+def _param_arrays(obj) -> list[np.ndarray]:
+    """Every array a params object holds, through nested params and tuples:
+    the elliptical mus and sigmas, and the Cholesky factors cached on them
+    (betas, scales and shapes are stored as tuples)."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _param_arrays(item)]
+    if dataclasses.is_dataclass(obj):
+        if isinstance(obj, MvEllipticalParams):
+            obj.factors  # cache them now, so that the copy below covers them
+        return [a for v in vars(obj).values() for a in _param_arrays(v)]
+    return []
+
+
+@pytest.mark.parametrize("law", _pinned_laws(), ids=lambda law: law[0])
+def test_sampling_never_writes_into_its_params(law):
+    _, sampler, params = law
+    arrays = _param_arrays(params)
+    before = [(a.shape, a.tobytes()) for a in arrays]
+    first = sampler(*params, make_rng(77), size=1000)
+    assert [(a.shape, a.tobytes()) for a in arrays] == before
+    assert _draw_digest(sampler(*params, make_rng(77), size=1000)) == _draw_digest(first)
