@@ -72,12 +72,12 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
 
 def _sum_sq_last(a: np.ndarray) -> np.ndarray:
     """_sum_last(a * a), bit for bit, squaring one column at a time into a
-    row-length buffer on a last axis of 1 to 7 entries, not into a copy of a."""
+    row-length buffer on a last axis of 1 to 7 entries, not into a copy of a
+    (a square is never -0.0, so it needs no leading 0.0)."""
     k = a.shape[-1]
     if not 0 < k < _SHORT_AXIS:
         return np.sum(a * a, axis=-1)
     out = a[..., 0] * a[..., 0]
-    out += 0.0
     buf = np.empty_like(out)
     for j in range(1, k):
         out += np.multiply(a[..., j], a[..., j], out=buf)

@@ -26,12 +26,11 @@ All samplers take an optional `size`: None returns one draw with the
 family's natural shape; a whole number returns an array with a leading
 sample axis.  Joint (s0, blocks) samplers put s0 in column 0.
 
-Every transform writes into the arrays its RNG calls returned (``out=``,
-or one column at a time where a broadcast over a short last axis would
-need a temporary the size of the batch), so a call of m draws holds about
-its output and no more.  Each element still sees the same operations in
-the same order, so the draws keep their bits; only the two factors of a
-product or the two terms of a sum may trade places, which is exact.
+Every transform writes into the arrays its RNG calls returned
+(``out=``), so a call of m draws holds little more than its output.
+Each element still sees the same operations in the same order, so the
+draws keep their bits; only the two factors of a product or the two terms
+of a sum may trade places, which is exact.
 """
 
 from __future__ import annotations
@@ -114,25 +113,6 @@ def _squeeze(out: np.ndarray, size: int | None) -> np.ndarray:
     return out[0] if size is None else out
 
 
-# below this many columns, a ufunc into an (m, k) array runs faster one
-# column at a time than broadcast, where numpy loops k entries per row
-# (k = 2: 0.13 against 0.52 ms at m = 1e5; k = 5: 0.75 against 0.62 ms)
-_COLUMN_LOOP = 4
-
-
-def _update(op, a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
-    """op(a, b, out=out), out defaulting to a, for b that broadcasts to a's
-    shape; one column at a time on a last axis of 2 or 3 entries.  Each
-    element gets the same bits either way."""
-    out = a if out is None else out
-    if a.ndim < 2 or not 1 < a.shape[-1] < _COLUMN_LOOP:
-        return op(a, b, out=out)
-    b = np.broadcast_to(b, a.shape)
-    for j in range(a.shape[-1]):
-        op(a[..., j], b[..., j], out=out[..., j])
-    return out
-
-
 def _sqrt_sq_norms(z: np.ndarray) -> np.ndarray:
     """np.linalg.norm(z, axis=-1), bit for bit, in a fresh row-length array."""
     norms = _sum_sq_last(z)
@@ -150,7 +130,7 @@ def sample_unit_sphere(n: int, rng: np.random.Generator, size: int | None = None
         redo = norms == 0.0
         z[redo] = rng.standard_normal((int(np.sum(redo)), n))
         norms = _sqrt_sq_norms(z)
-    return _squeeze(_update(np.divide, z, norms[:, None]), size)
+    return _squeeze(np.divide(z, norms[:, None], out=z), size)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +176,8 @@ def sample_radius(
 def _spherical(spec: GeneratorSpec, n: int, rng: np.random.Generator, m: int) -> np.ndarray:
     """m spherical draws in R^n with density h(||x||^2) normalized at n."""
     r = sample_radius(RadialLaw(spec, float(n)), rng, size=m)
-    return _update(np.multiply, sample_unit_sphere(n, rng, size=m), r[:, None])
+    u = sample_unit_sphere(n, rng, size=m)
+    return np.multiply(u, r[:, None], out=u)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +195,8 @@ def sample_mv_elliptical(
     L = np.zeros((off[-1], off[-1]))
     for (c, _), lo, hi in zip(p.factors, off, off[1:]):
         L[lo:hi, lo:hi] = np.tril(c)
-    out = _update(np.add, z @ L.T, np.concatenate(p.mus))
+    out = z @ L.T
+    out += np.concatenate(p.mus)
     return _squeeze(out, size)
 
 
@@ -252,8 +234,8 @@ def sample_mv_t(
     v0 *= 2.0
     z = rng.standard_normal((m, p.total))
     scale = np.repeat(np.sqrt(np.asarray(p.betas)), p.dims)
-    _update(np.multiply, z, scale)
-    _update(np.divide, z, np.sqrt(v0, out=v0)[:, None])
+    z *= scale
+    z /= np.sqrt(v0, out=v0)[:, None]
     return _squeeze(z, size)
 
 
@@ -270,7 +252,7 @@ def _t_to_pearson2(t: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
             den = _sum_sq_last(blk)
             np.fmin(den, np.inf, out=den)
             den += 1.0
-            _update(np.divide, blk, np.sqrt(den, out=den)[:, None])
+            blk /= np.sqrt(den, out=den)[:, None]
             off += d
     return t
 
@@ -313,7 +295,7 @@ def sample_gengamma_pearson7(
         norm *= p.betas[i]
         norm /= d[:, 0]
         np.sqrt(norm, out=norm)
-        _update(np.multiply, u, norm[:, None], out=t[:, off:off + n_i])
+        np.multiply(u, norm[:, None], out=t[:, off:off + n_i])
         off += n_i
     if size is None:
         return float(s0[0]), t[0]
@@ -345,14 +327,7 @@ def sample_mv_gengamma(
         d = np.ones((m, 1))
     else:
         d = rng.dirichlet(alphas, size=m)
-    # d_ij *= sigma_j^2 W_i: by columns with a row-length product each, or,
-    # over a long last axis (the pair sampler's one row), with the whole product
-    scales = np.asarray(p.scales)
-    if p.k < _COLUMN_LOOP:
-        for j in range(p.k):
-            d[:, j] *= w * scales[j]
-    else:
-        d *= scales * w[:, None]
+    d *= np.asarray(p.scales) * w[:, None]  # sigma_j^2 W_i, then times D_ij
     return _squeeze(d, size)
 
 
@@ -380,17 +355,15 @@ def sample_mv_beta2(
     m = _n_draws(size)
     g0 = rng.gamma(p.shape.alpha0, 1.0, size=m)
     g = rng.gamma(np.asarray(p.shape.alphas), 1.0, size=(m, p.k))
-    _update(np.multiply, g, np.asarray(p.betas))
-    _update(np.divide, g, g0[:, None])
+    g *= np.asarray(p.betas)
+    g /= g0[:, None]
     return _squeeze(g, size)
 
 
 def _beta2_to_beta1(f: np.ndarray) -> np.ndarray:
     """b = f / (1 + f) in f's own array, 1 + f formed a column at a time in
-    one row-length buffer, or whole over a long last axis."""
+    one row-length buffer."""
     rows = np.atleast_2d(f)  # a view: the updates below land in f
-    if rows.shape[1] >= _COLUMN_LOOP:
-        return np.divide(f, f + 1.0, out=f)
     den = np.empty(rows.shape[0])
     for j in range(rows.shape[1]):
         col = rows[:, j]
@@ -415,7 +388,8 @@ def sample_gengamma_beta2(
         shapes=(p.alpha0,) + tuple(p.alphas), scales=tuple(p.sigma2s)
     )
     u = np.atleast_2d(sample_mv_gengamma(base, p.spec, rng, size=size))
-    s0, f = u[:, 0], _update(np.divide, u[:, 1:], u[:, :1])
+    s0, f = u[:, 0], u[:, 1:]
+    f /= u[:, :1]
     if size is None:
         return float(s0[0]), f[0]
     return s0, f
