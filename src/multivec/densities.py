@@ -63,6 +63,7 @@ from .core import (
     _sum_in_order,
     _sum_last,
     _sum_last_scaled,
+    _sum_sq_last,
     _threads,
     block_quadform,
 )
@@ -151,7 +152,7 @@ def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> np.ndarray:
     for i, d in enumerate(dims):
         blk = x[..., off:off + d]
         with np.errstate(over="ignore"):  # an overflowing norm is +inf, where f is zero
-            sq[..., i] = _sum_last(blk * blk)
+            sq[..., i] = _sum_sq_last(blk)
         off += d
     return np.fmin(sq, np.inf, out=sq)  # fmin maps NaN to +inf
 

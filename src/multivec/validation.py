@@ -19,15 +19,19 @@ a deliberately uncorrected variant of the beta-I density must FAIL goodness
 of fit, demonstrating that the corrected exponent is required and the tests
 have power.
 
-The grids pass logpdf block-major batches: (n, d) views of (d, n) arrays,
-whose coordinate columns are contiguous.  Every row-wise stage runs on
-core._map_chunks: the quadrature grid, the pushforward grid and the Monte
-Carlo weights in chunks of core._CHUNK points, the cumulative Simpson table
-in bands of lanes, and each pushforward check's KS margins and chi-square as
-tasks side by side.  The calling thread takes chunks and, when a map has more
-than one, so do the threads of the package's one pool, which lives in
-``core`` and is shared with the long logpdf batches of ``densities``:
-MULTIVEC_THREADS threads in all, else one per CPU the process may run on.
+The grids pass logpdf block-major batches: read-only (n, d) views of (d, n)
+arrays, whose coordinate columns are contiguous.  One helper (_grid_rows)
+builds each chunk of either grid from the grid rows it spans, and the
+quadrature forms each chunk's weights and edge mask from the same rows, so
+no array holds a whole grid's points or a whole level's weights.  Every
+row-wise stage runs on core._map_chunks: the quadrature grid, the
+pushforward grid and the Monte Carlo weights in chunks of core._CHUNK
+points, the cumulative Simpson table in bands of lanes, and each pushforward
+check's KS margins and chi-square as tasks side by side.  The calling thread
+takes chunks and, when a map has more than one, so do the threads of the
+package's one pool, which lives in ``core`` and is shared with the long
+logpdf batches of ``densities``: MULTIVEC_THREADS threads in all, else one
+per CPU the process may run on.
 Each chunk's sums come back to the caller, which adds them in chunk order;
 whole-array sums run after the map, and every density is row-wise, so no
 report depends on the number of threads.
@@ -146,40 +150,77 @@ def _de_axis(
     return x[keep], w[keep], (t <= t[0] + _DE_EDGE) | (t >= t[-1] - _DE_EDGE)
 
 
+def _row_span(start: int, stop: int, m: int) -> tuple[slice, slice]:
+    """The rows of m points that points start..stop-1 of a C-order grid
+    span, and where those points fall in the rows' points laid end to end."""
+    first = start // m
+    return slice(first, -(-stop // m)), slice(start - first * m, stop - first * m)
+
+
+def _grid_rows(nodes: Sequence[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """Points start..stop-1 of the C-order tensor grid of the node vectors,
+    as a read-only block-major (n, d) batch: a view of a (d, n) array, whose
+    coordinate columns are contiguous.
+
+    A (d, rows, n_last) buffer takes each axis's nodes broadcast over the
+    grid rows the range spans, a row being one point of the grid of the
+    axes before the last, and the batch is a slice of it.  A 1-d batch is a
+    view of the nodes themselves: read-only, a logpdf that writes into its
+    batch raises instead of moving the points of later chunks."""
+    *outer, last = nodes
+    if outer:
+        rows, cut = _row_span(start, stop, len(last))
+        buf = np.empty((len(nodes), rows.stop - rows.start, len(last)))
+        buf[:-1] = _grid_rows(outer, rows.start, rows.stop).T[:, :, None]
+        buf[-1] = last
+        pts = buf.reshape(len(nodes), -1)[:, cut].T
+    else:
+        pts = last[start:stop, None]
+    pts.flags.writeable = False
+    return pts
+
+
+def _grid_outer(op: np.ufunc, vectors: Sequence[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """Entries start..stop-1 of the C-order outer op of the vectors, folded
+    from the left as (v0 op v1) op v2, formed from the grid rows the range
+    spans."""
+    *outer, last = vectors
+    if not outer:
+        return last[start:stop]
+    rows, cut = _row_span(start, stop, len(last))
+    return op.outer(_grid_outer(op, outer, rows.start, rows.stop), last).ravel()[cut]
+
+
 def _de_grid_sum(
     logpdf: Callable, axes: list[tuple[np.ndarray, np.ndarray, np.ndarray]], name: str
 ) -> tuple[float, float]:
     """Sums of weight * exp(logpdf) over the tensor grid of the axes, in chunks:
-    over every point, and over the points on the edge of any axis.  The
-    weights, as (w0 w1) w2, and the edge mask are formed once per grid."""
-    nodes, (_, w, on_edge) = [x for x, _, _ in axes], axes[0]
-    for _, wt, e in axes[1:]:
-        w, on_edge = np.multiply.outer(w, wt), np.logical_or.outer(on_edge, e)
-    shape, w, on_edge = w.shape, w.ravel(), on_edge.ravel()
-    # axes after the first repeat with period `inner`: one index table serves every chunk
-    inner = w.size // shape[0]
-    idx = np.unravel_index(np.arange(min(w.size, inner + _CHUNK)), shape)
+    over every point, and over the points on the edge of any axis.  Each
+    chunk's points (_grid_rows), its weights, as (w0 w1) w2, and its edge
+    mask (_grid_outer) come from the rows it spans, so no array covers a
+    whole level."""
+    nodes, weights, edges = zip(*axes)
+    size = math.prod(len(x) for x in nodes)
 
     def chunk_sums(c: int) -> tuple[float, float]:
         start = c * _CHUNK
-        stop, (first, off) = min(start + _CHUNK, w.size), divmod(start, inner)
-        pts = np.empty((len(nodes), stop - start))
-        for x, i, row in zip([nodes[0][first:], *nodes[1:]], idx, pts):
-            np.take(x, i[off:off + stop - start], out=row)
+        stop = min(start + _CHUNK, size)
         try:
-            vals = np.asarray(logpdf(pts.T), dtype=float)
+            vals = np.asarray(logpdf(_grid_rows(nodes, start, stop)), dtype=float)
         except Exception as exc:
             raise QuadratureFailure(f"{name}: integrand raised: {exc}") from exc
         if vals.shape != (stop - start,):
             raise DimensionMismatch(f"{name}: logpdf returned {vals.shape} for {stop - start} points")
+        w = _grid_outer(np.multiply, weights, start, stop)
+        on_edge = _grid_outer(np.logical_or, edges, start, stop)
         # a widened window reaches nodes where a singular density overflows
         # exp; the level sum is then inf, which raises QuadratureFailure
         with np.errstate(over="ignore"):
-            mass = w[start:stop] * np.exp(vals)
-        return float(np.sum(mass)), float(np.sum(mass[on_edge[start:stop]]))
+            mass = w * np.exp(vals)
+        return float(np.sum(mass)), float(np.sum(mass[on_edge]))
 
     total = edge = 0.0
-    for chunk_total, chunk_edge in _map_chunks(chunk_sums, -(-w.size // _CHUNK)):
+    for chunk_total, chunk_edge in _map_chunks(chunk_sums, -(-size // _CHUNK)):
         total += chunk_total
         edge += chunk_edge
     return total, edge
@@ -566,8 +607,9 @@ def pushforward_check(
     in 2 dims, chi-square on the 2-d histogram (p > 0.001).
 
     exp(logpdf) on a tensor grid over a box that covers the sample with
-    padding becomes one CDF table, by a cumulative Simpson pass along each
-    axis (_cumulative_simpson), normalized on the box.  Each marginal CDF is
+    padding, fed to logpdf a chunk of grid rows at a time (_grid_rows),
+    becomes one CDF table, by a cumulative Simpson pass along each axis
+    (_cumulative_simpson), normalized on the box.  Each marginal CDF is
     the table's edge at the last node of the other axis, read through a
     PCHIP interpolant; the KS p-value of each sorted margin is that of
     stats.kstest's default, exact mode (_ks_pvalue).  Each chi-square cell
@@ -605,21 +647,18 @@ def pushforward_check(
         else:
             grids.append(np.linspace(glo, ghi, grid_points))
 
-    # the grid points are a temporary: only the density table outlives logpdf
-    points = np.stack(np.meshgrid(*grids, indexing="ij", copy=False)).reshape(d, -1).T
-    cdf = np.empty(len(points))
+    cdf = np.empty(math.prod(g.size for g in grids))
 
     def chunk_density(c: int) -> None:
-        rows = slice(c * _CHUNK, (c + 1) * _CHUNK)
-        out = cdf[rows]
+        start = c * _CHUNK
+        out = cdf[start:start + _CHUNK]
         with np.errstate(over="ignore"):
-            vals = np.asarray(logpdf(points[rows]), dtype=float)
+            vals = np.asarray(logpdf(_grid_rows(grids, start, start + out.size)), dtype=float)
             if vals.shape != out.shape:
                 raise DimensionMismatch(f"{name}: logpdf returned {vals.shape} for {out.size} points")
             np.exp(vals, out=out)
 
-    _map_chunks(chunk_density, -(-len(points) // _CHUNK))
-    del points
+    _map_chunks(chunk_density, -(-cdf.size // _CHUNK))
     cdf = cdf.reshape([g.size for g in grids])
     for axis, g in enumerate(grids):
         cdf = _cumulative_simpson(cdf, g, axis)

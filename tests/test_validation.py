@@ -5,6 +5,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -190,6 +191,82 @@ def test_quad_rejects_a_logpdf_that_is_not_batched():
         quad_normalization(lambda x: float(np.sum(x)), [(0.0, 1.0)], 1e-6, "scalar")
     with pytest.raises(DimensionMismatch):
         quad_normalization(lambda x: np.zeros((len(x), 1)), [(0.0, 1.0)], 1e-6, "column")
+
+
+def _whole_grid(nodes, weights, edges):
+    """A level's points, weights, as (w0 w1) w2, and edge mask, formed whole."""
+    pts = np.stack(np.meshgrid(*nodes, indexing="ij")).reshape(len(nodes), -1).T
+    w, e = weights[0], edges[0]
+    for wj, ej in zip(weights[1:], edges[1:]):
+        w, e = np.multiply.outer(w, wj), np.logical_or.outer(e, ej)
+    return pts, w.ravel(), e.ravel()
+
+
+@pytest.mark.parametrize("chunk", [7, 100])
+@pytest.mark.parametrize("counts", [(23,), (5, 9), (3, 11, 13)], ids=["1d", "2d", "3d"])
+def test_grid_chunks_are_the_whole_grids_rows_bit_for_bit(monkeypatch, chunk, counts):
+    # node counts that divide neither chunk size, so chunks start and stop
+    # mid-row; weights of many digits, so a reassociated product shows
+    monkeypatch.setenv("MULTIVEC_THREADS", "1")  # the chunks arrive in order
+    monkeypatch.setattr(validation, "_CHUNK", chunk)
+    rng = np.random.default_rng(3)
+    nodes = [np.sort(rng.normal(size=n)) for n in counts]
+    weights = [rng.uniform(0.1, 3.0, n) for n in counts]
+    edges = [rng.uniform(size=n) < 0.3 for n in counts]
+    pts, w, e = _whole_grid(nodes, weights, edges)
+    chunks = []
+
+    def logpdf(x):
+        assert not x.flags.writeable
+        assert all(x[:, j].flags.c_contiguous for j in range(len(counts)))
+        chunks.append(x.copy())
+        return np.zeros(len(x))
+
+    total, edge = validation._de_grid_sum(logpdf, list(zip(nodes, weights, edges)), "grid")
+    starts = range(0, len(pts), chunk)
+    assert [len(x) for x in chunks] == [min(chunk, len(pts) - s) for s in starts]
+    assert np.array_equal(np.concatenate(chunks), pts)
+    want_total = want_edge = 0.0
+    for s in starts:
+        ws, es = w[s:s + chunk], e[s:s + chunk]
+        stop = s + len(ws)
+        assert validation._grid_outer(np.multiply, weights, s, stop).tobytes() == ws.tobytes()
+        assert np.array_equal(validation._grid_outer(np.logical_or, edges, s, stop), es)
+        want_total += float(np.sum(ws))
+        want_edge += float(np.sum(ws[es]))
+    assert (total.hex(), edge.hex()) == (want_total.hex(), want_edge.hex())
+
+
+def test_the_3d_quadrature_holds_no_whole_level(monkeypatch):
+    # its 123^3-point level's weights alone take 15 MB; a chunk's arrays take
+    # about 0.5 MB each
+    monkeypatch.setenv("MULTIVEC_THREADS", "1")
+    name, logpdf, support, tol = next(
+        c for c in _normalization_cases() if c[0] == "norm-mv-beta1-k3-3d"
+    )
+    tracemalloc.start()
+    try:
+        rep = quad_normalization(logpdf, support, tol, name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed, rep.details
+    assert peak < 12e6, peak
+
+
+@pytest.mark.parametrize("support", [[(0.0, 1.0)], [(0.0, 1.0), (0.0, 1.0)]], ids=["1d", "2d"])
+def test_a_logpdf_that_writes_into_its_batch_is_refused(support):
+    # a 1-d chunk is a view of the level's nodes: a write would move every
+    # later chunk and level without a word
+    def logpdf(x):
+        x *= 0.5
+        return np.zeros(len(x))
+
+    with pytest.raises(QuadratureFailure, match="writer: integrand raised"):
+        quad_normalization(logpdf, support, 1e-6, "writer")
+    sampler = lambda rng, n: rng.uniform(0.25, 0.75, size=(n, len(support)))  # noqa: E731
+    with pytest.raises(ValueError, match="read-only"):
+        pushforward_check(sampler, logpdf, support, n_draws=1_000)
 
 
 def test_quad_beta1_3d_call_count_guard():
