@@ -280,7 +280,7 @@ def cmd_check(args) -> int:
 
     suites: dict[str, Callable[[], list[CheckReport]]] = {
         "normalization": lambda: run_normalization_suite(args.seed),
-        "identities": lambda: run_identity_suite(args.seed, n_draws=args.n_draws),
+        "identities": lambda: run_identity_suite(args.seed),
         "pushforward": lambda: run_pushforward_suite(args.seed, n_draws=args.n_draws),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
@@ -368,7 +368,7 @@ def _build_parser() -> _Parser:
         choices=["normalization", "identities", "pushforward", "all"],
     )
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--n-draws", type=int, default=100_000)
+    p_check.add_argument("--n-draws", type=int, default=100_000, help="draws per pushforward check")
     p_check.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_check.set_defaults(func=cmd_check)
 

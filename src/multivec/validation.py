@@ -2,14 +2,15 @@
 
 Every density formula in this package is accepted only if it passes the
 checks here: quadrature of exp(logpdf) over the declared support (total
-dimension <= 3), importance-sampled Monte-Carlo normalization for higher
-dimensions, each generator's radial-integral identity on the same quadrature
-rule, the ball-to-space Jacobian identity, and sampler-vs-density
-goodness of fit in 1 or 2 dims (marginal KS plus 2-d chi-square, both read
-off one cumulative table of the density on a grid).  The quadrature is one
-tensor double-exponential rule fed (n, d) batches; its err_est is the change
-between the last two step halvings, under a fixed budget of points, and its
-window widens once when its outermost nodes hold mass.  The cumulative table
+dimension <= 3), importance-sampled Monte-Carlo normalization of one 2-d
+mv-t law, each generator's radial-integral identity on the same quadrature
+rule, the ball map's change of variables on the package's own sampler map
+and densities, and sampler-vs-density goodness of fit in 1 or 2 dims
+(marginal KS plus 2-d chi-square, both read off one cumulative table of the
+density on a grid).  The quadrature is one tensor double-exponential rule
+fed (n, d) batches; its err_est is the change between the last two step
+halvings, under a fixed budget of points, and its window widens once when
+its outermost nodes hold mass.  The cumulative table
 comes from this module's own Simpson pass (scipy's cumulative_simpson, bit
 for bit, without scipy.integrate), and the KS statistic is formed directly
 from the sorted margin, with its p-value from the exact Kolmogorov law.  Both
@@ -57,7 +58,6 @@ from .core import (
     Partition,
     ScaleShapeParams,
     _CHUNK,
-    _SHORT_AXIS,
     _all_last,
     _map_chunks,
     _sum_last,
@@ -69,12 +69,13 @@ from .densities import (
     MixedParams,
     MvTParams,
     logpdf_mv_beta1,
+    logpdf_mv_pearson2,
     logpdf_mv_t,
 )
 from .errors import DegenerateWeights, DimensionMismatch, ParameterOutOfDomain, QuadratureFailure
 from .families import FAMILIES
 from .generators import Bessel, GeneratorSpec, Kotz, PearsonII, PearsonVII, log_norm_const
-from .sampling import make_rng, sample_unit_sphere
+from .sampling import _t_to_pearson2, make_rng, sample_mv_t
 
 __all__ = list(_EXPORTS["validation"])
 
@@ -390,121 +391,60 @@ def mc_normalization(
 
 
 # ---------------------------------------------------------------------------
-# Ball-to-space Jacobian identity
+# The ball map's change of variables, on the package's own code
 
-_JACOBIAN_GRID_POINTS = 201
-_JACOBIAN_BINS = 20  # equal-probability bins of the chi-square
-
-
-def _chi2_quantile_gof(
-    values: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray], bins: int
-) -> tuple[float, float]:
-    """Equal-probability-bin chi-square GOF; returns (statistic, p-value)."""
-    n = values.size
-    probs = np.linspace(0.0, 1.0, bins + 1)
-    u = np.asarray(cdf(values), dtype=float)
-    counts, _ = np.histogram(u, bins=probs)
-    expected = n / bins
-    stat = float(np.sum((counts - expected) ** 2) / expected)
-    return stat, float(special.chdtrc(bins - 1, stat))  # scipy.stats.chi2.sf, bit for bit
+_JACOBIAN_TOL = 1e-5  # rows at n = 1-3, seeds 0-1999, read at most 2.4e-6
+_BALL_T = MvTParams(dims=(1,), alpha0=1.6, betas=(1.3,))  # the rows' mv-t, at dims (n,)
 
 
-def _betaprime_cdf(a: float, x: np.ndarray) -> np.ndarray:
-    """CDF of BetaPrime(a, 1) at x >= 0, by the incomplete-beta branches of
-    scipy.stats.betaprime (bit for bit, without importing scipy.stats)."""
-    x = np.asarray(x, dtype=float)
-    big, out = x > 1, np.empty_like(x)
-    out[big] = special.betaincc(1.0, a, 1.0 / (1.0 + x[big]))
-    out[~big] = special.betainc(a, 1.0, x[~big] / (1.0 + x[~big]))
-    return out
+def _image_identity_residual(
+    x: np.ndarray, root_logpdf: Callable, image_logpdf: Callable, forward: Callable
+) -> float:
+    """max over the (m, n) rows x of |g(F(x)) - f(x) + log|det DF(x)||, for a
+    root density f, an image density g and the sampler's forward map F.  DF
+    is taken by central differences, step 1e-6 max(1, |x_j|), and its
+    log|det| by slogdet.  F runs on copies: a sampler map writes into its
+    argument."""
+    jac = np.empty(x.shape + x.shape[-1:])
+    for j in range(x.shape[1]):
+        up, down = x.copy(), x.copy()
+        step = 1e-6 * np.maximum(1.0, np.abs(x[:, j]))
+        up[:, j] += step
+        down[:, j] -= step
+        width = up[:, j] - down[:, j]  # the step as rounded, before F writes over it
+        jac[:, :, j] = (forward(up) - forward(down)) / width[:, None]
+    residual = image_logpdf(forward(x.copy())) - root_logpdf(x) + np.linalg.slogdet(jac)[1]
+    return float(np.max(np.abs(residual)))
 
 
-def _sum_columns(cols: list[np.ndarray]) -> np.ndarray:
-    """_sum_last(np.stack(cols, axis=-1)), bit for bit, with no stack below
-    _SHORT_AXIS columns."""
-    if len(cols) >= _SHORT_AXIS:
-        return np.sum(np.stack(cols, axis=-1), axis=-1)
-    out = cols[0] + 0.0
-    for c in cols[1:]:
-        out += c
-    return out
+def _ball_report(name: str, p: MvTParams, t: np.ndarray, details: str) -> CheckReport:
+    """The identity from mv-t to mv-pearson2 at the points t, through the
+    sampler's ball map r = t / sqrt(1 + ||t||^2) (sampling._t_to_pearson2)."""
+    residual = _image_identity_residual(t, partial(logpdf_mv_t, p), partial(logpdf_mv_pearson2, p),
+                                        partial(_t_to_pearson2, dims=p.dims))
+    return CheckReport(name, residual, _JACOBIAN_TOL, details=details)
 
 
-def _betaprime_cdf_to_bin(a: float, x: np.ndarray, bins: int) -> np.ndarray:
-    """_betaprime_cdf(a, x) as far as bins of width 1/bins can tell.
-
-    The closed form (x / (1 + x))^a = I_{x/(1+x)}(a, 1) differed from
-    scipy's incomplete beta by at most 3.3e-16 over 18M Jacobian draws
-    (seeds 0-59, n = 1, 2, 3), so it puts a value in scipy's bin unless it
-    lies within 1e-9 of a bin edge.  Those values, and the ones where the
-    closed form is not finite, take _betaprime_cdf's own.
-    """
-    with np.errstate(invalid="ignore"):  # inf / inf
-        u = (x / (1.0 + x)) ** a
-        t = bins * u
-        # NaN compares false, so a non-finite u also takes scipy's value
-        edge = ~(np.abs(t - np.rint(t)) > bins * 1e-9)
-    if edge.any():
-        u[edge] = _betaprime_cdf(a, x[edge])
-    return u
-
-
-def jacobian_check(n: int, n_draws: int = 100_000, seed: int = 0) -> CheckReport:
-    """Verify the unit-ball to whole-space volume-element identity by MC.
-
-    x uniform in the unit n-ball is pushed through y = (1 - ||x||^2)^{-1/2} x.
-    Under the claimed volume element (dy) = (1 - ||x||^2)^{-(n/2+1)} (dx),
-    the squared norm ||y||^2 must follow BetaPrime(n/2, 1); a chi-square GOF
-    with equal-probability bins arbitrates (p > 0.001).  Each draw is binned
-    by the closed-form CDF (||y||^2 / (1 + ||y||^2))^{n/2}; scipy's incomplete
-    beta (_betaprime_cdf) decides only the draws within 1e-9 of a bin edge,
-    so every draw lands in the bin scipy's CDF gives it.  The inverse map
-    round-trip is asserted to 1e-12 alongside.  The maps run one coordinate
-    column at a time, as _sum_last adds them.
+def jacobian_check(n: int, n_draws: int = 1000, seed: int = 0) -> CheckReport:
+    """The ball map's Jacobian on the package's own code, at n_draws points of
+    mv-t at dims (n,) (alpha0 = 1.6, beta = 1.3): logpdf_mv_pearson2 at the
+    sampler's image r of each t must equal logpdf_mv_t at t less the
+    log-determinant of the map's central-difference Jacobian.  The residual
+    is the largest gap (_image_identity_residual); the tolerance is 1e-5.
     """
     if n < 1:
         raise ParameterOutOfDomain(f"dimension must be >= 1, got {n}")
     if n_draws < 1:
         raise ParameterOutOfDomain(f"n_draws must be >= 1, got {n_draws}")
-    rng = make_rng(seed)
-    radius = rng.uniform(0.0, 1.0, size=n_draws) ** (1.0 / n)
-    direction = sample_unit_sphere(n, rng, size=n_draws)
-    x = [radius * direction[:, j] for j in range(n)]
-    scale = np.sqrt(1.0 - _sum_columns([c * c for c in x]))
-    y = [c / scale for c in x]
-    # round-trip through the algebraic inverse
-    y_sq = _sum_columns([c * c for c in y])
-    back = np.sqrt(1.0 + y_sq)
-    round_trip = float(np.max([np.max(np.abs(c / back - c0)) for c, c0 in zip(y, x)]))
-    if round_trip > 1e-12:
-        raise AssertionError(f"inverse-map round trip error {round_trip}")
-    stat, p = _chi2_quantile_gof(
-        y_sq, partial(_betaprime_cdf_to_bin, n / 2.0, bins=_JACOBIAN_BINS), _JACOBIAN_BINS
-    )
-    return CheckReport(
-        f"jacobian-ball-map-n{n}",
-        1.0 - p,
-        1.0 - 0.001,
-        details=f"chi2={stat:.2f} p={p:.5f} n_draws={n_draws} seed={seed} roundtrip={round_trip:.2e}",
-    )
+    p = replace(_BALL_T, dims=(n,))
+    t = sample_mv_t(p, make_rng(seed), size=n_draws)
+    return _ball_report(f"jacobian-ball-map-n{n}", p, t, f"n_draws={n_draws} seed={seed}")
 
 
 def jacobian_grid_check() -> CheckReport:
-    """1-d cross-check of the same Jacobian against central differences.
-
-    For n = 1 the map is y = x (1-x^2)^{-1/2} and the claimed volume factor
-    is (1-x^2)^{-3/2}; a numerical dy/dx must match it to 1e-3 in sup norm.
-    """
-    x = np.linspace(-0.9, 0.9, _JACOBIAN_GRID_POINTS)
-    h = 1e-6
-    y = lambda t: t / np.sqrt(1.0 - t * t)
-    dy_num = (y(x + h) - y(x - h)) / (2.0 * h)
-    dy_formula = (1.0 - x * x) ** -1.5
-    residual = float(np.max(np.abs(dy_num - dy_formula)))
-    return CheckReport(
-        "jacobian-1d-grid", residual, 1e-3,
-        details=f"grid={_JACOBIAN_GRID_POINTS} sup-norm vs central diff",
-    )
+    """jacobian_check's identity at n = 1 on 201 fixed points t in [-10, 10]."""
+    t = np.linspace(-10.0, 10.0, 201)[:, None]
+    return _ball_report("jacobian-1d-grid", _BALL_T, t, "grid=201 t in [-10, 10]")
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +792,7 @@ def run_normalization_suite(seed: int = 0) -> list[CheckReport]:
     return reports
 
 
-def run_identity_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckReport]:
+def run_identity_suite(seed: int = 0) -> list[CheckReport]:
     """Radial-integral identity across the generator grid plus the Jacobian checks.
 
     A negative seed raises ParameterOutOfDomain before any check runs."""
@@ -878,7 +818,7 @@ def run_identity_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckRepor
                 )
     for n in (1, 2, 3):
         for s in range(3):  # the s-th draw per n: one name per row, whatever the seed
-            rep = jacobian_check(n, n_draws=n_draws, seed=seed + 10 * n + s)
+            rep = jacobian_check(n, seed=seed + 10 * n + s)
             reports.append(replace(rep, name=f"{rep.name}-{s}"))
     reports.append(jacobian_grid_check())
     return reports

@@ -100,7 +100,7 @@ def test_criterion_03_radial_and_jacobian_identity_suite_passes():
     reports = run_identity_suite(seed=0)
     failures = [r.name for r in reports if not r.passed]
     assert failures == [], f"identity failures: {failures}"
-    # the volume-element GOF must have held at three seeds per dimension
+    # the ball map's root-to-image identity must have held at three seeds per dimension
     ball = [r for r in reports if r.name.startswith("jacobian-ball-map")]
     assert len(ball) == 9
     radial = [r for r in reports if r.name.startswith("identity-radial-integral")]

@@ -65,7 +65,7 @@ def test_identity_suite_runs_without_scipy_stats():
     doc = run_fresh(
         "import json, sys\n"
         "from multivec import run_identity_suite\n"
-        "reports = run_identity_suite(seed=0, n_draws=5000)\n"
+        "reports = run_identity_suite(seed=0)\n"
         "print(json.dumps({'passed': all(r.passed for r in reports),\n"
         "                  'loaded': [m for m in ('scipy.stats', 'scipy.integrate')\n"
         "                             if m in sys.modules]}))"
