@@ -228,19 +228,24 @@ def test_pearson2_scalar_normalizes():
     assert abs(val - 1.0) < 1e-6
 
 
-def test_mv_t_at_vector_blocks_is_scipys_multivariate_t():
+@pytest.mark.parametrize("dims,betas", [
+    ((2, 3), (1.3, 0.7)), ((3,), (1.3,)), ((1, 2, 2), (0.5, 1.3, 2.0)),
+], ids=["2-3", "3", "1-2-2"])
+def test_mv_t_at_vector_blocks_is_scipys_multivariate_t(dims, betas):
     # the constant's beta and pi exponents are n_i/2 per block: an image's
     # root-to-image identity cannot see them, since they cancel on both sides
-    p = MvTParams(dims=(2, 3), alpha0=1.6, betas=(1.3, 0.7))
-    t = np.random.default_rng(16).standard_normal((200, 5)) * 2.0
+    p = MvTParams(dims=dims, alpha0=1.6, betas=betas)
+    m = sum(dims)
+    t = np.random.default_rng(16).standard_normal((200, m)) * 2.0
     shape = np.diag(np.repeat(p.betas, p.dims)) / (2.0 * p.alpha0)
-    want = stats.multivariate_t(loc=np.zeros(5), shape=shape, df=2.0 * p.alpha0).logpdf(t)
+    want = stats.multivariate_t(loc=np.zeros(m), shape=shape, df=2.0 * p.alpha0).logpdf(t)
     assert np.max(np.abs(logpdf_mv_t(p, t) - want)) <= 1e-12
 
 
-def test_pearson2_at_a_vector_block_is_its_closed_form():
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pearson2_at_a_vector_block_is_its_closed_form(n):
     # k = 1, beta = 1: Gamma(a0 + n/2) / (Gamma(a0) pi^{n/2}) (1 - ||r||^2)^{a0 - 1}
-    a0, n = 1.3, 3
+    a0 = 1.3
     p = MvTParams(dims=(n,), alpha0=a0, betas=(1.0,))
     r = np.random.default_rng(17).uniform(-0.57, 0.57, (200, n))  # inside the unit ball
     const = math.lgamma(a0 + n / 2) - math.lgamma(a0) - (n / 2) * math.log(math.pi)

@@ -74,6 +74,12 @@ def test_draw_counts_below_one_are_out_of_domain():
             mc_normalization(_prop_logpdf, _prop_sample, _prop_logpdf, n, 0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_jacobian_check_refuses_a_dimension_below_one(n):
+    with pytest.raises(ParameterOutOfDomain, match=rf"dimension must be >= 1, got {n}$"):
+        jacobian_check(n)
+
+
 @pytest.mark.parametrize("seed", [-1, -11])
 def test_identity_suite_rejects_a_negative_seed_by_its_own_value(seed):
     with pytest.raises(ParameterOutOfDomain, match=rf"seed must be >= 0, got {seed}$"):
@@ -503,8 +509,10 @@ def test_jacobian_grid_check():
     assert rep.passed and rep.residual < 1e-3
 
 
-def test_a_ball_jacobian_exponent_frozen_at_three_halves_fails_the_vector_rows(monkeypatch):
-    # -(n/2 + 1) log(1 - ||r||^2) with n/2 + 1 frozen at 3/2, which is right at n = 1 only
+@pytest.fixture
+def frozen_ball_exponent(monkeypatch):
+    """densities._ball_map with -(n/2 + 1) log(1 - ||r||^2) frozen at n/2 + 1
+    = 3/2, which is right at n = 1 only."""
     from multivec import densities
 
     ball_map = densities._ball_map
@@ -516,9 +524,60 @@ def test_a_ball_jacobian_exponent_frozen_at_three_halves_fails_the_vector_rows(m
         return sq_t, log_jac - shift, inside
 
     monkeypatch.setattr(densities, "_ball_map", frozen)
+
+
+def test_a_ball_jacobian_exponent_frozen_at_three_halves_fails_the_vector_rows(frozen_ball_exponent):
     rows = [r for r in run_identity_suite() if r.name.startswith("jacobian-ball-map")]
     assert len(rows) == 9
     assert [r.name for r in rows if r.passed] == [f"jacobian-ball-map-n1-{s}" for s in range(3)]
+
+
+@pytest.mark.parametrize("s", range(3))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_each_ball_row_sees_a_frozen_exponent_exactly_where_it_is_wrong(frozen_ball_exponent,
+                                                                         seed, n, s):
+    # row jacobian-ball-map-n{n}-{s} of run_identity_suite(seed)
+    rep = jacobian_check(n, seed=seed + 10 * n + s)
+    assert rep.passed is (n == 1), rep.residual
+    if n > 1:
+        assert rep.residual > 0.1  # far above the 1e-5 tolerance, not a near miss
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_image_identity_reads_zero_on_an_affine_map_of_a_normal(n):
+    from scipy import stats
+
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    b = rng.standard_normal(n)
+    x = rng.standard_normal((200, n))
+    root = stats.multivariate_normal(np.zeros(n), np.eye(n)).logpdf
+    image = stats.multivariate_normal(b, a @ a.T).logpdf
+    assert validation._image_identity_residual(x, root, image, lambda z: z @ a.T + b) <= 1e-8
+    # the image of a map twice as wide reads 3/8 ||x||^2 - n log 2 above the true one
+    wrong = stats.multivariate_normal(b, 4.0 * a @ a.T).logpdf
+    residual = validation._image_identity_residual(x, root, wrong, lambda z: z @ a.T + b)
+    gap = 0.375 * np.sum(x * x, axis=1) - n * np.log(2.0)
+    assert abs(residual - np.max(np.abs(gap))) <= 1e-8
+
+
+def test_the_image_identity_runs_the_forward_map_on_copies():
+    # a forward map that writes into its argument, as the sampler's does
+    def doubled(z):
+        z *= 2.0
+        return z
+
+    x = np.random.default_rng(0).standard_normal((100, 2))
+    before = x.copy()
+    def root(z):  # N(0, I)
+        return -0.5 * np.sum(z * z, axis=1) - np.log(2.0 * np.pi)
+
+    def image(y):  # N(0, 4 I)
+        return -0.125 * np.sum(y * y, axis=1) - np.log(8.0 * np.pi)
+
+    assert validation._image_identity_residual(x, root, image, doubled) <= 1e-8
+    assert np.array_equal(x, before)
 
 
 def test_identity_suite_fast_mode():
