@@ -38,9 +38,10 @@ one of these Jacobians.  Every exponent is pinned by a quadrature test and,
 where a sampler exists, a goodness-of-fit test.
 
 Every public logpdf_* splits a batch of more than core._CHUNK rows into row
-ranges on the package's shared thread pool (_split_rows, core._map_chunks),
-MULTIVEC_THREADS threads in all.  The kernels are row-wise, so the split
-moves no bit; a batch of at most that many rows runs on the calling thread.
+ranges of at most _RANGE rows, at least one per thread of the package's
+shared pool (_split_rows, core._map_chunks), MULTIVEC_THREADS threads in
+all.  The kernels are row-wise, so the split moves no bit; a batch of at
+most _CHUNK rows runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from .generators import GeneratorSpec, gammaln, log_h, log_norm_const
 __all__ = list(_EXPORTS["densities"])
 
 _LOG_PI = math.log(math.pi)
+_RANGE = _CHUNK // 2  # the most rows one range of a split logpdf batch holds
 
 
 def _result(out):
@@ -89,8 +91,9 @@ def _split_rows(fn):
     data argument is an array of 1 or 2 dims, all of them share a leading
     axis of more than _CHUNK rows, and one has 2 dims (so that the axis
     counts points, not the coordinates of one point).  The rows then go in
-    max(_threads(), ceil(rows / _CHUNK)) near-equal ranges, each writing its
-    slice of one output.  Every other layout, a broadcast one included, runs
+    max(_threads(), ceil(rows / _RANGE)) near-equal ranges, each writing its
+    slice of one output, so no thread holds the temporaries of more than
+    _RANGE rows at a time.  Every other layout, a broadcast one included, runs
     fn as is.  A range that raises makes the call re-run whole, so a bad
     batch raises what the unsplit call raises, wherever its bad rows lie.
     """
@@ -102,7 +105,7 @@ def _split_rows(fn):
         if rows <= _CHUNK or not any(a.ndim == 2 for a in data) or not all(
                 isinstance(a, np.ndarray) and a.ndim in (1, 2) and a.shape[0] == rows for a in data):
             return fn(*args, **kwargs)
-        n = max(_threads(), -(-rows // _CHUNK))
+        n = max(_threads(), -(-rows // _RANGE))
         bounds = [rows * i // n for i in range(n + 1)]
         out = np.empty(rows)
 
@@ -152,7 +155,7 @@ def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> np.ndarray:
     for i, d in enumerate(dims):
         blk = x[..., off:off + d]
         with np.errstate(over="ignore"):  # an overflowing norm is +inf, where f is zero
-            sq[..., i] = _sum_sq_last(blk)
+            _sum_sq_last(blk, out=sq[..., i])
         off += d
     return np.fmin(sq, np.inf, out=sq)  # fmin maps NaN to +inf
 

@@ -27,10 +27,12 @@ family's natural shape; a whole number returns an array with a leading
 sample axis.  Joint (s0, blocks) samplers put s0 in column 0.
 
 Every transform writes into the arrays its RNG calls returned
-(``out=``), so a call of m draws holds little more than its output.
-Each element still sees the same operations in the same order, so the
-draws keep their bits; only the two factors of a product or the two terms
-of a sum may trade places, which is exact.
+(``out=``), so a call of m draws holds little more than its output: a
+factor that varies by row and column is formed a column at a time in one
+row-length buffer, not as a full-size product.  Each element still sees
+the same operations in the same order, so the draws keep their bits; only
+the two factors of a product or the two terms of a sum may trade places,
+which is exact.
 """
 
 from __future__ import annotations
@@ -119,18 +121,22 @@ def _sqrt_sq_norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
+def _onto_unit_sphere(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """z's (m, n) standard normal draws, each row divided by its norm in z:
+    m rotationally uniform points on the unit sphere in R^n."""
+    norms = _sqrt_sq_norms(z)
+    # a draw of exactly 0 has probability 0, but never divide by it
+    while not norms.all():
+        redo = norms == 0.0
+        z[redo] = rng.standard_normal((int(np.sum(redo)), z.shape[1]))
+        norms = _sqrt_sq_norms(z)
+    return np.divide(z, norms[:, None], out=z)
+
+
 def sample_unit_sphere(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Rotationally uniform points on the unit sphere in R^n."""
     n = _whole(n, "n", least=1)
-    m = _n_draws(size)
-    z = rng.standard_normal((m, n))
-    norms = _sqrt_sq_norms(z)
-    # a draw of exactly 0 has probability 0, but never divide by it
-    while np.any(norms == 0.0):
-        redo = norms == 0.0
-        z[redo] = rng.standard_normal((int(np.sum(redo)), n))
-        norms = _sqrt_sq_norms(z)
-    return _squeeze(np.divide(z, norms[:, None], out=z), size)
+    return _squeeze(_onto_unit_sphere(rng.standard_normal((_n_draws(size), n)), rng), size)
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +246,18 @@ def sample_mv_t(
 
 
 def _t_to_pearson2(t: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """r_i = t_i / sqrt(1 + ||t_i||^2), block by block in t's own array.
+    """r_i = t_i / sqrt(1 + ||t_i||^2), block by block in t's own array and
+    one row-length buffer.
 
     A block whose squared norm is NaN gets +inf there, as the densities'
     _sqnorms_by_dims gives it."""
     rows = np.atleast_2d(t)  # a view: the updates below land in t
+    den = np.empty(rows.shape[0])
     off = 0
     with np.errstate(over="ignore"):  # an overflowing norm is +inf
         for d in dims:
             blk = rows[:, off:off + d]
-            den = _sum_sq_last(blk)
+            _sum_sq_last(blk, out=den)
             np.fmin(den, np.inf, out=den)
             den += 1.0
             blk /= np.sqrt(den, out=den)[:, None]
@@ -290,7 +298,9 @@ def sample_gengamma_pearson7(
     t = np.empty((m, sum(p.dims)))
     off = 0
     for i, n_i in enumerate(p.dims):
-        u = sample_unit_sphere(n_i, rng, size=m)
+        # one block fills t: its sphere points are drawn in t itself
+        z = rng.standard_normal(out=t) if len(p.dims) == 1 else rng.standard_normal((m, n_i))
+        u = _onto_unit_sphere(z, rng)
         norm = d[:, i + 1]  # sqrt(beta_i D_i / D_0), written over D_i
         norm *= p.betas[i]
         norm /= d[:, 0]
@@ -314,21 +324,40 @@ def sample_gengamma_pearson2(
 # Scalar families
 
 
+def _gengamma_draws(
+    alphas: np.ndarray, scales: np.ndarray, spec: GeneratorSpec, rng: np.random.Generator,
+    m: int,
+) -> np.ndarray:
+    """m rows u_ij = sigma_j^2 W_i D_ij of the mv-gengamma law whose k
+    (shape, scale) pairs the float arrays alphas and scales hold.
+
+    Each entry is D_ij times sigma_j^2 W_i.  With at least as many rows as
+    columns, a column at a time takes sigma_j^2 W in one row-length buffer;
+    with more columns (the pair sampler's one row), one broadcast product
+    does.  One block has D = 1, so its rows are sigma^2 W, in W's array."""
+    r = sample_radius(RadialLaw(spec, 2.0 * float(np.sum(alphas))), rng, size=m)
+    w = np.multiply(r, r, out=r)
+    k = len(alphas)
+    if k == 1:
+        return np.multiply(w, scales[0], out=w)[:, None]
+    d = rng.dirichlet(alphas, size=m)
+    if k > m:
+        d *= scales * w[:, None]
+        return d
+    buf = np.empty(m)
+    for j in range(k):
+        d[:, j] *= np.multiply(scales[j], w, out=buf)
+    return d
+
+
 def sample_mv_gengamma(
     p: ScaleShapeParams, spec: GeneratorSpec, rng: np.random.Generator,
     size: int | None = None,
 ) -> np.ndarray:
     """u_i = sigma_i^2 W D_i: Dirichlet split of the squared radius at dim 2*sum(alpha)."""
     m = _n_draws(size)
-    alphas = np.asarray(p.shapes, dtype=float)
-    r = sample_radius(RadialLaw(spec, 2.0 * float(np.sum(alphas))), rng, size=m)
-    w = np.multiply(r, r, out=r)
-    if p.k == 1:
-        d = np.ones((m, 1))
-    else:
-        d = rng.dirichlet(alphas, size=m)
-    d *= np.asarray(p.scales) * w[:, None]  # sigma_j^2 W_i, then times D_ij
-    return _squeeze(d, size)
+    u = _gengamma_draws(np.asarray(p.shapes, dtype=float), np.asarray(p.scales), spec, rng, m)
+    return _squeeze(u, size)
 
 
 def sample_gengamma_pairs(
@@ -343,8 +372,7 @@ def sample_gengamma_pairs(
     m = _n_draws(size)
     if m == 0:
         return np.zeros((0, 2))
-    base = ScaleShapeParams(shapes=np.repeat(p.shapes, m), scales=np.repeat(p.scales, m))
-    flat = np.asarray(sample_mv_gengamma(base, spec, rng))
+    flat = _gengamma_draws(np.repeat(p.shapes, m), np.repeat(p.scales, m), spec, rng, 1)[0]
     return _squeeze(np.column_stack([flat[:m], flat[m:]]), size)
 
 

@@ -915,6 +915,32 @@ def test_a_split_batch_gives_the_bits_of_the_whole_call(monkeypatch):
         assert (core._pool is None) == (width == "1")
 
 
+def test_a_split_batch_holds_one_ranges_temporaries_at_a_time(monkeypatch):
+    # one thread takes the ranges in turn: a call over 4 * _CHUNK rows traces
+    # its output and what one call of _RANGE rows traces, within 16 kB (it
+    # read 1.8-4.3 kB over); ranges of _CHUNK rows traced about one such
+    # call's peak more
+    import tracemalloc
+
+    from multivec.core import _CHUNK
+    from multivec.densities import _RANGE
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setenv("MULTIVEC_THREADS", "1")
+    for fx, family, x in _split_fixtures():
+        x = np.resize(x, (4 * _CHUNK, x.shape[1]))
+        whole = peak(lambda: family.logpdf(fx.params, x))
+        one_range = peak(lambda: family.logpdf(fx.params, x[:_RANGE]))
+        assert whole <= x.shape[0] * 8 + one_range + 16_000, (fx.suffix, whole, one_range)
+
+
 @pytest.mark.parametrize("name, bad", [
     ("log-elliptical", (0, -1.0)),  # NonPositiveInput
     ("gamma-loggamma", (1, np.nan)),  # ParameterOutOfDomain, from the log-gamma block
@@ -955,20 +981,20 @@ def test_only_a_shared_leading_axis_of_points_is_split(monkeypatch):
     p = JointScaleParams(spec=GAUSS, alpha0=1.5, sigma2s=(1.0, 0.8), dims=(1,))
     s0 = np.linspace(0.1, 9.0, 4 * _CHUNK + 1)
     t = np.linspace(-3.0, 3.0, 4 * _CHUNK + 1)[:, None]
-    # max(threads, ceil(rows / _CHUNK)) ranges
+    # max(threads, ceil(rows / _RANGE)) ranges, _RANGE = _CHUNK // 2 rows
     split = logpdf_gengamma_pearson7(p, s0[:_CHUNK + 1], t[:_CHUNK + 1])
     logpdf_gengamma_pearson7(p, s0, t)
-    assert maps == [3, 5]
+    assert maps == [3, 9]
     # one t row against many s0, and the same t for each: same bits, no split
     assert logpdf_gengamma_pearson7(p, s0, t[:1]).tobytes() == \
         logpdf_gengamma_pearson7(p, s0, np.full_like(t, t[0, 0])).tobytes()
-    assert maps == [3, 5, 5]
+    assert maps == [3, 9, 9]
     assert logpdf_gengamma_pearson7(p, s0[:_CHUNK], t[:_CHUNK]).tobytes() == split[:_CHUNK].tobytes()
     # one point of more than _CHUNK coordinates, and a batch of lists
     wide = MvTParams(dims=(_CHUNK + 1,), alpha0=1.5, betas=(1.0,))
     assert math.isfinite(logpdf_mv_t(wide, np.full(_CHUNK + 1, 1e-3)))
     logpdf_mv_t(MvTParams(dims=(1,), alpha0=1.5, betas=(1.0,)), t.tolist())
-    assert maps == [3, 5, 5]
+    assert maps == [3, 9, 9]
     # the width is read only where a call splits
     monkeypatch.setenv("MULTIVEC_THREADS", "two")
     assert logpdf_gengamma_pearson7(p, s0[:_CHUNK], t[:_CHUNK]).tobytes() == split[:_CHUNK].tobytes()

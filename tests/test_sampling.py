@@ -8,6 +8,7 @@ wide margin for the committed streams.
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -486,6 +487,61 @@ def test_every_sampler_keeps_its_bits():
             draw(make_rng(2400 + i + 10 * j), size) for j, size in enumerate(_PIN_SIZES)
         ))
     assert got == _PINNED_DIGESTS
+
+
+# tracemalloc peak, in MB, of one call of 1e5 draws, RNG calls included, as
+# the samplers reach it with numpy 2.4: sample_mv_gengamma at k = 2 held a
+# full-size scales * W product (4.13 MB), the pair sampler its 2m-block
+# params as Python floats (19.2 MB); the unit sphere at n >= 8 squares a copy
+# of its draws, as numpy's pairwise row sums need
+_PINNED_PEAKS_MB = {
+    "mv-elliptical-bessel-2d": 4.00,
+    "mv-elliptical-gaussian-2d": 4.00,
+    "mv-elliptical-pearson7-1d": 2.41,
+    "log-elliptical-1d": 2.41,
+    "mixed-1p1": 4.00,
+    "mv-t-k2": 2.47,
+    "mv-pearson2-k2": 2.47,
+    "mv-gengamma-kotz-k1": 0.80,
+    "mv-gengamma-k2": 3.20,
+    "mv-beta1-k2": 2.47,
+    "mv-beta2-k2": 2.47,
+    "gengamma-pearson7-k1": 4.01,
+    "mv-beta1-k3-3d": 3.27,
+    "gengamma-pearson2-k1": 4.01,
+    "gengamma-beta1-k1": 3.20,
+    "gengamma-beta2-k1": 3.20,
+    "gamma-loggamma-1p1": 3.20,
+    "mv-elliptical-pearson2-2p1": 4.87,
+    "mixed-2p1": 4.87,
+    "mv-t-1p2p3": 5.67,
+    "mv-pearson2-2p3": 5.60,
+    "mv-gengamma-bessel-k3": 4.00,
+    "mv-beta2-k3": 3.27,
+    "gengamma-pearson7-2p1": 8.81,
+    "gengamma-pearson2-3": 6.40,
+    "gengamma-beta1-k2": 4.00,
+    "gamma-loggamma-2p2": 4.80,
+    "kotz-gamma-pairs": 6.40,
+    "unit-sphere-8": 13.60,
+    "unit-sphere-12": 20.00,
+}
+
+
+def test_every_sampler_holds_its_pinned_working_set():
+    # within 5% of its pin; the draws themselves are 0.8 MB per column
+    over = {}
+    for i, (name, draw) in enumerate(_pinned_samplers()):
+        draw(make_rng(i), 10)
+        tracemalloc.start()
+        try:
+            draw(make_rng(i), 100_000)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        if peak > 1.05 * _PINNED_PEAKS_MB[name]:
+            over[name] = round(peak, 2)
+    assert over == {}
 
 
 def _param_arrays(obj) -> list[np.ndarray]:

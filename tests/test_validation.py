@@ -1001,10 +1001,21 @@ def test_each_pool_thread_moves_once_off_the_caller_it_first_works_for(monkeypat
     monkeypatch.setattr(core, "_leave_cpu_of",
                         lambda tid: moves.append((threading.get_native_id(), tid)))
 
+    gate = threading.Barrier(3)
+
+    def gated(i):
+        if i < 3:
+            gate.wait(10.0)
+        return i
+
     def call():
         callers.append(threading.get_native_id())
-        for _ in range(5):
-            assert core._map_chunks(lambda i: i, 4) == [0, 1, 2, 3]
+        for j in range(5):
+            # the first caller's first map: chunks 0-2 wait for each other, so
+            # the caller and both pool threads take one each, and both threads
+            # start, and move, while working for that caller
+            chunk = gated if len(callers) == 1 and j == 0 else (lambda i: i)
+            assert core._map_chunks(chunk, 4) == [0, 1, 2, 3]
 
     def run_callers():
         for _ in range(2):
@@ -1017,6 +1028,8 @@ def test_each_pool_thread_moves_once_off_the_caller_it_first_works_for(monkeypat
     monkeypatch.setattr(core, "_pool", None)
     callers = []
     run_callers()
+    # the test's own pool: every queued work() runs before the checks
+    core._pool[1].shutdown(wait=True)
     movers = [mover for mover, _ in moves]
     assert 1 <= len(moves) <= 2 and len(set(movers)) == len(movers)
     assert {tid for _, tid in moves} == {callers[0]}
