@@ -53,7 +53,7 @@ print("  dependent value sits at a pinned generator of an unbounded likelihood")
 # constant along
 #   (sigma1, sigma2, r) -> (sigma1*sqrt(c), sigma2*sqrt(c), r*c**s)
 # walked here from the truth point; the identity holds everywhere
-stats = SuffStats(data.column(0), data.column(1))
+stats = SuffStats(data.values[:, 0], data.values[:, 1])
 print("\nsliding along the flat direction (loglik should not move):")
 for c in (0.5, 1.0, 2.0, 8.0):
     moved = KotzGammaDepParams(

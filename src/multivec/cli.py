@@ -29,7 +29,7 @@ from .sampling import make_rng
 
 # mle and validation are imported inside the commands that run them, so each
 # command pays at start-up only for what it uses; validation itself defers
-# scipy.stats and scipy.interpolate to the suites that use them
+# scipy.special, scipy.stats and scipy.interpolate to the pushforward suite
 if TYPE_CHECKING:
     from .validation import CheckReport
 
@@ -274,19 +274,16 @@ def cmd_check(args) -> int:
         raise _CliError(f"--n-draws must be >= 1, got {args.n_draws}")
     if args.seed < 0:
         raise _CliError(f"--seed must be >= 0, got {args.seed}")
-    from concurrent.futures import ThreadPoolExecutor  # loads logging: check only
-
+    _threads()  # a malformed MULTIVEC_THREADS fails every suite, even one that never splits a map
     from .validation import run_identity_suite, run_normalization_suite, run_pushforward_suite
 
     suites: dict[str, Callable[[], list[CheckReport]]] = {
-        "normalization": lambda: run_normalization_suite(args.seed),
+        "normalization": run_normalization_suite,
         "identities": lambda: run_identity_suite(args.seed),
         "pushforward": lambda: run_pushforward_suite(args.seed, n_draws=args.n_draws),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
-    with ThreadPoolExecutor(max_workers=min(_threads(), len(names))) as pool:
-        futures = [pool.submit(suites[name]) for name in names]
-        reports = [r for fut in futures for r in fut.result()]
+    reports = [r for name in names for r in suites[name]()]
     if args.corrupt:
         reports.append(_corrupted_report())
     for rep in reports:
@@ -388,10 +385,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MultivecError as exc:
+    except (_CliError, MultivecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -150,7 +150,7 @@ _in_chunk = contextvars.ContextVar("multivec_in_chunk", default=False)
 
 
 def _threads() -> int:
-    """Width of the thread pools: MULTIVEC_THREADS when set, else the CPUs
+    """Width of the thread pool: MULTIVEC_THREADS when set, else the CPUs
     this process may run on.  It changes wall time only, never a result."""
     raw = os.environ.get("MULTIVEC_THREADS", "").strip()
     if not raw:
@@ -468,9 +468,6 @@ class SampleMatrix:
     @property
     def cols(self) -> int:
         return self.values.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
 
 
 @dataclass

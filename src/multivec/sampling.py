@@ -412,10 +412,8 @@ def sample_gengamma_beta2(
     """(s0, f) pair: s0 = u_0 and f_i = u_i/u_0 for a (k+1)-block gengamma draw."""
     if p.alphas is None:
         raise DimensionMismatch("scalar joint needs real alphas")
-    base = ScaleShapeParams(
-        shapes=(p.alpha0,) + tuple(p.alphas), scales=tuple(p.sigma2s)
-    )
-    u = np.atleast_2d(sample_mv_gengamma(base, p.spec, rng, size=size))
+    m = _n_draws(size)
+    u = _gengamma_draws(np.asarray((p.alpha0,) + p.alphas), np.asarray(p.sigma2s), p.spec, rng, m)
     s0, f = u[:, 0], u[:, 1:]
     f /= u[:, :1]
     if size is None:
@@ -435,10 +433,9 @@ def sample_gamma_loggamma(
     p: GammaLogGammaParams, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
     """Columns (u_1..k1, y_1..k2): one gengamma draw, log applied to the last k2."""
-    base = ScaleShapeParams(
-        shapes=p.alphas + p.rhos, scales=p.sigma2s + p.delta2s
-    )
-    u = sample_mv_gengamma(base, p.spec, rng, size=size)
-    logs = u[..., p.k1:]
+    m = _n_draws(size)
+    u = _gengamma_draws(np.asarray(p.alphas + p.rhos), np.asarray(p.sigma2s + p.delta2s),
+                        p.spec, rng, m)
+    logs = u[:, p.k1:]
     np.log(logs, out=logs)
-    return u
+    return _squeeze(u, size)

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -375,6 +376,73 @@ def test_check_corrupt_hook_exits_3(capsys):
     last = json.loads(out.splitlines()[-1])
     assert last["name"] == "corrupt-hook-mis-scaled-density"
     assert last["passed"] is False
+
+
+def _strict_json(line):
+    """json.loads, refusing NaN and Infinity, which JSON does not have."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_a_failing_quadrature_is_a_failing_row(capsys, monkeypatch):
+    # a case whose integral is NaN makes quad_normalization raise; check
+    # prints that case as a failing row, runs the others and exits 3
+    from multivec import validation
+
+    cases = validation._normalization_cases()
+    name, _, support, tol = cases[0]
+    cases[0] = (name, lambda x: np.full(len(x), np.nan), support, tol)
+    monkeypatch.setattr(validation, "_normalization_cases", lambda: cases)
+    rc, out, err = run_cli(["check", "--suite", "normalization"], capsys)
+    assert rc == 3 and err == ""
+    records = [_strict_json(line) for line in out.splitlines()]
+    assert [r["name"] for r in records] == [case[0] for case in cases]
+    assert records[0] == {"details": f"QuadratureFailure: {name}: integral is nan", "name": name,
+                          "passed": False, "residual": None, "tolerance": tol}
+    assert all(r["passed"] for r in records[1:])
+
+
+def test_a_failing_radial_identity_is_a_failing_row(capsys, monkeypatch):
+    # Pearson II at q = -0.9 holds mass at its singular end that the rule
+    # cannot reach, so each of its radial rows raises QuadratureFailure
+    from multivec import PearsonII, validation
+
+    radial = validation.radial_integral_identity_check
+
+    def singular_pearson2(spec, n, a):
+        return radial(PearsonII(q=-0.9) if isinstance(spec, PearsonII) else spec, n, a)
+
+    monkeypatch.setattr(validation, "radial_integral_identity_check", singular_pearson2)
+    rc, out, err = run_cli(["check", "--suite", "identities"], capsys)
+    assert rc == 3 and err == ""
+    records = [_strict_json(line) for line in out.splitlines()]
+    failed = [r for r in records if not r["passed"]]
+    assert [r["name"] for r in failed] == [f"identity-radial-integral-pearson2-n{n}-a{a}"
+                                           for n in ("1", "2", "3", "4.5") for a in ("1", "2.5")]
+    for r in failed:
+        assert r["residual"] is None
+        assert r["details"].startswith("QuadratureFailure: radial identity of")
+    assert len(records) == 50
+
+
+def test_check_runs_each_suite_on_the_calling_thread(capsys, monkeypatch):
+    from multivec import validation
+
+    suites = ("run_normalization_suite", "run_identity_suite", "run_pushforward_suite")
+    seen = []
+
+    def recorder(suite):
+        def run(*args, **kwargs):
+            seen.append((suite, threading.current_thread()))
+            return []
+        return run
+
+    for suite in suites:
+        monkeypatch.setattr(validation, suite, recorder(suite))
+    assert run_cli(["check", "--suite", "all"], capsys) == (0, "", "")
+    assert seen == [(suite, threading.current_thread()) for suite in suites]
 
 
 @pytest.mark.parametrize("n_draws", ["0", "-1"])

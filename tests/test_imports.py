@@ -73,6 +73,21 @@ def test_identity_suite_runs_without_scipy_stats():
     assert doc == {"passed": True, "loaded": []}
 
 
+def test_normalization_suite_runs_without_scipy_stats():
+    # the suite is quadrature alone, on the double-exponential rule: no
+    # Monte Carlo proposal (scipy.stats) and no QUADPACK (scipy.integrate)
+    doc = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from multivec import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['check', '--suite', 'normalization'])\n"
+        "print(json.dumps({'code': code,\n"
+        "                  'loaded': [m for m in ('scipy.stats', 'scipy.integrate')\n"
+        "                             if m in sys.modules]}))"
+    )
+    assert doc == {"code": 0, "loaded": []}
+
+
 PARAMS = {"alpha": 5.0, "beta": 8.0, "sigma1": 1.0, "sigma2": 2.0, "r": 0.4, "q": 1.5, "s": 1.1}
 
 # each command with its arguments; {p} is the parameter file, {d} the sample

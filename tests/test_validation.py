@@ -472,7 +472,8 @@ def test_mc_densities_of_the_wrong_shape_are_refused():
             mc_normalization(logpdf, _prop_sample, proposal, 3 * _CHUNK // 2, 0, "mc-shape")
 
 
-# the norm-mc-mv-t-k2 row at seeds 0 and 7, as the whole-array weights gave it
+# mc_normalization of PT against a Gaussian proposal of 3x its variance, at
+# 1e6 draws and seeds 0 and 7, as the whole-array weights gave it
 PINNED_MC = {
     0: ("0x1.094a86425c000p-10", "0x1.42c20c872e516p-8",
         "estimate=1.00101201 se=0.00164 ess=271039 n=1000000 seed=0"),
@@ -482,12 +483,20 @@ PINNED_MC = {
 
 
 def test_the_mc_row_keeps_its_bytes_at_any_width(monkeypatch):
-    monkeypatch.setattr(validation, "_normalization_cases", lambda: [])  # the MC row alone
+    from scipy import stats
+
+    cov = np.diag(_PROP_VAR)
+    proposal = stats.multivariate_normal(mean=np.zeros(2), cov=cov)
+
+    def draw(rng, n):
+        return rng.multivariate_normal(np.zeros(2), cov, size=n)
+
     for seed, want in PINNED_MC.items():
         lines = set()
         for width in ("1", "2", "3"):
             monkeypatch.setenv("MULTIVEC_THREADS", width)
-            (rep,) = validation.run_normalization_suite(seed)
+            rep = mc_normalization(partial(logpdf_mv_t, PT), draw, proposal.logpdf, 1_000_000, seed,
+                                   "norm-mc-mv-t-k2")
             assert (rep.residual.hex(), rep.tolerance.hex(), rep.details) == want, width
             lines.add(rep.to_json())
         assert len(lines) == 1
