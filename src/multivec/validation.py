@@ -6,16 +6,17 @@ dimension <= 3), each generator's radial-integral identity on the same
 quadrature rule, the ball map's change of variables on the package's own
 sampler map and densities, and sampler-vs-density goodness of fit in 1 or 2
 dims (marginal KS plus 2-d chi-square, both read off one cumulative table of
-the density on a grid).  A suite row whose quadrature raises
-QuadratureFailure is a failing row that names the error; the other rows
-still run.  mc_normalization, an importance-sampled estimate of the total
-mass, is a library oracle that no suite runs.  The quadrature is one tensor
-double-exponential rule fed (n, d) batches; its err_est is the change
-between the last two step halvings, under a fixed budget of points, and its
-window widens once when its outermost nodes hold mass.  The cumulative table
-comes from this module's own Simpson pass (scipy's cumulative_simpson, bit
-for bit, without scipy.integrate), and the KS statistic is formed directly
-from the sorted margin, with its p-value from the exact Kolmogorov law.  Both
+the density on a grid).  A suite row whose quadrature, or cumulative
+table, raises QuadratureFailure is a failing row that names the error; the
+other rows still run.  mc_normalization, an importance-sampled estimate of
+the total mass, is a library oracle that no suite runs.  The quadrature is
+one tensor double-exponential rule fed (n, d) batches; its err_est is the
+change between the last two step halvings, under a fixed budget of points,
+and its window widens once when its outermost nodes hold mass.  The
+cumulative table comes from this module's own Simpson pass (scipy's
+cumulative_simpson, bit for bit, without scipy.integrate), and the KS
+statistic is formed directly from the sorted margin, with its p-value from
+the exact Kolmogorov law.  Both
 suites take their cases from one ordered fixture list over the family table
 of ``families``.  The pushforward suite also carries a discrimination check:
 a deliberately uncorrected variant of the beta-I density must FAIL goodness
@@ -27,10 +28,11 @@ arrays, whose coordinate columns are contiguous.  One helper (_grid_rows)
 builds each chunk of either grid from the grid rows it spans, and the
 quadrature forms each chunk's weights and edge mask from the same rows, so
 no array holds a whole grid's points or a whole level's weights.  Every
-row-wise stage runs on core._map_chunks: the quadrature grid, the
-pushforward grid and the Monte Carlo weights in chunks of core._CHUNK
-points, the cumulative Simpson table in bands of lanes, and each pushforward
-check's KS margins and chi-square as tasks side by side.  The calling thread
+row-wise stage runs on core._map_chunks: the quadrature grid and the
+pushforward grid in chunks of core._CHUNK points, the Monte Carlo weights of
+each core._CHUNK-row chunk of draws beside the draw of the next chunk, the
+cumulative Simpson table in bands of lanes, and each pushforward check's KS
+margins and chi-square as tasks side by side.  The calling thread
 takes chunks and, when a map has more than one, so do the threads of the
 package's one pool, which lives in ``core`` and is shared with the long
 logpdf batches of ``densities``: MULTIVEC_THREADS threads in all, else one
@@ -76,7 +78,7 @@ from .densities import (
 from .errors import DegenerateWeights, DimensionMismatch, ParameterOutOfDomain, QuadratureFailure
 from .families import FAMILIES
 from .generators import Bessel, GeneratorSpec, Kotz, PearsonII, PearsonVII, gammaln, log_norm_const
-from .sampling import _t_to_pearson2, make_rng, sample_mv_t
+from .sampling import _t_to_pearson2, _whole, make_rng, sample_mv_t
 
 __all__ = list(_EXPORTS["validation"])
 
@@ -346,34 +348,58 @@ def mc_normalization(
 ) -> CheckReport:
     """Importance-sampling estimate of the total mass; passes when |I-1| <= 3 SE.
 
-    Both densities must be row-wise, as the grids' are: each maps an (m, d)
-    slice of the draws to shape (m,), and no row's value depends on another
-    row.  They run on the same _CHUNK-row slices on _map_chunks, each slice
-    writing its weights into one array; the sums are taken over that whole
-    array, so the report does not depend on the number of threads.
+    The draws stream in chunks of _CHUNK rows.  proposal_sampler(rng, m) is
+    called once per chunk, with m <= _CHUNK rows (the last chunk takes the
+    remainder), in chunk order and one call at a time, possibly on a pool
+    thread; it must return an (m, d) array, the same d for every chunk.  A
+    sampler that draws row after row from rng, as numpy's normal and
+    multivariate_normal do, so returns the rows of one n-row call.  While
+    chunk c is weighted, chunk c + 1 is drawn beside it on _map_chunks, so
+    at most two chunks of draws and one chunk's density values are alive
+    beside the n weights; the sums then add one temporary of n values.
 
-    Raises ParameterOutOfDomain for n < 2, where the SE is undefined, and
-    DimensionMismatch when either density returns another shape than its
-    slice's.
+    Both densities must be row-wise, as the grids' are: each maps a chunk
+    of draws to shape (m,), and no row's value depends on another row.
+    Each chunk writes its weights into its slice of one n-row array; the
+    sums are taken over that whole array, so the report does not depend on
+    the number of threads.
+
+    Raises ParameterOutOfDomain for n < 2, where the SE is undefined, or n
+    not a whole number, and DimensionMismatch when a draw or either
+    density has another shape than its chunk's.
     """
-    if n < 2:
-        raise ParameterOutOfDomain(f"n must be >= 2, got {n}")
+    n = _whole(n, "n", least=2)
     rng = make_rng(seed)
-    x = proposal_sampler(rng, n)
+    chunks = -(-n // _CHUNK)
     w = np.empty(n)
 
-    def chunk_weights(c: int) -> None:
-        rows = slice(c * _CHUNK, (c + 1) * _CHUNK)
-        out = w[rows]
-        target = np.asarray(logpdf(x[rows]), dtype=float)
-        proposal = np.asarray(proposal_logpdf(x[rows]), dtype=float)
+    def draw(c: int, width: int | None = None) -> np.ndarray:
+        m = min(_CHUNK, n - c * _CHUNK)
+        x = np.asarray(proposal_sampler(rng, m))
+        if x.ndim != 2 or x.shape != (m, x.shape[1] if width is None else width):
+            raise DimensionMismatch(f"{name}: proposal_sampler returned {x.shape} for {m} points")
+        return x
+
+    def weigh(c: int, x: np.ndarray) -> None:
+        out = w[c * _CHUNK:(c + 1) * _CHUNK]
+        target = np.asarray(logpdf(x), dtype=float)
+        proposal = np.asarray(proposal_logpdf(x), dtype=float)
         for label, vals in (("logpdf", target), ("proposal_logpdf", proposal)):
             if vals.shape != out.shape:
                 raise DimensionMismatch(f"{name}: {label} returned {vals.shape} for {out.size} points")
         np.exp(np.subtract(target, proposal, out=out), out=out)
 
-    _map_chunks(chunk_weights, -(-n // _CHUNK))
-    del x  # the draws are spent: free them before the sums' temporaries
+    drawn = {0: draw(0)}  # chunk -> its draws, each popped by the task that weighs it
+    width = drawn[0].shape[1]
+
+    def step(c: int, task: int) -> None:  # task 0 weighs chunk c, task 1 draws chunk c + 1
+        if task:
+            drawn[c + 1] = draw(c + 1, width)
+        else:
+            weigh(c, drawn.pop(c))
+
+    for c in range(chunks):
+        _map_chunks(partial(step, c), min(2, chunks - c))
     if not np.all(np.isfinite(w)):
         raise DegenerateWeights("non-finite importance weights")
     total = float(np.sum(w))
@@ -559,6 +585,11 @@ def pushforward_check(
     stats.kstest's default, exact mode (_ks_pvalue).  Each chi-square cell
     probability is a difference of the table's corners.  The residual is the
     worst threshold shortfall, so 0 means every sub-check passed.
+
+    Raises DimensionMismatch when the sampler returns other than n_draws
+    rows, or logpdf another shape than its chunk's, and QuadratureFailure
+    when the table's total is not finite and positive (a density that is
+    NaN, inf or zero across the grid).
     """
     if n_draws < 1:
         raise ParameterOutOfDomain(f"n_draws must be >= 1, got {n_draws}")
@@ -566,6 +597,8 @@ def pushforward_check(
 
     rng = make_rng(seed)
     x = np.atleast_2d(np.asarray(sampler(rng, n_draws), dtype=float))
+    if x.shape[0] != n_draws:  # the chi-square's expected counts assume n_draws rows
+        raise DimensionMismatch(f"{name}: sampler returned {x.shape} for {n_draws} draws")
     d = x.shape[1]
     if d != len(support):
         raise ParameterOutOfDomain(f"support has {len(support)} dims, sample has {d}")
@@ -604,9 +637,13 @@ def pushforward_check(
 
     _map_chunks(chunk_density, -(-cdf.size // _CHUNK))
     cdf = cdf.reshape([g.size for g in grids])
-    for axis, g in enumerate(grids):
-        cdf = _cumulative_simpson(cdf, g, axis)
-    cdf /= cdf[(-1,) * d]
+    with np.errstate(over="ignore", invalid="ignore"):  # a table that is not finite is refused below
+        for axis, g in enumerate(grids):
+            cdf = _cumulative_simpson(cdf, g, axis)
+    total = float(cdf[(-1,) * d])
+    if not (math.isfinite(total) and total > 0.0):
+        raise QuadratureFailure(f"{name}: density total on the grid is {total}")
+    cdf /= total
 
     import scipy.stats  # noqa: F401 -- loaded on this thread, not inside a pool thread's task
     from scipy import special
@@ -832,32 +869,36 @@ def _pushforward_cases() -> list[tuple[str, Callable, Callable, list[Interval]]]
 
 
 def run_pushforward_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckReport]:
-    """Sampler-vs-density GOF for every family plus the discrimination check."""
+    """Sampler-vs-density GOF for every family plus the discrimination check.
+
+    A case whose check raises QuadratureFailure is a failing row
+    (_failed_row); so is the discrimination row when its check raises,
+    since a check that cannot run shows no power."""
     reports: list[CheckReport] = []
     for name, sampler, logpdf, support in _pushforward_cases():
-        reports.append(
-            pushforward_check(
-                sampler, logpdf, support, n_draws=n_draws, seed=seed, name=name
+        try:
+            reports.append(
+                pushforward_check(sampler, logpdf, support, n_draws=n_draws, seed=seed, name=name)
             )
-        )
+        except QuadratureFailure as exc:
+            reports.append(_failed_row(name, 0.0, exc))
 
     # Discrimination: the beta-I density without the alpha0 exponent term
     # must fail the identical GOF, demonstrating the test has power.
     beta = _fixture("mv-beta1-k2")
-    wrong = pushforward_check(
-        partial(FAMILIES[beta.family].sample, beta.params),
-        lambda b: _uncorrected_beta1_logpdf(*beta.params, b),
-        beta.support,
-        n_draws=n_draws,
-        seed=seed,
-        name="push-beta1-uncorrected-exponent-raw",
-    )
-    reports.append(
-        CheckReport(
-            "discrimination-beta1-uncorrected-exponent",
-            0.0 if not wrong.passed else 1.0,
-            0.5,
-            details=f"uncorrected variant must fail GOF; it reported: {wrong.details}",
+    row = "discrimination-beta1-uncorrected-exponent"
+    try:
+        wrong = pushforward_check(
+            partial(FAMILIES[beta.family].sample, beta.params),
+            lambda b: _uncorrected_beta1_logpdf(*beta.params, b),
+            beta.support,
+            n_draws=n_draws,
+            seed=seed,
+            name="push-beta1-uncorrected-exponent-raw",
         )
-    )
+    except QuadratureFailure as exc:
+        reports.append(_failed_row(row, 0.5, exc))
+    else:
+        details = f"uncorrected variant must fail GOF; it reported: {wrong.details}"
+        reports.append(CheckReport(row, 0.0 if not wrong.passed else 1.0, 0.5, details=details))
     return reports

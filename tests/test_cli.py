@@ -404,6 +404,31 @@ def test_a_failing_quadrature_is_a_failing_row(capsys, monkeypatch):
     assert all(r["passed"] for r in records[1:])
 
 
+def test_a_failing_pushforward_is_a_failing_row(capsys, monkeypatch):
+    # a case, and the uncorrected beta-I variant, whose density is NaN on the
+    # whole grid make pushforward_check raise; check prints both as failing
+    # rows (a discrimination check that cannot run shows no power), runs the
+    # others and exits 3
+    from multivec import validation
+
+    cases = validation._pushforward_cases()
+    name, sampler, _, support = cases[0]
+    cases[0] = (name, sampler, lambda x: np.full(len(x), np.nan), support)
+    monkeypatch.setattr(validation, "_pushforward_cases", lambda: cases)
+    monkeypatch.setattr(validation, "_uncorrected_beta1_logpdf", lambda p, b: np.full(len(b), np.nan))
+    rc, out, err = run_cli(["check", "--suite", "pushforward", "--n-draws", "1000"], capsys)
+    assert rc == 3 and err == ""
+    records = [_strict_json(line) for line in out.splitlines()]
+    discrimination = "discrimination-beta1-uncorrected-exponent"
+    assert [r["name"] for r in records] == [case[0] for case in cases] + [discrimination]
+    assert records[0] == {"details": f"QuadratureFailure: {name}: density total on the grid is nan",
+                          "name": name, "passed": False, "residual": None, "tolerance": 0.0}
+    assert records[-1] == {"details": "QuadratureFailure: push-beta1-uncorrected-exponent-raw: "
+                                      "density total on the grid is nan",
+                           "name": discrimination, "passed": False, "residual": None, "tolerance": 0.5}
+    assert all(r["passed"] for r in records[1:-1])
+
+
 def test_a_failing_radial_identity_is_a_failing_row(capsys, monkeypatch):
     # Pearson II at q = -0.9 holds mass at its singular end that the rule
     # cannot reach, so each of its radial rows raises QuadratureFailure

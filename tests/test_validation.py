@@ -502,6 +502,108 @@ def test_the_mc_row_keeps_its_bytes_at_any_width(monkeypatch):
         assert len(lines) == 1
 
 
+def test_mc_takes_a_whole_number_of_draws():
+    target = partial(logpdf_mv_t, PT)
+    want = mc_normalization(target, _prop_sample, _prop_logpdf, 20_000, 3, "mc")
+    assert mc_normalization(target, _prop_sample, _prop_logpdf, 2e4, 3, "mc") == want
+    for n in (2.5, float("nan"), "many"):
+        with pytest.raises(ParameterOutOfDomain, match="n must be a whole number"):
+            mc_normalization(target, _prop_sample, _prop_logpdf, n, 3, "mc")
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, m: _prop_sample(rng, 10),  # too short
+    lambda rng, m: _prop_sample(rng, m + 1),  # too long
+    lambda rng, m: _prop_sample(rng, m)[:, 0],  # one value per row
+    lambda rng, m: _prop_sample(rng, m)[:, :1] if m < _CHUNK else _prop_sample(rng, m),
+], ids=["short", "long", "flat", "narrower-last-chunk"])
+def test_mc_draws_of_the_wrong_shape_are_refused(draw):
+    with pytest.raises(DimensionMismatch, match=r"^mc-draw: proposal_sampler returned \("):
+        mc_normalization(partial(logpdf_mv_t, PT), draw, _prop_logpdf, 3 * _CHUNK // 2, 0, "mc-draw")
+
+
+@pytest.mark.parametrize("width", ["1", "2", "3"])
+def test_mc_draws_each_chunk_once_in_order_one_call_at_a_time(monkeypatch, width):
+    monkeypatch.setenv("MULTIVEC_THREADS", width)
+    lock = threading.Lock()
+    draws, active, overlaps = [], [0], [0]
+
+    def sampler(rng, m):
+        with lock:
+            active[0] += 1
+            overlaps[0] += active[0] > 1
+        try:
+            time.sleep(0.002)  # long enough for a second draw to show beside this one
+            draws.append(_prop_sample(rng, m))
+            return draws[-1]
+        finally:
+            with lock:
+                active[0] -= 1
+
+    n = 3 * _CHUNK + 123
+    mc_normalization(partial(logpdf_mv_t, PT), sampler, _prop_logpdf, n, 5, "mc")
+    assert [len(x) for x in draws] == [_CHUNK] * 3 + [123] and overlaps[0] == 0
+    # in chunk order, the chunks are the rows of one n-row call
+    assert np.concatenate(draws).tobytes() == _prop_sample(validation.make_rng(5), n).tobytes()
+
+
+def test_mc_holds_two_chunks_of_draws_not_all_of_them(monkeypatch):
+    # at width 1 and n = 8 _CHUNK the peak is at most what the sums trace
+    # (w and one temporary, 2 w.nbytes), plus two chunks' draws and one
+    # chunk's weights; one sampler call of all n rows traces 2 MB over this
+    import tracemalloc
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setenv("MULTIVEC_THREADS", "1")
+    target, n = partial(logpdf_mv_t, PT), 8 * _CHUNK
+    x = _prop_sample(np.random.default_rng(0), _CHUNK)
+    one_draw = peak(lambda: _prop_sample(np.random.default_rng(0), _CHUNK))
+    one_weights = peak(lambda: (target(x), _prop_logpdf(x)))
+    whole = peak(lambda: mc_normalization(target, _prop_sample, _prop_logpdf, n, 0))
+    assert whole <= 2 * n * 8 + 2 * one_draw + one_weights + 64_000, (whole, one_draw, one_weights)
+
+
+@pytest.mark.parametrize("width", ["1", "2", "3"])
+def test_a_failing_mc_draw_stops_the_stream_and_propagates(monkeypatch, width):
+    monkeypatch.setenv("MULTIVEC_THREADS", width)
+    lock = threading.Lock()
+    calls, weighing = [], [0]
+
+    class Drawn(RuntimeError):
+        pass
+
+    def sampler(rng, m):
+        calls.append(m)
+        if len(calls) == 4:
+            raise Drawn("chunk 3")
+        return _prop_sample(rng, m)
+
+    def target(x):
+        with lock:
+            weighing[0] += 1
+        try:
+            time.sleep(0.005)  # still weighing chunk 2 when chunk 3's draw raises
+            return logpdf_mv_t(PT, x)
+        finally:
+            with lock:
+                weighing[0] -= 1
+
+    with pytest.raises(Drawn, match="chunk 3"):
+        mc_normalization(target, sampler, _prop_logpdf, 6 * _CHUNK, 0, "mc")
+    assert weighing[0] == 0  # no weights task outlives the raise
+    time.sleep(0.02)
+    assert len(calls) == 4 and weighing[0] == 0  # and nothing runs on after it
+    rep = mc_normalization(partial(logpdf_mv_t, PT), _prop_sample, _prop_logpdf, 3 * _CHUNK, 0, "mc")
+    assert rep.passed  # the pool takes the next map
+
+
 # ---------------------------------------------------------------------------
 # Jacobian checks: the ball map r = t / (1 + ||t||^2)^{1/2} of the sampler
 # against the mv-t and mv-pearson2 densities
@@ -669,6 +771,24 @@ def test_pushforward_smoke_mode_speed():
         r = pushforward_check(sampler, logpdf, support, n_draws=1_000, seed=0, name=name)
         assert time.perf_counter() - t0 < 1.0, name
         assert r.details == f"{_SMOKE_DETAILS[name]} n=1000 seed=0"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_density_with_no_finite_total_on_the_grid_is_a_quadrature_failure(value):
+    # a total that is NaN, inf or 0 leaves no CDF table to read the margins off
+    with pytest.raises(QuadratureFailure, match=r"^push-bad: density total on the grid is "):
+        pushforward_check(lambda rng, n: rng.standard_normal((n, 2)),
+                          lambda x: np.full(len(x), value), [(-np.inf, np.inf)] * 2,
+                          n_draws=1_000, name="push-bad")
+
+
+@pytest.mark.parametrize("rows", [999, 1_001])
+def test_pushforward_refuses_a_draw_of_the_wrong_length(rows):
+    # the chi-square's expected counts are n_draws times each cell's mass
+    with pytest.raises(DimensionMismatch, match=rf"^push-rows: sampler returned \({rows}, 2\) for 1000"):
+        pushforward_check(lambda rng, n: rng.standard_normal((rows, 2)),
+                          lambda x: -0.5 * np.sum(x * x, axis=-1), [(-np.inf, np.inf)] * 2,
+                          n_draws=1_000, name="push-rows")
 
 
 def test_pushforward_rejects_three_dims():
