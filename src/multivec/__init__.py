@@ -3,8 +3,10 @@
 Joint densities for dependent random vectors built from elliptical
 generator kernels (Kotz, Pearson VII/II, Bessel), the derived gamma, beta,
 t and log-gamma families, exact samplers, maximum-likelihood
-fitting for paired positive data, and a validation layer that checks every
-density by quadrature, Monte Carlo, and goodness of fit.
+fitting for paired positive data, and a validation layer whose `check`
+suites run quadrature normalization, the radial-integral and Jacobian
+identities, and sampler goodness of fit; `mc_normalization` is a library
+oracle that no suite runs.
 """
 
 import importlib

@@ -805,30 +805,30 @@ def _normalization_cases() -> list[tuple[str, Callable, list[Interval], float]]:
     ]
 
 
-def _failed_row(name: str, tol: float, exc: QuadratureFailure) -> CheckReport:
-    """The row of an oracle whose quadrature raised: residual inf, so it
-    fails, with the error in details."""
-    return CheckReport(name, math.inf, tol, details=f"QuadratureFailure: {exc}")
+def _oracle_row(name: str, tol: float, oracle: Callable[[], CheckReport]) -> CheckReport:
+    """oracle()'s row; if its quadrature raises QuadratureFailure, the failing
+    row: residual inf, with the error in details."""
+    try:
+        return oracle()
+    except QuadratureFailure as exc:
+        return CheckReport(name, math.inf, tol, details=f"QuadratureFailure: {exc}")
 
 
 def run_normalization_suite() -> list[CheckReport]:
     """Quadrature normalization for every fixture at total dims <= 3, one
     row per case in fixture order; a case whose quadrature raises
-    QuadratureFailure is a failing row (_failed_row)."""
-    reports = []
-    for name, logpdf, support, tol in _normalization_cases():
-        try:
-            reports.append(quad_normalization(logpdf, support, tol, name=name))
-        except QuadratureFailure as exc:
-            reports.append(_failed_row(name, tol, exc))
-    return reports
+    QuadratureFailure is a failing row (_oracle_row)."""
+    return [
+        _oracle_row(name, tol, partial(quad_normalization, logpdf, support, tol, name=name))
+        for name, logpdf, support, tol in _normalization_cases()
+    ]
 
 
 def run_identity_suite(seed: int = 0) -> list[CheckReport]:
     """Radial-integral identity across the generator grid plus the Jacobian checks.
 
     A radial row whose quadrature raises QuadratureFailure is a failing row
-    (_failed_row).  A negative seed raises ParameterOutOfDomain before any
+    (_oracle_row).  A negative seed raises ParameterOutOfDomain before any
     check runs."""
     if seed < 0:
         raise ParameterOutOfDomain(f"seed must be >= 0, got {seed}")
@@ -844,12 +844,9 @@ def run_identity_suite(seed: int = 0) -> list[CheckReport]:
         for n in (1.0, 2.0, 3.0, 4.5):
             for a in (1.0, 2.5):
                 name = f"identity-radial-integral-{label}-n{n:g}-a{a:g}"
-                try:
-                    rep = CheckReport(name, radial_integral_identity_check(spec, n, a), 1e-6,
-                                      details="kernel moment integral vs closed-form normalizer")
-                except QuadratureFailure as exc:
-                    rep = _failed_row(name, 1e-6, exc)
-                reports.append(rep)
+                reports.append(_oracle_row(name, 1e-6, lambda: CheckReport(
+                    name, radial_integral_identity_check(spec, n, a), 1e-6,
+                    details="kernel moment integral vs closed-form normalizer")))
     for n in (1, 2, 3):
         for s in range(3):  # the s-th draw per n: one name per row, whatever the seed
             rep = jacobian_check(n, seed=seed + 10 * n + s)
@@ -872,22 +869,20 @@ def run_pushforward_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckRe
     """Sampler-vs-density GOF for every family plus the discrimination check.
 
     A case whose check raises QuadratureFailure is a failing row
-    (_failed_row); so is the discrimination row when its check raises,
+    (_oracle_row); so is the discrimination row when its check raises,
     since a check that cannot run shows no power."""
-    reports: list[CheckReport] = []
-    for name, sampler, logpdf, support in _pushforward_cases():
-        try:
-            reports.append(
-                pushforward_check(sampler, logpdf, support, n_draws=n_draws, seed=seed, name=name)
-            )
-        except QuadratureFailure as exc:
-            reports.append(_failed_row(name, 0.0, exc))
+    reports = [
+        _oracle_row(name, 0.0, partial(pushforward_check, sampler, logpdf, support,
+                                n_draws=n_draws, seed=seed, name=name))
+        for name, sampler, logpdf, support in _pushforward_cases()
+    ]
 
     # Discrimination: the beta-I density without the alpha0 exponent term
     # must fail the identical GOF, demonstrating the test has power.
     beta = _fixture("mv-beta1-k2")
     row = "discrimination-beta1-uncorrected-exponent"
-    try:
+
+    def discrimination() -> CheckReport:
         wrong = pushforward_check(
             partial(FAMILIES[beta.family].sample, beta.params),
             lambda b: _uncorrected_beta1_logpdf(*beta.params, b),
@@ -896,9 +891,8 @@ def run_pushforward_suite(seed: int = 0, n_draws: int = 100_000) -> list[CheckRe
             seed=seed,
             name="push-beta1-uncorrected-exponent-raw",
         )
-    except QuadratureFailure as exc:
-        reports.append(_failed_row(row, 0.5, exc))
-    else:
         details = f"uncorrected variant must fail GOF; it reported: {wrong.details}"
-        reports.append(CheckReport(row, 0.0 if not wrong.passed else 1.0, 0.5, details=details))
+        return CheckReport(row, 0.0 if not wrong.passed else 1.0, 0.5, details=details)
+
+    reports.append(_oracle_row(row, 0.5, discrimination))
     return reports
