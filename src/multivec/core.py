@@ -10,8 +10,9 @@ It also owns the one thread pool of the package (_map_chunks): the row-wise
 stages of the oracles in ``validation`` and the long logpdf batches of
 ``densities`` share their chunks between the calling thread and that pool.
 numpy and scipy ufuncs release the GIL, so the chunks run on every CPU.  A
-block of 2 or more dims solves its quadratic form in column blocks, each too
-small for OpenBLAS to hand to its own threads.
+block of 2 or more dims solves the quadratic forms of all its rows in one
+LAPACK call, which OpenBLAS may hand to threads of its own that compete with
+the pool's.
 """
 
 from __future__ import annotations
@@ -402,9 +403,9 @@ class MvEllipticalParams:
 
     @cached_property
     def factors(self) -> tuple[tuple[np.ndarray, float], ...]:
-        """Per block: the lower Cholesky factor in ``cho_factor`` layout (the
-        upper triangle is not zeroed) and log det Sigma_ii, factored once."""
-        return tuple(_cholesky(sig) for sig in self.sigmas)
+        """Per block: the lower Cholesky factor, its upper triangle zeroed,
+        and log det Sigma_ii, factored once."""
+        return tuple((np.tril(c), logdet) for c, logdet in map(_cholesky, self.sigmas))
 
     @classmethod
     def scalar_blocks(
@@ -546,13 +547,6 @@ def validate_partition(p: Partition, x: np.ndarray) -> list[np.ndarray]:
     return [x[..., off[i] : off[i + 1]] for i in range(p.k)]
 
 
-# right-hand sides per triangular solve in a block of 2 or more dims.  On a
-# 2-vCPU host, OpenBLAS (when not pinned to one thread) ran a 2 x 16384 solve
-# on two threads and a 2 x 4096 one on one; its threads then compete with the
-# chunk pool's.  Pinned, blocks of 4096 cost what one whole solve costs.
-_SOLVE_COLUMNS = 4096
-
-
 def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:
     """Sum of per-block quadratic forms (x_i - mu_i)' Sigma_ii^{-1} (x_i - mu_i).
 
@@ -574,13 +568,9 @@ def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:
         else:
             d = blk - mu
             rows = d.reshape(-1, d.shape[-1])
-            sol = np.empty(rows.shape)
-            # cho_solve's LAPACK call, which solves each right-hand side on
-            # its own, so column blocks give the whole solve's bits; its
-            # info flags only an illegal argument, which these shapes rule out
-            for j in range(0, len(rows), _SOLVE_COLUMNS):
-                cols = slice(j, j + _SOLVE_COLUMNS)
-                sol[cols] = dpotrs(c, rows[cols].T, lower=1)[0].T
+            # cho_solve's LAPACK call on every row at once; its info flags
+            # only an illegal argument, which these shapes rule out
+            sol = dpotrs(c, rows.T, lower=1)[0].T
             with np.errstate(over="ignore", invalid="ignore"):
                 form = _sum_last(sol * rows).reshape(d.shape[:-1])
             if np.isnan(form).any():

@@ -1,8 +1,13 @@
 """Exception types shared across the package.
 
 All structural-input failures derive from ValueError so callers that do not
-care about the fine-grained type can catch the usual builtin.  Out-of-support
-density arguments do NOT raise: log densities return -inf there.
+care about the fine-grained type can catch the usual builtin.  A density
+argument outside a support that the law itself bounds (a unit ball, the
+(0,1) cube, the s0 > 0 half-line) does not raise: the log density is -inf
+there.  An argument that a density declares positive up front (the v of
+log-elliptical and mixed-ell-logell, the u of mv-gengamma and
+gamma-loggamma, the f of mv-beta2) raises NonPositiveInput when it is not
+finite and > 0.
 """
 
 

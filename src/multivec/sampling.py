@@ -42,7 +42,7 @@ import operator
 import numpy as np
 
 from . import _EXPORTS
-from .core import MvEllipticalParams, ScaleShapeParams, _sum_sq_last
+from .core import MvEllipticalParams, ScaleShapeParams, _sum_sq_last, validate_partition
 from .densities import (
     BetaParams,
     GammaLogGammaParams,
@@ -194,16 +194,16 @@ def sample_mv_elliptical(
     p: MvEllipticalParams, spec: GeneratorSpec, rng: np.random.Generator,
     size: int | None = None,
 ) -> np.ndarray:
-    """x = mu + blockdiag(chol(Sigma_ii)) (r u) with spherical (r u) at dim n."""
-    m = _n_draws(size)
-    z = _spherical(spec, p.partition.total, rng, m)
-    off = p.partition.offsets
-    L = np.zeros((off[-1], off[-1]))
-    for (c, _), lo, hi in zip(p.factors, off, off[1:]):
-        L[lo:hi, lo:hi] = np.tril(c)
-    out = z @ L.T
-    out += np.concatenate(p.mus)
-    return _squeeze(out, size)
+    """x = mu + blockdiag(chol(Sigma_ii)) (r u) with spherical (r u) at dim n,
+    each block scaled by its own factor in the draw's array."""
+    z = _spherical(spec, p.partition.total, rng, _n_draws(size))
+    for blk, (c, _) in zip(validate_partition(p.partition, z), p.factors):
+        if c.shape == (1, 1):
+            blk *= c[0, 0]
+        else:
+            blk[...] = blk @ c.T
+    z += np.concatenate(p.mus)
+    return _squeeze(z, size)
 
 
 def sample_mv_log_elliptical(

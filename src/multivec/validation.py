@@ -693,7 +693,7 @@ def pushforward_check(
 # ---------------------------------------------------------------------------
 # Oracle fixtures: one ordered list feeds both suites
 
-_GAUSS = Kotz(q=1.0, r=0.5, s=1.0)
+_GAUSS = Kotz.gaussian()
 _INF = math.inf
 
 
@@ -834,7 +834,7 @@ def run_identity_suite(seed: int = 0) -> list[CheckReport]:
         raise ParameterOutOfDomain(f"seed must be >= 0, got {seed}")
     reports: list[CheckReport] = []
     grid: list[tuple[str, GeneratorSpec]] = [
-        ("kotz-gauss", Kotz(q=1.0, r=0.5, s=1.0)),
+        ("kotz-gauss", _GAUSS),
         ("kotz", Kotz(q=1.5, r=2.0, s=0.8)),
         ("pearson7", PearsonVII(r=1.0, q=3.0)),
         ("pearson2", PearsonII(q=1.5)),

@@ -137,14 +137,18 @@ def test_sample_same_seed_same_bytes(tmp_path, capsys):
 
 
 def test_sample_zero_rows_writes_header_only(tmp_path, capsys):
-    p = write_params(tmp_path / "p.json",
-                     {"alpha": 5.0, "beta": 8.0, "sigma1": 1.0, "sigma2": 2.0,
-                      "r": 0.4, "q": 1.5, "s": 1.1})
-    out = tmp_path / "empty.csv"
-    rc, _, _ = run_cli(["sample", "--model", "kotz-gamma", "--params", p,
-                        "-n", "0", "--seed", "1", "--out", str(out)], capsys)
-    assert rc == 0
-    assert out.read_text(encoding="utf-8") == "u,v\n"
+    # past two columns the header names them x1, x2, ...
+    for model, params, header in (
+        ("kotz-gamma", {"alpha": 5.0, "beta": 8.0, "sigma1": 1.0, "sigma2": 2.0,
+                        "r": 0.4, "q": 1.5, "s": 1.1}, "u,v\n"),
+        ("mv-t", {"alpha0": 1.6, "beta1": 1.0, "beta2": 2.5, "beta3": 0.5}, "x1,x2,x3\n"),
+    ):
+        p = write_params(tmp_path / "p.json", params)
+        out = tmp_path / "empty.csv"
+        rc, _, _ = run_cli(["sample", "--model", model, "--params", p,
+                            "-n", "0", "--seed", "1", "--out", str(out)], capsys)
+        assert rc == 0
+        assert out.read_text(encoding="utf-8") == header
 
 
 def test_csv_rows_are_the_17_digit_decimals_of_each_value(tmp_path):
@@ -608,6 +612,16 @@ _EXIT_1_CASES = {  # id: (argv, {file name: text}, stderr); {d} is the case's di
                              "error: params file must contain a JSON object\n"),
     "params-field-not-an-object": (_EVAL + ["--point=1,2"], {"p.json": '{"params": [1]}'},
                                    "error: 'params' must be a JSON object of name -> number\n"),
+    "params-index-gap": (
+        ["sample", "--model", "mv-t", "--params", "{d}/p.json", "-n", "3", "--seed", "1",
+         "--out", "{d}/x.csv"], {"p.json": json.dumps({"alpha0": 1.6, "beta1": 1.0, "beta3": 2.5})},
+        "error: params missing key 'beta2'\n"),
+    "params-joint-index-gap": (
+        ["sample", "--model", "gengamma-pearson7", "--params", "{d}/p.json", "-n", "3", "--seed",
+         "1", "--out", "{d}/x.csv"],
+        {"p.json": json.dumps({"alpha0": 1.5, "sigma0": 1.0, "sigma2": 0.9, **_KOTZ})},
+        "error: params missing key 'sigma1'\n"),
+    "pairs-unreadable": (_FIT, {}, "error: cannot read input file: "),
     "pairs-empty": (_FIT, {"pairs.csv": ""},
                     "error: line 1: empty file; expected header 'u,v'\n"),
     "pairs-three-columns": (_FIT, {"pairs.csv": "u,v\n1,2\n1,2,3\n3,4\n"},

@@ -2,8 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,19 +169,53 @@ def test_a_form_that_overflows_at_a_finite_point_is_inf():
         assert logpdf_mv_elliptical(p, Kotz(q=1.0, r=0.5, s=1.0), x[0]) == -np.inf
 
 
-def test_a_blocked_solve_gives_the_whole_solves_bits():
-    # blocks of 2 to 5 dims solve _SOLVE_COLUMNS right-hand sides at a time;
-    # cho_solve on all of them at once gives the same bits, on batches below,
-    # at and across a block's edge
+def test_blocks_of_2_to_5_dims_keep_cho_solves_bits():
+    # one LAPACK call solves every row of a batch, an empty one included;
+    # a (3, 4) batch gives the bits of its 12 rows
     rng = np.random.default_rng(23)
-    cols = core._SOLVE_COLUMNS
     for n in (2, 3, 4, 5):
         a = rng.standard_normal((n, n))
         p = MvEllipticalParams(partition=Partition(dims=(n,)), mus=(rng.standard_normal(n),),
                                sigmas=(a @ a.T + 0.1 * np.eye(n),))
-        for rows in (1, cols - 1, cols, cols + 1, 100_000):
-            x = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-3, 4, (rows, n))
-            assert block_quadform(p, x).tobytes() == _cho_solve_quadform(p, x).tobytes(), (n, rows)
+        for shape in ((0,), (1,), (4097,), (100_000,), (3, 4)):
+            x = rng.standard_normal((*shape, n)) * 10.0 ** rng.integers(-3, 4, (*shape, n))
+            got = block_quadform(p, x)
+            assert got.shape == shape, (n, shape)
+            want = _cho_solve_quadform(p, x.reshape(-1, n))
+            assert got.tobytes() == want.tobytes(), (n, shape)
+
+
+# a digest of block_quadform on a (1e5, 3) batch with one 3x3 block and of
+# 1e5 draws of sample_mv_elliptical at the Bessel 2-d oracle fixture
+_ELLIPTICAL_DIGEST = """
+import hashlib
+import numpy as np
+from multivec import MvEllipticalParams, Partition, block_quadform, make_rng, sample_mv_elliptical
+from multivec.validation import _fixture
+rng = np.random.default_rng(31)
+a = rng.standard_normal((3, 3))
+p = MvEllipticalParams(partition=Partition(dims=(3,)), mus=(rng.standard_normal(3),),
+                       sigmas=(a @ a.T + 0.1 * np.eye(3),))
+h = hashlib.sha256(block_quadform(p, rng.standard_normal((100_000, 3))).tobytes())
+h.update(sample_mv_elliptical(*_fixture("mv-elliptical-bessel-2d").params, make_rng(0),
+                              size=100_000).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_blas_threads_do_not_move_the_elliptical_bits():
+    # one dpotrs call solves a whole batch, and one matmul scales a whole
+    # block of draws; OpenBLAS may split either over its threads, which is
+    # exact only because each right-hand side is solved on its own
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _ELLIPTICAL_DIGEST], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.add(proc.stdout)
+    assert len(digests) == 1, digests
 
 
 def test_a_batch_of_any_leading_shape_gives_each_points_form():

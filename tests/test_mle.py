@@ -133,6 +133,10 @@ def test_gaussian_sigma_stationarity():
 def test_likelihood_domain_errors():
     with pytest.raises(EmptySample):
         loglik_independent(1.0, 1.0, 0.5, 1.0, 1.0, np.array([]))
+    with pytest.raises(EmptySample, match="need a non-empty sample"):
+        SuffStats(np.array([]), np.array([1.0]))
+    with pytest.raises(DegenerateSample, match="mismatched lengths 3 and 2"):
+        SuffStats(np.ones(3), np.ones(2))
     with pytest.raises(ParameterOutOfDomain):
         # kernel moment index (q + shape - 1)/s must stay positive
         loglik_independent(1.0, 0.2, 0.5, 0.1, 1.0, np.array([1.0, 2.0]))

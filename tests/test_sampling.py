@@ -27,6 +27,7 @@ from multivec import (
     ExtendedShape,
     Partition,
     PearsonII,
+    PearsonVII,
     RadialLaw,
     ScaleShapeParams,
     block_quadform,
@@ -140,6 +141,14 @@ def test_radius_gaussian_n5_second_moment():
     r2 = r**2
     se = np.std(r2, ddof=1) / math.sqrt(r2.size)
     assert abs(np.mean(r2) - 5.0) < 3.0 * se
+
+
+def test_one_radius_is_a_float_and_the_first_of_a_batch():
+    for spec in (GAUSS, PearsonVII(r=1.0, q=3.0), PearsonII(q=1.5), Bessel(r=1.0, q=0.3)):
+        law = RadialLaw(spec, 2.0)
+        one = sample_radius(law, make_rng(8))
+        assert type(one) is float
+        assert one == sample_radius(law, make_rng(8), size=1)[0]
 
 
 def test_radius_bessel_exact_path():

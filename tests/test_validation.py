@@ -457,6 +457,9 @@ def test_mc_degenerate_proposal():
 
     with pytest.raises(DegenerateWeights):
         mc_normalization(lambda x: logpdf_mv_t(PT, x), bad_sample, bad_logpdf, 5_000, 0, "bad")
+    with pytest.raises(DegenerateWeights, match="^non-finite importance weights$"):
+        mc_normalization(lambda x: np.full(len(x), np.inf), _prop_sample, _prop_logpdf, 5_000, 0,
+                         "inf")
 
 
 def test_mc_densities_of_the_wrong_shape_are_refused():
@@ -789,6 +792,13 @@ def test_pushforward_refuses_a_draw_of_the_wrong_length(rows):
         pushforward_check(lambda rng, n: rng.standard_normal((rows, 2)),
                           lambda x: -0.5 * np.sum(x * x, axis=-1), [(-np.inf, np.inf)] * 2,
                           n_draws=1_000, name="push-rows")
+
+
+def test_pushforward_refuses_a_density_of_the_wrong_shape():
+    # one value per grid row: a scalar would broadcast over the CDF table
+    with pytest.raises(DimensionMismatch, match=r"^push-shape: logpdf returned \(\) for "):
+        pushforward_check(lambda rng, n: rng.standard_normal((n, 1)), lambda x: -1.0,
+                          [(-np.inf, np.inf)], n_draws=1_000, name="push-shape")
 
 
 def test_pushforward_rejects_three_dims():
