@@ -104,28 +104,62 @@ def _sum_last_scaled(a: np.ndarray, c, divide: bool = False) -> np.ndarray:
     return out
 
 
-# below this many terms math.fsum over a list beats the binned sum (they
-# cross near 550 terms: 6 against 15 us at 200, 24 against 48 us at 1500)
+# math.fsum over a list beats the window pass below 256 terms (7.1 against
+# 7.4 us at 240, 7.6 against 7.4 us at 256, 9.5 against 7.4 us at 320) and
+# the binned sum below about 590 (15.1 against 17.0 us at 512, 19.3 against
+# 17.9 us at 640; they stay within 2 us of each other from 512 to 640, so
+# that cutoff stays at 512); medians over a fit's 2000-term arrays cut to n
+# terms, on a 2-vCPU Xeon
+_FSUM_WINDOW = 256
 _FSUM_SHORT = 512
 # np.bincount adds fewer than this many bucket terms exactly (below 2^27 each)
 _FSUM_MAX_TERMS = 1 << 26
 # np.frexp exponents (x = mantissa 2^e, mantissa in [0.5, 1)) of the normal
 # floats whose bucket totals are exact doubles with a finite exact sum
 _FSUM_EXP = (-1021, 996)
+# frexp exponents of the terms the window pass takes: well inside the range
+# where every scaled term, scale factor and rounded total is a normal double
+_FSUM_WINDOW_EXP = (-960, 960)
 
 
 def _fsum(x: np.ndarray) -> float:
-    """math.fsum(x), bit for bit, for a 1-d float array.
+    """math.fsum(x), bit for bit, for a 1-d float64 array.
 
-    A term x = (t + f) 2^(e - 27) splits by np.frexp's exponent e into an
-    integer t = trunc(mantissa 2^27), |t| < 2^27, and a multiple f of 2^-26,
-    |f| < 1.  With fewer than 2^26 terms every running total of np.bincount
-    over the e buckets is an exact double, so math.fsum of the nonzero bucket
-    totals rounds the same exact sum once (Neal 2015, arXiv:1505.05571), with
-    one Python float per bucket, not per term.  Short arrays, and ones with
-    non-finite, subnormal or near-overflow terms, go to math.fsum itself.
+    One of three exact paths, picked by the size n and the frexp exponents
+    of the terms; each gives the exact sum correctly rounded, ties to even.
+
+    - Window pass: n >= _FSUM_WINDOW, every term finite and nonzero, its
+      exponents in _FSUM_WINDOW_EXP, and their span hi - lo at most
+      26 - n.bit_length().  Every term is then a multiple of 2^(lo - 53),
+      one common grid (Rump, Ogita & Oishi 2008).  Scaled by 2^(27 - lo), it
+      splits exactly into its floor, at most 2^(27 + span) in size, and a
+      fraction, a multiple of 2^-26 in [0, 1).  n of either add to less than
+      2^53, so np.sum gives both totals exactly in any order, and the one
+      float addition of the two rounds the exact sum once.
+    - Binned sum: any other n in [_FSUM_SHORT, _FSUM_MAX_TERMS) whose terms
+      are finite and whose exponents lie in _FSUM_EXP.  A term
+      x = (t + f) 2^(e - 27) splits by np.frexp's exponent e into an integer
+      t = trunc(mantissa 2^27), |t| < 2^27, and a multiple f of 2^-26,
+      |f| < 1.  Every running total of np.bincount over the e buckets is an
+      exact double, so math.fsum of the nonzero bucket totals rounds the same
+      exact sum once (Neal 2015, arXiv:1505.05571), with one Python float per
+      bucket, not per term.
+    - math.fsum itself: everything else, that is short arrays and ones with
+      non-finite, subnormal or near-overflow terms.
     """
-    if not _FSUM_SHORT <= x.size < _FSUM_MAX_TERMS:
+    n = x.size
+    if n >= _FSUM_WINDOW:
+        mags = np.abs(x)
+        small, big = mags.min(), mags.max()
+        if 0.0 < small and big < math.inf:  # a NaN fails both
+            lo, hi = math.frexp(small)[1], math.frexp(big)[1]
+            if (_FSUM_WINDOW_EXP[0] <= lo and hi <= _FSUM_WINDOW_EXP[1]
+                    and hi - lo <= 26 - n.bit_length()):
+                v = np.multiply(x, 2.0 ** (27 - lo), out=mags)
+                whole = np.floor(v)
+                v -= whole
+                return math.ldexp(float(whole.sum() + v.sum()), lo - 27)
+    if not _FSUM_SHORT <= n < _FSUM_MAX_TERMS:
         return math.fsum(x.tolist())
     mant, exp = np.frexp(x)
     lo, hi = int(exp.min()), int(exp.max())

@@ -25,8 +25,10 @@ The module imports no scipy: ``gammaln``, ``digamma`` and ``trigamma`` are
 the Cephes ports in ``generators``, bit for bit scipy's, and the profile's
 root finder is a port of scipy's Brent routine.  Every sum over the data is
 exactly rounded by ``core._fsum``, which gives math.fsum's bits without a
-Python float per term.  Each fit, the frozen dependent one included, checks
-its matrix once and takes each column's logs and their sum once.
+Python float per term: in one integer pass when the terms share a narrow
+exponent window, binned by exponent otherwise.  Each fit, the frozen
+dependent one included, checks its matrix once and takes each column's logs
+and their sum once.
 """
 
 from __future__ import annotations

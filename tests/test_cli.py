@@ -5,6 +5,7 @@ script, without interpreter startup); one test exercises the installed
 `multivec` entry point through a real subprocess.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -255,6 +256,13 @@ def test_sample_joint_model_without_sigma1_names_it(model, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # fit
 
+# sha256 of each mode's --out document for pair_csv: the fitted values, their
+# 17-digit decimals and the meta block (a version bump changes them too)
+PINNED_FIT_OUT = {
+    "dependent": "1e5a76fae0328f68b28406ccab7ef3b439562d2e16e50843ecb1e24b21ec245c",
+    "independent": "51eb609b621e46f8740196ea11fddb78db38f3b43ec6a7355be79e7ebb06ac58",
+}
+
 
 def test_fit_dependent_round_trip_recovers_shapes(pair_csv, tmp_path, capsys):
     out = tmp_path / "fit.json"
@@ -270,6 +278,7 @@ def test_fit_dependent_round_trip_recovers_shapes(pair_csv, tmp_path, capsys):
     assert abs(doc["params"]["alpha"] - 5.0) / 5.0 < 0.10
     assert abs(doc["params"]["beta"] - 8.0) / 8.0 < 0.10
     assert math.isfinite(doc["loglik"])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_FIT_OUT["dependent"]
 
 
 def test_fit_independent_exits_0_with_ten_params(pair_csv, tmp_path, capsys):
@@ -285,6 +294,7 @@ def test_fit_independent_exits_0_with_ten_params(pair_csv, tmp_path, capsys):
     # output documents are canonical JSON: load -> re-encode is byte identical
     raw = out.read_bytes()
     assert cli._canonical_json(json.loads(raw.decode("utf-8"))).encode("utf-8") == raw
+    assert hashlib.sha256(raw).hexdigest() == PINNED_FIT_OUT["independent"]
 
 
 def test_fit_zero_entry_is_rejected_with_line_number(tmp_path, capsys):

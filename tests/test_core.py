@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multivec import (
     DimensionMismatch,
@@ -401,16 +403,38 @@ def test_fit_result_requires_finite_loglik_when_converged():
 
 
 # ---------------------------------------------------------------------------
-# _fsum: math.fsum's bits, binned by exponent past a cutoff
+# _fsum: math.fsum's bits, by a window pass, binned by exponent, or math.fsum
 
 
 @pytest.fixture
 def bincounts(monkeypatch):
-    """Counts np.bincount calls: the binned path makes two, math.fsum none."""
+    """Counts np.bincount calls: the binned path makes two, the window pass
+    and math.fsum none."""
     calls = []
     real = np.bincount
     monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or real(*a, **k))
     return calls
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """Counts np.floor calls: the window pass makes one, the binned path and
+    math.fsum none."""
+    calls = []
+    real = np.floor
+    monkeypatch.setattr(np, "floor", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def _in_window(x):
+    """The window pass's rule: enough terms, all finite and nonzero, frexp
+    exponents in _FSUM_WINDOW_EXP and spanning at most 26 - n.bit_length()."""
+    mags = np.abs(x)
+    if x.size < core._FSUM_WINDOW or not (0.0 < mags.min() and mags.max() < math.inf):
+        return False
+    lo, hi = math.frexp(mags.min())[1], math.frexp(mags.max())[1]
+    return (core._FSUM_WINDOW_EXP[0] <= lo and hi <= core._FSUM_WINDOW_EXP[1]
+            and hi - lo <= 26 - x.size.bit_length())
 
 
 def _outcome(sum_, x):
@@ -429,7 +453,7 @@ def _scattered(rng, size, lo, hi):
 
 @pytest.mark.parametrize("size", [core._FSUM_SHORT - 1, core._FSUM_SHORT,
                                   core._FSUM_SHORT + 1, 2000, 20000])
-def test_fsum_is_math_fsum_bit_for_bit(size, bincounts):
+def test_fsum_is_math_fsum_bit_for_bit(size, bincounts, windows):
     rng = np.random.default_rng(size)
     cases = [_scattered(rng, size, -k, min(k, 990)) for k in (0, 1, 60, 130, 500, 1000)]
     half = _scattered(rng, size // 2, -300, 300)
@@ -439,8 +463,13 @@ def test_fsum_is_math_fsum_bit_for_bit(size, bincounts):
               np.where(rng.random(size) < 0.5, 0.0, -0.0)]
     for x in cases:
         assert core._fsum(x).hex() == math.fsum(x).hex()
+    # the k = 0 case sits in the window below 20000 terms; what the window
+    # leaves is binned from _FSUM_SHORT terms on
+    windowed = sum(map(_in_window, cases))
+    assert _in_window(cases[0]) == (size < 20000)
     binned = size >= core._FSUM_SHORT
-    assert len(bincounts) == 2 * len(cases) * binned
+    assert len(windows) == windowed
+    assert len(bincounts) == 2 * (len(cases) - windowed) * binned
     assert core._fsum(cancel).hex() == "0x0.0p+0"
 
 
@@ -493,3 +522,86 @@ def test_fsum_gives_the_largest_arrays_to_math_fsum(monkeypatch, bincounts):
         before = len(bincounts)
         assert core._fsum(x).hex() == math.fsum(x).hex()
         assert len(bincounts) - before == 2 * binned
+
+
+def _on_exponents(rng, size, lo, hi):
+    """Signed terms with full 53-bit mantissas and frexp exponents drawn on
+    [lo, hi], both ends taken."""
+    mant = rng.integers(1 << 52, 1 << 53, size) * 2.0**-53
+    exp = rng.integers(lo, hi + 1, size)
+    exp[:2] = lo, hi
+    return np.ldexp(mant * rng.choice([-1.0, 1.0], size), exp)
+
+
+def _path(x, bincounts, windows):
+    """_fsum(x), and 'window', 'binned' or 'fsum' for the path it took."""
+    before = len(windows), len(bincounts)
+    out = core._fsum(x)
+    taken = len(windows) - before[0], len(bincounts) - before[1]
+    return out, {(1, 0): "window", (0, 2): "binned", (0, 0): "fsum"}[taken]
+
+
+@pytest.mark.parametrize("size", [512, 2000, 100_000])
+def test_fsum_window_takes_spans_up_to_its_limit(size, bincounts, windows):
+    limit = 26 - size.bit_length()
+    rng = np.random.default_rng(size)
+    for span, path in ((limit, "window"), (limit + 1, "binned")):
+        for lo in (-30, 0, 400):
+            x = _on_exponents(rng, size, lo, lo + span)
+            out, taken = _path(x, bincounts, windows)
+            assert (out.hex(), taken) == (math.fsum(x).hex(), path)
+
+
+def test_fsum_window_exponent_edges(bincounts, windows):
+    rng = np.random.default_rng(33)
+    for lo, hi, path in ((-960, -950, "window"), (-961, -951, "binned"),
+                         (950, 960, "window"), (951, 961, "binned")):
+        x = _on_exponents(rng, 2000, lo, hi)
+        out, taken = _path(x, bincounts, windows)
+        assert (out.hex(), taken) == (math.fsum(x).hex(), path)
+
+
+def test_fsum_window_zero_and_equal_terms(bincounts, windows):
+    x = np.append(_on_exponents(np.random.default_rng(34), 2000, -5, 5), 0.0)
+    out, taken = _path(x, bincounts, windows)
+    assert (out.hex(), taken) == (math.fsum(x).hex(), "binned")
+    for term in (0.1, -3.0, 2.0**-960, -(2.0**959), math.nextafter(1.0, 2.0)):
+        for size, path in ((core._FSUM_WINDOW - 1, "fsum"), (core._FSUM_WINDOW, "window"),
+                           (2000, "window"), (100_000, "window")):
+            x = np.full(size, term)
+            out, taken = _path(x, bincounts, windows)
+            assert (out.hex(), taken) == (math.fsum(x).hex(), path)
+
+
+def test_fsum_window_cancels_to_plus_zero(bincounts, windows):
+    rng = np.random.default_rng(35)
+    for size, lo in ((core._FSUM_WINDOW, -960), (2000, 0), (20000, 950)):
+        half = _on_exponents(rng, size // 2, lo, lo + 8)
+        x = np.concatenate([half, -half])
+        rng.shuffle(x)
+        out, taken = _path(x, bincounts, windows)
+        assert (out.hex(), taken) == (math.fsum(x).hex(), "window")
+        assert out.hex() == "0x0.0p+0"
+
+
+def test_fsum_window_rounds_ties_to_even(bincounts, windows):
+    # each head's exact sum is odd and above 2^53, halfway between two
+    # doubles; pairs of +-2^45 pad it to 256 terms
+    pad = [2.0**45, -(2.0**45)] * 127
+    for head, even in (([2.0**52 + 1, 2.0**52], 2.0**53), ([2.0**52 + 3, 2.0**52], 2.0**53 + 4),
+                       ([2.0**52 + 3, 2.0**52 + 2], 2.0**53 + 4)):
+        for scale in (2.0**-900, -1.0, 2.0**850):
+            x = np.array(head + pad) * scale
+            out, taken = _path(x, bincounts, windows)
+            assert (out.hex(), taken) == (math.fsum(x).hex(), "window")
+            assert out == even * scale
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 5000),
+       lo=st.integers(-1000, 970), span=st.integers(0, 20), cancel=st.booleans())
+def test_fsum_window_is_math_fsum_property(seed, size, lo, span, cancel):
+    x = _on_exponents(np.random.default_rng(seed), size, lo, min(lo + span, 990))
+    if cancel:
+        x[size // 2:2 * (size // 2)] = -x[:size // 2]
+    assert core._fsum(x).hex() == math.fsum(x).hex()
