@@ -1,8 +1,9 @@
 """Shared domain types, block partitions, and dense SPD linear algebra.
 
 Every multivector family works on a vector split into contiguous blocks.
-This module owns that bookkeeping plus the Cholesky-based pieces
-(log-determinant, quadratic form) the elliptical densities need.
+This module owns that bookkeeping (block dims, cuts and norms) for every
+family, and the Cholesky pieces (log-determinant, quadratic form) of the
+elliptical densities.
 All heavy numeric work elsewhere is done in log space; see the density
 modules.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -41,6 +43,32 @@ def _positive(name: str, values) -> tuple[float, ...]:
     if not all(math.isfinite(v) and v > 0 for v in vals):
         raise ParameterOutOfDomain(f"{name} must be positive, got {vals}")
     return vals
+
+
+def _whole(value, name: str, least: int = 0, error: type[Exception] = ParameterOutOfDomain) -> int:
+    """value as an int >= least: integers and integral floats pass; a
+    fraction, NaN, infinity or non-number raises `error`."""
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            x = float("nan")
+        if not x.is_integer():
+            raise error(f"{name} must be a whole number, got {value!r}") from None
+        whole = int(x)
+    if whole < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return whole
+
+
+def _block_dims(dims, least_blocks: int = 1) -> tuple[int, ...]:
+    """dims as at least least_blocks whole numbers >= 1; DimensionMismatch otherwise."""
+    dims = tuple(_whole(d, "block dim", 1, DimensionMismatch) for d in dims)
+    if len(dims) < least_blocks:
+        raise DimensionMismatch(f"need at least {least_blocks} block, got {len(dims)}")
+    return dims
 
 
 def _sum_in_order(values) -> float:
@@ -88,6 +116,24 @@ def _sum_sq_last(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         for j in range(1, k):
             out += np.multiply(a[..., j], a[..., j], out=buf)
     return out
+
+
+def _cut_blocks(dims: Sequence[int], x: np.ndarray) -> list[np.ndarray]:
+    """Views of the contiguous blocks of the given dims along x's last axis."""
+    blocks, stop = [], 0
+    for d in dims:
+        start, stop = stop, stop + d
+        blocks.append(x[..., start:stop])
+    return blocks
+
+
+def _block_sqnorms(blocks: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """||x_i||^2 of each block into out[..., i], returned as out.  A norm that
+    overflows or has a NaN coordinate is +inf, where every density is zero."""
+    with np.errstate(over="ignore"):
+        for i, blk in enumerate(blocks):
+            _sum_sq_last(blk, out=out[..., i])
+    return np.fmin(out, np.inf, out=out)  # fmin maps NaN to +inf
 
 
 def _sum_last_scaled(a: np.ndarray, c, divide: bool = False) -> np.ndarray:
@@ -329,18 +375,13 @@ class Partition:
     Parameters
     ----------
     dims : tuple of int
-        Block dimensions n_1, ..., n_k (each >= 1).
+        Block dimensions n_1, ..., n_k, each a whole number >= 1.
     """
 
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if len(dims) < 1:
-            raise DimensionMismatch("partition needs at least one block")
-        if any(d < 1 for d in dims):
-            raise DimensionMismatch(f"block dimensions must be >= 1, got {dims}")
+        object.__setattr__(self, "dims", _block_dims(self.dims))
 
     @property
     def k(self) -> int:
@@ -350,10 +391,6 @@ class Partition:
     def total(self) -> int:
         """Total dimension of the partitioned vector."""
         return int(sum(self.dims))
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(np.concatenate([[0], np.cumsum(self.dims)]).astype(int))
 
 
 @dataclass(frozen=True)
@@ -577,8 +614,7 @@ def validate_partition(p: Partition, x: np.ndarray) -> list[np.ndarray]:
         raise DimensionMismatch(
             f"vector length {x.shape[-1]} does not match partition total {p.total}"
         )
-    off = p.offsets
-    return [x[..., off[i] : off[i + 1]] for i in range(p.k)]
+    return _cut_blocks(p.dims, x)
 
 
 def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:

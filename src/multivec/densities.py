@@ -59,13 +59,16 @@ from .core import (
     ScaleShapeParams,
     _CHUNK,
     _all_last,
+    _block_dims,
+    _block_sqnorms,
+    _cut_blocks,
     _map_chunks,
     _positive,
     _sum_in_order,
     _sum_last,
     _sum_last_scaled,
-    _sum_sq_last,
     _threads,
+    _whole,
     block_quadform,
 )
 from .errors import DimensionMismatch, NonPositiveInput, ParameterOutOfDomain
@@ -145,19 +148,12 @@ def _positive_vector(x, name: str, k: int) -> np.ndarray:
 
 
 def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> np.ndarray:
-    """Per-block squared norms, shape (..., k); validates trailing length.
-
-    A block with a NaN coordinate gets norm +inf: it lies nowhere in the
-    space, and every density here is zero at infinity."""
-    x = _vector(x, name, int(sum(dims)))
-    sq = np.empty(x.shape[:-1] + (len(dims),), order="F")  # block-major
-    off = 0
-    for i, d in enumerate(dims):
-        blk = x[..., off:off + d]
-        with np.errstate(over="ignore"):  # an overflowing norm is +inf, where f is zero
-            _sum_sq_last(blk, out=sq[..., i])
-        off += d
-    return np.fmin(sq, np.inf, out=sq)  # fmin maps NaN to +inf
+    """Per-block squared norms of x, shape (..., k), block-major, from
+    core._block_sqnorms (an overflowing or NaN norm is +inf); validates the
+    trailing length."""
+    x = _vector(x, name, sum(dims))
+    sq = np.empty(x.shape[:-1] + (len(dims),), order="F")
+    return _block_sqnorms(_cut_blocks(dims, x), sq)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +194,10 @@ class MixedParams:
     k1: int
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.k1) <= self.base.partition.k:
-            raise DimensionMismatch(
-                f"k1 must lie in [0, {self.base.partition.k}], got {self.k1}"
-            )
-        object.__setattr__(self, "k1", int(self.k1))
+        k1 = _whole(self.k1, "k1", error=DimensionMismatch)
+        if k1 > self.base.partition.k:
+            raise DimensionMismatch(f"k1 must lie in [0, {self.base.partition.k}], got {self.k1}")
+        object.__setattr__(self, "k1", k1)
 
     @property
     def k2(self) -> int:
@@ -244,13 +239,10 @@ class MvTParams:
     betas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        object.__setattr__(self, "dims", _block_dims(self.dims))
         betas = _positive("betas", self.betas)
-        if len(dims) != len(betas) or not dims:
-            raise DimensionMismatch(f"{len(dims)} block dims vs {len(betas)} betas")
-        if any(d < 1 for d in dims):
-            raise DimensionMismatch(f"block dims must be >= 1, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        if len(self.dims) != len(betas):
+            raise DimensionMismatch(f"{len(self.dims)} block dims vs {len(betas)} betas")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "alpha0", _positive("alpha0", (self.alpha0,))[0])
 
@@ -344,18 +336,12 @@ class JointScaleParams:
         sigma2s = _positive("sigma^2", self.sigma2s)
         object.__setattr__(self, "sigma2s", sigma2s)
         if self.dims is not None:
-            dims = tuple(int(d) for d in self.dims)
-            object.__setattr__(self, "dims", dims)
-            if any(d < 1 for d in dims):
-                raise DimensionMismatch(f"block dims must be >= 1, got {dims}")
-            k = len(dims)
+            object.__setattr__(self, "dims", _block_dims(self.dims, least_blocks=0))
         else:
-            alphas = _positive("alphas", self.alphas)
-            object.__setattr__(self, "alphas", alphas)
-            k = len(alphas)
-        if len(sigma2s) != k + 1:
+            object.__setattr__(self, "alphas", _positive("alphas", self.alphas))
+        if len(sigma2s) != self.k + 1:
             raise DimensionMismatch(
-                f"need {k + 1} sigma^2 values (sigma_0^2 first), got {len(sigma2s)}"
+                f"need {self.k + 1} sigma^2 values (sigma_0^2 first), got {len(sigma2s)}"
             )
         object.__setattr__(self, "alpha0", _positive("alpha0", (self.alpha0,))[0])
         # fail fast if the generator is invalid at the effective dimension
@@ -364,6 +350,15 @@ class JointScaleParams:
     @property
     def k(self) -> int:
         return len(self.dims) if self.dims is not None else len(self.alphas)
+
+    def _blocks(self, vector: bool) -> tuple:
+        """dims of a vector joint, or alphas of a scalar one; DimensionMismatch
+        for a joint of the other kind."""
+        blocks = self.dims if vector else self.alphas
+        if blocks is None:
+            raise DimensionMismatch("vector joint needs integer block dims" if vector
+                                    else "scalar joint needs real alphas")
+        return blocks
 
     @property
     def block_shapes(self) -> np.ndarray:
@@ -419,9 +414,8 @@ def _gengamma_pearson7_at(p: JointScaleParams, s0, sq, log_jac, inside):
 @_split_rows
 def logpdf_gengamma_pearson7(p: JointScaleParams, s0, t) -> np.ndarray | float:
     """Joint law of s0 = ||x_0||^2 and the divided blocks t_i = x_i/||x_0||."""
-    if p.dims is None:
-        raise DimensionMismatch("vector joint needs integer block dims")
-    return _gengamma_pearson7_at(p, s0, _sqnorms_by_dims(p.dims, t, "t"), 0.0, True)
+    sq = _sqnorms_by_dims(p._blocks(vector=True), t, "t")
+    return _gengamma_pearson7_at(p, s0, sq, 0.0, True)
 
 
 @_split_rows
@@ -432,9 +426,7 @@ def logpdf_gengamma_pearson2(p: JointScaleParams, s0, r) -> np.ndarray | float:
     particular the h argument is NOT (1-||r_i||^2)||r_i||^2 — and brings the
     Jacobian prod (1-||r_i||^2)^{-(n_i/2+1)}.
     """
-    if p.dims is None:
-        raise DimensionMismatch("vector joint needs integer block dims")
-    return _gengamma_pearson7_at(p, s0, *_ball_map(p.dims, r))
+    return _gengamma_pearson7_at(p, s0, *_ball_map(p._blocks(vector=True), r))
 
 
 def _unit_map(b, k: int):
@@ -478,17 +470,13 @@ def logpdf_gengamma_beta1(p: JointScaleParams, s0, b) -> np.ndarray | float:
     b_i/(1-b_i), not (1-b_i)b_i — the latter fails both the normalization
     and the pushforward checks.
     """
-    if p.alphas is None:
-        raise DimensionMismatch("scalar joint needs real alphas")
-    return _gengamma_beta2_at(p, s0, *_unit_map(b, p.k))
+    return _gengamma_beta2_at(p, s0, *_unit_map(b, len(p._blocks(vector=False))))
 
 
 @_split_rows
 def logpdf_gengamma_beta2(p: JointScaleParams, s0, f) -> np.ndarray | float:
     """Joint (s0, f) law with beta-II-type blocks f_i > 0."""
-    if p.alphas is None:
-        raise DimensionMismatch("scalar joint needs real alphas")
-    f = _vector(f, "f", p.k)
+    f = _vector(f, "f", len(p._blocks(vector=False)))
     # the density vanishes at f_i = +inf: h decays faster than f_i^(alpha_i-1) grows
     ok = (f > 0.0) & (f < np.inf)
     f = np.where(ok, f, 1.0)

@@ -37,12 +37,11 @@ which is exact.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from . import _EXPORTS
-from .core import MvEllipticalParams, ScaleShapeParams, _sum_sq_last, validate_partition
+from .core import (MvEllipticalParams, ScaleShapeParams, _block_sqnorms, _cut_blocks,
+                   _sum_sq_last, _whole)
 from .densities import (
     BetaParams,
     GammaLogGammaParams,
@@ -87,24 +86,6 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     """Deterministically split one seed into independent child generators."""
     children = _seeded(np.random.SeedSequence, seed).spawn(_whole(count, "count"))
     return [np.random.default_rng(s) for s in children]
-
-
-def _whole(value, name: str, least: int = 0) -> int:
-    """value as an int >= least: integers and integral floats pass; a
-    fraction, NaN, infinity or non-number raises ParameterOutOfDomain."""
-    try:
-        whole = operator.index(value)
-    except TypeError:
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            x = float("nan")
-        if not x.is_integer():
-            raise ParameterOutOfDomain(f"{name} must be a whole number, got {value!r}") from None
-        whole = int(x)
-    if whole < least:
-        raise ParameterOutOfDomain(f"{name} must be >= {least}, got {value}")
-    return whole
 
 
 def _n_draws(size: int | None) -> int:
@@ -197,7 +178,7 @@ def sample_mv_elliptical(
     """x = mu + blockdiag(chol(Sigma_ii)) (r u) with spherical (r u) at dim n,
     each block scaled by its own factor in the draw's array."""
     z = _spherical(spec, p.partition.total, rng, _n_draws(size))
-    for blk, (c, _) in zip(validate_partition(p.partition, z), p.factors):
+    for blk, (c, _) in zip(_cut_blocks(p.partition.dims, z), p.factors):
         if c.shape == (1, 1):
             blk *= c[0, 0]
         else:
@@ -247,21 +228,14 @@ def sample_mv_t(
 
 def _t_to_pearson2(t: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """r_i = t_i / sqrt(1 + ||t_i||^2), block by block in t's own array and
-    one row-length buffer.
-
-    A block whose squared norm is NaN gets +inf there, as the densities'
-    _sqnorms_by_dims gives it."""
+    one row-length buffer.  ||t_i||^2 comes from core._block_sqnorms, the
+    densities' norm, so an overflowing or NaN norm is +inf here too."""
     rows = np.atleast_2d(t)  # a view: the updates below land in t
     den = np.empty(rows.shape[0])
-    off = 0
-    with np.errstate(over="ignore"):  # an overflowing norm is +inf
-        for d in dims:
-            blk = rows[:, off:off + d]
-            _sum_sq_last(blk, out=den)
-            np.fmin(den, np.inf, out=den)
-            den += 1.0
-            blk /= np.sqrt(den, out=den)[:, None]
-            off += d
+    for blk in _cut_blocks(dims, rows):
+        _block_sqnorms((blk,), den[:, None])
+        den += 1.0
+        blk /= np.sqrt(den, out=den)[:, None]
     return t
 
 
@@ -286,8 +260,7 @@ def sample_gengamma_pearson7(
     s0 = sigma_0^2 W D_0 and t_i = sqrt(beta_i D_i / D_0) u_i with u_i
     uniform on the block sphere.
     """
-    if p.dims is None:
-        raise DimensionMismatch("vector joint needs integer block dims")
+    dims = p._blocks(vector=True)
     m = _n_draws(size)
     shapes = np.concatenate([[p.alpha0], p.block_shapes])
     d = rng.dirichlet(shapes, size=m)
@@ -295,18 +268,16 @@ def sample_gengamma_pearson7(
     s0 = np.multiply(r, r, out=r)  # W, then sigma_0^2 W D_0
     s0 *= p.sigma2s[0]
     s0 *= d[:, 0]
-    t = np.empty((m, sum(p.dims)))
-    off = 0
-    for i, n_i in enumerate(p.dims):
+    t = np.empty((m, sum(dims)))
+    for i, blk in enumerate(_cut_blocks(dims, t)):
         # one block fills t: its sphere points are drawn in t itself
-        z = rng.standard_normal(out=t) if len(p.dims) == 1 else rng.standard_normal((m, n_i))
+        z = rng.standard_normal(out=t) if len(dims) == 1 else rng.standard_normal(blk.shape)
         u = _onto_unit_sphere(z, rng)
         norm = d[:, i + 1]  # sqrt(beta_i D_i / D_0), written over D_i
         norm *= p.betas[i]
         norm /= d[:, 0]
         np.sqrt(norm, out=norm)
-        np.multiply(u, norm[:, None], out=t[:, off:off + n_i])
-        off += n_i
+        np.multiply(u, norm[:, None], out=blk)
     if size is None:
         return float(s0[0]), t[0]
     return s0, t
@@ -410,10 +381,9 @@ def sample_gengamma_beta2(
     p: JointScaleParams, rng: np.random.Generator, size: int | None = None
 ) -> tuple[np.ndarray | float, np.ndarray]:
     """(s0, f) pair: s0 = u_0 and f_i = u_i/u_0 for a (k+1)-block gengamma draw."""
-    if p.alphas is None:
-        raise DimensionMismatch("scalar joint needs real alphas")
+    alphas = p._blocks(vector=False)
     m = _n_draws(size)
-    u = _gengamma_draws(np.asarray((p.alpha0,) + p.alphas), np.asarray(p.sigma2s), p.spec, rng, m)
+    u = _gengamma_draws(np.asarray((p.alpha0,) + alphas), np.asarray(p.sigma2s), p.spec, rng, m)
     s0, f = u[:, 0], u[:, 1:]
     f /= u[:, :1]
     if size is None:

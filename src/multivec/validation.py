@@ -64,6 +64,7 @@ from .core import (
     _all_last,
     _map_chunks,
     _sum_last,
+    _whole,
 )
 from .densities import (
     BetaParams,
@@ -78,7 +79,7 @@ from .densities import (
 from .errors import DegenerateWeights, DimensionMismatch, ParameterOutOfDomain, QuadratureFailure
 from .families import FAMILIES
 from .generators import Bessel, GeneratorSpec, Kotz, PearsonII, PearsonVII, gammaln, log_norm_const
-from .sampling import _t_to_pearson2, _whole, make_rng, sample_mv_t
+from .sampling import _t_to_pearson2, make_rng, sample_mv_t
 
 __all__ = list(_EXPORTS["validation"])
 

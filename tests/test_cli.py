@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -60,6 +61,16 @@ def pair_csv(tmp_path_factory):
 
 # ---------------------------------------------------------------------------
 # eval
+
+
+def test_readme_families_table_names_every_cli_model():
+    # the backticked names in the first column of README's families table
+    # are the models the CLI runs, no more and no fewer
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Families\n", 1)[1].strip().split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]  # past the header and its rule
+    named = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(named) == sorted(cli._MODELS) and len(named) == len(set(named))
 
 
 def test_eval_prints_scalar_gamma_log_density(tmp_path, capsys):

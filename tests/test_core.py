@@ -1,5 +1,6 @@
 """Domain types and the dense linear algebra under every density."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -17,8 +18,11 @@ from hypothesis import strategies as st
 from multivec import (
     DimensionMismatch,
     FitResult,
+    JointScaleParams,
     Kotz,
+    MixedParams,
     MvEllipticalParams,
+    MvTParams,
     NotPositiveDefinite,
     ParameterOutOfDomain,
     Partition,
@@ -26,13 +30,18 @@ from multivec import (
     SampleMatrix,
     ScaleShapeParams,
     block_quadform,
+    jacobian_check,
+    logpdf_gengamma_pearson2,
+    logpdf_gengamma_pearson7,
     logpdf_mv_elliptical,
     make_rng,
+    sample_gengamma_pearson2,
+    sample_gengamma_pearson7,
     sample_mv_elliptical,
     spd_factorize,
     validate_partition,
 )
-from multivec import core
+from multivec import core, densities, sampling
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +347,97 @@ def test_partition_invariants():
     with pytest.raises(DimensionMismatch):
         Partition(dims=(1, 0))
     p = Partition(dims=(2, 3))
-    assert p.k == 2 and p.total == 5 and p.offsets == (0, 2, 5)
+    assert p.k == 2 and p.total == 5
+
+
+def _mixed(k1):
+    return MixedParams(base=MvEllipticalParams.scalar_blocks([0.0, 0.0], [1.0, 1.0]), k1=k1)
+
+
+def _mv_t(*dims):
+    return MvTParams(dims=dims, alpha0=1.5, betas=(1.0,) * len(dims))
+
+
+def _joint(*dims):
+    return JointScaleParams(spec=Kotz.gaussian(), alpha0=1.5, sigma2s=(1.0,) * (len(dims) + 1),
+                            dims=dims)
+
+
+# block dims and block counts that are not whole numbers, where the params take them
+_NOT_WHOLE = {
+    "partition": lambda: Partition(dims=(2.7, 1)),
+    "mv-t": lambda: _mv_t(1.9),
+    "joint": lambda: _joint(2.5),
+    "mixed-k1": lambda: _mixed(1.7),
+    "jacobian-check": lambda: jacobian_check(1.5),
+    "partition-nan": lambda: Partition(dims=(1, math.nan)),
+    "mv-t-nan": lambda: _mv_t(math.nan),
+    "joint-inf": lambda: _joint(1, math.inf),
+    "mv-t-minus-inf": lambda: _mv_t(-math.inf),
+    "mixed-k1-inf": lambda: _mixed(math.inf),
+    "partition-str": lambda: Partition(dims=("two",)),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_WHOLE))
+def test_a_block_dim_that_is_not_a_whole_number_raises(case):
+    with pytest.raises(DimensionMismatch, match="must be a whole number"):
+        _NOT_WHOLE[case]()
+
+
+def test_block_dims_take_integral_floats_and_numpy_integers():
+    for dims in [(2.0, 1), (np.int64(2), np.float64(1.0)), (np.int32(2), np.float32(1.0))]:
+        got = (Partition(dims=dims).dims, _mv_t(*dims).dims, _joint(*dims).dims)
+        assert got == ((2, 1),) * 3
+        assert all(type(d) is int for ds in got for d in ds)
+    assert _mixed(np.float64(1.0)).k1 == 1 and type(_mixed(np.int64(2)).k1) is int
+    assert _joint().dims == ()  # a joint law may have no blocks; the others may not
+    for make in (_mv_t, lambda: _mv_t(0), lambda: _joint(1, 0), lambda: _mixed(3),
+                 lambda: _mixed(-1)):
+        with pytest.raises(DimensionMismatch):
+            make()
+
+
+# an edge coordinate x of a block (x, 0.5), and that block's ||.||^2 as the
+# block-norm rule reads it: overflow and NaN are +inf, underflow is exact
+_NORM_EDGES = [(math.nan, math.inf), (math.inf, math.inf), (-math.inf, math.inf),
+               (1e200, math.inf), (1e-200, 0.25), (-0.0, 0.25), (0.6, 0.6 * 0.6 + 0.25)]
+
+
+def test_density_norms_and_the_ball_map_read_one_block_norm_rule(monkeypatch):
+    seen = []
+
+    def spy(blocks, out):
+        seen.append(core._block_sqnorms(blocks, out).copy())
+        return out
+
+    monkeypatch.setattr(densities, "_block_sqnorms", spy)
+    monkeypatch.setattr(sampling, "_block_sqnorms", spy)
+    x, want = map(np.array, zip(*_NORM_EDGES))
+    t = np.column_stack([np.full(len(x), 0.3), x, np.full(len(x), 0.5)])  # blocks (1, 2)
+    sq = densities._sqnorms_by_dims((1, 2), t, "t")
+    with np.errstate(invalid="ignore"):  # the ball map's inf / inf
+        r = sampling._t_to_pearson2(t.copy(), (1, 2))
+    assert len(seen) == 3  # one call for the density's blocks, one per block of the map
+    assert np.array_equal(sq, seen[0]) and np.array_equal(sq[:, 1], want)
+    assert np.array_equal(seen[1][:, 0], sq[:, 0]) and np.array_equal(seen[2][:, 0], want)
+    assert np.array_equal(r[:, 2], 0.5 / np.sqrt(1.0 + want))  # the block's other coordinate
+    assert np.array_equal(r[:, 0], 0.3 / np.sqrt(np.full(len(x), 1.0 + 0.3 * 0.3)))
+    # the joint law with no blocks: its norms have no column, and its draws
+    # and densities keep the bits they had before core cut the blocks
+    h = hashlib.sha256()
+    p = JointScaleParams(spec=Kotz(r=0.7, q=1.3, s=1.1), alpha0=1.5, sigma2s=(2.0,), dims=())
+    for sampler in (sample_gengamma_pearson7, sample_gengamma_pearson2):
+        s0, blocks = sampler(p, make_rng(3400), size=1000)
+        h.update(s0.tobytes())
+        assert blocks.shape == (1000, 0)
+        s0, blocks = sampler(p, make_rng(3401))
+        h.update(np.float64(s0).tobytes())
+        assert blocks.shape == (0,)
+    for logpdf in (logpdf_gengamma_pearson7, logpdf_gengamma_pearson2):
+        h.update(logpdf(p, np.linspace(-1.0, 8.0, 50), np.zeros((50, 0))).tobytes())
+    assert len(seen) == 5  # the two densities; the samplers form no norm
+    assert h.hexdigest() == "c95e0d6e2915c65cf2b528041cf679b8e5db122e4ec886b2babca89ca3451bce"
 
 
 def test_extended_shape_alpha_star():

@@ -361,6 +361,47 @@ def test_reduction_chain_scalar_blocks():
         assert abs(lb - (logpdf_mv_pearson2(pt, np.array([r])) - math.log(r))) < 1e-10
 
 
+def _polar_terms(dims, f):
+    """sum_i lgamma(n_i/2) - (n_i/2) log pi - (n_i/2 - 1) log f_i: the log
+    density of a spherical block at t_i less that of f_i = ||t_i||^2, from
+    the per-block polar decomposition (Fang, Kotz & Ng 1990, ch. 2)."""
+    return sum(math.lgamma(n / 2.0) - n / 2.0 * math.log(math.pi)
+               - (n / 2.0 - 1.0) * np.log(f[:, i]) for i, n in enumerate(dims))
+
+
+def _block_sqnorm_columns(dims, t):
+    """f_i = ||t_i||^2 per block, by a plain loop over the layout."""
+    ends = np.cumsum(dims)
+    return np.column_stack([np.sum(t[:, e - n:e] ** 2, axis=1) for n, e in zip(dims, ends)])
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,), (2, 3), (1, 2, 1)], ids=str)
+def test_reduction_chain_vector_blocks(dims):
+    # a root law at vector blocks t is its scalar counterpart at
+    # f_i = ||t_i||^2 with alphas n_i/2, plus the polar terms; the same map
+    # takes the Pearson II images at r to the beta I images at b_i = ||r_i||^2
+    rng = np.random.default_rng(34)
+    halves = tuple(n / 2.0 for n in dims)
+    betas = tuple(rng.uniform(0.5, 2.0, len(dims)))
+    t = rng.normal(0.0, 1.2, (60, sum(dims)))
+    r = t / np.sqrt(1.0 + np.repeat(_block_sqnorm_columns(dims, t), dims, axis=1))
+    f, b = _block_sqnorm_columns(dims, t), _block_sqnorm_columns(dims, r)
+    s0 = rng.uniform(0.1, 5.0, len(t))
+    pt = MvTParams(dims=dims, alpha0=1.3, betas=betas)
+    pb = BetaParams(shape=ExtendedShape(alphas=halves, alpha0=1.3), betas=betas)
+    gaps = [logpdf_mv_t(pt, t) - logpdf_mv_beta2(pb, f) - _polar_terms(dims, f),
+            logpdf_mv_pearson2(pt, r) - logpdf_mv_beta1(pb, b) - _polar_terms(dims, b)]
+    sigma2s = (1.4, *rng.uniform(0.5, 2.0, len(dims)))
+    for spec in (Kotz(r=0.7, q=1.3, s=1.1), PearsonVII(r=2.0, q=6.0), Bessel(r=0.8, q=0.4)):
+        pv = JointScaleParams(spec=spec, alpha0=1.8, sigma2s=sigma2s, dims=dims)
+        ps = JointScaleParams(spec=spec, alpha0=1.8, sigma2s=sigma2s, alphas=halves)
+        gaps += [logpdf_gengamma_pearson7(pv, s0, t) - logpdf_gengamma_beta2(ps, s0, f)
+                 - _polar_terms(dims, f),
+                 logpdf_gengamma_pearson2(pv, s0, r) - logpdf_gengamma_beta1(ps, s0, b)
+                 - _polar_terms(dims, b)]
+    assert max(float(np.max(np.abs(g))) for g in gaps) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # joint (s0, blocks) families
 
