@@ -392,6 +392,10 @@ class Partition:
         """Total dimension of the partitioned vector."""
         return int(sum(self.dims))
 
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        return tuple(np.concatenate([[0], np.cumsum(self.dims)]).astype(int))
+
 
 @dataclass(frozen=True)
 class ExtendedShape:

