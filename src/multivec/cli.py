@@ -113,7 +113,7 @@ def _load_params(path: str) -> dict[str, float]:
             doc = json.load(fh)
     except OSError as exc:
         raise _CliError(f"cannot read params file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
         raise _CliError(f"params file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise _CliError("params file must contain a JSON object")

@@ -10,10 +10,11 @@ modules.
 It also owns the one thread pool of the package (_map_chunks): the row-wise
 stages of the oracles in ``validation`` and the long logpdf batches of
 ``densities`` share their chunks between the calling thread and that pool.
-numpy and scipy ufuncs release the GIL, so the chunks run on every CPU.  A
-block of 2 or more dims solves the quadratic forms of all its rows in one
-LAPACK call, which OpenBLAS may hand to threads of its own that compete with
-the pool's.
+numpy and scipy ufuncs release the GIL, so the chunks run on every CPU.  The
+pool changes no thread's CPU affinity; where each thread runs is left to the
+scheduler.  A block of 2 or more dims solves the quadratic forms of all its
+rows in one LAPACK call, which OpenBLAS may hand to threads of its own that
+compete with the pool's.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -226,7 +228,6 @@ def _fsum(x: np.ndarray) -> float:
 _CHUNK = 1 << 16  # points per chunk of a grid, and the rows a logpdf batch must pass to split
 _pool = None  # (workers, ThreadPoolExecutor), made by the first map of two or more chunks
 _pool_lock = threading.Lock()
-_placed = threading.local()  # .done once a pool thread has left its first caller's CPU
 _in_chunk = contextvars.ContextVar("multivec_in_chunk", default=False)
 
 
@@ -243,34 +244,6 @@ def _threads() -> int:
         return max(1, int(raw))
     except ValueError:
         raise ParameterOutOfDomain(f"MULTIVEC_THREADS must be an integer, got {raw!r}") from None
-
-
-def _cpu_of(tid: int) -> int:
-    """The CPU a thread of this process last ran on (Linux)."""
-    with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as f:
-        return int(f.read().rsplit(")", 1)[1].split()[36])
-
-
-def _leave_cpu_of(tid: int) -> None:
-    """Move the calling thread off the CPU thread `tid` last ran on.
-
-    Linux starts a thread on the CPU of the thread that woke it.  On one
-    2-vCPU virtual machine the pool thread and its waiting caller were seen
-    to share a CPU for seconds, every chunk taking twice as long; after one
-    move to another allowed CPU, with the full mask restored at once, the
-    scheduler kept them apart.  The gain was measured on that machine only:
-    with _cpu_of, this function and _placed removed, the benchmark's verify
-    wall_s read 0.600-0.674 s against 0.408-0.467 s, worse in 10 of 10
-    alternating pairs, and moving on every map read the same as moving once.
-    Without affinity or /proc this does nothing."""
-    try:
-        cpus = os.sched_getaffinity(0)
-        others = cpus - {_cpu_of(tid)}
-        if others:
-            os.sched_setaffinity(0, others)
-            os.sched_setaffinity(0, cpus)
-    except (AttributeError, OSError, IndexError, ValueError):  # no affinity or /proc
-        pass
 
 
 def _chunk_pool(workers: int):
@@ -297,8 +270,8 @@ def _map_chunks(chunk: Callable[[int], object], n: int) -> list:
     A chunk that raises stops the taking; when the chunks already taken are
     done, the lowest-indexed failure is raised, as the loop would raise it.
     Anything else the caller raises (KeyboardInterrupt, a timer's exception)
-    stops the taking and propagates at once.  A pool thread leaves the CPU
-    of the first caller it works for (_leave_cpu_of).
+    stops the taking and propagates at once.  No thread's CPU affinity is
+    changed: where each thread runs is the scheduler's choice.
     """
     workers = 0 if n < 2 or _in_chunk.get() else min(_threads(), n) - 1
     token = _in_chunk.set(True)
@@ -318,7 +291,6 @@ def _share_chunks(chunk: Callable[[int], object], n: int, workers: int,
     failed: dict[int, BaseException] = {}
     taken = running = 0
     cond = threading.Condition()
-    caller = threading.get_native_id()
 
     def take(catch: type[BaseException]) -> None:
         nonlocal taken, running
@@ -337,16 +309,10 @@ def _share_chunks(chunk: Callable[[int], object], n: int, workers: int,
                     running -= 1
                     cond.notify_all()
 
-    def work() -> None:  # on a pool thread: returns normally, its future holds nothing to read
-        if not getattr(_placed, "done", False):
-            _placed.done = True
-            _leave_cpu_of(caller)
-        context.copy().run(take, BaseException)  # a context is entered by one thread at a time
-
     try:
         pool = _chunk_pool(workers)
-        for _ in range(workers):
-            pool.submit(work)
+        for _ in range(workers):  # a context is entered by one thread at a time: one copy each
+            pool.submit(context.copy().run, take, BaseException)
         take(Exception)
         with cond:
             cond.wait_for(lambda: running == 0)
@@ -394,7 +360,7 @@ class Partition:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        return tuple(np.concatenate([[0], np.cumsum(self.dims)]).astype(int))
+        return tuple(accumulate(self.dims, initial=0))
 
 
 @dataclass(frozen=True)

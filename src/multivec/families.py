@@ -42,6 +42,7 @@ law.  Missing or non-numeric keys raise ``FlatParamsError``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,12 +59,27 @@ Flat = dict[str, float]
 
 
 def _need(params: Flat, key: str) -> float:
+    """params[key] as a float; FlatParamsError naming the key unless it is a
+    number, not a boolean, within the double range (ints and floats compare
+    exactly, so an integer of any size is tested without converting it)."""
     if key not in params:
         raise FlatParamsError(f"params missing key '{key}'")
     v = params[key]
-    if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
         raise FlatParamsError(f"params key '{key}' must be a finite number, got {v!r}")
     return float(v)
+
+
+def _square(params: Flat, key: str) -> float:
+    """params[key]**2; FlatParamsError naming the key when it overflows or is 0."""
+    v = _need(params, key)
+    try:
+        sq = v**2
+    except OverflowError:
+        sq = math.inf
+    if not 0.0 < sq < math.inf:
+        raise FlatParamsError(f"params key '{key}' must have a positive finite square, got {v!r}")
+    return sq
 
 
 def _indexed(params: Flat, prefix: str, k: int, start: int = 1) -> tuple[float, ...]:
@@ -71,7 +87,7 @@ def _indexed(params: Flat, prefix: str, k: int, start: int = 1) -> tuple[float, 
 
 
 def _squares(params: Flat, prefix: str, k: int, start: int = 1) -> tuple[float, ...]:
-    return tuple(v**2 for v in _indexed(params, prefix, k, start))
+    return tuple(_square(params, f"{prefix}{i}") for i in range(start, start + k))
 
 
 def _count(params: Flat, prefix: str, start: int = 1) -> int:
@@ -104,10 +120,10 @@ def _kotz_gamma_count(p: Flat) -> int:
 
 def _kotz_gamma_build(p: Flat, k: int) -> tuple:
     if k == 1:
-        pairs = ScaleShapeParams(shapes=(_need(p, "alpha"),), scales=(_need(p, "sigma") ** 2,))
+        pairs = ScaleShapeParams(shapes=(_need(p, "alpha"),), scales=(_square(p, "sigma"),))
     elif k == 2:
         pairs = ScaleShapeParams(shapes=(_need(p, "alpha"), _need(p, "beta")),
-                                 scales=(_need(p, "sigma1") ** 2, _need(p, "sigma2") ** 2))
+                                 scales=(_square(p, "sigma1"), _square(p, "sigma2")))
     else:
         raise FlatParamsError("kotz-gamma supports 1 or 2 columns; use mv-gengamma beyond")
     return pairs, _kotz(p)

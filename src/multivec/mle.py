@@ -116,7 +116,8 @@ class SuffStats:
 
     def _fill(self, u: np.ndarray, v: np.ndarray, a: float, b: float) -> SuffStats:
         """Set the statistics of checked columns u, v whose log sums are a, b."""
-        self.m, self.a, self.b, self.c, self.d = int(u.size), a, b, _fsum(u), _fsum(v)
+        self.m, self.a, self.b = int(u.size), a, b
+        self.c, self.d = _column_sum(u, "column u"), _column_sum(v, "column v")
         return self
 
 
@@ -129,6 +130,15 @@ def _positive_column(sample: np.ndarray, user: str) -> np.ndarray:
     if np.any(u <= 0):
         raise NonPositiveInput(f"{user} needs positive data")
     return u
+
+
+def _column_sum(u: np.ndarray, column: str) -> float:
+    """The exactly rounded sum of a checked column; NonFiniteLikelihood,
+    naming the column, when it overflows a double."""
+    try:
+        return _fsum(u)
+    except OverflowError:
+        raise NonFiniteLikelihood(f"sum of {column} overflows; log-likelihood is -inf") from None
 
 
 def _logs(u: np.ndarray) -> tuple[np.ndarray, float]:
@@ -236,7 +246,7 @@ def gamma_init(sample: np.ndarray) -> tuple[float, float]:
     gengamma reduction u ~ Gamma(alpha, 2 sigma^2).
     """
     u = _positive_column(sample, "gamma initializer")
-    m, total = u.size, _fsum(u)
+    m, total = u.size, _column_sum(u, "the gamma initializer's sample")
     alpha = _gamma_start(m, total, _fsum(np.log(u)))
     sigma = math.sqrt(total / (2.0 * m * alpha))
     return alpha, sigma

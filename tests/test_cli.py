@@ -230,6 +230,26 @@ def test_every_model_samples_evaluates_and_names_missing_keys(model, tmp_path, c
         assert f"params missing key '{key}'" in err
 
 
+# JSON values a params key may hold that no key, or no sigma key, can use
+_HOSTILE = {"true": True, "null": None, "string": "1", "list": [], "400-digit-integer": 10**400,
+            "1e200": 1e200}
+
+
+@pytest.mark.parametrize("model", sorted(cli._MODELS))
+def test_every_key_of_every_model_reads_a_hostile_value_as_a_density_or_one_error(
+        model, tmp_path, capsys):
+    params, header = MODEL_PARAMS[model]
+    point = "--point=" + ",".join(["0.3"] * len(header.split(",")))
+    for key in params:
+        for name, value in _HOSTILE.items():
+            p = write_params(tmp_path / "p.json", {**params, key: value})
+            rc, out, err = run_cli(["eval", "--model", model, "--params", p, point], capsys)
+            assert rc in (0, 1), (key, name, err)
+            if rc == 1:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, \
+                    (key, name, err)
+
+
 @pytest.mark.parametrize("model", ["mv-pearson2", "gengamma-pearson2", "mv-elliptical",
                                    "gengamma-beta2"])
 def test_eval_at_an_overflowing_point_prints_minus_inf_and_no_warning(model, tmp_path, capsys):
@@ -642,6 +662,25 @@ _EXIT_1_CASES = {  # id: (argv, {file name: text}, stderr); {d} is the case's di
          "1", "--out", "{d}/x.csv"],
         {"p.json": json.dumps({"alpha0": 1.5, "sigma0": 1.0, "sigma2": 0.9, **_KOTZ})},
         "error: params missing key 'sigma1'\n"),
+    # JSON numbers that are no finite double, or whose square is none
+    "params-boolean": (_EVAL + ["--point=1,2"],
+                       {"p.json": json.dumps({**MODEL_PARAMS["kotz-gamma"][0], "alpha": True})},
+                       "error: params key 'alpha' must be a finite number, got True\n"),
+    "params-integer-beyond-double": (
+        _EVAL + ["--point=1,2"], {"p.json": json.dumps({**MODEL_PARAMS["kotz-gamma"][0],
+                                                        "alpha": 10**400})},
+        "error: params key 'alpha' must be a finite number, got 1000"),
+    "params-integer-past-digit-limit": (
+        _EVAL + ["--point=1,2"], {"p.json": '{"alpha": 1' + "0" * 5000 + "}"},
+        "error: params file is not valid JSON: Exceeds the limit (4300 digits)"),
+    "params-square-overflows": (
+        ["eval", "--model", "mv-elliptical", "--params", "{d}/p.json", "--point=1,2"],
+        {"p.json": json.dumps({**MODEL_PARAMS["mv-elliptical"][0], "sigma1": 1e200})},
+        "error: params key 'sigma1' must have a positive finite square, got 1e+200\n"),
+    "params-square-underflows": (
+        ["eval", "--model", "gengamma-pearson7", "--params", "{d}/p.json", "--point=1,2"],
+        {"p.json": json.dumps({**MODEL_PARAMS["gengamma-pearson7"][0], "sigma0": 1e-200})},
+        "error: params key 'sigma0' must have a positive finite square, got 1e-200\n"),
     "pairs-unreadable": (_FIT, {}, "error: cannot read input file: "),
     "pairs-empty": (_FIT, {"pairs.csv": ""},
                     "error: line 1: empty file; expected header 'u,v'\n"),
@@ -650,6 +689,9 @@ _EXIT_1_CASES = {  # id: (argv, {file name: text}, stderr); {d} is the case's di
     # lines 3 and 4 are blank and skipped, so the bad cell is reported on line 5
     "pairs-not-decimal": (_FIT, {"pairs.csv": "u,v\n1,2\n\n  \n3,x\n4,5\n"},
                           "error: line 5: column v is not a decimal: 'x'\n"),
+    # positive finite pairs whose column sum overflows: the dependent log-likelihood is -inf
+    "pairs-column-sum-overflows": (_FIT, {"pairs.csv": "u,v\n1e308,1\n1e308,2\n1e308,3\n2,5\n"},
+                                   "error: sum of column u overflows; log-likelihood is -inf\n"),
     "point-empty": (_EVAL + ["--point="], {}, "error: --point is empty\n"),
     # an empty token is not dropped: '1,,2' is not the point (1, 2)
     "point-empty-token": (_EVAL + ["--point=1,,2"], {},
@@ -707,6 +749,13 @@ def test_input_errors_exit_1_with_one_message(case, tmp_path, capsys):
     assert (rc, out) == (1, "")
     assert err.startswith(message.format(d=tmp_path)) and err.count("\n") == 1, err
     assert not (tmp_path / "o.json").exists() and not (tmp_path / "g.csv").exists()
+
+
+def test_a_params_file_that_is_not_utf8_exits_1_with_one_message(tmp_path, capsys):
+    (tmp_path / "p.json").write_bytes(b'{"alpha": "\xff"}')
+    rc, out, err = run_cli(_EVAL[:-1] + [str(tmp_path / "p.json"), "--point=1,2"], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: params file is not valid JSON: ") and err.count("\n") == 1, err
 
 
 def test_eval_of_a_negative_kotz_gamma_point_prints_minus_inf(tmp_path, capsys):

@@ -348,6 +348,7 @@ def test_partition_invariants():
         Partition(dims=(1, 0))
     p = Partition(dims=(2, 3))
     assert p.k == 2 and p.total == 5 and p.offsets == (0, 2, 5)
+    assert all(type(o) is int for o in p.offsets)
 
 
 def _mixed(k1):

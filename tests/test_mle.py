@@ -185,6 +185,19 @@ def test_gamma_init_degenerate_sample():
         gamma_init(np.array([5.0, 5.0, 5.0]))
 
 
+def test_a_column_whose_sum_overflows_is_a_typed_error_naming_it():
+    # every value is positive and finite, but the sum of the first column is not
+    huge, small = np.array([1e308, 1e308, 1e308, 2.0]), np.array([1.0, 2.0, 3.0, 5.0])
+    with pytest.raises(NonFiniteLikelihood, match="sum of the gamma initializer's sample"):
+        gamma_init(huge)
+    for u, v, column in ((huge, small, "column u"), (small, huge, "column v")):
+        with pytest.raises(NonFiniteLikelihood, match=f"sum of {column} overflows"):
+            SuffStats(u, v)
+        for frozen in (False, True):
+            with pytest.raises(NonFiniteLikelihood, match=f"sum of {column} overflows"):
+                fit_dependent(np.column_stack([u, v]), freeze_generator=frozen)
+
+
 def test_gamma_init_frozen_values():
     # direct evaluation for (1,2,3,4); exact to the last double digit, with the
     # 7-digit reference values 4.260441 / 0.541656 holding at their own precision

@@ -1107,86 +1107,25 @@ def test_every_chunk_runs_once_under_frequent_thread_switches(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_a_pool_thread_leaves_its_callers_cpu_with_its_mask_intact(monkeypatch):
-    if not hasattr(core.os, "sched_getaffinity"):
-        pytest.skip("no CPU affinity on this platform")
-    caller, seen = threading.get_native_id(), {}
-    assert core._cpu_of(caller) in core.os.sched_getaffinity(0)
-
-    def no_proc(tid):
-        raise FileNotFoundError(f"/proc/self/task/{tid}/stat")
-
-    def start():  # the caller waits in join() meanwhile, so its CPU stays put
-        seen["before"] = core.os.sched_getaffinity(0)
-        core._leave_cpu_of(caller)
-        seen["mine"] = core._cpu_of(threading.get_native_id())
-        seen["theirs"] = core._cpu_of(caller)
-        seen["after"] = core.os.sched_getaffinity(0)
-        monkeypatch.setattr(core, "_cpu_of", no_proc)
-        core._leave_cpu_of(caller)  # without /proc the thread stays put
-        seen["done"] = True
-
-    worker = threading.Thread(target=start)
-    worker.start()
-    worker.join(10.0)
-    assert not worker.is_alive() and seen["done"] and seen["after"] == seen["before"]
-    if len(seen["before"]) > 1:
-        assert seen["mine"] != seen["theirs"]
-
-
-def test_each_pool_thread_moves_once_off_the_caller_it_first_works_for(monkeypatch):
+def test_fresh_pool_threads_share_a_map_and_set_no_cpu_affinity(monkeypatch):
     monkeypatch.setenv("MULTIVEC_THREADS", "3")
-    moves = []
-    monkeypatch.setattr(core, "_leave_cpu_of",
-                        lambda tid: moves.append((threading.get_native_id(), tid)))
-
+    monkeypatch.setattr(core, "_pool", None)  # fresh threads: nothing has run on them yet
+    calls = []
+    monkeypatch.setattr(core.os, "sched_setaffinity", lambda *args: calls.append(args),
+                        raising=False)
     gate = threading.Barrier(3)
 
     def gated(i):
-        if i < 3:
+        if i < 3:  # chunks 0-2 wait for each other: three threads hold one each at once
             gate.wait(10.0)
-        return i
+        return i, threading.get_ident()
 
-    def call():
-        callers.append(threading.get_native_id())
-        for j in range(5):
-            # the first caller's first map: chunks 0-2 wait for each other, so
-            # the caller and both pool threads take one each, and both threads
-            # start, and move, while working for that caller
-            chunk = gated if len(callers) == 1 and j == 0 else (lambda i: i)
-            assert core._map_chunks(chunk, 4) == [0, 1, 2, 3]
-
-    def run_callers():
-        for _ in range(2):
-            t = threading.Thread(target=call)
-            t.start()
-            t.join(10.0)
-
-    # the shared pool: its threads move on their first chunk only, so the
-    # second caller finds them placed
-    monkeypatch.setattr(core, "_pool", None)
-    callers = []
-    run_callers()
-    # the test's own pool: every queued work() runs before the checks
-    core._pool[1].shutdown(wait=True)
-    movers = [mover for mover, _ in moves]
-    assert 1 <= len(moves) <= 2 and len(set(movers)) == len(movers)
-    assert {tid for _, tid in moves} == {callers[0]}
-
-    # a fresh thread per submit: each moves off the caller that submitted it
-    started = []
-
-    class Fresh:
-        def submit(self, fn):
-            started.append(threading.Thread(target=fn))
-            started[-1].start()
-
-    monkeypatch.setattr(core, "_chunk_pool", lambda workers: Fresh())
-    moves, callers = [], []
-    run_callers()
-    for t in started:
-        t.join(10.0)
-    assert sorted(tid for _, tid in moves) == sorted(callers * 10)
+    runs = core._map_chunks(gated, 4)
+    core._pool[1].shutdown(wait=True)  # the test's own pool: every submitted take has ended
+    assert [i for i, _ in runs] == [0, 1, 2, 3]
+    assert len({thread for _, thread in runs[:3]}) == 3
+    assert threading.get_ident() in {thread for _, thread in runs[:3]}
+    assert calls == []
 
 
 def test_a_pool_handed_out_stays_usable_after_a_wider_one_is_made(monkeypatch):
