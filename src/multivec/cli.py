@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .core import SampleMatrix, _threads
+from .core import SampleMatrix, _threads, _whole
 from .errors import MultivecError, NonPositiveInput
 from .families import FAMILIES, Family
 from .sampling import make_rng
@@ -138,38 +138,48 @@ def _write_csv(path: str, header: Sequence[str], rows: np.ndarray) -> None:
     _write_text(path, ",".join(header) + "\n" + body)
 
 
+def _pair_rows(reader) -> list[tuple[float, float]]:
+    """The (u, v) rows under the 'u,v' header, blank lines skipped."""
+    rows: list[tuple[float, float]] = []
+    header = next(reader, None)
+    if header is None:
+        raise _CliError("line 1: empty file; expected header 'u,v'")
+    if [c.strip() for c in header] != ["u", "v"]:
+        raise _CliError(f"line 1: expected header 'u,v', got {','.join(header)!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise _CliError(f"line {lineno}: expected 2 columns, got {len(row)}")
+        vals = []
+        for col, cell in zip("uv", row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise _CliError(f"line {lineno}: column {col} is not a decimal: {cell!r}")
+            if not math.isfinite(v) or v <= 0:
+                raise _CliError(
+                    f"line {lineno}: column {col} must be a positive decimal, got {cell.strip()}"
+                )
+            vals.append(v)
+        rows.append((vals[0], vals[1]))
+    return rows
+
+
 def _read_pairs_csv(path: str) -> SampleMatrix:
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise _CliError(f"cannot read input file: {exc}")
-    with fh:
+    with fh:  # decoded and parsed as _pair_rows reads it, so its errors arise there
         reader = csv.reader(fh)
-        rows: list[tuple[float, float]] = []
-        header = next(reader, None)
-        if header is None:
-            raise _CliError("line 1: empty file; expected header 'u,v'")
-        if [c.strip() for c in header] != ["u", "v"]:
-            raise _CliError(f"line 1: expected header 'u,v', got {','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise _CliError(f"line {lineno}: expected 2 columns, got {len(row)}")
-            vals = []
-            for col, cell in zip("uv", row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise _CliError(
-                        f"line {lineno}: column {col} is not a decimal: {cell!r}"
-                    )
-                if not math.isfinite(v) or v <= 0:
-                    raise _CliError(
-                        f"line {lineno}: column {col} must be a positive decimal, got {cell.strip()}"
-                    )
-                vals.append(v)
-            rows.append((vals[0], vals[1]))
+        try:
+            rows = _pair_rows(reader)
+        except UnicodeDecodeError as exc:
+            raise _CliError(f"input file is not UTF-8: byte {exc.object[exc.start]:#04x} "
+                            f"({exc.reason})")
+        except csv.Error as exc:  # such as a field past the csv module's size limit
+            raise _CliError(f"line {reader.line_num}: {exc}")
     if len(rows) < 3:
         raise _CliError(f"need at least 3 data rows, got {len(rows)}")
     return SampleMatrix(np.asarray(rows, dtype=float))
@@ -182,8 +192,7 @@ def _read_pairs_csv(path: str) -> SampleMatrix:
 def cmd_fit(args) -> int:
     from .mle import fit_dependent, fit_independent
 
-    if args.max_iters < 0:
-        raise _CliError(f"--max-iters must be >= 0, got {args.max_iters}")
+    _whole(args.max_iters, "--max-iters", error=_CliError)
     data = _read_pairs_csv(args.input)
     fit = fit_dependent if args.mode == "dependent" else fit_independent
     result = fit(data, max_iter=args.max_iters)
@@ -239,8 +248,7 @@ def cmd_eval(args) -> int:
 def cmd_sample(args) -> int:
     model = _get_model(args.model)
     params = _load_params(args.params)
-    if args.n < 0:
-        raise _CliError(f"-n must be >= 0, got {args.n}")
+    _whole(args.n, "-n", error=_CliError)
     k = model.count(params)
     d = model.dim(k)
     header = model.columns(d)
@@ -270,10 +278,8 @@ def _corrupted_report() -> CheckReport:
 
 
 def cmd_check(args) -> int:
-    if args.n_draws < 1:
-        raise _CliError(f"--n-draws must be >= 1, got {args.n_draws}")
-    if args.seed < 0:
-        raise _CliError(f"--seed must be >= 0, got {args.seed}")
+    _whole(args.n_draws, "--n-draws", 1, _CliError)
+    _whole(args.seed, "--seed", error=_CliError)
     _threads()  # a malformed MULTIVEC_THREADS fails every suite, even one that never splits a map
     from .validation import run_identity_suite, run_normalization_suite, run_pushforward_suite
 
@@ -306,8 +312,7 @@ def cmd_grid(args) -> int:
     umin, umax, vmin, vmax = bounds
     if not all(math.isfinite(b) for b in bounds) or umin <= 0 or vmin <= 0:
         raise _CliError("--range bounds must be finite and positive")
-    if args.steps < 1:
-        raise _CliError(f"--steps must be >= 1, got {args.steps}")
+    _whole(args.steps, "--steps", 1, _CliError)
     if args.steps > 1 and (umin >= umax or vmin >= vmax):
         raise _CliError("--range needs umin < umax and vmin < vmax")
     us = np.linspace(umin, umax, args.steps)

@@ -48,15 +48,18 @@ def _positive(name: str, values) -> tuple[float, ...]:
 
 
 def _whole(value, name: str, least: int = 0, error: type[Exception] = ParameterOutOfDomain) -> int:
-    """value as an int >= least: integers and integral floats pass; a
-    fraction, NaN, infinity or non-number raises `error`."""
+    """The package's one rule for a whole number a caller passes in (a block
+    dim, sample size, draw count, seed or iteration cap): value as an int
+    >= least.  Integers, numpy integers and integral floats pass; a
+    fraction, NaN, infinity, string, bytes or other non-number raises
+    `error`."""
     try:
         whole = operator.index(value)
     except TypeError:
         try:
-            x = float(value)
+            x = math.nan if isinstance(value, (str, bytes, bytearray)) else float(value)
         except (TypeError, ValueError):
-            x = float("nan")
+            x = math.nan
         if not x.is_integer():
             raise error(f"{name} must be a whole number, got {value!r}") from None
         whole = int(x)

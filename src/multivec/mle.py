@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import FitResult, SampleMatrix, _fsum, _positive
+from .core import FitResult, SampleMatrix, _fsum, _positive, _whole
 from .errors import (DegenerateSample, EmptySample, NonFiniteLikelihood, NonPositiveInput,
                      ParameterOutOfDomain)
 from .generators import digamma, gammaln, trigamma
@@ -280,11 +280,11 @@ def _gamma_shape(t: float, max_iter: int) -> tuple[float, int, bool]:
 
 
 def _paired_columns(data: SampleMatrix | np.ndarray, max_iter: int, fit: str
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of an m x 2 matrix of m >= 3 finite positive pairs: both
-    fits' one check of their arguments, cap first, before any log is formed."""
-    if max_iter < 0:
-        raise ParameterOutOfDomain(f"max_iter must be >= 0, got {max_iter}")
+                    ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The columns of an m x 2 matrix of m >= 3 finite positive pairs, and
+    the cap as a whole number (core._whole): both fits' one check of their
+    arguments, cap first, before any log is formed."""
+    max_iter = _whole(max_iter, "max_iter")
     values = data.values if isinstance(data, SampleMatrix) else np.asarray(data, float)
     if values.ndim != 2 or values.shape[1] != 2:
         raise DegenerateSample(f"paired fit needs an m x 2 matrix, got {values.shape}")
@@ -292,7 +292,7 @@ def _paired_columns(data: SampleMatrix | np.ndarray, max_iter: int, fit: str
         _positive_column(values, "paired fit")
     if len(values) < 3:
         raise DegenerateSample(f"{fit} fit needs m >= 3 pairs, got {len(values)}")
-    return values[:, 0], values[:, 1]
+    return values[:, 0], values[:, 1], max_iter
 
 
 def _fit_result(params: dict, loglik: float, solves: list[dict], mode: str,
@@ -405,7 +405,7 @@ def fit_independent(data: SampleMatrix | np.ndarray, freeze_generator: bool = Fa
     r sigma^(-2s).  ``freeze_generator`` also pins s = 1, a gamma column.
     ``max_iter`` caps the bracket and Newton steps of each solve.
     """
-    u, v = _paired_columns(data, max_iter, "independent")
+    u, v, max_iter = _paired_columns(data, max_iter, "independent")
     params, solves = {}, []
     for j, shape_key, column in ((1, "alpha", u), (2, "beta", v)):
         (sigma, shape, s), solve = _fit_column(*_logs(column), freeze_generator, max_iter)
@@ -482,7 +482,7 @@ def fit_dependent(data: SampleMatrix | np.ndarray, freeze_generator: bool = Fals
     of two frozen gamma columns, as in :func:`fit_independent`.  ``max_iter``
     caps each solve.
     """
-    u, v = _paired_columns(data, max_iter, "dependent")
+    u, v, max_iter = _paired_columns(data, max_iter, "dependent")
     (log_u, a), (log_v, b) = _logs(u), _logs(v)
     stats = SuffStats.__new__(SuffStats)._fill(u, v, a, b)  # u, v passed the gate
     if freeze_generator:

@@ -109,8 +109,8 @@ class CheckReport:
             "details": self.details,
             "name": self.name,
             "passed": self.passed,
-            "residual": float(f"{self.residual:.17g}") if math.isfinite(self.residual) else None,
-            "tolerance": float(f"{self.tolerance:.17g}"),
+            "residual": self.residual if math.isfinite(self.residual) else None,
+            "tolerance": self.tolerance,
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -199,6 +199,13 @@ def _grid_outer(op: np.ufunc, vectors: Sequence[np.ndarray], start: int, stop: i
     return op.outer(_grid_outer(op, outer, rows.start, rows.stop), last).ravel()[cut]
 
 
+def _check_rows(vals: np.ndarray, m: int, name: str, label: str) -> None:
+    """DimensionMismatch unless the values an oracle's callback `label`
+    returned for m points have shape (m,): one value per point."""
+    if vals.shape != (m,):
+        raise DimensionMismatch(f"{name}: {label} returned {vals.shape} for {m} points")
+
+
 def _de_grid_sum(
     logpdf: Callable, axes: list[tuple[np.ndarray, np.ndarray, np.ndarray]], name: str
 ) -> tuple[float, float]:
@@ -217,8 +224,7 @@ def _de_grid_sum(
             vals = np.asarray(logpdf(_grid_rows(nodes, start, stop)), dtype=float)
         except Exception as exc:
             raise QuadratureFailure(f"{name}: integrand raised: {exc}") from exc
-        if vals.shape != (stop - start,):
-            raise DimensionMismatch(f"{name}: logpdf returned {vals.shape} for {stop - start} points")
+        _check_rows(vals, stop - start, name, "logpdf")
         w = _grid_outer(np.multiply, weights, start, stop)
         on_edge = _grid_outer(np.logical_or, edges, start, stop)
         # a widened window reaches nodes where a singular density overflows
@@ -385,9 +391,8 @@ def mc_normalization(
         out = w[c * _CHUNK:(c + 1) * _CHUNK]
         target = np.asarray(logpdf(x), dtype=float)
         proposal = np.asarray(proposal_logpdf(x), dtype=float)
-        for label, vals in (("logpdf", target), ("proposal_logpdf", proposal)):
-            if vals.shape != out.shape:
-                raise DimensionMismatch(f"{name}: {label} returned {vals.shape} for {out.size} points")
+        _check_rows(target, out.size, name, "logpdf")
+        _check_rows(proposal, out.size, name, "proposal_logpdf")
         np.exp(np.subtract(target, proposal, out=out), out=out)
 
     drawn = {0: draw(0)}  # chunk -> its draws, each popped by the task that weighs it
@@ -465,8 +470,7 @@ def jacobian_check(n: int, n_draws: int = 1000, seed: int = 0) -> CheckReport:
     """
     if n < 1:
         raise ParameterOutOfDomain(f"dimension must be >= 1, got {n}")
-    if n_draws < 1:
-        raise ParameterOutOfDomain(f"n_draws must be >= 1, got {n_draws}")
+    n_draws = _whole(n_draws, "n_draws", least=1)
     p = replace(_BALL_T, dims=(n,))
     t = sample_mv_t(p, make_rng(seed), size=n_draws)
     return _ball_report(f"jacobian-ball-map-n{n}", p, t, f"n_draws={n_draws} seed={seed}")
@@ -592,8 +596,7 @@ def pushforward_check(
     when the table's total is not finite and positive (a density that is
     NaN, inf or zero across the grid).
     """
-    if n_draws < 1:
-        raise ParameterOutOfDomain(f"n_draws must be >= 1, got {n_draws}")
+    n_draws = _whole(n_draws, "n_draws", least=1)
     from scipy.interpolate import PchipInterpolator
 
     rng = make_rng(seed)
@@ -632,8 +635,7 @@ def pushforward_check(
         out = cdf[start:start + _CHUNK]
         with np.errstate(over="ignore"):
             vals = np.asarray(logpdf(_grid_rows(grids, start, start + out.size)), dtype=float)
-            if vals.shape != out.shape:
-                raise DimensionMismatch(f"{name}: logpdf returned {vals.shape} for {out.size} points")
+            _check_rows(vals, out.size, name, "logpdf")
             np.exp(vals, out=out)
 
     _map_chunks(chunk_density, -(-cdf.size // _CHUNK))
@@ -829,10 +831,9 @@ def run_identity_suite(seed: int = 0) -> list[CheckReport]:
     """Radial-integral identity across the generator grid plus the Jacobian checks.
 
     A radial row whose quadrature raises QuadratureFailure is a failing row
-    (_oracle_row).  A negative seed raises ParameterOutOfDomain before any
-    check runs."""
-    if seed < 0:
-        raise ParameterOutOfDomain(f"seed must be >= 0, got {seed}")
+    (_oracle_row).  A seed that is not a whole number >= 0 (core._whole)
+    raises ParameterOutOfDomain before any check runs."""
+    seed = _whole(seed, "seed")
     reports: list[CheckReport] = []
     grid: list[tuple[str, GeneratorSpec]] = [
         ("kotz-gauss", _GAUSS),

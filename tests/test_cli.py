@@ -689,6 +689,11 @@ _EXIT_1_CASES = {  # id: (argv, {file name: text}, stderr); {d} is the case's di
     # lines 3 and 4 are blank and skipped, so the bad cell is reported on line 5
     "pairs-not-decimal": (_FIT, {"pairs.csv": "u,v\n1,2\n\n  \n3,x\n4,5\n"},
                           "error: line 5: column v is not a decimal: 'x'\n"),
+    # a NUL byte is read into the cell, which is then no decimal
+    "pairs-nul-in-cell": (_FIT, {"pairs.csv": "u,v\n1,2\n3\x00,4\n5,6\n"},
+                          "error: line 3: column u is not a decimal: '3\\x00'\n"),
+    "pairs-field-past-csv-limit": (_FIT, {"pairs.csv": "u,v\n1,2\n" + "1" * 140_000 + ",3\n"},
+                                   "error: line 3: field larger than field limit (131072)\n"),
     # positive finite pairs whose column sum overflows: the dependent log-likelihood is -inf
     "pairs-column-sum-overflows": (_FIT, {"pairs.csv": "u,v\n1e308,1\n1e308,2\n1e308,3\n2,5\n"},
                                    "error: sum of column u overflows; log-likelihood is -inf\n"),
@@ -756,6 +761,28 @@ def test_a_params_file_that_is_not_utf8_exits_1_with_one_message(tmp_path, capsy
     rc, out, err = run_cli(_EVAL[:-1] + [str(tmp_path / "p.json"), "--point=1,2"], capsys)
     assert (rc, out) == (1, "")
     assert err.startswith("error: params file is not valid JSON: ") and err.count("\n") == 1, err
+
+
+def test_a_pairs_file_that_is_not_utf8_exits_1_with_one_message(tmp_path, capsys):
+    # the reader decodes as it goes: the bad byte is met in the row loop
+    (tmp_path / "pairs.csv").write_bytes(b"u,v\n1,2\n\xff,3\n4,5\n")
+    rc, out, err = run_cli([tok.format(d=tmp_path) for tok in _FIT], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: input file is not UTF-8: byte 0xff (invalid start byte)\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_a_pairs_file_with_a_utf8_bom_fits_as_without_it(pair_csv, tmp_path, capsys):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(pair_csv).read_bytes())
+    outs = []
+    for path in (pair_csv, bom):
+        out = tmp_path / f"{Path(path).stem}.json"
+        rc, _, err = run_cli(["fit", "--model", "kotz-gamma", "--mode", "dependent", "--input",
+                              str(path), "--out", str(out)], capsys)
+        assert (rc, err) == (0, "")
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_eval_of_a_negative_kotz_gamma_point_prints_minus_inf(tmp_path, capsys):

@@ -377,6 +377,10 @@ _NOT_WHOLE = {
     "mv-t-minus-inf": lambda: _mv_t(-math.inf),
     "mixed-k1-inf": lambda: _mixed(math.inf),
     "partition-str": lambda: Partition(dims=("two",)),
+    # a numeric string or bytes is text, not a number
+    "partition-numeric-str": lambda: Partition(dims=("2", "1")),
+    "mv-t-bytes": lambda: _mv_t(b"2"),
+    "joint-bytearray": lambda: _joint(bytearray(b"2")),
 }
 
 
@@ -384,6 +388,11 @@ _NOT_WHOLE = {
 def test_a_block_dim_that_is_not_a_whole_number_raises(case):
     with pytest.raises(DimensionMismatch, match="must be a whole number"):
         _NOT_WHOLE[case]()
+
+
+def test_a_numeric_string_is_named_as_written():
+    with pytest.raises(DimensionMismatch, match=r"^block dim must be a whole number, got '2'$"):
+        Partition(dims=("2", "1"))
 
 
 def test_block_dims_take_integral_floats_and_numpy_integers():

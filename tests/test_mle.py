@@ -363,6 +363,22 @@ def test_every_fit_logs_its_solves_and_honours_the_cap():
                 fit(data, freeze_generator=frozen, max_iter=-1)
 
 
+def test_an_integral_float_cap_is_the_whole_cap_and_a_fraction_is_refused():
+    data = _paired_gamma(15, 200)
+    for fit in (fit_dependent, fit_independent):
+        for frozen in (False, True):
+            for cap in (1, 10):
+                want = fit(data, freeze_generator=frozen, max_iter=cap)
+                for same in (float(cap), np.int64(cap), np.float64(cap)):
+                    got = fit(data, freeze_generator=frozen, max_iter=same)
+                    assert (got.params, got.loglik, got.restarts) == \
+                        (want.params, want.loglik, want.restarts)
+                    assert type(got.iterations) is int
+            for bad in (2.5, math.nan, math.inf, "10"):
+                with pytest.raises(ParameterOutOfDomain, match="max_iter must be a whole number"):
+                    fit(data, freeze_generator=frozen, max_iter=bad)
+
+
 def test_a_column_past_the_upper_bracket_edge_is_not_converged():
     # u = G^(1/64), G ~ Gamma(3), is a generalized gamma with s = 64: the
     # profile still rises at the bracket's top, s = 32, and the fit says so

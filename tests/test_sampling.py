@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import multivec
+from multivec import mle, validation
 from multivec import (
     Bessel,
     GammaLogGammaParams,
@@ -31,11 +33,18 @@ from multivec import (
     RadialLaw,
     ScaleShapeParams,
     block_quadform,
+    fit_dependent,
+    fit_independent,
+    jacobian_check,
     logpdf_gengamma_beta1,
     logpdf_gengamma_beta2,
     logpdf_gengamma_pearson2,
     logpdf_gengamma_pearson7,
     make_rng,
+    mc_normalization,
+    pushforward_check,
+    run_identity_suite,
+    run_pushforward_suite,
     sample_gamma_loggamma,
     sample_gengamma_beta1,
     sample_gengamma_beta2,
@@ -262,6 +271,79 @@ def test_sizes_and_dims_must_be_whole_numbers():
         assert got.shape == (5, 3) and np.array_equal(got, want)
 
 
+# a count, seed or iteration cap that is no whole number, or below its least value
+_HOSTILE_COUNTS = {"fraction": 2.5, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                   "numeric-string": "3", "bytes": b"2"}
+
+
+class _NoWork:
+    """An rng, or an oracle callback, that fails the test when called: every
+    method of the rng is such a callback."""
+
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return self
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("drew, integrated or took logs before the count was refused")
+
+
+def _count_takers() -> dict[str, tuple]:
+    """'function argument' -> (call(value), least value), for every public
+    argument that is a count, a seed or an iteration cap."""
+    laws = {sampler.__name__: (sampler, params) for _, sampler, params in reversed(_pinned_laws())}
+    takers = {f"{name} size": (partial(lambda s, p, v: s(*p, _NoWork(), size=v), *law), 0)
+              for name, law in laws.items()}
+    pairs = ScaleShapeParams(shapes=(5.0, 8.0), scales=(1.0, 4.0))
+    pair_data = sample_gengamma_pairs(pairs, GAUSS, make_rng(3), size=50)
+    line = [(-math.inf, math.inf)]
+    takers.update({
+        "sample_gengamma_pairs size": (
+            lambda v: sample_gengamma_pairs(pairs, GAUSS, _NoWork(), size=v), 0),
+        "sample_radius size": (lambda v: sample_radius(RadialLaw(GAUSS, 2.0), _NoWork(), v), 0),
+        "sample_unit_sphere size": (lambda v: sample_unit_sphere(2, _NoWork(), v), 0),
+        "sample_unit_sphere n": (lambda v: sample_unit_sphere(v, _NoWork(), 3), 1),
+        "spawn_rngs count": (lambda v: spawn_rngs(5, v), 0),
+        "mc_normalization n": (lambda v: mc_normalization(_NoWork(), _NoWork(), _NoWork(), v, 0),
+                               2),
+        "pushforward_check n_draws": (
+            lambda v: pushforward_check(_NoWork(), _NoWork(), line, n_draws=v), 1),
+        "jacobian_check n_draws": (lambda v: jacobian_check(1, n_draws=v), 1),
+        "run_identity_suite seed": (run_identity_suite, 0),
+        "run_pushforward_suite seed": (run_pushforward_suite, 0),
+        "fit_independent max_iter": (lambda v: fit_independent(pair_data, max_iter=v), 0),
+        "fit_dependent max_iter": (lambda v: fit_dependent(pair_data, max_iter=v), 0),
+    })
+    return takers
+
+
+def test_every_count_refuses_a_hostile_value_before_any_work(monkeypatch):
+    takers = _count_takers()
+    public = {name for name in multivec.__all__ if name.startswith("sample_")}
+    assert {key.split()[0] for key in takers if key.startswith("sample_")} == public
+    # past the argument checks, the oracles and the fits would draw, integrate or
+    # take logs: each of those steps now fails the test
+    real_make_rng = validation.make_rng
+    monkeypatch.setattr(validation, "make_rng", lambda seed: (real_make_rng(seed), _NoWork())[1])
+    for name in ("_map_chunks", "radial_integral_identity_check"):
+        monkeypatch.setattr(validation, name, _NoWork())
+    monkeypatch.setattr(mle, "_logs", _NoWork())
+    wrong = []
+    for key, (call, least) in takers.items():
+        arg = key.split()[1]
+        for label, value in {**_HOSTILE_COUNTS, "below-least": least - 1}.items():
+            try:
+                call(value)
+                wrong.append((key, label, "no error"))
+            except ParameterOutOfDomain as exc:
+                if not str(exc).startswith(f"{arg} must be "):
+                    wrong.append((key, label, str(exc)))
+            except Exception as exc:  # a TypeError, or a draw, quadrature or log before the check
+                wrong.append((key, label, f"{type(exc).__name__}: {exc}"))
+    assert wrong == []
+
+
 def test_spawned_streams_deterministic_and_distinct():
     xs = [r.standard_normal(8) for r in spawn_rngs(5, 3)]
     ys = [r.standard_normal(8) for r in spawn_rngs(5, 3)]
@@ -300,6 +382,22 @@ def test_mv_t_beta_scale_equivariance():
     t4 = sample_mv_t(p4, make_rng(22), size=50_000).ravel()
     t1 = sample_mv_t(p1, make_rng(23), size=50_000).ravel()
     assert stats.ks_2samp(t4 / 2.0, t1).pvalue > 0.01
+
+
+def test_mv_t_vector_blocks_take_their_own_betas():
+    # Cov t_i = beta_i / (2 (alpha0 - 1)) I_{n_i}: each column's variance is
+    # its own block's, as a z-score whose standard error comes from the
+    # sample's fourth central moment (which exists while alpha0 > 2).  Seeds
+    # 0-199 read |z| <= 2.98; a scale that gives blocks the wrong betas at
+    # these dims reads |z| above 300.
+    p = MvTParams(dims=(2, 3), alpha0=3.5, betas=(1.0, 2.5))
+    t = sample_mv_t(p, make_rng(0), size=200_000)
+    centred = t - t.mean(axis=0)
+    m2 = np.mean(centred ** 2, axis=0)
+    m4 = np.mean(centred ** 4, axis=0)
+    want = [0.2, 0.2, 0.5, 0.5, 0.5]
+    z = (m2 - want) / np.sqrt((m4 - m2 ** 2) / len(t))
+    assert np.max(np.abs(z)) < 4.0, z
 
 
 def test_gengamma_gaussian_gamma_law():
