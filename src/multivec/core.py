@@ -47,6 +47,13 @@ def _positive(name: str, values) -> tuple[float, ...]:
     return vals
 
 
+def _result(out):
+    """out as a float when it is 0-d, else as an array: what every density,
+    kernel and radial law returns."""
+    out = np.asarray(out)
+    return float(out) if out.ndim == 0 else out
+
+
 def _whole(value, name: str, least: int = 0, error: type[Exception] = ParameterOutOfDomain) -> int:
     """The package's one rule for a whole number a caller passes in (a block
     dim, sample size, draw count, seed or iteration cap): value as an int

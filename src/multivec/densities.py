@@ -64,6 +64,7 @@ from .core import (
     _cut_blocks,
     _map_chunks,
     _positive,
+    _result,
     _sum_in_order,
     _sum_last,
     _sum_last_scaled,
@@ -78,12 +79,6 @@ __all__ = list(_EXPORTS["densities"])
 
 _LOG_PI = math.log(math.pi)
 _RANGE = _CHUNK // 2  # the most rows one range of a split logpdf batch holds
-
-
-def _result(out):
-    """out as a float when it is 0-d, else as an array."""
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
 
 
 def _split_rows(fn):
@@ -605,7 +600,8 @@ class GammaLogGammaParams:
 
     @property
     def total_shape(self) -> float:
-        return _sum_in_order(self.alphas) + _sum_in_order(self.rhos)
+        """sum(alphas + rhos), added as the density and the sampler add it."""
+        return float(np.sum(self.alphas + self.rhos))
 
 
 def _log_map(u: np.ndarray, y: np.ndarray):

@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _EXPORTS
+from .core import _result
 from .errors import ParameterOutOfDomain
 
 __all__ = list(_EXPORTS["generators"])
@@ -37,6 +38,7 @@ _LOG_SQRT_2PI = 0.91893853320467274178
 _GAMMALN_MAX = 2.556348e305  # log Gamma overflows past this
 _BESSEL_Z_FLOOR = 1e-300  # kve is infinite at every order below about 1e-304
 _TINY = sys.float_info.min  # the smallest normal float
+_KOTZ_S_END = 2.0**1023  # 2s overflows from here on
 _ZETA3, _ZETA5 = 1.2020569031595942854, 1.0369277551433699263  # Riemann zeta(3), zeta(5)
 
 
@@ -221,7 +223,7 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
     """
     from scipy import special  # deferred: costs CLI start-up
 
-    z_in = np.atleast_1d(np.asarray(z, dtype=float))
+    z_in = np.asarray(z, dtype=float)
     if not np.all(z_in > 0):
         raise ParameterOutOfDomain(f"log_bessel_k requires z > 0, got {z!r}")
     small = z_in < _BESSEL_Z_FLOOR
@@ -245,9 +247,7 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
         out[bad] = hi - zb
     if small.any():
         out[small] = _log_bessel_k_small(q, np.log(z_in[small]))
-    if np.ndim(z) == 0:
-        return float(out[0])
-    return out
+    return _result(out)
 
 
 def _log_bessel_k_small(q: float, log_z: np.ndarray) -> np.ndarray:
@@ -285,7 +285,9 @@ def _require_finite(spec) -> None:
 class Kotz:
     """Kotz kernel W^{q-1} exp(-r W^s); Gaussian at (r, q, s) = (1/2, 1, 1).
 
-    Requires r > 0, s > 0, and 2q + n > 2 at every evaluation dimension n.
+    Requires r > 0, 0 < s < 2**1023, and 2q + n > 2 at every evaluation
+    dimension n.  Below that bound on s, 2s is finite, so wherever 2q + n > 2
+    the radial integral's index (2q + n - 2)/(2s) is a positive double.
     """
 
     r: float = 0.5
@@ -294,8 +296,9 @@ class Kotz:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if not (self.r > 0 and self.s > 0):
-            raise ParameterOutOfDomain(f"Kotz needs r > 0 and s > 0, got r={self.r}, s={self.s}")
+        if not (self.r > 0 and 0 < self.s < _KOTZ_S_END):
+            raise ParameterOutOfDomain(
+                f"Kotz needs r > 0 and 0 < s < 2**1023, got r={self.r}, s={self.s}")
 
     @classmethod
     def gaussian(cls) -> "Kotz":
@@ -313,7 +316,7 @@ class Kotz:
             power = 0.0 if self.q == 1.0 else (self.q - 1.0) * np.log(w)
             out = power - self.r * w**self.s
         # the exponential always wins at w = inf (power - inf would give nan)
-        return np.where(np.isinf(w) & (w > 0), -np.inf, out)
+        return _result(np.where(np.isinf(w) & (w > 0), -np.inf, out))
 
     def log_kernel_at_log(self, log_w):
         """log_kernel(exp(log_w)), for w too small to hold as a normal float."""
@@ -345,7 +348,7 @@ class PearsonVII:
 
     def log_kernel(self, w):
         w = np.asarray(w, dtype=float)
-        return -self.q * np.log1p(w / self.r)
+        return _result(-self.q * np.log1p(w / self.r))
 
     def log_radial_integral(self, n: float) -> float:
         from scipy import special  # deferred: costs CLI start-up
@@ -370,18 +373,15 @@ class PearsonII:
         pass  # q > -1 suffices for every n > 0
 
     def log_kernel(self, w):
-        w_in = np.asarray(w, dtype=float)
-        w1 = np.atleast_1d(w_in)
-        out = np.full(w1.shape, -np.inf)
-        inside = w1 < 1.0
-        out[inside] = self.q * np.log1p(-w1[inside])
+        w = np.asarray(w, dtype=float)
+        out = np.full(w.shape, -np.inf)
+        inside = w < 1.0
+        out[inside] = self.q * np.log1p(-w[inside])
         if self.q == 0.0:
-            out[w1 == 1.0] = 0.0  # (1-W)^0 = 1 on the support edge
+            out[w == 1.0] = 0.0  # (1-W)^0 = 1 on the support edge
         elif self.q < 0.0:
-            out[w1 == 1.0] = np.inf
-        if w_in.ndim == 0:
-            return float(out[0])
-        return out
+            out[w == 1.0] = np.inf
+        return _result(out)
 
     def log_radial_integral(self, n: float) -> float:
         from scipy import special  # deferred: costs CLI start-up
@@ -422,21 +422,18 @@ class Bessel:
             )
 
     def log_kernel(self, w):
-        w_in = np.asarray(w, dtype=float)
-        w1 = np.atleast_1d(w_in)
-        out = np.full(w1.shape, -np.inf)
-        pos = (w1 > 0) & np.isfinite(w1)  # K_q decay beats the power at w = inf
+        w = np.asarray(w, dtype=float)
+        out = np.full(w.shape, -np.inf)
+        pos = (w > 0) & np.isfinite(w)  # K_q decay beats the power at w = inf
         if np.any(pos):
-            zs = np.sqrt(w1[pos]) / self.r
-            out[pos] = 0.5 * np.log(w1[pos]) + log_bessel_k(self.q, zs)
+            zs = np.sqrt(w[pos]) / self.r
+            out[pos] = 0.5 * np.log(w[pos]) + log_bessel_k(self.q, zs)
         # the limit at W = 0 is Gamma(|q|)/2 (2r)^|q| W^{(1-|q|)/2}: 0, r or inf
         if abs(self.q) == 1.0:
-            out[w1 == 0.0] = math.log(self.r)
+            out[w == 0.0] = math.log(self.r)
         elif abs(self.q) > 1.0:
-            out[w1 == 0.0] = np.inf
-        if w_in.ndim == 0:
-            return float(out[0])
-        return out
+            out[w == 0.0] = np.inf
+        return _result(out)
 
     def log_kernel_at_log(self, log_w):
         """log_kernel(exp(log_w)), for w too small to hold as a normal float.
@@ -514,6 +511,4 @@ class RadialLaw:
             log_r = np.log(r[tiny])
             out[tiny] = (const + (n - 1) * log_r + log_norm_const(self.spec, n)
                          + self.spec.log_kernel_at_log(2.0 * log_r))
-        if r.ndim == 0:
-            return float(out)
-        return out
+        return _result(out)

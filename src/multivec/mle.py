@@ -41,9 +41,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .core import FitResult, SampleMatrix, _fsum, _positive, _whole
-from .errors import (DegenerateSample, EmptySample, NonFiniteLikelihood, NonPositiveInput,
-                     ParameterOutOfDomain)
-from .generators import digamma, gammaln, trigamma
+from .errors import DegenerateSample, EmptySample, NonFiniteLikelihood, NonPositiveInput
+from .generators import Kotz, digamma, gammaln, trigamma
 
 __all__ = list(_EXPORTS["mle"])
 
@@ -67,9 +66,10 @@ class KotzGammaDepParams:
     """Seven parameters of the paired dependent model.
 
     (sigma1, alpha) and (sigma2, beta) are the per-column gamma scale/shape
-    pairs; (r, q, s) is the shared Kotz generator.  The generator constraint
-    2q + n > 2 holds at the data-determined dimension n = 2m(alpha+beta), so
-    it depends on the sample size and is checked by :func:`loglik_dependent`.
+    pairs; (r, q, s) is the shared Kotz generator, checked as ``Kotz(r, q,
+    s)`` checks it.  Where the generator exists also depends on the
+    data-determined dimension n = 2m(alpha+beta), so :func:`loglik_dependent`
+    checks it there.
     """
 
     sigma1: float
@@ -81,18 +81,9 @@ class KotzGammaDepParams:
     s: float
 
     def __post_init__(self) -> None:
-        for name in ("sigma1", "sigma2", "alpha", "beta", "r", "s"):
+        for name in ("sigma1", "sigma2", "alpha", "beta"):
             _positive(name, (getattr(self, name),))
-        if not np.isfinite(self.q):
-            raise ParameterOutOfDomain(f"q must be finite, got {self.q}")
-
-    def validate_at(self, m: int) -> None:
-        """Check the Kotz domain constraint at sample size m."""
-        n = 2.0 * m * (self.alpha + self.beta)
-        if not 2.0 * self.q + n > 2.0:
-            raise ParameterOutOfDomain(
-                f"Kotz constraint 2q + n > 2 fails at n = {n} with q = {self.q}"
-            )
+        Kotz(r=self.r, q=self.q, s=self.s)
 
 
 class SuffStats:
@@ -169,14 +160,13 @@ def loglik_dependent(p: KotzGammaDepParams, stats: SuffStats) -> float:
       + (q-1) log w - r w^s,          w = c/sig1^2 + d/sig2^2
 
     log w and r w^s are formed in log space, so extreme scales do not
-    overflow on the way to a finite value.
+    overflow on the way to a finite value.  (r, q, s) is checked as a Kotz
+    generator at n = 2m(alpha+beta).
     """
-    p.validate_at(stats.m)
     m = stats.m
     mab = m * (p.alpha + p.beta)
+    Kotz(r=p.r, q=p.q, s=p.s).validate_at(2.0 * mab)
     nu = (p.q + mab - 1.0) / p.s
-    if nu <= 0:
-        raise ParameterOutOfDomain(f"kernel moment index (q + m(a+b) - 1)/s = {nu} <= 0")
     log_s1, log_s2 = math.log(p.sigma1), math.log(p.sigma2)
     log_w = float(np.logaddexp(math.log(stats.c) - 2.0 * log_s1,
                                math.log(stats.d) - 2.0 * log_s2))
@@ -201,7 +191,7 @@ def loglik_independent(
     m log s + m(q + shape - 1) log(r)/s - m logG([q + shape - 1]/s)
       - 2m(q + shape - 1) log sigma + (q + shape - 2) a - r sigma^{-2s} b_s,
     with a = sum(log u) and b_s = sum(u^s); the last term is formed in log
-    space.
+    space.  (r, q, s) is checked as a Kotz generator at n = 2 shape.
     """
     return _column_loglik(sigma, shape, r, q, s,
                           *_logs(_positive_column(sample, "independent likelihood")))
@@ -210,11 +200,10 @@ def loglik_independent(
 def _column_loglik(sigma: float, shape: float, r: float, q: float, s: float,
                    log_u: np.ndarray, a: float) -> float:
     """:func:`loglik_independent` from the column's logs and their sum a."""
-    for name, val in (("sigma", sigma), ("shape", shape), ("r", r), ("s", s)):
+    for name, val in (("sigma", sigma), ("shape", shape)):
         _positive(name, (val,))
+    Kotz(r, q, s).validate_at(2.0 * shape)
     nu = (q + shape - 1.0) / s
-    if nu <= 0:
-        raise ParameterOutOfDomain(f"kernel moment index (q + shape - 1)/s = {nu} <= 0")
     m = log_u.size
     log_sigma = math.log(sigma)
     log_penalty = math.log(r) - 2.0 * s * log_sigma + _log_sum_exp(s * log_u)

@@ -468,8 +468,7 @@ def jacobian_check(n: int, n_draws: int = 1000, seed: int = 0) -> CheckReport:
     log-determinant of the map's central-difference Jacobian.  The residual
     is the largest gap (_image_identity_residual); the tolerance is 1e-5.
     """
-    if n < 1:
-        raise ParameterOutOfDomain(f"dimension must be >= 1, got {n}")
+    n = _whole(n, "dimension", 1)
     n_draws = _whole(n_draws, "n_draws", least=1)
     p = replace(_BALL_T, dims=(n,))
     t = sample_mv_t(p, make_rng(seed), size=n_draws)

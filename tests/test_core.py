@@ -30,7 +30,6 @@ from multivec import (
     SampleMatrix,
     ScaleShapeParams,
     block_quadform,
-    jacobian_check,
     logpdf_gengamma_pearson2,
     logpdf_gengamma_pearson7,
     logpdf_mv_elliptical,
@@ -370,7 +369,6 @@ _NOT_WHOLE = {
     "mv-t": lambda: _mv_t(1.9),
     "joint": lambda: _joint(2.5),
     "mixed-k1": lambda: _mixed(1.7),
-    "jacobian-check": lambda: jacobian_check(1.5),
     "partition-nan": lambda: Partition(dims=(1, math.nan)),
     "mv-t-nan": lambda: _mv_t(math.nan),
     "joint-inf": lambda: _joint(1, math.inf),

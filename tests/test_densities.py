@@ -21,6 +21,7 @@ from multivec import (
     MultivecError,
     MvTParams,
     NonPositiveInput,
+    ParameterOutOfDomain,
     Partition,
     PearsonVII,
     ScaleShapeParams,
@@ -39,7 +40,9 @@ from multivec import (
     logpdf_mv_log_elliptical,
     logpdf_mv_pearson2,
     logpdf_mv_t,
+    make_rng,
     quad_normalization,
+    sample_gamma_loggamma,
 )
 from multivec.families import FAMILIES
 
@@ -514,6 +517,30 @@ def test_gamma_loggamma_mixed_blocks_normalizes():
         [(0.0, np.inf), (-np.inf, np.inf)], 1e-4, "gamma-loggamma-1p1",
     )
     assert rep.passed, rep.details
+
+
+def test_gamma_loggamma_checks_its_generator_at_the_density_dimension():
+    # the shapes (0.05, 0.1, 1.0) add to 1.15 in order, as the density and the
+    # sampler add alphas + rhos, but to 1.1500000000000001 as alphas, then
+    # rhos.  Over these six q, one ulp apart, 2q + n > 2 holds at n = 2.3
+    # only for the last, and at n = 2.3000000000000003 for all six: the
+    # params must refuse exactly the q the density and the sampler refuse
+    shapes = dict(alphas=(0.05,), sigma2s=(1.0,), rhos=(0.1, 1.0), delta2s=(1.0, 1.0))
+    q, built = -0.1499999999999999, []
+    for _ in range(6):
+        try:
+            p = GammaLogGammaParams(spec=Kotz(q=q), **shapes)
+        except ParameterOutOfDomain as exc:
+            assert str(exc) == f"Kotz needs 2q + n > 2, got q={q} at n=2.3"
+            built.append(False)
+        else:
+            assert p.total_shape == 1.15
+            assert math.isfinite(logpdf_gamma_loggamma(p, u=[0.7], y=[-0.2, 0.4]))
+            with np.errstate(divide="ignore"):  # W ~ Gamma(nu) at nu ~ 1e-16 may round to 0
+                assert sample_gamma_loggamma(p, make_rng(0), size=4).shape == (4, 3)
+            built.append(True)
+        q = math.nextafter(q, math.inf)
+    assert built == [False] * 5 + [True]
 
 
 # ---------------------------------------------------------------------------

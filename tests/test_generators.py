@@ -1,6 +1,7 @@
 """Generator kernels, their normalizing constants, and the radial laws."""
 
 import dataclasses
+import hashlib
 import math
 import sys
 
@@ -203,6 +204,47 @@ def test_kernel_values():
     assert abs(Kotz.gaussian().log_kernel(4.0) - (-2.0)) < 1e-15
     assert abs(PearsonVII(r=1.0, q=2.0).log_kernel(1.0) - (-2.0 * math.log(2.0))) < 1e-15
     assert PearsonII(q=3.0).log_kernel(1.5) == -math.inf
+
+
+# a spec of each kind, on each of its kernel's branches: Kotz at q = 1 and
+# off it, Pearson II at q = 0, below it and above it, Bessel at |q| below, at
+# and above 1
+_KERNEL_SPECS = [Kotz(), Kotz(r=0.7, q=0.4, s=1.7), PearsonVII(r=1.5, q=3.0), PearsonII(q=0.0),
+                 PearsonII(q=-0.5), PearsonII(q=2.3), Bessel(r=0.8, q=0.4), Bessel(r=1.2, q=1.0),
+                 Bessel(r=0.5, q=2.5)]
+
+
+def test_every_generator_returns_a_float_at_a_scalar_and_keeps_its_array_bits():
+    # one scalar rule: a float at a scalar, the array's entry bit for bit;
+    # an array at a (3,) array, whose bits the digest pins
+    w_arr = np.array([0.0, 0.5, 4.0])
+    digest = hashlib.sha256()
+    for spec in _KERNEL_SPECS:
+        law = RadialLaw(spec, 2.5)
+        calls = (spec.log_kernel, lambda w: log_h(spec, w, 2.5), law.logpdf)
+        for call in calls:
+            for w in (0.0, 0.3, 4.0, math.inf):
+                got = call(w)
+                assert type(got) is float, (spec, w, type(got))
+                assert _bits(got) == _bits(call(np.array([w])))[0], (spec, w)
+            got = call(w_arr)
+            assert type(got) is np.ndarray and got.shape == (3,)
+            digest.update(got.tobytes())
+    for z in (1e-305, 1e-5, 2.0, 1e10):
+        assert type(log_bessel_k(30.0, z)) is float
+        assert _bits(log_bessel_k(30.0, z)) == _bits(log_bessel_k(30.0, np.array([z])))[0]
+    digest.update(log_bessel_k(30.0, np.array([1e-305, 1e-5, 1e10])).tobytes())
+    assert digest.hexdigest() == "bb35cc1165558eaaf732afd5af8ec1a12759e3e762d3980bcae7bedcc1198026"
+
+
+def test_kotz_refuses_an_s_whose_double_overflows():
+    # from s = 2**1023 on, 2s is inf and the radial integral's index
+    # (2q + n - 2)/(2s) is 0, where log Gamma has a pole
+    edge = 2.0**1023
+    for s in (edge, sys.float_info.max):
+        with pytest.raises(ParameterOutOfDomain, match=r"^Kotz needs r > 0 and 0 < s < 2\*\*1023"):
+            Kotz(r=0.5, q=1.0, s=s)
+    assert math.isfinite(log_norm_const(Kotz(r=0.5, q=1.0, s=math.nextafter(edge, 0.0)), 2.5))
 
 
 def test_gaussian_log_h_closed_form():

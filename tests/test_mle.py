@@ -3,6 +3,7 @@
 import hashlib
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +143,58 @@ def test_likelihood_domain_errors():
         loglik_independent(1.0, 0.2, 0.5, 0.1, 1.0, np.array([1.0, 2.0]))
     with pytest.raises(ParameterOutOfDomain):
         KotzGammaDepParams(sigma1=0.0, sigma2=1.0, alpha=1.0, beta=1.0, r=0.5, q=1.0, s=1.0)
+
+
+# (r, q, s) outside the Kotz domain at every dimension.  A NaN or +inf q
+# and s = 2**1023 (where 2s overflows) are refused by Kotz before any term is
+# formed, not reported as a non-finite likelihood; the guard rows keep the
+# refusals the likelihoods already made by type, now with Kotz's message
+_OFF_KOTZ = {"q-nan": (0.5, math.nan, 1.0), "q-inf": (0.5, math.inf, 1.0),
+             "s-2**1023": (0.5, 1.0, 2.0**1023),
+             "guard-q-minus-inf": (0.5, -math.inf, 1.0), "guard-r-zero": (0.0, 1.0, 1.0),
+             "guard-r-nan": (math.nan, 1.0, 1.0), "guard-r-inf": (math.inf, 1.0, 1.0),
+             "guard-s-zero": (0.5, 1.0, 0.0), "guard-s-negative": (0.5, 1.0, -1.0)}
+
+
+@pytest.mark.parametrize("case", list(_OFF_KOTZ))
+def test_an_off_domain_generator_is_refused_by_kotz_in_every_likelihood(case):
+    r, q, s = _OFF_KOTZ[case]
+    data = _paired_gamma(5, 20)
+    scales = dict(sigma1=1.0, sigma2=2.0, alpha=2.0, beta=3.0)
+    with pytest.raises(ParameterOutOfDomain, match="^Kotz needs "):
+        loglik_independent(1.0, 2.0, r, q, s, data[:, 0])
+    with pytest.raises(ParameterOutOfDomain, match="^Kotz needs "):
+        KotzGammaDepParams(**scales, r=r, q=q, s=s)
+    # the dependent likelihood checks the generator itself, not through the
+    # params' constructor alone
+    with pytest.raises(ParameterOutOfDomain, match="^Kotz needs "):
+        loglik_dependent(SimpleNamespace(**scales, r=r, q=q, s=s),
+                         SuffStats(data[:, 0], data[:, 1]))
+
+
+@pytest.mark.parametrize("m, alpha, beta, s", [(3, 0.5, 0.25, 1.0), (50, 0.125, 0.375, 3.0),
+                                               (200, 2.0, 3.0, 0.7)])
+def test_each_likelihood_meets_the_kotz_edge_at_its_own_dimension(m, alpha, beta, s):
+    # 2q + n > 2 at n = 2m(alpha + beta) for the pair and at n = 2 shape for
+    # a column, here of shape m(alpha + beta): both refuse q = 1 - n/2 and
+    # take the next double up
+    data = _paired_gamma(7, m)
+    stats = SuffStats(data[:, 0], data[:, 1])
+    mab = m * (alpha + beta)
+
+    def dependent(q):
+        return loglik_dependent(KotzGammaDepParams(sigma1=1.0, sigma2=1.5, alpha=alpha,
+                                                   beta=beta, r=0.5, q=q, s=s), stats)
+
+    def independent(q):
+        return loglik_independent(1.0, mab, 0.5, q, s, data[:, 0])
+
+    edge = 1.0 - mab
+    for loglik in (dependent, independent):
+        with pytest.raises(ParameterOutOfDomain,
+                           match=rf"^Kotz needs 2q \+ n > 2, got q={edge} at n={2.0 * mab}$"):
+            loglik(edge)
+        assert math.isfinite(loglik(math.nextafter(edge, math.inf)))
 
 
 def test_likelihoods_at_extreme_scales_are_warning_free():

@@ -309,6 +309,7 @@ def _count_takers() -> dict[str, tuple]:
                                2),
         "pushforward_check n_draws": (
             lambda v: pushforward_check(_NoWork(), _NoWork(), line, n_draws=v), 1),
+        "jacobian_check dimension": (jacobian_check, 1),
         "jacobian_check n_draws": (lambda v: jacobian_check(1, n_draws=v), 1),
         "run_identity_suite seed": (run_identity_suite, 0),
         "run_pushforward_suite seed": (run_pushforward_suite, 0),

@@ -80,6 +80,15 @@ def test_jacobian_check_refuses_a_dimension_below_one(n):
         jacobian_check(n)
 
 
+def test_jacobian_check_reads_its_dimension_by_the_count_rule():
+    # an integral float is its whole number, in the row name too
+    two, whole = jacobian_check(2.0, n_draws=20), jacobian_check(2, n_draws=20)
+    assert two.name == "jacobian-ball-map-n2" and two == whole
+    for n in (1.5, "3", b"2"):
+        with pytest.raises(ParameterOutOfDomain, match="^dimension must be a whole number"):
+            jacobian_check(n)
+
+
 @pytest.mark.parametrize("seed", [-1, -11])
 def test_identity_suite_rejects_a_negative_seed_by_its_own_value(seed):
     with pytest.raises(ParameterOutOfDomain, match=rf"seed must be >= 0, got {seed}$"):
