@@ -58,13 +58,15 @@ def _whole(value, name: str, least: int = 0, error: type[Exception] = ParameterO
     """The package's one rule for a whole number a caller passes in (a block
     dim, sample size, draw count, seed or iteration cap): value as an int
     >= least.  Integers, numpy integers and integral floats pass; a
-    fraction, NaN, infinity, string, bytes or other non-number raises
-    `error`."""
+    fraction, NaN, infinity, boolean, string, bytes or other non-number
+    raises `error`."""
+    # operator.index reads True as 1 and float() reads "3" as 3.0: neither is a count
+    x = math.nan if isinstance(value, (bool, np.bool_, str, bytes, bytearray)) else value
     try:
-        whole = operator.index(value)
+        whole = operator.index(x)
     except TypeError:
         try:
-            x = math.nan if isinstance(value, (str, bytes, bytearray)) else float(value)
+            x = float(x)
         except (TypeError, ValueError):
             x = math.nan
         if not x.is_integer():
@@ -403,8 +405,8 @@ def _as_spd(mat: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(mat, dtype=float)
     if m.ndim == 0:
         m = m.reshape(1, 1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise DimensionMismatch(f"{name} must be square and non-empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NotPositiveDefinite(f"{name} has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m))))
@@ -498,6 +500,11 @@ class ScaleShapeParams:
     def k(self) -> int:
         return len(self.shapes)
 
+    @cached_property
+    def total_shape(self) -> float:
+        """sum(shapes), as numpy adds them: the density and the sampler read it."""
+        return float(np.sum(self.shapes))
+
 
 @dataclass(frozen=True)
 class SampleMatrix:
@@ -569,6 +576,8 @@ def spd_factorize(S: np.ndarray) -> tuple[float, Callable[[np.ndarray], np.ndarr
 
     Raises
     ------
+    DimensionMismatch
+        If S is not square, or is empty.
     NotPositiveDefinite
         If S is not finite, not symmetric within 1e-12 or has a nonpositive
         pivot.

@@ -18,6 +18,12 @@ Conventions shared by every function here:
   2 * (sum of every shape parameter, alpha_0 included where present) for
   the scalar-block families.  That choice is the one under which the
   normalizing constants integrate to one, and the validation suite pins it.
+  Each scalar-block law's params own its shape sum, which the density, the
+  sampler and, where the params hold the generator, its check all read:
+  ScaleShapeParams.total_shape (np.sum of the shapes),
+  GammaLogGammaParams.total_shape (np.sum of alphas + rhos) and
+  JointScaleParams.alpha_star (alpha_0 + np.sum of the block shapes).  The
+  order matters in the last bit; no kernel sums shapes itself.
 
 Six roots carry every normalizing constant: mv-elliptical, mv-t,
 gengamma-pearson7, mv-gengamma, mv-beta2 and gengamma-beta2.  Every other
@@ -272,7 +278,7 @@ def _mv_t_at(p: MvTParams, sq: np.ndarray):
         gammaln(p.alpha_star)
         - gammaln(p.alpha0)
         - np.sum(half_dims * np.log(p.betas))
-        - np.sum(half_dims) * _LOG_PI
+        - p.total / 2.0 * _LOG_PI  # the sum of the n_i/2, as alpha_star adds it
     )
     bracket = _sum_last_scaled(sq, p.betas, divide=True)
     out = log_const - p.alpha_star * np.log1p(bracket)
@@ -362,7 +368,13 @@ class JointScaleParams:
         return np.asarray(self.alphas, dtype=float)
 
     @property
+    def shapes(self) -> np.ndarray:
+        """alpha0, then the block shapes."""
+        return np.concatenate([[self.alpha0], self.block_shapes])
+
+    @property
     def alpha_star(self) -> float:
+        """alpha0 + sum(block shapes): the joint's one shape total."""
         return self.alpha0 + float(np.sum(self.block_shapes))
 
     @property
@@ -446,12 +458,7 @@ def _unit_map(b, k: int):
 def _gengamma_beta2_at(p: JointScaleParams, s0, f, log_f, log_jac, inside):
     """gengamma-beta2 log density at s0 and f (log_f = log f), plus
     log_jac; -inf outside `inside`."""
-    # pi^{alpha*} / prod_{i=0..k} sigma_i^{2 alpha_i} Gamma(alpha_i)
-    shapes = np.concatenate([[p.alpha0], p.block_shapes])
-    log_const = float(
-        p.alpha_star * _LOG_PI
-        - np.sum(shapes * np.log(p.sigma2s) + [gammaln(a) for a in shapes.tolist()])
-    )
+    log_const = _gengamma_log_const(p.alpha_star, p.shapes, p.sigma2s)
     extra = _sum_last_scaled(log_f, np.asarray(p.alphas) - 1.0) + log_jac
     return _joint_out(p, s0, log_const, f, extra, inside)
 
@@ -482,17 +489,22 @@ def logpdf_gengamma_beta2(p: JointScaleParams, s0, f) -> np.ndarray | float:
 # Scalar-block families (aggregate squares and their ratios)
 
 
-def _mv_gengamma_at(spec: GeneratorSpec, alphas: np.ndarray, sigma2: np.ndarray, u, log_u):
-    """mv-gengamma log density at u (log_u = log u), shapes alphas, scales sigma2."""
-    n_eff = 2.0 * float(np.sum(alphas))
-    const = float(
-        np.sum(alphas) * _LOG_PI
-        - np.sum(alphas * np.log(sigma2) + [gammaln(a) for a in alphas.tolist()])
+def _gengamma_log_const(total: float, shapes: np.ndarray, sigma2) -> float:
+    """log of pi^total / prod_i sigma_i^{2 alpha_i} Gamma(alpha_i), the alpha_i
+    being shapes and total their sum as the law's params add it."""
+    return float(
+        total * _LOG_PI
+        - np.sum(shapes * np.log(sigma2) + [gammaln(a) for a in shapes.tolist()])
     )
+
+
+def _mv_gengamma_at(spec: GeneratorSpec, total: float, alphas: np.ndarray, sigma2, u, log_u):
+    """mv-gengamma log density at u (log_u = log u), shapes alphas summing to
+    total, scales sigma2."""
     return (
-        const
+        _gengamma_log_const(total, alphas, sigma2)
         + _sum_last_scaled(log_u, alphas - 1.0)
-        + log_h(spec, _sum_last_scaled(u, sigma2, divide=True), n_eff)
+        + log_h(spec, _sum_last_scaled(u, sigma2, divide=True), 2.0 * total)
     )
 
 
@@ -500,7 +512,7 @@ def _mv_gengamma_at(spec: GeneratorSpec, alphas: np.ndarray, sigma2: np.ndarray,
 def logpdf_mv_gengamma(p: ScaleShapeParams, spec: GeneratorSpec, u) -> np.ndarray | float:
     """Joint law of the block squared norms u_i; h at effective dimension 2*sum(alpha)."""
     u = _positive_vector(u, "u", p.k)
-    return _result(_mv_gengamma_at(spec, np.asarray(p.shapes), np.asarray(p.scales), u, np.log(u)))
+    return _result(_mv_gengamma_at(spec, p.total_shape, np.asarray(p.shapes), p.scales, u, np.log(u)))
 
 
 @dataclass(frozen=True)
@@ -598,9 +610,9 @@ class GammaLogGammaParams:
     def k2(self) -> int:
         return len(self.rhos)
 
-    @property
+    @functools.cached_property
     def total_shape(self) -> float:
-        """sum(alphas + rhos), added as the density and the sampler add it."""
+        """sum(alphas + rhos), as numpy adds them: the law's one shape total."""
         return float(np.sum(self.alphas + self.rhos))
 
 
@@ -630,6 +642,6 @@ def logpdf_gamma_loggamma(p: GammaLogGammaParams, u=None, y=None) -> np.ndarray 
         raise ParameterOutOfDomain("y must be finite")
     all_u, log_u, log_jac = _log_map(u, y)
     alphas, sigma2 = np.asarray(p.alphas + p.rhos), np.asarray(p.sigma2s + p.delta2s)
-    out = _mv_gengamma_at(p.spec, alphas, sigma2, all_u, log_u)
+    out = _mv_gengamma_at(p.spec, p.total_shape, alphas, sigma2, all_u, log_u)
     with np.errstate(over="ignore"):  # y_j near -1.8e308: the log density is -inf
         return _result(out + log_jac)

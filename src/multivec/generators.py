@@ -219,10 +219,12 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
     every order, and the small-z form of :func:`_log_bessel_k_small` applies.
     z = +inf maps to -inf (the kernel decays to zero).
 
-    Raises ParameterOutOfDomain for z <= 0 or nan.
+    Raises ParameterOutOfDomain for a NaN or infinite q, and for z <= 0 or nan.
     """
     from scipy import special  # deferred: costs CLI start-up
 
+    if not math.isfinite(q):
+        raise ParameterOutOfDomain(f"log_bessel_k requires a finite order q, got {q!r}")
     z_in = np.asarray(z, dtype=float)
     if not np.all(z_in > 0):
         raise ParameterOutOfDomain(f"log_bessel_k requires z > 0, got {z!r}")

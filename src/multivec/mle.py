@@ -9,8 +9,9 @@ density-sum oracle in the test suite: they must agree with direct sums of
 ``logpdf_mv_gengamma`` evaluations to 1e-8.
 
 Each fit estimates only what its likelihood identifies, by small smooth
-solves; every column fit uses one gamma-shape Newton step on
-``log a - digamma(a) = t``.  With the generator frozen at (r, q, s) =
+solves; every column fit solves ``log a - digamma(a) = t`` for the gamma
+shape by Newton's method, at most ``max_iter`` steps from a closed-form
+start.  With the generator frozen at (r, q, s) =
 (1/2, 1, 1), both models are two gamma likelihoods.  Generator free, the paired sample u = sigma^2 W D shares one
 squared radius W, independent of the Dirichlet direction D: the likelihood
 splits into a Dirichlet part in (alpha, beta, sigma2/sigma1) and one

@@ -62,11 +62,12 @@ __all__ = list(_EXPORTS["sampling"])
 
 
 def _seeded(make, seed):
-    """make(seed), with a seed numpy refuses raised as ParameterOutOfDomain."""
+    """make(seed), with a boolean seed or one numpy refuses raised as
+    ParameterOutOfDomain."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ParameterOutOfDomain(f"seed must be >= 0, got {seed}")
-    try:
-        return make(seed)
+    try:  # numpy reads True as the seed 1, and refuses NaN
+        return make(np.nan if isinstance(seed, (bool, np.bool_)) else seed)
     except (TypeError, ValueError):
         raise ParameterOutOfDomain(
             f"seed must be None, an integer >= 0 or a sequence of them, got {seed!r}"
@@ -77,8 +78,8 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
     """Seeded PCG64 generator; equal seed gives an identical stream everywhere.
 
     None and sequences of non-negative integers pass through to numpy; a
-    negative seed, or one that is not an integer or a sequence of them,
-    raises ParameterOutOfDomain."""
+    negative seed, a boolean, or one that is not an integer or a sequence
+    of them, raises ParameterOutOfDomain."""
     return _seeded(np.random.default_rng, seed)
 
 
@@ -262,8 +263,7 @@ def sample_gengamma_pearson7(
     """
     dims = p._blocks(vector=True)
     m = _n_draws(size)
-    shapes = np.concatenate([[p.alpha0], p.block_shapes])
-    d = rng.dirichlet(shapes, size=m)
+    d = rng.dirichlet(p.shapes, size=m)
     r = sample_radius(RadialLaw(p.spec, 2.0 * p.alpha_star), rng, size=m)
     s0 = np.multiply(r, r, out=r)  # W, then sigma_0^2 W D_0
     s0 *= p.sigma2s[0]
@@ -296,17 +296,19 @@ def sample_gengamma_pearson2(
 
 
 def _gengamma_draws(
-    alphas: np.ndarray, scales: np.ndarray, spec: GeneratorSpec, rng: np.random.Generator,
-    m: int,
+    total: float, alphas: np.ndarray, scales: np.ndarray, spec: GeneratorSpec,
+    rng: np.random.Generator, m: int,
 ) -> np.ndarray:
     """m rows u_ij = sigma_j^2 W_i D_ij of the mv-gengamma law whose k
-    (shape, scale) pairs the float arrays alphas and scales hold.
+    (shape, scale) pairs alphas and scales hold, W = R^2 drawn at dimension
+    2 * total, where total is sum(alphas) as the law's params add it.
 
     Each entry is D_ij times sigma_j^2 W_i.  With at least as many rows as
     columns, a column at a time takes sigma_j^2 W in one row-length buffer;
     with more columns (the pair sampler's one row), one broadcast product
     does.  One block has D = 1, so its rows are sigma^2 W, in W's array."""
-    r = sample_radius(RadialLaw(spec, 2.0 * float(np.sum(alphas))), rng, size=m)
+    alphas, scales = np.asarray(alphas, dtype=float), np.asarray(scales, dtype=float)
+    r = sample_radius(RadialLaw(spec, 2.0 * total), rng, size=m)
     w = np.multiply(r, r, out=r)
     k = len(alphas)
     if k == 1:
@@ -326,8 +328,7 @@ def sample_mv_gengamma(
     size: int | None = None,
 ) -> np.ndarray:
     """u_i = sigma_i^2 W D_i: Dirichlet split of the squared radius at dim 2*sum(alpha)."""
-    m = _n_draws(size)
-    u = _gengamma_draws(np.asarray(p.shapes, dtype=float), np.asarray(p.scales), spec, rng, m)
+    u = _gengamma_draws(p.total_shape, p.shapes, p.scales, spec, rng, _n_draws(size))
     return _squeeze(u, size)
 
 
@@ -343,7 +344,8 @@ def sample_gengamma_pairs(
     m = _n_draws(size)
     if m == 0:
         return np.zeros((0, 2))
-    flat = _gengamma_draws(np.repeat(p.shapes, m), np.repeat(p.scales, m), spec, rng, 1)[0]
+    shapes = np.repeat(p.shapes, m)  # summed as the 2m-block law's density sums them
+    flat = _gengamma_draws(float(np.sum(shapes)), shapes, np.repeat(p.scales, m), spec, rng, 1)[0]
     return _squeeze(np.column_stack([flat[:m], flat[m:]]), size)
 
 
@@ -381,9 +383,9 @@ def sample_gengamma_beta2(
     p: JointScaleParams, rng: np.random.Generator, size: int | None = None
 ) -> tuple[np.ndarray | float, np.ndarray]:
     """(s0, f) pair: s0 = u_0 and f_i = u_i/u_0 for a (k+1)-block gengamma draw."""
-    alphas = p._blocks(vector=False)
+    p._blocks(vector=False)  # a vector joint raises
     m = _n_draws(size)
-    u = _gengamma_draws(np.asarray((p.alpha0,) + alphas), np.asarray(p.sigma2s), p.spec, rng, m)
+    u = _gengamma_draws(p.alpha_star, p.shapes, p.sigma2s, p.spec, rng, m)
     s0, f = u[:, 0], u[:, 1:]
     f /= u[:, :1]
     if size is None:
@@ -403,9 +405,8 @@ def sample_gamma_loggamma(
     p: GammaLogGammaParams, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
     """Columns (u_1..k1, y_1..k2): one gengamma draw, log applied to the last k2."""
-    m = _n_draws(size)
-    u = _gengamma_draws(np.asarray(p.alphas + p.rhos), np.asarray(p.sigma2s + p.delta2s),
-                        p.spec, rng, m)
+    u = _gengamma_draws(p.total_shape, p.alphas + p.rhos, p.sigma2s + p.delta2s, p.spec, rng,
+                        _n_draws(size))
     logs = u[:, p.k1:]
     np.log(logs, out=logs)
     return _squeeze(u, size)

@@ -126,6 +126,14 @@ _DE_EDGE = 0.25  # width in t of each outer edge of the nodes an axis keeps
 _POINT_BUDGET = 1 << 22  # integrand points per integral, all levels together
 
 
+def _check_box(support: Sequence[Interval]) -> None:
+    """ParameterOutOfDomain naming the first axis of the box whose interval
+    does not have lo < hi (a NaN end included)."""
+    for axis, (lo, hi) in enumerate(support):
+        if not lo < hi:
+            raise ParameterOutOfDomain(f"support axis {axis} needs lo < hi, got ({lo}, {hi})")
+
+
 def _de_axis(
     lo: float, hi: float, h: float, window: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,11 +294,14 @@ def quad_normalization(
     integrand raises or a level sum is not finite; when the edge still
     carries more than tol, as for a density that is not integrable over the
     box; and when the refinement stops at the budget with err_est above
-    tol.  A normalized-but-wrong density is a failed check.
+    tol.  A normalized-but-wrong density is a failed check.  Raises
+    ParameterOutOfDomain, before any density call, for other than 1 to 3
+    axes or an axis without lo < hi.
     """
     d = len(support)
     if not 1 <= d <= 3:
         raise ParameterOutOfDomain(f"quadrature supports 1 <= dims <= 3, got {d}")
+    _check_box(support)
     value, err, edge, used = _de_levels(logpdf, support, tol, name, _DE_WINDOW, _POINT_BUDGET)
     if edge > tol:
         wide = _de_levels(logpdf, support, tol, name, _DE_MAX_WINDOW, _POINT_BUDGET - used)
@@ -590,12 +601,14 @@ def pushforward_check(
     probability is a difference of the table's corners.  The residual is the
     worst threshold shortfall, so 0 means every sub-check passed.
 
-    Raises DimensionMismatch when the sampler returns other than n_draws
-    rows, or logpdf another shape than its chunk's, and QuadratureFailure
-    when the table's total is not finite and positive (a density that is
-    NaN, inf or zero across the grid).
+    Raises ParameterOutOfDomain, before any draw, for an axis of the
+    support without lo < hi; DimensionMismatch when the sampler returns
+    other than n_draws rows, or logpdf another shape than its chunk's; and
+    QuadratureFailure when the table's total is not finite and positive (a
+    density that is NaN, inf or zero across the grid).
     """
     n_draws = _whole(n_draws, "n_draws", least=1)
+    _check_box(support)
     from scipy.interpolate import PchipInterpolator
 
     rng = make_rng(seed)

@@ -87,6 +87,14 @@ def test_spd_rejects_indefinite_and_asymmetric():
         spd_factorize(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def test_spd_refuses_an_empty_matrix():
+    with pytest.raises(DimensionMismatch, match=r"^S must be square and non-empty, got shape"):
+        spd_factorize(np.zeros((0, 0)))
+    with pytest.raises(DimensionMismatch, match=r"^Sigma_00 must be square and non-empty"):
+        MvEllipticalParams(partition=Partition(dims=(1,)), mus=(np.zeros(1),),
+                           sigmas=(np.zeros((0, 0)),))
+
+
 # ---------------------------------------------------------------------------
 # block_quadform
 
@@ -379,6 +387,9 @@ _NOT_WHOLE = {
     "partition-numeric-str": lambda: Partition(dims=("2", "1")),
     "mv-t-bytes": lambda: _mv_t(b"2"),
     "joint-bytearray": lambda: _joint(bytearray(b"2")),
+    # a boolean is no count, though operator.index reads True as 1
+    "partition-bool": lambda: Partition(dims=(True,)),
+    "mv-t-numpy-bool": lambda: _mv_t(np.True_),
 }
 
 

@@ -16,7 +16,7 @@ import pytest
 from scipy import integrate, stats
 
 import multivec
-from multivec import mle, validation
+from multivec import densities, mle, sampling, validation
 from multivec import (
     Bessel,
     GammaLogGammaParams,
@@ -273,7 +273,7 @@ def test_sizes_and_dims_must_be_whole_numbers():
 
 # a count, seed or iteration cap that is no whole number, or below its least value
 _HOSTILE_COUNTS = {"fraction": 2.5, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-                   "numeric-string": "3", "bytes": b"2"}
+                   "numeric-string": "3", "bytes": b"2", "bool": True, "numpy-bool": np.True_}
 
 
 class _NoWork:
@@ -580,7 +580,8 @@ _PINNED_DIGESTS = {
     "mv-beta2-k3": "2ffcde9edfcb669ccca497dd57816bb32396afe7e77ce2e75a300cb2e945b185",
     "gengamma-pearson7-2p1": "af33c0d893fbe1e953675cad5e9b3af96e532eb07c01f9d9e87ae6aae4c9f87d",
     "gengamma-pearson2-3": "bc7cf88811defc83e546d1ad2331bb1a1593e8782fef1e09182700c4ea2fdbb6",
-    "gengamma-beta1-k2": "fb31ab887910e118860b0de358a75dc609a130ee610b069daa76dd2428b7afb0",
+    # re-pinned when its radius moved to n = 2 alpha_star = 6.8 (it was 6.799999999999999)
+    "gengamma-beta1-k2": "3c966cc595c074ff2e119444612b36697f26dac09ab6eb506d165073378d0c5c",
     "gamma-loggamma-2p2": "e4dcb013adc58e7fe6aab8a3cf781a48392dba97e3b66cb88e4b26d3af00b947",
     "kotz-gamma-pairs": "236205dc5ef3750b2f0e2f90bb8eb390c4f1a60cefc4f9c7fd2ac4c953081bb9",
     "unit-sphere-8": "ad27b482c2b74ea30bcf27186167044aae43bb0e3f6b94df8fd072d465fcea50",
@@ -595,6 +596,39 @@ def test_every_sampler_keeps_its_bits():
             draw(make_rng(2400 + i + 10 * j), size) for j, size in enumerate(_PIN_SIZES)
         ))
     assert got == _PINNED_DIGESTS
+
+
+def test_each_law_draws_and_checks_its_generator_at_its_density_dimension(monkeypatch):
+    """For every pinned law whose density calls the generator, the n the
+    density hands log_h, the n the sampler hands RadialLaw and the n the
+    constructor checks, where it checks one, are one double."""
+    seen = {}
+    real_log_h, real_law, real_norm = densities.log_h, sampling.RadialLaw, densities.log_norm_const
+
+    def record(role, real):
+        def call(spec, *args):
+            seen.setdefault(role, set()).add(float(args[-1]).hex())
+            return real(spec, *args)
+        return call
+
+    monkeypatch.setattr(densities, "log_h", record("density", real_log_h))
+    monkeypatch.setattr(sampling, "RadialLaw", record("sampler", real_law))
+    monkeypatch.setattr(densities, "log_norm_const", record("constructor", real_norm))
+    family = {f.sampler: f for f in reversed(FAMILIES.values())}  # mv-gengamma over kotz-gamma
+    checked, wrong = [], {}
+    for name, sampler, (params, *rest) in _pinned_laws():
+        seen.clear()
+        law = (dataclasses.replace(params), *rest)  # the constructor runs again
+        f = family[sampler]
+        f.logpdf(law, f.sample(law, make_rng(0), 3))
+        if "density" not in seen:
+            continue
+        checked.append(name)
+        if "sampler" not in seen or len(set().union(*seen.values())) != 1:
+            wrong[name] = seen.copy()
+    assert wrong == {}
+    # all 27 but the 8 t, Pearson II and beta laws, whose densities hold no h
+    assert len(checked) == 19 and "gengamma-beta1-k2" in checked
 
 
 # tracemalloc peak, in MB, of one call of 1e5 draws, RNG calls included, as

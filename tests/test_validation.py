@@ -205,6 +205,27 @@ def test_quad_rejects_a_logpdf_that_is_not_batched():
         quad_normalization(lambda x: np.zeros((len(x), 1)), [(0.0, 1.0)], 1e-6, "column")
 
 
+def _never(*args):
+    raise AssertionError("the oracle called back before it checked its box")
+
+
+_EMPTY_INTERVALS = {"reversed": (1.0, 0.0), "point": (0.0, 0.0), "nan-end": (np.nan, 1.0),
+                    "both-inf": (np.inf, np.inf)}
+
+
+@pytest.mark.parametrize("interval", list(_EMPTY_INTERVALS))
+def test_quad_refuses_an_axis_without_lo_below_hi(interval):
+    box = [(0.0, 1.0), _EMPTY_INTERVALS[interval]]
+    with pytest.raises(ParameterOutOfDomain, match=r"^support axis 1 needs lo < hi, got \("):
+        quad_normalization(_never, box, 1e-6)
+
+
+@pytest.mark.parametrize("interval", list(_EMPTY_INTERVALS))
+def test_pushforward_refuses_an_axis_without_lo_below_hi(interval):
+    with pytest.raises(ParameterOutOfDomain, match=r"^support axis 0 needs lo < hi, got \("):
+        pushforward_check(_never, _never, [_EMPTY_INTERVALS[interval]], n_draws=10)
+
+
 def _whole_grid(nodes, weights, edges):
     """A level's points, weights, as (w0 w1) w2, and edge mask, formed whole."""
     pts = np.stack(np.meshgrid(*nodes, indexing="ij")).reshape(len(nodes), -1).T
