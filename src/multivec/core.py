@@ -100,35 +100,40 @@ def _sum_in_order(values) -> float:
 _SHORT_AXIS = 8
 
 
-def _sum_last(a: np.ndarray) -> np.ndarray:
-    """np.sum(a, axis=-1), bit for bit: 0.0 + a[..., 0] + a[..., 1] + ... on
-    a last axis of 1 to 7 entries (the leading 0.0 turns a -0.0 sum to +0.0,
-    as numpy's does)."""
-    k = a.shape[-1]
-    if not 0 < k < _SHORT_AXIS:
-        return np.sum(a, axis=-1)
-    out = a[..., 0] + 0.0
-    for j in range(1, k):
-        out += a[..., j]
-    return out
+def _sum_last(a: np.ndarray, c=None, op=np.multiply, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row's sum over the last axis of the terms a[..., j], or of
+    op(a[..., j], c[..., j]) when c is given (one value per column, or an
+    array of a's shape: a itself for the squares), written into out when
+    given.  Every per-row sum of the package runs here, under one rule: a
+    row's total is np.sum of that row's own terms, whatever the batch's
+    memory layout, so a batch, its block-major copy and its points one by
+    one give the same bits at any number of columns.
 
+    - Below _SHORT_AXIS columns, the loop adds 0.0 + t_0 + t_1 + ... a column
+      at a time in one row-length buffer, the order numpy adds a row that
+      short in.  The leading 0.0 turns a -0.0 sum to +0.0; a square, never
+      -0.0, skips it.
+    - From _SHORT_AXIS columns up, np.sum runs on the C-ordered terms: each
+      row is then one contiguous run, which numpy adds pairwise, as it adds
+      one point's row (across rows of another layout it adds in sequence).
 
-def _sum_sq_last(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """_sum_last(a * a), bit for bit, written into out when given.  On a
-    last axis of 1 to 7 entries it squares one column at a time into a
-    row-length buffer (none for 1 entry), not into a copy of a; a square is
-    never -0.0, so it needs no leading 0.0."""
+    A term or sum that overflows is +-inf, without a warning.
+    """
     k = a.shape[-1]
-    if not 0 < k < _SHORT_AXIS:
-        if out is None:
-            return np.sum(a * a, axis=-1)
-        out[...] = np.sum(a * a, axis=-1)
-        return out
-    out = np.multiply(a[..., 0], a[..., 0], out=out)
-    if k > 1:
-        buf = np.empty_like(out)
+    c = c if c is None else np.asarray(c)
+    with np.errstate(over="ignore"):
+        if not 0 < k < _SHORT_AXIS:
+            terms = np.ascontiguousarray(a) if c is None else op(a, c, order="C")
+            return np.sum(terms, axis=-1, out=out)
+        if c is None:
+            out = np.add(a[..., 0], 0.0, out=out)
+        else:
+            out = op(a[..., 0], c[..., 0], out=out)
+            if c is not a:
+                out += 0.0
+        buf = None if c is None or k == 1 else np.empty_like(out)
         for j in range(1, k):
-            out += np.multiply(a[..., j], a[..., j], out=buf)
+            out += a[..., j] if c is None else op(a[..., j], c[..., j], out=buf)
     return out
 
 
@@ -144,24 +149,9 @@ def _cut_blocks(dims: Sequence[int], x: np.ndarray) -> list[np.ndarray]:
 def _block_sqnorms(blocks: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
     """||x_i||^2 of each block into out[..., i], returned as out.  A norm that
     overflows or has a NaN coordinate is +inf, where every density is zero."""
-    with np.errstate(over="ignore"):
-        for i, blk in enumerate(blocks):
-            _sum_sq_last(blk, out=out[..., i])
+    for i, blk in enumerate(blocks):
+        _sum_last(blk, blk, out=out[..., i])
     return np.fmin(out, np.inf, out=out)  # fmin maps NaN to +inf
-
-
-def _sum_last_scaled(a: np.ndarray, c, divide: bool = False) -> np.ndarray:
-    """_sum_last(a / c) if divide else _sum_last(a * c), bit for bit: the
-    loop scales column j by c[j], so no op broadcasts over the short axis.
-    A term or sum that overflows is +-inf, without a warning."""
-    op = np.divide if divide else np.multiply
-    with np.errstate(over="ignore"):
-        if not 0 < a.shape[-1] < _SHORT_AXIS:
-            return np.sum(op(a, c), axis=-1)
-        out = op(a[..., 0], c[0]) + 0.0
-        for j in range(1, a.shape[-1]):
-            out += op(a[..., j], c[j])
-    return out
 
 
 # math.fsum over a list beats the window pass below 256 terms (7.1 against
@@ -630,8 +620,8 @@ def block_quadform(params: MvEllipticalParams, x: np.ndarray) -> np.ndarray:
             # cho_solve's LAPACK call on every row at once; its info flags
             # only an illegal argument, which these shapes rule out
             sol = dpotrs(c, rows.T, lower=1)[0].T
-            with np.errstate(over="ignore", invalid="ignore"):
-                form = _sum_last(sol * rows).reshape(d.shape[:-1])
+            with np.errstate(invalid="ignore"):  # +inf and -inf terms, mended below
+                form = _sum_last(sol, rows).reshape(d.shape[:-1])
             if np.isnan(form).any():
                 # products that overflow to +inf and -inf sum to NaN; the
                 # form itself is positive, so at finite d it is +inf

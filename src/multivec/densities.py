@@ -12,7 +12,9 @@ Conventions shared by every function here:
   leading axes broadcast.  A call whose result is 0-d returns a float, so
   plain vector (1-d) calls do; any other call returns an array.  Kernels
   work column by column on the trailing block axis, in any memory layout:
-  a batch, its block-major copy and its points one by one give the same bits.
+  a batch, its block-major copy and its points one by one give the same
+  bits at any number of blocks.  Every per-row sum runs in core._sum_last,
+  which owns that rule.
 - The generator h is always normalized at the family's effective
   dimension: the total vector dimension for the block-vector families and
   2 * (sum of every shape parameter, alpha_0 included where present) for
@@ -73,7 +75,6 @@ from .core import (
     _result,
     _sum_in_order,
     _sum_last,
-    _sum_last_scaled,
     _threads,
     _whole,
     block_quadform,
@@ -267,7 +268,7 @@ def _ball_map(dims: tuple[int, ...], r):
     ok = sq < 1.0
     sq = np.where(ok, sq, 0.5)
     one_m = 1.0 - sq
-    log_jac = -_sum_last_scaled(np.log(one_m), np.asarray(dims, dtype=float) / 2.0 + 1.0)
+    log_jac = -_sum_last(np.log(one_m), np.asarray(dims, dtype=float) / 2.0 + 1.0)
     return sq / one_m, log_jac, _all_last(ok)
 
 
@@ -280,7 +281,7 @@ def _mv_t_at(p: MvTParams, sq: np.ndarray):
         - np.sum(half_dims * np.log(p.betas))
         - p.total / 2.0 * _LOG_PI  # the sum of the n_i/2, as alpha_star adds it
     )
-    bracket = _sum_last_scaled(sq, p.betas, divide=True)
+    bracket = _sum_last(sq, p.betas, np.divide)
     out = log_const - p.alpha_star * np.log1p(bracket)
     return _result(out)
 
@@ -389,7 +390,7 @@ def _joint_out(p: JointScaleParams, s0, log_const, stat, extra, inside):
     rate = 1/sigma_0^2 + sum_i stat_i/sigma_i^2; -inf where s0 <= 0 or
     outside `inside`."""
     sigma2 = np.asarray(p.sigma2s)
-    rate = 1.0 / sigma2[0] + _sum_last_scaled(stat, sigma2[1:], divide=True)
+    rate = 1.0 / sigma2[0] + _sum_last(stat, sigma2[1:], np.divide)
     s0 = np.asarray(s0, dtype=float)
     ok = (s0 > 0) & np.isfinite(s0) & inside
     s0_safe = np.where(ok, s0, 1.0)
@@ -440,26 +441,25 @@ def _unit_map(b, k: int):
     """f_i = b_i/(1-b_i), log f, the log-Jacobian and the mask of (0,1)^k,
     one column at a time; masked-out points take a finite stand-in."""
     b = _vector(b, "b", k)
-    f, log_f = np.empty(b.shape, order="F"), np.empty(b.shape, order="F")  # block-major
-    one_m, log_jac, ok = np.empty(b.shape[:-1]), 0.0, True
-    for j in range(k):  # 0.0 + log(1-b_1) + ... and True & ok_1 & ..., as _sum_last and _all_last
+    # block-major f, log f and 1 - b, then log(1 - b) in its place
+    f, log_f, one_m = (np.empty(b.shape, order="F") for _ in range(3))
+    ok = True
+    for j in range(k):  # True & ok_1 & ..., as _all_last
         bj, ok_j = b[..., j], (b[..., j] > 0.0) & (b[..., j] < 1.0)
         if not ok_j.all():
             bj = np.where(ok_j, bj, 0.5)
-        np.subtract(1.0, bj, out=one_m)
-        np.divide(bj, one_m, out=f[..., j])  # a 0-d view for one point
-        np.log(one_m, out=one_m)
-        np.subtract(np.log(bj), one_m, out=log_f[..., j])
-        log_jac += one_m
+        col = np.subtract(1.0, bj, out=one_m[..., j])  # a 0-d view for one point
+        np.divide(bj, col, out=f[..., j])
+        np.subtract(np.log(bj), np.log(col, out=col), out=log_f[..., j])
         ok &= ok_j
-    return f, log_f, -2.0 * log_jac, ok
+    return f, log_f, -2.0 * _sum_last(one_m), ok
 
 
 def _gengamma_beta2_at(p: JointScaleParams, s0, f, log_f, log_jac, inside):
     """gengamma-beta2 log density at s0 and f (log_f = log f), plus
     log_jac; -inf outside `inside`."""
     log_const = _gengamma_log_const(p.alpha_star, p.shapes, p.sigma2s)
-    extra = _sum_last_scaled(log_f, np.asarray(p.alphas) - 1.0) + log_jac
+    extra = _sum_last(log_f, np.asarray(p.alphas) - 1.0) + log_jac
     return _joint_out(p, s0, log_const, f, extra, inside)
 
 
@@ -503,8 +503,8 @@ def _mv_gengamma_at(spec: GeneratorSpec, total: float, alphas: np.ndarray, sigma
     total, scales sigma2."""
     return (
         _gengamma_log_const(total, alphas, sigma2)
-        + _sum_last_scaled(log_u, alphas - 1.0)
-        + log_h(spec, _sum_last_scaled(u, sigma2, divide=True), 2.0 * total)
+        + _sum_last(log_u, alphas - 1.0)
+        + log_h(spec, _sum_last(u, sigma2, np.divide), 2.0 * total)
     )
 
 
@@ -544,7 +544,7 @@ def _mv_beta2_at(p: BetaParams, f, log_f):
     log_const = float(-np.sum(alphas * np.log(p.betas))) - log_dk
     return (
         log_const
-        + _sum_last_scaled(log_f, alphas - 1.0)
+        + _sum_last(log_f, alphas - 1.0)
         - p.shape.alpha_star * _log1p_scaled_sum(f, log_f, p.betas)
     )
 
@@ -552,13 +552,13 @@ def _mv_beta2_at(p: BetaParams, f, log_f):
 def _log1p_scaled_sum(f, log_f, betas: tuple[float, ...]):
     """log1p(sum_i f_i / beta_i).  Where that sum overflows, it is the
     log-sum-exp of log f_i - log beta_i: the 1 is then far below an ulp."""
-    scaled = _sum_last_scaled(f, betas, divide=True)
+    scaled = _sum_last(f, betas, np.divide)
     big = scaled == np.inf
     if not big.any():
         return np.log1p(scaled)
     terms = log_f - np.log(betas)
     top = np.max(terms, axis=-1)
-    lse = top + np.log(np.sum(np.exp(terms - top[..., None]), axis=-1))
+    lse = top + np.log(_sum_last(np.exp(terms - top[..., None])))
     return np.where(big, lse, np.log1p(scaled))
 
 

@@ -37,6 +37,9 @@ _LOG_PI = math.log(math.pi)
 _LOG_SQRT_2PI = 0.91893853320467274178
 _GAMMALN_MAX = 2.556348e305  # log Gamma overflows past this
 _BESSEL_Z_FLOOR = 1e-300  # kve is infinite at every order below about 1e-304
+# the most steps log_bessel_k's upward recurrence takes (|q| < 10002), far
+# past the orders it is accurate for; about 30 ms of Python steps
+_BESSEL_MAX_STEPS = 10_000
 _TINY = sys.float_info.min  # the smallest normal float
 _KOTZ_S_END = 2.0**1023  # 2s overflows from here on
 _ZETA3, _ZETA5 = 1.2020569031595942854, 1.0369277551433699263  # Riemann zeta(3), zeta(5)
@@ -219,7 +222,10 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
     every order, and the small-z form of :func:`_log_bessel_k_small` applies.
     z = +inf maps to -inf (the kernel decays to zero).
 
-    Raises ParameterOutOfDomain for a NaN or infinite q, and for z <= 0 or nan.
+    Raises ParameterOutOfDomain for a NaN or infinite q, for z <= 0 or nan,
+    and, before any step, where the recurrence would take more than
+    _BESSEL_MAX_STEPS (10000) steps: from |q| = 10002 up, at a z >= 1e-300
+    where kve overflows.
     """
     from scipy import special  # deferred: costs CLI start-up
 
@@ -236,11 +242,15 @@ def log_bessel_k(q: float, z) -> np.ndarray | float:
     if np.any(far):
         zf = z_arr[far]
         out[far] = 0.5 * np.log(np.pi / (2.0 * zf)) - zf + np.log1p((4 * q * q - 1) / (8 * zf))
-    bad = ~np.isfinite(out) & np.isfinite(z_arr)
+    bad = ~np.isfinite(out) & np.isfinite(z_arr) & ~small
     if np.any(bad):
         # kve overflows only past |q| = 1, so n >= 1; all logs carry kve's e^z
         zb = z_arr[bad]
         n, f = divmod(abs(q), 1.0)
+        if n - 1.0 > _BESSEL_MAX_STEPS:
+            raise ParameterOutOfDomain(
+                f"log_bessel_k at q={q!r} needs more than {_BESSEL_MAX_STEPS} recurrence steps"
+                " where kve overflows")
         with np.errstate(divide="ignore"):  # log(2f/z) = -inf at f = 0 adds nothing
             lo = np.log(special.kve(f, zb))  # K_{f+1} = K_{1-f} + (2f/z) K_f
             hi = np.logaddexp(np.log(special.kve(1.0 - f, zb)), np.log(2.0 * f / zb) + lo)

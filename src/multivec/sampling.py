@@ -40,8 +40,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _EXPORTS
-from .core import (MvEllipticalParams, ScaleShapeParams, _block_sqnorms, _cut_blocks,
-                   _sum_sq_last, _whole)
+from .core import (MvEllipticalParams, ScaleShapeParams, _block_sqnorms, _cut_blocks, _sum_last,
+                   _whole)
 from .densities import (
     BetaParams,
     GammaLogGammaParams,
@@ -61,13 +61,20 @@ from .generators import (
 __all__ = list(_EXPORTS["sampling"])
 
 
+def _holds_bool(seed) -> bool:
+    """Whether seed is a boolean or a list or tuple holding one at any depth."""
+    if isinstance(seed, (list, tuple)):
+        return any(map(_holds_bool, seed))
+    return isinstance(seed, (bool, np.bool_))
+
+
 def _seeded(make, seed):
-    """make(seed), with a boolean seed or one numpy refuses raised as
-    ParameterOutOfDomain."""
+    """make(seed), with a seed that is or holds a boolean, or one numpy
+    refuses, raised as ParameterOutOfDomain."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ParameterOutOfDomain(f"seed must be >= 0, got {seed}")
     try:  # numpy reads True as the seed 1, and refuses NaN
-        return make(np.nan if isinstance(seed, (bool, np.bool_)) else seed)
+        return make(np.nan if _holds_bool(seed) else seed)
     except (TypeError, ValueError):
         raise ParameterOutOfDomain(
             f"seed must be None, an integer >= 0 or a sequence of them, got {seed!r}"
@@ -78,8 +85,8 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
     """Seeded PCG64 generator; equal seed gives an identical stream everywhere.
 
     None and sequences of non-negative integers pass through to numpy; a
-    negative seed, a boolean, or one that is not an integer or a sequence
-    of them, raises ParameterOutOfDomain."""
+    negative seed, a boolean or a sequence holding one, or a seed that is
+    not an integer or a sequence of them, raises ParameterOutOfDomain."""
     return _seeded(np.random.default_rng, seed)
 
 
@@ -99,7 +106,7 @@ def _squeeze(out: np.ndarray, size: int | None) -> np.ndarray:
 
 def _sqrt_sq_norms(z: np.ndarray) -> np.ndarray:
     """np.linalg.norm(z, axis=-1), bit for bit, in a fresh row-length array."""
-    norms = _sum_sq_last(z)
+    norms = _sum_last(z, z)
     return np.sqrt(norms, out=norms)
 
 
@@ -230,11 +237,21 @@ def sample_mv_t(
 def _t_to_pearson2(t: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """r_i = t_i / sqrt(1 + ||t_i||^2), block by block in t's own array and
     one row-length buffer.  ||t_i||^2 comes from core._block_sqnorms, the
-    densities' norm, so an overflowing or NaN norm is +inf here too."""
+    densities' norm.  Where that norm is +inf (it overflows, or a coordinate
+    is infinite or NaN), r_i is t_i's direction t_i / ||t_i||, formed from
+    the block divided by its largest |t_ij| so that no square overflows: an
+    infinite coordinate reads +-1 there and a finite one 0, and a NaN makes
+    the block NaN."""
     rows = np.atleast_2d(t)  # a view: the updates below land in t
     den = np.empty(rows.shape[0])
     for blk in _cut_blocks(dims, rows):
         _block_sqnorms((blk,), den[:, None])
+        far = np.flatnonzero(den == np.inf)
+        if far.size:  # the direction, which the division by sqrt(0 + 1) keeps
+            big = blk[far]
+            with np.errstate(invalid="ignore"):  # inf / inf, where the sign is taken
+                big = np.where(np.isinf(big), np.sign(big), big / np.max(np.abs(big), -1)[:, None])
+            blk[far], den[far] = big / np.sqrt(_sum_last(big, big))[:, None], 0.0
         den += 1.0
         blk /= np.sqrt(den, out=den)[:, None]
     return t

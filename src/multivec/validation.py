@@ -127,9 +127,15 @@ _POINT_BUDGET = 1 << 22  # integrand points per integral, all levels together
 
 
 def _check_box(support: Sequence[Interval]) -> None:
-    """ParameterOutOfDomain naming the first axis of the box whose interval
-    does not have lo < hi (a NaN end included)."""
-    for axis, (lo, hi) in enumerate(support):
+    """ParameterOutOfDomain naming the first axis of the box that is not a
+    (lo, hi) pair, or whose interval does not have lo < hi (a NaN end
+    included)."""
+    for axis, pair in enumerate(support):
+        try:
+            lo, hi = pair
+        except (TypeError, ValueError):
+            raise ParameterOutOfDomain(
+                f"support axis {axis} needs a (lo, hi) pair, got {pair!r}") from None
         if not lo < hi:
             raise ParameterOutOfDomain(f"support axis {axis} needs lo < hi, got ({lo}, {hi})")
 

@@ -427,12 +427,15 @@ def test_density_norms_and_the_ball_map_read_one_block_norm_rule():
     x, want = map(np.array, zip(*_NORM_EDGES))
     t = np.column_stack([np.full(len(x), 0.3), x, np.full(len(x), 0.5)])  # blocks (1, 2)
     sq = densities._sqnorms_by_dims((1, 2), t, "t")
-    with np.errstate(invalid="ignore"):  # the ball map's inf / inf
-        r = sampling._t_to_pearson2(t.copy(), (1, 2))
+    r = sampling._t_to_pearson2(t.copy(), (1, 2))
     assert np.array_equal(sq[:, 0], np.full(len(x), 0.3 * 0.3)) and np.array_equal(sq[:, 1], want)
-    # the ball map divides each block by sqrt(1 + ||t_i||^2) with the same norms
+    # the ball map divides each block by sqrt(1 + ||t_i||^2) with the same
+    # norms; where a norm is +inf, the block is its direction (NaN with a NaN)
     assert np.array_equal(r[:, 0], 0.3 / np.sqrt(1.0 + sq[:, 0]))
-    assert np.array_equal(r[:, 2], 0.5 / np.sqrt(1.0 + want))  # the block's other coordinate
+    finite = want < np.inf
+    assert np.array_equal(r[finite, 2], 0.5 / np.sqrt(1.0 + want[finite]))
+    assert np.array_equal(r[~finite, 1:], [[np.nan] * 2, [1.0, 0.0], [-1.0, 0.0], [1.0, 0.5 / 1e200]],
+                          equal_nan=True)
     # the joint law with no blocks: its norms have no column, and its draws
     # and densities keep the bits they had before core cut the blocks
     h = hashlib.sha256()

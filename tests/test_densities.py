@@ -747,11 +747,15 @@ def _short_axis_arrays(k):
 
 @pytest.mark.parametrize("k", range(9))
 def test_short_axis_reductions_equal_numpy_bit_for_bit(k):
-    from multivec.core import _all_last, _sum_last
+    from multivec.core import _SHORT_AXIS, _all_last, _sum_last
 
     for a in _short_axis_arrays(k):
+        # numpy's own sum below _SHORT_AXIS columns, in every layout; from
+        # there up, its sum of the C-ordered rows, which does not depend on
+        # the layout
+        rows = a if k < _SHORT_AXIS else np.ascontiguousarray(a)
         with np.errstate(invalid="ignore"):  # inf - inf
-            got, want = np.asarray(_sum_last(a)), np.asarray(np.sum(a, axis=-1))
+            got, want = np.asarray(_sum_last(a)), np.asarray(np.sum(rows, axis=-1))
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), a.shape
         for mask in (a > 0, np.isfinite(a), a == a):
             got, want = np.asarray(_all_last(mask)), np.asarray(np.all(mask, axis=-1))
@@ -777,11 +781,13 @@ def test_column_sums_keep_the_densities_bits_on_the_pushforward_grid(suffix, mon
     logpdf = FAMILIES[fx.family].logpdf
     x = _grid_641(fx.support)
     got = logpdf(fx.params, x)
+
+    def numpy_sum(a, c=None, op=np.multiply, out=None):
+        return np.sum(a if c is None else op(a, c), axis=-1, out=out)
+
     for module in (core, densities):  # the reductions as numpy writes them
-        monkeypatch.setattr(module, "_sum_last", lambda a: np.sum(a, axis=-1))
+        monkeypatch.setattr(module, "_sum_last", numpy_sum)
         monkeypatch.setattr(module, "_all_last", lambda a: np.all(a, axis=-1))
-    monkeypatch.setattr(densities, "_sum_last_scaled",
-                        lambda a, c, divide=False: np.sum(a / c if divide else c * a, axis=-1))
     want = logpdf(fx.params, x)
     assert np.isfinite(want).mean() > 0.99
     assert got.tobytes() == want.tobytes()
@@ -789,7 +795,7 @@ def test_column_sums_keep_the_densities_bits_on_the_pushforward_grid(suffix, mon
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_scaled_column_sums_equal_the_broadcast_ones_bit_for_bit(k):
-    from multivec.core import _sum_last, _sum_last_scaled
+    from multivec.core import _sum_last
 
     rng = np.random.default_rng(100 + k)
     scales = [rng.uniform(0.1, 5.0, k), np.full(k, 5e-324), rng.uniform(-2.0, 2.0, k)]
@@ -797,14 +803,14 @@ def test_scaled_column_sums_equal_the_broadcast_ones_bit_for_bit(k):
     for a in _short_axis_arrays(k):
         a = a.copy()
         a.flat[::7] = 4e-320  # subnormal entries
-        for c in scales:
-            for divide in (False, True):
+        for c in [*scales, a]:  # a itself: the squares
+            for op in (np.multiply, np.divide):
                 with np.errstate(all="ignore"):
-                    got = np.asarray(_sum_last_scaled(a, c, divide=divide))
-                    want = np.asarray(_sum_last(a / c if divide else a * c))
+                    got = np.asarray(_sum_last(a, c, op))
+                    want = np.asarray(_sum_last(op(a, c)))
                 assert got.shape == want.shape, a.shape
                 assert [v.hex() for v in got.ravel().tolist()] == [
-                    v.hex() for v in want.ravel().tolist()], (a.shape, c, divide)
+                    v.hex() for v in want.ravel().tolist()], (a.shape, c, op)
 
 
 def _layout_points(support, rng):
@@ -855,6 +861,58 @@ def test_every_layout_of_a_batch_gives_the_same_bits(name):
     # the other families raise NonPositiveInput or ParameterOutOfDomain there
     if name not in ("gamma-loggamma", "kotz-gamma", "log-elliptical", "mv-beta2", "mv-gengamma"):
         assert off_support > 0
+
+
+def _many_block_params(name, k):
+    """params of law `name` at k blocks, a 9-dim block first where the law
+    takes vector blocks (the log blocks, for the mixed law)."""
+    shapes = tuple(1.0 + 0.15 * i for i in range(k))
+    scales = tuple(0.5 + 0.2 * i for i in range(k))
+    dims = (9,) + (1,) * (k - 1)
+    a = np.random.default_rng(9).standard_normal((9, 9))
+    sigmas = [a @ a.T / 9.0 + np.eye(9)] + [np.array([[s]]) for s in scales[1:]]
+    ell = MvEllipticalParams(Partition(dims), tuple(np.full(d, 0.1) for d in dims), tuple(sigmas))
+    mixed = MvEllipticalParams(Partition((1,) + dims[:-1]), ell.mus[-1:] + ell.mus[:-1],
+                               tuple(sigmas[-1:] + sigmas[:-1]))
+    beta = BetaParams(shape=ExtendedShape(alphas=shapes, alpha0=1.5), betas=scales)
+    h = k // 2
+    return {
+        "mv-gengamma": (ScaleShapeParams(shapes, scales), GAUSS),
+        "kotz-gamma": (ScaleShapeParams(shapes, scales), Kotz(q=1.2, r=0.8, s=0.9)),
+        "mv-elliptical": (ell, GAUSS),
+        "log-elliptical": (ell, GAUSS),
+        "mixed-ell-logell": (MixedParams(base=mixed, k1=1), GAUSS),
+        "mv-t": (MvTParams(dims=dims, alpha0=1.6, betas=scales),),
+        "mv-pearson2": (MvTParams(dims=dims, alpha0=1.6, betas=scales),),
+        "mv-beta1": (beta,),
+        "mv-beta2": (beta,),
+        "gengamma-pearson7": (JointScaleParams(GAUSS, 1.5, (1.0,) + scales, dims=dims),),
+        "gengamma-pearson2": (JointScaleParams(GAUSS, 1.5, (1.0,) + scales, dims=dims),),
+        "gengamma-beta1": (JointScaleParams(GAUSS, 1.5, (1.0,) + scales, alphas=shapes),),
+        "gengamma-beta2": (JointScaleParams(GAUSS, 1.5, (1.0,) + scales, alphas=shapes),),
+        "gamma-loggamma": (GammaLogGammaParams(GAUSS, shapes[:h], scales[:h], shapes[h:],
+                                               scales[h:]),),
+    }[name]
+
+
+@pytest.mark.parametrize("k", [8, 10])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_a_batch_gives_each_point_its_own_bits_at_eight_blocks_and_more(name, k):
+    # the per-row sums of 8 or more terms follow each row, not the batch's
+    # memory layout: row-major, block-major and one point at a time agree
+    family, params = FAMILIES[name], _many_block_params(name, k)
+    draws = FAMILIES["mv-gengamma" if name == "kotz-gamma" else name]  # it draws pairs
+    rng = np.random.default_rng(k)
+    x = draws.sample(params, rng, 200)
+    if name in ("mv-gengamma", "kotz-gamma", "mv-beta2"):  # sums over the scales overflow
+        x = np.concatenate([x, rng.uniform(0.5, 1.0, (20, x.shape[1])) * 1e308])
+    row_major = family.logpdf(params, x)
+    block_major = family.logpdf(params, np.ascontiguousarray(x.T).T)
+    single = [family.logpdf(params, point) for point in x]
+    hexes = [float(v).hex() for v in row_major]
+    assert np.isfinite(row_major[:200]).all()
+    assert [float(v).hex() for v in block_major] == hexes
+    assert [float(v).hex() for v in single] == hexes
 
 
 # the positive values of the edge grid of floating point; an axis of the real

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import sys
 import warnings
 
@@ -439,6 +440,26 @@ def test_bessel_k_refuses_an_order_that_is_not_finite(q):
         for z in (1.0, np.array([1e-305, 1.0, 1e9])):
             with pytest.raises(ParameterOutOfDomain, match="finite order q"):
                 log_bessel_k(q, z)
+
+
+def test_bessel_k_refuses_an_order_past_its_recurrence_cap_before_any_step():
+    # where kve overflows, an order of 10002 or more would take over 10000
+    # steps of the upward recurrence (1e20 overflowed np.arange, 2e5 took
+    # 0.6 s); the orders up to the cap keep the bits they had without it
+    z = np.array([1e-290, 1e-3, 1.0, 100.0, 5e3])
+    h = hashlib.sha256()
+    for q in (50.5, -1000.25, 10001.75, 10001.0):
+        h.update(log_bessel_k(q, z).tobytes())
+    assert h.hexdigest() == "7d4006562af02c4866d77fb1c1fce80b196c4d08a7c0b99c768106af4ccc9e1a"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (10002.0, -2e5, 1e20):
+            for zq in (1.0, z):
+                with pytest.raises(ParameterOutOfDomain, match=re.escape(f"at q={q!r} needs more")):
+                    log_bessel_k(q, zq)
+        # kve is finite there, and below z = 1e-300 the small-z form applies:
+        # neither takes the recurrence
+        assert np.isfinite(log_bessel_k(1e20, 1e30)) and np.isfinite(log_bessel_k(1e20, 1e-305))
 
 
 @pytest.mark.parametrize("z", [1e-301, 1e-305, 1e-310, 5e-324])

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -237,8 +238,9 @@ def test_a_negative_integer_seed_is_out_of_domain():
             make_rng(seed)
         with pytest.raises(ParameterOutOfDomain, match="seed must be >= 0"):
             spawn_rngs(seed, 2)
-    # seeds numpy refuses with its own TypeError or ValueError
-    for seed in (1.5, 2.0, "7", [5, -1]):
+    # seeds numpy refuses with its own TypeError or ValueError, and sequences
+    # holding a boolean, which numpy reads as 1 or 0
+    for seed in (1.5, 2.0, "7", [5, -1], [True, False], [True], (3, np.True_), [1, (False,)]):
         with pytest.raises(ParameterOutOfDomain, match="seed must be None, an integer >= 0"):
             make_rng(seed)
         with pytest.raises(ParameterOutOfDomain, match="seed must be None, an integer >= 0"):
@@ -343,6 +345,28 @@ def test_every_count_refuses_a_hostile_value_before_any_work(monkeypatch):
             except Exception as exc:  # a TypeError, or a draw, quadrature or log before the check
                 wrong.append((key, label, f"{type(exc).__name__}: {exc}"))
     assert wrong == []
+
+
+def test_the_ball_map_sends_a_block_whose_square_overflows_to_its_direction():
+    # r = t / sqrt(1 + ||t||^2) is t / ||t|| to double precision there; an
+    # infinite coordinate counts one unit among the block's infinite ones
+    cases = [([1e200, 1.0], (2,), [1.0, 1.0 / 1e200]), ([1e160], (1,), [1.0]),
+             ([math.inf, 1.0], (2,), [1.0, 0.0]),
+             ([-math.inf, math.inf, 3.0], (3,), [-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0]),
+             ([0.6, 1e300, -1e300], (1, 2), [0.6 / math.sqrt(1.0 + 0.6 * 0.6), 1.0 / math.sqrt(2.0),
+                                             -1.0 / math.sqrt(2.0)]),
+             ([math.nan, 1.0], (2,), [math.nan, math.nan])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, dims, want in cases:
+            got = sampling._t_to_pearson2(np.array([t]), dims)
+            assert np.array_equal(got, [want], equal_nan=True), (t, got)
+        p = MvTParams(dims=(2,), alpha0=0.01, betas=(1.0,))
+        with np.errstate(divide="ignore", invalid="ignore"):  # sample_mv_t's z / sqrt(0)
+            r = sample_mv_pearson2(p, make_rng(0), size=100_000)
+    # a t-draw of sample_mv_t at alpha0 = 0.01 may be infinite or overflow its
+    # square: 71 such rows came out NaN and 18 all zero
+    assert not np.isnan(r).any() and not (r == 0.0).all(axis=1).any()
 
 
 def test_spawned_streams_deterministic_and_distinct():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import sys
 import threading
 import time
@@ -224,6 +225,19 @@ def test_quad_refuses_an_axis_without_lo_below_hi(interval):
 def test_pushforward_refuses_an_axis_without_lo_below_hi(interval):
     with pytest.raises(ParameterOutOfDomain, match=r"^support axis 0 needs lo < hi, got \("):
         pushforward_check(_never, _never, [_EMPTY_INTERVALS[interval]], n_draws=10)
+
+
+_NOT_PAIRS = {"one-end": (0.0,), "three-ends": (0.0, 1.0, 2.0), "empty": (), "number": 1.0}
+
+
+@pytest.mark.parametrize("axis", list(_NOT_PAIRS))
+def test_both_oracles_refuse_an_axis_that_is_not_a_pair(axis):
+    bad = _NOT_PAIRS[axis]
+    match = rf"^support axis 1 needs a \(lo, hi\) pair, got {re.escape(repr(bad))}$"
+    with pytest.raises(ParameterOutOfDomain, match=match):
+        quad_normalization(_never, [(0.0, 1.0), bad], 1e-6)
+    with pytest.raises(ParameterOutOfDomain, match=match):
+        pushforward_check(_never, _never, [(0.0, 1.0), bad], n_draws=10)
 
 
 def _whole_grid(nodes, weights, edges):
