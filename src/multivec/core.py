@@ -148,7 +148,13 @@ def _cut_blocks(dims: Sequence[int], x: np.ndarray) -> list[np.ndarray]:
 
 def _block_sqnorms(blocks: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
     """||x_i||^2 of each block into out[..., i], returned as out.  A norm that
-    overflows or has a NaN coordinate is +inf, where every density is zero."""
+    overflows or has a NaN coordinate is +inf, where every density is zero.
+
+    The package's one block norm: the densities' block norms
+    (densities._sqnorms_by_dims) and mv-t's scaled ones past overflow
+    (densities._log_sqnorms), the norms that put normal draws on the unit
+    sphere (sampling._onto_unit_sphere), and the ball map's block norms and
+    directions (sampling._t_to_pearson2)."""
     for i, blk in enumerate(blocks):
         _sum_last(blk, blk, out=out[..., i])
     return np.fmin(out, np.inf, out=out)  # fmin maps NaN to +inf

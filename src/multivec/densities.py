@@ -158,6 +158,18 @@ def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> np.ndarray:
     return _block_sqnorms(_cut_blocks(dims, x), sq)
 
 
+def _log_sqnorms(dims: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """log ||x_i||^2 of each block of the finite rows x, shape (rows, k): twice
+    the log of the block's largest |x_ij| plus the log of the core._block_sqnorms
+    of the block divided by it, so that no square overflows."""
+    blocks = _cut_blocks(dims, x)
+    tops = np.stack([np.max(np.abs(blk), -1) for blk in blocks], axis=-1)
+    scales = np.where(tops > 0.0, tops, 1.0)  # an all-zero block stays 0
+    sq = _block_sqnorms([blk / scales[:, [i]] for i, blk in enumerate(blocks)], np.empty(tops.shape))
+    with np.errstate(divide="ignore"):  # an all-zero block's log norm is -inf
+        return 2.0 * np.log(tops) + np.log(sq)
+
+
 # ---------------------------------------------------------------------------
 # Block-vector families
 
@@ -272,8 +284,12 @@ def _ball_map(dims: tuple[int, ...], r):
     return sq / one_m, log_jac, _all_last(ok)
 
 
-def _mv_t_at(p: MvTParams, sq: np.ndarray):
-    """mv-t log density at block squared norms sq = ||t_i||^2."""
+def _mv_t_at(p: MvTParams, sq: np.ndarray, t: np.ndarray | None = None):
+    """mv-t log density at block squared norms sq = ||t_i||^2.  Given the
+    points t too, a row of finite coordinates whose bracket
+    sum_i ||t_i||^2 / beta_i overflows takes the bracket's log from its
+    blocks' log squared norms, by _log1p_scaled_sum's log-sum-exp; every
+    other row keeps log1p of the bracket, bit for bit."""
     half_dims = np.asarray(p.dims, dtype=float) / 2.0
     log_const = float(
         gammaln(p.alpha_star)
@@ -282,7 +298,12 @@ def _mv_t_at(p: MvTParams, sq: np.ndarray):
         - p.total / 2.0 * _LOG_PI  # the sum of the n_i/2, as alpha_star adds it
     )
     bracket = _sum_last(sq, p.betas, np.divide)
-    out = log_const - p.alpha_star * np.log1p(bracket)
+    log1p = np.log1p(bracket, out=np.empty(np.shape(bracket)))  # an array even for one point
+    far = bracket == np.inf
+    if t is not None and far.any():
+        far &= _all_last(np.isfinite(t))
+        log1p[far] = _log1p_scaled_sum(sq[far], _log_sqnorms(p.dims, t[far]), p.betas)
+    out = log_const - p.alpha_star * log1p
     return _result(out)
 
 
@@ -292,8 +313,11 @@ def logpdf_mv_t(p: MvTParams, t) -> np.ndarray | float:
 
     The pi exponent is sum_i n_i/2, the dimension actually integrated over
     — with the larger exponent n*/2 the function does not integrate to one.
+    Past about 1.3e154, where a coordinate's square overflows, a finite point
+    still reads its finite log density.
     """
-    return _mv_t_at(p, _sqnorms_by_dims(p.dims, t, "t"))
+    t = _vector(t, "t", p.total)
+    return _mv_t_at(p, _sqnorms_by_dims(p.dims, t, "t"), t)
 
 
 @_split_rows

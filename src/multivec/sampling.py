@@ -40,8 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _EXPORTS
-from .core import (MvEllipticalParams, ScaleShapeParams, _block_sqnorms, _cut_blocks, _sum_last,
-                   _whole)
+from .core import MvEllipticalParams, ScaleShapeParams, _block_sqnorms, _cut_blocks, _whole
 from .densities import (
     BetaParams,
     GammaLogGammaParams,
@@ -104,22 +103,16 @@ def _squeeze(out: np.ndarray, size: int | None) -> np.ndarray:
     return out[0] if size is None else out
 
 
-def _sqrt_sq_norms(z: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(z, axis=-1), bit for bit, in a fresh row-length array."""
-    norms = _sum_last(z, z)
-    return np.sqrt(norms, out=norms)
-
-
 def _onto_unit_sphere(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """z's (m, n) standard normal draws, each row divided by its norm in z:
-    m rotationally uniform points on the unit sphere in R^n."""
-    norms = _sqrt_sq_norms(z)
+    """z's (m, n) standard normal draws, each row divided by its norm in z,
+    the root of core._block_sqnorms: m rotationally uniform points on the
+    unit sphere in R^n."""
+    norms = np.empty((z.shape[0], 1))
     # a draw of exactly 0 has probability 0, but never divide by it
-    while not norms.all():
-        redo = norms == 0.0
+    while not np.sqrt(_block_sqnorms((z,), norms), out=norms).all():
+        redo = norms[:, 0] == 0.0
         z[redo] = rng.standard_normal((int(np.sum(redo)), z.shape[1]))
-        norms = _sqrt_sq_norms(z)
-    return np.divide(z, norms[:, None], out=z)
+    return np.divide(z, norms, out=z)
 
 
 def sample_unit_sphere(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -145,12 +138,12 @@ def sample_radius(
     m = _n_draws(size)
     if isinstance(spec, Kotz):
         shape = (2.0 * spec.q + n - 2.0) / (2.0 * spec.s)
-        r = rng.gamma(shape, 1.0, size=m)
+        r = rng.standard_gamma(shape, size=m)
         r /= spec.r
         r **= 1.0 / (2.0 * spec.s)  # the fast paths of y ** e too (np.sqrt at e = 0.5)
     elif isinstance(spec, PearsonVII):
-        r = rng.gamma(n / 2.0, 1.0, size=m)
-        g2 = rng.gamma(spec.q - n / 2.0, 1.0, size=m)
+        r = rng.standard_gamma(n / 2.0, size=m)
+        g2 = rng.standard_gamma(spec.q - n / 2.0, size=m)
         r *= spec.r
         r /= g2
         np.sqrt(r, out=r)
@@ -158,8 +151,8 @@ def sample_radius(
         r = rng.beta(n / 2.0, spec.q + 1.0, size=m)
         np.sqrt(r, out=r)
     else:  # Bessel: the K-distribution, a product of two gammas (see Bessel)
-        r = rng.gamma((n + 1.0 + spec.q) / 2.0, 1.0, size=m)
-        g2 = rng.gamma((n + 1.0 - spec.q) / 2.0, 1.0, size=m)
+        r = rng.standard_gamma((n + 1.0 + spec.q) / 2.0, size=m)
+        g2 = rng.standard_gamma((n + 1.0 - spec.q) / 2.0, size=m)
         r *= g2
         np.sqrt(r, out=r)
         r *= 2.0 * spec.r
@@ -223,14 +216,19 @@ def sample_mv_t(
     independent 2*Gamma(alpha0) variate; any generator with the same finite
     scale-mixture structure produces the identical t law, so the Gaussian
     path is canonical.
+
+    At a small alpha0 the gamma variate can round to 0, and the row then
+    reads +-inf: a draw past the largest double, a property of the law at
+    that shape, which the sampler returns without a warning.
     """
     m = _n_draws(size)
-    v0 = rng.gamma(p.alpha0, 1.0, size=m)
+    v0 = rng.standard_gamma(p.alpha0, size=m)
     v0 *= 2.0
     z = rng.standard_normal((m, p.total))
     scale = np.repeat(np.sqrt(np.asarray(p.betas)), p.dims)
     z *= scale
-    z /= np.sqrt(v0, out=v0)[:, None]
+    with np.errstate(divide="ignore"):
+        z /= np.sqrt(v0, out=v0)[:, None]
     return _squeeze(z, size)
 
 
@@ -241,7 +239,7 @@ def _t_to_pearson2(t: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     is infinite or NaN), r_i is t_i's direction t_i / ||t_i||, formed from
     the block divided by its largest |t_ij| so that no square overflows: an
     infinite coordinate reads +-1 there and a finite one 0, and a NaN makes
-    the block NaN."""
+    the block NaN.  The direction's norm comes from core._block_sqnorms too."""
     rows = np.atleast_2d(t)  # a view: the updates below land in t
     den = np.empty(rows.shape[0])
     for blk in _cut_blocks(dims, rows):
@@ -250,8 +248,9 @@ def _t_to_pearson2(t: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         if far.size:  # the direction, which the division by sqrt(0 + 1) keeps
             big = blk[far]
             with np.errstate(invalid="ignore"):  # inf / inf, where the sign is taken
-                big = np.where(np.isinf(big), np.sign(big), big / np.max(np.abs(big), -1)[:, None])
-            blk[far], den[far] = big / np.sqrt(_sum_last(big, big))[:, None], 0.0
+                top = np.max(np.abs(big), -1)[:, None]  # NaN on a row holding one: all NaN
+                big = np.where(np.abs(big) == top, np.sign(big), big / top)
+            blk[far], den[far] = big / np.sqrt(_block_sqnorms((big,), np.empty((far.size, 1)))), 0.0
         den += 1.0
         blk /= np.sqrt(den, out=den)[:, None]
     return t
@@ -371,8 +370,8 @@ def sample_mv_beta2(
 ) -> np.ndarray:
     """f_i = beta_i G_i / G_0 with independent unit-scale gammas."""
     m = _n_draws(size)
-    g0 = rng.gamma(p.shape.alpha0, 1.0, size=m)
-    g = rng.gamma(np.asarray(p.shape.alphas), 1.0, size=(m, p.k))
+    g0 = rng.standard_gamma(p.shape.alpha0, size=m)
+    g = rng.standard_gamma(np.asarray(p.shape.alphas), size=(m, p.k))
     g *= np.asarray(p.betas)
     g /= g0[:, None]
     return _squeeze(g, size)

@@ -25,10 +25,11 @@ have power.
 
 The grids pass logpdf block-major batches: read-only (n, d) views of (d, n)
 arrays, whose coordinate columns are contiguous.  One helper (_grid_rows)
-builds each chunk of either grid from the grid rows it spans, and the
-quadrature forms each chunk's weights and edge mask from the same rows, so
-no array holds a whole grid's points or a whole level's weights.  Every
-row-wise stage runs on core._map_chunks: the quadrature grid and the
+builds each chunk of either grid from the grid rows it spans: its points,
+and in the quadrature its weights and edge flags too, as the products and
+ors along the rows of the same chunk of the axis weights' and edge flags'
+grids, so no array holds a whole grid's points or a whole level's weights.
+Every row-wise stage runs on core._map_chunks: the quadrature grid and the
 pushforward grid in chunks of core._CHUNK points, the Monte Carlo weights of
 each core._CHUNK-row chunk of draws beside the draw of the next chunk, the
 cumulative Simpson table in bands of lanes, and each pushforward check's KS
@@ -172,45 +173,29 @@ def _de_axis(
     return x[keep], w[keep], (t <= t[0] + _DE_EDGE) | (t >= t[-1] - _DE_EDGE)
 
 
-def _row_span(start: int, stop: int, m: int) -> tuple[slice, slice]:
-    """The rows of m points that points start..stop-1 of a C-order grid
-    span, and where those points fall in the rows' points laid end to end."""
-    first = start // m
-    return slice(first, -(-stop // m)), slice(start - first * m, stop - first * m)
-
-
 def _grid_rows(nodes: Sequence[np.ndarray], start: int, stop: int) -> np.ndarray:
     """Points start..stop-1 of the C-order tensor grid of the node vectors,
     as a read-only block-major (n, d) batch: a view of a (d, n) array, whose
     coordinate columns are contiguous.
 
-    A (d, rows, n_last) buffer takes each axis's nodes broadcast over the
-    grid rows the range spans, a row being one point of the grid of the
-    axes before the last, and the batch is a slice of it.  A 1-d batch is a
+    A (d, rows, n_last) buffer of the last vector's dtype (edge flags stay
+    booleans) takes each axis's nodes broadcast over the grid rows the range
+    spans, a row being one point of the grid of the axes before the last,
+    and the batch is a slice of it.  A 1-d batch is a
     view of the nodes themselves: read-only, a logpdf that writes into its
     batch raises instead of moving the points of later chunks."""
     *outer, last = nodes
     if outer:
-        rows, cut = _row_span(start, stop, len(last))
-        buf = np.empty((len(nodes), rows.stop - rows.start, len(last)))
-        buf[:-1] = _grid_rows(outer, rows.start, rows.stop).T[:, :, None]
+        m = len(last)
+        first, end = start // m, -(-stop // m)
+        buf = np.empty((len(nodes), end - first, m), dtype=last.dtype)
+        buf[:-1] = _grid_rows(outer, first, end).T[:, :, None]
         buf[-1] = last
-        pts = buf.reshape(len(nodes), -1)[:, cut].T
+        pts = buf.reshape(len(nodes), -1)[:, start - first * m:stop - first * m].T
     else:
         pts = last[start:stop, None]
     pts.flags.writeable = False
     return pts
-
-
-def _grid_outer(op: np.ufunc, vectors: Sequence[np.ndarray], start: int, stop: int) -> np.ndarray:
-    """Entries start..stop-1 of the C-order outer op of the vectors, folded
-    from the left as (v0 op v1) op v2, formed from the grid rows the range
-    spans."""
-    *outer, last = vectors
-    if not outer:
-        return last[start:stop]
-    rows, cut = _row_span(start, stop, len(last))
-    return op.outer(_grid_outer(op, outer, rows.start, rows.stop), last).ravel()[cut]
 
 
 def _check_rows(vals: np.ndarray, m: int, name: str, label: str) -> None:
@@ -224,10 +209,11 @@ def _de_grid_sum(
     logpdf: Callable, axes: list[tuple[np.ndarray, np.ndarray, np.ndarray]], name: str
 ) -> tuple[float, float]:
     """Sums of weight * exp(logpdf) over the tensor grid of the axes, in chunks:
-    over every point, and over the points on the edge of any axis.  Each
-    chunk's points (_grid_rows), its weights, as (w0 w1) w2, and its edge
-    mask (_grid_outer) come from the rows it spans, so no array covers a
-    whole level."""
+    over every point, and over the points on the edge of any axis.
+    _grid_rows builds each chunk's points, and its weights and edge flags
+    as the same rows of the grids of the axis weights and edge flags,
+    reduced along each row as (w0 w1) w2 and e0 | e1 | e2 (numpy reduces a
+    short strided axis left to right), so no array covers a whole level."""
     nodes, weights, edges = zip(*axes)
     size = math.prod(len(x) for x in nodes)
 
@@ -239,8 +225,8 @@ def _de_grid_sum(
         except Exception as exc:
             raise QuadratureFailure(f"{name}: integrand raised: {exc}") from exc
         _check_rows(vals, stop - start, name, "logpdf")
-        w = _grid_outer(np.multiply, weights, start, stop)
-        on_edge = _grid_outer(np.logical_or, edges, start, stop)
+        w = np.multiply.reduce(_grid_rows(weights, start, stop), axis=-1)
+        on_edge = np.logical_or.reduce(_grid_rows(edges, start, stop), axis=-1)
         # a widened window reaches nodes where a singular density overflows
         # exp; the level sum is then inf, which raises QuadratureFailure
         with np.errstate(over="ignore"):

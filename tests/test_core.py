@@ -423,7 +423,16 @@ _NORM_EDGES = [(math.nan, math.inf), (math.inf, math.inf), (-math.inf, math.inf)
                (1e200, math.inf), (1e-200, 0.25), (-0.0, 0.25), (0.6, 0.6 * 0.6 + 0.25)]
 
 
-def test_density_norms_and_the_ball_map_read_one_block_norm_rule():
+def test_density_norms_and_the_ball_map_read_one_block_norm_rule(monkeypatch):
+    # the samplers' norms go through the spy below: the ball map's blocks and
+    # the directions of its overflowing rows, and the sphere's normal draws
+    seen = []
+
+    def spy(blocks, out):
+        seen.append([blk.copy() for blk in blocks])
+        return core._block_sqnorms(blocks, out)
+
+    monkeypatch.setattr(sampling, "_block_sqnorms", spy)
     x, want = map(np.array, zip(*_NORM_EDGES))
     t = np.column_stack([np.full(len(x), 0.3), x, np.full(len(x), 0.5)])  # blocks (1, 2)
     sq = densities._sqnorms_by_dims((1, 2), t, "t")
@@ -434,8 +443,15 @@ def test_density_norms_and_the_ball_map_read_one_block_norm_rule():
     assert np.array_equal(r[:, 0], 0.3 / np.sqrt(1.0 + sq[:, 0]))
     finite = want < np.inf
     assert np.array_equal(r[finite, 2], 0.5 / np.sqrt(1.0 + want[finite]))
-    assert np.array_equal(r[~finite, 1:], [[np.nan] * 2, [1.0, 0.0], [-1.0, 0.0], [1.0, 0.5 / 1e200]],
-                          equal_nan=True)
+    direction = [[np.nan] * 2, [1.0, 0.0], [-1.0, 0.0], [1.0, 0.5 / 1e200]]
+    assert np.array_equal(r[~finite, 1:], direction, equal_nan=True)
+    assert [len(blocks) for blocks in seen] == [1, 1, 1]
+    assert np.array_equal(seen[0][0], t[:, :1]) and np.array_equal(seen[1][0], t[:, 1:], equal_nan=True)
+    assert np.array_equal(seen[2][0], direction, equal_nan=True)  # each scaled by its largest |t_ij|
+    seen.clear()
+    u = sampling.sample_unit_sphere(3, make_rng(5), size=4)
+    assert len(seen) == 1 and np.array_equal(seen[0][0], make_rng(5).standard_normal((4, 3)))
+    assert np.array_equal(u, seen[0][0] / np.sqrt(core._block_sqnorms(seen[0], np.empty((4, 1)))))
     # the joint law with no blocks: its norms have no column, and its draws
     # and densities keep the bits they had before core cut the blocks
     h = hashlib.sha256()

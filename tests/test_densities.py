@@ -964,6 +964,56 @@ def test_mv_beta2_stays_finite_where_its_scaled_sum_overflows():
     assert batch[1] == got and batch[0] == logpdf_mv_beta2(p, np.array([0.5, 2.0]))
 
 
+def _mv_t_reference(p: MvTParams, t) -> float:
+    """logpdf_mv_t(p, t) in 40-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a0, half_total = mpmath.mpf(p.alpha0), mpmath.mpf(p.total) / 2
+        bracket = log_const = 0
+        for blk, d, b in zip(np.split(np.asarray(t, dtype=float), np.cumsum(p.dims)[:-1]),
+                             p.dims, p.betas):
+            bracket += sum(mpmath.mpf(x) ** 2 for x in blk) / b
+            log_const -= mpmath.mpf(d) / 2 * mpmath.log(b)
+        log_const += (mpmath.loggamma(a0 + half_total) - mpmath.loggamma(a0)
+                      - half_total * mpmath.log(mpmath.pi))
+        return float(log_const - (a0 + half_total) * mpmath.log1p(bracket))
+
+
+def test_mv_t_stays_finite_past_the_overflow_of_its_squares():
+    # past about 1.3e154 a coordinate's square overflows, where the log
+    # density is finite: -1428.7474875421576 at (1e155, 0), -1844.599098642206
+    # at (1e200, 1e200) and -2764.246841478704 at (3, -1e300)
+    from multivec import densities
+
+    cases = [
+        (MvTParams(dims=(1, 1), alpha0=1.0, betas=(1.0, 1.0)),
+         [(1e155, 0.0), (1e200, 1e200), (3.0, -1e300), (1e154, 0.0)]),
+        (MvTParams(dims=(2, 3), alpha0=1.5, betas=(2.0, 0.5)),
+         [(1e160, -3e159, 2.0, 5e200, -1e199), (0.0, 0.0, 1e300, 0.0, -2e299), (1.0, 2.0, 3.0, 4.0, 5.0)]),
+    ]
+    for p, points in cases:
+        x = np.array(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = logpdf_mv_t(p, x)
+            single = np.array([logpdf_mv_t(p, point) for point in x])
+        assert batch.tobytes() == single.tobytes()
+        for got, point in zip(batch, points):
+            want = _mv_t_reference(p, point)
+            assert abs(got - want) <= 1e-12 * abs(want), (point, got, want)
+        # a row whose bracket is finite keeps the bits of the plain log1p path
+        sq = densities._sqnorms_by_dims(p.dims, x, "t")
+        plain = densities._mv_t_at(p, sq)
+        in_range = np.isfinite(plain)
+        assert in_range.any() and not in_range.all()
+        assert batch[in_range].tobytes() == plain[in_range].tobytes()
+    # an infinite or NaN coordinate still reads -inf
+    p = cases[0][0]
+    assert np.all(logpdf_mv_t(p, np.array([[math.inf, 0.0], [math.nan, 1e200], [-math.inf, 1e300]]))
+                  == -np.inf)
+
+
 def test_every_family_at_the_edges_of_floating_point(monkeypatch):
     # each fixture on the grid +-{0, 5e-324, ..., 1.7e308}^d: batched, one
     # point at a time, and tiled past the split threshold, so that chunks on

@@ -7,6 +7,13 @@ The scan is static (stdlib ``ast``): it flags a call of a function or
 method named ``sum`` (``np.sum``, ``x.sum``) whose axis is -1, given by
 keyword or by position, anywhere outside the body of ``core._sum_last``.
 ``np.max`` and ``np.all`` are exact in any order, so they stay out of scope.
+
+A second scan holds the block norm to its one owner, `core._block_sqnorms`,
+which maps an overflowing or NaN norm to +inf for every density and
+sampler: it flags a row's sum of squares, a call ``_sum_last(a, a)`` whose
+two summed arrays are the same expression, anywhere outside that body.  A
+sum of two different arrays (``block_quadform``'s ``_sum_last(sol, rows)``)
+is no square and stays allowed.
 """
 
 import ast
@@ -14,6 +21,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "multivec"
 OWNER = ("core", "_sum_last")
+NORM_OWNER = ("core", "_block_sqnorms")
 
 
 def _is_last_axis(node: ast.expr) -> bool:
@@ -38,20 +46,46 @@ def _sums_over_last_axis(tree: ast.AST) -> list[int]:
     return lines
 
 
-def stray_row_sums(root: Path) -> list[str]:
-    """`module:line` for every sum over axis -1 in the package under root
+def _squared_norms(tree: ast.AST) -> list[int]:
+    """Line numbers of the calls `_sum_last(a, a)` under tree, by name or as
+    an attribute, with the array given by position or keyword."""
+    lines = []
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if getattr(func, "id", getattr(func, "attr", None)) != "_sum_last":
+            continue
+        summed = node.args[:2] + [kw.value for kw in node.keywords if kw.arg in ("a", "c")]
+        if len(summed) == 2 and ast.dump(summed[0]) == ast.dump(summed[1]):
+            lines.append(node.lineno)
+    return lines
+
+
+def _strays(root: Path, find, owner: tuple[str, str]) -> list[str]:
+    """`module:line` for every line find flags in the package under root
     outside the owner's body."""
     found = []
     for path in sorted(root.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (path.stem, getattr(stmt, "name", None)) == OWNER:
+            if (path.stem, getattr(stmt, "name", None)) == owner:
                 continue
-            found += [f"{path.stem}:{line}" for line in _sums_over_last_axis(stmt)]
+            found += [f"{path.stem}:{line}" for line in find(stmt)]
     return found
+
+
+def stray_row_sums(root: Path) -> list[str]:
+    return _strays(root, _sums_over_last_axis, OWNER)
+
+
+def stray_squared_norms(root: Path) -> list[str]:
+    return _strays(root, _squared_norms, NORM_OWNER)
 
 
 def test_only_the_one_helper_sums_over_the_last_axis():
     assert stray_row_sums(SRC) == []
+
+
+def test_only_the_one_block_norm_squares_a_row():
+    assert stray_squared_norms(SRC) == []
 
 
 def test_the_scan_finds_a_sum_over_the_last_axis(tmp_path):
@@ -69,3 +103,19 @@ def test_the_scan_finds_a_sum_over_the_last_axis(tmp_path):
         encoding="utf-8",
     )
     assert stray_row_sums(tmp_path) == ["other:3", "other:5", "other:5", "other:5", "other:6"]
+
+
+def test_the_scan_finds_a_squared_norm(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "def _block_sqnorms(blocks, out):\n    return _sum_last(blocks[0], blocks[0], out=out)\n"
+        "def block_quadform(sol, rows):\n    return _sum_last(sol, rows)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "other.py").write_text(
+        "from . import core\n"
+        "def f(z):\n    return _sum_last(z, z)\n"
+        "def g(z, y):\n    return core._sum_last(z[1], c=z[1]) + _sum_last(a=y, c=y) + _sum_last(z, y)\n"
+        "X = _sum_last(z, z[0]) + _sum_last(z)\n",
+        encoding="utf-8",
+    )
+    assert stray_squared_norms(tmp_path) == ["other:3", "other:5", "other:5"]

@@ -269,19 +269,28 @@ def test_grid_chunks_are_the_whole_grids_rows_bit_for_bit(monkeypatch, chunk, co
         chunks.append(x.copy())
         return np.zeros(len(x))
 
-    total, edge = validation._de_grid_sum(logpdf, list(zip(nodes, weights, edges)), "grid")
+    axes = list(zip(nodes, weights, edges))
+    total, edge = validation._de_grid_sum(logpdf, axes, "grid")
     starts = range(0, len(pts), chunk)
     assert [len(x) for x in chunks] == [min(chunk, len(pts) - s) for s in starts]
     assert np.array_equal(np.concatenate(chunks), pts)
     want_total = want_edge = 0.0
     for s in starts:
         ws, es = w[s:s + chunk], e[s:s + chunk]
-        stop = s + len(ws)
-        assert validation._grid_outer(np.multiply, weights, s, stop).tobytes() == ws.tobytes()
-        assert np.array_equal(validation._grid_outer(np.logical_or, edges, s, stop), es)
         want_total += float(np.sum(ws))
         want_edge += float(np.sum(ws[es]))
     assert (total.hex(), edge.hex()) == (want_total.hex(), want_edge.hex())
+    # the weights and edge flags the chunk sums use: with exp(logpdf) 1 at one
+    # row of each chunk and 0 elsewhere, a chunk's sums are that point's
+    # weight, and that weight again or 0.0 as the point is on an edge or not
+    sums = []
+    map_chunks = validation._map_chunks
+    monkeypatch.setattr(validation, "_map_chunks", lambda fn, n: sums.extend(map_chunks(fn, n)) or [])
+    for row in range(chunk):
+        validation._de_grid_sum(lambda x: np.where(np.arange(len(x)) == row, 0.0, -np.inf), axes, "grid")
+    used = np.array(sums).reshape(chunk, len(starts), 2).transpose(1, 0, 2).reshape(-1, 2)[:len(pts)]
+    assert used[:, 0].tobytes() == w.tobytes()
+    assert used[:, 1].tobytes() == np.where(e, w, 0.0).tobytes()
 
 
 def test_the_3d_quadrature_holds_no_whole_level(monkeypatch):
