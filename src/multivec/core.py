@@ -153,8 +153,8 @@ def _block_sqnorms(blocks: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
     The package's one block norm: the densities' block norms
     (densities._sqnorms_by_dims) and mv-t's scaled ones past overflow
     (densities._log_sqnorms), the norms that put normal draws on the unit
-    sphere (sampling._onto_unit_sphere), and the ball map's block norms and
-    directions (sampling._t_to_pearson2)."""
+    sphere (sampling._onto_unit_sphere), and the forward ball map's block
+    norms and directions (densities._ball_forward)."""
     for i, blk in enumerate(blocks):
         _sum_last(blk, blk, out=out[..., i])
     return np.fmin(out, np.inf, out=out)  # fmin maps NaN to +inf

@@ -29,17 +29,25 @@ Conventions shared by every function here:
 
 Six roots carry every normalizing constant: mv-elliptical, mv-t,
 gengamma-pearson7, mv-gengamma, mv-beta2 and gengamma-beta2.  Every other
-density is a root's kernel at the inverse of one change of variables plus
-its log-Jacobian, -inf off the support (the samplers use the forward maps):
+law is a root's image under one change of variables, block by block, and
+each map lives here in both directions: the forward map, which the image's
+sampler applies to its root's draws, and the inverse with its log-Jacobian,
+at which the image's density reads its root's kernel, -inf off the support.
 
-- t_i = r_i/(1-||r_i||^2)^{1/2} per block, -sum (n_i/2+1) log(1-||r_i||^2):
-  mv-pearson2 from mv-t, gengamma-pearson2 from gengamma-pearson7;
-- f_i = b_i/(1-b_i), -2 sum log(1-b_i): mv-beta1 from mv-beta2,
-  gengamma-beta1 from gengamma-beta2;
-- u_j = exp(y_j) on the last k2 blocks, sum y_j: gamma-loggamma from
-  mv-gengamma;
-- x_i = log v_i, -sum log v_i: log-elliptical and mixed-ell-logell from
-  mv-elliptical.
+- The ball map r_i = t_i/(1+||t_i||^2)^{1/2} (_ball_forward) takes
+  mv-t to mv-pearson2 and gengamma-pearson7 to gengamma-pearson2.  Its
+  inverse t_i = r_i/(1-||r_i||^2)^{1/2} has log-Jacobian
+  -sum (n_i/2+1) log(1-||r_i||^2) (_ball_inverse).
+- The unit map b_i = f_i/(1+f_i) (_unit_forward) takes mv-beta2 to mv-beta1
+  and gengamma-beta2 to gengamma-beta1.  Its inverse f_i = b_i/(1-b_i) has
+  log-Jacobian -2 sum log(1-b_i) (_unit_inverse).
+- The exp map v_i = exp(x_i) on the coordinates past the first k1 blocks
+  takes mv-elliptical to mixed-ell-logell, and to log-elliptical at k1 = 0.
+  Its inverse x_i = log v_i has log-Jacobian -sum log v_i.  Its mirror
+  y_j = log u_j on the last k2 blocks takes mv-gengamma to gamma-loggamma,
+  with inverse u_j = exp(y_j) and log-Jacobian sum y_j.  The samplers apply
+  numpy's exp or log to those columns in place, and the densities _join the
+  untouched blocks to the inverse's.
 
 Commonly printed forms of the images that fail to integrate to one misstate
 one of these Jacobians.  Every exponent is pinned by a quadrature test and,
@@ -158,14 +166,23 @@ def _sqnorms_by_dims(dims: tuple[int, ...], x, name: str) -> np.ndarray:
     return _block_sqnorms(_cut_blocks(dims, x), sq)
 
 
-def _log_sqnorms(dims: tuple[int, ...], x: np.ndarray) -> np.ndarray:
-    """log ||x_i||^2 of each block of the finite rows x, shape (rows, k): twice
-    the log of the block's largest |x_ij| plus the log of the core._block_sqnorms
-    of the block divided by it, so that no square overflows."""
-    blocks = _cut_blocks(dims, x)
+def _scaled(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each block over its largest |x_ij|, and those largest, shape (..., k).
+    A coordinate at the largest reads as its sign, so that an infinite one
+    reads +-1 (a finite one beside it 0) and an all-zero block stays 0; a
+    block holding NaN is all NaN.  No square of a scaled block overflows."""
     tops = np.stack([np.max(np.abs(blk), -1) for blk in blocks], axis=-1)
-    scales = np.where(tops > 0.0, tops, 1.0)  # an all-zero block stays 0
-    sq = _block_sqnorms([blk / scales[:, [i]] for i, blk in enumerate(blocks)], np.empty(tops.shape))
+    with np.errstate(invalid="ignore"):  # inf / inf and 0 / 0, where the sign is taken
+        return [np.where(np.abs(blk) == tops[..., [i]], np.sign(blk), blk / tops[..., [i]])
+                for i, blk in enumerate(blocks)], tops
+
+
+def _log_sqnorms(dims: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """log ||x_i||^2 of each block of the rows x, shape (rows, k): twice the
+    log of the block's largest |x_ij| plus the log of the core._block_sqnorms
+    of the _scaled block."""
+    scaled, tops = _scaled(_cut_blocks(dims, x))
+    sq = _block_sqnorms(scaled, np.empty(tops.shape))
     with np.errstate(divide="ignore"):  # an all-zero block's log norm is -inf
         return 2.0 * np.log(tops) + np.log(sq)
 
@@ -190,14 +207,6 @@ def logpdf_mv_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, x) -> np.nd
     logdet = _sum_in_order(ld for _, ld in p.factors)
     out = -0.5 * logdet + log_h(spec, quad, float(p.partition.total))
     return _result(out)
-
-
-@_split_rows
-def logpdf_mv_log_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, v) -> np.ndarray | float:
-    """Elementwise-log pushforward of the block elliptical law; Jacobian prod 1/v_i."""
-    logv = np.log(_positive_vector(v, "v", p.partition.total))
-    # the unsplit kernel: only the public call splits its rows
-    return _result(logpdf_mv_elliptical.__wrapped__(p, spec, logv) - _sum_last(logv))
 
 
 @dataclass(frozen=True)
@@ -226,16 +235,26 @@ class MixedParams:
         return self.base.partition.total - self.n_linear
 
 
+def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a and b broadcast to one batch and joined along the last axis."""
+    batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    return np.concatenate([np.broadcast_to(z, batch + z.shape[-1:]) for z in (a, b)], axis=-1)
+
+
 @_split_rows
 def logpdf_mixed_ell_logell(p: MixedParams, spec: GeneratorSpec, x, v) -> np.ndarray | float:
     """Joint density of linear blocks x and positive blocks v under one shared h."""
     x = _vector(x, "x", p.n_linear)
     logv = np.log(_positive_vector(v, "v", p.n_log))
-    batch = np.broadcast_shapes(x.shape[:-1], logv.shape[:-1])
-    x_b = np.broadcast_to(x, batch + x.shape[-1:])
-    logv_b = np.broadcast_to(logv, batch + logv.shape[-1:])
-    full = np.concatenate([x_b, logv_b], axis=-1)
-    return _result(logpdf_mv_elliptical.__wrapped__(p.base, spec, full) - _sum_last(logv_b))
+    # the unsplit kernel: only the public call splits its rows
+    return _result(logpdf_mv_elliptical.__wrapped__(p.base, spec, _join(x, logv)) - _sum_last(logv))
+
+
+@_split_rows
+def logpdf_mv_log_elliptical(p: MvEllipticalParams, spec: GeneratorSpec, v) -> np.ndarray | float:
+    """Elementwise-log pushforward of the block elliptical law, Jacobian
+    prod 1/v_i: the mixed law at k1 = 0."""
+    return logpdf_mixed_ell_logell.__wrapped__(MixedParams(p, 0), spec, (), v)
 
 
 @dataclass(frozen=True)
@@ -273,7 +292,25 @@ class MvTParams:
         return self.alpha0 + self.total / 2.0
 
 
-def _ball_map(dims: tuple[int, ...], r):
+def _ball_forward(dims: tuple[int, ...], t: np.ndarray) -> np.ndarray:
+    """r_i = t_i / sqrt(1 + ||t_i||^2), block by block in t's own array and
+    one row-length buffer.  Where ||t_i||^2 is +inf (it overflows, or a
+    coordinate is infinite or NaN), r_i is t_i's direction t_i / ||t_i||:
+    the _scaled block over its norm."""
+    rows = np.atleast_2d(t)  # a view: the updates below land in t
+    den = np.empty(rows.shape[0])
+    for blk in _cut_blocks(dims, rows):
+        _block_sqnorms((blk,), den[:, None])
+        far = np.flatnonzero(den == np.inf)
+        if far.size:  # the direction, which the division by sqrt(0 + 1) keeps
+            (big,), _ = _scaled([blk[far]])
+            blk[far], den[far] = big / np.sqrt(_block_sqnorms((big,), np.empty((far.size, 1)))), 0.0
+        den += 1.0
+        blk /= np.sqrt(den, out=den)[:, None]
+    return t
+
+
+def _ball_inverse(dims: tuple[int, ...], r):
     """||t_i||^2 for t_i = r_i/sqrt(1-||r_i||^2), the log-Jacobian and the
     mask of the open unit balls; masked-out points take a finite stand-in."""
     sq = _sqnorms_by_dims(dims, r, "r")
@@ -330,7 +367,7 @@ def logpdf_mv_pearson2(p: MvTParams, r) -> np.ndarray | float:
     alpha* - n_i/2 - 1); the alpha0 contribution, which comes from the t
     law's alpha* power, is required for the density to integrate to one.
     """
-    sq_t, log_jac, inside = _ball_map(p.dims, r)
+    sq_t, log_jac, inside = _ball_inverse(p.dims, r)
     return _result(np.where(inside, _mv_t_at(p, sq_t) + log_jac, -np.inf))
 
 
@@ -458,10 +495,21 @@ def logpdf_gengamma_pearson2(p: JointScaleParams, s0, r) -> np.ndarray | float:
     particular the h argument is NOT (1-||r_i||^2)||r_i||^2 — and brings the
     Jacobian prod (1-||r_i||^2)^{-(n_i/2+1)}.
     """
-    return _gengamma_pearson7_at(p, s0, *_ball_map(p._blocks(vector=True), r))
+    return _gengamma_pearson7_at(p, s0, *_ball_inverse(p._blocks(vector=True), r))
 
 
-def _unit_map(b, k: int):
+def _unit_forward(f: np.ndarray) -> np.ndarray:
+    """b = f / (1 + f) in f's own array, 1 + f formed a column at a time in
+    one row-length buffer."""
+    rows = np.atleast_2d(f)  # a view: the updates below land in f
+    den = np.empty(rows.shape[0])
+    for j in range(rows.shape[1]):
+        col = rows[:, j]
+        np.divide(col, np.add(col, 1.0, out=den), out=col)
+    return f
+
+
+def _unit_inverse(b, k: int):
     """f_i = b_i/(1-b_i), log f, the log-Jacobian and the mask of (0,1)^k,
     one column at a time; masked-out points take a finite stand-in."""
     b = _vector(b, "b", k)
@@ -496,7 +544,7 @@ def logpdf_gengamma_beta1(p: JointScaleParams, s0, b) -> np.ndarray | float:
     b_i/(1-b_i), not (1-b_i)b_i — the latter fails both the normalization
     and the pushforward checks.
     """
-    return _gengamma_beta2_at(p, s0, *_unit_map(b, len(p._blocks(vector=False))))
+    return _gengamma_beta2_at(p, s0, *_unit_inverse(b, len(p._blocks(vector=False))))
 
 
 @_split_rows
@@ -594,7 +642,7 @@ def logpdf_mv_beta1(p: BetaParams, b) -> np.ndarray | float:
     exponent is alpha0 + sum_{j != i} alpha_j - 1; dropping the alpha0 term,
     which comes from the beta II law's alpha* power, breaks normalization.
     """
-    f, log_f, log_jac, inside = _unit_map(b, p.k)
+    f, log_f, log_jac, inside = _unit_inverse(b, p.k)
     return _result(np.where(inside, _mv_beta2_at(p, f, log_f) + log_jac, -np.inf))
 
 
@@ -640,17 +688,6 @@ class GammaLogGammaParams:
         return float(np.sum(self.alphas + self.rhos))
 
 
-def _log_map(u: np.ndarray, y: np.ndarray):
-    """The gamma blocks u followed by u_j = exp(y_j), on one broadcast batch,
-    with their logs and the log-Jacobian sum_j y_j."""
-    batch = np.broadcast_shapes(u.shape[:-1], y.shape[:-1])
-    u = np.broadcast_to(u, batch + u.shape[-1:])
-    y = np.broadcast_to(y, batch + y.shape[-1:])
-    with np.errstate(over="ignore"):  # exp(y) overflows to +inf, where h is zero
-        all_u = np.concatenate([u, np.exp(y)], axis=-1)
-    return all_u, np.concatenate([np.log(u), y], axis=-1), _sum_last(y)
-
-
 @_split_rows
 def logpdf_gamma_loggamma(p: GammaLogGammaParams, u=None, y=None) -> np.ndarray | float:
     """Joint law of gamma-type blocks u_i > 0 and log-gamma blocks y_j in R.
@@ -664,8 +701,9 @@ def logpdf_gamma_loggamma(p: GammaLogGammaParams, u=None, y=None) -> np.ndarray 
     y = _vector(() if y is None else y, "y", p.k2)
     if not np.all(np.isfinite(y)):
         raise ParameterOutOfDomain("y must be finite")
-    all_u, log_u, log_jac = _log_map(u, y)
+    with np.errstate(over="ignore"):  # exp(y) overflows to +inf, where h is zero
+        all_u = _join(u, np.exp(y))
     alphas, sigma2 = np.asarray(p.alphas + p.rhos), np.asarray(p.sigma2s + p.delta2s)
-    out = _mv_gengamma_at(p.spec, p.total_shape, alphas, sigma2, all_u, log_u)
+    out = _mv_gengamma_at(p.spec, p.total_shape, alphas, sigma2, all_u, _join(np.log(u), y))
     with np.errstate(over="ignore"):  # y_j near -1.8e308: the log density is -inf
-        return _result(out + log_jac)
+        return _result(out + _sum_last(y))

@@ -47,6 +47,8 @@ from .densities import (
     JointScaleParams,
     MixedParams,
     MvTParams,
+    _ball_forward,
+    _unit_forward,
 )
 from .errors import DimensionMismatch, ParameterOutOfDomain
 from .generators import (
@@ -188,14 +190,6 @@ def sample_mv_elliptical(
     return _squeeze(z, size)
 
 
-def sample_mv_log_elliptical(
-    p: MvEllipticalParams, spec: GeneratorSpec, rng: np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
-    x = sample_mv_elliptical(p, spec, rng, size=size)
-    return np.exp(x, out=x)
-
-
 def sample_mixed_ell_logell(
     p: MixedParams, spec: GeneratorSpec, rng: np.random.Generator,
     size: int | None = None,
@@ -205,6 +199,14 @@ def sample_mixed_ell_logell(
     logs = x[..., p.n_linear:]
     np.exp(logs, out=logs)
     return x
+
+
+def sample_mv_log_elliptical(
+    p: MvEllipticalParams, spec: GeneratorSpec, rng: np.random.Generator,
+    size: int | None = None,
+) -> np.ndarray:
+    """v_i = exp(x_i) of an elliptical draw: the mixed law at k1 = 0."""
+    return sample_mixed_ell_logell(MixedParams(p, 0), spec, rng, size=size)
 
 
 def sample_mv_t(
@@ -232,36 +234,12 @@ def sample_mv_t(
     return _squeeze(z, size)
 
 
-def _t_to_pearson2(t: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """r_i = t_i / sqrt(1 + ||t_i||^2), block by block in t's own array and
-    one row-length buffer.  ||t_i||^2 comes from core._block_sqnorms, the
-    densities' norm.  Where that norm is +inf (it overflows, or a coordinate
-    is infinite or NaN), r_i is t_i's direction t_i / ||t_i||, formed from
-    the block divided by its largest |t_ij| so that no square overflows: an
-    infinite coordinate reads +-1 there and a finite one 0, and a NaN makes
-    the block NaN.  The direction's norm comes from core._block_sqnorms too."""
-    rows = np.atleast_2d(t)  # a view: the updates below land in t
-    den = np.empty(rows.shape[0])
-    for blk in _cut_blocks(dims, rows):
-        _block_sqnorms((blk,), den[:, None])
-        far = np.flatnonzero(den == np.inf)
-        if far.size:  # the direction, which the division by sqrt(0 + 1) keeps
-            big = blk[far]
-            with np.errstate(invalid="ignore"):  # inf / inf, where the sign is taken
-                top = np.max(np.abs(big), -1)[:, None]  # NaN on a row holding one: all NaN
-                big = np.where(np.abs(big) == top, np.sign(big), big / top)
-            blk[far], den[far] = big / np.sqrt(_block_sqnorms((big,), np.empty((far.size, 1)))), 0.0
-        den += 1.0
-        blk /= np.sqrt(den, out=den)[:, None]
-    return t
-
-
 def sample_mv_pearson2(
     p: MvTParams, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
     """Deterministic image r_i = t_i / sqrt(1 + ||t_i||^2) of the t sampler."""
     t = sample_mv_t(p, rng, size=size)
-    return _t_to_pearson2(t, p.dims)
+    return _ball_forward(p.dims, t)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +282,7 @@ def sample_gengamma_pearson2(
 ) -> tuple[np.ndarray | float, np.ndarray]:
     """(s0, r) pair with r the per-block Pearson II image of the joint t."""
     s0, t = sample_gengamma_pearson7(p, rng, size=size)
-    return s0, _t_to_pearson2(t, p.dims)
+    return s0, _ball_forward(p.dims, t)
 
 
 # ---------------------------------------------------------------------------
@@ -377,22 +355,11 @@ def sample_mv_beta2(
     return _squeeze(g, size)
 
 
-def _beta2_to_beta1(f: np.ndarray) -> np.ndarray:
-    """b = f / (1 + f) in f's own array, 1 + f formed a column at a time in
-    one row-length buffer."""
-    rows = np.atleast_2d(f)  # a view: the updates below land in f
-    den = np.empty(rows.shape[0])
-    for j in range(rows.shape[1]):
-        col = rows[:, j]
-        np.divide(col, np.add(col, 1.0, out=den), out=col)
-    return f
-
-
 def sample_mv_beta1(
     p: BetaParams, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
     """b_i = f_i / (1 + f_i), the bounded image of the beta II sampler."""
-    return _beta2_to_beta1(sample_mv_beta2(p, rng, size=size))
+    return _unit_forward(sample_mv_beta2(p, rng, size=size))
 
 
 def sample_gengamma_beta2(
@@ -414,7 +381,7 @@ def sample_gengamma_beta1(
 ) -> tuple[np.ndarray | float, np.ndarray]:
     """(s0, b) pair with b_i = f_i/(1+f_i) applied to the beta II joint."""
     s0, f = sample_gengamma_beta2(p, rng, size=size)
-    return s0, _beta2_to_beta1(f)
+    return s0, _unit_forward(f)
 
 
 def sample_gamma_loggamma(

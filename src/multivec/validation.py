@@ -73,6 +73,7 @@ from .densities import (
     JointScaleParams,
     MixedParams,
     MvTParams,
+    _ball_forward,
     logpdf_mv_beta1,
     logpdf_mv_pearson2,
     logpdf_mv_t,
@@ -80,7 +81,7 @@ from .densities import (
 from .errors import DegenerateWeights, DimensionMismatch, ParameterOutOfDomain, QuadratureFailure
 from .families import FAMILIES
 from .generators import Bessel, GeneratorSpec, Kotz, PearsonII, PearsonVII, gammaln, log_norm_const
-from .sampling import _t_to_pearson2, make_rng, sample_mv_t
+from .sampling import make_rng, sample_mv_t
 
 __all__ = list(_EXPORTS["validation"])
 
@@ -458,9 +459,9 @@ def _image_identity_residual(
 
 def _ball_report(name: str, p: MvTParams, t: np.ndarray, details: str) -> CheckReport:
     """The identity from mv-t to mv-pearson2 at the points t, through the
-    sampler's ball map r = t / sqrt(1 + ||t||^2) (sampling._t_to_pearson2)."""
+    sampler's ball map r = t / sqrt(1 + ||t||^2) (densities._ball_forward)."""
     residual = _image_identity_residual(t, partial(logpdf_mv_t, p), partial(logpdf_mv_pearson2, p),
-                                        partial(_t_to_pearson2, dims=p.dims))
+                                        partial(_ball_forward, p.dims))
     return CheckReport(name, residual, _JACOBIAN_TOL, details=details)
 
 

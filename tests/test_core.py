@@ -424,19 +424,22 @@ _NORM_EDGES = [(math.nan, math.inf), (math.inf, math.inf), (-math.inf, math.inf)
 
 
 def test_density_norms_and_the_ball_map_read_one_block_norm_rule(monkeypatch):
-    # the samplers' norms go through the spy below: the ball map's blocks and
-    # the directions of its overflowing rows, and the sphere's normal draws
+    # the norms go through the spy below: the density's blocks, the ball
+    # map's blocks and the directions of its overflowing rows, and the
+    # sphere's normal draws
     seen = []
 
     def spy(blocks, out):
         seen.append([blk.copy() for blk in blocks])
         return core._block_sqnorms(blocks, out)
 
+    monkeypatch.setattr(densities, "_block_sqnorms", spy)
     monkeypatch.setattr(sampling, "_block_sqnorms", spy)
     x, want = map(np.array, zip(*_NORM_EDGES))
     t = np.column_stack([np.full(len(x), 0.3), x, np.full(len(x), 0.5)])  # blocks (1, 2)
     sq = densities._sqnorms_by_dims((1, 2), t, "t")
-    r = sampling._t_to_pearson2(t.copy(), (1, 2))
+    assert len(seen) == 1 and np.array_equal(seen.pop()[1], t[:, 1:], equal_nan=True)
+    r = densities._ball_forward((1, 2), t.copy())
     assert np.array_equal(sq[:, 0], np.full(len(x), 0.3 * 0.3)) and np.array_equal(sq[:, 1], want)
     # the ball map divides each block by sqrt(1 + ||t_i||^2) with the same
     # norms; where a norm is +inf, the block is its direction (NaN with a NaN)

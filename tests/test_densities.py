@@ -717,14 +717,14 @@ def test_image_density_matches_its_closed_form(case):
 def test_the_closed_form_comparison_catches_a_ball_jacobian_off_by_a_half(monkeypatch):
     from multivec import densities
 
-    ball_map = densities._ball_map
+    ball_map = densities._ball_inverse
 
     def off_by_half(dims, r):
         sq_t, log_jac, inside = ball_map(dims, r)
         # exponent n_i/2 + 1/2 in place of n_i/2 + 1 on 1 - ||r_i||^2 = 1/(1 + ||t_i||^2)
         return sq_t, log_jac - 0.5 * np.sum(np.log1p(sq_t), axis=-1), inside
 
-    monkeypatch.setattr(densities, "_ball_map", off_by_half)
+    monkeypatch.setattr(densities, "_ball_inverse", off_by_half)
     for name, got, want, x in _image_cases(np.random.default_rng(41))[:2]:
         assert not _matches(got(x), want(x)), name
 

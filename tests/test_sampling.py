@@ -360,7 +360,7 @@ def test_the_ball_map_sends_a_block_whose_square_overflows_to_its_direction():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t, dims, want in cases:
-            got = sampling._t_to_pearson2(np.array([t]), dims)
+            got = densities._ball_forward(dims, np.array([t]))
             assert np.array_equal(got, [want], equal_nan=True), (t, got)
 
 

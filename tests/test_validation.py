@@ -678,11 +678,11 @@ def test_jacobian_grid_check():
 
 @pytest.fixture
 def frozen_ball_exponent(monkeypatch):
-    """densities._ball_map with -(n/2 + 1) log(1 - ||r||^2) frozen at n/2 + 1
+    """densities._ball_inverse with -(n/2 + 1) log(1 - ||r||^2) frozen at n/2 + 1
     = 3/2, which is right at n = 1 only."""
     from multivec import densities
 
-    ball_map = densities._ball_map
+    ball_map = densities._ball_inverse
 
     def frozen(dims, r):
         sq_t, log_jac, inside = ball_map(dims, r)
@@ -690,7 +690,7 @@ def frozen_ball_exponent(monkeypatch):
         shift = np.sum((np.asarray(dims) / 2.0 - 0.5) * np.log1p(sq_t), axis=-1)
         return sq_t, log_jac - shift, inside
 
-    monkeypatch.setattr(densities, "_ball_map", frozen)
+    monkeypatch.setattr(densities, "_ball_inverse", frozen)
 
 
 def test_a_ball_jacobian_exponent_frozen_at_three_halves_fails_the_vector_rows(frozen_ball_exponent):
