@@ -34,12 +34,14 @@ each map lives here in both directions: the forward map, which the image's
 sampler applies to its root's draws, and the inverse with its log-Jacobian,
 at which the image's density reads its root's kernel, -inf off the support.
 
-- The ball map r_i = t_i/(1+||t_i||^2)^{1/2} (_ball_forward) takes
-  mv-t to mv-pearson2 and gengamma-pearson7 to gengamma-pearson2.  Its
-  inverse t_i = r_i/(1-||r_i||^2)^{1/2} has log-Jacobian
-  -sum (n_i/2+1) log(1-||r_i||^2) (_ball_inverse).
-- The unit map b_i = f_i/(1+f_i) (_unit_forward) takes mv-beta2 to mv-beta1
-  and gengamma-beta2 to gengamma-beta1.  Its inverse f_i = b_i/(1-b_i) has
+- The ball map r_i = t_i/(1+||t_i||^2)^{1/2} (_ball_forward), t_i's
+  direction where ||t_i||^2 overflows, takes mv-t to mv-pearson2 and
+  gengamma-pearson7 to gengamma-pearson2.  Its inverse
+  t_i = r_i/(1-||r_i||^2)^{1/2} has log-Jacobian
+  -sum (n_i/2+1) log(1-||r_i||^2) (_ball_inverse), and gives mv-t
+  log ||t_i||^2 where its bracket overflows.
+- The unit map b_i = f_i/(1+f_i) (_unit_forward), 1 at f_i = +inf, takes
+  mv-beta2 to mv-beta1 and gengamma-beta2 to gengamma-beta1.  Its inverse f_i = b_i/(1-b_i) has
   log-Jacobian -2 sum log(1-b_i) (_unit_inverse).
 - The exp map v_i = exp(x_i) on the coordinates past the first k1 blocks
   takes mv-elliptical to mixed-ell-logell, and to log-elliptical at k1 = 0.
@@ -311,22 +313,31 @@ def _ball_forward(dims: tuple[int, ...], t: np.ndarray) -> np.ndarray:
 
 
 def _ball_inverse(dims: tuple[int, ...], r):
-    """||t_i||^2 for t_i = r_i/sqrt(1-||r_i||^2), the log-Jacobian and the
-    mask of the open unit balls; masked-out points take a finite stand-in."""
+    """||t_i||^2 for t_i = r_i/sqrt(1-||r_i||^2), the log-Jacobian, the mask
+    of the open unit balls, and the function that gives log ||t_i||^2 on a
+    mask of rows, as log ||r_i||^2 - log(1-||r_i||^2), which no overflow
+    of ||t_i||^2 / beta_i reaches; masked-out points take a finite stand-in."""
     sq = _sqnorms_by_dims(dims, r, "r")
     ok = sq < 1.0
     sq = np.where(ok, sq, 0.5)
     one_m = 1.0 - sq
-    log_jac = -_sum_last(np.log(one_m), np.asarray(dims, dtype=float) / 2.0 + 1.0)
-    return sq / one_m, log_jac, _all_last(ok)
+    log_one_m = np.log(one_m)
+    log_jac = -_sum_last(log_one_m, np.asarray(dims, dtype=float) / 2.0 + 1.0)
+
+    def log_sq(rows):
+        with np.errstate(divide="ignore"):  # an all-zero block's log norm is -inf
+            return np.log(sq[rows]) - log_one_m[rows]
+
+    return sq / one_m, log_jac, _all_last(ok), log_sq
 
 
-def _mv_t_at(p: MvTParams, sq: np.ndarray, t: np.ndarray | None = None):
-    """mv-t log density at block squared norms sq = ||t_i||^2.  Given the
-    points t too, a row of finite coordinates whose bracket
-    sum_i ||t_i||^2 / beta_i overflows takes the bracket's log from its
-    blocks' log squared norms, by _log1p_scaled_sum's log-sum-exp; every
-    other row keeps log1p of the bracket, bit for bit."""
+def _mv_t_at(p: MvTParams, sq: np.ndarray, log_sq=None):
+    """mv-t log density at block squared norms sq = ||t_i||^2.  Given too
+    log_sq, the function that gives log ||t_i||^2 on a mask of rows, a row
+    whose bracket sum_i ||t_i||^2 / beta_i overflows takes the bracket's log
+    from its log norms by _log1p_scaled_sum's log-sum-exp, unless one is
+    +inf or NaN (an infinite or NaN coordinate); every other row keeps
+    log1p of the bracket, bit for bit."""
     half_dims = np.asarray(p.dims, dtype=float) / 2.0
     log_const = float(
         gammaln(p.alpha_star)
@@ -336,10 +347,11 @@ def _mv_t_at(p: MvTParams, sq: np.ndarray, t: np.ndarray | None = None):
     )
     bracket = _sum_last(sq, p.betas, np.divide)
     log1p = np.log1p(bracket, out=np.empty(np.shape(bracket)))  # an array even for one point
-    far = bracket == np.inf
-    if t is not None and far.any():
-        far &= _all_last(np.isfinite(t))
-        log1p[far] = _log1p_scaled_sum(sq[far], _log_sqnorms(p.dims, t[far]), p.betas)
+    far = np.asarray(bracket == np.inf)  # an array even for one point
+    if log_sq is not None and far.any():
+        logs = log_sq(far)
+        far[far] = finite = _all_last(logs < np.inf)
+        log1p[far] = _log1p_scaled_sum(sq[far], logs[finite], p.betas)
     out = log_const - p.alpha_star * log1p
     return _result(out)
 
@@ -354,7 +366,7 @@ def logpdf_mv_t(p: MvTParams, t) -> np.ndarray | float:
     still reads its finite log density.
     """
     t = _vector(t, "t", p.total)
-    return _mv_t_at(p, _sqnorms_by_dims(p.dims, t, "t"), t)
+    return _mv_t_at(p, _sqnorms_by_dims(p.dims, t, "t"), lambda rows: _log_sqnorms(p.dims, t[rows]))
 
 
 @_split_rows
@@ -367,8 +379,8 @@ def logpdf_mv_pearson2(p: MvTParams, r) -> np.ndarray | float:
     alpha* - n_i/2 - 1); the alpha0 contribution, which comes from the t
     law's alpha* power, is required for the density to integrate to one.
     """
-    sq_t, log_jac, inside = _ball_inverse(p.dims, r)
-    return _result(np.where(inside, _mv_t_at(p, sq_t) + log_jac, -np.inf))
+    sq_t, log_jac, inside, log_sq = _ball_inverse(p.dims, r)
+    return _result(np.where(inside, _mv_t_at(p, sq_t, log_sq) + log_jac, -np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -495,17 +507,20 @@ def logpdf_gengamma_pearson2(p: JointScaleParams, s0, r) -> np.ndarray | float:
     particular the h argument is NOT (1-||r_i||^2)||r_i||^2 — and brings the
     Jacobian prod (1-||r_i||^2)^{-(n_i/2+1)}.
     """
-    return _gengamma_pearson7_at(p, s0, *_ball_inverse(p._blocks(vector=True), r))
+    sq_t, log_jac, inside, _ = _ball_inverse(p._blocks(vector=True), r)
+    return _gengamma_pearson7_at(p, s0, sq_t, log_jac, inside)
 
 
 def _unit_forward(f: np.ndarray) -> np.ndarray:
     """b = f / (1 + f) in f's own array, 1 + f formed a column at a time in
-    one row-length buffer."""
+    one row-length buffer; f = +inf goes to its limit 1."""
     rows = np.atleast_2d(f)  # a view: the updates below land in f
     den = np.empty(rows.shape[0])
     for j in range(rows.shape[1]):
         col = rows[:, j]
-        np.divide(col, np.add(col, 1.0, out=den), out=col)
+        with np.errstate(invalid="ignore"):  # inf / inf, set to 1 below
+            np.divide(col, np.add(col, 1.0, out=den), out=col)
+        col[den == np.inf] = 1.0
     return f
 
 

@@ -237,7 +237,7 @@ def sample_mv_t(
 def sample_mv_pearson2(
     p: MvTParams, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
-    """Deterministic image r_i = t_i / sqrt(1 + ||t_i||^2) of the t sampler."""
+    """The t sampler's draws under the ball map (densities._ball_forward)."""
     t = sample_mv_t(p, rng, size=size)
     return _ball_forward(p.dims, t)
 
@@ -280,7 +280,7 @@ def sample_gengamma_pearson7(
 def sample_gengamma_pearson2(
     p: JointScaleParams, rng: np.random.Generator, size: int | None = None
 ) -> tuple[np.ndarray | float, np.ndarray]:
-    """(s0, r) pair with r the per-block Pearson II image of the joint t."""
+    """(s0, r) pair: the joint t's blocks under the ball map (densities._ball_forward)."""
     s0, t = sample_gengamma_pearson7(p, rng, size=size)
     return s0, _ball_forward(p.dims, t)
 
@@ -346,31 +346,41 @@ def sample_gengamma_pairs(
 def sample_mv_beta2(
     p: BetaParams, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
-    """f_i = beta_i G_i / G_0 with independent unit-scale gammas."""
+    """f_i = beta_i G_i / G_0 with independent unit-scale gammas.
+
+    At a small alpha0, G_0 can round to 0 or near it, and the row then reads
+    +inf, which the sampler returns without a warning, as sample_mv_t does.
+    """
     m = _n_draws(size)
     g0 = rng.standard_gamma(p.shape.alpha0, size=m)
     g = rng.standard_gamma(np.asarray(p.shape.alphas), size=(m, p.k))
     g *= np.asarray(p.betas)
-    g /= g0[:, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        g /= g0[:, None]
     return _squeeze(g, size)
 
 
 def sample_mv_beta1(
     p: BetaParams, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
-    """b_i = f_i / (1 + f_i), the bounded image of the beta II sampler."""
+    """The beta II sampler's draws under the unit map (densities._unit_forward)."""
     return _unit_forward(sample_mv_beta2(p, rng, size=size))
 
 
 def sample_gengamma_beta2(
     p: JointScaleParams, rng: np.random.Generator, size: int | None = None
 ) -> tuple[np.ndarray | float, np.ndarray]:
-    """(s0, f) pair: s0 = u_0 and f_i = u_i/u_0 for a (k+1)-block gengamma draw."""
+    """(s0, f) pair: s0 = u_0 and f_i = u_i/u_0 for a (k+1)-block gengamma draw.
+
+    At a small alpha0, u_0 can round to 0 or near it, and the row's f then
+    reads +inf, which the sampler returns without a warning.
+    """
     p._blocks(vector=False)  # a vector joint raises
     m = _n_draws(size)
     u = _gengamma_draws(p.alpha_star, p.shapes, p.sigma2s, p.spec, rng, m)
     s0, f = u[:, 0], u[:, 1:]
-    f /= u[:, :1]
+    with np.errstate(divide="ignore", over="ignore"):
+        f /= u[:, :1]
     if size is None:
         return float(s0[0]), f[0]
     return s0, f
@@ -379,7 +389,7 @@ def sample_gengamma_beta2(
 def sample_gengamma_beta1(
     p: JointScaleParams, rng: np.random.Generator, size: int | None = None
 ) -> tuple[np.ndarray | float, np.ndarray]:
-    """(s0, b) pair with b_i = f_i/(1+f_i) applied to the beta II joint."""
+    """(s0, b) pair: the beta II joint's blocks under the unit map (densities._unit_forward)."""
     s0, f = sample_gengamma_beta2(p, rng, size=size)
     return s0, _unit_forward(f)
 

@@ -720,9 +720,9 @@ def test_the_closed_form_comparison_catches_a_ball_jacobian_off_by_a_half(monkey
     ball_map = densities._ball_inverse
 
     def off_by_half(dims, r):
-        sq_t, log_jac, inside = ball_map(dims, r)
+        sq_t, log_jac, inside, log_sq = ball_map(dims, r)
         # exponent n_i/2 + 1/2 in place of n_i/2 + 1 on 1 - ||r_i||^2 = 1/(1 + ||t_i||^2)
-        return sq_t, log_jac - 0.5 * np.sum(np.log1p(sq_t), axis=-1), inside
+        return sq_t, log_jac - 0.5 * np.sum(np.log1p(sq_t), axis=-1), inside, log_sq
 
     monkeypatch.setattr(densities, "_ball_inverse", off_by_half)
     for name, got, want, x in _image_cases(np.random.default_rng(41))[:2]:
@@ -964,8 +964,8 @@ def test_mv_beta2_stays_finite_where_its_scaled_sum_overflows():
     assert batch[1] == got and batch[0] == logpdf_mv_beta2(p, np.array([0.5, 2.0]))
 
 
-def _mv_t_reference(p: MvTParams, t) -> float:
-    """logpdf_mv_t(p, t) in 40-digit mpmath."""
+def _mv_t_reference(p: MvTParams, t, ball: bool = False) -> float:
+    """logpdf_mv_t(p, t) in 40-digit mpmath; with ball, logpdf_mv_pearson2(p, t)."""
     import mpmath
 
     with mpmath.workdps(40):
@@ -973,7 +973,11 @@ def _mv_t_reference(p: MvTParams, t) -> float:
         bracket = log_const = 0
         for blk, d, b in zip(np.split(np.asarray(t, dtype=float), np.cumsum(p.dims)[:-1]),
                              p.dims, p.betas):
-            bracket += sum(mpmath.mpf(x) ** 2 for x in blk) / b
+            sq = sum(mpmath.mpf(x) ** 2 for x in blk)
+            if ball:  # ||t_i||^2 = ||r_i||^2 / (1 - ||r_i||^2), and the Jacobian
+                log_const -= (mpmath.mpf(d) / 2 + 1) * mpmath.log(1 - sq)
+                sq /= 1 - sq
+            bracket += sq / b
             log_const -= mpmath.mpf(d) / 2 * mpmath.log(b)
         log_const += (mpmath.loggamma(a0 + half_total) - mpmath.loggamma(a0)
                       - half_total * mpmath.log(mpmath.pi))
@@ -1012,6 +1016,38 @@ def test_mv_t_stays_finite_past_the_overflow_of_its_squares():
     p = cases[0][0]
     assert np.all(logpdf_mv_t(p, np.array([[math.inf, 0.0], [math.nan, 1e200], [-math.inf, 1e300]]))
                   == -np.inf)
+
+
+def test_mv_pearson2_stays_finite_where_its_t_bracket_overflows():
+    # at beta = 1e-300 the t law's bracket ||t||^2 / beta overflows past
+    # r = 0.99999999, where the Pearson II density is finite: it read -inf at
+    # r = 0.999999999, and reads -691.4686750757736
+    from multivec import densities
+
+    cases = [
+        (MvTParams(dims=(1,), alpha0=1.0, betas=(1e-300,)),
+         [(0.99999999,), (0.999999999,), (-0.9999999999,), (1.0 - 2.0 ** -53,), (0.5,)]),
+        # ||r_i||^2 is exact in a double at the vector rows, whose Jacobian
+        # exponent does not cancel the bracket's
+        (MvTParams(dims=(1, 2), alpha0=2.5, betas=(1e-302, 1e-302)),
+         [(1.0 - 2.0 ** -26, 0.0, 0.0), (-0.1, -(2.0 ** -14), 1.0 - 2.0 ** -26), (0.3, 0.2, 0.1)]),
+    ]
+    for p, points in cases:
+        x = np.array(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = logpdf_mv_pearson2(p, x)
+            single = np.array([logpdf_mv_pearson2(p, point) for point in x])
+        assert batch.tobytes() == single.tobytes()
+        for got, point in zip(batch, points):
+            want = _mv_t_reference(p, point, ball=True)
+            assert abs(got - want) <= 1e-12 * abs(want), (point, got, want)
+        # a row whose bracket is finite keeps the bits of the plain log1p path
+        sq_t, log_jac, _, _ = densities._ball_inverse(p.dims, x)
+        plain = densities._mv_t_at(p, sq_t) + log_jac
+        in_range = np.isfinite(plain)
+        assert in_range.any() and not in_range.all()
+        assert batch[in_range].tobytes() == plain[in_range].tobytes()
 
 
 def test_every_family_at_the_edges_of_floating_point(monkeypatch):

@@ -380,6 +380,76 @@ def test_the_t_samplers_stay_silent_at_a_tiny_shape():
     assert not (r == 0.0).all(axis=1).any()
 
 
+_TINY_BETA = BetaParams(shape=ExtendedShape(alphas=(1.0, 1.0), alpha0=0.01), betas=(1.0, 1.0))
+_TINY_JOINT = JointScaleParams(spec=Kotz(q=1.0, r=1.0, s=1.0), alpha0=0.01, sigma2s=(1.0, 1.0, 1.0),
+                               alphas=(1.0, 1.0))
+_TINY_T = MvTParams(dims=(1, 2), alpha0=0.01, betas=(1.0, 2.0))
+
+
+def _in_ball(r):
+    """Each block of r in the closed unit ball, its squared norm to within
+    rounding (the ball map's directions read up to 1 + 2 eps)."""
+    sq = sampling._block_sqnorms(sampling._cut_blocks(_TINY_T.dims, r), np.empty((len(r), 2)))
+    return np.all(np.abs(r) <= 1.0) and np.all(sq <= 1.0 + 4.0 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("sampler, params, in_support", [
+    (sample_mv_t, _TINY_T, lambda t: True),  # +-inf past the largest double
+    (sample_mv_pearson2, _TINY_T, _in_ball),
+    (sample_mv_beta2, _TINY_BETA, lambda f: np.all(f >= 0.0)),  # +inf where G_0 rounds to 0
+    (sample_mv_beta1, _TINY_BETA, lambda b: np.all((b >= 0.0) & (b <= 1.0))),
+    (sample_gengamma_beta2, _TINY_JOINT, lambda f: np.all(f >= 0.0)),
+    (sample_gengamma_beta1, _TINY_JOINT, lambda b: np.all((b >= 0.0) & (b <= 1.0))),
+], ids=["mv-t", "mv-pearson2", "mv-beta2", "mv-beta1", "gengamma-beta2", "gengamma-beta1"])
+def test_small_shape_draws_lie_in_their_closed_support(sampler, params, in_support):
+    # at alpha0 = 0.01 the gamma behind alpha0 rounds to 0 on some rows, whose
+    # draws lie at the edge of the support: beta I read exactly 1 there (once
+    # NaN), and a joint law's s0 reads 0.  A RuntimeWarning fails the test
+    draws = sampler(params, make_rng(0), size=100_000)
+    if isinstance(draws, tuple):
+        s0, draws = draws
+        assert np.all((s0 >= 0.0) & (s0 < np.inf))
+    assert not np.isnan(draws).any() and in_support(draws)
+
+
+def test_each_image_sampler_is_its_forward_map_on_its_root_draws():
+    # the seven image laws draw their root's variates and apply the forward
+    # map of densities, bit for bit
+    spec = Kotz(q=1.2, r=0.8, s=1.1)
+    tp = MvTParams(dims=(2, 1), alpha0=1.6, betas=(1.3, 0.7))
+    vector = JointScaleParams(spec=spec, alpha0=1.5, sigma2s=(2.0, 1.0, 0.5), dims=(1, 2))
+    scalar = JointScaleParams(spec=spec, alpha0=1.5, sigma2s=(2.0, 1.0, 0.5), alphas=(0.7, 2.0))
+    bp = BetaParams(shape=ExtendedShape(alphas=(1.0, 2.0), alpha0=0.5), betas=(1.0, 3.0))
+    mixed = MixedParams(base=MvEllipticalParams(
+        partition=Partition(dims=(1, 2)), mus=(np.array([0.1]), np.array([-0.3, 0.2])),
+        sigmas=(np.array([[1.0]]), np.array([[0.5, 0.1], [0.1, 0.4]])),
+    ), k1=1)
+    gp = GammaLogGammaParams(spec=spec, alphas=(2.0,), sigma2s=(1.0,), rhos=(3.0, 0.5), delta2s=(0.6, 2.0))
+    sp = ScaleShapeParams(shapes=gp.alphas + gp.rhos, scales=gp.sigma2s + gp.delta2s)
+
+    def draw(sampler, *params):
+        return sampler(*params, make_rng(11), size=500)
+
+    def same(a, b):  # two arrays, or two (s0, blocks) pairs
+        a, b = (z if isinstance(z, tuple) else (z,) for z in (a, b))
+        return [z.tobytes() for z in a] == [z.tobytes() for z in b]
+
+    def tail(f, x, start):
+        f(x[:, start:], out=x[:, start:])
+        return x
+
+    assert same(draw(sample_mv_pearson2, tp), densities._ball_forward(tp.dims, draw(sample_mv_t, tp)))
+    s0, t = draw(sample_gengamma_pearson7, vector)
+    assert same(draw(sample_gengamma_pearson2, vector), (s0, densities._ball_forward(vector.dims, t)))
+    assert same(draw(sample_mv_beta1, bp), densities._unit_forward(draw(sample_mv_beta2, bp)))
+    s0, f = draw(sample_gengamma_beta2, scalar)
+    assert same(draw(sample_gengamma_beta1, scalar), (s0, densities._unit_forward(f)))
+    x = draw(sample_mv_elliptical, mixed.base, spec)
+    assert same(draw(sampling.sample_mv_log_elliptical, mixed.base, spec), np.exp(x))
+    assert same(draw(sample_mixed_ell_logell, mixed, spec), tail(np.exp, x, mixed.n_linear))
+    assert same(draw(sample_gamma_loggamma, gp), tail(np.log, draw(sample_mv_gengamma, sp, spec), gp.k1))
+
+
 def test_spawned_streams_deterministic_and_distinct():
     xs = [r.standard_normal(8) for r in spawn_rngs(5, 3)]
     ys = [r.standard_normal(8) for r in spawn_rngs(5, 3)]

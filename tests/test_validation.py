@@ -685,10 +685,10 @@ def frozen_ball_exponent(monkeypatch):
     ball_map = densities._ball_inverse
 
     def frozen(dims, r):
-        sq_t, log_jac, inside = ball_map(dims, r)
+        sq_t, log_jac, inside, log_sq = ball_map(dims, r)
         # log(1 - ||r_i||^2) = -log1p(||t_i||^2)
         shift = np.sum((np.asarray(dims) / 2.0 - 0.5) * np.log1p(sq_t), axis=-1)
-        return sq_t, log_jac - shift, inside
+        return sq_t, log_jac - shift, inside, log_sq
 
     monkeypatch.setattr(densities, "_ball_inverse", frozen)
 
@@ -745,6 +745,47 @@ def test_the_image_identity_runs_the_forward_map_on_copies():
 
     assert validation._image_identity_residual(x, root, image, doubled) <= 1e-8
     assert np.array_equal(x, before)
+
+
+def _map_cases():
+    """(name, root draws, root logpdf, image logpdf, forward map) for each
+    change of variables of the package: the ball map at vector blocks, the
+    unit map at scalar ones, and the exp map at both."""
+    from multivec import densities, sampling
+
+    rng = sampling.make_rng(0)
+    spec = Kotz(q=1.2, r=0.8, s=1.1)
+    tp = MvTParams(dims=(2, 3), alpha0=1.6, betas=(1.3, 0.7))
+    bp = BetaParams(shape=ExtendedShape(alphas=(1.0, 2.0, 1.5), alpha0=2.0), betas=(1.0, 0.5, 2.0))
+    ep = core.MvEllipticalParams(partition=core.Partition(dims=(2,)), mus=(np.array([0.2, -0.1]),),
+                                 sigmas=(np.array([[0.5, 0.1], [0.1, 0.3]]),))
+    sp = ScaleShapeParams(shapes=(2.0, 3.0), scales=(1.0, 0.6))
+    gp = densities.GammaLogGammaParams(spec=spec, alphas=(2.0,), sigma2s=(1.0,), rhos=(3.0,),
+                                       delta2s=(0.6,))
+
+    def log_last(u):
+        np.log(u[:, 1:], out=u[:, 1:])
+        return u
+
+    return [
+        ("ball", sampling.sample_mv_t(tp, rng, size=200), partial(logpdf_mv_t, tp),
+         partial(densities.logpdf_mv_pearson2, tp), partial(densities._ball_forward, tp.dims)),
+        ("unit", sampling.sample_mv_beta2(bp, rng, size=200), partial(densities.logpdf_mv_beta2, bp),
+         partial(logpdf_mv_beta1, bp), densities._unit_forward),
+        ("exp", sampling.sample_mv_elliptical(ep, spec, rng, size=200),
+         partial(densities.logpdf_mv_elliptical, ep, spec),
+         partial(densities.logpdf_mv_log_elliptical, ep, spec), np.exp),
+        ("log", sample_mv_gengamma(sp, spec, rng, size=200), partial(logpdf_mv_gengamma, sp, spec),
+         lambda z: densities.logpdf_gamma_loggamma(gp, z[:, :1], z[:, 1:]), log_last),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_each_change_of_variables_meets_the_image_identity(case):
+    # g(F(x)) = f(x) - log|det DF(x)| for the forward map F that the image's
+    # sampler applies, checked through the image's own density
+    name, x, root, image, forward = _map_cases()[case]
+    assert validation._image_identity_residual(x, root, image, forward) <= validation._JACOBIAN_TOL, name
 
 
 def test_identity_suite_fast_mode():
