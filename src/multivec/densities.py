@@ -41,8 +41,8 @@ at which the image's density reads its root's kernel, -inf off the support.
   -sum (n_i/2+1) log(1-||r_i||^2) (_ball_inverse), and gives mv-t
   log ||t_i||^2 where its bracket overflows.
 - The unit map b_i = f_i/(1+f_i) (_unit_forward), 1 at f_i = +inf, takes
-  mv-beta2 to mv-beta1 and gengamma-beta2 to gengamma-beta1.  Its inverse f_i = b_i/(1-b_i) has
-  log-Jacobian -2 sum log(1-b_i) (_unit_inverse).
+  mv-beta2 to mv-beta1 and gengamma-beta2 to gengamma-beta1.  Its inverse
+  f_i = b_i/(1-b_i) has log-Jacobian -2 sum log(1-b_i) (_unit_inverse).
 - The exp map v_i = exp(x_i) on the coordinates past the first k1 blocks
   takes mv-elliptical to mixed-ell-logell, and to log-elliptical at k1 = 0.
   Its inverse x_i = log v_i has log-Jacobian -sum log v_i.  Its mirror
@@ -314,9 +314,9 @@ def _ball_forward(dims: tuple[int, ...], t: np.ndarray) -> np.ndarray:
 
 def _ball_inverse(dims: tuple[int, ...], r):
     """||t_i||^2 for t_i = r_i/sqrt(1-||r_i||^2), the log-Jacobian, the mask
-    of the open unit balls, and the function that gives log ||t_i||^2 on a
-    mask of rows, as log ||r_i||^2 - log(1-||r_i||^2), which no overflow
-    of ||t_i||^2 / beta_i reaches; masked-out points take a finite stand-in."""
+    of the open unit balls, and a function that gives log ||t_i||^2 on a
+    mask of rows as log ||r_i||^2 - log(1-||r_i||^2), finite where
+    ||t_i||^2 / beta_i overflows; masked-out points take a finite stand-in."""
     sq = _sqnorms_by_dims(dims, r, "r")
     ok = sq < 1.0
     sq = np.where(ok, sq, 0.5)
@@ -332,12 +332,12 @@ def _ball_inverse(dims: tuple[int, ...], r):
 
 
 def _mv_t_at(p: MvTParams, sq: np.ndarray, log_sq=None):
-    """mv-t log density at block squared norms sq = ||t_i||^2.  Given too
-    log_sq, the function that gives log ||t_i||^2 on a mask of rows, a row
+    """mv-t log density at block squared norms sq = ||t_i||^2.  Given also
+    log_sq, a function that gives log ||t_i||^2 on a mask of rows, a row
     whose bracket sum_i ||t_i||^2 / beta_i overflows takes the bracket's log
-    from its log norms by _log1p_scaled_sum's log-sum-exp, unless one is
-    +inf or NaN (an infinite or NaN coordinate); every other row keeps
-    log1p of the bracket, bit for bit."""
+    from those log norms by _log1p_scaled_sum's log-sum-exp, unless one of
+    them is +inf or NaN (an infinite or NaN coordinate); every other row
+    keeps log1p of the bracket, bit for bit."""
     half_dims = np.asarray(p.dims, dtype=float) / 2.0
     log_const = float(
         gammaln(p.alpha_star)

@@ -19,8 +19,9 @@ radius is an exact transformation of gamma or beta variates for every
 kernel: Kotz, Pearson VII, Pearson II, and Bessel, whose radius is
 2 r sqrt(G1 G2) for two independent gammas (the K-distribution).  No
 sampler tabulates or inverts a CDF numerically.  Every derived family is
-the deterministic image of its parent sampler, so goodness-of-fit tests on
-the images validate the corrected densities end to end.
+the deterministic image of its parent sampler under a forward map that the
+densities module holds beside its inverse, so goodness-of-fit tests on the
+images validate the corrected densities end to end.
 
 All samplers take an optional `size`: None returns one draw with the
 family's natural shape; a whole number returns an array with a leading

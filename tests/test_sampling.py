@@ -389,7 +389,7 @@ _TINY_T = MvTParams(dims=(1, 2), alpha0=0.01, betas=(1.0, 2.0))
 def _in_ball(r):
     """Each block of r in the closed unit ball, its squared norm to within
     rounding (the ball map's directions read up to 1 + 2 eps)."""
-    sq = sampling._block_sqnorms(sampling._cut_blocks(_TINY_T.dims, r), np.empty((len(r), 2)))
+    sq = densities._sqnorms_by_dims(_TINY_T.dims, r, "r")
     return np.all(np.abs(r) <= 1.0) and np.all(sq <= 1.0 + 4.0 * np.finfo(float).eps)
 
 
@@ -424,7 +424,8 @@ def test_each_image_sampler_is_its_forward_map_on_its_root_draws():
         partition=Partition(dims=(1, 2)), mus=(np.array([0.1]), np.array([-0.3, 0.2])),
         sigmas=(np.array([[1.0]]), np.array([[0.5, 0.1], [0.1, 0.4]])),
     ), k1=1)
-    gp = GammaLogGammaParams(spec=spec, alphas=(2.0,), sigma2s=(1.0,), rhos=(3.0, 0.5), delta2s=(0.6, 2.0))
+    gp = GammaLogGammaParams(spec=spec, alphas=(2.0,), sigma2s=(1.0,), rhos=(3.0, 0.5),
+                             delta2s=(0.6, 2.0))
     sp = ScaleShapeParams(shapes=gp.alphas + gp.rhos, scales=gp.sigma2s + gp.delta2s)
 
     def draw(sampler, *params):
