@@ -29,15 +29,18 @@ builds each chunk of either grid from the grid rows it spans: its points,
 and in the quadrature its weights and edge flags too, as the products and
 ors along the rows of the same chunk of the axis weights' and edge flags'
 grids, so no array holds a whole grid's points or a whole level's weights.
-Every row-wise stage runs on core._map_chunks: the quadrature grid and the
-pushforward grid in chunks of core._CHUNK points, the Monte Carlo weights of
-each core._CHUNK-row chunk of draws beside the draw of the next chunk, the
-cumulative Simpson table in bands of lanes, and each pushforward check's KS
-margins and chi-square as tasks side by side.  The calling thread
-takes chunks and, when a map has more than one, so do the threads of the
-package's one pool, which lives in ``core`` and is shared with the long
-logpdf batches of ``densities``: MULTIVEC_THREADS threads in all, else one
-per CPU the process may run on.
+One chunk rule (_grid_density) evaluates both grids: a density that raises
+on either is a QuadratureFailure, so a suite row that fails, and only exp
+runs under the errstate that lets it overflow.
+These stages share core._map_chunks: the chunks of core._CHUNK points of
+both grids, the bands of lanes of the cumulative Simpson table, the Monte
+Carlo weights of each core._CHUNK-row chunk of draws beside the draw of
+the next chunk, and, in ``densities``, the ranges of a split logpdf_*
+batch.  A pushforward check's KS margins and chi-square then run in order
+on the calling thread.  The calling thread takes chunks and, when a map has
+more than one, so do the threads of the package's one pool, which lives in
+``core``: MULTIVEC_THREADS threads in all, else one per CPU the process may
+run on.
 Each chunk's sums come back to the caller, which adds them in chunk order;
 whole-array sums run after the map, and every density is row-wise, so no
 report depends on the number of threads.
@@ -206,32 +209,47 @@ def _check_rows(vals: np.ndarray, m: int, name: str, label: str) -> None:
         raise DimensionMismatch(f"{name}: {label} returned {vals.shape} for {m} points")
 
 
+def _grid_density(
+    logpdf: Callable, nodes: Sequence[np.ndarray], start: int, stop: int, name: str,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """exp(logpdf) at points start..stop-1 of the tensor grid of the node
+    vectors (_grid_rows), into `out` when given: the one chunk rule of both
+    grids.  A logpdf that raises, or whose values are not numbers, raises
+    QuadratureFailure naming the error; one that returns another shape
+    than (stop - start,) raises DimensionMismatch.  logpdf runs outside the
+    errstate that lets exp overflow, so its own warnings stay visible."""
+    try:
+        vals = np.asarray(logpdf(_grid_rows(nodes, start, stop)), dtype=float)
+    except Exception as exc:
+        raise QuadratureFailure(f"{name}: integrand raised: {exc}") from exc
+    _check_rows(vals, stop - start, name, "logpdf")
+    # a singular density may overflow exp at the nodes nearest its pole; the
+    # grid's total is then inf, which each oracle refuses
+    with np.errstate(over="ignore"):
+        return np.exp(vals, out=out)
+
+
 def _de_grid_sum(
     logpdf: Callable, axes: list[tuple[np.ndarray, np.ndarray, np.ndarray]], name: str
 ) -> tuple[float, float]:
     """Sums of weight * exp(logpdf) over the tensor grid of the axes, in chunks:
     over every point, and over the points on the edge of any axis.
-    _grid_rows builds each chunk's points, and its weights and edge flags
-    as the same rows of the grids of the axis weights and edge flags,
-    reduced along each row as (w0 w1) w2 and e0 | e1 | e2 (numpy reduces a
-    short strided axis left to right), so no array covers a whole level."""
+    _grid_density evaluates each chunk's points, and _grid_rows builds its
+    weights and edge flags as the same rows of the grids of the axis
+    weights and edge flags, reduced along each row as (w0 w1) w2 and
+    e0 | e1 | e2 (numpy reduces a short strided axis left to right), so no
+    array covers a whole level."""
     nodes, weights, edges = zip(*axes)
     size = math.prod(len(x) for x in nodes)
 
     def chunk_sums(c: int) -> tuple[float, float]:
         start = c * _CHUNK
         stop = min(start + _CHUNK, size)
-        try:
-            vals = np.asarray(logpdf(_grid_rows(nodes, start, stop)), dtype=float)
-        except Exception as exc:
-            raise QuadratureFailure(f"{name}: integrand raised: {exc}") from exc
-        _check_rows(vals, stop - start, name, "logpdf")
-        w = np.multiply.reduce(_grid_rows(weights, start, stop), axis=-1)
+        mass = _grid_density(logpdf, nodes, start, stop, name)
         on_edge = np.logical_or.reduce(_grid_rows(edges, start, stop), axis=-1)
-        # a widened window reaches nodes where a singular density overflows
-        # exp; the level sum is then inf, which raises QuadratureFailure
-        with np.errstate(over="ignore"):
-            mass = w * np.exp(vals)
+        with np.errstate(over="ignore"):  # as exp may: an inf level sum raises QuadratureFailure
+            mass *= np.multiply.reduce(_grid_rows(weights, start, stop), axis=-1)
         return float(np.sum(mass)), float(np.sum(mass[on_edge]))
 
     total = edge = 0.0
@@ -443,16 +461,24 @@ def _image_identity_residual(
     """max over the (m, n) rows x of |g(F(x)) - f(x) + log|det DF(x)||, for a
     root density f, an image density g and the sampler's forward map F.  DF
     is taken by central differences, step 1e-6 max(1, |x_j|), and its
-    log|det| by slogdet.  F runs on copies: a sampler map writes into its
-    argument."""
+    log|det| by slogdet.  A row whose down point F does not map to finite
+    values lies within that step of F's domain edge (log's 0); its column
+    takes the step 1e-6 |x_j| instead.  F runs on copies: a sampler map
+    writes into its argument."""
     jac = np.empty(x.shape + x.shape[-1:])
+
+    def moved(j: int, step: np.ndarray) -> np.ndarray:  # F at x with column j moved by step
+        points = x.copy()
+        points[:, j] += step
+        return forward(points)
+
     for j in range(x.shape[1]):
-        up, down = x.copy(), x.copy()
         step = 1e-6 * np.maximum(1.0, np.abs(x[:, j]))
-        up[:, j] += step
-        down[:, j] -= step
-        width = up[:, j] - down[:, j]  # the step as rounded, before F writes over it
-        jac[:, :, j] = (forward(up) - forward(down)) / width[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # the probe may leave F's domain
+            near_edge = ~_all_last(np.isfinite(moved(j, -step)))
+        step[near_edge] = 1e-6 * np.abs(x[near_edge, j])
+        width = (x[:, j] + step) - (x[:, j] - step)  # the step as rounded
+        jac[:, :, j] = (moved(j, step) - moved(j, -step)) / width[:, None]
     residual = image_logpdf(forward(x.copy())) - root_logpdf(x) + np.linalg.slogdet(jac)[1]
     return float(np.max(np.abs(residual)))
 
@@ -573,6 +599,18 @@ def _snap_edges(grid: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([[0], idx, [grid.size - 1]]))
 
 
+def _cell_counts(x: np.ndarray, edges: Sequence[np.ndarray]) -> np.ndarray:
+    """np.histogram2d(x[:, 0], x[:, 1], bins=edges)[0] for ascending edges:
+    each draw's index along an axis counts the edges, all but the last, at
+    or below it, plus one past the last edge, and one np.bincount counts
+    the cells.  Indices 0 and the last, the draws outside the edges, are
+    dropped; a draw on the last edge counts in the last cell."""
+    cell, shape = 0, [e.size + 1 for e in edges]
+    for j, e in enumerate(edges):
+        cell = cell * shape[j] + sum(x[:, j] >= v for v in e[:-1]) + (x[:, j] > e[-1])
+    return np.bincount(cell, minlength=math.prod(shape)).reshape(shape)[1:-1, 1:-1]
+
+
 def pushforward_check(
     sampler: Callable[[np.random.Generator, int], np.ndarray],
     logpdf: Callable[[np.ndarray], np.ndarray],
@@ -585,35 +623,37 @@ def pushforward_check(
     in 2 dims, chi-square on the 2-d histogram (p > 0.001).
 
     exp(logpdf) on a tensor grid over a box that covers the sample with
-    padding, fed to logpdf a chunk of grid rows at a time (_grid_rows),
+    padding, fed to logpdf a chunk of grid rows at a time (_grid_density),
     becomes one CDF table, by a cumulative Simpson pass along each axis
     (_cumulative_simpson), normalized on the box.  Each marginal CDF is
     the table's edge at the last node of the other axis, read through a
     PCHIP interpolant; the KS p-value of each sorted margin is that of
     stats.kstest's default, exact mode (_ks_pvalue).  Each chi-square cell
-    probability is a difference of the table's corners.  The residual is the
-    worst threshold shortfall, so 0 means every sub-check passed.
+    probability is a difference of the table's corners, and its count is
+    np.histogram2d's (_cell_counts).  The residual is the worst threshold
+    shortfall, so 0 means every sub-check passed.
 
-    Raises ParameterOutOfDomain, before any draw, for an axis of the
-    support without lo < hi; DimensionMismatch when the sampler returns
-    other than n_draws rows, or logpdf another shape than its chunk's; and
-    QuadratureFailure when the table's total is not finite and positive (a
-    density that is NaN, inf or zero across the grid).
+    Raises ParameterOutOfDomain, before any draw, for a support of other
+    than 1 or 2 axes or with an axis without lo < hi; DimensionMismatch
+    when the sampler returns other than n_draws rows, or logpdf another
+    shape than its chunk's; and QuadratureFailure when logpdf raises or the
+    table's total is not finite and positive (a density that is NaN, inf
+    or zero across the grid).
     """
     n_draws = _whole(n_draws, "n_draws", least=1)
+    d = len(support)
+    if d not in _PUSH_GRID_POINTS:
+        raise ParameterOutOfDomain(f"pushforward grids cover 1 or 2 dims, got {d}")
     _check_box(support)
+    from scipy import special
     from scipy.interpolate import PchipInterpolator
 
     rng = make_rng(seed)
     x = np.atleast_2d(np.asarray(sampler(rng, n_draws), dtype=float))
     if x.shape[0] != n_draws:  # the chi-square's expected counts assume n_draws rows
         raise DimensionMismatch(f"{name}: sampler returned {x.shape} for {n_draws} draws")
-    d = x.shape[1]
-    if d != len(support):
-        raise ParameterOutOfDomain(f"support has {len(support)} dims, sample has {d}")
-    if d not in _PUSH_GRID_POINTS:
-        raise ParameterOutOfDomain(f"pushforward grids cover 1 or 2 dims, got {d}")
-    grid_points = _PUSH_GRID_POINTS[d]
+    if x.shape[1] != d:
+        raise ParameterOutOfDomain(f"support has {d} dims, sample has {x.shape[1]}")
 
     grids = []
     for j, (lo, hi) in enumerate(support):
@@ -626,22 +666,17 @@ def pushforward_check(
         ghi = smax + 0.1 * span
         if ghi >= hi:
             ghi = 0.5 * (hi + smax)
-        if lo >= 0.0 and not np.isfinite(hi):
-            # positive axes concentrate near 0 with power tails: resolve both
-            # ends with geometric spacing instead of a uniform grid
-            grids.append(np.geomspace(glo, ghi, grid_points))
-        else:
-            grids.append(np.linspace(glo, ghi, grid_points))
+        # positive axes concentrate near 0 with power tails: resolve both
+        # ends with geometric spacing instead of a uniform grid
+        spacing = np.geomspace if lo >= 0.0 and not np.isfinite(hi) else np.linspace
+        grids.append(spacing(glo, ghi, _PUSH_GRID_POINTS[d]))
 
     cdf = np.empty(math.prod(g.size for g in grids))
 
     def chunk_density(c: int) -> None:
         start = c * _CHUNK
         out = cdf[start:start + _CHUNK]
-        with np.errstate(over="ignore"):
-            vals = np.asarray(logpdf(_grid_rows(grids, start, start + out.size)), dtype=float)
-            _check_rows(vals, out.size, name, "logpdf")
-            np.exp(vals, out=out)
+        _grid_density(logpdf, grids, start, start + out.size, name, out)
 
     _map_chunks(chunk_density, -(-cdf.size // _CHUNK))
     cdf = cdf.reshape([g.size for g in grids])
@@ -653,49 +688,33 @@ def pushforward_check(
         raise QuadratureFailure(f"{name}: density total on the grid is {total}")
     cdf /= total
 
-    import scipy.stats  # noqa: F401 -- loaded on this thread, not inside a pool thread's task
-    from scipy import special
-
     margins = [np.sort(x[:, j]) for j in range(d)]  # each sorted once, for KS and the quantiles
-
-    def ks_margin(j: int) -> float:
-        g = grids[j]
+    ks_ps = []
+    for j, g in enumerate(grids):
         edge = cdf[tuple(slice(None) if i == j else -1 for i in range(d))]
         edge = np.maximum.accumulate(np.clip(edge, 0.0, 1.0))
         # PCHIP needs strictly increasing data on the support of the margin
         rises = np.diff(edge) > 0
         keep = np.concatenate([[True], rises]) | np.concatenate([rises, [True]])
         interp = PchipInterpolator(g[keep], edge[keep])
-        return _ks_pvalue(margins[j], lambda v: np.clip(interp(np.clip(v, g[0], g[-1])), 0.0, 1.0))
+        ks_ps.append(_ks_pvalue(margins[j],
+                                lambda v: np.clip(interp(np.clip(v, g[0], g[-1])), 0.0, 1.0)))
+    shortfalls = [max(0.0, 0.01 - p) for p in ks_ps]
+    details = f"ks_p={['%.4f' % p for p in ks_ps]}"
 
-    def chi2_cells() -> float:
+    if d == 2:
         qs = np.linspace(0.0, 1.0, _PUSH_CHI2_BINS + 1)[1:-1]
-        ix = _snap_edges(grids[0], np.quantile(margins[0], qs))
-        iy = _snap_edges(grids[1], np.quantile(margins[1], qs))
+        ix, iy = (_snap_edges(g, np.quantile(m, qs)) for g, m in zip(grids, margins))
         corner = cdf[np.ix_(ix, iy)]
         cells = corner[1:, 1:] - corner[:-1, 1:] - corner[1:, :-1] + corner[:-1, :-1]
-        counts, _, _ = np.histogram2d(x[:, 0], x[:, 1], bins=[grids[0][ix], grids[1][iy]])
+        counts = _cell_counts(x, [grids[0][ix], grids[1][iy]])
         expected = n_draws * np.maximum(cells, 0.0)
         mask = expected > 1e-9
         stat = float(np.sum((counts[mask] - expected[mask]) ** 2 / expected[mask]))
-        dof = int(mask.sum()) - 1
-        return float(special.chdtrc(dof, stat))
-
-    # side by side, the chi-square first: it takes about as long as both KS tests
-    tasks = [chi2_cells] * (d == 2) + [partial(ks_margin, j) for j in range(d)]
-    ps = _map_chunks(lambda t: tasks[t](), len(tasks))
-    chi2_p, ks_ps = (ps[0] if d == 2 else None), ps[-d:]
-
-    shortfalls = [max(0.0, 0.01 - p) for p in ks_ps]
-    if chi2_p is not None:
+        chi2_p = float(special.chdtrc(int(mask.sum()) - 1, stat))
         shortfalls.append(max(0.0, 0.001 - chi2_p))
-    residual = max(shortfalls)
-    details = (
-        f"ks_p={['%.4f' % p for p in ks_ps]}"
-        + (f" chi2_p={chi2_p:.5f}" if chi2_p is not None else "")
-        + f" n={n_draws} seed={seed}"
-    )
-    return CheckReport(name, residual, 0.0, details=details)
+        details += f" chi2_p={chi2_p:.5f}"
+    return CheckReport(name, max(shortfalls), 0.0, details=f"{details} n={n_draws} seed={seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,9 @@ def test_criterion_10_byte_identical_over_reruns_and_thread_counts(tmp_path):
     base_cmd = [exe] if exe else [sys.executable, "-m", "multivec.cli"]
     results = []
     for threads in ("1", "3"):
-        env = dict(os.environ, MULTIVEC_THREADS=threads, PYTHONPATH=str(REPO_ROOT / "src"))
+        # a RuntimeWarning in the child, or in one of its pool threads, fails it
+        env = dict(os.environ, MULTIVEC_THREADS=threads, PYTHONPATH=str(REPO_ROOT / "src"),
+                   PYTHONWARNINGS="error::RuntimeWarning")
         proc = subprocess.run(base_cmd + ["check", "--suite", "all", "--seed", "7"],
                               capture_output=True, env=env, timeout=540)
         assert proc.returncode == 0, proc.stderr.decode()[-500:]

@@ -321,8 +321,9 @@ def test_a_logpdf_that_writes_into_its_batch_is_refused(support):
     with pytest.raises(QuadratureFailure, match="writer: integrand raised"):
         quad_normalization(logpdf, support, 1e-6, "writer")
     sampler = lambda rng, n: rng.uniform(0.25, 0.75, size=(n, len(support)))  # noqa: E731
-    with pytest.raises(ValueError, match="read-only"):
+    with pytest.raises(QuadratureFailure, match="pushforward: integrand raised") as info:
         pushforward_check(sampler, logpdf, support, n_draws=1_000)
+    assert isinstance(info.value.__cause__, ValueError) and "read-only" in str(info.value.__cause__)
 
 
 def test_quad_beta1_3d_call_count_guard():
@@ -788,6 +789,18 @@ def test_each_change_of_variables_meets_the_image_identity(case):
     assert validation._image_identity_residual(x, root, image, forward) <= validation._JACOBIAN_TOL, name
 
 
+def test_the_image_identity_steps_inside_a_maps_domain_edge():
+    # a log-mapped coordinate of 5e-7 lies within the default step 1e-6 of
+    # log's 0: the down point leaves the domain unless its step shrinks
+    name, x, root, image, forward = _map_cases()[3]
+    assert name == "log"
+    x[0, 1] = 5e-7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        residual = validation._image_identity_residual(x, root, image, forward)
+    assert residual <= validation._JACOBIAN_TOL
+
+
 def test_identity_suite_fast_mode():
     reports = run_identity_suite(seed=0)
     assert reports and all(r.passed for r in reports)
@@ -896,11 +909,64 @@ def test_pushforward_refuses_a_density_of_the_wrong_shape():
 
 
 def test_pushforward_rejects_three_dims():
-    # the grids cover 1 or 2 dims: a 3-column sample is refused before any grid
+    # the grids cover 1 or 2 dims: a 3-axis support is refused before any draw
+    calls = []
+
+    def sampler(rng, n):
+        calls.append(n)
+        return rng.standard_normal((n, 3))
+
     with pytest.raises(ParameterOutOfDomain, match="1 or 2 dims, got 3"):
-        pushforward_check(lambda rng, n: rng.standard_normal((n, 3)),
-                          lambda x: -0.5 * np.sum(x * x, axis=-1), [(-np.inf, np.inf)] * 3,
+        pushforward_check(sampler, lambda x: -0.5 * np.sum(x * x, axis=-1), [(-np.inf, np.inf)] * 3,
                           n_draws=100)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_draws", [1, 2, 3])
+def test_pushforward_reports_at_the_fewest_draws(n_draws):
+    # one to three draws: a margin of one value, a grid padded by the 1e-6
+    # floor of its span, and chi-square quantiles that share their edges
+    f = validation._fixture("mv-beta1-k2")
+    sampler, logpdf = (partial(getattr(FAMILIES[f.family], m), f.params) for m in ("sample", "logpdf"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = pushforward_check(sampler, logpdf, f.support, n_draws=n_draws, seed=0, name="few")
+    assert isinstance(rep, CheckReport) and rep.details.endswith(f" n={n_draws} seed=0")
+    assert "chi2_p=" in rep.details
+
+
+def test_a_density_that_raises_on_either_grid_is_a_failing_row():
+    # one chunk rule on both grids: the raise becomes QuadratureFailure, which
+    # a suite reads as a failing row that names it
+    def raising(x):
+        raise ValueError("no density here")
+
+    box = [(0.0, 1.0), (0.0, 1.0)]
+    sampler = lambda rng, n: rng.uniform(0.25, 0.75, size=(n, 2))  # noqa: E731
+    rows = [
+        validation._oracle_row("push-raise", 0.0, partial(
+            pushforward_check, sampler, raising, box, n_draws=1_000, name="push-raise")),
+        validation._oracle_row("norm-raise", 1e-6, partial(
+            quad_normalization, raising, box, 1e-6, "norm-raise")),
+    ]
+    assert [(r.passed, r.residual, r.details) for r in rows] == [
+        (False, np.inf, f"QuadratureFailure: {r.name}: integrand raised: no density here")
+        for r in rows]
+
+
+def test_the_chi_square_counts_are_histogram2ds():
+    # draws on every edge, both end nodes included, between them, and just
+    # outside them; the second axis repeats an edge, as a grid too narrow
+    # for its doubles does
+    edges = [np.array([-1.0, -0.3, 0.0, 0.2, 0.7, 1.1, 2.0]), np.array([0.5, 0.6, 0.6, 1.4, 3.0])]
+    rng = np.random.default_rng(11)
+    axes = [np.concatenate([e, rng.uniform(e[0], e[-1], 40), np.nextafter(e[[0, -1]], [-9, 9]),
+                            [e[0] - 5.0, e[-1] + 5.0]]) for e in edges]
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    want, _, _ = np.histogram2d(x[:, 0], x[:, 1], bins=edges)
+    got = validation._cell_counts(x, edges)
+    assert got.shape == want.shape == (6, 4) and np.array_equal(got, want)
+    assert 0 < got.sum() < len(x)
 
 
 @pytest.mark.parametrize("n", [4, 5, 640, 641])
@@ -1119,8 +1185,11 @@ def test_no_worker_takes_a_chunk_after_the_callers_chunk_raises(monkeypatch, err
     assert len(futures) == 1 and len(caller_chunks) == 1 and len(worker_chunks) <= 1
 
 
-def test_every_grid_chunk_runs_its_logpdf_under_the_overflow_errstate(monkeypatch):
-    # numpy's errstate is per thread: a pool thread's chunk sets its own
+def test_every_grid_chunk_takes_its_exp_under_the_overflow_errstate_and_not_its_logpdf(monkeypatch):
+    # numpy's errstate is per thread: a pool thread's chunk sets its own.  It
+    # covers exp alone: values that overflow exp leave a table whose total
+    # is refused, silently, while a density that overflows in its own code
+    # is seen, on both grids
     name, sampler, logpdf, support = next(
         c for c in _pushforward_cases() if c[0] == "push-mv-beta1-k2")
 
@@ -1132,8 +1201,13 @@ def test_every_grid_chunk_runs_its_logpdf_under_the_overflow_errstate(monkeypatc
         monkeypatch.setenv("MULTIVEC_THREADS", width)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = pushforward_check(sampler, overflowing, support, n_draws=1_000)
-        assert rep.passed, rep.details
+            with pytest.raises(QuadratureFailure, match=r"^pushforward: density total on the grid is "):
+                pushforward_check(sampler, lambda x: np.full(len(x), 1000.0), support, n_draws=1_000)
+            for oracle in (partial(pushforward_check, sampler, overflowing, support, n_draws=1_000,
+                                   name="overflowing"),
+                           partial(quad_normalization, overflowing, support, 1e-5, "overflowing")):
+                with pytest.raises(QuadratureFailure, match="^overflowing: integrand raised: overflow"):
+                    oracle()
 
 
 @pytest.mark.parametrize("width", ["1", "2"])
