@@ -29,9 +29,9 @@ builds each chunk of either grid from the grid rows it spans: its points,
 and in the quadrature its weights and edge flags too, as the products and
 ors along the rows of the same chunk of the axis weights' and edge flags'
 grids, so no array holds a whole grid's points or a whole level's weights.
-One chunk rule (_grid_density) evaluates both grids: a density that raises
-on either is a QuadratureFailure, so a suite row that fails, and only exp
-runs under the errstate that lets it overflow.
+One chunk rule (_grid_density) evaluates both grids.  A density that
+raises on either becomes a QuadratureFailure, so its suite row fails; only
+exp, not the density, runs under the errstate that lets exp overflow.
 These stages share core._map_chunks: the chunks of core._CHUNK points of
 both grids, the bands of lanes of the cumulative Simpson table, the Monte
 Carlo weights of each core._CHUNK-row chunk of draws beside the draw of
