@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .core import SampleMatrix, _threads, _whole
+from .core import SampleMatrix, _count, _threads, _whole
 from .errors import MultivecError, NonPositiveInput
 from .families import FAMILIES, Family
 from .sampling import make_rng
@@ -248,7 +248,7 @@ def cmd_eval(args) -> int:
 def cmd_sample(args) -> int:
     model = _get_model(args.model)
     params = _load_params(args.params)
-    _whole(args.n, "-n", error=_CliError)
+    _count(args.n, "-n", error=_CliError)
     k = model.count(params)
     d = model.dim(k)
     header = model.columns(d)
@@ -278,7 +278,7 @@ def _corrupted_report() -> CheckReport:
 
 
 def cmd_check(args) -> int:
-    _whole(args.n_draws, "--n-draws", 1, _CliError)
+    _count(args.n_draws, "--n-draws", 1, _CliError)
     _whole(args.seed, "--seed", error=_CliError)
     _threads()  # a malformed MULTIVEC_THREADS fails every suite, even one that never splits a map
     from .validation import run_identity_suite, run_normalization_suite, run_pushforward_suite
@@ -312,7 +312,7 @@ def cmd_grid(args) -> int:
     umin, umax, vmin, vmax = bounds
     if not all(math.isfinite(b) for b in bounds) or umin <= 0 or vmin <= 0:
         raise _CliError("--range bounds must be finite and positive")
-    _whole(args.steps, "--steps", 1, _CliError)
+    _count(args.steps, "--steps", 1, _CliError)
     if args.steps > 1 and (umin >= umax or vmin >= vmax):
         raise _CliError("--range needs umin < umax and vmin < vmax")
     us = np.linspace(umin, umax, args.steps)
@@ -390,8 +390,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_CliError, MultivecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_CliError, MultivecError, MemoryError) as exc:  # an array too large for the machine
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

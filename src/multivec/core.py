@@ -59,7 +59,8 @@ def _whole(value, name: str, least: int = 0, error: type[Exception] = ParameterO
     dim, sample size, draw count, seed or iteration cap): value as an int
     >= least.  Integers, numpy integers and integral floats pass; a
     fraction, NaN, infinity, boolean, string, bytes or other non-number
-    raises `error`."""
+    raises `error`.  A size or count that becomes an array's length also
+    passes _count's bound."""
     # operator.index reads True as 1 and float() reads "3" as 3.0: neither is a count
     x = math.nan if isinstance(value, (bool, np.bool_, str, bytes, bytearray)) else value
     try:
@@ -74,6 +75,19 @@ def _whole(value, name: str, least: int = 0, error: type[Exception] = ParameterO
         whole = int(x)
     if whole < least:
         raise error(f"{name} must be >= {least}, got {value}")
+    return whole
+
+
+_COUNT_MAX = int(np.iinfo(np.intp).max)  # the longest axis numpy can index
+
+
+def _count(value, name: str, least: int = 0, error: type[Exception] = ParameterOutOfDomain) -> int:
+    """_whole's value as the length of an array axis (a sample size, a
+    draw or point count, a dimension or grid steps): also at most np.intp's
+    largest value, past which numpy cannot form the array and raises a
+    bare ValueError; this raises `error` first."""
+    if (whole := _whole(value, name, least, error)) > _COUNT_MAX:
+        raise error(f"{name} must be <= {_COUNT_MAX}, got {value}")
     return whole
 
 

@@ -300,6 +300,9 @@ class Kotz:
     Requires r > 0, 0 < s < 2**1023, and 2q + n > 2 at every evaluation
     dimension n.  Below that bound on s, 2s is finite, so wherever 2q + n > 2
     the radial integral's index (2q + n - 2)/(2s) is a positive double.
+
+    That index is the shape of the law behind the radius: r R^{2s} ~ Gamma
+    of that shape, so the sampler draws R = (G / r)^{1/(2s)}, a gamma power.
     """
 
     r: float = 0.5
@@ -339,10 +342,22 @@ class Kotz:
         nu = (2 * self.q + n - 2) / (2 * self.s)
         return gammaln(nu) - nu * math.log(self.r) - math.log(self.s)
 
+    def radii(self, rng: np.random.Generator, n: float, m: int) -> np.ndarray:
+        """m radii at dimension n: the gamma power of the class docstring."""
+        r = rng.standard_gamma((2.0 * self.q + n - 2.0) / (2.0 * self.s), size=m)
+        r /= self.r
+        r **= 1.0 / (2.0 * self.s)  # the fast paths of y ** e too (np.sqrt at e = 0.5)
+        return r
+
 
 @dataclass(frozen=True)
 class PearsonVII:
-    """Pearson VII kernel (1 + W/r)^{-q}; multivariate t at q = (n + nu)/2, r = nu."""
+    """Pearson VII kernel (1 + W/r)^{-q}; multivariate t at q = (n + nu)/2, r = nu.
+
+    The two shapes of the radial integral's beta function, a = n/2 and
+    b = q - n/2, are the laws behind the radius: R^2 = r G_a / G_b for
+    independent unit-scale gammas, so the sampler draws a gamma ratio.
+    """
 
     r: float
     q: float
@@ -369,10 +384,22 @@ class PearsonVII:
             special.betaln(n / 2, self.q - n / 2)
         )
 
+    def radii(self, rng: np.random.Generator, n: float, m: int) -> np.ndarray:
+        """m radii at dimension n: the gamma ratio of the class docstring."""
+        r = rng.standard_gamma(n / 2.0, size=m)
+        g2 = rng.standard_gamma(self.q - n / 2.0, size=m)
+        r *= self.r
+        r /= g2
+        return np.sqrt(r, out=r)
+
 
 @dataclass(frozen=True)
 class PearsonII:
-    """Pearson II kernel (1 - W)^q on W <= 1; q > -1 so Gamma(q+1) is finite."""
+    """Pearson II kernel (1 - W)^q on W <= 1; q > -1 so Gamma(q+1) is finite.
+
+    The radial integral's beta function has shapes n/2 and q + 1, and
+    R^2 ~ Beta(n/2, q + 1), so the sampler draws a beta root.
+    """
 
     q: float
 
@@ -400,6 +427,11 @@ class PearsonII:
 
         return float(special.betaln(n / 2, self.q + 1))
 
+    def radii(self, rng: np.random.Generator, n: float, m: int) -> np.ndarray:
+        """m radii at dimension n: the beta root of the class docstring."""
+        r = rng.beta(n / 2.0, self.q + 1.0, size=m)
+        return np.sqrt(r, out=r)
+
 
 @dataclass(frozen=True)
 class Bessel:
@@ -416,7 +448,7 @@ class Bessel:
     proportional to R^n K_q(R/r), the K-distribution of R = 2 r sqrt(G_a G_b)
     for independent unit-scale G_a ~ Gamma(a), G_b ~ Gamma(b) (Jakeman and
     Pusey 1976).  Both shapes are positive exactly when |q| < n + 1, and
-    the sampler draws the radius this way.
+    the sampler draws the radius this way, a gamma product.
     """
 
     r: float
@@ -466,6 +498,14 @@ class Bessel:
             + gammaln((n + 1 - self.q) / 2)
             + gammaln((n + 1 + self.q) / 2)
         )
+
+    def radii(self, rng: np.random.Generator, n: float, m: int) -> np.ndarray:
+        """m radii at dimension n: the K-distribution of the class docstring."""
+        r = rng.standard_gamma((n + 1.0 + self.q) / 2.0, size=m)
+        g2 = rng.standard_gamma((n + 1.0 - self.q) / 2.0, size=m)
+        r *= g2
+        np.sqrt(r, out=r)
+        return np.multiply(r, 2.0 * self.r, out=r)
 
 
 GeneratorSpec = Kotz | PearsonVII | PearsonII | Bessel

@@ -16,10 +16,13 @@ Sampler structure
 -----------------
 Spherical draws factor into an independent radius and direction.  The
 radius is an exact transformation of gamma or beta variates for every
-kernel: Kotz, Pearson VII, Pearson II, and Bessel, whose radius is
-2 r sqrt(G1 G2) for two independent gammas (the K-distribution).  No
-sampler tabulates or inverts a CDF numerically.  Every derived family is
-the deterministic image of its parent sampler under a forward map that the
+kernel, and each generator class of the generators module draws its own
+(its ``radii`` method), beside the radial integral whose shapes it uses:
+a gamma power (Kotz), a gamma ratio (Pearson VII), a beta root (Pearson
+II), and for Bessel 2 r sqrt(G1 G2) with two independent gammas (the
+K-distribution).  This module names no generator class.  No sampler
+tabulates or inverts a CDF numerically.  Every derived family is the
+deterministic image of its parent sampler under a forward map that the
 densities module holds beside its inverse, so goodness-of-fit tests on the
 images validate the corrected densities end to end.
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _EXPORTS
-from .core import MvEllipticalParams, ScaleShapeParams, _block_sqnorms, _cut_blocks, _whole
+from .core import MvEllipticalParams, ScaleShapeParams, _block_sqnorms, _count, _cut_blocks
 from .densities import (
     BetaParams,
     GammaLogGammaParams,
@@ -52,13 +55,7 @@ from .densities import (
     _unit_forward,
 )
 from .errors import DimensionMismatch, ParameterOutOfDomain
-from .generators import (
-    GeneratorSpec,
-    Kotz,
-    PearsonII,
-    PearsonVII,
-    RadialLaw,
-)
+from .generators import GeneratorSpec, RadialLaw
 
 __all__ = list(_EXPORTS["sampling"])
 
@@ -94,12 +91,12 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     """Deterministically split one seed into independent child generators."""
-    children = _seeded(np.random.SeedSequence, seed).spawn(_whole(count, "count"))
+    children = _seeded(np.random.SeedSequence, seed).spawn(_count(count, "count"))
     return [np.random.default_rng(s) for s in children]
 
 
 def _n_draws(size: int | None) -> int:
-    return 1 if size is None else _whole(size, "size")
+    return 1 if size is None else _count(size, "size")
 
 
 def _squeeze(out: np.ndarray, size: int | None) -> np.ndarray:
@@ -120,7 +117,7 @@ def _onto_unit_sphere(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def sample_unit_sphere(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Rotationally uniform points on the unit sphere in R^n."""
-    n = _whole(n, "n", least=1)
+    n = _count(n, "n", least=1)
     return _squeeze(_onto_unit_sphere(rng.standard_normal((_n_draws(size), n)), rng), size)
 
 
@@ -133,35 +130,13 @@ def sample_radius(
 ) -> np.ndarray | float:
     """Draw of ||x|| for a spherical vector with the law's generator and dimension.
 
-    Every kernel has an exact transformation path: a gamma power (Kotz), a
-    gamma ratio (Pearson VII), a beta root (Pearson II) or a gamma product
-    (Bessel).
+    Each generator class draws its own radius (its ``radii``), by the exact
+    transformation its docstring states beside the radial integral whose
+    shapes it draws: a gamma power (Kotz), a gamma ratio (Pearson VII), a
+    beta root (Pearson II) or a gamma product (Bessel).
     """
-    spec, n = law.spec, law.n
-    m = _n_draws(size)
-    if isinstance(spec, Kotz):
-        shape = (2.0 * spec.q + n - 2.0) / (2.0 * spec.s)
-        r = rng.standard_gamma(shape, size=m)
-        r /= spec.r
-        r **= 1.0 / (2.0 * spec.s)  # the fast paths of y ** e too (np.sqrt at e = 0.5)
-    elif isinstance(spec, PearsonVII):
-        r = rng.standard_gamma(n / 2.0, size=m)
-        g2 = rng.standard_gamma(spec.q - n / 2.0, size=m)
-        r *= spec.r
-        r /= g2
-        np.sqrt(r, out=r)
-    elif isinstance(spec, PearsonII):
-        r = rng.beta(n / 2.0, spec.q + 1.0, size=m)
-        np.sqrt(r, out=r)
-    else:  # Bessel: the K-distribution, a product of two gammas (see Bessel)
-        r = rng.standard_gamma((n + 1.0 + spec.q) / 2.0, size=m)
-        g2 = rng.standard_gamma((n + 1.0 - spec.q) / 2.0, size=m)
-        r *= g2
-        np.sqrt(r, out=r)
-        r *= 2.0 * spec.r
-    if size is None:
-        return float(r[0])
-    return r
+    r = law.spec.radii(rng, law.n, _n_draws(size))
+    return float(r[0]) if size is None else r
 
 
 def _spherical(spec: GeneratorSpec, n: int, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -273,9 +248,7 @@ def sample_gengamma_pearson7(
         norm /= d[:, 0]
         np.sqrt(norm, out=norm)
         np.multiply(u, norm[:, None], out=blk)
-    if size is None:
-        return float(s0[0]), t[0]
-    return s0, t
+    return (float(s0[0]), t[0]) if size is None else (s0, t)
 
 
 def sample_gengamma_pearson2(
@@ -382,9 +355,7 @@ def sample_gengamma_beta2(
     s0, f = u[:, 0], u[:, 1:]
     with np.errstate(divide="ignore", over="ignore"):
         f /= u[:, :1]
-    if size is None:
-        return float(s0[0]), f[0]
-    return s0, f
+    return (float(s0[0]), f[0]) if size is None else (s0, f)
 
 
 def sample_gengamma_beta1(

@@ -66,6 +66,7 @@ from .core import (
     ScaleShapeParams,
     _CHUNK,
     _all_last,
+    _count,
     _map_chunks,
     _sum_last,
     _whole,
@@ -397,7 +398,7 @@ def mc_normalization(
     not a whole number, and DimensionMismatch when a draw or either
     density has another shape than its chunk's.
     """
-    n = _whole(n, "n", least=2)
+    n = _count(n, "n", least=2)
     rng = make_rng(seed)
     chunks = -(-n // _CHUNK)
     w = np.empty(n)
@@ -498,8 +499,8 @@ def jacobian_check(n: int, n_draws: int = 1000, seed: int = 0) -> CheckReport:
     log-determinant of the map's central-difference Jacobian.  The residual
     is the largest gap (_image_identity_residual); the tolerance is 1e-5.
     """
-    n = _whole(n, "dimension", 1)
-    n_draws = _whole(n_draws, "n_draws", least=1)
+    n = _count(n, "dimension", 1)
+    n_draws = _count(n_draws, "n_draws", least=1)
     p = replace(_BALL_T, dims=(n,))
     t = sample_mv_t(p, make_rng(seed), size=n_draws)
     return _ball_report(f"jacobian-ball-map-n{n}", p, t, f"n_draws={n_draws} seed={seed}")
@@ -630,8 +631,12 @@ def pushforward_check(
     PCHIP interpolant; the KS p-value of each sorted margin is that of
     stats.kstest's default, exact mode (_ks_pvalue).  Each chi-square cell
     probability is a difference of the table's corners, and its count is
-    np.histogram2d's (_cell_counts).  The residual is the worst threshold
-    shortfall, so 0 means every sub-check passed.
+    np.histogram2d's (_cell_counts).  A draw with a finite coordinate at or
+    beyond a finite end of its support axis lies outside the law, where
+    neither the KS margins nor the chi-square cells, which drop draws past
+    the grid's end nodes, need notice it: the share of such draws is one
+    more shortfall, and details then give their count (``outside=<count>``).
+    The residual is the worst shortfall, so 0 means every sub-check passed.
 
     Raises ParameterOutOfDomain, before any draw, for a support of other
     than 1 or 2 axes or with an axis without lo < hi; DimensionMismatch
@@ -640,7 +645,7 @@ def pushforward_check(
     table's total is not finite and positive (a density that is NaN, inf
     or zero across the grid).
     """
-    n_draws = _whole(n_draws, "n_draws", least=1)
+    n_draws = _count(n_draws, "n_draws", least=1)
     d = len(support)
     if d not in _PUSH_GRID_POINTS:
         raise ParameterOutOfDomain(f"pushforward grids cover 1 or 2 dims, got {d}")
@@ -714,6 +719,11 @@ def pushforward_check(
         chi2_p = float(special.chdtrc(int(mask.sum()) - 1, stat))
         shortfalls.append(max(0.0, 0.001 - chi2_p))
         details += f" chi2_p={chi2_p:.5f}"
+    lo, hi = np.asarray(support, dtype=float).T  # no finite draw lies beyond an infinite end
+    outside = int(np.sum(np.any(np.isfinite(x) & ((x <= lo) | (x >= hi)), axis=1)))
+    if outside:
+        shortfalls.append(outside / n_draws)
+        details += f" outside={outside}"
     return CheckReport(name, max(shortfalls), 0.0, details=f"{details} n={n_draws} seed={seed}")
 
 

@@ -5,6 +5,7 @@ script, without interpreter startup); one test exercises the installed
 `multivec` entry point through a real subprocess.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -737,6 +738,17 @@ _EXIT_1_CASES = {  # id: (argv, {file name: text}, stderr); {d} is the case's di
          "--out", "{d}/x.csv"],
         {"p.json": json.dumps({"alpha0": -1.0, "beta1": 1.0, "beta2": 2.5})},
         "error: alpha0 must be positive, got (-1.0,)\n"),
+    # a count past np.intp's largest value, which numpy cannot index
+    "sample-n-past-numpys-index": (
+        ["sample", "--model", "kotz-gamma", "--params", "{d}/p.json", "-n", str(10**20),
+         "--seed", "1", "--out", "{d}/x.csv"], {},
+        f"error: -n must be <= {np.iinfo(np.intp).max}, got {10**20}\n"),
+    "check-n-draws-past-numpys-index": (
+        ["check", "--suite", "pushforward", "--n-draws", str(10**20)], {},
+        f"error: --n-draws must be <= {np.iinfo(np.intp).max}, got {10**20}\n"),
+    "grid-steps-past-numpys-index": (
+        _GRID + ["--range=1,2,1,2", "--steps", str(10**20)], {},
+        f"error: --steps must be <= {np.iinfo(np.intp).max}, got {10**20}\n"),
     "sample-zero-rows-negative-seed": (
         ["sample", "--model", "kotz-gamma", "--params", "{d}/p.json", "-n", "0", "--seed", "-1",
          "--out", "{d}/x.csv"], {}, "error: seed must be >= 0, got -1\n"),
@@ -754,6 +766,23 @@ def test_input_errors_exit_1_with_one_message(case, tmp_path, capsys):
     assert (rc, out) == (1, "")
     assert err.startswith(message.format(d=tmp_path)) and err.count("\n") == 1, err
     assert not (tmp_path / "o.json").exists() and not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("error, message", [(MemoryError(), "out of memory"),
+                                            (MemoryError("Unable to allocate 8 EiB"),
+                                             "Unable to allocate 8 EiB")])
+def test_a_memory_error_exits_1_with_one_message(error, message, monkeypatch, tmp_path, capsys):
+    def no_room(*args, **kwargs):
+        raise error
+
+    model = dataclasses.replace(cli._MODELS["mv-t"], sampler=no_room)
+    monkeypatch.setitem(cli._MODELS, "mv-t", model)
+    p = write_params(tmp_path / "p.json", MODEL_PARAMS["mv-t"][0])
+    out_csv = tmp_path / "x.csv"
+    rc, out, err = run_cli(["sample", "--model", "mv-t", "--params", p, "-n", "10", "--seed", "0",
+                            "--out", str(out_csv)], capsys)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    assert not out_csv.exists()
 
 
 def test_a_params_file_that_is_not_utf8_exits_1_with_one_message(tmp_path, capsys):

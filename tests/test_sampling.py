@@ -175,6 +175,22 @@ def test_radius_bessel_exact_path():
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [Kotz(r=0.7, q=1.6, s=1.4), PearsonVII(r=2.0, q=3.1), PearsonII(q=0.7), Bessel(r=1.3, q=0.8)],
+    ids=lambda spec: type(spec).__name__,
+)
+def test_each_generators_radii_follow_its_radial_density(spec):
+    # each class's own draw (its radii) at a non-integer dimension, against
+    # the radial density integrated on a grid, as for the Bessel path above
+    law = RadialLaw(spec, 2.6)
+    r = sample_radius(law, make_rng(21), size=100_000)
+    grid = np.linspace(1e-9, float(np.max(r)) * 1.5, 4001)
+    cdf = integrate.cumulative_simpson(np.exp(law.logpdf(grid)), x=grid, initial=0.0)
+    cdf /= cdf[-1]
+    assert stats.kstest(r, lambda v: np.interp(v, grid, cdf)).pvalue > 0.01
+
+
+@pytest.mark.parametrize(
     "spec,n",
     [(Bessel(r=1.0, q=2.7), 2.0), (Bessel(r=0.3, q=1.95), 1.0), (Bessel(r=3.0, q=3.9), 3.0)],
     ids=["n2-q2.7", "n1-q1.95", "n3-q3.9"],
@@ -344,6 +360,25 @@ def test_every_count_refuses_a_hostile_value_before_any_work(monkeypatch):
                     wrong.append((key, label, str(exc)))
             except Exception as exc:  # a TypeError, or a draw, quadrature or log before the check
                 wrong.append((key, label, f"{type(exc).__name__}: {exc}"))
+    assert wrong == []
+
+
+def test_every_array_length_refuses_one_numpy_cannot_index():
+    # past np.intp's largest value numpy raises a bare ValueError before it
+    # allocates; core._count refuses such a size, count or dimension first
+    wrong = []
+    for key, (call, _) in _count_takers().items():
+        arg = key.split()[1]
+        if arg in ("seed", "max_iter"):
+            continue
+        try:
+            call(10**20)
+            wrong.append((key, "no error"))
+        except ParameterOutOfDomain as exc:
+            if str(exc) != f"{arg} must be <= {np.iinfo(np.intp).max}, got {10**20}":
+                wrong.append((key, str(exc)))
+        except Exception as exc:
+            wrong.append((key, f"{type(exc).__name__}: {exc}"))
     assert wrong == []
 
 

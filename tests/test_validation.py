@@ -969,6 +969,33 @@ def test_the_chi_square_counts_are_histogram2ds():
     assert 0 < got.sum() < len(x)
 
 
+def test_a_draw_at_or_beyond_a_finite_support_end_fails_the_row():
+    # mv-beta1-k2's draws with 40 moved past b1's upper end and 40 below b2's
+    # lower one: the KS margins and the chi-square cells do not see them
+    beta = validation._fixture("mv-beta1-k2")
+    family = FAMILIES[beta.family]
+
+    def moved(b1, b2):
+        def sampler(rng, m):
+            x = family.sample(beta.params, rng, m)
+            x[:40, 0], x[40:80, 1] = b1, b2
+            return x
+        return sampler
+
+    def check(sampler):
+        return pushforward_check(sampler, partial(family.logpdf, beta.params), beta.support,
+                                 n_draws=20_000, seed=0, name="moved")
+
+    past = check(moved(1.2, -0.1))
+    assert (past.passed, past.residual) == (False, 80 / 20_000)
+    assert past.details == "ks_p=['0.1745', '0.1025'] chi2_p=0.15745 outside=80 n=20000 seed=0"
+    at_ends = check(moved(1.0, 0.0))  # the open support holds neither end
+    assert (at_ends.passed, at_ends.residual) == (False, 80 / 20_000)
+    assert "outside=80 " in at_ends.details
+    inside = check(partial(family.sample, beta.params))
+    assert inside.passed and "outside" not in inside.details
+
+
 @pytest.mark.parametrize("n", [4, 5, 640, 641])
 @pytest.mark.parametrize("nodes", ["linspace", "geomspace"])
 @pytest.mark.parametrize("axis", [0, 1])
